@@ -24,7 +24,7 @@ from .baselines import SpectralConfig, classical_spectral, kmeans_lloyd
 from .data import Dataset, gen_dataset, load_dataset, save_dataset
 from .errors import NumericalError
 from .metrics import ClusteringReport, evaluate
-from .network import load_checkpoint, save_checkpoint
+from .network import OptimizerState, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, TrainHistory, fit, predict
 from .transport import sinkhorn_algorithm1, sinkhorn_marginal
 
@@ -198,9 +198,8 @@ def _train_run(cfg: TrainConfig, ds: Dataset, out_dir: Path, dataset_path) -> Pa
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     model, history = fit(ds.features, cfg)
     ckpt = out_dir / "checkpoint.npz"
-    from .network import OptimizerState  # local import avoids cycle at module load
-
-    save_checkpoint(ckpt, model, OptimizerState(base_lr=cfg.lr), cfg.epochs, None)
+    opt = OptimizerState(cfg.lr, cfg.momentum, cfg.weight_decay, cfg.restart_period)
+    save_checkpoint(ckpt, model, opt, cfg.epochs, None)
     (out_dir / "history.txt").write_text(format_history(history))
     outputs = {"checkpoint": ckpt, "history": out_dir / "history.txt"}
     if ds.labels is not None:

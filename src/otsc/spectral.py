@@ -75,7 +75,9 @@ def off_diagonal(square: np.ndarray) -> np.ndarray:
     b = square.shape[0]
     if square.shape != (b, b) or b < 2:
         raise ValueError("expected a square matrix with at least 2 rows")
-    return square[~np.eye(b, dtype=bool)].reshape(b, b - 1)
+    # past entry (0, 0) the row-major entries fall into rows of B+1 that each
+    # end on a diagonal entry; dropping that column leaves the rest in order
+    return square.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b].reshape(b, b - 1)
 
 
 def cross_affinity(z) -> np.ndarray:
@@ -98,8 +100,9 @@ def scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
     b = values.shape[0]
     if values.shape != (b, b - 1):
         raise ValueError("expected a B x (B-1) matrix")
-    full = np.zeros((b, b))
-    full[~np.eye(b, dtype=bool)] = values.ravel()
+    full = np.empty((b, b))
+    full.reshape(-1)[:: b + 1] = 0.0
+    full.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b] = values.reshape(b - 1, b)
     return full
 
 
@@ -121,15 +124,21 @@ def softmax_cross_entropy(
     logits = as_matrix(logits, "logits")
     if target.shape != logits.shape:
         raise ValueError("target and logits shapes differ")
-    if (target < 0).any() or np.abs(target.sum(axis=1) - 1.0).max() > 1e-8:
+    row_mass = target.sum(axis=1)
+    if (target < 0).any() or np.abs(row_mass - 1.0).max() > 1e-8:
         raise ValueError("target must be row-stochastic")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    scaled = logits / tau
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-(target * log_probs).sum())
-    grad = (np.exp(log_probs) - target) / tau
+    shifted = logits / tau
+    shifted -= shifted.max(axis=1, keepdims=True)
+    # -sum(target * (shifted - log(sums))), sums the row sums of exp(shifted)
+    cross = np.vdot(target, shifted)
+    grad = np.exp(shifted, out=shifted)  # turned into the gradient in place
+    sums = grad.sum(axis=1)
+    loss = float(row_mass @ np.log(sums) - cross)
+    grad /= sums[:, None]
+    grad -= target
+    grad /= tau
     return loss, grad
 
 

@@ -285,8 +285,8 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
         if pen_grads[v] is not None:
             grad_z = grad_z + pen_grads[v]
         grad_protos_norm += cfg.lam * (grad_h[v].T @ z)
-        grad_tau_a += -float(np.sum(grad_w[v] * w_logits[v])) / tau_a
-        grad_tau_c += -cfg.lam * float(np.sum(grad_h[v] * h_logits[v])) / tau_c
+        grad_tau_a += -float(np.vdot(grad_w[v], w_logits[v])) / tau_a
+        grad_tau_c += -cfg.lam * float(np.vdot(grad_h[v], h_logits[v])) / tau_c
 
         grad_raw = row_normalize_vjp(z_raw, grad_z)
         layer_grads = net.backward(model, cache, grad_raw)

@@ -1,21 +1,22 @@
 """Entropic optimal transport via Sinkhorn scaling.
 
-Two solver variants live here. ``sinkhorn_algorithm1`` is the fixed-count
-form used to build training targets: exponentiate similarities divided by
-``eta``, then alternate column- and row-normalization a fixed number of
-times, ending on rows. ``sinkhorn_marginal`` is the tolerance-driven solver
-for prescribed marginals; it reports its scaling vectors and is the variant
-used for analysis and testing. ``exact_ot_oracle`` solves small instances
-exactly and exists for verification only.
+One scaling core, ``_scale``, serves both solvers and has two stop rules.
+``sinkhorn_algorithm1`` builds training targets with a fixed count:
+exponentiate similarities divided by ``eta``, then alternate column- and
+row-normalization a fixed number of times, ending on rows.
+``sinkhorn_marginal`` solves for prescribed marginals to a tolerance,
+switching to log-domain updates at small ``eta``; it reports its scaling
+vectors and is the variant used for analysis and testing.
+``exact_ot_oracle`` solves small instances exactly and exists for
+verification only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.special import logsumexp
 
 from .errors import SinkhornUnderflowError
 from .linalg import as_matrix
@@ -86,12 +87,69 @@ class SinkhornState:
         )
 
 
-def _check_positive(w: np.ndarray, axis_name: str, axis: int, eta: float) -> np.ndarray:
-    sums = w.sum(axis=axis)
-    bad = np.flatnonzero(sums <= 0.0)
-    if bad.size:
-        raise SinkhornUnderflowError(axis_name, int(bad[0]), eta)
-    return sums
+def _measured(plan: np.ndarray, r, c, iterations: int) -> TransportPlan:
+    """``plan`` with its max-norm residuals against marginals ``r`` and ``c``."""
+    return TransportPlan(
+        plan=plan,
+        row_marginal_residual=float(np.abs(plan.sum(axis=1) - r).max()),
+        col_marginal_residual=float(np.abs(plan.sum(axis=0) - c).max()),
+        iterations_used=iterations,
+    )
+
+
+def _sums(k, scaling, axis: int, log_domain: bool) -> np.ndarray:
+    """Sums of ``k`` along ``axis`` with the other side scaled by ``scaling``;
+    in the log domain, a max-shifted log-sum-exp."""
+    if not log_domain:
+        return scaling @ k if axis == 0 else k @ scaling
+    a = k + (scaling[:, None] if axis == 0 else scaling)
+    top = a.max(axis=axis, keepdims=True)
+    a -= top
+    np.exp(a, out=a)
+    return np.log(a.sum(axis=axis)) + top.ravel()
+
+
+def _fit(target, sums, axis: str, eta: float, log_domain: bool) -> np.ndarray:
+    """Scaling that fits ``sums`` to ``target``; refuses a kernel-domain sum
+    that underflowed to 0 or to a subnormal whose reciprocal overflows."""
+    if log_domain:
+        return target - sums
+    scaling = target / sums
+    if not scaling.max() < np.inf:  # also catches NaN
+        raise SinkhornUnderflowError(axis, int(np.argmin(scaling < np.inf)), eta)
+    return scaling
+
+
+def _scale(k, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False):
+    """Alternate column and row scaling of the kernel ``k``.
+
+    The plan ``diag(u) @ k @ diag(v)`` is never formed: a half-sweep is one
+    matrix-vector product and one reciprocal or, in the log domain (``k``
+    the log-kernel, ``u`` and ``v`` the potentials), one max-shifted
+    log-sum-exp. Rows are exact after each sweep, so the column residual
+    ``v * (k.T @ u) - c`` costs only the product the next sweep starts
+    from; the loop stops on it within ``tol`` if given, else after
+    ``max_iter`` sweeps. ``rows_first`` sweeps ``k.T`` instead, so rows and
+    columns swap roles. Returns ``(u, v, sweeps)``.
+    """
+    first, second = ("row", "column") if rows_first else ("column", "row")
+    if rows_first:
+        k, r, c = k.T, c, r
+    r_fit, c_fit = (np.log(r), np.log(c)) if log_domain else (r, c)
+    u = np.zeros(k.shape[0]) if log_domain else np.ones(k.shape[0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sums = _sums(k, u, 0, log_domain)
+        for sweep in range(1, max_iter + 1):
+            v = _fit(c_fit, sums, first, eta, log_domain)
+            u = _fit(r_fit, _sums(k, v, 1, log_domain), second, eta, log_domain)
+            if sweep == max_iter:
+                break
+            sums = _sums(k, u, 0, log_domain)
+            if tol is not None:
+                mass = np.exp(v + sums) if log_domain else v * sums
+                if np.abs(mass - c).max() <= tol:
+                    break
+    return (v, u, sweep) if rows_first else (u, v, sweep)
 
 
 def sinkhorn_algorithm1(logits, eta: float, iterations: int) -> TransportPlan:
@@ -112,19 +170,13 @@ def sinkhorn_algorithm1(logits, eta: float, iterations: int) -> TransportPlan:
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     m, n = logits.shape
-    scaled = logits / eta
-    w = np.exp(scaled - scaled.max())
-    for _ in range(iterations):
-        w = w / _check_positive(w, "column", 0, eta)[None, :]
-        w = w / _check_positive(w, "row", 1, eta)[:, None]
-    row_res = float(np.abs(w.sum(axis=1) - 1.0).max())
-    col_res = float(np.abs(w.sum(axis=0) - m / n).max())
-    return TransportPlan(
-        plan=w,
-        row_marginal_residual=row_res,
-        col_marginal_residual=col_res,
-        iterations_used=iterations,
-    )
+    w = logits / eta
+    w -= w.max()
+    np.exp(w, out=w)
+    u, v, _ = _scale(w, 1.0, 1.0, eta, iterations)
+    w *= u[:, None]
+    w *= v
+    return _measured(w, 1.0, m / n, iterations)
 
 
 def _check_marginals(row_marginals, col_marginals) -> tuple[np.ndarray, np.ndarray]:
@@ -154,8 +206,9 @@ def sinkhorn_marginal(
 
     Minimizes ``sum(Q * cost) + eta * sum(Q * log Q)`` subject to the given
     row/column marginals. Sweeps alternate the row and column scaling
-    updates until both max-norm marginal residuals fall to ``tol`` or
-    ``max_iter`` sweeps elapse; residuals achieved are reported either way.
+    updates, so columns are exact after each one, until the max-norm row
+    residual falls to ``tol`` or ``max_iter`` sweeps elapse; the residuals
+    of the returned plan are reported either way.
 
     Runs in the kernel domain for moderate ``eta`` and switches to
     log-domain updates when ``eta <= 0.01``, where ``exp(-cost/eta)`` is no
@@ -171,68 +224,15 @@ def sinkhorn_marginal(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    if eta <= _LOG_DOMAIN_ETA:
-        plan, log_a, log_b, used = _sinkhorn_log(cost, r, c, eta, tol, max_iter)
+    log_domain = eta <= _LOG_DOMAIN_ETA
+    k = -cost / eta if log_domain else np.exp(-cost / eta)
+    a, b, used = _scale(k, r, c, eta, max_iter, tol, log_domain, rows_first=True)
+    if log_domain:
+        plan, log_a, log_b = np.exp(a[:, None] + k + b), a, b
     else:
-        plan, log_a, log_b, used = _sinkhorn_kernel(cost, r, c, eta, tol, max_iter)
-
-    row_res = float(np.abs(plan.sum(axis=1) - r).max())
-    col_res = float(np.abs(plan.sum(axis=0) - c).max())
+        plan, log_a, log_b = a[:, None] * k * b, np.log(a), np.log(b)
     state = SinkhornState(log_alpha=log_a, log_beta=log_b, eta=eta)
-    return (
-        TransportPlan(
-            plan=plan,
-            row_marginal_residual=row_res,
-            col_marginal_residual=col_res,
-            iterations_used=used,
-        ),
-        state,
-    )
-
-
-def _sinkhorn_kernel(cost, r, c, eta, tol, max_iter):
-    kernel = np.exp(-cost / eta)
-    u = np.ones_like(r)
-    v = np.ones_like(c)
-    used = 0
-    for sweep in range(1, max_iter + 1):
-        kv = kernel @ v
-        if (kv <= 0).any():
-            raise SinkhornUnderflowError("row", int(np.flatnonzero(kv <= 0)[0]), eta)
-        u = r / kv
-        ku = kernel.T @ u
-        if (ku <= 0).any():
-            raise SinkhornUnderflowError("column", int(np.flatnonzero(ku <= 0)[0]), eta)
-        v = c / ku
-        used = sweep
-        plan = u[:, None] * kernel * v[None, :]
-        if (
-            np.abs(plan.sum(axis=1) - r).max() <= tol
-            and np.abs(plan.sum(axis=0) - c).max() <= tol
-        ):
-            break
-    plan = u[:, None] * kernel * v[None, :]
-    return plan, np.log(u), np.log(v), used
-
-
-def _sinkhorn_log(cost, r, c, eta, tol, max_iter):
-    log_kernel = -cost / eta
-    log_r, log_c = np.log(r), np.log(c)
-    f = np.zeros_like(r)
-    g = np.zeros_like(c)
-    used = 0
-    for sweep in range(1, max_iter + 1):
-        f = log_r - logsumexp(log_kernel + g[None, :], axis=1)
-        g = log_c - logsumexp(log_kernel + f[:, None], axis=0)
-        used = sweep
-        plan = np.exp(f[:, None] + log_kernel + g[None, :])
-        if (
-            np.abs(plan.sum(axis=1) - r).max() <= tol
-            and np.abs(plan.sum(axis=0) - c).max() <= tol
-        ):
-            break
-    plan = np.exp(f[:, None] + log_kernel + g[None, :])
-    return plan, f, g, used
+    return _measured(plan, r, c, used), state
 
 
 def diagonal_free_marginals(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,15 +269,7 @@ def exact_ot_oracle(cost, row_marginals, col_marginals) -> TransportPlan:
         plan[rows, cols] = 1.0
     else:
         plan = _transportation_lp(cost, r, c)
-
-    row_res = float(np.abs(plan.sum(axis=1) - r).max())
-    col_res = float(np.abs(plan.sum(axis=0) - c).max())
-    return TransportPlan(
-        plan=plan,
-        row_marginal_residual=row_res,
-        col_marginal_residual=col_res,
-        iterations_used=0,
-    )
+    return _measured(plan, r, c, 0)
 
 
 def _transportation_lp(cost, r, c):

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: brute-force enumeration, central
 finite differences, and direct formula evaluation. None of it shares code
-with the implementations under test.
+with the implementations under test. The Sinkhorn references are the
+package's earlier solver loops, kept as they were written: the fixed-count
+loop rescales the whole matrix at every half-sweep, and the tolerance loops
+rebuild the plan after every sweep to measure its residuals.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import logsumexp
+
+from otsc.errors import SinkhornUnderflowError
 
 
 def central_difference(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -131,3 +137,93 @@ def direct_ari(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if maximum == expected:
         return 1.0
     return (same_both - expected) / (maximum - expected)
+
+
+def _check_positive(w: np.ndarray, axis_name: str, axis: int, eta: float) -> np.ndarray:
+    sums = w.sum(axis=axis)
+    bad = np.flatnonzero(sums <= 0.0)
+    if bad.size:
+        raise SinkhornUnderflowError(axis_name, int(bad[0]), eta)
+    return sums
+
+
+def reference_algorithm1(logits, eta: float, iterations: int) -> np.ndarray:
+    """Fixed-count Sinkhorn plan by rescaling the whole matrix each half-sweep."""
+    logits = np.asarray(logits, dtype=np.float64)
+    scaled = logits / eta
+    w = np.exp(scaled - scaled.max())
+    for _ in range(iterations):
+        w = w / _check_positive(w, "column", 0, eta)[None, :]
+        w = w / _check_positive(w, "row", 1, eta)[:, None]
+    return w
+
+
+def reference_sinkhorn_kernel(cost, r, c, eta, tol, max_iter):
+    """Kernel-domain tolerance loop; returns (plan, log u, log v, sweeps)."""
+    kernel = np.exp(-cost / eta)
+    u = np.ones_like(r)
+    v = np.ones_like(c)
+    used = 0
+    for sweep in range(1, max_iter + 1):
+        kv = kernel @ v
+        if (kv <= 0).any():
+            raise SinkhornUnderflowError("row", int(np.flatnonzero(kv <= 0)[0]), eta)
+        u = r / kv
+        ku = kernel.T @ u
+        if (ku <= 0).any():
+            raise SinkhornUnderflowError("column", int(np.flatnonzero(ku <= 0)[0]), eta)
+        v = c / ku
+        used = sweep
+        plan = u[:, None] * kernel * v[None, :]
+        if (
+            np.abs(plan.sum(axis=1) - r).max() <= tol
+            and np.abs(plan.sum(axis=0) - c).max() <= tol
+        ):
+            break
+    plan = u[:, None] * kernel * v[None, :]
+    return plan, np.log(u), np.log(v), used
+
+
+def reference_sinkhorn_log(cost, r, c, eta, tol, max_iter):
+    """Log-domain tolerance loop; returns (plan, f, g, sweeps)."""
+    log_kernel = -cost / eta
+    log_r, log_c = np.log(r), np.log(c)
+    f = np.zeros_like(r)
+    g = np.zeros_like(c)
+    used = 0
+    for sweep in range(1, max_iter + 1):
+        f = log_r - logsumexp(log_kernel + g[None, :], axis=1)
+        g = log_c - logsumexp(log_kernel + f[:, None], axis=0)
+        used = sweep
+        plan = np.exp(f[:, None] + log_kernel + g[None, :])
+        if (
+            np.abs(plan.sum(axis=1) - r).max() <= tol
+            and np.abs(plan.sum(axis=0) - c).max() <= tol
+        ):
+            break
+    plan = np.exp(f[:, None] + log_kernel + g[None, :])
+    return plan, f, g, used
+
+
+def two_exp_cross_entropy(target, logits, tau: float) -> tuple[float, np.ndarray]:
+    """Row-softmax cross entropy and its logit gradient through log-probs."""
+    scaled = logits / tau
+    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-(target * log_probs).sum())
+    grad = (np.exp(log_probs) - target) / tau
+    return loss, grad
+
+
+def mask_off_diagonal(square: np.ndarray) -> np.ndarray:
+    """Off-diagonal entries of a square matrix by boolean-mask gather."""
+    b = square.shape[0]
+    return square[~np.eye(b, dtype=bool)].reshape(b, b - 1)
+
+
+def mask_scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
+    """B x (B-1) values placed off the diagonal by boolean-mask scatter."""
+    b = values.shape[0]
+    full = np.zeros((b, b))
+    full[~np.eye(b, dtype=bool)] = values.ravel()
+    return full

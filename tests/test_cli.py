@@ -3,6 +3,7 @@ import pytest
 
 from otsc.cli import format_report, load_train_config, main, parse_config
 from otsc.metrics import evaluate
+from otsc.network import load_checkpoint
 
 
 @pytest.fixture
@@ -106,6 +107,21 @@ class TestTrainEvalBaseline:
         base_keys = [line.split("=")[0] for line in
                      (bout / "report.txt").read_text().splitlines()]
         assert base_keys == train_keys
+
+    def test_checkpoint_records_configured_optimizer(self, tmp_path, dataset_path, config_path):
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(
+            config_path.read_text()
+            + "momentum = 0.5\nweight_decay = 0.05\nrestart_period = 600\n"
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg),
+                     "--dataset", str(dataset_path), "--out", str(out)]) == 0
+        _, opt, epoch, _ = load_checkpoint(out / "checkpoint.npz")
+        assert (opt.base_lr, opt.momentum, opt.weight_decay, opt.restart_period) == (
+            0.00001, 0.5, 0.05, 600
+        )
+        assert epoch == 3
 
     def test_spectral_baseline_runs(self, tmp_path, dataset_path):
         assert main(["baseline", "--method", "spectral", "--dataset", str(dataset_path),

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference, rel_error
+from oracles import (
+    central_difference,
+    mask_off_diagonal,
+    mask_scatter_off_diagonal,
+    rel_error,
+    two_exp_cross_entropy,
+)
 from otsc.linalg import qr_decompose
 from otsc.spectral import (
     affinity_grad_to_embeddings,
     affinity_loss,
     cross_affinity,
+    off_diagonal,
     orthogonal_penalty,
     orthogonalize,
     row_normalize,
@@ -63,6 +70,15 @@ class TestCrossAffinity:
         assert np.abs(np.diag(full)).max() == 0.0
         assert np.allclose(full[~np.eye(6, dtype=bool)].reshape(6, 5), w)
 
+    @pytest.mark.parametrize("b", [2, 3, 17, 100])
+    def test_strided_view_bitwise_equals_mask_form(self, b):
+        rng = np.random.default_rng(b)
+        square = rng.normal(size=(b, b))
+        assert off_diagonal(square).tobytes() == mask_off_diagonal(square).tobytes()
+        values = rng.normal(size=(b, b - 1))
+        got = scatter_off_diagonal(values)
+        assert got.tobytes() == mask_scatter_off_diagonal(values).tobytes()
+
     def test_batch_too_small(self):
         with pytest.raises(ValueError):
             cross_affinity(np.array([[1.0, 0.0]]))
@@ -116,6 +132,27 @@ class TestAffinityLoss:
     def test_rejects_non_stochastic_target(self):
         with pytest.raises(ValueError, match="stochastic"):
             affinity_loss(np.full((2, 3), 0.5), np.zeros((2, 3)), tau=0.1)
+
+    def test_rejects_negative_target(self):
+        target = np.array([[1.5, -0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="stochastic"):
+            softmax_cross_entropy(target, np.zeros((2, 2)), tau=0.1)
+
+    @pytest.mark.parametrize("with_zeros", [False, True])
+    def test_single_exp_matches_two_exp_formula(self, with_zeros):
+        rng = np.random.default_rng(8)
+        logits = 3.0 * rng.normal(size=(40, 39))
+        target = random_target(rng, (40, 39))
+        if with_zeros:
+            target[rng.random(target.shape) < 0.4] = 0.0
+            target[0] = 0.0
+            target[0, 5] = 1.0
+            target /= target.sum(axis=1, keepdims=True)
+        for tau in (0.05, 0.3, 1.0):
+            loss, grad = softmax_cross_entropy(target, logits, tau)
+            want_loss, want_grad = two_exp_cross_entropy(target, logits, tau)
+            assert abs(loss - want_loss) <= 1e-14 * abs(want_loss)
+            assert rel_error(grad, want_grad) <= 1e-14
 
     def test_grad_to_embeddings_matches_finite_differences(self):
         rng = np.random.default_rng(6)

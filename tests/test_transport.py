@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_assignment_cost, brute_force_transport
+from oracles import (
+    brute_force_assignment_cost,
+    brute_force_transport,
+    mask_off_diagonal,
+    reference_algorithm1,
+    reference_sinkhorn_kernel,
+    reference_sinkhorn_log,
+)
 from otsc.errors import SinkhornUnderflowError
 from otsc.transport import (
     diagonal_free_marginals,
@@ -48,6 +55,20 @@ class TestAlgorithm1:
             sinkhorn_algorithm1(logits, eta=1.0, iterations=2)
         assert exc.value.eta == 1.0
         assert exc.value.index == 0
+
+    def test_row_underflow_reports_axis_index_and_eta(self):
+        logits = np.array([[0.0, 0.0], [-2000.0, -2000.0]])
+        with pytest.raises(SinkhornUnderflowError) as exc:
+            sinkhorn_algorithm1(logits, eta=1.0, iterations=2)
+        assert (exc.value.axis, exc.value.index, exc.value.eta) == ("row", 1, 1.0)
+
+    def test_subnormal_column_sum_is_an_underflow(self):
+        # exp(-711) is subnormal and so is the column sum; its reciprocal
+        # overflows, which must surface as underflow, not as a bad plan
+        logits = np.array([[0.0, -711.0], [0.0, -711.0]])
+        with pytest.raises(SinkhornUnderflowError) as exc:
+            sinkhorn_algorithm1(logits, eta=1.0, iterations=2)
+        assert (exc.value.axis, exc.value.index, exc.value.eta) == ("column", 1, 1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -114,6 +135,18 @@ class TestMarginalVariant:
         with pytest.raises(ValueError, match="infeasible"):
             sinkhorn_marginal(np.ones((2, 2)), np.ones(2), np.array([1.0, 1.5]), eta=0.1)
 
+    def test_row_underflow_reports_axis_index_and_eta(self):
+        cost = np.array([[0.0, 0.0], [2000.0, 2000.0]])
+        with pytest.raises(SinkhornUnderflowError) as exc:
+            sinkhorn_marginal(cost, np.ones(2), np.ones(2), eta=0.05)
+        assert (exc.value.axis, exc.value.index, exc.value.eta) == ("row", 1, 0.05)
+
+    def test_subnormal_column_sum_is_an_underflow(self):
+        cost = np.array([[0.0, 711.0 * 0.05], [0.0, 711.0 * 0.05]])
+        with pytest.raises(SinkhornUnderflowError) as exc:
+            sinkhorn_marginal(cost, np.ones(2), np.ones(2), eta=0.05)
+        assert (exc.value.axis, exc.value.index, exc.value.eta) == ("column", 1, 0.05)
+
     def test_determinism(self):
         rng = np.random.default_rng(8)
         cost = rng.random((5, 5))
@@ -162,3 +195,51 @@ class TestEntropicLimit:
             oracle = exact_ot_oracle(cost, np.ones(8), np.ones(8))
             gap = abs(plan.cost(cost) - oracle.cost(cost))
             assert gap <= 0.01 * oracle.cost(cost)
+
+
+def _unit_rows(rng, b, d):
+    z = rng.normal(size=(b, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _marginals(rng, m, n):
+    r = rng.random(m) + 0.5
+    c = rng.random(n) + 0.5
+    return r, c * (r.sum() / c.sum())
+
+
+class TestAgainstReferenceLoops:
+    """The scaling core against the matrix-rescaling and plan-rebuilding
+    loops it replaced (`oracles.reference_*`)."""
+
+    @pytest.mark.parametrize("kind", ["random 7x5", "affinity 100x99", "assignment 1024x2"])
+    def test_fixed_count_plan_matches(self, kind):
+        rng = np.random.default_rng(11)
+        if kind == "random 7x5":
+            logits = rng.normal(size=(7, 5))
+        elif kind == "affinity 100x99":
+            z = _unit_rows(rng, 100, 4)
+            logits = mask_off_diagonal(z @ z.T)
+        else:
+            logits = _unit_rows(rng, 1024, 2) @ _unit_rows(rng, 2, 2).T
+        got = sinkhorn_algorithm1(logits, eta=0.05, iterations=5).plan
+        assert np.abs(got - reference_algorithm1(logits, 0.05, 5)).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "eta, reference", [(0.05, reference_sinkhorn_kernel), (1e-3, reference_sinkhorn_log)]
+    )
+    def test_tolerance_solve_matches(self, eta, reference):
+        rng = np.random.default_rng(12)
+        tol = 1e-9
+        for m, n in ((8, 8), (12, 7), (5, 9)):
+            # sorted points on a line: small-eta solves converge in hundreds of sweeps
+            x, y = np.sort(rng.random(m)), np.sort(rng.random(n))
+            cost = (x[:, None] - y[None, :]) ** 2
+            r, c = _marginals(rng, m, n)
+            plan, _ = sinkhorn_marginal(cost, r, c, eta, tol=tol, max_iter=5000)
+            want, _, _, used = reference(cost, r, c, eta, tol, 5000)
+            assert max(plan.row_marginal_residual, plan.col_marginal_residual) <= tol
+            assert np.abs(want.sum(axis=1) - r).max() <= tol
+            assert np.abs(want.sum(axis=0) - c).max() <= tol
+            assert used < 5000
+            assert abs(plan.iterations_used - used) <= 1
