@@ -25,7 +25,7 @@ from .data import Dataset, gen_dataset, load_dataset, save_dataset
 from .errors import NumericalError
 from .metrics import ClusteringReport, evaluate
 from .network import OptimizerState, load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, TrainHistory, fit, predict
+from .trainer import TRAINER_ORTH_MODES, TrainConfig, TrainHistory, fit, predict
 from .transport import sinkhorn_algorithm1, sinkhorn_marginal
 
 __all__ = ["main"]
@@ -295,7 +295,7 @@ def _sweep_points(axis: str):
     if axis == "lambda":
         return [("lambda-%.1f" % v, {"lam": v}) for v in LAMBDA_GRID]
     if axis == "orth":
-        points = [(f"orth-{m}", {"orth_mode": m}) for m in ("none", "qr", "procrustes")]
+        points = [(f"orth-{m}", {"orth_mode": m}) for m in TRAINER_ORTH_MODES if m != "penalty"]
         points += [
             ("orth-penalty-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
             for rho in RHO_GRID
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--sinkhorn-iters", type=int, default=None)
-    p.add_argument("--orth-mode", choices=("procrustes", "qr", "none", "penalty"), default=None)
+    p.add_argument("--orth-mode", choices=TRAINER_ORTH_MODES, default=None)
     p.add_argument("--keep-diagonal", action="store_true")
     p.set_defaults(func=_cmd_train)
 

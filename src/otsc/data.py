@@ -159,10 +159,17 @@ def load_dataset(path) -> Dataset:
         seed = meta.get("generator_seed", -1)
         name = meta.get("name", name)
     if has_labels:
+        labels = raw[:, -1]
+        bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.round(labels))))
+        if bad.size:
+            row = int(bad[0])
+            raise ValueError(
+                f"{path}: data row {row + 1} has non-integer label {float(labels[row])!r}"
+            )
         return Dataset(
             name=name,
             features=raw[:, :-1],
-            labels=raw[:, -1].astype(np.int64),
+            labels=labels.astype(np.int64),
             generator_seed=seed,
         )
     return Dataset(name=name, features=raw, labels=None, generator_seed=seed)

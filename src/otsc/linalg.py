@@ -40,10 +40,6 @@ class EigResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
-
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -52,9 +48,6 @@ class SvdResult:
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.v.T
 
 
 def sym_eig(a, tol: float = 1e-10) -> EigResult:

@@ -12,6 +12,7 @@ projection), so the effective temperature never exceeds 1.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,18 +286,27 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]))
+    """Read a checkpoint written by `save_checkpoint`.
+
+    A file that is not a readable .npz archive, or lacks an array or a meta
+    field, raises ``ValueError`` naming the file and the entry.
+    """
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as err:
+        raise ValueError(f"checkpoint {path} is unreadable: {err}") from None
+    try:
+        meta = json.loads(bytes(arrays["meta"]))
         if meta["format"] != _CKPT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {meta['format']}")
-        layers = []
-        for i in range(meta["num_layers"]):
-            layers.append(
-                (data[f"layer{i}.weight"].copy(), data[f"layer{i}.bias"].copy())
-            )
+        layers = [
+            (arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"])
+            for i in range(meta["num_layers"])
+        ]
         state = ModelState(
             layers=layers,
-            prototypes=data["prototypes"].copy(),
+            prototypes=arrays["prototypes"],
             log_tau_a=meta["log_tau_a"],
             log_tau_c=meta["log_tau_c"],
             tau_cap=meta["tau_cap"],
@@ -310,7 +320,9 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
             restart_period=opt_meta["restart_period"],
             scalar_buffers=dict(opt_meta["scalar_buffers"]),
         )
-        for key in data.files:
+        for key, value in arrays.items():
             if key.startswith("momentum:"):
-                opt.momentum_buffers[key.split(":", 1)[1]] = data[key].copy()
-    return state, opt, meta["epoch"], meta["rng_state"]
+                opt.momentum_buffers[key.split(":", 1)[1]] = value
+        return state, opt, meta["epoch"], meta["rng_state"]
+    except KeyError as err:
+        raise ValueError(f"checkpoint {path} has no entry {err.args[0]!r}") from None

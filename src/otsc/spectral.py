@@ -4,8 +4,8 @@ The affinity over a batch is a row-softmax of pairwise cosine similarities
 with the diagonal removed, so each sample distributes one unit of affinity
 over the other B-1 samples. Orthogonalization offers three strategies: the
 polar factor (nearest column-orthonormal matrix in Frobenius norm), the QR
-factor, or identity; the straight-through wrapper makes the polar map
-trainable by passing gradients through unchanged.
+factor, or identity; the trainer makes it trainable with a straight-through
+backward that passes gradients through unchanged.
 """
 
 from __future__ import annotations
@@ -18,17 +18,12 @@ import numpy as np
 from .linalg import as_matrix, qr_decompose, thin_svd
 
 __all__ = [
-    "AffinityBatch",
     "OrthogonalizationResult",
-    "cross_affinity",
     "off_diagonal",
     "scatter_off_diagonal",
     "softmax_cross_entropy",
-    "affinity_loss",
     "affinity_grad_to_embeddings",
-    "spectral_objective",
     "orthogonalize",
-    "straight_through",
     "orthogonal_penalty",
     "row_normalize",
     "row_normalize_vjp",
@@ -38,36 +33,12 @@ ORTH_MODES = ("procrustes", "qr", "none")
 
 
 @dataclass(frozen=True)
-class AffinityBatch:
-    """Off-diagonal cosine-similarity logits and the softmax temperature."""
-
-    logits: np.ndarray  # B x (B-1), row i holds z_i . z_j for j != i in order
-    temperature: float
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-
-    @property
-    def affinities(self) -> np.ndarray:
-        """Row-stochastic affinity matrix softmax(logits / temperature)."""
-        return _row_softmax(self.logits / self.temperature)
-
-
-@dataclass(frozen=True)
 class OrthogonalizationResult:
     """Orthogonalized embeddings and the Frobenius distance to the input."""
 
     z_new: np.ndarray
     inconsistency: float
-    mode: str
     warning: str | None = None
-
-
-def _check_unit_rows(z: np.ndarray, tol: float = 1e-8):
-    norms = np.linalg.norm(z, axis=1)
-    if np.abs(norms - 1.0).max() > tol:
-        raise ValueError("rows of z must be unit-norm")
 
 
 def off_diagonal(square: np.ndarray) -> np.ndarray:
@@ -80,20 +51,6 @@ def off_diagonal(square: np.ndarray) -> np.ndarray:
     return square.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b].reshape(b, b - 1)
 
 
-def cross_affinity(z) -> np.ndarray:
-    """Pairwise cosine similarities with the diagonal removed.
-
-    Row i of the result holds ``z_i . z_j`` for the B-1 indices ``j != i``
-    in their original order. Rows of ``z`` must be unit-norm.
-    """
-    z = as_matrix(z, "z")
-    b = z.shape[0]
-    if b < 2:
-        raise ValueError(f"cross_affinity needs a batch of at least 2, got {b}")
-    _check_unit_rows(z)
-    return off_diagonal(z @ z.T)
-
-
 def scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
     """Inverse of the diagonal removal: place B x (B-1) values into a
     B x B matrix with zero diagonal."""
@@ -104,12 +61,6 @@ def scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
     full.reshape(-1)[:: b + 1] = 0.0
     full.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b] = values.reshape(b - 1, b)
     return full
-
-
-def _row_softmax(scaled: np.ndarray) -> np.ndarray:
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(
@@ -142,16 +93,6 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-def affinity_loss(target, logits, tau: float) -> tuple[float, np.ndarray]:
-    """Cross entropy between target affinities and the modeled softmax.
-
-    ``target`` is a row-stochastic B x (B-1) matrix, ``logits`` the raw
-    off-diagonal cosine similarities. Gradient is with respect to the
-    logits; chaining into embeddings is `affinity_grad_to_embeddings`.
-    """
-    return softmax_cross_entropy(target, logits, tau)
-
-
 def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Chain an off-diagonal-logit gradient back to the embeddings.
 
@@ -160,16 +101,6 @@ def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.nd
     """
     a = scatter_off_diagonal(grad_logits)
     return a @ z + a.T @ z
-
-
-def spectral_objective(w, z) -> float:
-    """Trace objective Tr(z.T @ w @ z), evaluated as sum(w * (z @ z.T))."""
-    w = as_matrix(w, "w")
-    z = as_matrix(z, "z")
-    n = z.shape[0]
-    if w.shape != (n, n):
-        raise ValueError(f"w must be {n}x{n} to conform with z, got {w.shape}")
-    return float(np.sum(w * (z @ z.T)))
 
 
 def orthogonalize(z, mode: str = "procrustes") -> OrthogonalizationResult:
@@ -210,24 +141,7 @@ def orthogonalize(z, mode: str = "procrustes") -> OrthogonalizationResult:
         signs = np.where(np.diag(q)[:d] < 0, -1.0, 1.0)
         z_new = q * signs
     inconsistency = float(np.linalg.norm(z - z_new))
-    return OrthogonalizationResult(
-        z_new=z_new, inconsistency=inconsistency, mode=mode, warning=warning
-    )
-
-
-def straight_through(z, z_new) -> np.ndarray:
-    """Re-parameterized embeddings: the value is ``z_new`` exactly.
-
-    Backward contract: the gradient arriving at the output is passed to
-    ``z`` unchanged; the ``z_new - z`` branch carries no gradient. Callers
-    implement the backward by simply reusing the upstream gradient as the
-    gradient at ``z``.
-    """
-    z = as_matrix(z, "z")
-    z_new = as_matrix(z_new, "z_new")
-    if z.shape != z_new.shape:
-        raise ValueError("z and z_new shapes differ")
-    return z + (z_new - z)
+    return OrthogonalizationResult(z_new=z_new, inconsistency=inconsistency, warning=warning)
 
 
 def orthogonal_penalty(z, rho: float) -> tuple[float, np.ndarray]:

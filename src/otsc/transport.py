@@ -6,9 +6,9 @@ exponentiate similarities divided by ``eta``, then alternate column- and
 row-normalization a fixed number of times, ending on rows.
 ``sinkhorn_marginal`` solves for prescribed marginals to a tolerance,
 switching to log-domain updates at small ``eta``; it reports its scaling
-vectors and is the variant used for analysis and testing.
-``exact_ot_oracle`` solves small instances exactly and exists for
-verification only.
+vectors and is the variant used for analysis and testing. Exact solutions
+of small instances, which the tests check both solvers against, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import SinkhornUnderflowError
 from .linalg import as_matrix
@@ -26,8 +25,6 @@ __all__ = [
     "SinkhornState",
     "sinkhorn_algorithm1",
     "sinkhorn_marginal",
-    "exact_ot_oracle",
-    "diagonal_free_marginals",
 ]
 
 # kernel-domain scaling is safe above this eta; below it exp(cost/eta)
@@ -53,19 +50,14 @@ class TransportPlan:
         if (self.plan < 0).any() or not np.isfinite(self.plan).all():
             raise ValueError("transport plan must be nonnegative and finite")
 
-    def cost(self, cost_matrix) -> float:
-        """Linear transport objective sum(plan * cost)."""
-        return float(np.sum(self.plan * np.asarray(cost_matrix, dtype=np.float64)))
-
 
 @dataclass(frozen=True)
 class SinkhornState:
     """Row/column scalings of a converged marginal-constrained solve.
 
     Scalings are kept in log form so the state stays representable at small
-    ``eta``; ``alpha``/``beta`` expose the positive vectors themselves.
-    ``reconstruct(cost)`` rebuilds the plan as
-    ``diag(alpha) @ exp(-cost/eta) @ diag(beta)`` evaluated in log space.
+    ``eta``; ``alpha``/``beta`` expose the positive vectors themselves. The
+    plan is ``diag(alpha) @ exp(-cost/eta) @ diag(beta)``.
     """
 
     log_alpha: np.ndarray
@@ -79,12 +71,6 @@ class SinkhornState:
     @property
     def beta(self) -> np.ndarray:
         return np.exp(self.log_beta)
-
-    def reconstruct(self, cost) -> np.ndarray:
-        cost = as_matrix(cost, "cost")
-        return np.exp(
-            self.log_alpha[:, None] - cost / self.eta + self.log_beta[None, :]
-        )
 
 
 def _measured(plan: np.ndarray, r, c, iterations: int) -> TransportPlan:
@@ -234,53 +220,3 @@ def sinkhorn_marginal(
     state = SinkhornState(log_alpha=log_a, log_beta=log_b, eta=eta)
     return _measured(plan, r, c, used), state
 
-
-def diagonal_free_marginals(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Consistent marginals for an n x (n-1) diagonal-free affinity target.
-
-    Rows carry mass 1; the n-1 columns carry ``n/(n-1)`` each so both sides
-    total ``n`` (the literal 1-per-column constraint is infeasible).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return np.ones(n), np.full(n - 1, n / (n - 1))
-
-
-def exact_ot_oracle(cost, row_marginals, col_marginals) -> TransportPlan:
-    """Exact minimizer of the linear transport objective; tests only.
-
-    Unit square marginals are solved as a linear assignment (the optimum is
-    a permutation); general small rectangular instances go through an exact
-    LP solve of the transportation polytope. Instances above ``m*n = 256``
-    are refused.
-    """
-    cost = as_matrix(cost, "cost")
-    r, c = _check_marginals(row_marginals, col_marginals)
-    m, n = cost.shape
-    if r.size != m or c.size != n:
-        raise ValueError("marginal lengths must match the cost matrix shape")
-    if m * n > 256:
-        raise ValueError(f"oracle limited to m*n <= 256, got {m}x{n}")
-
-    unit_square = m == n and np.allclose(r, 1.0, atol=1e-12) and np.allclose(c, 1.0, atol=1e-12)
-    if unit_square:
-        rows, cols = linear_sum_assignment(cost)
-        plan = np.zeros_like(cost)
-        plan[rows, cols] = 1.0
-    else:
-        plan = _transportation_lp(cost, r, c)
-    return _measured(plan, r, c, 0)
-
-
-def _transportation_lp(cost, r, c):
-    m, n = cost.shape
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.concatenate([r, c])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise ValueError(f"exact transport LP failed: {res.message}")
-    return np.clip(res.x.reshape(m, n), 0.0, None)

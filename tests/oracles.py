@@ -1,11 +1,12 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately naive: brute-force enumeration, central
-finite differences, and direct formula evaluation. None of it shares code
-with the implementations under test. The Sinkhorn references are the
-package's earlier solver loops, kept as they were written: the fixed-count
-loop rescales the whole matrix at every half-sweep, and the tolerance loops
-rebuild the plan after every sweep to measure its residuals.
+finite differences, exact linear programs, and direct formula evaluation.
+None of it shares code with the implementations under test. The Sinkhorn
+references are the package's earlier solver loops, kept as they were
+written: the fixed-count loop rescales the whole matrix at every half-sweep,
+and the tolerance loops rebuild the plan after every sweep to measure its
+residuals.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 from otsc.errors import SinkhornUnderflowError
@@ -76,6 +78,64 @@ def brute_force_transport(cost: np.ndarray, r: np.ndarray, c: np.ndarray) -> flo
         total = sum(cost[i, j] * max(v, 0.0) for (i, j), v in zip(support, x))
         best = min(best, total)
     return best
+
+
+def exact_ot_oracle(cost, r, c) -> np.ndarray:
+    """Exact minimizer of the linear transport objective ``sum(plan * cost)``.
+
+    Unit square marginals are solved as a linear assignment (the optimum is
+    a permutation); other small instances as an exact LP over the
+    transportation polytope. Instances above ``m*n = 256`` are refused.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    m, n = cost.shape
+    if (r.size, c.size) != (m, n) or abs(r.sum() - c.sum()) > 1e-9 * r.sum():
+        raise ValueError("marginals must match the cost shape and carry equal mass")
+    if m * n > 256:
+        raise ValueError(f"oracle limited to m*n <= 256, got {m}x{n}")
+    if m == n and (r == 1.0).all() and (c == 1.0).all():
+        rows, cols = linear_sum_assignment(cost)
+        plan = np.zeros_like(cost)
+        plan[rows, cols] = 1.0
+        return plan
+    return _transportation_lp(cost, r, c)
+
+
+def _transportation_lp(cost, r, c) -> np.ndarray:
+    """Optimal plan of the transportation LP, solved exactly by HiGHS."""
+    m, n = cost.shape
+    a_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j::n] = 1.0
+    b_eq = np.concatenate([r, c])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise ValueError(f"exact transport LP failed: {res.message}")
+    return np.clip(res.x.reshape(m, n), 0.0, None)
+
+
+def transport_cost(plan, cost) -> float:
+    """Linear transport objective ``sum(plan * cost)``."""
+    return float(np.sum(np.asarray(plan) * np.asarray(cost, dtype=np.float64)))
+
+
+def scaling_plan(log_alpha, log_beta, cost, eta: float) -> np.ndarray:
+    """``diag(alpha) @ exp(-cost/eta) @ diag(beta)`` evaluated in log space."""
+    return np.exp(log_alpha[:, None] - np.asarray(cost) / eta + log_beta[None, :])
+
+
+def eig_reconstruct(eigenvalues, eigenvectors) -> np.ndarray:
+    """``Q @ diag(lambda) @ Q.T`` from an eigendecomposition."""
+    return (eigenvectors * eigenvalues) @ eigenvectors.T
+
+
+def svd_reconstruct(u, singular_values, v) -> np.ndarray:
+    """``U @ diag(s) @ V.T`` from a thin SVD."""
+    return (u * singular_values) @ v.T
 
 
 def brute_force_matching_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:

@@ -17,24 +17,25 @@ def dataset_path(tmp_path):
     return path
 
 
+TRAIN_CONFIG = "\n".join([
+    "num_clusters = 3",
+    "embed_dim = 3",
+    "batch_size = 20",
+    "epochs = 3",
+    "base_lr = 0.00001",
+    "seed = 5",
+    "noise_sigma = 0.05",
+    "feature_dropout_prob = 0.0",
+    "# comment line",
+    "tau_a_init = 0.2",
+    "tau_c_init = 0.15",
+]) + "\n"
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "train.cfg"
-    path.write_text(
-        "\n".join([
-            "num_clusters = 3",
-            "embed_dim = 3",
-            "batch_size = 20",
-            "epochs = 3",
-            "base_lr = 0.00001",
-            "seed = 5",
-            "noise_sigma = 0.05",
-            "feature_dropout_prob = 0.0",
-            "# comment line",
-            "tau_a_init = 0.2",
-            "tau_c_init = 0.15",
-        ]) + "\n"
-    )
+    path.write_text(TRAIN_CONFIG)
     return path
 
 
@@ -207,3 +208,90 @@ class TestReportFormat:
         assert lines["dataset"] == "demo"
         assert lines["contingency"] == "1,1;0,2"
         assert lines["matching"] == "0:0,1:1"
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A 2-feature blobs dataset, its training config, and a trained checkpoint."""
+    root = tmp_path_factory.mktemp("trained")
+    dataset, config = root / "blobs.csv", root / "train.cfg"
+    config.write_text(TRAIN_CONFIG)
+    assert main(["gen-dataset", "--kind", "blobs", "--n", "60", "--noise", "0.5",
+                 "--seed", "3", "--k", "3", "--dim", "2", "--out", str(dataset)]) == 0
+    assert main(["train", "--config", str(config), "--dataset", str(dataset),
+                 "--out", str(root / "run")]) == 0
+    return {"dataset": dataset, "config": config, "checkpoint": root / "run" / "checkpoint.npz"}
+
+
+def _csv(tmp_path, header, rows):
+    path = tmp_path / "input.csv"
+    path.write_text(header + "\n" + "".join(row + "\n" for row in rows))
+    return str(path)
+
+
+def _baseline(method, path, *extra):
+    return ["baseline", "--method", method, "--dataset", path, *extra]
+
+
+def _broken_checkpoint(tmp_path, run, drop=None):
+    """The trained checkpoint without entry ``drop``, or cut in half if None."""
+    path = tmp_path / "broken.npz"
+    if drop is None:
+        data = run["checkpoint"].read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+    else:
+        with np.load(run["checkpoint"]) as data:
+            np.savez(path, **{k: data[k] for k in data.files if k != drop})
+    return ["eval", "--checkpoint", str(path), "--dataset", str(run["dataset"])]
+
+
+TWELVE_ROWS = [f"{i % 4}.5,{i // 4}.25,{i % 2}" for i in range(12)]
+
+# case -> (argv builder, exit status, what stderr must contain)
+BAD_INPUTS = {
+    "ragged csv row": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1", "2,2,1"])),
+        1, "error: the number of columns changed"),
+    "label gap": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1,2", "2,2,2"])),
+        1, "error: labels must be 0..K-1"),
+    "non-integer labels": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0.7", "1,1,1.2", "2,2,0"])),
+        1, "data row 1 has non-integer label 0.7"),
+    "kmeans k > n": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", TWELVE_ROWS), "--k", "13"),
+        1, "error: k=13 exceeds the number of samples 12"),
+    "spectral k > n": (
+        lambda tmp, run: _baseline("spectral", _csv(tmp, "f0,f1,label", TWELVE_ROWS), "--k", "13"),
+        1, "error: more clusters than samples"),
+    "eval feature-dim mismatch": (
+        lambda tmp, run: ["eval", "--checkpoint", str(run["checkpoint"]), "--dataset",
+                          _csv(tmp, "f0,f1,f2,label", ["0,0,0,0", "1,1,1,1", "2,2,2,1"])],
+        1, "error: input dim 3 does not match"),
+    "eta far below 0.01": (
+        lambda tmp, run: ["train", "--config", str(run["config"]), "--dataset",
+                          str(run["dataset"]), "--out", str(tmp / "o"), "--eta", "0.0005"],
+        2, "underflowed to 0 during Sinkhorn scaling (eta=0.0005)"),
+    "checkpoint without meta": (
+        lambda tmp, run: _broken_checkpoint(tmp, run, "meta"), 1, "has no entry 'meta'"),
+    "checkpoint without layer0.weight": (
+        lambda tmp, run: _broken_checkpoint(tmp, run, "layer0.weight"),
+        1, "has no entry 'layer0.weight'"),
+    "truncated checkpoint": (
+        lambda tmp, run: _broken_checkpoint(tmp, run), 1, "broken.npz is unreadable"),
+}
+
+
+class TestBadInputs:
+    """Every bad input ends with exit status 1 or 2 and a message, never a
+    traceback: `main` returns instead of raising."""
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_exit_status_and_message(self, case, tmp_path, trained_run, capsys):
+        build, status, needle = BAD_INPUTS[case]
+        argv = build(tmp_path, trained_run)
+        capsys.readouterr()
+        assert main(argv) == status
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: " if status == 2 else "error: ")
+        assert needle in err

@@ -1,14 +1,17 @@
+"""The prototype clustering head as the trainer computes it.
+
+Assignment logits are ``z @ row_normalize(prototypes).T``, the clustering
+loss is `softmax_cross_entropy` against a transport target, and hard labels
+come from `trainer.predict`.
+"""
+
 import numpy as np
 import pytest
 
 from oracles import central_difference, rel_error
-from otsc.cluster import (
-    PrototypeBank,
-    assignment_probabilities,
-    clustering_loss,
-    soft_kmeans_objective,
-)
-from otsc.spectral import row_normalize, row_normalize_vjp
+from otsc import network as net
+from otsc.spectral import row_normalize, row_normalize_vjp, softmax_cross_entropy
+from otsc.trainer import TrainConfig, predict
 from otsc.transport import sinkhorn_algorithm1
 
 
@@ -17,79 +20,97 @@ def unit_rows(rng, n, d):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def random_bank(rng, k, d):
-    return PrototypeBank(unit_rows(rng, k, d))
-
-
 def random_stochastic(rng, shape):
     p = rng.random(shape) + 0.05
     return p / p.sum(axis=1, keepdims=True)
 
 
-class TestPrototypeBank:
-    def test_rejects_unnormalized_rows(self):
-        with pytest.raises(ValueError, match="unit"):
-            PrototypeBank(np.array([[2.0, 0.0], [0.0, 1.0]]))
+def prototype_logits(z, raw_prototypes):
+    """The trainer's assignment logits against unit-normalized prototypes."""
+    return z @ row_normalize(raw_prototypes).T
 
+
+def softmax_probabilities(logits, tau):
+    """``softmax(logits / tau)`` read off the gradient of the loss the trainer
+    runs, ``(softmax - target) / tau``, at a uniform target."""
+    target = np.full(logits.shape, 1.0 / logits.shape[1])
+    _, grad = softmax_cross_entropy(target, logits, tau)
+    return tau * grad + target
+
+
+def direct_softmax(logits, tau):
+    e = np.exp(logits / tau - (logits / tau).max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def squared_distances(z, prototypes):
+    return ((z[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
+
+
+def untrained_model(seed):
+    """An initialized model and a batch; predict needs no training."""
+    rng = np.random.default_rng(seed)
+    return net.init_model(4, 3, 4, rng), rng.normal(size=(12, 4))
+
+
+class TestPrototypeBank:
     def test_rejects_single_prototype(self):
-        with pytest.raises(ValueError):
-            PrototypeBank(np.array([[1.0, 0.0]]))
+        # the head needs at least two prototypes; the training config refuses one
+        with pytest.raises(ValueError, match="num_clusters"):
+            TrainConfig(num_clusters=1)
 
 
 class TestAssignmentProbabilities:
     def test_uniform_logits_give_uniform_probabilities(self):
         rng = np.random.default_rng(0)
-        bank = random_bank(rng, 4, 3)
-        # z orthogonal to every prototype: all logits equal (zero)
-        z = np.zeros((2, 3))
-        z[:, :] = np.linalg.svd(bank.prototypes, full_matrices=True)[2][-1]
-        z = row_normalize(z)
-        batch = assignment_probabilities(z, bank, tau_c=0.2)
-        if np.abs(batch.logits).max() <= 1e-10:
-            assert np.abs(batch.probabilities - 0.25).max() <= 1e-10
+        raw = np.zeros((4, 3))
+        raw[:, :2] = rng.normal(size=(4, 2))
+        z = np.tile([0.0, 0.0, 1.0], (2, 1))  # orthogonal to every prototype
+        logits = prototype_logits(z, raw)
+        assert (logits == 0.0).all()
+        assert np.abs(softmax_probabilities(logits, 0.2) - 0.25).max() <= 1e-15
 
     def test_matching_prototype_dominates_at_low_temperature(self):
         rng = np.random.default_rng(1)
-        bank = random_bank(rng, 3, 8)
-        z = bank.prototypes.copy()
-        batch = assignment_probabilities(z, bank, tau_c=0.01)
+        raw = 2.0 * rng.normal(size=(3, 8))
+        probs = softmax_probabilities(prototype_logits(row_normalize(raw), raw), 0.01)
         for i in range(3):
-            assert batch.probabilities[i, i] >= 0.99
+            assert probs[i, i] >= 0.99
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        batch = assignment_probabilities(unit_rows(rng, 9, 4), random_bank(rng, 3, 4), 0.3)
-        assert np.abs(batch.probabilities.sum(axis=1) - 1.0).max() <= 1e-10
+        logits = prototype_logits(unit_rows(rng, 9, 4), rng.normal(size=(3, 4)))
+        probs = softmax_probabilities(logits, 0.3)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-10
 
     def test_hard_labels_invariant_to_temperature(self):
-        rng = np.random.default_rng(3)
-        z = unit_rows(rng, 12, 5)
-        bank = random_bank(rng, 4, 5)
-        labels = [assignment_probabilities(z, bank, t).hard_labels for t in (0.01, 0.3, 1.0)]
-        assert (labels[0] == labels[1]).all()
-        assert (labels[0] == labels[2]).all()
+        model, x = untrained_model(3)
+        labels, z = predict(model, x)
+        logits = prototype_logits(z, model.prototypes)
+        for tau in (0.01, 0.3, 1.0):
+            assert (softmax_probabilities(logits, tau).argmax(axis=1) == labels).all()
 
     def test_dimension_mismatch(self):
-        rng = np.random.default_rng(4)
+        model, x = untrained_model(4)
+        model.prototypes = np.random.default_rng(4).normal(size=(4, 5))
         with pytest.raises(ValueError):
-            assignment_probabilities(unit_rows(rng, 3, 4), random_bank(rng, 2, 5), 0.1)
+            predict(model, x)
 
 
 class TestClusteringLoss:
     def test_zero_gradient_at_target(self):
         rng = np.random.default_rng(5)
-        batch = assignment_probabilities(unit_rows(rng, 6, 4), random_bank(rng, 3, 4), 0.4)
-        _, grad = clustering_loss(batch.probabilities, batch)
+        logits = prototype_logits(unit_rows(rng, 6, 4), rng.normal(size=(3, 4)))
+        _, grad = softmax_cross_entropy(direct_softmax(logits, 0.4), logits, 0.4)
         assert np.abs(grad).max() <= 1e-12
 
     def test_one_hot_direct_evaluation(self):
-        bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
         z = row_normalize(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        logits = prototype_logits(z, np.eye(2))
         tau = 0.3
-        batch = assignment_probabilities(z, bank, tau)
-        target = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, _ = clustering_loss(target, batch)
-        direct = -float(np.log(batch.probabilities[0, 0]) + np.log(batch.probabilities[1, 1]))
+        loss, _ = softmax_cross_entropy(np.eye(2), logits, tau)
+        probs = direct_softmax(logits, tau)
+        direct = -float(np.log(probs[0, 0]) + np.log(probs[1, 1]))
         assert abs(loss - direct) <= 1e-12
 
     def test_gradient_including_prototype_normalization(self):
@@ -100,73 +121,68 @@ class TestClusteringLoss:
         tau = 0.35
 
         def loss_of_raw(p_raw):
-            bank = PrototypeBank(row_normalize(p_raw))
-            batch = assignment_probabilities(z, bank, tau)
-            return clustering_loss(target, batch)[0]
+            return softmax_cross_entropy(target, prototype_logits(z, p_raw), tau)[0]
 
-        bank = PrototypeBank(row_normalize(raw))
-        batch = assignment_probabilities(z, bank, tau)
-        _, grad_logits = clustering_loss(target, batch)
-        grad_protos_norm = grad_logits.T @ z
-        grad_raw = row_normalize_vjp(raw, grad_protos_norm)
+        _, grad_logits = softmax_cross_entropy(target, prototype_logits(z, raw), tau)
+        grad_raw = row_normalize_vjp(raw, grad_logits.T @ z)
         fd = central_difference(loss_of_raw, raw)
         assert rel_error(grad_raw, fd) <= 1e-6
 
     def test_gradient_into_embeddings(self):
         rng = np.random.default_rng(7)
         z = unit_rows(rng, 5, 3)
-        bank = random_bank(rng, 4, 3)
+        raw = rng.normal(size=(4, 3))
         target = random_stochastic(rng, (5, 4))
         tau = 0.5
 
         def loss_of_z(v):
-            batch = assignment_probabilities(v, bank, tau)
-            return clustering_loss(target, batch)[0]
+            return softmax_cross_entropy(target, prototype_logits(v, raw), tau)[0]
 
-        batch = assignment_probabilities(z, bank, tau)
-        _, grad_logits = clustering_loss(target, batch)
-        grad_z = grad_logits @ bank.prototypes
-        # test away from the unit sphere constraint: perturbations of z feed
-        # the logits directly (assignment_probabilities does not re-normalize)
+        _, grad_logits = softmax_cross_entropy(target, prototype_logits(z, raw), tau)
+        grad_z = grad_logits @ row_normalize(raw)
+        # perturbations of z feed the logits directly (no re-normalization)
         fd = central_difference(loss_of_z, z)
         assert rel_error(grad_z, fd) <= 1e-6
 
     def test_rejects_non_stochastic_target(self):
         rng = np.random.default_rng(8)
-        batch = assignment_probabilities(unit_rows(rng, 3, 2), random_bank(rng, 2, 2), 0.2)
-        with pytest.raises(ValueError):
-            clustering_loss(np.full((3, 2), 0.9), batch)
+        logits = prototype_logits(unit_rows(rng, 3, 2), rng.normal(size=(2, 2)))
+        with pytest.raises(ValueError, match="stochastic"):
+            softmax_cross_entropy(np.full((3, 2), 0.9), logits, 0.2)
 
 
 class TestSoftKmeans:
+    """For unit embeddings and prototypes ``||z - mu||^2 = 2 - 2 z.mu``, so the
+    assignment logits are the soft k-means objective up to an affine map."""
+
     def test_zero_at_coincident_prototypes(self):
-        bank = PrototypeBank(np.eye(3))
-        z = np.eye(3)
-        p = np.eye(3)
-        assert soft_kmeans_objective(z, bank, p) == 0.0
+        raw = np.random.default_rng(9).normal(size=(3, 3))
+        logits = prototype_logits(row_normalize(raw), raw)
+        assert abs(np.sum(np.eye(3) * (2.0 - 2.0 * logits))) <= 1e-14
 
     def test_unit_norm_identity_with_logits(self):
-        # for unit z and prototypes: sum P ||z - mu||^2 = 2B - 2 sum P*H
+        # sum P ||z - mu||^2 = 2B - 2 sum P*H
         rng = np.random.default_rng(9)
         for _ in range(50):
             z = unit_rows(rng, 6, 4)
-            bank = random_bank(rng, 3, 4)
+            raw = rng.normal(size=(3, 4))
             p = random_stochastic(rng, (6, 3))
-            lhs = soft_kmeans_objective(z, bank, p)
-            rhs = 2.0 * 6 - 2.0 * float(np.sum(p * (z @ bank.prototypes.T)))
+            lhs = float(np.sum(p * squared_distances(z, row_normalize(raw))))
+            rhs = 2.0 * 6 - 2.0 * float(np.sum(p * prototype_logits(z, raw)))
             assert abs(lhs - rhs) <= 1e-10
 
     def test_one_hot_nearest_is_rowwise_minimum(self):
+        # predict's hard labels are the k-means assignment step: the nearest
+        # prototype, whose one-hot beats every soft assignment
+        model, x = untrained_model(10)
+        labels, z = predict(model, x)
+        d2 = squared_distances(z, row_normalize(model.prototypes))
+        assert (labels == d2.argmin(axis=1)).all()
+        best = float(d2[np.arange(len(labels)), labels].sum())
         rng = np.random.default_rng(10)
-        z = unit_rows(rng, 5, 3)
-        bank = random_bank(rng, 4, 3)
-        d2 = ((z[:, None, :] - bank.prototypes[None, :, :]) ** 2).sum(axis=2)
-        p_best = np.zeros((5, 4))
-        p_best[np.arange(5), d2.argmin(axis=1)] = 1.0
-        best = soft_kmeans_objective(z, bank, p_best)
         for _ in range(50):
-            p = random_stochastic(rng, (5, 4))
-            assert best <= soft_kmeans_objective(z, bank, p) + 1e-12
+            p = random_stochastic(rng, d2.shape)
+            assert best <= float(np.sum(p * d2)) + 1e-12
 
 
 class TestAssignmentTargets:

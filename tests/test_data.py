@@ -88,3 +88,10 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(name="bad", features=np.zeros((3, 2)),
                     labels=np.array([0, 1]), generator_seed=0)
+
+    def test_non_integer_labels_rejected(self, tmp_path):
+        path = tmp_path / "frac.csv"
+        for bad in ("0.7", "nan", "inf"):
+            path.write_text(f"f0,f1,label\n0,0,0\n1,1,{bad}\n2,2,1\n")
+            with pytest.raises(ValueError, match=f"data row 2 has non-integer label {bad}"):
+                load_dataset(path)

@@ -8,11 +8,10 @@ from oracles import (
     rel_error,
     two_exp_cross_entropy,
 )
+from otsc import network as net
 from otsc.linalg import qr_decompose
 from otsc.spectral import (
     affinity_grad_to_embeddings,
-    affinity_loss,
-    cross_affinity,
     off_diagonal,
     orthogonal_penalty,
     orthogonalize,
@@ -20,9 +19,8 @@ from otsc.spectral import (
     row_normalize_vjp,
     scatter_off_diagonal,
     softmax_cross_entropy,
-    spectral_objective,
-    straight_through,
 )
+from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _encode_view
 
 FIG_Z = np.array([[-0.94, 0.34], [0.87, 0.50]])
 
@@ -37,26 +35,36 @@ def random_target(rng, shape):
     return t / t.sum(axis=1, keepdims=True)
 
 
+def encoder_view(seed, orth_mode="procrustes"):
+    """A small model, a batch, and its config, for the trainer's view encoding."""
+    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(num_clusters=2, embed_dim=3, batch_size=8, orth_mode=orth_mode)
+    return net.init_model(4, 3, 2, rng, hidden=(6,)), rng.normal(size=(8, 4)), cfg
+
+
 class TestCrossAffinity:
+    """Cross affinity as the trainer builds it: ``off_diagonal(z @ z.T)``."""
+
     def test_two_samples(self):
         rng = np.random.default_rng(0)
         z = unit_rows(rng, 2, 3)
-        w = cross_affinity(z)
+        w = off_diagonal(z @ z.T)
         dot = float(z[0] @ z[1])
         assert w.shape == (2, 1)
         assert np.allclose(w, [[dot], [dot]])
 
     def test_identical_rows_give_ones(self):
         z = np.tile(np.array([[0.6, 0.8]]), (4, 1))
-        assert np.abs(cross_affinity(z) - 1.0).max() <= 1e-12
+        assert np.abs(off_diagonal(z @ z.T) - 1.0).max() <= 1e-12
 
     def test_orthogonal_rows_give_zeros(self):
-        assert np.abs(cross_affinity(np.eye(3))).max() == 0.0
+        z = np.eye(3)
+        assert np.abs(off_diagonal(z @ z.T)).max() == 0.0
 
     def test_preserves_column_order(self):
         rng = np.random.default_rng(1)
         z = unit_rows(rng, 5, 4)
-        w = cross_affinity(z)
+        w = off_diagonal(z @ z.T)
         sims = z @ z.T
         for i in range(5):
             cols = [j for j in range(5) if j != i]
@@ -65,7 +73,7 @@ class TestCrossAffinity:
     def test_scatter_round_trip(self):
         rng = np.random.default_rng(2)
         z = unit_rows(rng, 6, 3)
-        w = cross_affinity(z)
+        w = off_diagonal(z @ z.T)
         full = scatter_off_diagonal(w)
         assert np.abs(np.diag(full)).max() == 0.0
         assert np.allclose(full[~np.eye(6, dtype=bool)].reshape(6, 5), w)
@@ -80,15 +88,23 @@ class TestCrossAffinity:
         assert got.tobytes() == mask_scatter_off_diagonal(values).tobytes()
 
     def test_batch_too_small(self):
+        z = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            cross_affinity(np.array([[1.0, 0.0]]))
+            off_diagonal(z @ z.T)
 
     def test_requires_unit_rows(self):
-        with pytest.raises(ValueError, match="unit"):
-            cross_affinity(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        # the logits are cosine similarities only if the trainer hands the
+        # affinity unit-norm rows, whatever the orthogonalization mode
+        for mode in TRAINER_ORTH_MODES:
+            model, x, cfg = encoder_view(0, mode)
+            z = _encode_view(model, x, cfg)[3]
+            assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() <= 1e-14, mode
+            assert np.abs(off_diagonal(z @ z.T)).max() <= 1.0 + 1e-14, mode
 
 
 class TestAffinityLoss:
+    """The affinity loss is `softmax_cross_entropy` on the off-diagonal logits."""
+
     def test_minimum_at_target_with_entropy_value(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(5, 4))
@@ -96,7 +112,7 @@ class TestAffinityLoss:
         scaled = logits / tau
         p = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        loss, grad = affinity_loss(p, logits, tau)
+        loss, grad = softmax_cross_entropy(p, logits, tau)
         assert np.abs(grad).max() <= 1e-12
         entropy = float(-(p * np.log(p)).sum())
         assert abs(loss - entropy) <= 1e-10
@@ -104,7 +120,7 @@ class TestAffinityLoss:
     def test_single_column_degenerate(self):
         # B = 2 leaves one off-diagonal column; softmax of one entry is 1
         target = np.ones((2, 1))
-        loss, grad = affinity_loss(target, np.array([[0.37], [-2.2]]), tau=0.05)
+        loss, grad = softmax_cross_entropy(target, np.array([[0.37], [-2.2]]), tau=0.05)
         assert loss == 0.0
         assert np.abs(grad).max() == 0.0
 
@@ -113,8 +129,8 @@ class TestAffinityLoss:
         logits = rng.normal(size=(8, 7))
         target = random_target(rng, (8, 7))
         tau = 0.4
-        loss, grad = affinity_loss(target, logits, tau)
-        fd = central_difference(lambda l: affinity_loss(target, l, tau)[0], logits)
+        loss, grad = softmax_cross_entropy(target, logits, tau)
+        fd = central_difference(lambda l: softmax_cross_entropy(target, l, tau)[0], logits)
         assert np.abs(grad - fd).max() <= 1e-6
 
     def test_two_term_decomposition(self):
@@ -122,7 +138,7 @@ class TestAffinityLoss:
         logits = rng.normal(size=(6, 5))
         target = random_target(rng, (6, 5))
         tau = 0.25
-        loss, _ = affinity_loss(target, logits, tau)
+        loss, _ = softmax_cross_entropy(target, logits, tau)
         scaled = logits / tau
         shift = scaled.max(axis=1, keepdims=True)
         logsumexp = (shift + np.log(np.exp(scaled - shift).sum(axis=1, keepdims=True))).sum()
@@ -131,7 +147,7 @@ class TestAffinityLoss:
 
     def test_rejects_non_stochastic_target(self):
         with pytest.raises(ValueError, match="stochastic"):
-            affinity_loss(np.full((2, 3), 0.5), np.zeros((2, 3)), tau=0.1)
+            softmax_cross_entropy(np.full((2, 3), 0.5), np.zeros((2, 3)), tau=0.1)
 
     def test_rejects_negative_target(self):
         target = np.array([[1.5, -0.5], [0.5, 0.5]])
@@ -166,7 +182,7 @@ class TestAffinityLoss:
             w = sims[~np.eye(6, dtype=bool)].reshape(6, 5)
             return softmax_cross_entropy(target, w, tau)[0]
 
-        _, grad_logits = softmax_cross_entropy(target, cross_affinity(z0), tau)
+        _, grad_logits = softmax_cross_entropy(target, off_diagonal(z0 @ z0.T), tau)
         grad_z = affinity_grad_to_embeddings(grad_logits, z0)
         fd = central_difference(loss_of_z, z0)
         assert rel_error(grad_z, fd) <= 1e-7
@@ -177,31 +193,13 @@ class TestAffinityLoss:
         rng = np.random.default_rng(7)
         z = unit_rows(rng, 7, 4)
         tau = 0.2
-        logits = cross_affinity(z)
+        logits = off_diagonal(z @ z.T)
         scaled = logits / tau
         p = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        _, grad_logits = affinity_loss(p, logits, tau)
+        _, grad_logits = softmax_cross_entropy(p, logits, tau)
         grad_z = affinity_grad_to_embeddings(grad_logits, z)
         assert np.abs(grad_z).max() <= 1e-8
-
-
-class TestSpectralObjective:
-    def test_zero_weights(self):
-        assert spectral_objective(np.zeros((4, 4)), np.random.default_rng(0).normal(size=(4, 2))) == 0.0
-
-    def test_identity_weights_orthonormal_z(self):
-        z, _ = qr_decompose(np.random.default_rng(1).normal(size=(6, 3)))
-        assert abs(spectral_objective(np.eye(6), z) - 3.0) <= 1e-10
-
-    def test_trace_identity_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            w = rng.normal(size=(5, 5))
-            z = rng.normal(size=(5, 3))
-            elementwise = spectral_objective(w, z)
-            trace_form = float(np.trace(z.T @ w @ z))
-            assert abs(elementwise - trace_form) <= 1e-10
 
 
 class TestOrthogonalize:
@@ -265,26 +263,29 @@ class TestProcrustesMinimality:
 
 
 class TestStraightThrough:
+    """The trainer's straight-through orthogonalize-and-normalize map."""
+
     def test_forward_equals_new_value(self):
-        rng = np.random.default_rng(7)
-        z = rng.normal(size=(5, 3))
-        z_new = rng.normal(size=(5, 3))
-        assert np.abs(straight_through(z, z_new) - z_new).max() <= 1e-15
+        model, x, cfg = encoder_view(7)
+        z_raw, _, _, z, _ = _encode_view(model, x, cfg)
+        z_new = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
+        assert np.abs(z - z_new).max() <= 1e-15
 
     def test_backward_contract_on_quadratic(self):
-        # loss(y) = 0.5 ||y - t||^2; with the pass-through gradient the
-        # derivative at z must be (z_new - t), the quadratic's gradient
-        # evaluated at z_new
-        rng = np.random.default_rng(8)
-        z = rng.normal(size=(4, 2))
-        z_new = rng.normal(size=(4, 2))
-        t = rng.normal(size=(4, 2))
-        upstream = straight_through(z, z_new) - t
+        # loss(y) = 0.5 ||y - t||^2 at the straight-through output: the
+        # upstream gradient is (z_new - t), the quadratic's gradient at
+        # z_new, and it reaches the raw embeddings through the normalization
+        # Jacobian alone because the residual z_new - z is a constant
+        model, x, cfg = encoder_view(8)
+        z_raw, _, resid, z, _ = _encode_view(model, x, cfg)
+        t = np.random.default_rng(9).normal(size=z.shape)
+        upstream = z - t
+        z_new = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
         assert np.allclose(upstream, z_new - t)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            straight_through(np.zeros((2, 2)), np.zeros((3, 2)))
+        fd = central_difference(
+            lambda v: 0.5 * float(np.sum((row_normalize(v) + resid - t) ** 2)), z_raw
+        )
+        assert rel_error(row_normalize_vjp(z_raw, upstream), fd) <= 1e-7
 
 
 class TestOrthogonalPenalty:
