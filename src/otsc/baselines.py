@@ -49,8 +49,27 @@ class SpectralConfig:
 
 def _squared_distances(x: np.ndarray) -> np.ndarray:
     sq = np.sum(x**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    # a copied transpose keeps numpy off its much slower x @ x.T (syrk) path
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T.copy())
     np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+    """exp(-d2 / width) with a zero diagonal, built in the distance buffer."""
+    d2 = _squared_distances(x)
+    if cfg.bandwidth_mode == "fixed":
+        d2 /= 2.0 * cfg.sigma**2
+    else:
+        # entry k_neighbor of each partitioned row = squared distance to the
+        # k-th nearest neighbor (row position 0 is the point itself)
+        local = np.sqrt(np.partition(d2, cfg.k_neighbor, axis=1)[:, cfg.k_neighbor])
+        if (local == 0).any():
+            raise ValueError("duplicate points collapse the self-tuning bandwidth")
+        d2 /= np.outer(local, local)
+    np.negative(d2, out=d2)
+    np.exp(d2, out=d2)
+    np.fill_diagonal(d2, 0.0)
     return d2
 
 
@@ -141,32 +160,30 @@ def classical_spectral(
         raise ValueError(f"dense eigensolver bound exceeded: {n} > {_DENSE_EIG_BOUND}")
     if cfg.num_clusters > n:
         raise ValueError("more clusters than samples")
-    d2 = _squared_distances(x)
-    if cfg.bandwidth_mode == "fixed":
-        s = np.exp(-d2 / (2.0 * cfg.sigma**2))
-    else:
-        if cfg.k_neighbor >= n:
-            raise ValueError("k_neighbor must be smaller than the number of samples")
-        dist = np.sqrt(d2)
-        # column k_neighbor of the sorted rows = distance to the k-th
-        # nearest neighbor (row-sorted position 0 is the point itself)
-        local = np.sort(dist, axis=1)[:, cfg.k_neighbor]
-        if (local == 0).any():
-            raise ValueError("duplicate points collapse the self-tuning bandwidth")
-        s = np.exp(-d2 / (local[:, None] * local[None, :]))
-    np.fill_diagonal(s, 0.0)
+    if cfg.bandwidth_mode == "self_tuning" and cfg.k_neighbor >= n:
+        raise ValueError("k_neighbor must be smaller than the number of samples")
+    s = _gaussian_affinity(x, cfg)
     degrees = s.sum(axis=1)
     isolated = np.flatnonzero(degrees <= 0)
     if isolated.size:
         raise ValueError(f"point {int(isolated[0])} is isolated (zero affinity row)")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    conjugate = s * inv_sqrt[:, None] * inv_sqrt[None, :]
-    conjugate = 0.5 * (conjugate + conjugate.T)
-    eig = sym_eig(conjugate)
-    top = eig.eigenvectors[:, : cfg.num_clusters]
+    s *= inv_sqrt[:, None]
+    s *= inv_sqrt[None, :]
+    conjugate = np.add(s, s.T)
+    del s  # one n x n buffer fewer while the eigensolver copies its input
+    conjugate *= 0.5
+    top = sym_eig(conjugate, k=cfg.num_clusters).eigenvectors
     # map back to eigenvectors of D^-1 S and renormalize each column
     embeddings = inv_sqrt[:, None] * top
     embeddings /= np.linalg.norm(embeddings, axis=0, keepdims=True)
+    # a point outside every retained eigenvector's support embeds at 0
+    unreached = np.flatnonzero(~embeddings.any(axis=1))
+    if unreached.size:
+        raise ValueError(
+            f"point {int(unreached[0])} has a zero spectral embedding: the affinity "
+            f"graph has more connected components than K={cfg.num_clusters}"
+        )
     labels, _, _ = kmeans_lloyd(
         row_normalize(embeddings), cfg.num_clusters, restarts=10, seed=seed
     )

@@ -160,7 +160,9 @@ def load_dataset(path) -> Dataset:
         name = meta.get("name", name)
     if has_labels:
         labels = raw[:, -1]
-        bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.round(labels))))
+        # beyond +-2**63 an integer-valued float does not fit the int64 cast
+        valid = (np.abs(labels) < 2.0**63) & (labels == np.round(labels))
+        bad = np.flatnonzero(~valid)
         if bad.size:
             row = int(bad[0])
             raise ValueError(

@@ -285,11 +285,34 @@ def save_checkpoint(
     np.savez(path, **arrays)
 
 
+_INT, _COUNT, _NUMBER = "an integer", "a positive integer", "a number"
+_META_KINDS = {
+    "num_layers": _COUNT, "log_tau_a": _NUMBER, "log_tau_c": _NUMBER,
+    "tau_cap": _NUMBER, "version": _INT, "epoch": _INT,
+}
+_OPT_META_KINDS = {
+    "base_lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER,
+    "restart_period": _INT,
+}
+
+
+def _check_kinds(path, section: dict, kinds: dict[str, str]) -> None:
+    for key, kind in kinds.items():
+        value = section[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        whole = number and isinstance(value, int)
+        ok = number if kind == _NUMBER else whole and (kind == _INT or value >= 1)
+        if not ok:
+            raise ValueError(f"checkpoint {path} entry {key!r} must be {kind}, got {value!r}")
+
+
 def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    A file that is not a readable .npz archive, or lacks an array or a meta
-    field, raises ``ValueError`` naming the file and the entry.
+    A file that is not a readable .npz archive, lacks an array or a meta
+    field, holds a meta field of the wrong type, or holds prototypes whose
+    width differs from the last layer's output raises ``ValueError`` naming
+    the file and the entry.
     """
     try:
         with np.load(path) as data:
@@ -300,19 +323,30 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
         meta = json.loads(bytes(arrays["meta"]))
         if meta["format"] != _CKPT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {meta['format']}")
+        _check_kinds(path, meta, _META_KINDS)
+        opt_meta = meta["optimizer"]
+        if not isinstance(opt_meta, dict) or not isinstance(opt_meta["scalar_buffers"], dict):
+            raise ValueError(f"checkpoint {path} entry 'optimizer' is malformed")
+        _check_kinds(path, opt_meta, _OPT_META_KINDS)
         layers = [
             (arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"])
             for i in range(meta["num_layers"])
         ]
+        prototypes = arrays["prototypes"]
+        width = layers[-1][0].shape[0]
+        if prototypes.ndim != 2 or prototypes.shape[1] != width:
+            raise ValueError(
+                f"checkpoint {path} entry 'prototypes' has shape {prototypes.shape}, "
+                f"expected K x {width} to match the last layer's output"
+            )
         state = ModelState(
             layers=layers,
-            prototypes=arrays["prototypes"],
+            prototypes=prototypes,
             log_tau_a=meta["log_tau_a"],
             log_tau_c=meta["log_tau_c"],
             tau_cap=meta["tau_cap"],
             version=meta["version"],
         )
-        opt_meta = meta["optimizer"]
         opt = OptimizerState(
             base_lr=opt_meta["base_lr"],
             momentum=opt_meta["momentum"],

@@ -196,7 +196,8 @@ def _encode_view(model, x, cfg, frozen_resid=None):
 
 
 def _affinity_logits(z, keep_diagonal):
-    sims = z @ z.T
+    # a copied transpose keeps numpy off its much slower z @ z.T (syrk) path
+    sims = z @ z.T.copy()
     return sims if keep_diagonal else off_diagonal(sims)
 
 

@@ -6,7 +6,9 @@ None of it shares code with the implementations under test. The Sinkhorn
 references are the package's earlier solver loops, kept as they were
 written: the fixed-count loop rescales the whole matrix at every half-sweep,
 and the tolerance loops rebuild the plan after every sweep to measure its
-residuals.
+residuals. The spectral-baseline reference is the earlier full-spectrum
+embedding (every eigenpair from ``np.linalg.eigh``, the leading K kept); it
+clusters with the package's k-means, which is not what it checks.
 """
 
 from __future__ import annotations
@@ -287,3 +289,32 @@ def mask_scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
     full = np.zeros((b, b))
     full[~np.eye(b, dtype=bool)] = values.ravel()
     return full
+
+
+def full_spectrum_spectral(x, cfg, seed: int = 0) -> np.ndarray:
+    """Spectral-baseline labels from the full eigendecomposition.
+
+    The self-tuning (or fixed) Gaussian affinity, its symmetric conjugate
+    D^-1/2 S D^-1/2, all n eigenpairs, the K leading ones mapped back and
+    column-normalized, then the package's k-means on the normalized rows.
+    """
+    from otsc.baselines import kmeans_lloyd
+
+    x = np.asarray(x, dtype=np.float64)
+    sq = np.sum(x**2, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    if cfg.bandwidth_mode == "fixed":
+        s = np.exp(-d2 / (2.0 * cfg.sigma**2))
+    else:
+        local = np.sort(np.sqrt(d2), axis=1)[:, cfg.k_neighbor]
+        s = np.exp(-d2 / (local[:, None] * local[None, :]))
+    np.fill_diagonal(s, 0.0)
+    inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
+    conjugate = s * inv_sqrt[:, None] * inv_sqrt[None, :]
+    evals, evecs = np.linalg.eigh(0.5 * (conjugate + conjugate.T))
+    top = evecs[:, np.argsort(evals)[::-1][: cfg.num_clusters]]
+    embeddings = inv_sqrt[:, None] * top
+    embeddings /= np.linalg.norm(embeddings, axis=0, keepdims=True)
+    rows = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
+    labels, _, _ = kmeans_lloyd(rows, cfg.num_clusters, restarts=10, seed=seed)
+    return labels

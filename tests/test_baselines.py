@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import full_spectrum_spectral
 from otsc.baselines import SpectralConfig, classical_spectral, kmeans_lloyd
 from otsc.data import gen_dataset
 from otsc.metrics import evaluate
@@ -112,6 +113,18 @@ class TestClassicalSpectral:
         cfg = SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.1)
         with pytest.raises(ValueError, match="isolated"):
             classical_spectral(x, cfg, seed=0)
+
+    @pytest.mark.parametrize("kind, n, k, seed", [
+        # the benchmark's size once (two full 2000 x 2000 solves), the rest per seed
+        ("moons", 2000, 2, 1),
+        *[("rings", 1000, 2, seed) for seed in (1, 2, 3)],
+        *[("blobs", 900, 4, seed) for seed in (1, 2, 3)],
+    ])
+    def test_labels_match_full_spectrum_reference(self, kind, n, k, seed):
+        ds = gen_dataset(kind, n, noise=0.05, seed=seed)
+        cfg = SpectralConfig(num_clusters=k)
+        labels, _ = classical_spectral(ds.features, cfg, seed=0)
+        assert np.array_equal(labels, full_spectrum_spectral(ds.features, cfg, seed=0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)

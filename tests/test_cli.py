@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,25 @@ def _broken_checkpoint(tmp_path, run, drop=None):
     return ["eval", "--checkpoint", str(path), "--dataset", str(run["dataset"])]
 
 
+def _edited_checkpoint(tmp_path, run, meta=None, arrays=None):
+    """The trained checkpoint with some meta fields and arrays replaced."""
+    path = tmp_path / "edited.npz"
+    with np.load(run["checkpoint"]) as data:
+        entries = {k: data[k] for k in data.files}
+    fields = {**json.loads(bytes(entries["meta"])), **(meta or {})}
+    entries["meta"] = np.frombuffer(json.dumps(fields).encode(), dtype=np.uint8)
+    np.savez(path, **{**entries, **(arrays or {})})
+    return ["eval", "--checkpoint", str(path), "--dataset", str(run["dataset"])]
+
+
+def _four_blobs_k3(tmp_path, run):
+    """Well-separated blobs: four affinity components, one more than K."""
+    path = tmp_path / "b.csv"
+    assert main(["gen-dataset", "--kind", "blobs", "--n", "900", "--noise", "0.05",
+                 "--seed", "1", "--out", str(path)]) == 0
+    return _baseline("spectral", str(path), "--k", "3")
+
+
 TWELVE_ROWS = [f"{i % 4}.5,{i // 4}.25,{i % 2}" for i in range(12)]
 
 # case -> (argv builder, exit status, what stderr must contain)
@@ -279,6 +300,14 @@ BAD_INPUTS = {
         1, "has no entry 'layer0.weight'"),
     "truncated checkpoint": (
         lambda tmp, run: _broken_checkpoint(tmp, run), 1, "broken.npz is unreadable"),
+    "checkpoint meta field of the wrong type": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, meta={"num_layers": "3"}),
+        1, "edited.npz entry 'num_layers' must be a positive integer, got '3'"),
+    "checkpoint prototypes wider than the last layer": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"prototypes": np.ones((3, 4))}),
+        1, "edited.npz entry 'prototypes' has shape (3, 4), expected K x 3"),
+    "spectral K below the affinity components": (
+        _four_blobs_k3, 1, "the affinity graph has more connected components than K=3"),
 }
 
 

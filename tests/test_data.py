@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,7 +94,10 @@ class TestDatasetValidation:
 
     def test_non_integer_labels_rejected(self, tmp_path):
         path = tmp_path / "frac.csv"
-        for bad in ("0.7", "nan", "inf"):
+        # 1e+20 is integer-valued but beyond int64: no cast warning either
+        for bad in ("0.7", "nan", "inf", "1e+20"):
             path.write_text(f"f0,f1,label\n0,0,0\n1,1,{bad}\n2,2,1\n")
-            with pytest.raises(ValueError, match=f"data row 2 has non-integer label {bad}"):
-                load_dataset(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"data row 2 has non-integer label {re.escape(bad)}"):
+                    load_dataset(path)

@@ -51,6 +51,33 @@ class TestSymEig:
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestSymEigLeading:
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    def test_matches_full_eigh(self, k):
+        a = random_symmetric(12, np.random.default_rng(10))
+        evals, evecs = np.linalg.eigh(a)  # ascending
+        res = sym_eig(a, k=k)
+        assert res.eigenvalues.shape == (k,) and res.eigenvectors.shape == (12, k)
+        assert np.abs(res.eigenvalues - evals[::-1][:k]).max() <= 1e-12
+        got, want = res.eigenvectors, evecs[:, ::-1][:, :k]
+        assert np.linalg.norm(got @ got.T - want @ want.T, 2) <= 1e-10
+        # distinct eigenvalues: each column matches its own up to sign
+        assert np.abs(np.abs(np.sum(got * want, axis=0)) - 1.0).max() <= 1e-10
+
+    def test_leading_pairs_descending(self):
+        a = random_symmetric(40, np.random.default_rng(11))
+        for k in (1, 3, 17, 40, None):
+            res = sym_eig(a, k=k)
+            assert len(res.eigenvalues) == (40 if k is None else k)
+            assert (np.diff(res.eigenvalues) <= 0).all()
+            assert np.abs(a @ res.eigenvectors - res.eigenvectors * res.eigenvalues).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    def test_rejects_k_outside_1_to_n(self, k):
+        with pytest.raises(ValueError, match="1 <= k <= 5"):
+            sym_eig(np.eye(5), k=k)
+
+
 class TestThinSvd:
     def test_identity(self):
         res = thin_svd(np.eye(3))
