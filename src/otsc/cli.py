@@ -23,36 +23,13 @@ from . import __version__
 from .baselines import SpectralConfig, classical_spectral, kmeans_lloyd
 from .data import Dataset, gen_dataset, load_dataset, save_dataset
 from .errors import NumericalError
+from .linalg import as_matrix
 from .metrics import ClusteringReport, evaluate
 from .network import OptimizerState, load_checkpoint, save_checkpoint
 from .trainer import TRAINER_ORTH_MODES, TrainConfig, TrainHistory, fit, predict
 from .transport import sinkhorn_algorithm1, sinkhorn_marginal
 
 __all__ = ["main"]
-
-# config keys accepted in key=value files; "lambda" maps to TrainConfig.lam
-_CONFIG_KEYS = {
-    "eta": ("eta", float),
-    "sinkhorn_iters": ("sinkhorn_iters", int),
-    "lambda": ("lam", float),
-    "batch_size": ("batch_size", int),
-    "epochs": ("epochs", int),
-    "embed_dim": ("embed_dim", int),
-    "num_clusters": ("num_clusters", int),
-    "base_lr": ("base_lr", float),
-    "momentum": ("momentum", float),
-    "weight_decay": ("weight_decay", float),
-    "restart_period": ("restart_period", int),
-    "noise_sigma": ("noise_sigma", float),
-    "feature_dropout_prob": ("feature_dropout_prob", float),
-    "scale_jitter": ("scale_jitter", float),
-    "seed": ("seed", int),
-    "orth_mode": ("orth_mode", str),
-    "penalty_rho": ("penalty_rho", float),
-    "keep_diagonal": ("keep_diagonal", bool),
-    "tau_a_init": ("tau_a_init", float),
-    "tau_c_init": ("tau_c_init", float),
-}
 
 ETA_GRID = [round(0.01 * i, 2) for i in range(1, 11)]
 ISK_GRID = [1, 3, 5, 10]
@@ -78,6 +55,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# config keys accepted in key=value files, one per TrainConfig field (whose
+# annotations are strings here); the key for TrainConfig.lam is "lambda"
+_CASTERS = {"int": int, "float": float, "float | None": float, "str": str, "bool": _parse_bool}
+_CONFIG_KEYS = {
+    "lambda" if f.name == "lam" else f.name: (f.name, _CASTERS[f.type])
+    for f in fields(TrainConfig)
+}
+
+
 def parse_config(path) -> dict:
     """Parse a flat key = value config file into TrainConfig kwargs."""
     path = Path(path)
@@ -94,10 +80,7 @@ def parse_config(path) -> dict:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         field_name, caster = _CONFIG_KEYS[key]
-        if caster is bool:
-            kwargs[field_name] = _parse_bool(value)
-        else:
-            kwargs[field_name] = caster(value)
+        kwargs[field_name] = caster(value)
     return kwargs
 
 
@@ -212,19 +195,11 @@ def _train_run(cfg: TrainConfig, ds: Dataset, out_dir: Path, dataset_path) -> Pa
 
 
 def _cmd_train(args) -> None:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.sinkhorn_iters is not None:
-        overrides["sinkhorn_iters"] = args.sinkhorn_iters
-    if args.orth_mode is not None:
-        overrides["orth_mode"] = args.orth_mode
-    if args.keep_diagonal:
-        overrides["keep_diagonal"] = True
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "eta", "lam", "sinkhorn_iters", "orth_mode", "keep_diagonal")
+        if getattr(args, name) is not None
+    }
     cfg = load_train_config(args.config, overrides)
     ds = load_dataset(args.dataset)
     _train_run(cfg, ds, Path(args.out), args.dataset)
@@ -266,7 +241,8 @@ def _cmd_baseline(args) -> None:
 
 
 def _cmd_ot_debug(args) -> None:
-    cost = np.loadtxt(args.cost, delimiter=",", ndmin=2)
+    # sinkhorn_algorithm1 trusts its input, so the file is checked here
+    cost = as_matrix(np.loadtxt(args.cost, delimiter=",", ndmin=2), f"cost file {args.cost}")
     if args.variant == "algorithm1":
         # the fixed-iteration solver takes similarities; a cost is its negation
         plan = sinkhorn_algorithm1(-cost, args.eta, args.iterations)
@@ -339,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--sinkhorn-iters", type=int, default=None)
     p.add_argument("--orth-mode", choices=TRAINER_ORTH_MODES, default=None)
-    p.add_argument("--keep-diagonal", action="store_true")
+    p.add_argument("--keep-diagonal", action="store_true", default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -143,7 +143,11 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset CSV (sidecar optional)."""
+    """Read a dataset CSV (sidecar optional).
+
+    A non-finite feature or a non-integer label raises ``ValueError`` naming
+    the file, the data row (1-based, after the header) and the column.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -158,6 +162,11 @@ def load_dataset(path) -> Dataset:
         meta = json.loads(meta_path.read_text())
         seed = meta.get("generator_seed", -1)
         name = meta.get("name", name)
+    features = raw[:, :-1] if has_labels else raw
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}: data row {row + 1} has non-finite feature f{col}")
     if has_labels:
         labels = raw[:, -1]
         # beyond +-2**63 an integer-valued float does not fit the int64 cast
@@ -168,10 +177,7 @@ def load_dataset(path) -> Dataset:
             raise ValueError(
                 f"{path}: data row {row + 1} has non-integer label {float(labels[row])!r}"
             )
-        return Dataset(
-            name=name,
-            features=raw[:, :-1],
-            labels=labels.astype(np.int64),
-            generator_seed=seed,
-        )
-    return Dataset(name=name, features=raw, labels=None, generator_seed=seed)
+        labels = labels.astype(np.int64)
+    else:
+        labels = None
+    return Dataset(name=name, features=features, labels=labels, generator_seed=seed)

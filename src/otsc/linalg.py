@@ -2,9 +2,12 @@
 
 Everything downstream (polar orthogonalization, the classical spectral
 baseline, the QR comparison) relies on the guarantees fixed here: descending
-spectra, orthonormal factors, a deterministic sign convention for QR, and
-validated finite inputs. LAPACK (through numpy and scipy) does the heavy
-lifting.
+spectra, orthonormal factors and a deterministic sign convention for QR.
+LAPACK (through numpy and scipy) does the heavy lifting.
+
+`as_matrix` is the input check of the package's entry points; `sym_eig` runs
+it because it skips LAPACK's own. `thin_svd` and `qr_decompose` run on every
+training step and take finite float64 matrices as given.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"{name} contains non-finite entries, first at [{i}, {j}]")
     return arr
 
 
@@ -90,13 +94,12 @@ def sym_eig(a, tol: float = 1e-10, k: int | None = None) -> EigResult:
     return EigResult(eigenvalues=evals[::-1], eigenvectors=evecs[:, ::-1])
 
 
-def thin_svd(a) -> SvdResult:
+def thin_svd(a: np.ndarray) -> SvdResult:
     """Thin SVD of a tall (or square) matrix.
 
     Requires ``m >= n``; callers with wide inputs transpose first. Returns
     exactly ``n`` factors.
     """
-    a = as_matrix(a)
     m, n = a.shape
     if m < n:
         raise ValueError(f"thin_svd requires m >= n, got {m}x{n}; transpose at call site")
@@ -104,7 +107,7 @@ def thin_svd(a) -> SvdResult:
     return SvdResult(u=u, singular_values=s, v=vt.T)
 
 
-def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
+def qr_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with a nonnegative-diagonal sign convention on ``r``.
 
     Returns ``(q, r)`` with ``q`` of shape (m, n), ``q.T @ q = I`` and
@@ -112,7 +115,6 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     Raises :class:`RankError` when a diagonal entry of ``r`` falls at or
     below ``1e-12 * max|a|``.
     """
-    a = as_matrix(a)
     m, n = a.shape
     if m < n:
         raise ValueError(f"qr_decompose requires m >= n, got {m}x{n}")

@@ -237,7 +237,7 @@ def cosine_lr(epoch: int, opt: OptimizerState) -> float:
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
     t = epoch % opt.restart_period
-    return opt.base_lr * 0.5 * (1.0 + np.cos(np.pi * t / opt.restart_period))
+    return float(opt.base_lr * 0.5 * (1.0 + np.cos(np.pi * t / opt.restart_period)))
 
 
 # -- checkpoint I/O ----------------------------------------------------------
@@ -306,21 +306,47 @@ def _check_kinds(path, section: dict, kinds: dict[str, str]) -> None:
             raise ValueError(f"checkpoint {path} entry {key!r} must be {kind}, got {value!r}")
 
 
+def _check_layout(path, layers, prototypes) -> None:
+    """Refuse widths that do not chain from layer to layer and into the prototypes."""
+
+    def refuse(key, arr, expected):
+        raise ValueError(
+            f"checkpoint {path} entry {key!r} has shape {arr.shape}, expected {expected}"
+        )
+
+    width = None  # output width of the previous layer
+    for i, (w, b) in enumerate(layers):
+        if w.ndim != 2 or width not in (None, w.shape[1]):
+            refuse(f"layer{i}.weight", w, f"out x {width or 'in'} to match the previous layer")
+        width = w.shape[0]
+        if b.shape != (width,):
+            refuse(f"layer{i}.bias", b, f"({width},) to match its weight")
+    if prototypes.ndim != 2 or prototypes.shape[1] != width:
+        refuse("prototypes", prototypes, f"K x {width} to match the last layer's output")
+
+
 def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    A file that is not a readable .npz archive, lacks an array or a meta
-    field, holds a meta field of the wrong type, or holds prototypes whose
-    width differs from the last layer's output raises ``ValueError`` naming
-    the file and the entry.
+    This is where a model enters from outside, so it is validated here and
+    not again on use. A file that is not a readable .npz archive, lacks an
+    array or a meta field, holds a meta that is not a JSON object or a meta
+    field of the wrong type, holds a non-finite array, or holds layers and
+    prototypes whose widths do not chain raises ``ValueError`` naming the
+    file and the entry.
     """
     try:
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
     except (zipfile.BadZipFile, EOFError, ValueError) as err:
         raise ValueError(f"checkpoint {path} is unreadable: {err}") from None
+    for key, value in arrays.items():
+        if key != "meta" and not (value.dtype.kind == "f" and np.isfinite(value).all()):
+            raise ValueError(f"checkpoint {path} entry {key!r} must hold finite floats")
     try:
         meta = json.loads(bytes(arrays["meta"]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"checkpoint {path} entry 'meta' is not a JSON object: {meta!r}")
         if meta["format"] != _CKPT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {meta['format']}")
         _check_kinds(path, meta, _META_KINDS)
@@ -333,12 +359,7 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
             for i in range(meta["num_layers"])
         ]
         prototypes = arrays["prototypes"]
-        width = layers[-1][0].shape[0]
-        if prototypes.ndim != 2 or prototypes.shape[1] != width:
-            raise ValueError(
-                f"checkpoint {path} entry 'prototypes' has shape {prototypes.shape}, "
-                f"expected K x {width} to match the last layer's output"
-            )
+        _check_layout(path, layers, prototypes)
         state = ModelState(
             layers=layers,
             prototypes=prototypes,
@@ -358,5 +379,7 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
             if key.startswith("momentum:"):
                 opt.momentum_buffers[key.split(":", 1)[1]] = value
         return state, opt, meta["epoch"], meta["rng_state"]
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ValueError(f"checkpoint {path} entry 'meta' is not JSON: {err}") from None
     except KeyError as err:
         raise ValueError(f"checkpoint {path} has no entry {err.args[0]!r}") from None

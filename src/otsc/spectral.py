@@ -6,6 +6,9 @@ over the other B-1 samples. Orthogonalization offers three strategies: the
 polar factor (nearest column-orthonormal matrix in Frobenius norm), the QR
 factor, or identity; the trainer makes it trainable with a straight-through
 backward that passes gradients through unchanged.
+
+These run on every training step and trust their inputs (finite float64
+matrices, row-stochastic targets); inputs are validated where they enter.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, qr_decompose, thin_svd
+from .linalg import qr_decompose, thin_svd
 
 __all__ = [
     "OrthogonalizationResult",
@@ -64,20 +67,15 @@ def scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(
-    target, logits, tau: float
+    target: np.ndarray, logits: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
     """Row-wise cross entropy of ``softmax(logits/tau)`` against ``target``.
 
     Returns the summed loss and its gradient with respect to ``logits``,
-    ``(softmax(logits/tau) - target) / tau``. ``target`` rows must sum to 1.
+    ``(softmax(logits/tau) - target) / tau``. ``target`` rows must be
+    nonnegative and sum to 1, as fixed-count Sinkhorn targets do.
     """
-    target = as_matrix(target, "target")
-    logits = as_matrix(logits, "logits")
-    if target.shape != logits.shape:
-        raise ValueError("target and logits shapes differ")
     row_mass = target.sum(axis=1)
-    if (target < 0).any() or np.abs(row_mass - 1.0).max() > 1e-8:
-        raise ValueError("target must be row-stochastic")
     if tau <= 0:
         raise ValueError("tau must be positive")
     shifted = logits / tau
@@ -103,7 +101,7 @@ def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.nd
     return a @ z + a.T @ z
 
 
-def orthogonalize(z, mode: str = "procrustes") -> OrthogonalizationResult:
+def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationResult:
     """Map embeddings to a column-orthonormal matrix.
 
     ``procrustes`` returns the polar factor u @ v.T of the thin SVD, the
@@ -113,7 +111,6 @@ def orthogonalize(z, mode: str = "procrustes") -> OrthogonalizationResult:
     ``none`` passes the input through. The Frobenius distance between input
     and output is always computed and reported.
     """
-    z = as_matrix(z, "z")
     if mode not in ORTH_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {ORTH_MODES}")
     warning = None
@@ -144,9 +141,8 @@ def orthogonalize(z, mode: str = "procrustes") -> OrthogonalizationResult:
     return OrthogonalizationResult(z_new=z_new, inconsistency=inconsistency, warning=warning)
 
 
-def orthogonal_penalty(z, rho: float) -> tuple[float, np.ndarray]:
+def orthogonal_penalty(z: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
     """Soft orthogonality penalty rho * ||z.T z - I||_F^2 and its gradient."""
-    z = as_matrix(z, "z")
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     d = z.shape[1]
@@ -156,9 +152,8 @@ def orthogonal_penalty(z, rho: float) -> tuple[float, np.ndarray]:
     return penalty, grad
 
 
-def row_normalize(z) -> np.ndarray:
+def row_normalize(z: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm."""
-    z = as_matrix(z, "z")
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if (norms == 0).any():
         raise ValueError("row_normalize received a zero row")

@@ -138,7 +138,6 @@ class TrainHistory:
 class StepLosses:
     affinity_loss: float
     clustering_loss: float
-    penalty: float
     total: float
     mean_inconsistency: float
     cross_affinity_intensity: float
@@ -173,13 +172,22 @@ def augment(x, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
     return (x * keep + noise) * (1.0 + jitter)
 
 
+def _encode(model, x):
+    """Encoder forward that refuses non-finite embeddings: the training
+    step's one guard against a diverged model."""
+    z_raw, cache = net.forward(model, x)
+    if not np.isfinite(z_raw).all():
+        raise NumericalError("non-finite encoder output: the model has diverged")
+    return z_raw, cache
+
+
 def _encode_view(model, x, cfg, frozen_resid=None):
     # The straight-through wraps the whole orthogonalize-and-normalize map:
     # the forward value is the row-normalized orthogonalized embedding, and
     # the gradient reaches the raw embeddings through the normalization
     # Jacobian evaluated at them (placing the stop-gradient inside the
     # normalization instead is scale-unstable at this model size).
-    z_raw, cache = net.forward(model, x)
+    z_raw, cache = _encode(model, x)
     z_base = row_normalize(z_raw)
     if frozen_resid is not None:
         resid = frozen_resid
@@ -302,7 +310,6 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
     losses = StepLosses(
         affinity_loss=la,
         clustering_loss=lc,
-        penalty=penalty,
         total=total,
         mean_inconsistency=0.5 * (inconsistencies[0] + inconsistencies[1]),
         cross_affinity_intensity=0.5
@@ -320,16 +327,6 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
     return losses, grads, frozen_pack
 
 
-def step_loss(model, x1, x2, cfg, frozen: FrozenStopGradients) -> float:
-    """Step loss with stop-gradient quantities held at ``frozen``.
-
-    This is the smooth function whose exact gradient `_compute_step`
-    reports; finite-difference checks difference it directly.
-    """
-    losses, _, _ = _compute_step(model, x1, x2, cfg, frozen)
-    return losses.total
-
-
 def train_step(
     x,
     model: net.ModelState,
@@ -338,10 +335,9 @@ def train_step(
     rng: np.random.Generator,
     lr: float | None = None,
 ) -> tuple[StepLosses, net.ModelState]:
-    """One full training step on a raw batch: augment, losses, SGD update."""
-    x = as_matrix(x, "x")
-    if x.shape[0] < 2:
-        raise ValueError("batch must contain at least 2 samples")
+    """One full training step on a batch: augment, losses, SGD update.
+
+    ``x``, at least 2 finite float64 rows, is trusted: `fit` checks the data."""
     x1 = augment(x, cfg, rng)
     x2 = augment(x, cfg, rng)
     if np.ptp(x1, axis=0).max() == 0.0:
@@ -399,7 +395,8 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
                 losses.mean_inconsistency,
                 losses.cross_affinity_intensity,
             )
-        means = sums / steps_per_epoch
+        # Python floats, so the history prints the same under every numpy
+        means = [float(v) for v in sums / steps_per_epoch]
         record = EpochRecord(
             epoch=epoch,
             affinity_loss=means[0],
@@ -423,8 +420,7 @@ def predict(model: net.ModelState, x) -> tuple[np.ndarray, np.ndarray]:
     Labels are the row argmax of the assignment logits, so they do not
     depend on the temperature.
     """
-    x = as_matrix(x, "x")
-    z_raw, _ = net.forward(model, x)
+    z_raw, _ = _encode(model, as_matrix(x, "x"))
     z = row_normalize(z_raw)
     protos = row_normalize(model.prototypes)
     labels = np.argmax(z @ protos.T, axis=1)

@@ -56,21 +56,13 @@ class SinkhornState:
     """Row/column scalings of a converged marginal-constrained solve.
 
     Scalings are kept in log form so the state stays representable at small
-    ``eta``; ``alpha``/``beta`` expose the positive vectors themselves. The
-    plan is ``diag(alpha) @ exp(-cost/eta) @ diag(beta)``.
+    ``eta``. The plan is
+    ``diag(exp(log_alpha)) @ exp(-cost/eta) @ diag(exp(log_beta))``.
     """
 
     log_alpha: np.ndarray
     log_beta: np.ndarray
     eta: float
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return np.exp(self.log_alpha)
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.exp(self.log_beta)
 
 
 def _measured(plan: np.ndarray, r, c, iterations: int) -> TransportPlan:
@@ -138,7 +130,7 @@ def _scale(k, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False)
     return (v, u, sweep) if rows_first else (u, v, sweep)
 
 
-def sinkhorn_algorithm1(logits, eta: float, iterations: int) -> TransportPlan:
+def sinkhorn_algorithm1(logits: np.ndarray, eta: float, iterations: int) -> TransportPlan:
     """Fixed-iteration Sinkhorn on a similarity matrix.
 
     Computes ``exp(logits/eta)`` (stabilized by subtracting the per-matrix
@@ -148,9 +140,9 @@ def sinkhorn_algorithm1(logits, eta: float, iterations: int) -> TransportPlan:
     are approximately uniform at total mass ``m/n`` each.
 
     Residuals are reported against those implied marginals: 1 per row and
-    ``m/n`` per column.
+    ``m/n`` per column. ``logits``, the trainer's own similarities, are
+    trusted to be finite.
     """
-    logits = as_matrix(logits, "logits")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if iterations < 1:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from otsc.cli import format_report, load_train_config, main, parse_config
 from otsc.metrics import evaluate
 from otsc.network import load_checkpoint
+from otsc.trainer import TrainConfig
 
 
 @pytest.fixture
@@ -65,6 +67,26 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="num_clusters"):
             load_train_config(p)
 
+    def test_every_field_settable(self, tmp_path):
+        # one non-default value per TrainConfig field, written as text
+        values = {
+            "num_clusters": 3, "embed_dim": 4, "batch_size": 32, "epochs": 7,
+            "eta": 0.07, "sinkhorn_iters": 4, "lam": 1.25, "base_lr": 0.003,
+            "momentum": 0.8, "weight_decay": 0.001, "restart_period": 50,
+            "noise_sigma": 0.2, "feature_dropout_prob": 0.2, "scale_jitter": 0.05,
+            "seed": 11, "orth_mode": "qr", "penalty_rho": 2.0, "keep_diagonal": True,
+            "tau_a_init": 0.1, "tau_c_init": 0.2,
+        }
+        assert set(values) == {f.name for f in fields(TrainConfig)}
+        p = tmp_path / "all.cfg"
+        p.write_text("".join(
+            f"{'lambda' if name == 'lam' else name} = {value}\n"
+            for name, value in values.items()
+        ))
+        cfg = load_train_config(p)
+        for f in fields(TrainConfig):
+            assert getattr(cfg, f.name) == values[f.name] != f.default, f.name
+
 
 class TestGenDataset:
     def test_deterministic_bytes(self, tmp_path):
@@ -89,6 +111,16 @@ class TestTrainEvalBaseline:
         assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
                      "--dataset", str(dataset_path), "--out", str(out2)]) == 0
         assert (out2 / "report.txt").read_bytes() == train_report
+
+    def test_history_values_parse_as_floats(self, tmp_path, dataset_path, config_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path),
+                     "--dataset", str(dataset_path), "--out", str(out)]) == 0
+        lines = (out / "history.txt").read_text().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            for pair in line.split(" "):
+                float(pair.split("=", 1)[1])
 
     def test_rerun_reproduces_report(self, tmp_path, dataset_path, config_path):
         r1, r2 = tmp_path / "r1", tmp_path / "r2"
@@ -247,13 +279,16 @@ def _broken_checkpoint(tmp_path, run, drop=None):
     return ["eval", "--checkpoint", str(path), "--dataset", str(run["dataset"])]
 
 
-def _edited_checkpoint(tmp_path, run, meta=None, arrays=None):
-    """The trained checkpoint with some meta fields and arrays replaced."""
+def _edited_checkpoint(tmp_path, run, meta=None, arrays=None, raw_meta=None):
+    """The trained checkpoint with some meta fields and arrays replaced, or
+    with the meta entry replaced by the bytes ``raw_meta``."""
     path = tmp_path / "edited.npz"
     with np.load(run["checkpoint"]) as data:
         entries = {k: data[k] for k in data.files}
-    fields = {**json.loads(bytes(entries["meta"])), **(meta or {})}
-    entries["meta"] = np.frombuffer(json.dumps(fields).encode(), dtype=np.uint8)
+    if raw_meta is None:
+        meta_fields = {**json.loads(bytes(entries["meta"])), **(meta or {})}
+        raw_meta = json.dumps(meta_fields).encode()
+    entries["meta"] = np.frombuffer(raw_meta, dtype=np.uint8)
     np.savez(path, **{**entries, **(arrays or {})})
     return ["eval", "--checkpoint", str(path), "--dataset", str(run["dataset"])]
 
@@ -266,7 +301,25 @@ def _four_blobs_k3(tmp_path, run):
     return _baseline("spectral", str(path), "--k", "3")
 
 
+def _nan_feature_csv(tmp_path):
+    return _csv(tmp_path, "f0,f1,label", ["0,0,0", "1,nan,1", "2,2,1"])
+
+
+def _nan_cost(tmp_path):
+    path = tmp_path / "cost.csv"
+    path.write_text("0.0,1.0\n1.0,nan\n")
+    return ["ot-debug", "--cost", str(path)]
+
+
+def _nan_layer(run):
+    with np.load(run["checkpoint"]) as data:
+        weight = data["layer0.weight"].copy()
+    weight[5, 1] = np.nan
+    return {"layer0.weight": weight}
+
+
 TWELVE_ROWS = [f"{i % 4}.5,{i // 4}.25,{i % 2}" for i in range(12)]
+NAN_FEATURE = "input.csv: data row 2 has non-finite feature f1"
 
 # case -> (argv builder, exit status, what stderr must contain)
 BAD_INPUTS = {
@@ -308,6 +361,34 @@ BAD_INPUTS = {
         1, "edited.npz entry 'prototypes' has shape (3, 4), expected K x 3"),
     "spectral K below the affinity components": (
         _four_blobs_k3, 1, "the affinity graph has more connected components than K=3"),
+    "NaN feature on train": (
+        lambda tmp, run: ["train", "--config", str(run["config"]), "--dataset",
+                          _nan_feature_csv(tmp), "--out", str(tmp / "o")],
+        1, NAN_FEATURE),
+    "NaN feature on eval": (
+        lambda tmp, run: ["eval", "--checkpoint", str(run["checkpoint"]),
+                          "--dataset", _nan_feature_csv(tmp)],
+        1, NAN_FEATURE),
+    "NaN feature on baseline": (
+        lambda tmp, run: _baseline("kmeans", _nan_feature_csv(tmp)), 1, NAN_FEATURE),
+    "NaN cost on ot-debug": (
+        lambda tmp, run: _nan_cost(tmp),
+        1, "cost.csv contains non-finite entries, first at [1, 1]"),
+    "NaN checkpoint entry": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays=_nan_layer(run)),
+        1, "edited.npz entry 'layer0.weight' must hold finite floats"),
+    "checkpoint meta not an object": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, raw_meta=b"[1, 2]"),
+        1, "edited.npz entry 'meta' is not a JSON object: [1, 2]"),
+    "checkpoint meta not JSON": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, raw_meta=b"not json"),
+        1, "edited.npz entry 'meta' is not JSON: Expecting value"),
+    "checkpoint layer narrower than the previous output": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"layer1.weight": np.ones((64, 5))}),
+        1, "edited.npz entry 'layer1.weight' has shape (64, 5), expected out x 64"),
+    "checkpoint bias of the wrong length": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"layer0.bias": np.zeros(5)}),
+        1, "edited.npz entry 'layer0.bias' has shape (5,), expected (64,)"),
 }
 
 

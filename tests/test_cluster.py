@@ -144,12 +144,6 @@ class TestClusteringLoss:
         fd = central_difference(loss_of_z, z)
         assert rel_error(grad_z, fd) <= 1e-6
 
-    def test_rejects_non_stochastic_target(self):
-        rng = np.random.default_rng(8)
-        logits = prototype_logits(unit_rows(rng, 3, 2), rng.normal(size=(2, 2)))
-        with pytest.raises(ValueError, match="stochastic"):
-            softmax_cross_entropy(np.full((3, 2), 0.9), logits, 0.2)
-
 
 class TestSoftKmeans:
     """For unit embeddings and prototypes ``||z - mu||^2 = 2 - 2 z.mu``, so the

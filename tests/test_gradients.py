@@ -9,10 +9,17 @@ import numpy as np
 import pytest
 
 from otsc import network as net
-from otsc.trainer import TrainConfig, _compute_step, step_loss
+from otsc.trainer import TrainConfig, _compute_step
 
 REL_TOL = 1e-4  # double precision, central differences
 H = 1e-6
+
+
+def step_loss(model, x1, x2, cfg, frozen):
+    """Step loss with the stop-gradient quantities held at ``frozen``: the
+    smooth function whose exact gradient `_compute_step` reports."""
+    losses, _, _ = _compute_step(model, x1, x2, cfg, frozen)
+    return losses.total
 
 
 def clone(m):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from otsc.spectral import (
     scatter_off_diagonal,
     softmax_cross_entropy,
 )
-from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _encode_view
+from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, _encode_view
 
 FIG_Z = np.array([[-0.94, 0.34], [0.87, 0.50]])
 
@@ -145,14 +147,18 @@ class TestAffinityLoss:
         direct = -(target * scaled).sum() + logsumexp
         assert abs(loss - direct) <= 1e-10
 
-    def test_rejects_non_stochastic_target(self):
-        with pytest.raises(ValueError, match="stochastic"):
-            softmax_cross_entropy(np.full((2, 3), 0.5), np.zeros((2, 3)), tau=0.1)
-
-    def test_rejects_negative_target(self):
-        target = np.array([[1.5, -0.5], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="stochastic"):
-            softmax_cross_entropy(target, np.zeros((2, 2)), tau=0.1)
+    def test_step_targets_are_row_stochastic(self):
+        # the cross-entropy trusts its targets to be row-stochastic; every
+        # target the training step hands it is, by construction
+        for mode in TRAINER_ORTH_MODES:
+            for keep_diagonal in (False, True):
+                model, x1, cfg = encoder_view(11, mode)
+                cfg = replace(cfg, keep_diagonal=keep_diagonal)
+                x2 = x1 + 0.1 * np.random.default_rng(12).normal(size=x1.shape)
+                _, _, frozen = _compute_step(model, x1, x2, cfg, None)
+                for target in frozen.affinity_targets + frozen.assignment_targets:
+                    assert (target >= 0).all(), (mode, keep_diagonal)
+                    assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
 
     @pytest.mark.parametrize("with_zeros", [False, True])
     def test_single_exp_matches_two_exp_formula(self, with_zeros):

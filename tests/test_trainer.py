@@ -4,6 +4,7 @@ import pytest
 from otsc import network as net
 from otsc.errors import TrainingAbortError
 from otsc.trainer import (
+    TRAINER_ORTH_MODES,
     TrainConfig,
     _compute_step,
     augment,
@@ -148,6 +149,8 @@ class TestFit:
         for rec in history.records:
             for name, value in vars(rec).items():
                 assert np.isfinite(value), name
+                # Python numbers, which print the same under every numpy
+                assert type(value) is (int if name == "epoch" else float), name
 
     def test_dataset_smaller_than_batch_rejected(self):
         cfg = tiny_cfg(batch_size=100)
@@ -165,6 +168,16 @@ class TestFit:
         cfg = tiny_cfg(epochs=1, base_lr=1e200)  # overflow on the next forward
         with pytest.raises(TrainingAbortError, match="epoch 0"):
             fit(random_data(), cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_model_aborts_in_every_orth_mode(self):
+        # the encoder-output guard stops a diverged model before its
+        # embeddings reach the SVD, QR, penalty or transport targets
+        for mode in TRAINER_ORTH_MODES:
+            cfg = tiny_cfg(epochs=1, base_lr=1e200, orth_mode=mode)
+            with pytest.raises(TrainingAbortError) as info:
+                fit(random_data(), cfg)
+            assert "aborted at epoch 0, step 1: non-finite encoder output" in str(info.value), mode
 
 
 class TestPredict:
