@@ -11,7 +11,7 @@ import pytest
 from oracles import central_difference, rel_error
 from otsc import network as net
 from otsc.spectral import row_normalize, row_normalize_vjp, softmax_cross_entropy
-from otsc.trainer import TrainConfig, predict
+from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, predict
 from otsc.transport import sinkhorn_algorithm1
 
 
@@ -143,6 +143,24 @@ class TestClusteringLoss:
         # perturbations of z feed the logits directly (no re-normalization)
         fd = central_difference(loss_of_z, z)
         assert rel_error(grad_z, fd) <= 1e-6
+
+    def test_rejects_non_stochastic_target(self):
+        # the loss no longer checks its targets: the assignment targets the
+        # training step hands it are row-stochastic and non-negative
+        rng = np.random.default_rng(8)
+        model = net.init_model(4, 3, 2, rng, hidden=(6,))
+        x1 = rng.normal(size=(8, 4))
+        x2 = x1 + 0.1 * rng.normal(size=x1.shape)
+        for mode in TRAINER_ORTH_MODES:
+            for keep_diagonal in (False, True):
+                cfg = TrainConfig(
+                    num_clusters=2, embed_dim=3, batch_size=8,
+                    orth_mode=mode, keep_diagonal=keep_diagonal,
+                )
+                _, _, frozen = _compute_step(model, x1, x2, cfg, None)
+                for target in frozen.assignment_targets:
+                    assert (target >= 0).all(), (mode, keep_diagonal)
+                    assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
 
 
 class TestSoftKmeans:

@@ -23,6 +23,7 @@ from otsc.spectral import (
     softmax_cross_entropy,
 )
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, _encode_view
+from otsc.transport import TransportPlan
 
 FIG_Z = np.array([[-0.94, 0.34], [0.87, 0.50]])
 
@@ -42,6 +43,20 @@ def encoder_view(seed, orth_mode="procrustes"):
     rng = np.random.default_rng(seed)
     cfg = TrainConfig(num_clusters=2, embed_dim=3, batch_size=8, orth_mode=orth_mode)
     return net.init_model(4, 3, 2, rng, hidden=(6,)), rng.normal(size=(8, 4)), cfg
+
+
+def step_targets(kind, seed=11):
+    """``(orth_mode, keep_diagonal, target)`` for every target of ``kind``
+    (``"affinity_targets"`` or ``"assignment_targets"``) in the frozen pack of
+    one training step, in every orth mode with ``keep_diagonal`` off and on."""
+    for mode in TRAINER_ORTH_MODES:
+        for keep_diagonal in (False, True):
+            model, x1, cfg = encoder_view(seed, mode)
+            cfg = replace(cfg, keep_diagonal=keep_diagonal)
+            x2 = x1 + 0.1 * np.random.default_rng(seed + 1).normal(size=x1.shape)
+            _, _, frozen = _compute_step(model, x1, x2, cfg, None)
+            for target in getattr(frozen, kind):
+                yield mode, keep_diagonal, target
 
 
 class TestCrossAffinity:
@@ -147,18 +162,17 @@ class TestAffinityLoss:
         direct = -(target * scaled).sum() + logsumexp
         assert abs(loss - direct) <= 1e-10
 
-    def test_step_targets_are_row_stochastic(self):
-        # the cross-entropy trusts its targets to be row-stochastic; every
-        # target the training step hands it is, by construction
-        for mode in TRAINER_ORTH_MODES:
-            for keep_diagonal in (False, True):
-                model, x1, cfg = encoder_view(11, mode)
-                cfg = replace(cfg, keep_diagonal=keep_diagonal)
-                x2 = x1 + 0.1 * np.random.default_rng(12).normal(size=x1.shape)
-                _, _, frozen = _compute_step(model, x1, x2, cfg, None)
-                for target in frozen.affinity_targets + frozen.assignment_targets:
-                    assert (target >= 0).all(), (mode, keep_diagonal)
-                    assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
+    # the loss no longer checks its targets: these check that no
+    # non-stochastic or negative target reaches it from the training step
+    def test_rejects_non_stochastic_target(self):
+        for mode, keep_diagonal, target in step_targets("affinity_targets"):
+            assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
+
+    def test_rejects_negative_target(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TransportPlan(np.array([[1.5, -0.5], [0.5, 0.5]]), 0.0, 0.0, 1)
+        for mode, keep_diagonal, target in step_targets("affinity_targets"):
+            assert (target >= 0).all(), (mode, keep_diagonal)
 
     @pytest.mark.parametrize("with_zeros", [False, True])
     def test_single_exp_matches_two_exp_formula(self, with_zeros):
