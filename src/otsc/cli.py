@@ -151,12 +151,11 @@ def _write_manifest(out_dir: Path, cfg: TrainConfig, dataset_path, started, outp
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _evaluate_model(model, ds: Dataset) -> tuple[str, np.ndarray]:
-    labels, _ = predict(model, ds.features)
+def _evaluate_model(model, ds: Dataset) -> str:
     if ds.labels is None:
         raise ValueError("dataset has no labels to evaluate against")
-    report = evaluate(ds.labels, labels)
-    return format_report(report, ds.name, ds.n), labels
+    labels, _ = predict(model, ds.features)
+    return format_report(evaluate(ds.labels, labels), ds.name, ds.n)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -186,7 +185,7 @@ def _train_run(cfg: TrainConfig, ds: Dataset, out_dir: Path, dataset_path) -> Pa
     (out_dir / "history.txt").write_text(format_history(history))
     outputs = {"checkpoint": ckpt, "history": out_dir / "history.txt"}
     if ds.labels is not None:
-        text, _ = _evaluate_model(model, ds)
+        text = _evaluate_model(model, ds)
         (out_dir / "report.txt").write_text(text)
         outputs["report"] = out_dir / "report.txt"
         print(text, end="")
@@ -208,7 +207,7 @@ def _cmd_train(args) -> None:
 def _cmd_eval(args) -> None:
     model, _, _, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
-    text, _ = _evaluate_model(model, ds)
+    text = _evaluate_model(model, ds)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -145,14 +145,19 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV (sidecar optional).
 
-    A non-finite feature or a non-integer label raises ``ValueError`` naming
-    the file, the data row (1-based, after the header) and the column.
+    A file with no data rows, a non-finite feature or a non-integer label
+    raises ``ValueError`` naming the file and, for a bad entry, the data row
+    (1-based, after the header) and the column.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     with path.open() as fh:
         header = fh.readline().strip().split(",")
+        # stops at the first row; blank and '#' lines are what loadtxt skips
+        has_rows = any(line.split("#", 1)[0].strip() for line in fh)
+    if not has_rows:
+        raise ValueError(f"{path}: no data rows")
     has_labels = header[-1] == "label"
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     seed = -1

@@ -95,10 +95,12 @@ def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.nd
     """Chain an off-diagonal-logit gradient back to the embeddings.
 
     With A the gradient scattered to a zero-diagonal B x B matrix and the
-    logits being z @ z.T off-diagonal, d/dz = A @ z + A.T @ z.
+    logits being z @ z.T off-diagonal, d/dz = A @ z + A.T @ z. The second
+    product is taken as (z.T @ A).T with z.T copied contiguous: numpy's
+    A.T @ z walks A by columns and is over twice as slow at B = 1024, D = 2.
     """
     a = scatter_off_diagonal(grad_logits)
-    return a @ z + a.T @ z
+    return a @ z + (z.T.copy() @ a).T
 
 
 def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationResult:

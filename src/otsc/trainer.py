@@ -287,14 +287,17 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
         z_raw, cache, _, z, _ = views[v]
         if cfg.keep_diagonal:
             a = grad_w[v]
-            grad_z = a @ z + a.T @ z
+            grad_z = a @ z + (z.T.copy() @ a).T
         else:
             grad_z = affinity_grad_to_embeddings(grad_w[v], z)
+        # the affinity logits are z @ z.T (off the diagonal), so
+        # <A, z z.T> = <A z, z> = <A z + A.T z, z> / 2: one B x D product
+        # instead of reading the two B x B logit and gradient planes
+        grad_tau_a += -0.5 * float(np.vdot(grad_z, z)) / tau_a
         grad_z = grad_z + cfg.lam * (grad_h[v] @ protos)
         if pen_grads[v] is not None:
             grad_z = grad_z + pen_grads[v]
         grad_protos_norm += cfg.lam * (grad_h[v].T @ z)
-        grad_tau_a += -float(np.vdot(grad_w[v], w_logits[v])) / tau_a
         grad_tau_c += -cfg.lam * float(np.vdot(grad_h[v], h_logits[v])) / tau_c
 
         grad_raw = row_normalize_vjp(z_raw, grad_z)

@@ -38,7 +38,9 @@ class TransportPlan:
 
     ``row_marginal_residual`` / ``col_marginal_residual`` are max-norm
     deviations from the requested marginals; they are reported as computed,
-    never clipped.
+    never clipped. A plan holding a negative, infinite or NaN entry is
+    refused; the check is two reductions with no boolean masks (``min``
+    propagates NaN).
     """
 
     plan: np.ndarray
@@ -47,7 +49,7 @@ class TransportPlan:
     iterations_used: int
 
     def __post_init__(self):
-        if (self.plan < 0).any() or not np.isfinite(self.plan).all():
+        if not (self.plan.min() >= 0.0 and self.plan.max() < np.inf):
             raise ValueError("transport plan must be nonnegative and finite")
 
 

@@ -8,7 +8,10 @@ written: the fixed-count loop rescales the whole matrix at every half-sweep,
 and the tolerance loops rebuild the plan after every sweep to measure its
 residuals. The spectral-baseline reference is the earlier full-spectrum
 embedding (every eigenpair from ``np.linalg.eigh``, the leading K kept); it
-clusters with the package's k-means, which is not what it checks.
+clusters with the package's k-means, which is not what it checks. The
+affinity-backward references are the trainer's earlier forms: the two plain
+products into the embeddings, and the temperature gradient read off the
+B x B logit and gradient planes.
 """
 
 from __future__ import annotations
@@ -289,6 +292,26 @@ def mask_scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
     full = np.zeros((b, b))
     full[~np.eye(b, dtype=bool)] = values.ravel()
     return full
+
+
+def two_product_affinity_grad(grad_logits, z) -> np.ndarray:
+    """Embedding gradient of the off-diagonal logits z @ z.T as the two
+    plain products A @ z + A.T @ z, with A scattered by boolean mask."""
+    a = mask_scatter_off_diagonal(grad_logits)
+    return a @ z + a.T @ z
+
+
+def logit_form_tau_grad(views_z, targets, tau: float, keep_diagonal: bool) -> float:
+    """Derivative of the swapped affinity loss in its temperature, read off
+    the B x B planes: the sum over views of -vdot(grad_w, w_logits) / tau,
+    view v's logits scored against view 1 - v's target."""
+    total = 0.0
+    for v, z in enumerate(views_z):
+        sims = z @ z.T
+        logits = sims if keep_diagonal else mask_off_diagonal(sims)
+        _, grad = two_exp_cross_entropy(targets[1 - v], logits, tau)
+        total -= float(np.vdot(grad, logits)) / tau
+    return total
 
 
 def full_spectrum_spectral(x, cfg, seed: int = 0) -> np.ndarray:

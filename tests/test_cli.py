@@ -329,6 +329,9 @@ BAD_INPUTS = {
     "label gap": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1,2", "2,2,2"])),
         1, "error: labels must be 0..K-1"),
+    "header-only csv": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", [])),
+        1, "input.csv: no data rows"),
     "non-integer labels": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0.7", "1,1,1.2", "2,2,0"])),
         1, "data row 1 has non-integer label 0.7"),
@@ -405,3 +408,14 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("numerical abort: " if status == 2 else "error: ")
         assert needle in err
+
+    def test_eval_checks_labels_before_predict(self, tmp_path, trained_run, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("predict ran on a dataset without labels")
+
+        monkeypatch.setattr("otsc.cli.predict", refuse)
+        argv = ["eval", "--checkpoint", str(trained_run["checkpoint"]),
+                "--dataset", _csv(tmp_path, "f0,f1", ["0,0", "1,1"])]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: dataset has no labels to evaluate against\n"

@@ -92,6 +92,15 @@ class TestDatasetValidation:
             Dataset(name="bad", features=np.zeros((3, 2)),
                     labels=np.array([0, 1]), generator_seed=0)
 
+    @pytest.mark.parametrize("body", ["", "\n", "\n# no rows\n"])
+    def test_header_only_rejected_without_warning(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("f0,f1,label\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
+                load_dataset(path)
+
     def test_non_integer_labels_rejected(self, tmp_path):
         path = tmp_path / "frac.csv"
         # 1e+20 is integer-valued but beyond int64: no cast warning either

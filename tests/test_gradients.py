@@ -8,8 +8,9 @@ which is exactly the function whose gradient the step reports.
 import numpy as np
 import pytest
 
+from oracles import logit_form_tau_grad
 from otsc import network as net
-from otsc.trainer import TrainConfig, _compute_step
+from otsc.trainer import TrainConfig, _compute_step, _encode_view
 
 REL_TOL = 1e-4  # double precision, central differences
 H = 1e-6
@@ -114,3 +115,20 @@ def test_targets_receive_no_gradient():
     _, grads_frozen, _ = _compute_step(model, x1, x2, cfg, frozen)
     for name in grads_live:
         assert np.array_equal(np.asarray(grads_live[name]), np.asarray(grads_frozen[name]))
+
+
+@pytest.mark.parametrize("keep_diagonal", [False, True])
+@pytest.mark.parametrize("mode", ["none", "procrustes", "qr", "penalty"])
+def test_tau_a_gradient_matches_logit_form(mode, keep_diagonal):
+    # the step takes it from the B x D embedding gradient; the oracle reads
+    # the B x B logit and gradient planes
+    model, cfg, x1, x2 = build_instance(mode, keep_diagonal=keep_diagonal)
+    _, grads, frozen = _compute_step(model, x1, x2, cfg, None)
+    views_z = [
+        _encode_view(model, x, cfg, frozen.st_residuals[v])[3]
+        for v, x in enumerate((x1, x2))
+    ]
+    tau_a = net.effective_tau(model.log_tau_a, model.tau_cap)
+    want = logit_form_tau_grad(views_z, frozen.affinity_targets, tau_a, keep_diagonal)
+    want *= net.tau_grad_scale(model.log_tau_a, model.tau_cap)
+    assert abs(float(grads["log_tau_a"]) - want) <= 1e-12 * abs(want)

@@ -9,6 +9,7 @@ from oracles import (
     mask_scatter_off_diagonal,
     rel_error,
     two_exp_cross_entropy,
+    two_product_affinity_grad,
 )
 from otsc import network as net
 from otsc.linalg import qr_decompose
@@ -206,6 +207,16 @@ class TestAffinityLoss:
         grad_z = affinity_grad_to_embeddings(grad_logits, z0)
         fd = central_difference(loss_of_z, z0)
         assert rel_error(grad_z, fd) <= 1e-7
+
+    @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
+    def test_grad_to_embeddings_matches_two_product_form(self, b):
+        rng = np.random.default_rng(b)
+        z = unit_rows(rng, b, 2)
+        _, grad_logits = softmax_cross_entropy(
+            random_target(rng, (b, b - 1)), off_diagonal(z @ z.T), 0.1
+        )
+        got = affinity_grad_to_embeddings(grad_logits, z)
+        assert rel_error(got, two_product_affinity_grad(grad_logits, z)) <= 1e-15
 
     def test_gradient_vanishes_when_model_matches_target(self):
         # fixed-point form of the convergence condition: when the modeled

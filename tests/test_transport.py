@@ -13,7 +13,20 @@ from oracles import (
     transport_cost,
 )
 from otsc.errors import SinkhornUnderflowError
-from otsc.transport import sinkhorn_algorithm1, sinkhorn_marginal
+from otsc.transport import TransportPlan, sinkhorn_algorithm1, sinkhorn_marginal
+
+
+class TestTransportPlan:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_refuses_non_finite_or_negative_entry(self, bad):
+        plan = np.full((3, 4), 0.25)
+        plan[1, 2] = bad
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            TransportPlan(plan, 0.0, 0.0, 1)
+
+    def test_accepts_zero_entries(self):
+        plan = np.eye(3)
+        assert TransportPlan(plan, 0.0, 0.0, 1).plan is plan
 
 
 class TestAlgorithm1:
