@@ -26,7 +26,7 @@ from .errors import NumericalError
 from .linalg import as_matrix
 from .metrics import ClusteringReport, evaluate
 from .network import OptimizerState, load_checkpoint, save_checkpoint
-from .trainer import TRAINER_ORTH_MODES, TrainConfig, TrainHistory, fit, predict
+from .trainer import TRAINER_ORTH_MODES, EpochRecord, TrainConfig, TrainHistory, fit, predict
 from .transport import sinkhorn_algorithm1, sinkhorn_marginal
 
 __all__ = ["main"]
@@ -115,23 +115,14 @@ def format_report(report: ClusteringReport, dataset_name: str, n: int) -> str:
     return "".join(f"{k}={values[k]}\n" for k in _REPORT_KEYS)
 
 
+_HISTORY_KEYS = tuple(f.name for f in fields(EpochRecord))
+
+
 def format_history(history: TrainHistory) -> str:
-    lines = []
-    for rec in history.records:
-        parts = [f"epoch={rec.epoch}"]
-        for name in (
-            "affinity_loss",
-            "clustering_loss",
-            "total_loss",
-            "tau_a",
-            "tau_c",
-            "mean_inconsistency",
-            "cross_affinity_intensity",
-            "lr",
-        ):
-            parts.append(f"{name}={getattr(rec, name)!r}")
-        lines.append(" ".join(parts))
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        " ".join(f"{name}={getattr(rec, name)!r}" for name in _HISTORY_KEYS) + "\n"
+        for rec in history.records
+    )
 
 
 def _fingerprint(path) -> str:
@@ -149,6 +140,15 @@ def _write_manifest(out_dir: Path, cfg: TrainConfig, dataset_path, started, outp
         "outputs": {k: str(v) for k, v in outputs.items()},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _emit_report(text: str, out_dir) -> None:
+    """Print a report, and write it to ``<out_dir>/report.txt`` if ``out_dir`` is set."""
+    if out_dir:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.txt").write_text(text)
+    print(text, end="")
 
 
 def _evaluate_model(model, ds: Dataset) -> str:
@@ -185,10 +185,8 @@ def _train_run(cfg: TrainConfig, ds: Dataset, out_dir: Path, dataset_path) -> Pa
     (out_dir / "history.txt").write_text(format_history(history))
     outputs = {"checkpoint": ckpt, "history": out_dir / "history.txt"}
     if ds.labels is not None:
-        text = _evaluate_model(model, ds)
-        (out_dir / "report.txt").write_text(text)
+        _emit_report(_evaluate_model(model, ds), out_dir)
         outputs["report"] = out_dir / "report.txt"
-        print(text, end="")
     _write_manifest(out_dir, cfg, dataset_path, started, outputs)
     return ckpt
 
@@ -207,12 +205,7 @@ def _cmd_train(args) -> None:
 def _cmd_eval(args) -> None:
     model, _, _, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
-    text = _evaluate_model(model, ds)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(text)
-    print(text, end="")
+    _emit_report(_evaluate_model(model, ds), args.out)
 
 
 def _cmd_baseline(args) -> None:
@@ -230,13 +223,7 @@ def _cmd_baseline(args) -> None:
             k_neighbor=args.k_neighbor,
         )
         labels, _ = classical_spectral(ds.features, cfg, seed=args.seed)
-    report = evaluate(ds.labels, labels)
-    text = format_report(report, ds.name, ds.n)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(text)
-    print(text, end="")
+    _emit_report(format_report(evaluate(ds.labels, labels), ds.name, ds.n), args.out)
 
 
 def _cmd_ot_debug(args) -> None:

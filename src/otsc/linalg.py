@@ -21,6 +21,9 @@ from .errors import RankError
 
 __all__ = ["EigResult", "SvdResult", "sym_eig", "thin_svd", "qr_decompose", "as_matrix"]
 
+# asymmetry `sym_eig` tolerates, relative to the largest entry magnitude
+SYM_TOL = 1e-10
+
 
 def as_matrix(a, name: str = "a") -> np.ndarray:
     """Coerce to a 2-D float64 array and reject non-finite entries."""
@@ -57,16 +60,14 @@ class SvdResult:
     v: np.ndarray
 
 
-def sym_eig(a, tol: float = 1e-10, k: int | None = None) -> EigResult:
+def sym_eig(a, k: int | None = None) -> EigResult:
     """The ``k`` leading eigenpairs of a symmetric matrix.
 
     Parameters
     ----------
     a : (n, n) array_like
-        Symmetric matrix; asymmetry beyond ``tol`` (scaled by the largest
-        entry magnitude) is rejected.
-    tol : float
-        Symmetry tolerance.
+        Symmetric matrix; asymmetry beyond ``SYM_TOL`` (scaled by the
+        largest entry magnitude) is rejected.
     k : int or None
         Number of largest eigenvalues to return, 1 <= k <= n; None means
         all n. LAPACK's relatively robust representation driver (evr)
@@ -87,7 +88,7 @@ def sym_eig(a, tol: float = 1e-10, k: int | None = None) -> EigResult:
         raise ValueError(f"sym_eig needs 1 <= k <= {n}, got k={k}")
     scale = max(1.0, float(np.abs(a).max()))
     asym = a - a.T
-    if float(np.abs(asym, out=asym).max()) > tol * scale:
+    if float(np.abs(asym, out=asym).max()) > SYM_TOL * scale:
         raise ValueError("sym_eig input is not symmetric within tolerance")
     # as_matrix has checked finiteness; LAPACK returns ascending order
     evals, evecs = scipy.linalg.eigh(a, subset_by_index=[n - k, n - 1], check_finite=False)

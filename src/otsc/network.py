@@ -4,9 +4,11 @@ The encoder is a small MLP (rectifier between layers, none after the last)
 whose reverse-mode gradients are written out explicitly so every parameter
 can be finite-difference checked. Cluster prototypes live here as raw,
 unconstrained rows; they are unit-normalized in the forward pass with the
-normalization Jacobian applied in the backward. Two learnable log
-temperatures are clamped from above at log 1 inside the forward (min, not
-projection), so the effective temperature never exceeds 1.
+normalization Jacobian applied in the backward. The affinity and clustering
+log temperatures are one learnable parameter array, ``log_tau``, so gradients,
+SGD and checkpoints handle them like every other parameter. They are clamped
+from above at log 1 inside the forward (min, not projection), so the effective
+temperatures never exceed 1.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ TAU_CAP = 0.0  # log 1
 INIT_LOG_TAU = float(np.log(0.05))
 
 # parameters never subject to weight decay
-_NO_DECAY = {"log_tau_a", "log_tau_c"}
+_NO_DECAY = {"log_tau"}
 
 
 @dataclass
@@ -50,18 +52,8 @@ class ModelState:
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     prototypes: np.ndarray  # K x D, raw (normalized in the forward pass)
-    log_tau_a: float
-    log_tau_c: float
-    tau_cap: float = TAU_CAP
+    log_tau: np.ndarray  # (2,): affinity, then clustering log temperature
     version: int = 0
-
-    @property
-    def num_clusters(self) -> int:
-        return self.prototypes.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.prototypes.shape[1]
 
     @property
     def input_dim(self) -> int:
@@ -73,6 +65,7 @@ class ModelState:
             items.append((f"layer{i}.weight", w))
             items.append((f"layer{i}.bias", b))
         items.append(("prototypes", self.prototypes))
+        items.append(("log_tau", self.log_tau))
         return items
 
 
@@ -85,7 +78,6 @@ class OptimizerState:
     weight_decay: float = 0.0005
     restart_period: int = 200
     momentum_buffers: dict[str, np.ndarray] = field(default_factory=dict)
-    scalar_buffers: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.base_lr <= 0:
@@ -116,12 +108,7 @@ def init_model(
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         layers.append((_xavier_uniform(fan_out, fan_in, rng), np.zeros(fan_out)))
     prototypes = _xavier_uniform(num_clusters, embed_dim, rng)
-    return ModelState(
-        layers=layers,
-        prototypes=prototypes,
-        log_tau_a=INIT_LOG_TAU,
-        log_tau_c=INIT_LOG_TAU,
-    )
+    return ModelState(layers=layers, prototypes=prototypes, log_tau=np.full(2, INIT_LOG_TAU))
 
 
 @dataclass
@@ -183,26 +170,26 @@ def backward(
     return grads
 
 
-def effective_tau(log_tau: float, cap: float = TAU_CAP) -> float:
-    """Clamped temperature exp(min(log_tau, cap))."""
-    return float(np.exp(min(log_tau, cap)))
+def effective_tau(log_tau: np.ndarray) -> np.ndarray:
+    """Clamped temperatures exp(min(log_tau, TAU_CAP)), entrywise."""
+    return np.exp(np.minimum(log_tau, TAU_CAP))
 
 
-def tau_grad_scale(log_tau: float, cap: float = TAU_CAP) -> float:
-    """d tau / d log_tau: tau when unclamped, 0 at or above the cap."""
-    return 0.0 if log_tau >= cap else float(np.exp(log_tau))
+def tau_grad_scale(log_tau: np.ndarray) -> np.ndarray:
+    """d tau / d log_tau, entrywise: tau when unclamped, 0 at or above the cap."""
+    return np.where(log_tau >= TAU_CAP, 0.0, np.exp(log_tau))
 
 
 def sgd_step(
     state: ModelState,
     opt: OptimizerState,
-    grads: dict[str, np.ndarray | float],
+    grads: dict[str, np.ndarray],
     lr: float,
 ) -> ModelState:
     """One heavy-ball step: g' = g + wd*p; buf = m*buf + g'; p -= lr*buf.
 
-    Log temperatures are excluded from weight decay. Refuses the whole step
-    if any gradient is non-finite, leaving the state untouched.
+    The log temperatures are excluded from weight decay. Refuses the whole
+    step if any gradient is non-finite, leaving the state untouched.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
@@ -221,13 +208,6 @@ def sgd_step(
         opt.momentum_buffers[name] = buf
         param -= lr * buf
 
-    for name in ("log_tau_a", "log_tau_c"):
-        g = float(grads[name])
-        buf = opt.scalar_buffers.get(name, 0.0)
-        buf = opt.momentum * buf + g
-        opt.scalar_buffers[name] = buf
-        setattr(state, name, getattr(state, name) - lr * buf)
-
     state.version += 1
     return state
 
@@ -242,14 +222,14 @@ def cosine_lr(epoch: int, opt: OptimizerState) -> float:
 
 # -- checkpoint I/O ----------------------------------------------------------
 #
-# A checkpoint is a single .npz container. Every parameter tensor is stored
-# under its parameter name (shape and dtype live in the npy headers), the
-# momentum buffers under "momentum:<name>", and a JSON "meta" entry carries
-# scalar state: log temperatures, scalar momentum, optimizer hyperparameters,
-# epoch counter, and the RNG state. Layout is documented in the README and
-# versioned via meta["format"].
+# A checkpoint is a single .npz container. Every parameter array, the log
+# temperatures included, is stored under its parameter name (shape and dtype
+# live in the npy headers), the momentum buffers under "momentum:<name>", and
+# a JSON "meta" entry carries the rest: layer count, model version, epoch
+# counter, optimizer hyperparameters and the RNG state. Layout is documented
+# in the README and versioned via meta["format"].
 
-_CKPT_FORMAT = 1
+_CKPT_FORMAT = 2
 
 
 def save_checkpoint(
@@ -259,17 +239,12 @@ def save_checkpoint(
     epoch: int,
     rng_state: dict | None = None,
 ) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for name, param in state.named_arrays():
-        arrays[name] = param
+    arrays = dict(state.named_arrays())
     for name, buf in opt.momentum_buffers.items():
         arrays[f"momentum:{name}"] = buf
     meta = {
         "format": _CKPT_FORMAT,
         "num_layers": len(state.layers),
-        "log_tau_a": state.log_tau_a,
-        "log_tau_c": state.log_tau_c,
-        "tau_cap": state.tau_cap,
         "version": state.version,
         "epoch": epoch,
         "optimizer": {
@@ -277,7 +252,6 @@ def save_checkpoint(
             "momentum": opt.momentum,
             "weight_decay": opt.weight_decay,
             "restart_period": opt.restart_period,
-            "scalar_buffers": opt.scalar_buffers,
         },
         "rng_state": rng_state,
     }
@@ -286,10 +260,7 @@ def save_checkpoint(
 
 
 _INT, _COUNT, _NUMBER = "an integer", "a positive integer", "a number"
-_META_KINDS = {
-    "num_layers": _COUNT, "log_tau_a": _NUMBER, "log_tau_c": _NUMBER,
-    "tau_cap": _NUMBER, "version": _INT, "epoch": _INT,
-}
+_META_KINDS = {"num_layers": _COUNT, "version": _INT, "epoch": _INT}
 _OPT_META_KINDS = {
     "base_lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER,
     "restart_period": _INT,
@@ -306,34 +277,39 @@ def _check_kinds(path, section: dict, kinds: dict[str, str]) -> None:
             raise ValueError(f"checkpoint {path} entry {key!r} must be {kind}, got {value!r}")
 
 
-def _check_layout(path, layers, prototypes) -> None:
-    """Refuse widths that do not chain from layer to layer and into the prototypes."""
+def _refuse_shape(path, key, arr, expected):
+    raise ValueError(f"checkpoint {path} entry {key!r} has shape {arr.shape}, expected {expected}")
 
-    def refuse(key, arr, expected):
-        raise ValueError(
-            f"checkpoint {path} entry {key!r} has shape {arr.shape}, expected {expected}"
-        )
 
+def _check_layout(path, state: ModelState) -> None:
+    """Refuse widths that do not chain from layer to layer and into the
+    prototypes, and log temperatures that are not a pair."""
     width = None  # output width of the previous layer
-    for i, (w, b) in enumerate(layers):
+    for i, (w, b) in enumerate(state.layers):
         if w.ndim != 2 or width not in (None, w.shape[1]):
-            refuse(f"layer{i}.weight", w, f"out x {width or 'in'} to match the previous layer")
+            expected = f"out x {width or 'in'} to match the previous layer"
+            _refuse_shape(path, f"layer{i}.weight", w, expected)
         width = w.shape[0]
         if b.shape != (width,):
-            refuse(f"layer{i}.bias", b, f"({width},) to match its weight")
-    if prototypes.ndim != 2 or prototypes.shape[1] != width:
-        refuse("prototypes", prototypes, f"K x {width} to match the last layer's output")
+            _refuse_shape(path, f"layer{i}.bias", b, f"({width},) to match its weight")
+    protos = state.prototypes
+    if protos.ndim != 2 or protos.shape[1] != width:
+        _refuse_shape(path, "prototypes", protos, f"K x {width} to match the last layer's output")
+    if state.log_tau.shape != (2,):
+        _refuse_shape(path, "log_tau", state.log_tau, "(2,)")
 
 
 def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]:
     """Read a checkpoint written by `save_checkpoint`.
 
     This is where a model enters from outside, so it is validated here and
-    not again on use. A file that is not a readable .npz archive, lacks an
-    array or a meta field, holds a meta that is not a JSON object or a meta
-    field of the wrong type, holds a non-finite array, or holds layers and
-    prototypes whose widths do not chain raises ``ValueError`` naming the
-    file and the entry.
+    not again on use. A file that is not a readable .npz archive, is of
+    another format, lacks an array or a meta field, holds a meta that is not
+    a JSON object or a meta field of the wrong type, holds an array that is
+    not finite float64, holds parameters of the wrong shape (layer widths
+    that do not chain, log temperatures that are not a pair), or holds a
+    momentum buffer that matches no parameter raises ``ValueError`` naming
+    the file and the entry.
     """
     try:
         with np.load(path) as data:
@@ -341,43 +317,46 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
     except (zipfile.BadZipFile, EOFError, ValueError) as err:
         raise ValueError(f"checkpoint {path} is unreadable: {err}") from None
     for key, value in arrays.items():
-        if key != "meta" and not (value.dtype.kind == "f" and np.isfinite(value).all()):
-            raise ValueError(f"checkpoint {path} entry {key!r} must hold finite floats")
+        if key != "meta" and not (value.dtype == np.float64 and np.isfinite(value).all()):
+            raise ValueError(f"checkpoint {path} entry {key!r} must hold finite floats (float64)")
     try:
         meta = json.loads(bytes(arrays["meta"]))
         if not isinstance(meta, dict):
             raise ValueError(f"checkpoint {path} entry 'meta' is not a JSON object: {meta!r}")
         if meta["format"] != _CKPT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {meta['format']}")
+            raise ValueError(
+                f"checkpoint {path} entry 'format' is {meta['format']!r}, expected {_CKPT_FORMAT}"
+            )
         _check_kinds(path, meta, _META_KINDS)
         opt_meta = meta["optimizer"]
-        if not isinstance(opt_meta, dict) or not isinstance(opt_meta["scalar_buffers"], dict):
+        if not isinstance(opt_meta, dict):
             raise ValueError(f"checkpoint {path} entry 'optimizer' is malformed")
         _check_kinds(path, opt_meta, _OPT_META_KINDS)
-        layers = [
-            (arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"])
-            for i in range(meta["num_layers"])
-        ]
-        prototypes = arrays["prototypes"]
-        _check_layout(path, layers, prototypes)
         state = ModelState(
-            layers=layers,
-            prototypes=prototypes,
-            log_tau_a=meta["log_tau_a"],
-            log_tau_c=meta["log_tau_c"],
-            tau_cap=meta["tau_cap"],
+            layers=[
+                (arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"])
+                for i in range(meta["num_layers"])
+            ],
+            prototypes=arrays["prototypes"],
+            log_tau=arrays["log_tau"],
             version=meta["version"],
         )
+        _check_layout(path, state)
         opt = OptimizerState(
             base_lr=opt_meta["base_lr"],
             momentum=opt_meta["momentum"],
             weight_decay=opt_meta["weight_decay"],
             restart_period=opt_meta["restart_period"],
-            scalar_buffers=dict(opt_meta["scalar_buffers"]),
         )
+        params = dict(state.named_arrays())
         for key, value in arrays.items():
             if key.startswith("momentum:"):
-                opt.momentum_buffers[key.split(":", 1)[1]] = value
+                name = key.split(":", 1)[1]
+                if name not in params:
+                    raise ValueError(f"checkpoint {path} entry {key!r} names no parameter")
+                if value.shape != params[name].shape:
+                    _refuse_shape(path, key, value, f"{params[name].shape} like {name!r}")
+                opt.momentum_buffers[name] = value
         return state, opt, meta["epoch"], meta["rng_state"]
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"checkpoint {path} entry 'meta' is not JSON: {err}") from None

@@ -223,8 +223,7 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
     loss becomes a smooth function of the parameters (the function the
     reported gradients differentiate).
     """
-    tau_a = net.effective_tau(model.log_tau_a, model.tau_cap)
-    tau_c = net.effective_tau(model.log_tau_c, model.tau_cap)
+    tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
 
     views = []
     for v, x in enumerate((x1, x2)):
@@ -277,9 +276,7 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
     # backward: chain each view's embedding gradient through the
     # straight-through (identity) and the row normalization of the raw
     # embeddings, then the encoder; targets and residuals are constants
-    grads: dict[str, np.ndarray | float] = {
-        name: np.zeros_like(p) for name, p in model.named_arrays()
-    }
+    grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
     grad_protos_norm = np.zeros_like(protos)
     grad_tau_a = 0.0
     grad_tau_c = 0.0
@@ -307,8 +304,7 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
             grads[f"layer{i}.bias"] += gb
 
     grads["prototypes"] += row_normalize_vjp(protos_raw, grad_protos_norm)
-    grads["log_tau_a"] = grad_tau_a * net.tau_grad_scale(model.log_tau_a, model.tau_cap)
-    grads["log_tau_c"] = grad_tau_c * net.tau_grad_scale(model.log_tau_c, model.tau_cap)
+    grads["log_tau"] = np.array([grad_tau_a, grad_tau_c]) * net.tau_grad_scale(model.log_tau)
 
     losses = StepLosses(
         affinity_loss=la,
@@ -367,8 +363,7 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
         )
     rng = np.random.default_rng(cfg.seed)
     model = net.init_model(d_in, cfg.embed_dim, cfg.num_clusters, rng)
-    model.log_tau_a = float(np.log(cfg.tau_a_init))
-    model.log_tau_c = float(np.log(cfg.tau_c_init))
+    model.log_tau[:] = np.log([cfg.tau_a_init, cfg.tau_c_init])
     opt = net.OptimizerState(
         base_lr=cfg.lr,
         momentum=cfg.momentum,
@@ -400,13 +395,14 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
             )
         # Python floats, so the history prints the same under every numpy
         means = [float(v) for v in sums / steps_per_epoch]
+        tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
         record = EpochRecord(
             epoch=epoch,
             affinity_loss=means[0],
             clustering_loss=means[1],
             total_loss=means[2],
-            tau_a=net.effective_tau(model.log_tau_a, model.tau_cap),
-            tau_c=net.effective_tau(model.log_tau_c, model.tau_cap),
+            tau_a=tau_a,
+            tau_c=tau_c,
             mean_inconsistency=means[3],
             cross_affinity_intensity=means[4],
             lr=lr,

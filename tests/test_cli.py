@@ -392,6 +392,24 @@ BAD_INPUTS = {
     "checkpoint bias of the wrong length": (
         lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"layer0.bias": np.zeros(5)}),
         1, "edited.npz entry 'layer0.bias' has shape (5,), expected (64,)"),
+    "checkpoint momentum for no parameter": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"momentum:nonexistent": np.zeros(3)}),
+        1, "edited.npz entry 'momentum:nonexistent' names no parameter"),
+    "checkpoint momentum of the wrong shape": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"momentum:log_tau": np.zeros(3)}),
+        1, "edited.npz entry 'momentum:log_tau' has shape (3,), expected (2,) like 'log_tau'"),
+    "checkpoint log_tau of shape (3,)": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"log_tau": np.zeros(3)}),
+        1, "edited.npz entry 'log_tau' has shape (3,), expected (2,)"),
+    "NaN checkpoint log_tau": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"log_tau": np.array([np.nan, 0.0])}),
+        1, "edited.npz entry 'log_tau' must hold finite floats"),
+    "float16 checkpoint entry": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"log_tau": np.zeros(2, np.float16)}),
+        1, "edited.npz entry 'log_tau' must hold finite floats (float64)"),
+    "format-1 checkpoint": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, meta={"format": 1}),
+        1, "edited.npz entry 'format' is 1, expected 2"),
 }
 
 

@@ -14,9 +14,7 @@ def clone(m):
     return net.ModelState(
         layers=[(w.copy(), b.copy()) for w, b in m.layers],
         prototypes=m.prototypes.copy(),
-        log_tau_a=m.log_tau_a,
-        log_tau_c=m.log_tau_c,
-        tau_cap=m.tau_cap,
+        log_tau=m.log_tau.copy(),
         version=m.version,
     )
 
@@ -33,8 +31,7 @@ class TestForward:
         model = net.ModelState(
             layers=[(np.eye(3), np.zeros(3))],
             prototypes=np.eye(3)[:2],
-            log_tau_a=0.0,
-            log_tau_c=0.0,
+            log_tau=np.zeros(2),
         )
         x = np.random.default_rng(2).normal(size=(4, 3))
         z, _ = net.forward(model, x)
@@ -92,8 +89,7 @@ class TestBackward:
         model = net.ModelState(
             layers=[(w.copy(), np.zeros(2))],
             prototypes=np.eye(2),
-            log_tau_a=0.0,
-            log_tau_c=0.0,
+            log_tau=np.zeros(2),
         )
         x = rng.normal(size=(10, 3))
         t = rng.normal(size=(10, 2))
@@ -109,8 +105,6 @@ class TestBackward:
         z, cache = net.forward(model, rng.normal(size=(3, 4)))
         opt = net.OptimizerState(base_lr=0.1)
         grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
-        grads["log_tau_a"] = 0.0
-        grads["log_tau_c"] = 0.0
         net.sgd_step(model, opt, grads, 0.1)
         with pytest.raises(ValueError, match="stale"):
             net.backward(model, cache, np.zeros_like(z))
@@ -118,15 +112,16 @@ class TestBackward:
 
 class TestTemperature:
     def test_clamped_at_one(self):
-        assert net.effective_tau(5.0) == 1.0
-        assert net.effective_tau(0.0) == 1.0
-        assert net.effective_tau(np.log(0.05)) == pytest.approx(0.05)
+        tau = net.effective_tau(np.array([5.0, 0.0, np.log(0.05)]))
+        assert tau[0] == 1.0
+        assert tau[1] == 1.0
+        assert tau[2] == pytest.approx(0.05)
 
     def test_gradient_zero_when_clamped(self):
-        assert net.tau_grad_scale(0.5) == 0.0
-        assert net.tau_grad_scale(0.0) == 0.0
-        lt = np.log(0.2)
-        assert net.tau_grad_scale(lt) == pytest.approx(0.2)
+        scale = net.tau_grad_scale(np.array([0.5, 0.0, np.log(0.2)]))
+        assert scale[0] == 0.0
+        assert scale[1] == 0.0
+        assert scale[2] == pytest.approx(0.2)
 
 
 class TestSgd:
@@ -135,61 +130,60 @@ class TestSgd:
         model = small_model(rng)
         opt = net.OptimizerState(base_lr=0.1, momentum=0.0, weight_decay=0.0)
         grads = {name: np.ones_like(p) for name, p in model.named_arrays()}
-        grads["log_tau_a"] = 0.5
-        grads["log_tau_c"] = 0.0
+        grads["log_tau"] = np.array([0.5, 0.0])
         before = clone(model)
         net.sgd_step(model, opt, grads, lr=0.1)
-        for (_, p0), (_, p1) in zip(before.named_arrays(), model.named_arrays()):
-            assert np.allclose(p1, p0 - 0.1)
-        assert model.log_tau_a == pytest.approx(before.log_tau_a - 0.05)
+        for (name, p0), (_, p1) in zip(before.named_arrays(), model.named_arrays()):
+            if name != "log_tau":
+                assert np.allclose(p1, p0 - 0.1)
+        assert np.allclose(model.log_tau, before.log_tau - [0.05, 0.0])
 
     def test_pure_decay(self):
         rng = np.random.default_rng(10)
         model = small_model(rng)
         opt = net.OptimizerState(base_lr=0.1, momentum=0.0, weight_decay=0.01)
         grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
-        grads["log_tau_a"] = 0.0
-        grads["log_tau_c"] = 0.0
         w_before = model.layers[0][0].copy()
-        tau_before = model.log_tau_a
+        tau_before = model.log_tau.copy()
         net.sgd_step(model, opt, grads, lr=0.1)
         assert np.allclose(model.layers[0][0], w_before * (1 - 0.1 * 0.01))
         # log-temperatures are excluded from decay
-        assert model.log_tau_a == tau_before
+        assert np.array_equal(model.log_tau, tau_before)
 
     def test_two_momentum_steps_hand_computed(self):
         # scalar parameter p=1, gradient 1 twice, momentum 0.9, lr 0.1:
         # buf1 = 1, p = 1 - 0.1 = 0.9; buf2 = 1.9, p = 0.9 - 0.19 = 0.71
+        # (the affinity log temperature moves the same way from 0)
         model = net.ModelState(
             layers=[(np.array([[1.0]]), np.zeros(1))],
             prototypes=np.eye(2)[:, :1] + [[1.0], [0.0]],
-            log_tau_a=0.0,
-            log_tau_c=0.0,
+            log_tau=np.zeros(2),
         )
         opt = net.OptimizerState(base_lr=0.1, momentum=0.9, weight_decay=0.0)
         grads = {
             "layer0.weight": np.array([[1.0]]),
             "layer0.bias": np.zeros(1),
             "prototypes": np.zeros((2, 1)),
-            "log_tau_a": 0.0,
-            "log_tau_c": 0.0,
+            "log_tau": np.array([1.0, 0.0]),
         }
         net.sgd_step(model, opt, grads, 0.1)
         assert model.layers[0][0][0, 0] == pytest.approx(0.9)
+        assert model.log_tau[0] == pytest.approx(-0.1)
         net.sgd_step(model, opt, grads, 0.1)
         assert model.layers[0][0][0, 0] == pytest.approx(0.71)
+        assert model.log_tau == pytest.approx([-0.29, 0.0])
 
     def test_nan_gradient_refused(self):
         rng = np.random.default_rng(11)
         model = small_model(rng)
         opt = net.OptimizerState(base_lr=0.1)
         grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
-        grads["log_tau_a"] = float("nan")
-        grads["log_tau_c"] = 0.0
+        grads["log_tau"] = np.array([np.nan, 0.0])
         before = clone(model)
-        with pytest.raises(PoisonedUpdateError):
+        with pytest.raises(PoisonedUpdateError, match="'log_tau'"):
             net.sgd_step(model, opt, grads, 0.1)
         assert np.allclose(before.layers[0][0], model.layers[0][0])
+        assert np.array_equal(before.log_tau, model.log_tau)
 
 
 class TestCosineSchedule:
@@ -210,10 +204,10 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         model = small_model(rng, hidden=(6, 5))
-        model.log_tau_a = -1.3
+        model.log_tau[0] = -1.3
         opt = net.OptimizerState(base_lr=0.05, momentum=0.8, weight_decay=1e-4)
         opt.momentum_buffers["layer0.weight"] = rng.normal(size=model.layers[0][0].shape)
-        opt.scalar_buffers["log_tau_a"] = 0.25
+        opt.momentum_buffers["log_tau"] = np.array([0.25, -0.5])
         rng_state = {"note": "opaque"}
 
         path = tmp_path / "ckpt.npz"
@@ -222,11 +216,12 @@ class TestCheckpoint:
 
         assert epoch == 17
         assert rs == rng_state
-        assert m2.log_tau_a == model.log_tau_a
+        assert np.array_equal(m2.log_tau, model.log_tau)
         assert m2.version == model.version
         for (_, a), (_, b) in zip(model.named_arrays(), m2.named_arrays()):
             assert (a == b).all()
         assert o2.base_lr == 0.05
         assert o2.momentum == 0.8
-        assert (o2.momentum_buffers["layer0.weight"] == opt.momentum_buffers["layer0.weight"]).all()
-        assert o2.scalar_buffers["log_tau_a"] == 0.25
+        assert o2.momentum_buffers.keys() == opt.momentum_buffers.keys()
+        for name, buf in opt.momentum_buffers.items():
+            assert np.array_equal(o2.momentum_buffers[name], buf)

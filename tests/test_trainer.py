@@ -139,7 +139,7 @@ class TestFit:
         assert h1 == h2
         for (_, a), (_, b) in zip(m1.named_arrays(), m2.named_arrays()):
             assert (a == b).all()
-        assert m1.log_tau_a == m2.log_tau_a
+        assert np.array_equal(m1.log_tau, m2.log_tau)
 
     def test_history_one_record_per_epoch(self):
         cfg = tiny_cfg(epochs=4)
@@ -195,7 +195,7 @@ class TestPredict:
         x = random_data()
         model, _ = fit(x, cfg)
         l1, _ = predict(model, x)
-        model.log_tau_c = np.log(0.9)
+        model.log_tau[1] = np.log(0.9)
         l2, _ = predict(model, x)
         assert (l1 == l2).all()
 
