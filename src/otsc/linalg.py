@@ -42,9 +42,8 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
 class EigResult:
     """Leading eigenpairs of a symmetric matrix, eigenvalues nonincreasing.
 
-    Holds the k largest pairs `sym_eig` was asked for (the full spectrum
-    when k is None). ``eigenvectors[:, i]`` pairs with ``eigenvalues[i]``;
-    columns are orthonormal.
+    Holds the k largest pairs `sym_eig` was asked for. ``eigenvectors[:, i]``
+    pairs with ``eigenvalues[i]``; columns are orthonormal.
     """
 
     eigenvalues: np.ndarray
@@ -60,7 +59,7 @@ class SvdResult:
     v: np.ndarray
 
 
-def sym_eig(a, k: int | None = None) -> EigResult:
+def sym_eig(a, k: int) -> EigResult:
     """The ``k`` leading eigenpairs of a symmetric matrix.
 
     Parameters
@@ -68,10 +67,10 @@ def sym_eig(a, k: int | None = None) -> EigResult:
     a : (n, n) array_like
         Symmetric matrix; asymmetry beyond ``SYM_TOL`` (scaled by the
         largest entry magnitude) is rejected.
-    k : int or None
-        Number of largest eigenvalues to return, 1 <= k <= n; None means
-        all n. LAPACK's relatively robust representation driver (evr)
-        computes only the requested pairs.
+    k : int
+        Number of largest eigenvalues to return, 1 <= k <= n. LAPACK's
+        relatively robust representation driver (evr) computes only the
+        requested pairs.
 
     Returns
     -------
@@ -83,7 +82,6 @@ def sym_eig(a, k: int | None = None) -> EigResult:
     m, n = a.shape
     if m != n:
         raise ValueError(f"sym_eig requires a square matrix, got {m}x{n}")
-    k = n if k is None else k
     if not 1 <= k <= n:
         raise ValueError(f"sym_eig needs 1 <= k <= {n}, got k={k}")
     scale = max(1.0, float(np.abs(a).max()))

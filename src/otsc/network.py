@@ -122,14 +122,9 @@ class ForwardCache:
 
 
 def forward(state: ModelState, x) -> tuple[np.ndarray, ForwardCache]:
-    """Encoder forward pass; returns raw embeddings and the backward cache."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x must be a B x d_in matrix")
-    if x.shape[1] != state.input_dim:
-        raise ValueError(
-            f"input dim {x.shape[1]} does not match first layer {state.input_dim}"
-        )
+    """Encoder forward pass; returns raw embeddings and the backward cache.
+
+    ``x`` is a float64 B x d_in matrix, as `fit` and `predict` hand it."""
     inputs, pres = [], []
     h = x
     last = len(state.layers) - 1
@@ -158,9 +153,7 @@ def backward(
     if cache.model_id != id(state) or cache.model_version != state.version:
         raise ValueError("stale forward cache: model was updated since forward")
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(state.layers)
-    g_pre = np.asarray(grad_z, dtype=np.float64)
-    if g_pre.shape != cache.pre_activations[-1].shape:
-        raise ValueError("grad_z shape does not match the forward output")
+    g_pre = grad_z
     for i in range(len(state.layers) - 1, -1, -1):
         w, _ = state.layers[i]
         grads[i] = (g_pre.T @ cache.inputs[i], g_pre.sum(axis=0))
@@ -188,19 +181,17 @@ def sgd_step(
 ) -> ModelState:
     """One heavy-ball step: g' = g + wd*p; buf = m*buf + g'; p -= lr*buf.
 
-    The log temperatures are excluded from weight decay. Refuses the whole
-    step if any gradient is non-finite, leaving the state untouched.
+    The log temperatures are excluded from weight decay. ``lr`` (positive)
+    and ``grads`` (one float64 array per parameter, shaped like it) are
+    trusted. Refuses the whole step if any gradient is non-finite, leaving
+    the state untouched.
     """
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise PoisonedUpdateError(f"non-finite gradient for {name!r}; step refused")
 
     for name, param in state.named_arrays():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != param.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
+        g = grads[name]
         if opt.weight_decay and name not in _NO_DECAY:
             g = g + opt.weight_decay * param
         buf = opt.momentum_buffers.get(name)
@@ -214,8 +205,6 @@ def sgd_step(
 
 def cosine_lr(epoch: int, opt: OptimizerState) -> float:
     """Cosine decay restarting every ``opt.restart_period`` epochs."""
-    if epoch < 0:
-        raise ValueError("epoch must be nonnegative")
     t = epoch % opt.restart_period
     return float(opt.base_lr * 0.5 * (1.0 + np.cos(np.pi * t / opt.restart_period)))
 
@@ -259,11 +248,11 @@ def save_checkpoint(
     np.savez(path, **arrays)
 
 
-_INT, _COUNT, _NUMBER = "an integer", "a positive integer", "a number"
-_META_KINDS = {"num_layers": _COUNT, "version": _INT, "epoch": _INT}
+_NONNEG, _COUNT, _NUMBER = "a nonnegative integer", "a positive integer", "a finite number"
+_META_KINDS = {"num_layers": _COUNT, "version": _NONNEG, "epoch": _NONNEG}
 _OPT_META_KINDS = {
     "base_lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER,
-    "restart_period": _INT,
+    "restart_period": _COUNT,
 }
 
 
@@ -271,8 +260,10 @@ def _check_kinds(path, section: dict, kinds: dict[str, str]) -> None:
     for key, kind in kinds.items():
         value = section[key]
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        whole = number and isinstance(value, int)
-        ok = number if kind == _NUMBER else whole and (kind == _INT or value >= 1)
+        if kind == _NUMBER:
+            ok = number and abs(value) < float("inf")  # not NaN or infinite
+        else:
+            ok = number and isinstance(value, int) and value >= (1 if kind == _COUNT else 0)
         if not ok:
             raise ValueError(f"checkpoint {path} entry {key!r} must be {kind}, got {value!r}")
 
@@ -305,11 +296,12 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
     This is where a model enters from outside, so it is validated here and
     not again on use. A file that is not a readable .npz archive, is of
     another format, lacks an array or a meta field, holds a meta that is not
-    a JSON object or a meta field of the wrong type, holds an array that is
-    not finite float64, holds parameters of the wrong shape (layer widths
-    that do not chain, log temperatures that are not a pair), or holds a
-    momentum buffer that matches no parameter raises ``ValueError`` naming
-    the file and the entry.
+    a JSON object or a meta field of the wrong type or range, holds an array
+    that is not finite float64, holds parameters of the wrong shape (layer
+    widths that do not chain, log temperatures that are not a pair), holds
+    optimizer settings `OptimizerState` refuses, or holds an array that is
+    neither a parameter of the meta's layers nor the momentum buffer of one
+    raises ``ValueError`` naming the file and the entry.
     """
     try:
         with np.load(path) as data:
@@ -342,12 +334,10 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
             version=meta["version"],
         )
         _check_layout(path, state)
-        opt = OptimizerState(
-            base_lr=opt_meta["base_lr"],
-            momentum=opt_meta["momentum"],
-            weight_decay=opt_meta["weight_decay"],
-            restart_period=opt_meta["restart_period"],
-        )
+        try:
+            opt = OptimizerState(**{key: opt_meta[key] for key in _OPT_META_KINDS})
+        except ValueError as err:
+            raise ValueError(f"checkpoint {path} entry 'optimizer': {err}") from None
         params = dict(state.named_arrays())
         for key, value in arrays.items():
             if key.startswith("momentum:"):
@@ -357,6 +347,11 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
                 if value.shape != params[name].shape:
                     _refuse_shape(path, key, value, f"{params[name].shape} like {name!r}")
                 opt.momentum_buffers[name] = value
+            elif key not in params and key != "meta":
+                raise ValueError(
+                    f"checkpoint {path} entry {key!r} is no parameter of the"
+                    f" {len(state.layers)}-layer model and no momentum buffer"
+                )
         return state, opt, meta["epoch"], meta["rng_state"]
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"checkpoint {path} entry 'meta' is not JSON: {err}") from None

@@ -2,10 +2,10 @@
 
 The affinity over a batch is a row-softmax of pairwise cosine similarities
 with the diagonal removed, so each sample distributes one unit of affinity
-over the other B-1 samples. Orthogonalization offers three strategies: the
-polar factor (nearest column-orthonormal matrix in Frobenius norm), the QR
-factor, or identity; the trainer makes it trainable with a straight-through
-backward that passes gradients through unchanged.
+over the other B-1 samples. Orthogonalization offers two strategies: the
+polar factor (nearest column-orthonormal matrix in Frobenius norm) or the QR
+factor; the trainer makes it trainable with a straight-through backward that
+passes gradients through unchanged.
 
 These run on every training step and trust their inputs (finite float64
 matrices, row-stochastic targets); inputs are validated where they enter.
@@ -31,9 +31,6 @@ __all__ = [
     "row_normalize",
     "row_normalize_vjp",
 ]
-
-ORTH_MODES = ("procrustes", "qr", "none")
-
 
 @dataclass(frozen=True)
 class OrthogonalizationResult:
@@ -92,39 +89,35 @@ def softmax_cross_entropy(
 
 
 def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Chain an off-diagonal-logit gradient back to the embeddings.
+    """Chain an affinity-logit gradient back to the embeddings.
 
-    With A the gradient scattered to a zero-diagonal B x B matrix and the
-    logits being z @ z.T off-diagonal, d/dz = A @ z + A.T @ z. The second
-    product is taken as (z.T @ A).T with z.T copied contiguous: numpy's
-    A.T @ z walks A by columns and is over twice as slow at B = 1024, D = 2.
+    The gradient comes in the layout the logits had: B x (B-1) for the
+    off-diagonal logits, scattered here to a zero-diagonal B x B matrix A,
+    or B x B for the full z @ z.T, taken as A unchanged. Then
+    d/dz = A @ z + A.T @ z. The second product is taken as (z.T @ A).T with
+    z.T copied contiguous: numpy's A.T @ z walks A by columns and is over
+    twice as slow at B = 1024, D = 2.
     """
-    a = scatter_off_diagonal(grad_logits)
+    square = grad_logits.shape[0] == grad_logits.shape[1]
+    a = grad_logits if square else scatter_off_diagonal(grad_logits)
     return a @ z + (z.T.copy() @ a).T
 
 
 def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationResult:
-    """Map embeddings to a column-orthonormal matrix.
+    """Map B x D embeddings (B >= D) to a column-orthonormal matrix.
 
     ``procrustes`` returns the polar factor u @ v.T of the thin SVD, the
     closest column-orthonormal matrix in Frobenius norm. ``qr`` returns the
     Q factor with column signs fixed so diag(q) >= 0 (the convention under
-    which the QR route shows its characteristic large inconsistency).
-    ``none`` passes the input through. The Frobenius distance between input
-    and output is always computed and reported.
+    which the QR route shows its characteristic large inconsistency). The
+    Frobenius distance between input and output is always computed and
+    reported.
     """
-    if mode not in ORTH_MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {ORTH_MODES}")
     warning = None
-    if mode == "none":
-        z_new = z.copy()
-    elif mode == "procrustes":
-        b, d = z.shape
-        if b < d:
-            raise ValueError(f"need B >= D for orthogonalization, got {b}x{d}")
+    if mode == "procrustes":
         svd = thin_svd(z)
-        s_max = float(svd.singular_values[0]) if svd.singular_values.size else 0.0
-        s_min = float(svd.singular_values[-1]) if svd.singular_values.size else 0.0
+        s_max = float(svd.singular_values[0])
+        s_min = float(svd.singular_values[-1])
         if s_min < 1e-10 * s_max or s_max == 0.0:
             warning = (
                 f"ill-conditioned polar factor: sigma_min={s_min:.3e}, "
@@ -132,21 +125,17 @@ def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationR
             )
             warnings.warn(warning, RuntimeWarning, stacklevel=2)
         z_new = svd.u @ svd.v.T
-    else:  # qr
-        b, d = z.shape
-        if b < d:
-            raise ValueError(f"need B >= D for orthogonalization, got {b}x{d}")
+    elif mode == "qr":
         q, _ = qr_decompose(z)
-        signs = np.where(np.diag(q)[:d] < 0, -1.0, 1.0)
-        z_new = q * signs
+        z_new = q * np.where(np.diag(q) < 0, -1.0, 1.0)
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected 'procrustes' or 'qr'")
     inconsistency = float(np.linalg.norm(z - z_new))
     return OrthogonalizationResult(z_new=z_new, inconsistency=inconsistency, warning=warning)
 
 
 def orthogonal_penalty(z: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
     """Soft orthogonality penalty rho * ||z.T z - I||_F^2 and its gradient."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
     d = z.shape[1]
     gram_defect = z.T @ z - np.eye(d)
     penalty = float(rho * np.sum(gram_defect**2))

@@ -12,7 +12,8 @@ stop-gradient quantities: the backward treats them as constants.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,11 +135,12 @@ class TrainHistory:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class StepLosses:
+class StepLosses(NamedTuple):
+    """The step quantities `fit` averages into an `EpochRecord`, named as there."""
+
     affinity_loss: float
     clustering_loss: float
-    total: float
+    total_loss: float
     mean_inconsistency: float
     cross_affinity_intensity: float
 
@@ -249,53 +251,36 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
         )
         inconsistencies = (views[0][4], views[1][4])
 
-    # swapped prediction: view u's target supervises view v's logits
+    # swapped prediction: view u's target supervises view v's logits. One
+    # pass per view: its losses, its temperature-gradient terms, and its
+    # backward through the straight-through (identity), the row
+    # normalization of the raw embeddings and the encoder; targets and
+    # residuals are constants
     la = 0.0
     lc = 0.0
-    grad_w = [None, None]
-    grad_h = [None, None]
+    penalty = 0.0
+    grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
+    grad_protos_norm = np.zeros_like(protos)
+    grad_tau = np.zeros(2)  # d total / d (tau_a, tau_c)
     for v in (0, 1):
         u = 1 - v
+        z_raw, cache, _, z, _ = views[v]
         loss_a, g_a = softmax_cross_entropy(w_targets[u], w_logits[v], tau_a)
         loss_c, g_c = softmax_cross_entropy(p_targets[u], h_logits[v], tau_c)
         la += loss_a
         lc += loss_c
-        grad_w[v] = g_a
-        grad_h[v] = g_c
-
-    penalty = 0.0
-    pen_grads = [None, None]
-    if cfg.orth_mode == "penalty":
-        for v in (0, 1):
-            pen, g_pen = orthogonal_penalty(views[v][3], cfg.penalty_rho)
+        grad_z = affinity_grad_to_embeddings(g_a, z)
+        # the affinity logits are z @ z.T (off the diagonal unless
+        # keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2: one B x D
+        # product instead of reading the two B x B logit and gradient planes
+        grad_tau[0] += -0.5 * float(np.vdot(grad_z, z)) / tau_a
+        grad_z = grad_z + cfg.lam * (g_c @ protos)
+        if cfg.orth_mode == "penalty":
+            pen, grad_pen = orthogonal_penalty(z, cfg.penalty_rho)
             penalty += pen
-            pen_grads[v] = g_pen
-
-    total = la + cfg.lam * lc + penalty
-
-    # backward: chain each view's embedding gradient through the
-    # straight-through (identity) and the row normalization of the raw
-    # embeddings, then the encoder; targets and residuals are constants
-    grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
-    grad_protos_norm = np.zeros_like(protos)
-    grad_tau_a = 0.0
-    grad_tau_c = 0.0
-    for v in (0, 1):
-        z_raw, cache, _, z, _ = views[v]
-        if cfg.keep_diagonal:
-            a = grad_w[v]
-            grad_z = a @ z + (z.T.copy() @ a).T
-        else:
-            grad_z = affinity_grad_to_embeddings(grad_w[v], z)
-        # the affinity logits are z @ z.T (off the diagonal), so
-        # <A, z z.T> = <A z, z> = <A z + A.T z, z> / 2: one B x D product
-        # instead of reading the two B x B logit and gradient planes
-        grad_tau_a += -0.5 * float(np.vdot(grad_z, z)) / tau_a
-        grad_z = grad_z + cfg.lam * (grad_h[v] @ protos)
-        if pen_grads[v] is not None:
-            grad_z = grad_z + pen_grads[v]
-        grad_protos_norm += cfg.lam * (grad_h[v].T @ z)
-        grad_tau_c += -cfg.lam * float(np.vdot(grad_h[v], h_logits[v])) / tau_c
+            grad_z = grad_z + grad_pen
+        grad_protos_norm += cfg.lam * (g_c.T @ z)
+        grad_tau[1] += -cfg.lam * float(np.vdot(g_c, h_logits[v])) / tau_c
 
         grad_raw = row_normalize_vjp(z_raw, grad_z)
         layer_grads = net.backward(model, cache, grad_raw)
@@ -304,18 +289,15 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
             grads[f"layer{i}.bias"] += gb
 
     grads["prototypes"] += row_normalize_vjp(protos_raw, grad_protos_norm)
-    grads["log_tau"] = np.array([grad_tau_a, grad_tau_c]) * net.tau_grad_scale(model.log_tau)
+    grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
 
     losses = StepLosses(
         affinity_loss=la,
         clustering_loss=lc,
-        total=total,
+        total_loss=la + cfg.lam * lc + penalty,
         mean_inconsistency=0.5 * (inconsistencies[0] + inconsistencies[1]),
         cross_affinity_intensity=0.5
-        * (
-            _target_intensity(w_targets[0], cfg.keep_diagonal)
-            + _target_intensity(w_targets[1], cfg.keep_diagonal)
-        ),
+        * sum(_target_intensity(w, cfg.keep_diagonal) for w in w_targets),
     )
     frozen_pack = FrozenStopGradients(
         st_residuals=(views[0][2], views[1][2]),
@@ -332,7 +314,7 @@ def train_step(
     opt: net.OptimizerState,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    lr: float | None = None,
+    lr: float,
 ) -> tuple[StepLosses, net.ModelState]:
     """One full training step on a batch: augment, losses, SGD update.
 
@@ -342,9 +324,9 @@ def train_step(
     if np.ptp(x1, axis=0).max() == 0.0:
         warnings.warn("degenerate batch: all augmented rows identical", RuntimeWarning)
     losses, grads, _ = _compute_step(model, x1, x2, cfg, None)
-    if not np.isfinite(losses.total):
-        raise TrainingAbortError(f"non-finite total loss {losses.total!r}")
-    model = net.sgd_step(model, opt, grads, opt.base_lr if lr is None else lr)
+    if not np.isfinite(losses.total_loss):
+        raise TrainingAbortError(f"non-finite total loss {losses.total_loss!r}")
+    model = net.sgd_step(model, opt, grads, lr)
     return losses, model
 
 
@@ -375,7 +357,7 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
     for epoch in range(cfg.epochs):
         lr = net.cosine_lr(epoch, opt)
         perm = rng.permutation(n)
-        sums = np.zeros(5)
+        sums = np.zeros(len(StepLosses._fields))
         for step in range(steps_per_epoch):
             idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
             try:
@@ -386,27 +368,11 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
                 raise TrainingAbortError(
                     f"aborted at epoch {epoch}, step {step}: {err}"
                 ) from err
-            sums += (
-                losses.affinity_loss,
-                losses.clustering_loss,
-                losses.total,
-                losses.mean_inconsistency,
-                losses.cross_affinity_intensity,
-            )
+            sums += losses
         # Python floats, so the history prints the same under every numpy
-        means = [float(v) for v in sums / steps_per_epoch]
+        means = dict(zip(StepLosses._fields, (sums / steps_per_epoch).tolist()))
         tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
-        record = EpochRecord(
-            epoch=epoch,
-            affinity_loss=means[0],
-            clustering_loss=means[1],
-            total_loss=means[2],
-            tau_a=tau_a,
-            tau_c=tau_c,
-            mean_inconsistency=means[3],
-            cross_affinity_intensity=means[4],
-            lr=lr,
-        )
+        record = EpochRecord(epoch=epoch, tau_a=tau_a, tau_c=tau_c, lr=lr, **means)
         if not all(np.isfinite(v) for v in vars(record).values()):
             raise TrainingAbortError(f"non-finite history record at epoch {epoch}")
         records.append(record)
@@ -419,7 +385,10 @@ def predict(model: net.ModelState, x) -> tuple[np.ndarray, np.ndarray]:
     Labels are the row argmax of the assignment logits, so they do not
     depend on the temperature.
     """
-    z_raw, _ = _encode(model, as_matrix(x, "x"))
+    x = as_matrix(x, "x")
+    if x.shape[1] != model.input_dim:
+        raise ValueError(f"input dim {x.shape[1]} does not match first layer {model.input_dim}")
+    z_raw, _ = _encode(model, x)
     z = row_normalize(z_raw)
     protos = row_normalize(model.prototypes)
     labels = np.argmax(z @ protos.T, axis=1)

@@ -295,9 +295,11 @@ def mask_scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
 
 
 def two_product_affinity_grad(grad_logits, z) -> np.ndarray:
-    """Embedding gradient of the off-diagonal logits z @ z.T as the two
-    plain products A @ z + A.T @ z, with A scattered by boolean mask."""
-    a = mask_scatter_off_diagonal(grad_logits)
+    """Embedding gradient of the logits z @ z.T as the two plain products
+    A @ z + A.T @ z: A is a B x B gradient as given, or a B x (B-1)
+    off-diagonal one scattered by boolean mask."""
+    square = grad_logits.shape[0] == grad_logits.shape[1]
+    a = grad_logits if square else mask_scatter_off_diagonal(grad_logits)
     return a @ z + a.T @ z
 
 

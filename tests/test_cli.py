@@ -293,6 +293,13 @@ def _edited_checkpoint(tmp_path, run, meta=None, arrays=None, raw_meta=None):
     return ["eval", "--checkpoint", str(path), "--dataset", str(run["dataset"])]
 
 
+def _edited_optimizer(tmp_path, run, **fields):
+    """The trained checkpoint with some ``meta.optimizer`` fields replaced."""
+    with np.load(run["checkpoint"]) as data:
+        optimizer = json.loads(bytes(data["meta"]))["optimizer"]
+    return _edited_checkpoint(tmp_path, run, meta={"optimizer": {**optimizer, **fields}})
+
+
 def _four_blobs_k3(tmp_path, run):
     """Well-separated blobs: four affinity components, one more than K."""
     path = tmp_path / "b.csv"
@@ -344,7 +351,7 @@ BAD_INPUTS = {
     "eval feature-dim mismatch": (
         lambda tmp, run: ["eval", "--checkpoint", str(run["checkpoint"]), "--dataset",
                           _csv(tmp, "f0,f1,f2,label", ["0,0,0,0", "1,1,1,1", "2,2,2,1"])],
-        1, "error: input dim 3 does not match"),
+        1, "error: input dim 3 does not match first layer 2\n"),
     "eta far below 0.01": (
         lambda tmp, run: ["train", "--config", str(run["config"]), "--dataset",
                           str(run["dataset"]), "--out", str(tmp / "o"), "--eta", "0.0005"],
@@ -410,6 +417,29 @@ BAD_INPUTS = {
     "format-1 checkpoint": (
         lambda tmp, run: _edited_checkpoint(tmp, run, meta={"format": 1}),
         1, "edited.npz entry 'format' is 1, expected 2"),
+    "checkpoint entry it does not read": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"junk": np.zeros(3)}),
+        1, "edited.npz entry 'junk' is no parameter of the 3-layer model"
+           " and no momentum buffer\n"),
+    "checkpoint layer beyond num_layers": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"layer7.weight": np.ones((3, 3))}),
+        1, "edited.npz entry 'layer7.weight' is no parameter of the 3-layer model"
+           " and no momentum buffer\n"),
+    "checkpoint negative base_lr": (
+        lambda tmp, run: _edited_optimizer(tmp, run, base_lr=-1.0),
+        1, "edited.npz entry 'optimizer': base_lr must be positive\n"),
+    "checkpoint momentum of 1": (
+        lambda tmp, run: _edited_optimizer(tmp, run, momentum=1.0),
+        1, "edited.npz entry 'optimizer': momentum must lie in [0, 1)\n"),
+    "checkpoint NaN weight_decay": (
+        lambda tmp, run: _edited_optimizer(tmp, run, weight_decay=float("nan")),
+        1, "edited.npz entry 'weight_decay' must be a finite number, got nan\n"),
+    "checkpoint negative epoch": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, meta={"epoch": -3}),
+        1, "edited.npz entry 'epoch' must be a nonnegative integer, got -3\n"),
+    "checkpoint negative version": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, meta={"version": -5}),
+        1, "edited.npz entry 'version' must be a nonnegative integer, got -5\n"),
 }
 
 

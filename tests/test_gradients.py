@@ -20,7 +20,7 @@ def step_loss(model, x1, x2, cfg, frozen):
     """Step loss with the stop-gradient quantities held at ``frozen``: the
     smooth function whose exact gradient `_compute_step` reports."""
     losses, _, _ = _compute_step(model, x1, x2, cfg, frozen)
-    return losses.total
+    return losses.total_loss
 
 
 def clone(m):

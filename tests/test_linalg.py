@@ -13,25 +13,25 @@ def random_symmetric(n, rng):
 
 class TestSymEig:
     def test_diagonal_input(self):
-        res = sym_eig(np.diag([5.0, 1.0]))
+        res = sym_eig(np.diag([5.0, 1.0]), k=2)
         assert np.allclose(res.eigenvalues, [5.0, 1.0])
         assert np.allclose(np.abs(res.eigenvectors), np.eye(2))
 
     def test_closed_form_2x2(self):
         # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 = 0
-        res = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        res = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]), k=2)
         assert np.allclose(res.eigenvalues, [3.0, 1.0])
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
         a = random_symmetric(8, rng)
-        res = sym_eig(a)
+        res = sym_eig(a, k=8)
         assert np.abs(eig_reconstruct(res.eigenvalues, res.eigenvectors) - a).max() <= 1e-8
 
     def test_sorted_nonincreasing_and_orthonormal(self):
         rng = np.random.default_rng(1)
         for n in (3, 8, 16, 64):
-            res = sym_eig(random_symmetric(n, rng))
+            res = sym_eig(random_symmetric(n, rng), k=n)
             assert (np.diff(res.eigenvalues) <= 1e-12).all()
             q = res.eigenvectors
             assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-10
@@ -39,16 +39,16 @@ class TestSymEig:
     def test_psd_eigenvalues_nonnegative(self):
         rng = np.random.default_rng(2)
         b = rng.normal(size=(10, 6))
-        res = sym_eig(b.T @ b)
+        res = sym_eig(b.T @ b, k=6)
         assert res.eigenvalues.min() >= -1e-10
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            sym_eig(np.ones((2, 3)))
+            sym_eig(np.ones((2, 3)), k=2)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), k=2)
 
 
 class TestSymEigLeading:
@@ -66,9 +66,9 @@ class TestSymEigLeading:
 
     def test_leading_pairs_descending(self):
         a = random_symmetric(40, np.random.default_rng(11))
-        for k in (1, 3, 17, 40, None):
+        for k in (1, 3, 17, 40):
             res = sym_eig(a, k=k)
-            assert len(res.eigenvalues) == (40 if k is None else k)
+            assert len(res.eigenvalues) == k
             assert (np.diff(res.eigenvalues) <= 0).all()
             assert np.abs(a @ res.eigenvectors - res.eigenvectors * res.eigenvalues).max() <= 1e-10
 

@@ -210,6 +210,8 @@ class TestAffinityLoss:
 
     @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
     def test_grad_to_embeddings_matches_two_product_form(self, b):
+        # both logit layouts: off-diagonal B x (B-1), and the full B x B of
+        # keep_diagonal, whose gradient is used as it is
         rng = np.random.default_rng(b)
         z = unit_rows(rng, b, 2)
         _, grad_logits = softmax_cross_entropy(
@@ -217,6 +219,9 @@ class TestAffinityLoss:
         )
         got = affinity_grad_to_embeddings(grad_logits, z)
         assert rel_error(got, two_product_affinity_grad(grad_logits, z)) <= 1e-15
+        _, grad_square = softmax_cross_entropy(random_target(rng, (b, b)), z @ z.T, 0.1)
+        got = affinity_grad_to_embeddings(grad_square, z)
+        assert rel_error(got, two_product_affinity_grad(grad_square, z)) <= 1e-15
 
     def test_gradient_vanishes_when_model_matches_target(self):
         # fixed-point form of the convergence condition: when the modeled
@@ -259,13 +264,6 @@ class TestOrthogonalize:
             res = orthogonalize(z, mode)
             gram = res.z_new.T @ res.z_new
             assert np.abs(gram - np.eye(4)).max() <= 1e-8
-
-    def test_none_mode_passthrough(self):
-        rng = np.random.default_rng(5)
-        z = rng.normal(size=(5, 2))
-        res = orthogonalize(z, "none")
-        assert (res.z_new == z).all()
-        assert res.inconsistency == 0.0
 
     def test_conditioning_warning_attached(self):
         z = np.zeros((4, 2))
@@ -317,6 +315,15 @@ class TestStraightThrough:
             lambda v: 0.5 * float(np.sum((row_normalize(v) + resid - t) ** 2)), z_raw
         )
         assert rel_error(row_normalize_vjp(z_raw, upstream), fd) <= 1e-7
+
+    def test_none_mode_passthrough(self):
+        # orth_mode "none" skips orthogonalize: the view is the normalized
+        # raw embedding, with a zero residual and no inconsistency
+        model, x, cfg = encoder_view(5, orth_mode="none")
+        z_raw, _, resid, z, inconsistency = _encode_view(model, x, cfg)
+        assert (resid == 0.0).all()
+        assert (z == row_normalize(z_raw)).all()
+        assert inconsistency == 0.0
 
 
 class TestOrthogonalPenalty:

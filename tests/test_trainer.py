@@ -81,7 +81,7 @@ class TestTrainStep:
         x1 = rng.normal(size=(10, 4))
         x2 = rng.normal(size=(10, 4))
         losses, _, _ = _compute_step(model, x1, x2, cfg, None)
-        assert losses.total == losses.affinity_loss
+        assert losses.total_loss == losses.affinity_loss
 
     def test_view_exchange_symmetry(self):
         cfg = tiny_cfg()
@@ -91,7 +91,7 @@ class TestTrainStep:
         x2 = rng.normal(size=(10, 4))
         a, _, _ = _compute_step(model, x1, x2, cfg, None)
         b, _, _ = _compute_step(model, x2, x1, cfg, None)
-        assert abs(a.total - b.total) <= 1e-12
+        assert abs(a.total_loss - b.total_loss) <= 1e-12
 
     def test_repeated_batch_loss_decreases(self):
         cfg = tiny_cfg(base_lr=1e-5, epochs=1)
@@ -103,10 +103,10 @@ class TestTrainStep:
         x = random_data(n=10, seed=5)
         first = None
         for step in range(50):
-            losses, model = train_step(x, model, opt, cfg, np.random.default_rng(9))
+            losses, model = train_step(x, model, opt, cfg, np.random.default_rng(9), cfg.lr)
             if first is None:
-                first = losses.total
-        assert losses.total < first
+                first = losses.total_loss
+        assert losses.total_loss < first
 
     def test_degenerate_batch_warns_but_proceeds(self):
         cfg = tiny_cfg(noise_sigma=0.0, feature_dropout_prob=0.0, scale_jitter=0.0,
@@ -116,7 +116,7 @@ class TestTrainStep:
         opt = net.OptimizerState(base_lr=cfg.lr)
         x = np.tile(np.array([[0.3, -0.2, 1.0, 0.4]]), (8, 1))
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            train_step(x, model, opt, cfg, rng)
+            train_step(x, model, opt, cfg, rng, cfg.lr)
 
 
 class TestFit:
@@ -198,6 +198,11 @@ class TestPredict:
         model.log_tau[1] = np.log(0.9)
         l2, _ = predict(model, x)
         assert (l1 == l2).all()
+
+    def test_input_dim_mismatch(self):
+        model = net.init_model(4, 3, 2, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="^input dim 9 does not match first layer 4$"):
+            predict(model, np.zeros((3, 9)))
 
     def test_embeddings_are_row_normalized(self):
         cfg = tiny_cfg(epochs=1)
