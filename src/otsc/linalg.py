@@ -5,7 +5,8 @@ baseline, the QR comparison) relies on the guarantees fixed here: descending
 spectra, orthonormal factors and a deterministic sign convention for QR.
 LAPACK (through numpy and scipy) does the heavy lifting.
 
-`as_matrix` is the input check of the package's entry points; `sym_eig` runs
+`as_matrix` is the input check of the package's entry points and
+`check_finite_fields` that of its settings objects; `sym_eig` runs
 it because it skips LAPACK's own. `thin_svd` and `qr_decompose` run on every
 training step and take finite float64 matrices as given.
 """
@@ -19,7 +20,10 @@ import scipy.linalg
 
 from .errors import RankError
 
-__all__ = ["EigResult", "SvdResult", "sym_eig", "thin_svd", "qr_decompose", "as_matrix"]
+__all__ = [
+    "EigResult", "SvdResult", "sym_eig", "thin_svd", "qr_decompose", "as_matrix",
+    "check_finite_fields",
+]
 
 # asymmetry `sym_eig` tolerates, relative to the largest entry magnitude
 SYM_TOL = 1e-10
@@ -36,6 +40,14 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(f"{name} contains non-finite entries, first at [{i}, {j}]")
     return arr
+
+
+def check_finite_fields(settings) -> None:
+    """Refuse a dataclass instance with a NaN or infinite float field,
+    naming the field."""
+    for name, value in vars(settings).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

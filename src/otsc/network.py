@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PoisonedUpdateError
+from .linalg import check_finite_fields
 
 __all__ = [
     "ModelState",
@@ -88,6 +89,7 @@ class OptimizerState:
             raise ValueError("weight_decay must be nonnegative")
         if self.restart_period < 1:
             raise ValueError("restart_period must be positive")
+        check_finite_fields(self)
 
 
 def _xavier_uniform(fan_out: int, fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,8 +171,11 @@ def effective_tau(log_tau: np.ndarray) -> np.ndarray:
 
 
 def tau_grad_scale(log_tau: np.ndarray) -> np.ndarray:
-    """d tau / d log_tau, entrywise: tau when unclamped, 0 at or above the cap."""
-    return np.where(log_tau >= TAU_CAP, 0.0, np.exp(log_tau))
+    """d tau / d log_tau, entrywise: tau when unclamped, 0 at or above the cap.
+
+    The exp is taken of the clamped values, so a ``log_tau`` far above the
+    cap does not overflow."""
+    return np.where(log_tau >= TAU_CAP, 0.0, effective_tau(log_tau))
 
 
 def sgd_step(

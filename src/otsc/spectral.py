@@ -41,41 +41,53 @@ class OrthogonalizationResult:
     warning: str | None = None
 
 
-def off_diagonal(square: np.ndarray) -> np.ndarray:
-    """Drop the diagonal of a B x B matrix, keeping row-wise column order."""
+def off_diagonal(square: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Drop the diagonal of a B x B matrix, keeping row-wise column order.
+
+    ``out``, a C-contiguous B x (B-1) float64 array, receives the result
+    and is returned; by default a new array is.
+    """
     b = square.shape[0]
     if square.shape != (b, b) or b < 2:
         raise ValueError("expected a square matrix with at least 2 rows")
+    out = np.empty((b, b - 1)) if out is None else out
     # past entry (0, 0) the row-major entries fall into rows of B+1 that each
     # end on a diagonal entry; dropping that column leaves the rest in order
-    return square.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b].reshape(b, b - 1)
+    out.reshape(b - 1, b)[...] = square.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b]
+    return out
 
 
-def scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
+def scatter_off_diagonal(values: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of the diagonal removal: place B x (B-1) values into a
-    B x B matrix with zero diagonal."""
+    B x B matrix with zero diagonal.
+
+    ``out``, a C-contiguous B x B float64 array, receives the result and is
+    returned; by default a new array is.
+    """
     b = values.shape[0]
     if values.shape != (b, b - 1):
         raise ValueError("expected a B x (B-1) matrix")
-    full = np.empty((b, b))
+    full = np.empty((b, b)) if out is None else out
     full.reshape(-1)[:: b + 1] = 0.0
     full.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b] = values.reshape(b - 1, b)
     return full
 
 
 def softmax_cross_entropy(
-    target: np.ndarray, logits: np.ndarray, tau: float
+    target: np.ndarray, logits: np.ndarray, tau: float, *, out: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Row-wise cross entropy of ``softmax(logits/tau)`` against ``target``.
 
     Returns the summed loss and its gradient with respect to ``logits``,
     ``(softmax(logits/tau) - target) / tau``. ``target`` rows must be
-    nonnegative and sum to 1, as fixed-count Sinkhorn targets do.
+    nonnegative and sum to 1, as fixed-count Sinkhorn targets do. The
+    gradient is built in ``out``, a float64 array shaped like ``logits``,
+    when given, else in a new array.
     """
     row_mass = target.sum(axis=1)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    shifted = logits / tau
+    shifted = np.divide(logits, tau, out=out)
     shifted -= shifted.max(axis=1, keepdims=True)
     # -sum(target * (shifted - log(sums))), sums the row sums of exp(shifted)
     cross = np.vdot(target, shifted)
@@ -88,7 +100,9 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.ndarray:
+def affinity_grad_to_embeddings(
+    grad_logits: np.ndarray, z: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Chain an affinity-logit gradient back to the embeddings.
 
     The gradient comes in the layout the logits had: B x (B-1) for the
@@ -96,10 +110,12 @@ def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.nd
     or B x B for the full z @ z.T, taken as A unchanged. Then
     d/dz = A @ z + A.T @ z. The second product is taken as (z.T @ A).T with
     z.T copied contiguous: numpy's A.T @ z walks A by columns and is over
-    twice as slow at B = 1024, D = 2.
+    twice as slow at B = 1024, D = 2. ``out`` is passed to the scatter: a
+    B x B float64 array that holds A afterwards when given (a B x B
+    gradient leaves it untouched).
     """
     square = grad_logits.shape[0] == grad_logits.shape[1]
-    a = grad_logits if square else scatter_off_diagonal(grad_logits)
+    a = grad_logits if square else scatter_off_diagonal(grad_logits, out=out)
     return a @ z + (z.T.copy() @ a).T
 
 

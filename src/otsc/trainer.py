@@ -19,7 +19,7 @@ import numpy as np
 
 from . import network as net
 from .errors import NumericalError, TrainingAbortError
-from .linalg import as_matrix
+from .linalg import as_matrix, check_finite_fields
 from .spectral import (
     affinity_grad_to_embeddings,
     off_diagonal,
@@ -54,7 +54,7 @@ class TrainConfig:
     selects the orthogonalization strategy (``penalty`` replaces the map
     with a soft penalty of weight ``penalty_rho``); ``keep_diagonal`` keeps
     self-similarities in the affinity objective (degenerate-solution
-    ablation).
+    ablation). A NaN or infinite float field is refused, by name.
     """
 
     num_clusters: int
@@ -108,6 +108,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
+        check_finite_fields(self)
 
     @property
     def lr(self) -> float:
@@ -151,6 +152,9 @@ class FrozenStopGradients:
 
     Finite-difference checks re-evaluate the step loss with these held
     fixed, which is exactly the function the backward differentiates.
+    ``affinity_targets`` alias the buffer store of the step that captured
+    them: a later step on the same store overwrites them, so a caller that
+    keeps them gives each step its own store (the default).
     """
 
     st_residuals: tuple[np.ndarray, np.ndarray]
@@ -205,10 +209,23 @@ def _encode_view(model, x, cfg, frozen_resid=None):
     return z_raw, cache, resid, z, inconsistency
 
 
-def _affinity_logits(z, keep_diagonal):
-    # a copied transpose keeps numpy off its much slower z @ z.T (syrk) path
-    sims = z @ z.T.copy()
-    return sims if keep_diagonal else off_diagonal(sims)
+def _buffer(store: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
+    """A float64 array of ``shape`` kept in ``store`` under ``key``: made on
+    first use, reused while the shape matches. Its contents are whatever the
+    last user left."""
+    buf = store.get(key)
+    if buf is None or buf.shape != shape:
+        buf = store[key] = np.empty(shape)
+    return buf
+
+
+def _affinity_logits(z, keep_diagonal, square, logits):
+    # a copied transpose keeps numpy off its much slower z @ z.T (syrk) path;
+    # with the diagonal kept the similarities are the logits, else they pass
+    # through the square buffer
+    if keep_diagonal:
+        return np.matmul(z, z.T.copy(), out=logits)
+    return off_diagonal(np.matmul(z, z.T.copy(), out=square), out=logits)
 
 
 def _target_intensity(plan, keep_diagonal):
@@ -217,14 +234,22 @@ def _target_intensity(plan, keep_diagonal):
     return float(plan.sum())
 
 
-def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
+def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffers=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
     Returns (losses, grads, frozen_pack). With ``frozen`` supplied, the
     stop-gradient quantities are taken from it instead of recomputed, so the
     loss becomes a smooth function of the parameters (the function the
     reported gradients differentiate).
+
+    The step's B x B arrays (similarities, both views' affinity logits and
+    targets, the affinity cross-entropy gradient) live in ``buffers``, a
+    dict that `fit` keeps for the whole run so a step allocates none of
+    them; None gives the call a store of its own. The affinity targets in
+    ``frozen_pack`` alias the store: the next step on the same store
+    overwrites them.
     """
+    buffers = {} if buffers is None else buffers
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
 
     views = []
@@ -235,7 +260,13 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
     protos_raw = model.prototypes
     protos = row_normalize(protos_raw)
 
-    w_logits = [_affinity_logits(view[3], cfg.keep_diagonal) for view in views]
+    b = x1.shape[0]
+    layout = (b, b) if cfg.keep_diagonal else (b, b - 1)
+    square = _buffer(buffers, "square", (b, b))
+    w_logits = [
+        _affinity_logits(z, cfg.keep_diagonal, square, _buffer(buffers, f"logits{v}", layout))
+        for v, (_, _, _, z, _) in enumerate(views)
+    ]
     h_logits = [view[3] @ protos.T for view in views]
 
     if frozen is not None:
@@ -244,7 +275,10 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
         inconsistencies = frozen.inconsistencies
     else:
         w_targets = tuple(
-            sinkhorn_algorithm1(w, cfg.eta, cfg.sinkhorn_iters).plan for w in w_logits
+            sinkhorn_algorithm1(
+                w, cfg.eta, cfg.sinkhorn_iters, out=_buffer(buffers, f"target{v}", layout)
+            ).plan
+            for v, w in enumerate(w_logits)
         )
         p_targets = tuple(
             sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan for h in h_logits
@@ -262,14 +296,16 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None):
     grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
     grad_protos_norm = np.zeros_like(protos)
     grad_tau = np.zeros(2)  # d total / d (tau_a, tau_c)
+    ce_grad = _buffer(buffers, "ce_grad", layout)
     for v in (0, 1):
         u = 1 - v
         z_raw, cache, _, z, _ = views[v]
-        loss_a, g_a = softmax_cross_entropy(w_targets[u], w_logits[v], tau_a)
+        loss_a, g_a = softmax_cross_entropy(w_targets[u], w_logits[v], tau_a, out=ce_grad)
         loss_c, g_c = softmax_cross_entropy(p_targets[u], h_logits[v], tau_c)
         la += loss_a
         lc += loss_c
-        grad_z = affinity_grad_to_embeddings(g_a, z)
+        # the similarities are spent, so the scatter reuses their buffer
+        grad_z = affinity_grad_to_embeddings(g_a, z, out=square)
         # the affinity logits are z @ z.T (off the diagonal unless
         # keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2: one B x D
         # product instead of reading the two B x B logit and gradient planes
@@ -315,15 +351,18 @@ def train_step(
     cfg: TrainConfig,
     rng: np.random.Generator,
     lr: float,
+    buffers: dict | None = None,
 ) -> tuple[StepLosses, net.ModelState]:
     """One full training step on a batch: augment, losses, SGD update.
 
-    ``x``, at least 2 finite float64 rows, is trusted: `fit` checks the data."""
+    ``x``, at least 2 finite float64 rows, is trusted: `fit` checks the data.
+    ``buffers`` is the store of B x B arrays `_compute_step` writes into;
+    None gives the step a store of its own."""
     x1 = augment(x, cfg, rng)
     x2 = augment(x, cfg, rng)
     if np.ptp(x1, axis=0).max() == 0.0:
         warnings.warn("degenerate batch: all augmented rows identical", RuntimeWarning)
-    losses, grads, _ = _compute_step(model, x1, x2, cfg, None)
+    losses, grads, _ = _compute_step(model, x1, x2, cfg, None, buffers)
     if not np.isfinite(losses.total_loss):
         raise TrainingAbortError(f"non-finite total loss {losses.total_loss!r}")
     model = net.sgd_step(model, opt, grads, lr)
@@ -353,6 +392,7 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
         restart_period=cfg.restart_period,
     )
     records = []
+    buffers = {}  # the steps' B x B arrays, reused for the whole run
     steps_per_epoch = n // cfg.batch_size
     for epoch in range(cfg.epochs):
         lr = net.cosine_lr(epoch, opt)
@@ -361,7 +401,7 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
         for step in range(steps_per_epoch):
             idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
             try:
-                losses, model = train_step(x[idx], model, opt, cfg, rng, lr)
+                losses, model = train_step(x[idx], model, opt, cfg, rng, lr, buffers=buffers)
             except (NumericalError, ValueError, FloatingPointError) as err:
                 # inputs were validated up front, so an in-loop failure is a
                 # numerical event (overflow, dead rows, poisoned gradients)

@@ -132,7 +132,9 @@ def _scale(k, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False)
     return (v, u, sweep) if rows_first else (u, v, sweep)
 
 
-def sinkhorn_algorithm1(logits: np.ndarray, eta: float, iterations: int) -> TransportPlan:
+def sinkhorn_algorithm1(
+    logits: np.ndarray, eta: float, iterations: int, *, out: np.ndarray | None = None
+) -> TransportPlan:
     """Fixed-iteration Sinkhorn on a similarity matrix.
 
     Computes ``exp(logits/eta)`` (stabilized by subtracting the per-matrix
@@ -143,20 +145,28 @@ def sinkhorn_algorithm1(logits: np.ndarray, eta: float, iterations: int) -> Tran
 
     Residuals are reported against those implied marginals: 1 per row and
     ``m/n`` per column. ``logits``, the trainer's own similarities, are
-    trusted to be finite.
+    trusted to be finite. The plan is built in ``out``, a float64 array
+    shaped like ``logits``, when given, else in a new array.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     m, n = logits.shape
-    w = logits / eta
+    w = np.divide(logits, eta, out=out)
     w -= w.max()
     np.exp(w, out=w)
     u, v, _ = _scale(w, 1.0, 1.0, eta, iterations)
     w *= u[:, None]
     w *= v
     return _measured(w, 1.0, m / n, iterations)
+
+
+def _check_eta(eta: float) -> None:
+    """Both solvers take an entropic weight in (0, inf)."""
+    if eta <= 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if not eta < np.inf:  # also catches NaN
+        raise ValueError(f"eta must be finite, got {eta}")
 
 
 def _check_marginals(row_marginals, col_marginals) -> tuple[np.ndarray, np.ndarray]:
@@ -199,8 +209,7 @@ def sinkhorn_marginal(
     m, n = cost.shape
     if r.size != m or c.size != n:
         raise ValueError("marginal lengths must match the cost matrix shape")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 

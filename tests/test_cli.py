@@ -318,6 +318,20 @@ def _nan_cost(tmp_path):
     return ["ot-debug", "--cost", str(path)]
 
 
+def _train_with(tmp_path, run, line, *flags):
+    """A train run whose config is the trained run's plus ``line``."""
+    config = tmp_path / "edited.cfg"
+    config.write_text(run["config"].read_text() + line + "\n")
+    return ["train", "--config", str(config), "--dataset", str(run["dataset"]),
+            "--out", str(tmp_path / "o"), *flags]
+
+
+def _ot_debug(tmp_path, *flags):
+    path = tmp_path / "cost.csv"
+    path.write_text("0.0,1.0\n1.0,0.0\n")
+    return ["ot-debug", "--cost", str(path), *flags]
+
+
 def _nan_layer(run):
     with np.load(run["checkpoint"]) as data:
         weight = data["layer0.weight"].copy()
@@ -434,6 +448,27 @@ BAD_INPUTS = {
     "checkpoint NaN weight_decay": (
         lambda tmp, run: _edited_optimizer(tmp, run, weight_decay=float("nan")),
         1, "edited.npz entry 'weight_decay' must be a finite number, got nan\n"),
+    "NaN scale_jitter in the config": (
+        lambda tmp, run: _train_with(tmp, run, "scale_jitter = nan"),
+        1, "error: scale_jitter must be finite, got nan\n"),
+    "NaN eta in the config": (
+        lambda tmp, run: _train_with(tmp, run, "eta = nan"),
+        1, "error: eta must be finite, got nan\n"),
+    "NaN base_lr in the config": (
+        lambda tmp, run: _train_with(tmp, run, "base_lr = nan"),
+        1, "error: base_lr must be finite, got nan\n"),
+    "NaN penalty_rho in the config": (
+        lambda tmp, run: _train_with(tmp, run, "penalty_rho = nan"),
+        1, "error: penalty_rho must be finite, got nan\n"),
+    "infinite eta on train": (
+        lambda tmp, run: _train_with(tmp, run, "", "--eta", "inf"),
+        1, "error: eta must be finite, got inf\n"),
+    "NaN eta on ot-debug": (
+        lambda tmp, run: _ot_debug(tmp, "--eta", "nan"),
+        1, "error: eta must be finite, got nan\n"),
+    "infinite eta on ot-debug": (
+        lambda tmp, run: _ot_debug(tmp, "--eta", "inf"),
+        1, "error: eta must be finite, got inf\n"),
     "checkpoint negative epoch": (
         lambda tmp, run: _edited_checkpoint(tmp, run, meta={"epoch": -3}),
         1, "edited.npz entry 'epoch' must be a nonnegative integer, got -3\n"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,12 @@ class TestTemperature:
         assert scale[1] == 0.0
         assert scale[2] == pytest.approx(0.2)
 
+    def test_gradient_scale_far_above_the_cap_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scale = net.tau_grad_scale(np.array([800.0, -1.0]))
+        assert scale.tolist() == [0.0, np.exp(-1.0)]
+
 
 class TestSgd:
     def test_plain_gradient_step(self):
@@ -179,6 +187,15 @@ class TestSgd:
             net.sgd_step(model, opt, grads, 0.1)
         assert np.allclose(before.layers[0][0], model.layers[0][0])
         assert np.array_equal(before.log_tau, model.log_tau)
+
+
+class TestOptimizerState:
+    @pytest.mark.parametrize("name", ["base_lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refuses_non_finite_setting_by_name(self, name, value):
+        settings = {"base_lr": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            net.OptimizerState(**settings)
 
 
 class TestCosineSchedule:

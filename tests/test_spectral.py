@@ -105,6 +105,18 @@ class TestCrossAffinity:
         got = scatter_off_diagonal(values)
         assert got.tobytes() == mask_scatter_off_diagonal(values).tobytes()
 
+    @pytest.mark.parametrize("b", [2, 17])
+    def test_out_forms_bitwise_equal_and_return_out(self, b):
+        # a NaN-filled out shows that every entry is written
+        rng = np.random.default_rng(b)
+        square, values = rng.normal(size=(b, b)), rng.normal(size=(b, b - 1))
+        out = np.full((b, b - 1), np.nan)
+        assert off_diagonal(square, out=out) is out
+        assert out.tobytes() == off_diagonal(square).tobytes()
+        out = np.full((b, b), np.nan)
+        assert scatter_off_diagonal(values, out=out) is out
+        assert out.tobytes() == scatter_off_diagonal(values).tobytes()
+
     def test_batch_too_small(self):
         z = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -236,6 +248,25 @@ class TestAffinityLoss:
         _, grad_logits = softmax_cross_entropy(p, logits, tau)
         grad_z = affinity_grad_to_embeddings(grad_logits, z)
         assert np.abs(grad_z).max() <= 1e-8
+
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_out_forms_bitwise_equal_and_return_out(self, square):
+        rng = np.random.default_rng(12)
+        b = 9
+        z = unit_rows(rng, b, 3)
+        logits = z @ z.T if square else off_diagonal(z @ z.T)
+        target = random_target(rng, logits.shape)
+        want_loss, want_grad = softmax_cross_entropy(target, logits, 0.2)
+        out = np.full(logits.shape, np.nan)
+        loss, grad = softmax_cross_entropy(target, logits, 0.2, out=out)
+        assert grad is out
+        assert (loss, grad.tobytes()) == (want_loss, want_grad.tobytes())
+        scattered = np.full((b, b), np.nan)
+        got = affinity_grad_to_embeddings(grad, z, out=scattered)
+        assert got.tobytes() == affinity_grad_to_embeddings(want_grad, z).tobytes()
+        if not square:  # the scatter's result, which a B x B gradient skips
+            assert scattered.tobytes() == scatter_off_diagonal(grad).tobytes()
 
 
 class TestOrthogonalize:

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,15 @@ class TestConfig:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             tiny_cfg(orth_mode="qrx")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(TrainConfig) if f.type.startswith("float")]
+    )
+    def test_refuses_non_finite_float_by_name(self, name, value):
+        # out-of-range values keep their older messages, which also name the field
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            tiny_cfg(**{name: value})
 
 
 class TestAugment:
@@ -117,6 +129,62 @@ class TestTrainStep:
         x = np.tile(np.array([[0.3, -0.2, 1.0, 0.4]]), (8, 1))
         with pytest.warns(RuntimeWarning, match="degenerate"):
             train_step(x, model, opt, cfg, rng, cfg.lr)
+
+
+class TestStepBuffers:
+    """`fit` hands every step one store of B x B buffers; sharing it changes
+    no bit, and after the first step a step allocates no B x B array."""
+
+    @pytest.mark.parametrize("keep_diagonal", [False, True])
+    @pytest.mark.parametrize("orth_mode", ["procrustes", "penalty"])
+    def test_shared_store_bitwise_equals_fresh_stores(self, orth_mode, keep_diagonal):
+        cfg = tiny_cfg(orth_mode=orth_mode, keep_diagonal=keep_diagonal)
+        x = random_data(n=10, seed=2)
+        runs = []
+        for store in ({}, None):
+            rng = np.random.default_rng(7)
+            model = net.init_model(4, 3, 2, rng)
+            opt = net.OptimizerState(base_lr=cfg.lr)
+            trail = []
+            for _ in range(3):
+                x1, x2 = augment(x, cfg, rng), augment(x, cfg, rng)
+                losses, grads, _ = _compute_step(model, x1, x2, cfg, None, store)
+                trail.append((losses, [g.tobytes() for g in grads.values()]))
+                losses, model = train_step(x, model, opt, cfg, rng, cfg.lr, buffers=store)
+                trail.append(losses)
+            runs.append((trail, [p.tobytes() for _, p in model.named_arrays()]))
+        assert runs[0] == runs[1]
+
+    def test_fit_hands_every_step_one_store(self, monkeypatch):
+        stores = []
+
+        def recording_step(*args, buffers=None, **kwargs):
+            stores.append(buffers)
+            return train_step(*args, buffers=buffers, **kwargs)
+
+        monkeypatch.setattr("otsc.trainer.train_step", recording_step)
+        fit(random_data(), tiny_cfg())  # 2 epochs of 4 steps
+        assert len(stores) == 8 and stores[0]  # filled by the first step
+        assert all(store is stores[0] for store in stores)
+
+    def test_second_step_allocates_no_square_array(self):
+        b = 512
+        cfg = tiny_cfg(batch_size=b)
+        rng = np.random.default_rng(3)
+        x = random_data(n=b, seed=3)
+        model = net.init_model(4, 3, 2, rng)
+        opt = net.OptimizerState(base_lr=cfg.lr)
+        store = {}
+        train_step(x, model, opt, cfg, rng, cfg.lr, buffers=store)
+        tracemalloc.start()
+        try:
+            train_step(x, model, opt, cfg, rng, cfg.lr, buffers=store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # what remains is mostly the encoder's activations; a step that makes
+        # its B x B arrays afresh peaks near seven of them (7 * b * b * 8 bytes)
+        assert peak < 3 * b * b * 8
 
 
 class TestFit:

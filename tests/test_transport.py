@@ -87,6 +87,23 @@ class TestAlgorithm1:
         with pytest.raises(ValueError):
             sinkhorn_algorithm1(np.zeros((2, 2)), eta=0.1, iterations=0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_refuses_non_finite_eta(self, eta):
+        with pytest.raises(ValueError, match=f"^eta must be finite, got {eta}$"):
+            sinkhorn_algorithm1(np.zeros((2, 2)), eta, 1)
+        with pytest.raises(ValueError, match=f"^eta must be finite, got {eta}$"):
+            sinkhorn_marginal(np.zeros((2, 2)), np.ones(2), np.ones(2), eta)
+
+    def test_out_form_bitwise_equal_and_plan_is_out(self):
+        logits = np.random.default_rng(5).normal(size=(6, 5))
+        want = sinkhorn_algorithm1(logits, 0.3, 4)
+        out = np.full(logits.shape, np.nan)
+        got = sinkhorn_algorithm1(logits, 0.3, 4, out=out)
+        assert got.plan is out
+        assert out.tobytes() == want.plan.tobytes()
+        assert got.row_marginal_residual == want.row_marginal_residual
+        assert got.col_marginal_residual == want.col_marginal_residual
+
 
 class TestMarginalVariant:
     def test_constant_cost_gives_product_plan(self):
