@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, sym_eig
+from .linalg import as_matrix, check_finite_fields, sym_eig
 from .spectral import row_normalize
 
 __all__ = ["SpectralConfig", "kmeans_lloyd", "classical_spectral", "kmeans_plusplus_seed"]
@@ -45,19 +45,20 @@ class SpectralConfig:
                 raise ValueError("fixed bandwidth requires sigma > 0")
         if self.k_neighbor < 1:
             raise ValueError("k_neighbor must be >= 1")
+        check_finite_fields(self)
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
-    sq = np.sum(x**2, axis=1)
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x and of y, clamped at 0."""
     # a copied transpose keeps numpy off its much slower x @ x.T (syrk) path
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T.copy())
+    d2 = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :] - 2.0 * (x @ y.T.copy())
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
 def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     """exp(-d2 / width) with a zero diagonal, built in the distance buffer."""
-    d2 = _squared_distances(x)
+    d2 = _squared_distances(x, x)
     if cfg.bandwidth_mode == "fixed":
         d2 /= 2.0 * cfg.sigma**2
     else:
@@ -108,17 +109,15 @@ def kmeans_lloyd(
         raise ValueError(f"k={k} exceeds the number of samples {n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
         centers = kmeans_plusplus_seed(x, k, rng)
         labels = None
         for _ in range(_MAX_LLOYD_ITER):
-            d2 = (
-                np.sum(x**2, axis=1)[:, None]
-                + np.sum(centers**2, axis=1)[None, :]
-                - 2.0 * x @ centers.T
-            )
+            d2 = _squared_distances(x, centers)
             new_labels = np.argmin(d2, axis=1)
             for j in range(k):
                 members = new_labels == j
@@ -131,12 +130,7 @@ def kmeans_lloyd(
             if labels is not None and np.array_equal(labels, new_labels):
                 break
             labels = new_labels
-        d2 = (
-            np.sum(x**2, axis=1)[:, None]
-            + np.sum(centers**2, axis=1)[None, :]
-            - 2.0 * x @ centers.T
-        )
-        inertia = float(np.maximum(d2[np.arange(n), labels], 0.0).sum())
+        inertia = float(_squared_distances(x, centers)[np.arange(n), labels].sum())
         if best is None or inertia < best[2]:
             best = (labels.copy(), centers.copy(), inertia)
     return best

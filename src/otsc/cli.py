@@ -14,6 +14,7 @@ import datetime
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .data import Dataset, gen_dataset, load_dataset, save_dataset
 from .errors import NumericalError
 from .linalg import as_matrix
 from .metrics import ClusteringReport, evaluate
-from .network import OptimizerState, load_checkpoint, save_checkpoint
+from .network import load_checkpoint, save_checkpoint
 from .trainer import TRAINER_ORTH_MODES, EpochRecord, TrainConfig, TrainHistory, fit, predict
 from .transport import sinkhorn_algorithm1, sinkhorn_marginal
 
@@ -65,7 +66,11 @@ _CONFIG_KEYS = {
 
 
 def parse_config(path) -> dict:
-    """Parse a flat key = value config file into TrainConfig kwargs."""
+    """Parse a flat key = value config file into TrainConfig kwargs.
+
+    A malformed line, an unknown key or a value of the wrong kind raises
+    ``ValueError`` as ``<path>:<line>: ...``, naming the key for a value.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -80,7 +85,10 @@ def parse_config(path) -> dict:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         field_name, caster = _CONFIG_KEYS[key]
-        kwargs[field_name] = caster(value)
+        try:
+            kwargs[field_name] = caster(value)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {key}: {err}") from None
     return kwargs
 
 
@@ -180,8 +188,7 @@ def _train_run(cfg: TrainConfig, ds: Dataset, out_dir: Path, dataset_path) -> Pa
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     model, history = fit(ds.features, cfg)
     ckpt = out_dir / "checkpoint.npz"
-    opt = OptimizerState(cfg.lr, cfg.momentum, cfg.weight_decay, cfg.restart_period)
-    save_checkpoint(ckpt, model, opt, cfg.epochs, None)
+    save_checkpoint(ckpt, model, cfg.optimizer(), cfg.epochs, None)
     (out_dir / "history.txt").write_text(format_history(history))
     outputs = {"checkpoint": ckpt, "history": out_dir / "history.txt"}
     if ds.labels is not None:
@@ -227,8 +234,12 @@ def _cmd_baseline(args) -> None:
 
 
 def _cmd_ot_debug(args) -> None:
-    # sinkhorn_algorithm1 trusts its input, so the file is checked here
-    cost = as_matrix(np.loadtxt(args.cost, delimiter=",", ndmin=2), f"cost file {args.cost}")
+    # sinkhorn_algorithm1 trusts its input, so the file is checked here; an
+    # empty file is refused by name below rather than warned about by numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.loadtxt(args.cost, delimiter=",", ndmin=2)
+    cost = as_matrix(raw, f"cost file {args.cost}")
     if args.variant == "algorithm1":
         # the fixed-iteration solver takes similarities; a cost is its negation
         plan = sinkhorn_algorithm1(-cost, args.eta, args.iterations)

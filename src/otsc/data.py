@@ -106,6 +106,11 @@ def gen_dataset(
         raise ValueError("n must be >= 10")
     if noise < 0:
         raise ValueError("noise must be nonnegative")
+    for name, value in (("noise", noise), ("separation", separation)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     if kind == "moons":
         x, y = _moons(n, noise, rng)
@@ -147,7 +152,9 @@ def load_dataset(path) -> Dataset:
 
     A file with no data rows, a non-finite feature or a non-integer label
     raises ``ValueError`` naming the file and, for a bad entry, the data row
-    (1-based, after the header) and the column.
+    (1-based, after the header) and the column. So does a sidecar that is
+    not a JSON object or holds a ``name`` that is not a string or a
+    ``generator_seed`` that is not an integer, naming the sidecar.
     """
     path = Path(path)
     if not path.exists():
@@ -160,13 +167,21 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{path}: no data rows")
     has_labels = header[-1] == "label"
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    seed = -1
-    name = path.stem
     meta_path = Path(str(path) + ".meta.json")
+    meta = {}
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        seed = meta.get("generator_seed", -1)
-        name = meta.get("name", name)
+        try:
+            meta = json.loads(meta_path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"{meta_path}: not JSON: {err}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path}: not a JSON object: {meta!r}")
+    name = meta.get("name", path.stem)
+    if not isinstance(name, str):
+        raise ValueError(f"{meta_path}: entry 'name' must be a string, got {name!r}")
+    seed = meta.get("generator_seed", -1)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"{meta_path}: entry 'generator_seed' must be an integer, got {seed!r}")
     features = raw[:, :-1] if has_labels else raw
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:

@@ -51,10 +51,7 @@ def _nmi(table: np.ndarray, n: int) -> float:
     p_ij = table[nz] / n
     outer = (a[:, None] * b[None, :])[nz] / (n * n)
     mi = float((p_ij * np.log(p_ij / outer)).sum())
-    mean_h = 0.5 * (h_u + h_v)
-    if mean_h == 0.0:
-        return 0.0
-    return mi / mean_h
+    return mi / (0.5 * (h_u + h_v))
 
 
 def _ari(table: np.ndarray, n: int) -> float:

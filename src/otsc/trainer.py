@@ -54,7 +54,8 @@ class TrainConfig:
     selects the orthogonalization strategy (``penalty`` replaces the map
     with a soft penalty of weight ``penalty_rho``); ``keep_diagonal`` keeps
     self-similarities in the affinity objective (degenerate-solution
-    ablation). A NaN or infinite float field is refused, by name.
+    ablation). A NaN or infinite float field is refused, by name, and so
+    are optimizer settings that `optimizer` would refuse.
     """
 
     num_clusters: int
@@ -89,7 +90,7 @@ class TrainConfig:
             raise ValueError("embed_dim must not exceed batch_size / 2")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        for name in ("eta", "lam", "weight_decay", "noise_sigma", "scale_jitter"):
+        for name in ("eta", "lam", "noise_sigma", "scale_jitter", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.eta == 0:
@@ -109,10 +110,15 @@ class TrainConfig:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
         check_finite_fields(self)
+        self.optimizer()  # refuses optimizer settings out of range
 
     @property
     def lr(self) -> float:
         return self.base_lr if self.base_lr is not None else 0.04 * self.batch_size / 256.0
+
+    def optimizer(self) -> net.OptimizerState:
+        """A fresh optimizer state for this run's settings."""
+        return net.OptimizerState(self.lr, self.momentum, self.weight_decay, self.restart_period)
 
 
 @dataclass(frozen=True)
@@ -151,16 +157,16 @@ class FrozenStopGradients:
     """Stop-gradient quantities of one step, captured at a base point.
 
     Finite-difference checks re-evaluate the step loss with these held
-    fixed, which is exactly the function the backward differentiates.
-    ``affinity_targets`` alias the buffer store of the step that captured
-    them: a later step on the same store overwrites them, so a caller that
-    keeps them gives each step its own store (the default).
+    fixed, which is exactly the function the backward differentiates (such
+    a step does not orthogonalize, so its mean inconsistency is 0.0).
+    ``affinity_targets`` alias the ``target0/1`` buffers of the capturing
+    step's store: a later step on the same store overwrites them, so a
+    caller that keeps them gives each step its own store (the default).
     """
 
     st_residuals: tuple[np.ndarray, np.ndarray]
     affinity_targets: tuple[np.ndarray, np.ndarray]
     assignment_targets: tuple[np.ndarray, np.ndarray]
-    inconsistencies: tuple[float, float]
 
 
 def augment(x, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
@@ -170,7 +176,6 @@ def augment(x, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
     by ``noise_sigma`` times the per-feature std of the incoming batch, and
     a per-sample scale jitter. Draw order is fixed: mask, noise, jitter.
     """
-    x = np.asarray(x, dtype=np.float64)
     std = x.std(axis=0)
     keep = rng.random(x.shape) >= cfg.feature_dropout_prob
     noise = rng.standard_normal(x.shape) * (cfg.noise_sigma * std)
@@ -219,21 +224,6 @@ def _buffer(store: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     return buf
 
 
-def _affinity_logits(z, keep_diagonal, square, logits):
-    # a copied transpose keeps numpy off its much slower z @ z.T (syrk) path;
-    # with the diagonal kept the similarities are the logits, else they pass
-    # through the square buffer
-    if keep_diagonal:
-        return np.matmul(z, z.T.copy(), out=logits)
-    return off_diagonal(np.matmul(z, z.T.copy(), out=square), out=logits)
-
-
-def _target_intensity(plan, keep_diagonal):
-    if keep_diagonal:
-        return float(plan.sum() - np.trace(plan))
-    return float(plan.sum())
-
-
 def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffers=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
@@ -242,65 +232,62 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffer
     loss becomes a smooth function of the parameters (the function the
     reported gradients differentiate).
 
-    The step's B x B arrays (similarities, both views' affinity logits and
-    targets, the affinity cross-entropy gradient) live in ``buffers``, a
-    dict that `fit` keeps for the whole run so a step allocates none of
-    them; None gives the call a store of its own. The affinity targets in
-    ``frozen_pack`` alias the store: the next step on the same store
-    overwrites them.
+    The step's B x B arrays live in ``buffers``, a dict that `fit` keeps for
+    the whole run so a step allocates none of them; None gives the call a
+    store of its own. The store holds each view's affinity logits and
+    targets (``logits0/1``, ``target0/1``; B x (B-1), or B x B under
+    ``keep_diagonal``) and, in the packed layout only, the B x B
+    similarities (``square``), whose buffer the backward reuses for the
+    scattered gradient. After the call the logits buffers hold the affinity
+    cross-entropy gradients. The affinity targets in ``frozen_pack`` alias
+    the store: the next step on the same store overwrites them.
     """
     buffers = {} if buffers is None else buffers
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
-
-    views = []
-    for v, x in enumerate((x1, x2)):
-        fr = frozen.st_residuals[v] if frozen is not None else None
-        views.append(_encode_view(model, x, cfg, fr))
-
-    protos_raw = model.prototypes
-    protos = row_normalize(protos_raw)
-
+    protos = row_normalize(model.prototypes)
     b = x1.shape[0]
     layout = (b, b) if cfg.keep_diagonal else (b, b - 1)
-    square = _buffer(buffers, "square", (b, b))
-    w_logits = [
-        _affinity_logits(z, cfg.keep_diagonal, square, _buffer(buffers, f"logits{v}", layout))
-        for v, (_, _, _, z, _) in enumerate(views)
-    ]
-    h_logits = [view[3] @ protos.T for view in views]
+    square = None if cfg.keep_diagonal else _buffer(buffers, "square", (b, b))
 
+    # one forward pass per view: encode, affinity and assignment logits, and
+    # (unless frozen) both transport targets
+    views, w_logits, h_logits, w_targets, p_targets = [], [], [], [], []
+    for v, x in enumerate((x1, x2)):
+        view = _encode_view(model, x, cfg, None if frozen is None else frozen.st_residuals[v])
+        z = view[3]
+        logits = _buffer(buffers, f"logits{v}", layout)
+        # a copied transpose keeps numpy off its much slower z @ z.T (syrk)
+        # path; with the diagonal kept the similarities are the logits
+        np.matmul(z, z.T.copy(), out=logits if square is None else square)
+        if square is not None:
+            off_diagonal(square, out=logits)
+        h = z @ protos.T
+        if frozen is None:
+            target = _buffer(buffers, f"target{v}", layout)
+            w_targets.append(
+                sinkhorn_algorithm1(logits, cfg.eta, cfg.sinkhorn_iters, out=target).plan
+            )
+            p_targets.append(sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan)
+        views.append(view)
+        w_logits.append(logits)
+        h_logits.append(h)
     if frozen is not None:
-        w_targets = frozen.affinity_targets
-        p_targets = frozen.assignment_targets
-        inconsistencies = frozen.inconsistencies
-    else:
-        w_targets = tuple(
-            sinkhorn_algorithm1(
-                w, cfg.eta, cfg.sinkhorn_iters, out=_buffer(buffers, f"target{v}", layout)
-            ).plan
-            for v, w in enumerate(w_logits)
-        )
-        p_targets = tuple(
-            sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan for h in h_logits
-        )
-        inconsistencies = (views[0][4], views[1][4])
+        w_targets, p_targets = frozen.affinity_targets, frozen.assignment_targets
 
     # swapped prediction: view u's target supervises view v's logits. One
     # pass per view: its losses, its temperature-gradient terms, and its
     # backward through the straight-through (identity), the row
     # normalization of the raw embeddings and the encoder; targets and
     # residuals are constants
-    la = 0.0
-    lc = 0.0
-    penalty = 0.0
+    la = lc = penalty = 0.0
     grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
     grad_protos_norm = np.zeros_like(protos)
     grad_tau = np.zeros(2)  # d total / d (tau_a, tau_c)
-    ce_grad = _buffer(buffers, "ce_grad", layout)
     for v in (0, 1):
         u = 1 - v
         z_raw, cache, _, z, _ = views[v]
-        loss_a, g_a = softmax_cross_entropy(w_targets[u], w_logits[v], tau_a, out=ce_grad)
+        # the gradient overwrites the logits, which nothing reads again
+        loss_a, g_a = softmax_cross_entropy(w_targets[u], w_logits[v], tau_a, out=w_logits[v])
         loss_c, g_c = softmax_cross_entropy(p_targets[u], h_logits[v], tau_c)
         la += loss_a
         lc += loss_c
@@ -324,22 +311,23 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffer
             grads[f"layer{i}.weight"] += gw
             grads[f"layer{i}.bias"] += gb
 
-    grads["prototypes"] += row_normalize_vjp(protos_raw, grad_protos_norm)
+    grads["prototypes"] += row_normalize_vjp(model.prototypes, grad_protos_norm)
     grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
 
     losses = StepLosses(
         affinity_loss=la,
         clustering_loss=lc,
         total_loss=la + cfg.lam * lc + penalty,
-        mean_inconsistency=0.5 * (inconsistencies[0] + inconsistencies[1]),
-        cross_affinity_intensity=0.5
-        * sum(_target_intensity(w, cfg.keep_diagonal) for w in w_targets),
+        mean_inconsistency=0.5 * (views[0][4] + views[1][4]),
+        cross_affinity_intensity=0.5 * sum(
+            float(w.sum() - np.trace(w)) if cfg.keep_diagonal else float(w.sum())
+            for w in w_targets
+        ),
     )
     frozen_pack = FrozenStopGradients(
         st_residuals=(views[0][2], views[1][2]),
         affinity_targets=tuple(w_targets),
         assignment_targets=tuple(p_targets),
-        inconsistencies=tuple(inconsistencies),
     )
     return losses, grads, frozen_pack
 
@@ -385,12 +373,7 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
     rng = np.random.default_rng(cfg.seed)
     model = net.init_model(d_in, cfg.embed_dim, cfg.num_clusters, rng)
     model.log_tau[:] = np.log([cfg.tau_a_init, cfg.tau_c_init])
-    opt = net.OptimizerState(
-        base_lr=cfg.lr,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        restart_period=cfg.restart_period,
-    )
+    opt = cfg.optimizer()
     records = []
     buffers = {}  # the steps' B x B arrays, reused for the whole run
     steps_per_epoch = n // cfg.batch_size

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import full_spectrum_spectral
-from otsc.baselines import SpectralConfig, classical_spectral, kmeans_lloyd
+from otsc.baselines import SpectralConfig, _squared_distances, classical_spectral, kmeans_lloyd
 from otsc.data import gen_dataset
 from otsc.metrics import evaluate
 
@@ -60,6 +60,19 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans_lloyd(np.zeros((3, 2)), 4)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            kmeans_lloyd(np.zeros((3, 2)), 2, seed=-1)
+
+    def test_squared_distances_match_differences_and_stay_nonnegative(self):
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+        d2 = _squared_distances(x, y)
+        want = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        assert np.abs(d2 - want).max() <= 1e-12
+        # a point and itself: rounding may go below 0, the clamp may not
+        assert _squared_distances(x * 1e3, x * 1e3).min() >= 0.0
+
 
 class TestClassicalSpectral:
     def test_two_far_blocks_recovered(self):
@@ -107,6 +120,11 @@ class TestClassicalSpectral:
         cfg = SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.7)
         labels, _ = classical_spectral(x, cfg, seed=0)
         assert len(labels) == 3  # formula exercised without error
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_refused_by_name(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
+            SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
 
     def test_isolated_point_error(self):
         x = np.array([[0.0, 0.0], [0.1, 0.0], [0.05, 0.1], [1e6, 1e6]])

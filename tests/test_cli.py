@@ -332,6 +332,17 @@ def _ot_debug(tmp_path, *flags):
     return ["ot-debug", "--cost", str(path), *flags]
 
 
+def _sidecar(tmp_path, text):
+    """k-means on a labeled CSV whose sidecar holds ``text``."""
+    path = _csv(tmp_path, "f0,f1,label", TWELVE_ROWS)
+    (tmp_path / "input.csv.meta.json").write_text(text)
+    return _baseline("kmeans", path)
+
+
+def _gen(tmp_path, *flags):
+    return ["gen-dataset", "--kind", "blobs", "--n", "40", "--out", str(tmp_path / "g.csv"), *flags]
+
+
 def _nan_layer(run):
     with np.load(run["checkpoint"]) as data:
         weight = data["layer0.weight"].copy()
@@ -340,6 +351,8 @@ def _nan_layer(run):
 
 
 TWELVE_ROWS = [f"{i % 4}.5,{i // 4}.25,{i % 2}" for i in range(12)]
+# the line `_train_with` appends to the trained run's config
+APPENDED = len(TRAIN_CONFIG.splitlines()) + 1
 NAN_FEATURE = "input.csv: data row 2 has non-finite feature f1"
 
 # case -> (argv builder, exit status, what stderr must contain)
@@ -469,6 +482,44 @@ BAD_INPUTS = {
     "infinite eta on ot-debug": (
         lambda tmp, run: _ot_debug(tmp, "--eta", "inf"),
         1, "error: eta must be finite, got inf\n"),
+    "sidecar not an object": (
+        lambda tmp, run: _sidecar(tmp, "[1, 2]"),
+        1, "input.csv.meta.json: not a JSON object: [1, 2]\n"),
+    "sidecar not JSON": (
+        lambda tmp, run: _sidecar(tmp, "name: x"),
+        1, "input.csv.meta.json: not JSON: Expecting value: line 1 column 1 (char 0)\n"),
+    "sidecar name not a string": (
+        lambda tmp, run: _sidecar(tmp, '{"name": 5}'),
+        1, "input.csv.meta.json: entry 'name' must be a string, got 5\n"),
+    "sidecar generator_seed not an integer": (
+        lambda tmp, run: _sidecar(tmp, '{"generator_seed": "3"}'),
+        1, "input.csv.meta.json: entry 'generator_seed' must be an integer, got '3'\n"),
+    "fractional epochs in the config": (
+        lambda tmp, run: _train_with(tmp, run, "epochs = 1.5"),
+        1, f"edited.cfg:{APPENDED}: epochs: invalid literal for int() with base 10: '1.5'\n"),
+    "non-boolean keep_diagonal in the config": (
+        lambda tmp, run: _train_with(tmp, run, "keep_diagonal = maybe"),
+        1, f"edited.cfg:{APPENDED}: keep_diagonal: expected a boolean, got 'maybe'\n"),
+    "negative seed in the config": (
+        lambda tmp, run: _train_with(tmp, run, "seed = -1"),
+        1, "error: seed must be nonnegative\n"),
+    "negative seed on gen-dataset": (
+        lambda tmp, run: _gen(tmp, "--seed", "-1"), 1, "error: seed must be nonnegative\n"),
+    "negative seed on baseline": (
+        lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--seed", "-1"),
+        1, "error: seed must be nonnegative\n"),
+    "NaN noise on gen-dataset": (
+        lambda tmp, run: _gen(tmp, "--noise", "nan"), 1, "error: noise must be finite, got nan\n"),
+    "infinite separation on gen-dataset": (
+        lambda tmp, run: _gen(tmp, "--separation", "inf"),
+        1, "error: separation must be finite, got inf\n"),
+    "NaN sigma on the spectral baseline": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]),
+                                   "--bandwidth-mode", "fixed", "--sigma", "nan"),
+        1, "error: sigma must be finite, got nan\n"),
+    "momentum of 1.5 in the config": (
+        lambda tmp, run: _train_with(tmp, run, "momentum = 1.5"),
+        1, "error: momentum must lie in [0, 1)\n"),
     "checkpoint negative epoch": (
         lambda tmp, run: _edited_checkpoint(tmp, run, meta={"epoch": -3}),
         1, "edited.npz entry 'epoch' must be a nonnegative integer, got -3\n"),
@@ -502,3 +553,23 @@ class TestBadInputs:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: dataset has no labels to evaluate against\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_cost_file_is_refused_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "cost.csv"
+        path.write_text("")
+        assert main(["ot-debug", "--cost", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: cost file {path} must be non-empty\n"
+
+    def test_ablate_refuses_optimizer_settings_before_any_point(self, tmp_path, trained_run,
+                                                                capsys):
+        config = tmp_path / "momentum.cfg"
+        config.write_text(trained_run["config"].read_text() + "momentum = 1.5\n")
+        out = tmp_path / "sweep"
+        argv = ["ablate", "--config", str(config), "--dataset", str(trained_run["dataset"]),
+                "--out", str(out), "--sweep", "lambda"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: momentum must lie in [0, 1)\n"

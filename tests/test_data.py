@@ -42,6 +42,19 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_dataset("moons", 5, 0.1, 0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"noise": float("nan")}, "noise must be finite, got nan"),
+        ({"noise": float("inf")}, "noise must be finite, got inf"),
+        ({"separation": float("inf")}, "separation must be finite, got inf"),
+        ({"separation": float("nan")}, "separation must be finite, got nan"),
+    ])
+    def test_refuses_bad_settings_by_name(self, kwargs, message):
+        settings = {"noise": 0.1, "seed": 0, **kwargs}
+        with pytest.raises(ValueError) as info:
+            gen_dataset("blobs", 100, **settings)
+        assert str(info.value) == message
+
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -100,6 +113,19 @@ class TestDatasetValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
                 load_dataset(path)
+
+    # the CLI's bad-input table covers the other sidecar refusals
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"generator_seed": 1.5}', "entry 'generator_seed' must be an integer, got 1.5"),
+        ('{"generator_seed": true}', "entry 'generator_seed' must be an integer, got True"),
+    ])
+    def test_bad_sidecar_names_file_and_entry(self, tmp_path, sidecar, message):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label\n0,0,0\n1,1,1\n")
+        (tmp_path / "d.csv.meta.json").write_text(sidecar)
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{tmp_path / 'd.csv.meta.json'}: {message}"
 
     def test_non_integer_labels_rejected(self, tmp_path):
         path = tmp_path / "frac.csv"

@@ -61,6 +61,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must"):
             tiny_cfg(**{name: value})
 
+    def test_refuses_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            tiny_cfg(seed=-1)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"base_lr": 0.0}, "base_lr must be positive"),
+        ({"momentum": 1.5}, "momentum must lie in [0, 1)"),
+        ({"weight_decay": -1.0}, "weight_decay must be nonnegative"),
+        ({"restart_period": 0}, "restart_period must be positive"),
+    ])
+    def test_refuses_optimizer_settings_out_of_range(self, settings, message):
+        with pytest.raises(ValueError) as info:
+            tiny_cfg(**settings)
+        assert str(info.value) == message
+
+    def test_optimizer_carries_the_run_settings(self):
+        cfg = tiny_cfg(base_lr=None, momentum=0.5, weight_decay=0.01, restart_period=7)
+        opt = cfg.optimizer()
+        assert (opt.base_lr, opt.momentum, opt.weight_decay, opt.restart_period) == (
+            cfg.lr, 0.5, 0.01, 7
+        )
+        assert opt.momentum_buffers == {} and cfg.optimizer() is not opt
+
 
 class TestAugment:
     def test_zero_strengths_identity(self):
@@ -131,6 +154,19 @@ class TestTrainStep:
             train_step(x, model, opt, cfg, rng, cfg.lr)
 
 
+    def test_frozen_step_reports_no_inconsistency(self):
+        # the inconsistency comes from orthogonalizing the views, which a
+        # step with frozen residuals does not do
+        cfg = tiny_cfg()
+        rng = np.random.default_rng(3)
+        model = net.init_model(4, 3, 2, rng)
+        x1, x2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
+        live, _, frozen = _compute_step(model, x1, x2, cfg, None)
+        again, _, _ = _compute_step(model, x1, x2, cfg, frozen)
+        assert live.mean_inconsistency > 0.0 and again.mean_inconsistency == 0.0
+        assert again.total_loss == live.total_loss
+
+
 class TestStepBuffers:
     """`fit` hands every step one store of B x B buffers; sharing it changes
     no bit, and after the first step a step allocates no B x B array."""
@@ -154,6 +190,23 @@ class TestStepBuffers:
                 trail.append(losses)
             runs.append((trail, [p.tobytes() for _, p in model.named_arrays()]))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("keep_diagonal", [False, True])
+    def test_store_holds_only_arrays_read_back(self, keep_diagonal):
+        # each view's affinity logits and targets, plus the similarities in
+        # the packed layout; nothing else of size B x B
+        b = 10
+        cfg = tiny_cfg(keep_diagonal=keep_diagonal)
+        rng = np.random.default_rng(5)
+        model = net.init_model(4, 3, 2, rng)
+        store = {}
+        opt = net.OptimizerState(base_lr=cfg.lr)
+        train_step(random_data(n=b, seed=5), model, opt, cfg, rng, cfg.lr, buffers=store)
+        layout = (b, b) if keep_diagonal else (b, b - 1)
+        want = {f"{kind}{v}": layout for kind in ("logits", "target") for v in (0, 1)}
+        if not keep_diagonal:
+            want["square"] = (b, b)
+        assert {key: buf.shape for key, buf in store.items()} == want
 
     def test_fit_hands_every_step_one_store(self, monkeypatch):
         stores = []
