@@ -150,6 +150,8 @@ def classical_spectral(
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
+    if seed < 0:  # refused here too, before the affinity and eigensolve
+        raise ValueError("seed must be nonnegative")
     if n > _DENSE_EIG_BOUND:
         raise ValueError(f"dense eigensolver bound exceeded: {n} > {_DENSE_EIG_BOUND}")
     if cfg.num_clusters > n:

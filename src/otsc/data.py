@@ -119,6 +119,10 @@ def gen_dataset(
     else:
         if k < 2 or k > n:
             raise ValueError("blobs need 2 <= k <= n")
+        if separation <= 0:
+            raise ValueError("separation must be positive")
+        if dim < 1:
+            raise ValueError("dim must be positive")
         x, y = _blobs(n, noise, rng, k=k, separation=separation, dim=dim)
     return Dataset(name=f"{kind}-n{n}-s{seed}", features=x, labels=y, generator_seed=seed)
 

@@ -309,7 +309,11 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
     raises ``ValueError`` naming the file and the entry.
     """
     try:
-        with np.load(path) as data:
+        # opened here so that a file np.load rejects is closed all the same
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
             arrays = {key: data[key] for key in data.files}
     except (zipfile.BadZipFile, EOFError, ValueError) as err:
         raise ValueError(f"checkpoint {path} is unreadable: {err}") from None

@@ -34,10 +34,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrthogonalizationResult:
-    """Orthogonalized embeddings and the Frobenius distance to the input."""
+    """Orthogonalized embeddings and the conditioning warning, if any."""
 
     z_new: np.ndarray
-    inconsistency: float
     warning: str | None = None
 
 
@@ -80,11 +79,11 @@ def softmax_cross_entropy(
 
     Returns the summed loss and its gradient with respect to ``logits``,
     ``(softmax(logits/tau) - target) / tau``. ``target`` rows must be
-    nonnegative and sum to 1, as fixed-count Sinkhorn targets do. The
-    gradient is built in ``out``, a float64 array shaped like ``logits``,
-    when given, else in a new array.
+    nonnegative and sum to 1, as fixed-count Sinkhorn targets do, so each
+    row's log-partition enters the loss once. The gradient is built in
+    ``out``, a float64 array shaped like ``logits``, when given, else in a
+    new array.
     """
-    row_mass = target.sum(axis=1)
     if tau <= 0:
         raise ValueError("tau must be positive")
     shifted = np.divide(logits, tau, out=out)
@@ -93,7 +92,7 @@ def softmax_cross_entropy(
     cross = np.vdot(target, shifted)
     grad = np.exp(shifted, out=shifted)  # turned into the gradient in place
     sums = grad.sum(axis=1)
-    loss = float(row_mass @ np.log(sums) - cross)
+    loss = float(np.log(sums).sum() - cross)
     grad /= sums[:, None]
     grad -= target
     grad /= tau
@@ -125,9 +124,8 @@ def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationR
     ``procrustes`` returns the polar factor u @ v.T of the thin SVD, the
     closest column-orthonormal matrix in Frobenius norm. ``qr`` returns the
     Q factor with column signs fixed so diag(q) >= 0 (the convention under
-    which the QR route shows its characteristic large inconsistency). The
-    Frobenius distance between input and output is always computed and
-    reported.
+    which the QR route moves the embeddings much further than the polar
+    factor does).
     """
     warning = None
     if mode == "procrustes":
@@ -146,8 +144,7 @@ def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationR
         z_new = q * np.where(np.diag(q) < 0, -1.0, 1.0)
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'procrustes' or 'qr'")
-    inconsistency = float(np.linalg.norm(z - z_new))
-    return OrthogonalizationResult(z_new=z_new, inconsistency=inconsistency, warning=warning)
+    return OrthogonalizationResult(z_new=z_new, warning=warning)
 
 
 def orthogonal_penalty(z: np.ndarray, rho: float) -> tuple[float, np.ndarray]:

@@ -158,7 +158,8 @@ class FrozenStopGradients:
 
     Finite-difference checks re-evaluate the step loss with these held
     fixed, which is exactly the function the backward differentiates (such
-    a step does not orthogonalize, so its mean inconsistency is 0.0).
+    a step does not orthogonalize; it reports the captured residuals'
+    inconsistency).
     ``affinity_targets`` alias the ``target0/1`` buffers of the capturing
     step's store: a later step on the same store overwrites them, so a
     caller that keeps them gives each step its own store (the default).
@@ -202,16 +203,12 @@ def _encode_view(model, x, cfg, frozen_resid=None):
     z_base = row_normalize(z_raw)
     if frozen_resid is not None:
         resid = frozen_resid
-        inconsistency = 0.0
     elif cfg.orth_mode in ("procrustes", "qr"):
-        orth = orthogonalize(z_raw, cfg.orth_mode)
-        resid = row_normalize(orth.z_new) - z_base
-        inconsistency = orth.inconsistency
+        resid = row_normalize(orthogonalize(z_raw, cfg.orth_mode).z_new) - z_base
     else:
         resid = np.zeros_like(z_raw)
-        inconsistency = 0.0
     z = z_base + resid  # straight-through value: normalized orthogonalized rows
-    return z_raw, cache, resid, z, inconsistency
+    return z_raw, cache, resid, z
 
 
 def _buffer(store: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
@@ -285,7 +282,7 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffer
     grad_tau = np.zeros(2)  # d total / d (tau_a, tau_c)
     for v in (0, 1):
         u = 1 - v
-        z_raw, cache, _, z, _ = views[v]
+        z_raw, cache, _, z = views[v]
         # the gradient overwrites the logits, which nothing reads again
         loss_a, g_a = softmax_cross_entropy(w_targets[u], w_logits[v], tau_a, out=w_logits[v])
         loss_c, g_c = softmax_cross_entropy(p_targets[u], h_logits[v], tau_c)
@@ -314,15 +311,16 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffer
     grads["prototypes"] += row_normalize_vjp(model.prototypes, grad_protos_norm)
     grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
 
+    # the residuals are the moves the straight-through applies to unit rows;
+    # a target's rows sum to 1, so only a kept diagonal holds self-affinity
+    resid_norm = float(np.linalg.norm(views[0][2]) + np.linalg.norm(views[1][2]))
+    self_mass = float(sum(np.trace(w) for w in w_targets)) if cfg.keep_diagonal else 0.0
     losses = StepLosses(
         affinity_loss=la,
         clustering_loss=lc,
         total_loss=la + cfg.lam * lc + penalty,
-        mean_inconsistency=0.5 * (views[0][4] + views[1][4]),
-        cross_affinity_intensity=0.5 * sum(
-            float(w.sum() - np.trace(w)) if cfg.keep_diagonal else float(w.sum())
-            for w in w_targets
-        ),
+        mean_inconsistency=resid_norm / (2.0 * b**0.5),
+        cross_affinity_intensity=1.0 - self_mass / (2.0 * b),
     )
     frozen_pack = FrozenStopGradients(
         st_residuals=(views[0][2], views[1][2]),

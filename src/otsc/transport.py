@@ -210,6 +210,10 @@ def sinkhorn_marginal(
     if r.size != m or c.size != n:
         raise ValueError("marginal lengths must match the cost matrix shape")
     _check_eta(eta)
+    if tol < 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not tol < np.inf:  # also catches NaN
+        raise ValueError(f"tol must be finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 

@@ -126,6 +126,15 @@ class TestClassicalSpectral:
         with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
             SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
 
+    def test_negative_seed_refused_before_the_affinity(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the affinity was built for a refused seed")
+
+        monkeypatch.setattr("otsc.baselines._gaussian_affinity", refuse)
+        x, _ = three_blobs(np.random.default_rng(7), n_per=10)
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            classical_spectral(x, SpectralConfig(num_clusters=3), seed=-1)
+
     def test_isolated_point_error(self):
         x = np.array([[0.0, 0.0], [0.1, 0.0], [0.05, 0.1], [1e6, 1e6]])
         cfg = SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.1)

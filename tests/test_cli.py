@@ -343,6 +343,14 @@ def _gen(tmp_path, *flags):
     return ["gen-dataset", "--kind", "blobs", "--n", "40", "--out", str(tmp_path / "g.csv"), *flags]
 
 
+def _npy_checkpoint(tmp_path, run):
+    """An eval of a plain .npy array saved under a checkpoint's name."""
+    path = tmp_path / "checkpoint.npz"
+    with path.open("wb") as fh:
+        np.save(fh, np.zeros(3))
+    return ["eval", "--checkpoint", str(path), "--dataset", str(run["dataset"])]
+
+
 def _nan_layer(run):
     with np.load(run["checkpoint"]) as data:
         weight = data["layer0.weight"].copy()
@@ -526,6 +534,19 @@ BAD_INPUTS = {
     "checkpoint negative version": (
         lambda tmp, run: _edited_checkpoint(tmp, run, meta={"version": -5}),
         1, "edited.npz entry 'version' must be a nonnegative integer, got -5\n"),
+    "plain .npy array as checkpoint": (
+        _npy_checkpoint, 1, "checkpoint.npz is unreadable: not an .npz archive\n"),
+    "NaN tol on ot-debug": (
+        lambda tmp, run: _ot_debug(tmp, "--variant", "marginal", "--tol", "nan"),
+        1, "error: tol must be finite, got nan\n"),
+    "negative tol on ot-debug": (
+        lambda tmp, run: _ot_debug(tmp, "--variant", "marginal", "--tol", "-1"),
+        1, "error: tol must be nonnegative, got -1.0\n"),
+    "zero blob separation on gen-dataset": (
+        lambda tmp, run: _gen(tmp, "--separation", "0"),
+        1, "error: separation must be positive\n"),
+    "zero blob dim on gen-dataset": (
+        lambda tmp, run: _gen(tmp, "--dim", "0"), 1, "error: dim must be positive\n"),
 }
 
 
@@ -542,6 +563,7 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("numerical abort: " if status == 2 else "error: ")
         assert needle in err
+        assert not (tmp_path / "g.csv").exists()  # a refused gen-dataset writes nothing
 
     def test_eval_checks_labels_before_predict(self, tmp_path, trained_run, monkeypatch, capsys):
         def refuse(*args):

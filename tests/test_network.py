@@ -1,3 +1,4 @@
+import gc
 import warnings
 
 import numpy as np
@@ -213,6 +214,21 @@ class TestCosineSchedule:
 
 
 class TestCheckpoint:
+    def test_unreadable_file_is_closed(self, tmp_path):
+        # np.load given a path leaks the handle it opened when the zip reader
+        # rejects the file
+        path = tmp_path / "ckpt.npz"
+        model = small_model(np.random.default_rng(12))
+        net.save_checkpoint(path, model, net.OptimizerState(base_lr=0.05), epoch=0)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="ckpt.npz is unreadable"):
+                net.load_checkpoint(path)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         model = small_model(rng, hidden=(6, 5))

@@ -274,19 +274,19 @@ class TestOrthogonalize:
         res = orthogonalize(FIG_Z, "procrustes")
         want = np.array([[-0.77, 0.64], [0.64, 0.77]])
         assert np.abs(res.z_new - want).max() <= 0.02
-        assert abs(res.inconsistency - 0.49) <= 0.02
+        assert abs(np.linalg.norm(FIG_Z - res.z_new) - 0.49) <= 0.02
 
     def test_reference_qr_values(self):
         res = orthogonalize(FIG_Z, "qr")
         want = np.array([[0.74, 0.68], [-0.68, 0.74]])
         assert np.abs(res.z_new - want).max() <= 0.02
-        assert abs(res.inconsistency - 2.31) <= 0.05
+        assert abs(np.linalg.norm(FIG_Z - res.z_new) - 2.31) <= 0.05
 
     def test_orthonormal_input_is_fixed_point(self):
         q, _ = qr_decompose(np.random.default_rng(3).normal(size=(8, 4)))
         res = orthogonalize(q, "procrustes")
         assert np.abs(res.z_new - q).max() <= 1e-10
-        assert res.inconsistency <= 1e-8
+        assert np.linalg.norm(q - res.z_new) <= 1e-8
 
     def test_output_is_column_orthonormal(self):
         rng = np.random.default_rng(4)
@@ -314,8 +314,8 @@ class TestProcrustesMinimality:
         rng = np.random.default_rng(6)
         for _ in range(100):
             z = rng.normal(size=(16, 4))
-            best = orthogonalize(z, "procrustes").inconsistency
-            qr_dist = orthogonalize(z, "qr").inconsistency
+            best = np.linalg.norm(z - orthogonalize(z, "procrustes").z_new)
+            qr_dist = np.linalg.norm(z - orthogonalize(z, "qr").z_new)
             assert best <= qr_dist + 1e-9
             for _ in range(100):
                 q, _ = qr_decompose(rng.normal(size=(16, 4)))
@@ -327,7 +327,7 @@ class TestStraightThrough:
 
     def test_forward_equals_new_value(self):
         model, x, cfg = encoder_view(7)
-        z_raw, _, _, z, _ = _encode_view(model, x, cfg)
+        z_raw, _, _, z = _encode_view(model, x, cfg)
         z_new = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
         assert np.abs(z - z_new).max() <= 1e-15
 
@@ -337,7 +337,7 @@ class TestStraightThrough:
         # z_new, and it reaches the raw embeddings through the normalization
         # Jacobian alone because the residual z_new - z is a constant
         model, x, cfg = encoder_view(8)
-        z_raw, _, resid, z, _ = _encode_view(model, x, cfg)
+        z_raw, _, resid, z = _encode_view(model, x, cfg)
         t = np.random.default_rng(9).normal(size=z.shape)
         upstream = z - t
         z_new = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
@@ -349,12 +349,11 @@ class TestStraightThrough:
 
     def test_none_mode_passthrough(self):
         # orth_mode "none" skips orthogonalize: the view is the normalized
-        # raw embedding, with a zero residual and no inconsistency
+        # raw embedding, with a zero residual
         model, x, cfg = encoder_view(5, orth_mode="none")
-        z_raw, _, resid, z, inconsistency = _encode_view(model, x, cfg)
+        z_raw, _, resid, z = _encode_view(model, x, cfg)
         assert (resid == 0.0).all()
         assert (z == row_normalize(z_raw)).all()
-        assert inconsistency == 0.0
 
 
 class TestOrthogonalPenalty:

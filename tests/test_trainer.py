@@ -154,17 +154,61 @@ class TestTrainStep:
             train_step(x, model, opt, cfg, rng, cfg.lr)
 
 
-    def test_frozen_step_reports_no_inconsistency(self):
-        # the inconsistency comes from orthogonalizing the views, which a
-        # step with frozen residuals does not do
+    def test_frozen_step_reports_the_live_inconsistency(self):
+        # the inconsistency is the size of the straight-through residuals,
+        # which a frozen step takes from the live one instead of
+        # orthogonalizing again
         cfg = tiny_cfg()
         rng = np.random.default_rng(3)
         model = net.init_model(4, 3, 2, rng)
         x1, x2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
         live, _, frozen = _compute_step(model, x1, x2, cfg, None)
         again, _, _ = _compute_step(model, x1, x2, cfg, frozen)
-        assert live.mean_inconsistency > 0.0 and again.mean_inconsistency == 0.0
+        assert live.mean_inconsistency > 0.0
+        assert again.mean_inconsistency == live.mean_inconsistency
         assert again.total_loss == live.total_loss
+
+
+class TestStepStatistics:
+    """The step's history columns measure what they name, in units that do
+    not drift with the scale of the raw embeddings."""
+
+    @staticmethod
+    def step(orth_mode="procrustes", scale=1.0, **kw):
+        rng = np.random.default_rng(11)
+        model = net.init_model(4, 3, 2, rng)
+        w, b = model.layers[-1]
+        w *= scale
+        b *= scale
+        x1, x2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
+        return _compute_step(model, x1, x2, tiny_cfg(orth_mode=orth_mode, **kw), None)
+
+    @pytest.mark.parametrize("orth_mode", ["procrustes", "qr"])
+    def test_inconsistency_does_not_depend_on_row_scale(self, orth_mode):
+        base = self.step(orth_mode)[0].mean_inconsistency
+        scaled = self.step(orth_mode, scale=1e3)[0].mean_inconsistency
+        assert base > 0.0
+        assert abs(scaled - base) <= 1e-12 * base
+
+    def test_inconsistency_range(self):
+        # a residual row is the difference of two unit rows, so its norm is
+        # at most 2; nothing is orthogonalized under none and penalty
+        for orth_mode in TRAINER_ORTH_MODES:
+            losses = self.step(orth_mode, scale=1e3)[0]
+            if orth_mode in ("none", "penalty"):
+                assert losses.mean_inconsistency == 0.0
+            else:
+                assert 0.0 < losses.mean_inconsistency <= 2.0
+
+    @pytest.mark.parametrize("keep_diagonal", [False, True])
+    def test_cross_affinity_intensity_is_the_mass_off_the_diagonal(self, keep_diagonal):
+        losses, _, frozen = self.step(keep_diagonal=keep_diagonal)
+        if not keep_diagonal:  # the packed layout has no diagonal
+            assert losses.cross_affinity_intensity == 1.0
+            return
+        off = [(w.sum() - np.trace(w)) / w.shape[0] for w in frozen.affinity_targets]
+        assert abs(losses.cross_affinity_intensity - np.mean(off)) <= 1e-12
+        assert losses.cross_affinity_intensity < 1.0
 
 
 class TestStepBuffers:
