@@ -27,7 +27,7 @@ class SpectralConfig:
 
     ``bandwidth_mode`` is "fixed" (requires ``sigma``) or "self_tuning"
     (per-point bandwidth = distance to the ``k_neighbor``-th nearest
-    neighbor).
+    neighbor; ``sigma`` is refused).
     """
 
     num_clusters: int
@@ -43,6 +43,8 @@ class SpectralConfig:
         if self.bandwidth_mode == "fixed":
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError("fixed bandwidth requires sigma > 0")
+        elif self.sigma is not None:
+            raise ValueError("sigma applies to bandwidth_mode 'fixed' only")
         if self.k_neighbor < 1:
             raise ValueError("k_neighbor must be >= 1")
         check_finite_fields(self)

@@ -170,15 +170,7 @@ def _evaluate_model(model, ds: Dataset) -> str:
 
 
 def _cmd_gen_dataset(args) -> None:
-    ds = gen_dataset(
-        args.kind,
-        args.n,
-        args.noise,
-        args.seed,
-        k=args.k,
-        separation=args.separation,
-        dim=args.dim,
-    )
+    ds = gen_dataset(args.kind, args.n, args.noise, args.seed, args.k, args.separation, args.dim)
     save_dataset(ds, args.out)
     print(f"wrote {args.out} ({ds.n} rows, dim {ds.dim})")
 
@@ -215,25 +207,42 @@ def _cmd_eval(args) -> None:
     _emit_report(_evaluate_model(model, ds), args.out)
 
 
+def _given(args, names) -> dict:
+    """The options among ``names`` set on the command line, by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _refuse_given(args, names, reader: str) -> None:
+    """Refuse an option among ``names`` set on the command line; only ``reader`` reads it."""
+    for name in _given(args, names):
+        raise _UsageError(f"--{name.replace('_', '-')} applies to {reader} only")
+
+
+_SPECTRAL_OPTIONS = ("bandwidth_mode", "sigma", "k_neighbor")
+
+
 def _cmd_baseline(args) -> None:
+    if args.method == "kmeans":
+        _refuse_given(args, _SPECTRAL_OPTIONS, "--method spectral")
+    else:
+        _refuse_given(args, ("restarts",), "--method kmeans")
     ds = load_dataset(args.dataset)
     if ds.labels is None:
         raise ValueError("baseline evaluation needs a labeled dataset")
     k = args.k if args.k is not None else int(ds.labels.max()) + 1
     if args.method == "kmeans":
-        labels, _, _ = kmeans_lloyd(ds.features, k, restarts=args.restarts, seed=args.seed)
+        labels, _, _ = kmeans_lloyd(ds.features, k, seed=args.seed, **_given(args, ("restarts",)))
     else:
-        cfg = SpectralConfig(
-            num_clusters=k,
-            bandwidth_mode=args.bandwidth_mode,
-            sigma=args.sigma,
-            k_neighbor=args.k_neighbor,
-        )
+        cfg = SpectralConfig(num_clusters=k, **_given(args, _SPECTRAL_OPTIONS))
         labels, _ = classical_spectral(ds.features, cfg, seed=args.seed)
     _emit_report(format_report(evaluate(ds.labels, labels), ds.name, ds.n), args.out)
 
 
 def _cmd_ot_debug(args) -> None:
+    if args.variant == "algorithm1":
+        _refuse_given(args, ("tol", "max_iter"), "--variant marginal")
+    else:
+        _refuse_given(args, ("iterations",), "--variant algorithm1")
     # sinkhorn_algorithm1 trusts its input, so the file is checked here; an
     # empty file is refused by name below rather than warned about by numpy
     with warnings.catch_warnings():
@@ -242,16 +251,12 @@ def _cmd_ot_debug(args) -> None:
     cost = as_matrix(raw, f"cost file {args.cost}")
     if args.variant == "algorithm1":
         # the fixed-iteration solver takes similarities; a cost is its negation
-        plan = sinkhorn_algorithm1(-cost, args.eta, args.iterations)
+        iterations = 5 if args.iterations is None else args.iterations
+        plan = sinkhorn_algorithm1(-cost, args.eta, iterations)
     else:
         m, n = cost.shape
         plan, _ = sinkhorn_marginal(
-            cost,
-            np.full(m, 1.0),
-            np.full(n, m / n),
-            args.eta,
-            tol=args.tol,
-            max_iter=args.max_iter,
+            cost, np.full(m, 1.0), np.full(n, m / n), args.eta, **_given(args, ("tol", "max_iter"))
         )
     for row in plan.plan:
         print(",".join(f"{v:.12g}" for v in row))
@@ -297,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=4, help="blob count (blobs only)")
-    p.add_argument("--separation", type=float, default=10.0, help="blobs only")
-    p.add_argument("--dim", type=int, default=2, help="feature dim (blobs only)")
+    p.add_argument("--k", type=int, help="blob count (blobs only; default 4)")
+    p.add_argument("--separation", type=float, help="blobs only; default 10")
+    p.add_argument("--dim", type=int, help="feature dim (blobs only; default 2)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_dataset)
 
@@ -326,20 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, help="kmeans only; default 10")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bandwidth-mode", choices=("fixed", "self_tuning"), default="self_tuning")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--k-neighbor", type=int, default=7)
+    p.add_argument("--bandwidth-mode", choices=("fixed", "self_tuning"),
+                   help="spectral only; default self_tuning")
+    p.add_argument("--sigma", type=float, help="spectral, fixed bandwidth only")
+    p.add_argument("--k-neighbor", type=int, help="spectral only; default 7")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("ot-debug", help="solve a transport instance from a cost CSV")
     p.add_argument("--cost", required=True)
     p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--iterations", type=int, default=5)
+    p.add_argument("--iterations", type=int, help="algorithm1 only; default 5")
     p.add_argument("--variant", choices=("algorithm1", "marginal"), default="algorithm1")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--tol", type=float, help="marginal only; default 1e-9")
+    p.add_argument("--max-iter", type=int, help="marginal only; default 10000")
     p.set_defaults(func=_cmd_ot_debug)
 
     p = sub.add_parser("ablate", help="run a hyperparameter sweep")

@@ -76,6 +76,14 @@ def _rings(n: int, noise: float, rng: np.random.Generator, radii=(1.0, 3.0)):
 
 
 def _blobs(n, noise, rng, k=4, separation=10.0, dim=2):
+    if not np.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation!r}")
+    if k < 2 or k > n:
+        raise ValueError("blobs need 2 <= k <= n")
+    if separation <= 0:
+        raise ValueError("separation must be positive")
+    if dim < 1:
+        raise ValueError("dim must be positive")
     centers = rng.standard_normal((k, dim))
     dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     min_dist = dists[~np.eye(k, dtype=bool)].min()
@@ -95,20 +103,23 @@ def gen_dataset(
     n: int,
     noise: float,
     seed: int,
-    k: int = 4,
-    separation: float = 10.0,
-    dim: int = 2,
+    k: int | None = None,
+    separation: float | None = None,
+    dim: int | None = None,
 ) -> Dataset:
-    """Generate a labeled synthetic dataset; deterministic per seed."""
+    """Generate a labeled synthetic dataset; deterministic per seed. Only
+    blobs take ``k``, ``separation`` and ``dim`` (unset: 4, 10.0 and 2)."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}, expected one of {DATASET_KINDS}")
+    blob = {kw: v for kw, v in dict(k=k, separation=separation, dim=dim).items() if v is not None}
+    if blob and kind != "blobs":
+        raise ValueError(f"{next(iter(blob))} applies to blobs only")
     if n < 10:
         raise ValueError("n must be >= 10")
     if noise < 0:
         raise ValueError("noise must be nonnegative")
-    for name, value in (("noise", noise), ("separation", separation)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not np.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise!r}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -117,13 +128,7 @@ def gen_dataset(
     elif kind == "rings":
         x, y = _rings(n, noise, rng)
     else:
-        if k < 2 or k > n:
-            raise ValueError("blobs need 2 <= k <= n")
-        if separation <= 0:
-            raise ValueError("separation must be positive")
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        x, y = _blobs(n, noise, rng, k=k, separation=separation, dim=dim)
+        x, y = _blobs(n, noise, rng, **blob)
     return Dataset(name=f"{kind}-n{n}-s{seed}", features=x, labels=y, generator_seed=seed)
 
 

@@ -1,12 +1,13 @@
 """Joint mini-batch training loop: two views, transport targets, swapped loss.
 
-Each step augments the batch twice, encodes both views, orthogonalizes and
-row-normalizes the embeddings, and builds affinity and assignment targets
-by fixed-count Sinkhorn scaling on the detached similarity matrices. The
-total loss pairs each view's targets with the other view's predictions
-(swapped prediction) and is optimized by heavy-ball SGD under a cosine
-restart schedule. Targets and the orthogonalization residual are
-stop-gradient quantities: the backward treats them as constants.
+Each step augments the batch twice, encodes both views in one encoder pass,
+orthogonalizes and row-normalizes each view's embeddings, and builds
+affinity and assignment targets by fixed-count Sinkhorn scaling on the
+detached similarity matrices. The total loss pairs each view's targets
+with the other view's predictions (swapped prediction) and is optimized by
+heavy-ball SGD under a cosine restart schedule. Targets and the
+orthogonalization residual are stop-gradient quantities: the backward
+treats them as constants.
 """
 
 from __future__ import annotations
@@ -154,15 +155,13 @@ class StepLosses(NamedTuple):
 
 @dataclass(frozen=True)
 class FrozenStopGradients:
-    """Stop-gradient quantities of one step, captured at a base point.
+    """Stop-gradient quantities of one step: per view, the straight-through
+    residual and the affinity and assignment targets.
 
-    Finite-difference checks re-evaluate the step loss with these held
-    fixed, which is exactly the function the backward differentiates (such
-    a step does not orthogonalize; it reports the captured residuals'
-    inconsistency).
-    ``affinity_targets`` alias the ``target0/1`` buffers of the capturing
-    step's store: a later step on the same store overwrites them, so a
-    caller that keeps them gives each step its own store (the default).
+    The step's gradients differentiate its loss with these held fixed.
+    ``affinity_targets`` alias the ``target0/1`` buffers of the step's
+    store: a later step on the same store overwrites them, so a caller that
+    keeps them gives each step its own store (the default).
     """
 
     st_residuals: tuple[np.ndarray, np.ndarray]
@@ -193,22 +192,18 @@ def _encode(model, x):
     return z_raw, cache
 
 
-def _encode_view(model, x, cfg, frozen_resid=None):
-    # The straight-through wraps the whole orthogonalize-and-normalize map:
-    # the forward value is the row-normalized orthogonalized embedding, and
-    # the gradient reaches the raw embeddings through the normalization
-    # Jacobian evaluated at them (placing the stop-gradient inside the
-    # normalization instead is scale-unstable at this model size).
-    z_raw, cache = _encode(model, x)
+def _straight_through(z_raw, cfg):
+    """(residual, value) of the straight-through orthogonalize-and-normalize
+    map on one view's raw embeddings: the value is the row-normalized
+    orthogonalized embedding, and the gradient reaches the raw embeddings
+    through the normalization Jacobian at them (a stop-gradient inside the
+    normalization instead is scale-unstable at this model size)."""
     z_base = row_normalize(z_raw)
-    if frozen_resid is not None:
-        resid = frozen_resid
-    elif cfg.orth_mode in ("procrustes", "qr"):
+    if cfg.orth_mode in ("procrustes", "qr"):
         resid = row_normalize(orthogonalize(z_raw, cfg.orth_mode).z_new) - z_base
     else:
         resid = np.zeros_like(z_raw)
-    z = z_base + resid  # straight-through value: normalized orthogonalized rows
-    return z_raw, cache, resid, z
+    return resid, z_base + resid  # normalized orthogonalized rows
 
 
 def _buffer(store: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
@@ -221,13 +216,12 @@ def _buffer(store: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     return buf
 
 
-def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffers=None):
+def _compute_step(model, x1, x2, cfg, buffers=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
-    Returns (losses, grads, frozen_pack). With ``frozen`` supplied, the
-    stop-gradient quantities are taken from it instead of recomputed, so the
-    loss becomes a smooth function of the parameters (the function the
-    reported gradients differentiate).
+    Returns (losses, grads, held): ``held`` holds the step's stop-gradient
+    quantities, the straight-through residuals and both views' transport
+    targets, which the backward treats as constants.
 
     The step's B x B arrays live in ``buffers``, a dict that `fit` keeps for
     the whole run so a step allocates none of them; None gives the call a
@@ -236,8 +230,8 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffer
     ``keep_diagonal``) and, in the packed layout only, the B x B
     similarities (``square``), whose buffer the backward reuses for the
     scattered gradient. After the call the logits buffers hold the affinity
-    cross-entropy gradients. The affinity targets in ``frozen_pack`` alias
-    the store: the next step on the same store overwrites them.
+    cross-entropy gradients. The affinity targets in ``held`` alias the
+    store: the next step on the same store overwrites them.
     """
     buffers = {} if buffers is None else buffers
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
@@ -246,12 +240,14 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffer
     layout = (b, b) if cfg.keep_diagonal else (b, b - 1)
     square = None if cfg.keep_diagonal else _buffer(buffers, "square", (b, b))
 
-    # one forward pass per view: encode, affinity and assignment logits, and
-    # (unless frozen) both transport targets
+    # one encoder pass over both views: view v is rows [v*b, (v+1)*b). Per
+    # view: the straight-through (its own polar factor), the affinity and
+    # assignment logits, and both transport targets
+    z_raw, cache = _encode(model, np.concatenate((x1, x2)))
     views, w_logits, h_logits, w_targets, p_targets = [], [], [], [], []
-    for v, x in enumerate((x1, x2)):
-        view = _encode_view(model, x, cfg, None if frozen is None else frozen.st_residuals[v])
-        z = view[3]
+    for v in (0, 1):
+        views.append(_straight_through(z_raw[v * b : (v + 1) * b], cfg))
+        z = views[v][1]
         logits = _buffer(buffers, f"logits{v}", layout)
         # a copied transpose keeps numpy off its much slower z @ z.T (syrk)
         # path; with the diagonal kept the similarities are the logits
@@ -259,61 +255,55 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffer
         if square is not None:
             off_diagonal(square, out=logits)
         h = z @ protos.T
-        if frozen is None:
-            target = _buffer(buffers, f"target{v}", layout)
-            w_targets.append(
-                sinkhorn_algorithm1(logits, cfg.eta, cfg.sinkhorn_iters, out=target).plan
-            )
-            p_targets.append(sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan)
-        views.append(view)
+        target = _buffer(buffers, f"target{v}", layout)
+        w_targets.append(sinkhorn_algorithm1(logits, cfg.eta, cfg.sinkhorn_iters, out=target).plan)
+        p_targets.append(sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan)
         w_logits.append(logits)
         h_logits.append(h)
-    if frozen is not None:
-        w_targets, p_targets = frozen.affinity_targets, frozen.assignment_targets
 
-    # swapped prediction: view u's target supervises view v's logits. One
-    # pass per view: its losses, its temperature-gradient terms, and its
-    # backward through the straight-through (identity), the row
-    # normalization of the raw embeddings and the encoder; targets and
-    # residuals are constants
+    # swapped prediction: view u's target supervises view v's logits. Per
+    # view: its losses, its temperature-gradient terms and its rows of the
+    # embedding gradient; then one backward for both views through the
+    # straight-through (identity), the row normalization of the raw
+    # embeddings and the encoder. Targets and residuals are constants
     la = lc = penalty = 0.0
-    grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
+    grad_z = np.empty_like(z_raw)
     grad_protos_norm = np.zeros_like(protos)
     grad_tau = np.zeros(2)  # d total / d (tau_a, tau_c)
     for v in (0, 1):
         u = 1 - v
-        z_raw, cache, _, z = views[v]
+        z = views[v][1]
         # the gradient overwrites the logits, which nothing reads again
         loss_a, g_a = softmax_cross_entropy(w_targets[u], w_logits[v], tau_a, out=w_logits[v])
         loss_c, g_c = softmax_cross_entropy(p_targets[u], h_logits[v], tau_c)
         la += loss_a
         lc += loss_c
         # the similarities are spent, so the scatter reuses their buffer
-        grad_z = affinity_grad_to_embeddings(g_a, z, out=square)
+        g = affinity_grad_to_embeddings(g_a, z, out=square)
         # the affinity logits are z @ z.T (off the diagonal unless
         # keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2: one B x D
         # product instead of reading the two B x B logit and gradient planes
-        grad_tau[0] += -0.5 * float(np.vdot(grad_z, z)) / tau_a
-        grad_z = grad_z + cfg.lam * (g_c @ protos)
+        grad_tau[0] += -0.5 * float(np.vdot(g, z)) / tau_a
+        g = g + cfg.lam * (g_c @ protos)
         if cfg.orth_mode == "penalty":
             pen, grad_pen = orthogonal_penalty(z, cfg.penalty_rho)
             penalty += pen
-            grad_z = grad_z + grad_pen
+            g = g + grad_pen
+        grad_z[v * b : (v + 1) * b] = g
         grad_protos_norm += cfg.lam * (g_c.T @ z)
         grad_tau[1] += -cfg.lam * float(np.vdot(g_c, h_logits[v])) / tau_c
 
-        grad_raw = row_normalize_vjp(z_raw, grad_z)
-        layer_grads = net.backward(model, cache, grad_raw)
-        for i, (gw, gb) in enumerate(layer_grads):
-            grads[f"layer{i}.weight"] += gw
-            grads[f"layer{i}.bias"] += gb
-
-    grads["prototypes"] += row_normalize_vjp(model.prototypes, grad_protos_norm)
+    grads = {}
+    for i, (gw, gb) in enumerate(net.backward(model, cache, row_normalize_vjp(z_raw, grad_z))):
+        grads[f"layer{i}.weight"] = gw
+        grads[f"layer{i}.bias"] = gb
+    grads["prototypes"] = row_normalize_vjp(model.prototypes, grad_protos_norm)
     grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
 
     # the residuals are the moves the straight-through applies to unit rows;
     # a target's rows sum to 1, so only a kept diagonal holds self-affinity
-    resid_norm = float(np.linalg.norm(views[0][2]) + np.linalg.norm(views[1][2]))
+    resids = (views[0][0], views[1][0])
+    resid_norm = float(np.linalg.norm(resids[0]) + np.linalg.norm(resids[1]))
     self_mass = float(sum(np.trace(w) for w in w_targets)) if cfg.keep_diagonal else 0.0
     losses = StepLosses(
         affinity_loss=la,
@@ -322,12 +312,7 @@ def _compute_step(model, x1, x2, cfg, frozen: FrozenStopGradients | None, buffer
         mean_inconsistency=resid_norm / (2.0 * b**0.5),
         cross_affinity_intensity=1.0 - self_mass / (2.0 * b),
     )
-    frozen_pack = FrozenStopGradients(
-        st_residuals=(views[0][2], views[1][2]),
-        affinity_targets=tuple(w_targets),
-        assignment_targets=tuple(p_targets),
-    )
-    return losses, grads, frozen_pack
+    return losses, grads, FrozenStopGradients(resids, tuple(w_targets), tuple(p_targets))
 
 
 def train_step(
@@ -348,7 +333,7 @@ def train_step(
     x2 = augment(x, cfg, rng)
     if np.ptp(x1, axis=0).max() == 0.0:
         warnings.warn("degenerate batch: all augmented rows identical", RuntimeWarning)
-    losses, grads, _ = _compute_step(model, x1, x2, cfg, None, buffers)
+    losses, grads, _ = _compute_step(model, x1, x2, cfg, buffers)
     if not np.isfinite(losses.total_loss):
         raise TrainingAbortError(f"non-finite total loss {losses.total_loss!r}")
     model = net.sgd_step(model, opt, grads, lr)

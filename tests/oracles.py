@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: brute-force enumeration, central
 finite differences, exact linear programs, and direct formula evaluation.
-None of it shares code with the implementations under test. The Sinkhorn
+None of it shares code with the implementation it checks. The Sinkhorn
 references are the package's earlier solver loops, kept as they were
 written: the fixed-count loop rescales the whole matrix at every half-sweep,
 and the tolerance loops rebuild the plan after every sweep to measure its
@@ -11,7 +11,10 @@ embedding (every eigenpair from ``np.linalg.eigh``, the leading K kept); it
 clusters with the package's k-means, which is not what it checks. The
 affinity-backward references are the trainer's earlier forms: the two plain
 products into the embeddings, and the temperature gradient read off the
-B x B logit and gradient planes.
+B x B logit and gradient planes. `held_step_loss` is the training step's
+loss written out from the package's forward pieces (encoder forward, row
+normalization, orthogonality penalty) and this module's cross entropy and
+masks; it runs no part of the step.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
+from otsc import network as net
 from otsc.errors import SinkhornUnderflowError
+from otsc.spectral import orthogonal_penalty, row_normalize
 
 
 def central_difference(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -313,6 +318,36 @@ def logit_form_tau_grad(views_z, targets, tau: float, keep_diagonal: bool) -> fl
         logits = sims if keep_diagonal else mask_off_diagonal(sims)
         _, grad = two_exp_cross_entropy(targets[1 - v], logits, tau)
         total -= float(np.vdot(grad, logits)) / tau
+    return total
+
+
+def held_embeddings(model, x1, x2, held) -> list[np.ndarray]:
+    """Each view's straight-through value with its residual held at
+    ``held.st_residuals``: row_normalize(forward(x_v)) + resid_v, each view
+    encoded on its own."""
+    return [
+        row_normalize(net.forward(model, x)[0]) + resid
+        for x, resid in zip((x1, x2), held.st_residuals)
+    ]
+
+
+def held_step_loss(model, x1, x2, cfg, held) -> float:
+    """Swapped-prediction total loss with the stop-gradient quantities (the
+    straight-through residuals and both views' targets) held at ``held``:
+    the smooth function of the parameters whose gradient the training step
+    reports. View v's logits are scored against view 1 - v's targets."""
+    tau_a, tau_c = net.effective_tau(model.log_tau)
+    protos = row_normalize(model.prototypes)
+    total = 0.0
+    for v, z in enumerate(held_embeddings(model, x1, x2, held)):
+        sims = z @ z.T
+        logits = sims if cfg.keep_diagonal else mask_off_diagonal(sims)
+        total += two_exp_cross_entropy(held.affinity_targets[1 - v], logits, tau_a)[0]
+        total += cfg.lam * two_exp_cross_entropy(
+            held.assignment_targets[1 - v], z @ protos.T, tau_c
+        )[0]
+        if cfg.orth_mode == "penalty":
+            total += orthogonal_penalty(z, cfg.penalty_rho)[0]
     return total
 
 

@@ -126,6 +126,10 @@ class TestClassicalSpectral:
         with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
             SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
 
+    def test_sigma_refused_under_self_tuning(self):
+        with pytest.raises(ValueError, match="^sigma applies to bandwidth_mode 'fixed' only$"):
+            SpectralConfig(num_clusters=2, sigma=0.5)
+
     def test_negative_seed_refused_before_the_affinity(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the affinity was built for a refused seed")

@@ -339,8 +339,8 @@ def _sidecar(tmp_path, text):
     return _baseline("kmeans", path)
 
 
-def _gen(tmp_path, *flags):
-    return ["gen-dataset", "--kind", "blobs", "--n", "40", "--out", str(tmp_path / "g.csv"), *flags]
+def _gen(tmp_path, *flags, kind="blobs"):
+    return ["gen-dataset", "--kind", kind, "--n", "40", "--out", str(tmp_path / "g.csv"), *flags]
 
 
 def _npy_checkpoint(tmp_path, run):
@@ -547,6 +547,38 @@ BAD_INPUTS = {
         1, "error: separation must be positive\n"),
     "zero blob dim on gen-dataset": (
         lambda tmp, run: _gen(tmp, "--dim", "0"), 1, "error: dim must be positive\n"),
+    "dim on moons": (
+        lambda tmp, run: _gen(tmp, "--dim", "5", kind="moons"),
+        1, "error: dim applies to blobs only\n"),
+    "k on rings": (
+        lambda tmp, run: _gen(tmp, "--k", "9", kind="rings"), 1, "error: k applies to blobs only\n"),
+    "separation on moons": (
+        lambda tmp, run: _gen(tmp, "--separation", "-3", kind="moons"),
+        1, "error: separation applies to blobs only\n"),
+    "sigma under the self-tuning bandwidth": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--sigma", "0.5"),
+        1, "error: sigma applies to bandwidth_mode 'fixed' only\n"),
+    "bandwidth mode on kmeans": (
+        lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--bandwidth-mode", "fixed"),
+        1, "error: --bandwidth-mode applies to --method spectral only\n"),
+    "sigma on kmeans": (
+        lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--sigma", "0.5"),
+        1, "error: --sigma applies to --method spectral only\n"),
+    "k-neighbor on kmeans": (
+        lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--k-neighbor", "0"),
+        1, "error: --k-neighbor applies to --method spectral only\n"),
+    "restarts on spectral": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--restarts", "3"),
+        1, "error: --restarts applies to --method kmeans only\n"),
+    "iterations on the marginal variant": (
+        lambda tmp, run: _ot_debug(tmp, "--variant", "marginal", "--iterations", "3"),
+        1, "error: --iterations applies to --variant algorithm1 only\n"),
+    "tol on algorithm1": (
+        lambda tmp, run: _ot_debug(tmp, "--tol", "nan"),
+        1, "error: --tol applies to --variant marginal only\n"),
+    "max-iter on algorithm1": (
+        lambda tmp, run: _ot_debug(tmp, "--variant", "algorithm1", "--max-iter", "0"),
+        1, "error: --max-iter applies to --variant marginal only\n"),
 }
 
 

@@ -157,8 +157,8 @@ class TestClusteringLoss:
                     num_clusters=2, embed_dim=3, batch_size=8,
                     orth_mode=mode, keep_diagonal=keep_diagonal,
                 )
-                _, _, frozen = _compute_step(model, x1, x2, cfg, None)
-                for target in frozen.assignment_targets:
+                _, _, held = _compute_step(model, x1, x2, cfg)
+                for target in held.assignment_targets:
                     assert (target >= 0).all(), (mode, keep_diagonal)
                     assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
 

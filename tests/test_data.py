@@ -56,6 +56,22 @@ class TestGenerators:
         assert str(info.value) == message
 
 
+    @pytest.mark.parametrize("kind", ["moons", "rings"])
+    @pytest.mark.parametrize("name, value", [("k", 4), ("separation", 10.0), ("dim", 2)])
+    def test_blob_settings_refused_for_other_kinds(self, kind, name, value):
+        # even at the blobs default: the setting would be ignored
+        with pytest.raises(ValueError) as info:
+            gen_dataset(kind, 100, 0.1, 0, **{name: value})
+        assert str(info.value) == f"{name} applies to blobs only"
+
+    def test_blob_defaults(self):
+        ds = gen_dataset("blobs", 100, 0.1, 0)
+        assert ds.dim == 2 and ds.labels.max() == 3
+        assert ds.features.tobytes() == gen_dataset(
+            "blobs", 100, 0.1, 0, k=4, separation=10.0, dim=2
+        ).features.tobytes()
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         ds = gen_dataset("blobs", 50, noise=0.7, seed=3, k=3, dim=3)

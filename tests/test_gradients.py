@@ -1,26 +1,20 @@
 """Finite-difference verification of the full training-step backward.
 
-The differenced function holds the stop-gradient quantities (transport
-targets and the orthogonalization residual) at their base-point values,
-which is exactly the function whose gradient the step reports.
+The differenced function is `oracles.held_step_loss`: the step's loss with
+the stop-gradient quantities (transport targets and the orthogonalization
+residual) held at their base-point values, which is exactly the function
+whose gradient the step reports. It is written out apart from the step.
 """
 
 import numpy as np
 import pytest
 
-from oracles import logit_form_tau_grad
+from oracles import held_embeddings, held_step_loss, logit_form_tau_grad
 from otsc import network as net
-from otsc.trainer import TrainConfig, _compute_step, _encode_view
+from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step
 
 REL_TOL = 1e-4  # double precision, central differences
 H = 1e-6
-
-
-def step_loss(model, x1, x2, cfg, frozen):
-    """Step loss with the stop-gradient quantities held at ``frozen``: the
-    smooth function whose exact gradient `_compute_step` reports."""
-    losses, _, _ = _compute_step(model, x1, x2, cfg, frozen)
-    return losses.total_loss
 
 
 def clone(m):
@@ -54,7 +48,7 @@ def build_instance(mode, keep_diagonal=False, seed=0):
 
 
 def check_all_parameters(model, cfg, x1, x2):
-    _, grads, frozen = _compute_step(model, x1, x2, cfg, None)
+    _, grads, held = _compute_step(model, x1, x2, cfg)
     failures = {}
     for name, arr in model.named_arrays():
         got = grads[name]
@@ -64,10 +58,10 @@ def check_all_parameters(model, cfg, x1, x2):
             ix = it.multi_index
             m2 = clone(model)
             dict(m2.named_arrays())[name][ix] += H
-            up = step_loss(m2, x1, x2, cfg, frozen)
+            up = held_step_loss(m2, x1, x2, cfg, held)
             m2 = clone(model)
             dict(m2.named_arrays())[name][ix] -= H
-            down = step_loss(m2, x1, x2, cfg, frozen)
+            down = held_step_loss(m2, x1, x2, cfg, held)
             fd[ix] = (up - down) / (2 * H)
         # the two log temperatures are separate scalars whose gradients
         # differ in scale, so each is held to its own finite difference
@@ -93,19 +87,20 @@ def test_full_step_gradients_keep_diagonal():
 def test_clamped_temperature_has_zero_gradient():
     model, cfg, x1, x2 = build_instance("procrustes")
     model.log_tau[0] = 0.4  # above the cap: effective affinity tau pinned at 1
-    _, grads, _ = _compute_step(model, x1, x2, cfg, None)
+    _, grads, _ = _compute_step(model, x1, x2, cfg)
     assert grads["log_tau"][0] == 0.0
     assert grads["log_tau"][1] != 0.0
 
 
-def test_targets_receive_no_gradient():
-    # gradients computed with live targets equal gradients computed with the
-    # same targets passed as frozen constants, bitwise
-    model, cfg, x1, x2 = build_instance("procrustes", seed=3)
-    _, grads_live, frozen = _compute_step(model, x1, x2, cfg, None)
-    _, grads_frozen, _ = _compute_step(model, x1, x2, cfg, frozen)
-    for name in grads_live:
-        assert np.array_equal(grads_live[name], grads_frozen[name])
+@pytest.mark.parametrize("keep_diagonal", [False, True])
+@pytest.mark.parametrize("mode", TRAINER_ORTH_MODES)
+def test_held_loss_equals_the_live_step_loss(mode, keep_diagonal):
+    # at the base point the held function is the step's own loss, so the
+    # finite differences above difference the function the step reports
+    model, cfg, x1, x2 = build_instance(mode, keep_diagonal=keep_diagonal, seed=3)
+    losses, _, held = _compute_step(model, x1, x2, cfg)
+    want = losses.total_loss
+    assert abs(held_step_loss(model, x1, x2, cfg, held) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("keep_diagonal", [False, True])
@@ -114,12 +109,9 @@ def test_tau_a_gradient_matches_logit_form(mode, keep_diagonal):
     # the step takes it from the B x D embedding gradient; the oracle reads
     # the B x B logit and gradient planes
     model, cfg, x1, x2 = build_instance(mode, keep_diagonal=keep_diagonal)
-    _, grads, frozen = _compute_step(model, x1, x2, cfg, None)
-    views_z = [
-        _encode_view(model, x, cfg, frozen.st_residuals[v])[3]
-        for v, x in enumerate((x1, x2))
-    ]
+    _, grads, held = _compute_step(model, x1, x2, cfg)
+    views_z = held_embeddings(model, x1, x2, held)
     tau_a = net.effective_tau(model.log_tau)[0]
-    want = logit_form_tau_grad(views_z, frozen.affinity_targets, tau_a, keep_diagonal)
+    want = logit_form_tau_grad(views_z, held.affinity_targets, tau_a, keep_diagonal)
     want *= net.tau_grad_scale(model.log_tau)[0]
     assert abs(grads["log_tau"][0] - want) <= 1e-12 * abs(want)

@@ -23,7 +23,7 @@ from otsc.spectral import (
     scatter_off_diagonal,
     softmax_cross_entropy,
 )
-from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, _encode_view
+from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, _straight_through
 from otsc.transport import TransportPlan
 
 FIG_Z = np.array([[-0.94, 0.34], [0.87, 0.50]])
@@ -46,17 +46,24 @@ def encoder_view(seed, orth_mode="procrustes"):
     return net.init_model(4, 3, 2, rng, hidden=(6,)), rng.normal(size=(8, 4)), cfg
 
 
+def straight_through_view(model, x, cfg):
+    """One view as the trainer encodes it: (z_raw, straight-through
+    residual, straight-through value)."""
+    z_raw, _ = net.forward(model, x)
+    return (z_raw, *_straight_through(z_raw, cfg))
+
+
 def step_targets(kind, seed=11):
     """``(orth_mode, keep_diagonal, target)`` for every target of ``kind``
-    (``"affinity_targets"`` or ``"assignment_targets"``) in the frozen pack of
-    one training step, in every orth mode with ``keep_diagonal`` off and on."""
+    (``"affinity_targets"`` or ``"assignment_targets"``) that one training
+    step holds, in every orth mode with ``keep_diagonal`` off and on."""
     for mode in TRAINER_ORTH_MODES:
         for keep_diagonal in (False, True):
             model, x1, cfg = encoder_view(seed, mode)
             cfg = replace(cfg, keep_diagonal=keep_diagonal)
             x2 = x1 + 0.1 * np.random.default_rng(seed + 1).normal(size=x1.shape)
-            _, _, frozen = _compute_step(model, x1, x2, cfg, None)
-            for target in getattr(frozen, kind):
+            _, _, held = _compute_step(model, x1, x2, cfg)
+            for target in getattr(held, kind):
                 yield mode, keep_diagonal, target
 
 
@@ -127,7 +134,7 @@ class TestCrossAffinity:
         # affinity unit-norm rows, whatever the orthogonalization mode
         for mode in TRAINER_ORTH_MODES:
             model, x, cfg = encoder_view(0, mode)
-            z = _encode_view(model, x, cfg)[3]
+            z = straight_through_view(model, x, cfg)[2]
             assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() <= 1e-14, mode
             assert np.abs(off_diagonal(z @ z.T)).max() <= 1.0 + 1e-14, mode
 
@@ -327,7 +334,7 @@ class TestStraightThrough:
 
     def test_forward_equals_new_value(self):
         model, x, cfg = encoder_view(7)
-        z_raw, _, _, z = _encode_view(model, x, cfg)
+        z_raw, _, z = straight_through_view(model, x, cfg)
         z_new = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
         assert np.abs(z - z_new).max() <= 1e-15
 
@@ -337,7 +344,7 @@ class TestStraightThrough:
         # z_new, and it reaches the raw embeddings through the normalization
         # Jacobian alone because the residual z_new - z is a constant
         model, x, cfg = encoder_view(8)
-        z_raw, _, resid, z = _encode_view(model, x, cfg)
+        z_raw, resid, z = straight_through_view(model, x, cfg)
         t = np.random.default_rng(9).normal(size=z.shape)
         upstream = z - t
         z_new = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
@@ -351,7 +358,7 @@ class TestStraightThrough:
         # orth_mode "none" skips orthogonalize: the view is the normalized
         # raw embedding, with a zero residual
         model, x, cfg = encoder_view(5, orth_mode="none")
-        z_raw, _, resid, z = _encode_view(model, x, cfg)
+        z_raw, resid, z = straight_through_view(model, x, cfg)
         assert (resid == 0.0).all()
         assert (z == row_normalize(z_raw)).all()
 
