@@ -3,7 +3,8 @@
 The spectral baseline follows the classical three-stage recipe: a Gaussian
 affinity (fixed bandwidth or self-tuning per-point bandwidths from the
 k-th nearest neighbor), row normalization to a random-walk matrix, top-K
-eigenvectors, then k-means on the embedding rows.
+eigenvectors (LAPACK's evr driver through scipy), then k-means on the
+embedding rows.
 """
 
 from __future__ import annotations
@@ -11,14 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import as_matrix, check_finite_fields, sym_eig
+from .errors import as_matrix, check_finite_fields
 from .spectral import row_normalize
 
-__all__ = ["SpectralConfig", "kmeans_lloyd", "classical_spectral", "kmeans_plusplus_seed"]
+__all__ = [
+    "SpectralConfig", "kmeans_lloyd", "classical_spectral", "kmeans_plusplus_seed", "sym_eig",
+]
 
 _MAX_LLOYD_ITER = 100
 _DENSE_EIG_BOUND = 4096
+# asymmetry `sym_eig` tolerates, relative to the largest entry magnitude
+SYM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,30 @@ def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     np.exp(d2, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
+
+
+def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` leading eigenpairs of a symmetric matrix.
+
+    ``a`` must be finite, square and symmetric within ``SYM_TOL`` (scaled
+    by the largest entry magnitude), and ``1 <= k <= n``. LAPACK's
+    relatively robust representation driver (evr) computes only the
+    requested pairs. Returns ``(eigenvalues, eigenvectors)``: the k largest
+    eigenvalues, nonincreasing, and the matching orthonormal columns.
+    """
+    a = as_matrix(a)
+    m, n = a.shape
+    if m != n:
+        raise ValueError(f"sym_eig requires a square matrix, got {m}x{n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"sym_eig needs 1 <= k <= {n}, got k={k}")
+    scale = max(1.0, float(np.abs(a).max()))
+    asym = a - a.T
+    if float(np.abs(asym, out=asym).max()) > SYM_TOL * scale:
+        raise ValueError("sym_eig input is not symmetric within tolerance")
+    # as_matrix has checked finiteness; LAPACK returns ascending order
+    evals, evecs = scipy.linalg.eigh(a, subset_by_index=[n - k, n - 1], check_finite=False)
+    return evals[::-1], evecs[:, ::-1]
 
 
 def kmeans_plusplus_seed(x, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,7 +201,7 @@ def classical_spectral(
     conjugate = np.add(s, s.T)
     del s  # one n x n buffer fewer while the eigensolver copies its input
     conjugate *= 0.5
-    top = sym_eig(conjugate, k=cfg.num_clusters).eigenvectors
+    _, top = sym_eig(conjugate, k=cfg.num_clusters)
     # map back to eigenvectors of D^-1 S and renormalize each column
     embeddings = inv_sqrt[:, None] * top
     embeddings /= np.linalg.norm(embeddings, axis=0, keepdims=True)

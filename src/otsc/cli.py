@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__
 from .baselines import SpectralConfig, classical_spectral, kmeans_lloyd
 from .data import Dataset, gen_dataset, load_dataset, save_dataset
-from .errors import NumericalError
-from .linalg import as_matrix
+from .errors import NumericalError, as_matrix
 from .metrics import ClusteringReport, evaluate
 from .network import load_checkpoint, save_checkpoint
 from .trainer import TRAINER_ORTH_MODES, EpochRecord, TrainConfig, TrainHistory, fit, predict
@@ -230,6 +229,9 @@ def _cmd_baseline(args) -> None:
     if ds.labels is None:
         raise ValueError("baseline evaluation needs a labeled dataset")
     k = args.k if args.k is not None else int(ds.labels.max()) + 1
+    if k < 2:
+        source = "--k" if args.k is not None else "the dataset's labels"
+        raise ValueError(f"baseline needs k >= 2 clusters, got k={k} from {source}")
     if args.method == "kmeans":
         labels, _, _ = kmeans_lloyd(ds.features, k, seed=args.seed, **_given(args, ("restarts",)))
     else:

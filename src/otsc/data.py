@@ -163,7 +163,9 @@ def load_dataset(path) -> Dataset:
     raises ``ValueError`` naming the file and, for a bad entry, the data row
     (1-based, after the header) and the column. So does a sidecar that is
     not a JSON object or holds a ``name`` that is not a string or a
-    ``generator_seed`` that is not an integer, naming the sidecar.
+    ``generator_seed`` that is not an integer, naming the sidecar. A row
+    numpy cannot parse and labels that are not 0..K-1 raise it with the
+    file put before numpy's or `Dataset`'s message.
     """
     path = Path(path)
     if not path.exists():
@@ -175,7 +177,10 @@ def load_dataset(path) -> Dataset:
     if not has_rows:
         raise ValueError(f"{path}: no data rows")
     has_labels = header[-1] == "label"
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     meta_path = Path(str(path) + ".meta.json")
     meta = {}
     if meta_path.exists():
@@ -209,4 +214,7 @@ def load_dataset(path) -> Dataset:
         labels = labels.astype(np.int64)
     else:
         labels = None
-    return Dataset(name=name, features=features, labels=labels, generator_seed=seed)
+    try:
+        return Dataset(name=name, features=features, labels=labels, generator_seed=seed)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoisonedUpdateError
-from .linalg import check_finite_fields
+from .errors import PoisonedUpdateError, check_finite_fields
 
 __all__ = [
     "ModelState",

@@ -4,8 +4,8 @@ The affinity over a batch is a row-softmax of pairwise cosine similarities
 with the diagonal removed, so each sample distributes one unit of affinity
 over the other B-1 samples. Orthogonalization offers two strategies: the
 polar factor (nearest column-orthonormal matrix in Frobenius norm) or the QR
-factor; the trainer makes it trainable with a straight-through backward that
-passes gradients through unchanged.
+factor, both from LAPACK through numpy; the trainer makes it trainable with
+a straight-through backward that passes gradients through unchanged.
 
 These run on every training step and trust their inputs (finite float64
 matrices, row-stochastic targets); inputs are validated where they enter.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import qr_decompose, thin_svd
+from .errors import RankError
 
 __all__ = [
     "OrthogonalizationResult",
@@ -26,6 +26,7 @@ __all__ = [
     "scatter_off_diagonal",
     "softmax_cross_entropy",
     "affinity_grad_to_embeddings",
+    "thin_svd",
     "orthogonalize",
     "orthogonal_penalty",
     "row_normalize",
@@ -118,29 +119,47 @@ def affinity_grad_to_embeddings(
     return a @ z + (z.T.copy() @ a).T
 
 
+def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``a = u @ diag(s) @ vt`` of a tall (or square) matrix.
+
+    Requires ``m >= n``; callers with wide inputs transpose first. Returns
+    numpy's ``(u, s, vt)``: exactly ``n`` factors, ``s`` nonincreasing.
+    """
+    m, n = a.shape
+    if m < n:
+        raise ValueError(f"thin_svd requires m >= n, got {m}x{n}; transpose at call site")
+    return np.linalg.svd(a, full_matrices=False)
+
+
 def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationResult:
     """Map B x D embeddings (B >= D) to a column-orthonormal matrix.
 
-    ``procrustes`` returns the polar factor u @ v.T of the thin SVD, the
+    ``procrustes`` returns the polar factor u @ vt of the thin SVD, the
     closest column-orthonormal matrix in Frobenius norm. ``qr`` returns the
-    Q factor with column signs fixed so diag(q) >= 0 (the convention under
-    which the QR route moves the embeddings much further than the polar
-    factor does).
+    reduced Q factor with column signs fixed so diag(q) >= 0 (the convention
+    under which the QR route moves the embeddings much further than the
+    polar factor does); it raises :class:`RankError` when a diagonal entry
+    of R falls at or below ``1e-12 * max|z|``.
     """
     warning = None
     if mode == "procrustes":
-        svd = thin_svd(z)
-        s_max = float(svd.singular_values[0])
-        s_min = float(svd.singular_values[-1])
+        u, s, vt = thin_svd(z)
+        s_max = float(s[0])
+        s_min = float(s[-1])
         if s_min < 1e-10 * s_max or s_max == 0.0:
             warning = (
                 f"ill-conditioned polar factor: sigma_min={s_min:.3e}, "
                 f"sigma_max={s_max:.3e}"
             )
             warnings.warn(warning, RuntimeWarning, stacklevel=2)
-        z_new = svd.u @ svd.v.T
+        z_new = u @ vt
     elif mode == "qr":
-        q, _ = qr_decompose(z)
+        m, n = z.shape
+        if m < n:
+            raise ValueError(f"qr requires m >= n, got {m}x{n}")
+        q, r = np.linalg.qr(z, mode="reduced")
+        if np.abs(np.diag(r)).min() <= 1e-12 * np.abs(z).max():
+            raise RankError("qr input is numerically rank-deficient")
         z_new = q * np.where(np.diag(q) < 0, -1.0, 1.0)
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'procrustes' or 'qr'")

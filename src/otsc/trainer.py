@@ -19,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network as net
-from .errors import NumericalError, TrainingAbortError
-from .linalg import as_matrix, check_finite_fields
+from .errors import NumericalError, TrainingAbortError, as_matrix, check_finite_fields
 from .spectral import (
     affinity_grad_to_embeddings,
     off_diagonal,

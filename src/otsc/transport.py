@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SinkhornUnderflowError
-from .linalg import as_matrix
+from .errors import SinkhornUnderflowError, as_matrix
 
 __all__ = [
     "TransportPlan",

@@ -143,9 +143,9 @@ def eig_reconstruct(eigenvalues, eigenvectors) -> np.ndarray:
     return (eigenvectors * eigenvalues) @ eigenvectors.T
 
 
-def svd_reconstruct(u, singular_values, v) -> np.ndarray:
-    """``U @ diag(s) @ V.T`` from a thin SVD."""
-    return (u * singular_values) @ v.T
+def svd_reconstruct(u, singular_values, vt) -> np.ndarray:
+    """``U @ diag(s) @ Vt`` from a thin SVD."""
+    return (u * singular_values) @ vt
 
 
 def brute_force_matching_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:

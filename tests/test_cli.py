@@ -367,10 +367,23 @@ NAN_FEATURE = "input.csv: data row 2 has non-finite feature f1"
 BAD_INPUTS = {
     "ragged csv row": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1", "2,2,1"])),
-        1, "error: the number of columns changed"),
+        1, "/input.csv: the number of columns changed from 3 to 2 at row 2; "
+           "use `usecols` to select a subset and avoid this error\n"),
+    "non-numeric entry": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,x,1"])),
+        1, "/input.csv: could not convert string 'x' to float64 at row 1, column 2.\n"),
     "label gap": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1,2", "2,2,2"])),
-        1, "error: labels must be 0..K-1"),
+        1, "/input.csv: labels must be 0..K-1 with every class nonempty\n"),
+    "kmeans k of 1": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", TWELVE_ROWS), "--k", "1"),
+        1, "error: baseline needs k >= 2 clusters, got k=1 from --k\n"),
+    "single-class dataset on kmeans": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1,0", "2,2,0"])),
+        1, "error: baseline needs k >= 2 clusters, got k=1 from the dataset's labels\n"),
+    "single-class dataset on spectral": (
+        lambda tmp, run: _baseline("spectral", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1,0", "2,2,0"])),
+        1, "error: baseline needs k >= 2 clusters, got k=1 from the dataset's labels\n"),
     "header-only csv": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", [])),
         1, "input.csv: no data rows"),

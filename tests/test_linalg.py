@@ -1,9 +1,17 @@
+"""The factorizations: `sym_eig` (the spectral baseline's eigensolve),
+`thin_svd` and the QR route of `orthogonalize` (the training step's)."""
+
 import numpy as np
 import pytest
 
 from oracles import eig_reconstruct, svd_reconstruct
+from otsc.baselines import sym_eig
 from otsc.errors import RankError
-from otsc.linalg import qr_decompose, sym_eig, thin_svd
+from otsc.spectral import orthogonalize, thin_svd
+
+
+def qr_q(a):
+    return orthogonalize(a, "qr").z_new
 
 
 def random_symmetric(n, rng):
@@ -13,34 +21,33 @@ def random_symmetric(n, rng):
 
 class TestSymEig:
     def test_diagonal_input(self):
-        res = sym_eig(np.diag([5.0, 1.0]), k=2)
-        assert np.allclose(res.eigenvalues, [5.0, 1.0])
-        assert np.allclose(np.abs(res.eigenvectors), np.eye(2))
+        evals, evecs = sym_eig(np.diag([5.0, 1.0]), k=2)
+        assert np.allclose(evals, [5.0, 1.0])
+        assert np.allclose(np.abs(evecs), np.eye(2))
 
     def test_closed_form_2x2(self):
         # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 = 0
-        res = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]), k=2)
-        assert np.allclose(res.eigenvalues, [3.0, 1.0])
+        evals, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]), k=2)
+        assert np.allclose(evals, [3.0, 1.0])
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
         a = random_symmetric(8, rng)
-        res = sym_eig(a, k=8)
-        assert np.abs(eig_reconstruct(res.eigenvalues, res.eigenvectors) - a).max() <= 1e-8
+        evals, evecs = sym_eig(a, k=8)
+        assert np.abs(eig_reconstruct(evals, evecs) - a).max() <= 1e-8
 
     def test_sorted_nonincreasing_and_orthonormal(self):
         rng = np.random.default_rng(1)
         for n in (3, 8, 16, 64):
-            res = sym_eig(random_symmetric(n, rng), k=n)
-            assert (np.diff(res.eigenvalues) <= 1e-12).all()
-            q = res.eigenvectors
-            assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-10
+            evals, evecs = sym_eig(random_symmetric(n, rng), k=n)
+            assert (np.diff(evals) <= 1e-12).all()
+            assert np.abs(evecs.T @ evecs - np.eye(n)).max() <= 1e-10
 
     def test_psd_eigenvalues_nonnegative(self):
         rng = np.random.default_rng(2)
         b = rng.normal(size=(10, 6))
-        res = sym_eig(b.T @ b, k=6)
-        assert res.eigenvalues.min() >= -1e-10
+        evals, _ = sym_eig(b.T @ b, k=6)
+        assert evals.min() >= -1e-10
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -55,11 +62,11 @@ class TestSymEigLeading:
     @pytest.mark.parametrize("k", [1, 2, 12])
     def test_matches_full_eigh(self, k):
         a = random_symmetric(12, np.random.default_rng(10))
-        evals, evecs = np.linalg.eigh(a)  # ascending
-        res = sym_eig(a, k=k)
-        assert res.eigenvalues.shape == (k,) and res.eigenvectors.shape == (12, k)
-        assert np.abs(res.eigenvalues - evals[::-1][:k]).max() <= 1e-12
-        got, want = res.eigenvectors, evecs[:, ::-1][:, :k]
+        full_vals, full_vecs = np.linalg.eigh(a)  # ascending
+        evals, evecs = sym_eig(a, k=k)
+        assert evals.shape == (k,) and evecs.shape == (12, k)
+        assert np.abs(evals - full_vals[::-1][:k]).max() <= 1e-12
+        got, want = evecs, full_vecs[:, ::-1][:, :k]
         assert np.linalg.norm(got @ got.T - want @ want.T, 2) <= 1e-10
         # distinct eigenvalues: each column matches its own up to sign
         assert np.abs(np.abs(np.sum(got * want, axis=0)) - 1.0).max() <= 1e-10
@@ -67,10 +74,10 @@ class TestSymEigLeading:
     def test_leading_pairs_descending(self):
         a = random_symmetric(40, np.random.default_rng(11))
         for k in (1, 3, 17, 40):
-            res = sym_eig(a, k=k)
-            assert len(res.eigenvalues) == k
-            assert (np.diff(res.eigenvalues) <= 0).all()
-            assert np.abs(a @ res.eigenvectors - res.eigenvectors * res.eigenvalues).max() <= 1e-10
+            evals, evecs = sym_eig(a, k=k)
+            assert len(evals) == k
+            assert (np.diff(evals) <= 0).all()
+            assert np.abs(a @ evecs - evecs * evals).max() <= 1e-10
 
     @pytest.mark.parametrize("k", [0, -1, 6])
     def test_rejects_k_outside_1_to_n(self, k):
@@ -80,31 +87,31 @@ class TestSymEigLeading:
 
 class TestThinSvd:
     def test_identity(self):
-        res = thin_svd(np.eye(3))
-        assert np.allclose(res.singular_values, 1.0)
-        assert np.abs(res.u @ res.v.T - np.eye(3)).max() <= 1e-12
+        u, s, vt = thin_svd(np.eye(3))
+        assert np.allclose(s, 1.0)
+        assert np.abs(u @ vt - np.eye(3)).max() <= 1e-12
 
     def test_diagonal(self):
-        res = thin_svd(np.diag([3.0, 2.0]))
-        assert np.allclose(res.singular_values, [3.0, 2.0])
+        _, s, _ = thin_svd(np.diag([3.0, 2.0]))
+        assert np.allclose(s, [3.0, 2.0])
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 3))
-        res = thin_svd(a)
-        rebuilt = svd_reconstruct(res.u, res.singular_values, res.v)
+        u, s, vt = thin_svd(a)
+        rebuilt = svd_reconstruct(u, s, vt)
         assert np.abs(rebuilt - a).max() <= 1e-8 * np.abs(a).max()
 
     def test_factor_invariants(self):
         rng = np.random.default_rng(4)
         for m, n in ((5, 5), (12, 4), (64, 64)):
             a = rng.normal(size=(m, n))
-            res = thin_svd(a)
-            assert np.abs(res.u.T @ res.u - np.eye(n)).max() <= 1e-10
-            assert np.abs(res.v.T @ res.v - np.eye(n)).max() <= 1e-10
-            assert (np.diff(res.singular_values) <= 1e-12).all()
-            assert res.singular_values.min() >= 0.0
-            rebuilt = svd_reconstruct(res.u, res.singular_values, res.v)
+            u, s, vt = thin_svd(a)
+            assert np.abs(u.T @ u - np.eye(n)).max() <= 1e-10
+            assert np.abs(vt @ vt.T - np.eye(n)).max() <= 1e-10
+            assert (np.diff(s) <= 1e-12).all()
+            assert s.min() >= 0.0
+            rebuilt = svd_reconstruct(u, s, vt)
             assert np.abs(rebuilt - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
 
     def test_rejects_wide(self):
@@ -113,14 +120,15 @@ class TestThinSvd:
 
 
 class TestQr:
+    """The QR route of `orthogonalize`: the reduced Q factor, column signs
+    fixed so that diag(q) >= 0."""
+
     def test_identity(self):
-        q, r = qr_decompose(np.eye(3))
-        assert np.allclose(q, np.eye(3))
-        assert np.allclose(r, np.eye(3))
+        assert np.allclose(qr_q(np.eye(3)), np.eye(3))
 
     def test_reference_2x2_up_to_column_sign(self):
         z = np.array([[-0.94, 0.34], [0.87, 0.50]])
-        q, r = qr_decompose(z)
+        q = qr_q(z)
         want = np.array([[0.74, 0.68], [-0.68, 0.74]])
         for col in range(2):
             delta = min(
@@ -128,27 +136,29 @@ class TestQr:
                 np.abs(q[:, col] + want[:, col]).max(),
             )
             assert delta <= 0.02
-        assert (np.diag(r) >= 0).all()
+        assert (np.diag(q) >= 0).all()
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(5, 3))
-        q, r = qr_decompose(a)
-        assert np.abs(q @ r - a).max() <= 1e-8
+        q = qr_q(a)
+        assert np.abs(q @ (q.T @ a) - a).max() <= 1e-8
         assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-10
-        assert np.abs(np.tril(r, -1)).max() == 0.0
+        assert (np.diag(q) >= 0).all()
 
     def test_reconstruction_up_to_64(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(64, 64))
-        q, r = qr_decompose(a)
-        assert np.abs(q @ r - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
+        q = qr_q(a)
+        assert np.abs(q @ (q.T @ a) - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
+        assert np.abs(q.T @ q - np.eye(64)).max() <= 1e-10
+        assert (np.diag(q) >= 0).all()
 
     def test_rank_deficient_raises(self):
         a = np.ones((4, 2))  # second column dependent on first
         with pytest.raises(RankError):
-            qr_decompose(a)
+            qr_q(a)
 
     def test_rejects_wide(self):
-        with pytest.raises(ValueError):
-            qr_decompose(np.ones((2, 4)))
+        with pytest.raises(ValueError, match="m >= n"):
+            qr_q(np.ones((2, 4)))

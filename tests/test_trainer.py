@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +382,14 @@ class TestPredict:
         model, _ = fit(x, cfg)
         _, z = predict(model, x)
         assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() <= 1e-12
+
+
+def test_training_path_does_not_import_scipy():
+    # scipy serves the baselines and the metrics only; a fresh interpreter
+    # that imports the trainer from the sources under test must not load it
+    src = str(Path(net.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import otsc.trainer; print(sorted(" \
+        "m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
