@@ -9,6 +9,7 @@ reproduces the in-memory matrix exactly.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,6 +157,18 @@ def save_dataset(ds: Dataset, path) -> None:
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def _parse_error(message: str, header: list[str]) -> str:
+    """A loadtxt refusal with its data row counted from 1 after the header
+    (numpy counts from 0 for a bad entry, from 1 for a bad width)."""
+    if match := re.search(r"string (.*) to \w+ at row (\d+), column (\d+)", message):
+        entry, row, col = match.groups()
+        name = dict(enumerate(header, 1)).get(int(col), col)
+        return f"data row {int(row) + 1} has non-numeric entry {entry} in column {name}"
+    if match := re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", message):
+        return "data row {2} has {1} columns, expected {0}".format(*match.groups())
+    return message
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV (sidecar optional).
 
@@ -164,8 +177,9 @@ def load_dataset(path) -> Dataset:
     (1-based, after the header) and the column. So does a sidecar that is
     not a JSON object or holds a ``name`` that is not a string or a
     ``generator_seed`` that is not an integer, naming the sidecar. A row
-    numpy cannot parse and labels that are not 0..K-1 raise it with the
-    file put before numpy's or `Dataset`'s message.
+    numpy cannot parse (an entry that is not a number, a row of another
+    width) raises it naming the file and the data row, and labels that are
+    not 0..K-1 with the file put before `Dataset`'s message.
     """
     path = Path(path)
     if not path.exists():
@@ -180,7 +194,7 @@ def load_dataset(path) -> Dataset:
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise ValueError(f"{path}: {_parse_error(str(err), header)}") from None
     meta_path = Path(str(path) + ".meta.json")
     meta = {}
     if meta_path.exists():

@@ -41,35 +41,46 @@ class OrthogonalizationResult:
     warning: str | None = None
 
 
-def off_diagonal(square: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Drop the diagonal of a B x B matrix, keeping row-wise column order.
+def _kept_runs(full: np.ndarray, packed: np.ndarray, row0: int) -> list[tuple]:
+    """Flat views of a p x B panel (rows ``row0 ..`` of a B x B matrix) and of
+    its p x (B-1) form without entries (i, row0+i), paired where they hold
+    the same entries: those before the first dropped entry, the runs of B
+    between two (dropped entries lie B+1 apart), and those after the last."""
+    p, b = full.shape
+    if b < 2 or p < 1 or not 0 <= row0 <= b - p:
+        raise ValueError("expected a square matrix with at least 2 rows, or rows of one")
+    f, k = full.reshape(-1), packed.reshape(-1)
+    tail = row0 + (p - 1) * b
+    between = f[row0 + 1 : tail + p].reshape(p - 1, b + 1)[:, :b]
+    return [(f[:row0], k[:row0]), (between, k[row0:tail].reshape(p - 1, b)),
+            (f[tail + p :], k[tail:])]
 
-    ``out``, a C-contiguous B x (B-1) float64 array, receives the result
-    and is returned; by default a new array is.
-    """
-    b = square.shape[0]
-    if square.shape != (b, b) or b < 2:
-        raise ValueError("expected a square matrix with at least 2 rows")
-    out = np.empty((b, b - 1)) if out is None else out
-    # past entry (0, 0) the row-major entries fall into rows of B+1 that each
-    # end on a diagonal entry; dropping that column leaves the rest in order
-    out.reshape(b - 1, b)[...] = square.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b]
+
+def off_diagonal(
+    square: np.ndarray, *, row0: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Drop the diagonal of a B x B matrix, keeping row-wise column order, or
+    the entries (i, row0+i) of its p x B rows ``row0 ..``. ``out``, a
+    C-contiguous p x (B-1) float64 array, receives the result and is
+    returned; by default a new array is."""
+    out = np.empty((square.shape[0], square.shape[1] - 1)) if out is None else out
+    for full, packed in _kept_runs(square, out, row0):
+        packed[...] = full
     return out
 
 
-def scatter_off_diagonal(values: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of the diagonal removal: place B x (B-1) values into a
-    B x B matrix with zero diagonal.
-
-    ``out``, a C-contiguous B x B float64 array, receives the result and is
-    returned; by default a new array is.
-    """
-    b = values.shape[0]
-    if values.shape != (b, b - 1):
-        raise ValueError("expected a B x (B-1) matrix")
-    full = np.empty((b, b)) if out is None else out
-    full.reshape(-1)[:: b + 1] = 0.0
-    full.reshape(-1)[1:].reshape(b - 1, b + 1)[:, :b] = values.reshape(b - 1, b)
+def scatter_off_diagonal(
+    values: np.ndarray, *, row0: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of `off_diagonal`: B x (B-1) values, or p rows ``row0 ..`` of
+    them, placed into a B x B matrix, or p x B panel, with zeros where it
+    drops entries. ``out``, a C-contiguous p x B float64 array, receives the
+    result and is returned; by default a new array is."""
+    b = values.shape[1] + 1
+    full = np.empty((values.shape[0], b)) if out is None else out
+    for whole, packed in _kept_runs(full, values, row0):
+        whole[...] = packed
+    full.reshape(-1)[row0 :: b + 1] = 0.0
     return full
 
 
@@ -108,15 +119,25 @@ def affinity_grad_to_embeddings(
     The gradient comes in the layout the logits had: B x (B-1) for the
     off-diagonal logits, scattered here to a zero-diagonal B x B matrix A,
     or B x B for the full z @ z.T, taken as A unchanged. Then
-    d/dz = A @ z + A.T @ z. The second product is taken as (z.T @ A).T with
-    z.T copied contiguous: numpy's A.T @ z walks A by columns and is over
-    twice as slow at B = 1024, D = 2. ``out`` is passed to the scatter: a
-    B x B float64 array that holds A afterwards when given (a B x B
-    gradient leaves it untouched).
+    d/dz = A @ z + A.T @ z by row panels A[s:e]: rows s:e of A @ z, and
+    terms z.T[:, s:e] @ A[s:e] of the sum z.T @ A (z.T copied contiguous:
+    A.T @ z walks A by columns, over twice as slow at B = 1024, D = 2).
+    ``out``, a p x B float64 array, holds each scattered panel in turn and
+    sets their height; by default A is one panel, as a B x B gradient is.
     """
-    square = grad_logits.shape[0] == grad_logits.shape[1]
-    a = grad_logits if square else scatter_off_diagonal(grad_logits, out=out)
-    return a @ z + (z.T.copy() @ a).T
+    b = z.shape[0]
+    scatter = grad_logits.shape[1] == b - 1
+    panel = np.empty((b, b)) if scatter and out is None else out
+    rows = panel.shape[0] if scatter else b
+    zt, grad = z.T.copy(), np.empty_like(z)
+    for s in range(0, b, rows):
+        e = min(s + rows, b)
+        a = grad_logits[s:e]
+        a = scatter_off_diagonal(a, row0=s, out=panel[: e - s]) if scatter else a
+        np.matmul(a, z, out=grad[s:e])
+        zt_a = zt[:, s:e] @ a if s == 0 else zt_a + zt[:, s:e] @ a
+    grad += zt_a.T
+    return grad
 
 
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

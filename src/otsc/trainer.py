@@ -12,7 +12,10 @@ treats them as constants.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import warnings
+from concurrent import futures
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +46,14 @@ __all__ = [
 ]
 
 TRAINER_ORTH_MODES = ("procrustes", "qr", "none", "penalty")
+
+# The step's B x B work goes in row panels of at most this many bytes: one
+# fits a core's L2 cache (2 MB here), the 8 MB plane of B = 1024 does not.
+PANEL_BYTES = 512 * 1024
+# `fit` runs view 1 on a worker thread from this batch size on. Median ms per
+# step, serial / worker, 2 cores, 1 BLAS thread: B=100 1.64 / 2.10, B=192
+# 2.92 / 2.96, B=256 3.80 / 3.41, B=512 11.6 / 7.7, B=1024 41.9 / 25.1
+PARALLEL_MIN_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -215,7 +226,19 @@ def _buffer(store: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     return buf
 
 
-def _compute_step(model, x1, x2, cfg, buffers=None):
+def _both_views(fn, worker):
+    """``[fn(0), fn(1)]``. A worker (an executor with one thread) runs fn(1)
+    meanwhile; it is joined before an error is raised, view 0's if both fail."""
+    if worker is None:
+        return [fn(0), fn(1)]
+    second = worker.submit(fn, 1)
+    try:
+        return [fn(0), second.result()]
+    finally:
+        futures.wait([second])
+
+
+def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
     Returns (losses, grads, held): ``held`` holds the step's stop-gradient
@@ -226,71 +249,74 @@ def _compute_step(model, x1, x2, cfg, buffers=None):
     the whole run so a step allocates none of them; None gives the call a
     store of its own. The store holds each view's affinity logits and
     targets (``logits0/1``, ``target0/1``; B x (B-1), or B x B under
-    ``keep_diagonal``) and, in the packed layout only, the B x B
-    similarities (``square``), whose buffer the backward reuses for the
+    ``keep_diagonal``) and, in the packed layout only, a row panel of at
+    most `PANEL_BYTES` (``panel0/1``) for its similarities and then its
     scattered gradient. After the call the logits buffers hold the affinity
     cross-entropy gradients. The affinity targets in ``held`` alias the
     store: the next step on the same store overwrites them.
+
+    A ``worker`` runs view 1's targets, then its losses and backward, while
+    this thread runs view 0's. Buffers are made on this thread and the terms
+    summed in view order after the join: the worker changes no bit.
     """
     buffers = {} if buffers is None else buffers
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
     protos = row_normalize(model.prototypes)
     b = x1.shape[0]
     layout = (b, b) if cfg.keep_diagonal else (b, b - 1)
-    square = None if cfg.keep_diagonal else _buffer(buffers, "square", (b, b))
+    rows = min(b, max(1, PANEL_BYTES // (8 * b)))
 
-    # one encoder pass over both views: view v is rows [v*b, (v+1)*b). Per
-    # view: the straight-through (its own polar factor), the affinity and
-    # assignment logits, and both transport targets
-    z_raw, cache = _encode(model, np.concatenate((x1, x2)))
-    views, w_logits, h_logits, w_targets, p_targets = [], [], [], [], []
-    for v in (0, 1):
-        views.append(_straight_through(z_raw[v * b : (v + 1) * b], cfg))
-        z = views[v][1]
-        logits = _buffer(buffers, f"logits{v}", layout)
-        # a copied transpose keeps numpy off its much slower z @ z.T (syrk)
-        # path; with the diagonal kept the similarities are the logits
-        np.matmul(z, z.T.copy(), out=logits if square is None else square)
-        if square is not None:
-            off_diagonal(square, out=logits)
+    def forward(v):
+        # view v's straight-through (its own polar factor), logits and targets
+        resid, z = _straight_through(z_raw[v * b : (v + 1) * b], cfg)
+        zt = z.T.copy()  # keeps numpy off its much slower z @ z.T (syrk) path
+        if cfg.keep_diagonal:  # the similarities are the logits
+            np.matmul(z, zt, out=logits[v])
+        else:
+            for s in range(0, b, rows):
+                e = min(s + rows, b)
+                sims = np.matmul(z[s:e], zt, out=panels[v][: e - s])
+                off_diagonal(sims, row0=s, out=logits[v][s:e])
         h = z @ protos.T
-        target = _buffer(buffers, f"target{v}", layout)
-        w_targets.append(sinkhorn_algorithm1(logits, cfg.eta, cfg.sinkhorn_iters, out=target).plan)
-        p_targets.append(sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan)
-        w_logits.append(logits)
-        h_logits.append(h)
+        w = sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=targets[v]).plan
+        return resid, z, h, w, sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan
 
-    # swapped prediction: view u's target supervises view v's logits. Per
-    # view: its losses, its temperature-gradient terms and its rows of the
-    # embedding gradient; then one backward for both views through the
-    # straight-through (identity), the row normalization of the raw
-    # embeddings and the encoder. Targets and residuals are constants
-    la = lc = penalty = 0.0
-    grad_z = np.empty_like(z_raw)
-    grad_protos_norm = np.zeros_like(protos)
-    grad_tau = np.zeros(2)  # d total / d (tau_a, tau_c)
-    for v in (0, 1):
-        u = 1 - v
-        z = views[v][1]
+    def backward(v):
+        # swapped prediction: view 1 - v's targets supervise view v's logits.
+        # View v's loss and gradient terms, and its rows of grad_z
+        _, z, h, _, _ = views[v]
         # the gradient overwrites the logits, which nothing reads again
-        loss_a, g_a = softmax_cross_entropy(w_targets[u], w_logits[v], tau_a, out=w_logits[v])
-        loss_c, g_c = softmax_cross_entropy(p_targets[u], h_logits[v], tau_c)
-        la += loss_a
-        lc += loss_c
-        # the similarities are spent, so the scatter reuses their buffer
-        g = affinity_grad_to_embeddings(g_a, z, out=square)
+        loss_a, g_a = softmax_cross_entropy(views[1 - v][3], logits[v], tau_a, out=logits[v])
+        loss_c, g_c = softmax_cross_entropy(views[1 - v][4], h, tau_c)
+        g = affinity_grad_to_embeddings(g_a, z, out=panels[v])
         # the affinity logits are z @ z.T (off the diagonal unless
         # keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2: one B x D
         # product instead of reading the two B x B logit and gradient planes
-        grad_tau[0] += -0.5 * float(np.vdot(g, z)) / tau_a
+        grad_tau = [-0.5 * float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, h)) / tau_c]
         g = g + cfg.lam * (g_c @ protos)
+        pen = 0.0
         if cfg.orth_mode == "penalty":
             pen, grad_pen = orthogonal_penalty(z, cfg.penalty_rho)
-            penalty += pen
             g = g + grad_pen
         grad_z[v * b : (v + 1) * b] = g
-        grad_protos_norm += cfg.lam * (g_c.T @ z)
-        grad_tau[1] += -cfg.lam * float(np.vdot(g_c, h_logits[v])) / tau_c
+        return loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * (g_c.T @ z)
+
+    # one encoder pass over both views: view v is rows [v*b, (v+1)*b). Then
+    # per view its targets, and per view its losses and backward; then one
+    # backward for both views through the straight-through (identity), the
+    # row normalization of the raw embeddings and the encoder. Targets and
+    # residuals are constants
+    z_raw, cache = _encode(model, np.concatenate((x1, x2)))
+    # made after the encoder's activations, which then do not sit at the heap
+    # top that glibc trims (before, they cost a B=100 step 130 page faults)
+    logits = [_buffer(buffers, f"logits{v}", layout) for v in (0, 1)]
+    targets = [_buffer(buffers, f"target{v}", layout) for v in (0, 1)]
+    panels = [None if cfg.keep_diagonal else _buffer(buffers, f"panel{v}", (rows, b))
+              for v in (0, 1)]
+    grad_z = np.empty_like(z_raw)
+    views = _both_views(forward, worker)
+    # summed in view order; d total / d (tau_a, tau_c), d the unit prototypes
+    la, lc, penalty, grad_tau, grad_protos_norm = map(sum, zip(*_both_views(backward, worker)))
 
     grads = {}
     for i, (gw, gb) in enumerate(net.backward(model, cache, row_normalize_vjp(z_raw, grad_z))):
@@ -301,7 +327,7 @@ def _compute_step(model, x1, x2, cfg, buffers=None):
 
     # the residuals are the moves the straight-through applies to unit rows;
     # a target's rows sum to 1, so only a kept diagonal holds self-affinity
-    resids = (views[0][0], views[1][0])
+    resids, _, _, w_targets, p_targets = zip(*views)
     resid_norm = float(np.linalg.norm(resids[0]) + np.linalg.norm(resids[1]))
     self_mass = float(sum(np.trace(w) for w in w_targets)) if cfg.keep_diagonal else 0.0
     losses = StepLosses(
@@ -311,7 +337,7 @@ def _compute_step(model, x1, x2, cfg, buffers=None):
         mean_inconsistency=resid_norm / (2.0 * b**0.5),
         cross_affinity_intensity=1.0 - self_mass / (2.0 * b),
     )
-    return losses, grads, FrozenStopGradients(resids, tuple(w_targets), tuple(p_targets))
+    return losses, grads, FrozenStopGradients(resids, w_targets, p_targets)
 
 
 def train_step(
@@ -322,17 +348,19 @@ def train_step(
     rng: np.random.Generator,
     lr: float,
     buffers: dict | None = None,
+    worker: futures.Executor | None = None,
 ) -> tuple[StepLosses, net.ModelState]:
     """One full training step on a batch: augment, losses, SGD update.
 
     ``x``, at least 2 finite float64 rows, is trusted: `fit` checks the data.
     ``buffers`` is the store of B x B arrays `_compute_step` writes into;
-    None gives the step a store of its own."""
+    None gives the step a store of its own. ``worker`` runs view 1's half of
+    the step (see `_compute_step`); None runs all of it on this thread."""
     x1 = augment(x, cfg, rng)
     x2 = augment(x, cfg, rng)
     if np.ptp(x1, axis=0).max() == 0.0:
         warnings.warn("degenerate batch: all augmented rows identical", RuntimeWarning)
-    losses, grads, _ = _compute_step(model, x1, x2, cfg, buffers)
+    losses, grads, _ = _compute_step(model, x1, x2, cfg, buffers, worker)
     if not np.isfinite(losses.total_loss):
         raise TrainingAbortError(f"non-finite total loss {losses.total_loss!r}")
     model = net.sgd_step(model, opt, grads, lr)
@@ -344,7 +372,8 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
 
     The last incomplete batch of each epoch is dropped. Returns the trained
     model and one history record per completed epoch (means over the
-    epoch's steps).
+    epoch's steps). From ``batch_size`` `PARALLEL_MIN_BATCH` on, on 2 CPUs,
+    a worker thread runs view 1 of each step, with bitwise the same result.
     """
     x = as_matrix(features, "features")
     n, d_in = x.shape
@@ -359,28 +388,32 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
     records = []
     buffers = {}  # the steps' B x B arrays, reused for the whole run
     steps_per_epoch = n // cfg.batch_size
-    for epoch in range(cfg.epochs):
-        lr = net.cosine_lr(epoch, opt)
-        perm = rng.permutation(n)
-        sums = np.zeros(len(StepLosses._fields))
-        for step in range(steps_per_epoch):
-            idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-            try:
-                losses, model = train_step(x[idx], model, opt, cfg, rng, lr, buffers=buffers)
-            except (NumericalError, ValueError, FloatingPointError) as err:
-                # inputs were validated up front, so an in-loop failure is a
-                # numerical event (overflow, dead rows, poisoned gradients)
-                raise TrainingAbortError(
-                    f"aborted at epoch {epoch}, step {step}: {err}"
-                ) from err
-            sums += losses
-        # Python floats, so the history prints the same under every numpy
-        means = dict(zip(StepLosses._fields, (sums / steps_per_epoch).tolist()))
-        tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
-        record = EpochRecord(epoch=epoch, tau_a=tau_a, tau_c=tau_c, lr=lr, **means)
-        if not all(np.isfinite(v) for v in vars(record).values()):
-            raise TrainingAbortError(f"non-finite history record at epoch {epoch}")
-        records.append(record)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parallel = cfg.batch_size >= PARALLEL_MIN_BATCH and (cpus or 1) >= 2
+    with futures.ThreadPoolExecutor(1) if parallel else contextlib.nullcontext() as worker:
+        for epoch in range(cfg.epochs):
+            lr = net.cosine_lr(epoch, opt)
+            perm = rng.permutation(n)
+            sums = np.zeros(len(StepLosses._fields))
+            for step in range(steps_per_epoch):
+                idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+                try:
+                    losses, model = train_step(
+                        x[idx], model, opt, cfg, rng, lr, buffers=buffers, worker=worker
+                    )
+                except (NumericalError, ValueError, FloatingPointError) as err:
+                    # inputs were validated up front, so an in-loop failure is
+                    # a numerical event (overflow, dead rows, poisoned gradients)
+                    msg = f"aborted at epoch {epoch}, step {step}: {err}"
+                    raise TrainingAbortError(msg) from err
+                sums += losses
+            # Python floats, so the history prints the same under every numpy
+            means = dict(zip(StepLosses._fields, (sums / steps_per_epoch).tolist()))
+            tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
+            record = EpochRecord(epoch=epoch, tau_a=tau_a, tau_c=tau_c, lr=lr, **means)
+            if not all(np.isfinite(v) for v in vars(record).values()):
+                raise TrainingAbortError(f"non-finite history record at epoch {epoch}")
+            records.append(record)
     return model, TrainHistory(records=tuple(records))
 
 

@@ -143,6 +143,21 @@ class TestDatasetValidation:
             load_dataset(path)
         assert str(info.value) == f"{tmp_path / 'd.csv.meta.json'}: {message}"
 
+    # blank and comment lines are no data rows; numpy counts an entry that
+    # does not parse from row 0 and a row of another width from row 1
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,0\n\n# note\n1,x,1\n2,2,1\n", "data row 2 has non-numeric entry 'x' in column f1"),
+        ("0,0,0\n1,1,1\n2,2,y\n", "data row 3 has non-numeric entry 'y' in column label"),
+        ("0,0,0\n\n1,1\n2,2,1\n", "data row 2 has 2 columns, expected 3"),
+        ("0,0,0\n1,1,1\n2,2,1,5\n", "data row 3 has 4 columns, expected 3"),
+    ])
+    def test_unparsable_row_named_from_one_after_the_header(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n" + rows)
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_non_integer_labels_rejected(self, tmp_path):
         path = tmp_path / "frac.csv"
         # 1e+20 is integer-valued but beyond int64: no cast warning either

@@ -6,6 +6,8 @@ residual) held at their base-point values, which is exactly the function
 whose gradient the step reports. It is written out apart from the step.
 """
 
+from concurrent import futures
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,8 @@ def build_instance(mode, keep_diagonal=False, seed=0):
     return model, cfg, x1, x2
 
 
-def check_all_parameters(model, cfg, x1, x2):
-    _, grads, held = _compute_step(model, x1, x2, cfg)
+def check_all_parameters(model, cfg, x1, x2, worker=None):
+    _, grads, held = _compute_step(model, x1, x2, cfg, worker=worker)
     failures = {}
     for name, arr in model.named_arrays():
         got = grads[name]
@@ -82,6 +84,14 @@ def test_full_step_gradients(mode):
 def test_full_step_gradients_keep_diagonal():
     model, cfg, x1, x2 = build_instance("procrustes", keep_diagonal=True)
     check_all_parameters(model, cfg, x1, x2)
+
+
+def test_full_step_gradients_in_row_panels_on_a_worker(monkeypatch):
+    # panels of 3 rows split B = 8 as 3 + 3 + 2, and view 1 runs on a worker
+    monkeypatch.setattr("otsc.trainer.PANEL_BYTES", 8 * 8 * 3)
+    model, cfg, x1, x2 = build_instance("procrustes")
+    with futures.ThreadPoolExecutor(1) as worker:
+        check_all_parameters(model, cfg, x1, x2, worker)
 
 
 def test_clamped_temperature_has_zero_gradient():

@@ -123,6 +123,32 @@ class TestCrossAffinity:
         assert scatter_off_diagonal(values, out=out) is out
         assert out.tobytes() == scatter_off_diagonal(values).tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 5, 16])
+    def test_row_panels_bitwise_equal_mask_rows(self, rows):
+        # B = 17 is divided by none of these heights, so the last panel is
+        # short; every panel starts on a boundary the whole-matrix form has
+        # no counterpart for
+        b = 17
+        rng = np.random.default_rng(rows)
+        square, values = rng.normal(size=(b, b)), rng.normal(size=(b, b - 1))
+        packed, scattered = mask_off_diagonal(square), mask_scatter_off_diagonal(values)
+        for s in range(0, b, rows):
+            e = min(s + rows, b)
+            out = np.full((e - s, b - 1), np.nan)
+            assert off_diagonal(square[s:e], row0=s, out=out) is out
+            assert out.tobytes() == packed[s:e].tobytes(), s
+            out = np.full((e - s, b), np.nan)
+            assert scatter_off_diagonal(values[s:e], row0=s, out=out) is out
+            assert out.tobytes() == scattered[s:e].tobytes(), s
+
+    @pytest.mark.parametrize("row0, rows", [(-1, 2), (16, 2), (0, 18)])
+    def test_panel_outside_the_matrix_refused(self, row0, rows):
+        b = 17
+        with pytest.raises(ValueError):
+            off_diagonal(np.zeros((rows, b)), row0=row0)
+        with pytest.raises(ValueError):
+            scatter_off_diagonal(np.zeros((rows, b - 1)), row0=row0)
+
     def test_batch_too_small(self):
         z = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -240,6 +266,23 @@ class TestAffinityLoss:
         _, grad_square = softmax_cross_entropy(random_target(rng, (b, b)), z @ z.T, 0.1)
         got = affinity_grad_to_embeddings(grad_square, z)
         assert rel_error(got, two_product_affinity_grad(grad_square, z)) <= 1e-15
+
+    @pytest.mark.parametrize("rows", [1, 5, 16, 17])
+    def test_grad_to_embeddings_in_row_panels(self, rows):
+        # the panels only split A @ z by rows and z.T @ A into a sum; the
+        # panel buffer holds the last scattered panel afterwards
+        b = 17
+        rng = np.random.default_rng(rows)
+        z = unit_rows(rng, b, 2)
+        _, grad_logits = softmax_cross_entropy(
+            random_target(rng, (b, b - 1)), off_diagonal(z @ z.T), 0.1
+        )
+        panel = np.full((rows, b), np.nan)
+        got = affinity_grad_to_embeddings(grad_logits, z, out=panel)
+        assert rel_error(got, two_product_affinity_grad(grad_logits, z)) <= 1e-15
+        last = (b - 1) // rows * rows
+        want = mask_scatter_off_diagonal(grad_logits)[last:]
+        assert panel[: b - last].tobytes() == want.tobytes()
 
     def test_gradient_vanishes_when_model_matches_target(self):
         # fixed-point form of the convergence condition: when the modeled

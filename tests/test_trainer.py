@@ -1,15 +1,22 @@
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent import futures
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otsc.trainer
 from otsc import network as net
-from otsc.errors import TrainingAbortError
+from otsc.cli import format_report
+from otsc.data import gen_dataset
+from otsc.errors import NumericalError, TrainingAbortError
+from otsc.metrics import evaluate
 from otsc.trainer import (
+    PARALLEL_MIN_BATCH,
     TRAINER_ORTH_MODES,
     TrainConfig,
     _compute_step,
@@ -244,8 +251,8 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("keep_diagonal", [False, True])
     def test_store_holds_only_arrays_read_back(self, keep_diagonal):
-        # each view's affinity logits and targets, plus the similarities in
-        # the packed layout; nothing else of size B x B
+        # each view's affinity logits and targets, plus in the packed layout
+        # one panel of similarity rows per view; no B x B scratch
         b = 10
         cfg = tiny_cfg(keep_diagonal=keep_diagonal)
         rng = np.random.default_rng(5)
@@ -255,8 +262,8 @@ class TestStepBuffers:
         train_step(random_data(n=b, seed=5), model, opt, cfg, rng, cfg.lr, buffers=store)
         layout = (b, b) if keep_diagonal else (b, b - 1)
         want = {f"{kind}{v}": layout for kind in ("logits", "target") for v in (0, 1)}
-        if not keep_diagonal:
-            want["square"] = (b, b)
+        if not keep_diagonal:  # at B = 10 one panel holds the whole plane
+            want.update(panel0=(b, b), panel1=(b, b))
         assert {key: buf.shape for key, buf in store.items()} == want
 
     def test_fit_hands_every_step_one_store(self, monkeypatch):
@@ -289,6 +296,115 @@ class TestStepBuffers:
         # what remains is mostly the encoder's activations; a step that makes
         # its B x B arrays afresh peaks near seven of them (7 * b * b * 8 bytes)
         assert peak < 3 * b * b * 8
+
+
+def record_sinkhorn_threads(monkeypatch) -> set:
+    """The threads that run the step's Sinkhorn calls, recorded through the
+    name the step calls them by."""
+    threads, sinkhorn = set(), otsc.trainer.sinkhorn_algorithm1
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return sinkhorn(*args, **kwargs)
+
+    monkeypatch.setattr("otsc.trainer.sinkhorn_algorithm1", recording)
+    return threads
+
+
+def failing_sinkhorn(monkeypatch, fail_view_0: bool):
+    """Make the step's Sinkhorn calls raise on the worker thread (view 1)
+    and, if ``fail_view_0``, on the calling thread too."""
+    main, sinkhorn = threading.get_ident(), otsc.trainer.sinkhorn_algorithm1
+
+    def failing(*args, **kwargs):
+        on_main = threading.get_ident() == main
+        if fail_view_0 or not on_main:
+            raise NumericalError(f"view {0 if on_main else 1} failed")
+        return sinkhorn(*args, **kwargs)
+
+    monkeypatch.setattr("otsc.trainer.sinkhorn_algorithm1", failing)
+
+
+class TestWorker:
+    """From `PARALLEL_MIN_BATCH` on, with 2 CPUs, `fit` runs view 1 of each
+    step on a worker thread; the results do not change by a bit."""
+
+    def test_fit_with_the_worker_bitwise_equals_fit_without(self, monkeypatch):
+        b = 512  # 4 row panels per view
+        assert b >= PARALLEL_MIN_BATCH
+        ds = gen_dataset("moons", 2 * b, 0.04, 3)
+        cfg = tiny_cfg(batch_size=b, embed_dim=2)
+        runs = []
+        for cpus in (2, 1):
+            with monkeypatch.context() as m:
+                m.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                threads = record_sinkhorn_threads(m)
+                model, history = fit(ds.features, cfg)
+            assert len(threads) == cpus
+            labels, z = predict(model, ds.features)
+            arrays = [(name, p.tobytes()) for name, p in model.named_arrays()]
+            report = format_report(evaluate(ds.labels, labels), ds.name, ds.n)
+            runs.append((history, arrays, labels.tobytes(), z.tobytes(), report))
+        assert runs[0] == runs[1]
+
+    def test_no_worker_below_the_threshold(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads = record_sinkhorn_threads(monkeypatch)
+        fit(random_data(), tiny_cfg())
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("fail_view_0", [False, True])
+    def test_failing_view_aborts_fit_and_joins_the_worker(self, monkeypatch, fail_view_0):
+        # view 1 is joined before an error is raised; view 0's wins
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        failing_sinkhorn(monkeypatch, fail_view_0)
+        before = threading.active_count()
+        cfg = tiny_cfg(batch_size=PARALLEL_MIN_BATCH, embed_dim=2)
+        view = 0 if fail_view_0 else 1
+        with pytest.raises(TrainingAbortError) as info:
+            fit(random_data(n=PARALLEL_MIN_BATCH, seed=8), cfg)
+        assert str(info.value) == f"aborted at epoch 0, step 0: view {view} failed"
+        assert threading.active_count() == before
+
+    def test_step_on_a_worker_bitwise_equals_serial_under_frequent_switches(self, monkeypatch):
+        # panels of 7 rows give each view 6 of them at B = 40; a 1 us switch
+        # interval interleaves the two threads as often as Python allows
+        monkeypatch.setattr("otsc.trainer.PANEL_BYTES", 8 * 40 * 7)
+        cfg = tiny_cfg(batch_size=40)
+        rng = np.random.default_rng(9)
+        x = random_data(n=40, seed=9)
+        model = net.init_model(4, 3, 2, rng)
+        x1, x2 = augment(x, cfg, rng), augment(x, cfg, rng)
+
+        def step(worker):
+            losses, grads, _ = _compute_step(model, x1, x2, cfg, worker=worker)
+            return losses, [g.tobytes() for g in grads.values()]
+
+        want = step(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with futures.ThreadPoolExecutor(1) as worker:
+                got = [step(worker) for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == want for g in got)
+
+    def test_row_panels_move_the_step_by_rounding_only(self, monkeypatch):
+        # the panel sums of z.T @ A reorder a summation; nothing else moves
+        cfg = tiny_cfg(batch_size=40)
+        rng = np.random.default_rng(10)
+        model = net.init_model(4, 3, 2, rng)
+        x = random_data(n=40, seed=10)
+        x1, x2 = augment(x, cfg, rng), augment(x, cfg, rng)
+        want, want_grads, _ = _compute_step(model, x1, x2, cfg)  # one panel
+        monkeypatch.setattr("otsc.trainer.PANEL_BYTES", 8 * 40 * 7)
+        got, got_grads, _ = _compute_step(model, x1, x2, cfg)
+        for name, value in got._asdict().items():
+            assert value == pytest.approx(getattr(want, name), rel=1e-14, abs=0.0), name
+        for name, g in got_grads.items():
+            scale = np.abs(want_grads[name]).max()
+            assert np.abs(g - want_grads[name]).max() <= 1e-13 * scale, name
 
 
 class TestFit:
