@@ -14,7 +14,6 @@ import datetime
 import hashlib
 import json
 import sys
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import SpectralConfig, classical_spectral, kmeans_lloyd
-from .data import Dataset, gen_dataset, load_dataset, save_dataset
-from .errors import NumericalError, as_matrix
+from .data import Dataset, gen_dataset, load_dataset, read_csv, save_dataset
+from .errors import NumericalError
 from .metrics import ClusteringReport, evaluate
 from .network import load_checkpoint, save_checkpoint
 from .trainer import TRAINER_ORTH_MODES, EpochRecord, TrainConfig, TrainHistory, fit, predict
@@ -31,10 +30,15 @@ from .transport import sinkhorn_algorithm1, sinkhorn_marginal
 
 __all__ = ["main"]
 
-ETA_GRID = [round(0.01 * i, 2) for i in range(1, 11)]
-ISK_GRID = [1, 3, 5, 10]
-LAMBDA_GRID = [0.5, 1.0, 1.5, 2.0]
-RHO_GRID = [0.5, 1.0, 2.0]
+# ablate's --sweep axes: each point's directory name and TrainConfig overrides
+SWEEPS = {
+    "eta": [("eta-%.2f" % v, {"eta": v}) for v in (round(0.01 * i, 2) for i in range(1, 11))],
+    "sinkhorn-iters": [(f"isk-{v}", {"sinkhorn_iters": v}) for v in (1, 3, 5, 10)],
+    "lambda": [("lambda-%.1f" % v, {"lam": v}) for v in (0.5, 1.0, 1.5, 2.0)],
+    "orth": [(f"orth-{m}", {"orth_mode": m}) for m in TRAINER_ORTH_MODES if m != "penalty"]
+    + [("orth-penalty-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
+       for rho in (0.5, 1.0, 2.0)],
+}
 
 
 class _UsageError(Exception):
@@ -245,12 +249,8 @@ def _cmd_ot_debug(args) -> None:
         _refuse_given(args, ("tol", "max_iter"), "--variant marginal")
     else:
         _refuse_given(args, ("iterations",), "--variant algorithm1")
-    # sinkhorn_algorithm1 trusts its input, so the file is checked here; an
-    # empty file is refused by name below rather than warned about by numpy
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        raw = np.loadtxt(args.cost, delimiter=",", ndmin=2)
-    cost = as_matrix(raw, f"cost file {args.cost}")
+    # sinkhorn_algorithm1 trusts its input, so the file is checked here
+    _, cost = read_csv(args.cost, header=False)
     if args.variant == "algorithm1":
         # the fixed-iteration solver takes similarities; a cost is its negation
         iterations = 5 if args.iterations is None else args.iterations
@@ -267,28 +267,11 @@ def _cmd_ot_debug(args) -> None:
     print(f"iterations_used={plan.iterations_used}", file=sys.stderr)
 
 
-def _sweep_points(axis: str):
-    if axis == "eta":
-        return [("eta-%.2f" % v, {"eta": v}) for v in ETA_GRID]
-    if axis == "sinkhorn-iters":
-        return [(f"isk-{v}", {"sinkhorn_iters": v}) for v in ISK_GRID]
-    if axis == "lambda":
-        return [("lambda-%.1f" % v, {"lam": v}) for v in LAMBDA_GRID]
-    if axis == "orth":
-        points = [(f"orth-{m}", {"orth_mode": m}) for m in TRAINER_ORTH_MODES if m != "penalty"]
-        points += [
-            ("orth-penalty-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
-            for rho in RHO_GRID
-        ]
-        return points
-    raise ValueError(f"unknown sweep axis {axis!r}")
-
-
 def _cmd_ablate(args) -> None:
     cfg = load_train_config(args.config)
     ds = load_dataset(args.dataset)
     out_root = Path(args.out)
-    for name, overrides in _sweep_points(args.sweep):
+    for name, overrides in SWEEPS[args.sweep]:
         point_cfg = replace(cfg, **overrides)
         point_dir = out_root / name
         print(f"== sweep point {name}")
@@ -354,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sweep", required=True, choices=("eta", "sinkhorn-iters", "lambda", "orth"))
+    p.add_argument("--sweep", required=True, choices=tuple(SWEEPS))
     p.set_defaults(func=_cmd_ablate)
 
     return parser

@@ -1,21 +1,21 @@
 """Synthetic datasets and the CSV interchange format.
 
 Datasets are written as a CSV with header ``f0..f{d-1}[,label]`` plus a
-JSON sidecar (same path with ``.meta.json`` appended) recording the
-generator parameters. Floats are serialized with %.17g so a round trip
-reproduces the in-memory matrix exactly.
+JSON sidecar (same path with ``.meta.json`` appended) holding the dataset's
+name. Floats are serialized with %.17g so a round trip reproduces the
+in-memory matrix exactly. `read_csv` is the one reader of numeric CSVs.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Dataset", "gen_dataset", "save_dataset", "load_dataset"]
+__all__ = ["Dataset", "gen_dataset", "save_dataset", "read_csv", "load_dataset"]
 
 DATASET_KINDS = ("moons", "rings", "blobs")
 
@@ -25,7 +25,6 @@ class Dataset:
     name: str
     features: np.ndarray
     labels: np.ndarray | None
-    generator_seed: int
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
@@ -130,73 +129,79 @@ def gen_dataset(
         x, y = _rings(n, noise, rng)
     else:
         x, y = _blobs(n, noise, rng, **blob)
-    return Dataset(name=f"{kind}-n{n}-s{seed}", features=x, labels=y, generator_seed=seed)
+    return Dataset(name=f"{kind}-n{n}-s{seed}", features=x, labels=y)
 
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write the CSV plus its JSON sidecar."""
     path = Path(path)
-    d = ds.dim
-    header = ",".join(f"f{i}" for i in range(d))
+    header = ",".join(f"f{i}" for i in range(ds.dim))
+    suffixes = [""] * ds.n if ds.labels is None else [f",{lab}" for lab in ds.labels]
     with path.open("w", newline="\n") as fh:
-        if ds.labels is not None:
-            fh.write(header + ",label\n")
-            for row, lab in zip(ds.features, ds.labels):
-                fh.write(",".join(f"{v:.17g}" for v in row) + f",{lab}\n")
-        else:
-            fh.write(header + "\n")
-            for row in ds.features:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    meta = {
-        "name": ds.name,
-        "n": ds.n,
-        "dim": d,
-        "has_labels": ds.labels is not None,
-        "generator_seed": ds.generator_seed,
-    }
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        fh.write(header + ("" if ds.labels is None else ",label") + "\n")
+        for row, suffix in zip(ds.features, suffixes):
+            fh.write(",".join(f"{v:.17g}" for v in row) + suffix + "\n")
+    Path(str(path) + ".meta.json").write_text(json.dumps({"name": ds.name}, indent=2) + "\n")
 
 
-def _parse_error(message: str, header: list[str]) -> str:
-    """A loadtxt refusal with its data row counted from 1 after the header
-    (numpy counts from 0 for a bad entry, from 1 for a bad width)."""
-    if match := re.search(r"string (.*) to \w+ at row (\d+), column (\d+)", message):
-        entry, row, col = match.groups()
-        name = dict(enumerate(header, 1)).get(int(col), col)
-        return f"data row {int(row) + 1} has non-numeric entry {entry} in column {name}"
-    if match := re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", message):
-        return "data row {2} has {1} columns, expected {0}".format(*match.groups())
-    return message
+def read_csv(path, header: bool) -> tuple[list[str] | None, np.ndarray]:
+    """A numeric CSV's header names (None without ``header``) and its
+    (rows, columns) float64 values.
+
+    Blank lines and ``#`` comments are skipped, and data rows count from 1
+    after the header. A file with no data rows, a row whose width differs
+    from the header's (without one, from the first row's), a non-numeric
+    entry or a non-finite one raises ``ValueError`` naming the file, the data
+    row and the column: its header name, or its 1-based number.
+    """
+    path = Path(path)
+    with path.open() as fh:
+        names = [name.strip() for name in fh.readline().split(",")] if header else None
+        lines = [text for line in fh if (text := line.split("#", 1)[0].strip())]
+    if not lines:
+        raise ValueError(f"{path}: no data rows")
+    columns = names or [str(j) for j in range(1, lines[0].count(",") + 2)]
+    rows = []
+    for i, text in enumerate(lines, 1):
+        fields = text.split(",")
+        if len(fields) != len(columns):
+            raise ValueError(
+                f"{path}: data row {i} has {len(fields)} columns, expected {len(columns)}"
+            )
+        row = []
+        for column, entry in zip(columns, fields):
+            try:
+                # float() also reads digit-group underscores and non-ASCII digits
+                if "_" in entry or not entry.isascii():
+                    raise ValueError
+                value = float(entry)
+            except ValueError:
+                raise ValueError(f"{path}: data row {i} has non-numeric entry"
+                                 f" {entry.strip()!r} in column {column}") from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: data row {i} has non-finite entry {value} in column {column}"
+                )
+            row.append(value)
+        rows.append(row)
+    return names, np.array(rows)
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset CSV (sidecar optional).
+    """Read a dataset CSV through `read_csv` (sidecar optional).
 
-    A file with no data rows, a non-finite feature or a non-integer label
-    raises ``ValueError`` naming the file and, for a bad entry, the data row
-    (1-based, after the header) and the column. So does a sidecar that is
-    not a JSON object or holds a ``name`` that is not a string or a
-    ``generator_seed`` that is not an integer, naming the sidecar. A row
-    numpy cannot parse (an entry that is not a number, a row of another
-    width) raises it naming the file and the data row, and labels that are
-    not 0..K-1 with the file put before `Dataset`'s message.
+    Beyond `read_csv`'s refusals, a label that is not an integer raises
+    ``ValueError`` naming the file and the data row, and labels that are not
+    0..K-1 raise it with the file put before `Dataset`'s message. So does a
+    sidecar that is not a JSON object or holds a ``name`` that is not a
+    string, naming the sidecar.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with path.open() as fh:
-        header = fh.readline().strip().split(",")
-        # stops at the first row; blank and '#' lines are what loadtxt skips
-        has_rows = any(line.split("#", 1)[0].strip() for line in fh)
-    if not has_rows:
-        raise ValueError(f"{path}: no data rows")
-    has_labels = header[-1] == "label"
-    try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as err:
-        raise ValueError(f"{path}: {_parse_error(str(err), header)}") from None
+    names, raw = read_csv(path, header=True)
     meta_path = Path(str(path) + ".meta.json")
-    meta = {}
+    name = path.stem
     if meta_path.exists():
         try:
             meta = json.loads(meta_path.read_text())
@@ -204,19 +209,11 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"{meta_path}: not JSON: {err}") from None
         if not isinstance(meta, dict):
             raise ValueError(f"{meta_path}: not a JSON object: {meta!r}")
-    name = meta.get("name", path.stem)
-    if not isinstance(name, str):
-        raise ValueError(f"{meta_path}: entry 'name' must be a string, got {name!r}")
-    seed = meta.get("generator_seed", -1)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"{meta_path}: entry 'generator_seed' must be an integer, got {seed!r}")
-    features = raw[:, :-1] if has_labels else raw
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"{path}: data row {row + 1} has non-finite feature f{col}")
-    if has_labels:
-        labels = raw[:, -1]
+        name = meta.get("name", name)
+        if not isinstance(name, str):
+            raise ValueError(f"{meta_path}: entry 'name' must be a string, got {name!r}")
+    if names[-1] == "label":
+        features, labels = raw[:, :-1], raw[:, -1]
         # beyond +-2**63 an integer-valued float does not fit the int64 cast
         valid = (np.abs(labels) < 2.0**63) & (labels == np.round(labels))
         bad = np.flatnonzero(~valid)
@@ -227,8 +224,8 @@ def load_dataset(path) -> Dataset:
             )
         labels = labels.astype(np.int64)
     else:
-        labels = None
+        features, labels = raw, None
     try:
-        return Dataset(name=name, features=features, labels=labels, generator_seed=seed)
+        return Dataset(name=name, features=features, labels=labels)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from otsc.cli import format_report, load_train_config, main, parse_config
+from otsc.cli import SWEEPS, format_report, load_train_config, main, parse_config
 from otsc.metrics import evaluate
 from otsc.network import load_checkpoint
 from otsc.trainer import TrainConfig
@@ -232,6 +232,25 @@ class TestAblate:
             "isk-1", "isk-10", "isk-3", "isk-5",
         ]
 
+    # every point's directory name and TrainConfig overrides, written out
+    @pytest.mark.parametrize("axis, points", [
+        ("eta", [("eta-%.2f" % v, {"eta": v}) for v in
+                 (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1)]),
+        ("sinkhorn-iters", [("isk-1", {"sinkhorn_iters": 1}), ("isk-3", {"sinkhorn_iters": 3}),
+                            ("isk-5", {"sinkhorn_iters": 5}), ("isk-10", {"sinkhorn_iters": 10})]),
+        ("lambda", [("lambda-0.5", {"lam": 0.5}), ("lambda-1.0", {"lam": 1.0}),
+                    ("lambda-1.5", {"lam": 1.5}), ("lambda-2.0", {"lam": 2.0})]),
+        ("orth", [("orth-procrustes", {"orth_mode": "procrustes"}),
+                  ("orth-qr", {"orth_mode": "qr"}), ("orth-none", {"orth_mode": "none"}),
+                  ("orth-penalty-0.5", {"orth_mode": "penalty", "penalty_rho": 0.5}),
+                  ("orth-penalty-1.0", {"orth_mode": "penalty", "penalty_rho": 1.0}),
+                  ("orth-penalty-2.0", {"orth_mode": "penalty", "penalty_rho": 2.0})]),
+    ])
+    def test_sweep_points(self, axis, points):
+        assert SWEEPS[axis] == points
+        for _, overrides in points:
+            assert set(overrides) <= {f.name for f in fields(TrainConfig)}
+
 
 class TestReportFormat:
     def test_round_numbers_serialized_fully(self):
@@ -312,9 +331,10 @@ def _nan_feature_csv(tmp_path):
     return _csv(tmp_path, "f0,f1,label", ["0,0,0", "1,nan,1", "2,2,1"])
 
 
-def _nan_cost(tmp_path):
+def _cost(tmp_path, text):
+    """ot-debug on a cost file that holds ``text``."""
     path = tmp_path / "cost.csv"
-    path.write_text("0.0,1.0\n1.0,nan\n")
+    path.write_text(text)
     return ["ot-debug", "--cost", str(path)]
 
 
@@ -327,9 +347,7 @@ def _train_with(tmp_path, run, line, *flags):
 
 
 def _ot_debug(tmp_path, *flags):
-    path = tmp_path / "cost.csv"
-    path.write_text("0.0,1.0\n1.0,0.0\n")
-    return ["ot-debug", "--cost", str(path), *flags]
+    return [*_cost(tmp_path, "0.0,1.0\n1.0,0.0\n"), *flags]
 
 
 def _sidecar(tmp_path, text):
@@ -361,17 +379,20 @@ def _nan_layer(run):
 TWELVE_ROWS = [f"{i % 4}.5,{i // 4}.25,{i % 2}" for i in range(12)]
 # the line `_train_with` appends to the trained run's config
 APPENDED = len(TRAIN_CONFIG.splitlines()) + 1
-NAN_FEATURE = "input.csv: data row 2 has non-finite feature f1"
+NAN_FEATURE = "input.csv: data row 2 has non-finite entry nan in column f1\n"
 
 # case -> (argv builder, exit status, what stderr must contain)
 BAD_INPUTS = {
-    # numpy counts the rows of these two from 1 and from 0; both read 2 here
+    # data rows count from 1 after the header, skipping blank and comment lines
     "ragged csv row": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1", "2,2,1"])),
         1, "/input.csv: data row 2 has 2 columns, expected 3\n"),
     "non-numeric entry": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,x,1"])),
         1, "/input.csv: data row 2 has non-numeric entry 'x' in column f1\n"),
+    "header wider than its rows": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0.5,0", "1.5,1"])),
+        1, "/input.csv: data row 1 has 2 columns, expected 3\n"),
     "label gap": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1,2", "2,2,2"])),
         1, "/input.csv: labels must be 0..K-1 with every class nonempty\n"),
@@ -430,8 +451,14 @@ BAD_INPUTS = {
     "NaN feature on baseline": (
         lambda tmp, run: _baseline("kmeans", _nan_feature_csv(tmp)), 1, NAN_FEATURE),
     "NaN cost on ot-debug": (
-        lambda tmp, run: _nan_cost(tmp),
-        1, "cost.csv contains non-finite entries, first at [1, 1]"),
+        lambda tmp, run: _cost(tmp, "0.0,1.0\n1.0,nan\n"),
+        1, "/cost.csv: data row 2 has non-finite entry nan in column 2\n"),
+    "ragged cost file on ot-debug": (
+        lambda tmp, run: _cost(tmp, "0.0,1.0\n\n# note\n1.0\n"),
+        1, "/cost.csv: data row 2 has 1 columns, expected 2\n"),
+    "non-numeric cost on ot-debug": (
+        lambda tmp, run: _cost(tmp, "0.0,1.0\n1.0, x\n"),
+        1, "/cost.csv: data row 2 has non-numeric entry 'x' in column 2\n"),
     "NaN checkpoint entry": (
         lambda tmp, run: _edited_checkpoint(tmp, run, arrays=_nan_layer(run)),
         1, "edited.npz entry 'layer0.weight' must hold finite floats"),
@@ -512,9 +539,6 @@ BAD_INPUTS = {
     "sidecar name not a string": (
         lambda tmp, run: _sidecar(tmp, '{"name": 5}'),
         1, "input.csv.meta.json: entry 'name' must be a string, got 5\n"),
-    "sidecar generator_seed not an integer": (
-        lambda tmp, run: _sidecar(tmp, '{"generator_seed": "3"}'),
-        1, "input.csv.meta.json: entry 'generator_seed' must be an integer, got '3'\n"),
     "fractional epochs in the config": (
         lambda tmp, run: _train_with(tmp, run, "epochs = 1.5"),
         1, f"edited.cfg:{APPENDED}: epochs: invalid literal for int() with base 10: '1.5'\n"),
@@ -626,7 +650,7 @@ class TestBadInputs:
         path = tmp_path / "cost.csv"
         path.write_text("")
         assert main(["ot-debug", "--cost", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: cost file {path} must be non-empty\n"
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
 
     def test_ablate_refuses_optimizer_settings_before_any_point(self, tmp_path, trained_run,
                                                                 capsys):
