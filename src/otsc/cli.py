@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import SpectralConfig, classical_spectral, kmeans_lloyd
-from .data import Dataset, gen_dataset, load_dataset, read_csv, save_dataset
+from .data import Dataset, gen_dataset, load_dataset, read_csv, read_text, save_dataset
 from .errors import NumericalError
 from .metrics import ClusteringReport, evaluate
 from .network import load_checkpoint, save_checkpoint
@@ -71,14 +71,14 @@ _CONFIG_KEYS = {
 def parse_config(path) -> dict:
     """Parse a flat key = value config file into TrainConfig kwargs.
 
-    A malformed line, an unknown key or a value of the wrong kind raises
-    ``ValueError`` as ``<path>:<line>: ...``, naming the key for a value.
+    A non-UTF-8 file, a malformed line, an unknown key or a badly typed value
+    raises ``ValueError`` as ``<path>[:<line>]: ...``, naming a value's key.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     kwargs = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -193,12 +193,13 @@ def _train_run(cfg: TrainConfig, ds: Dataset, out_dir: Path, dataset_path) -> Pa
     return ckpt
 
 
+def _given(args, names) -> dict:
+    """The options among ``names`` set on the command line, by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_train(args) -> None:
-    overrides = {
-        name: getattr(args, name)
-        for name in ("seed", "eta", "lam", "sinkhorn_iters", "orth_mode", "keep_diagonal")
-        if getattr(args, name) is not None
-    }
+    overrides = _given(args, ("seed", "eta", "lam", "sinkhorn_iters", "orth_mode", "keep_diagonal"))
     cfg = load_train_config(args.config, overrides)
     ds = load_dataset(args.dataset)
     _train_run(cfg, ds, Path(args.out), args.dataset)
@@ -208,11 +209,6 @@ def _cmd_eval(args) -> None:
     model, _, _, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
     _emit_report(_evaluate_model(model, ds), args.out)
-
-
-def _given(args, names) -> dict:
-    """The options among ``names`` set on the command line, by name."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _refuse_given(args, names, reader: str) -> None:

@@ -144,20 +144,27 @@ def save_dataset(ds: Dataset, path) -> None:
     Path(str(path) + ".meta.json").write_text(json.dumps({"name": ds.name}, indent=2) + "\n")
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; another file raises ``ValueError`` naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
+
+
 def read_csv(path, header: bool) -> tuple[list[str] | None, np.ndarray]:
     """A numeric CSV's header names (None without ``header``) and its
     (rows, columns) float64 values.
 
     Blank lines and ``#`` comments are skipped, and data rows count from 1
-    after the header. A file with no data rows, a row whose width differs
-    from the header's (without one, from the first row's), a non-numeric
-    entry or a non-finite one raises ``ValueError`` naming the file, the data
-    row and the column: its header name, or its 1-based number.
+    after the header. A non-UTF-8 file, one with no data rows, a row whose
+    width differs from the header's (without one, from the first row's), a
+    non-numeric entry or a non-finite one raises ``ValueError`` naming the
+    file, the data row and the column: its header name or 1-based number.
     """
-    path = Path(path)
-    with path.open() as fh:
-        names = [name.strip() for name in fh.readline().split(",")] if header else None
-        lines = [text for line in fh if (text := line.split("#", 1)[0].strip())]
+    lines = read_text(path).split("\n")
+    names = [name.strip() for name in lines[0].split(",")] if header else None
+    lines = [text for line in lines[bool(header):] if (text := line.split("#", 1)[0].strip())]
     if not lines:
         raise ValueError(f"{path}: no data rows")
     columns = names or [str(j) for j in range(1, lines[0].count(",") + 2)]

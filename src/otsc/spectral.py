@@ -1,8 +1,8 @@
 """Affinity modeling, its loss, and embedding orthogonalization.
 
 The affinity over a batch is a row-softmax of pairwise cosine similarities
-with the diagonal removed, so each sample distributes one unit of affinity
-over the other B-1 samples. Orthogonalization offers two strategies: the
+with the diagonal masked to -inf, so each sample distributes one unit of
+affinity over the other B-1 samples. Orthogonalization offers two strategies: the
 polar factor (nearest column-orthonormal matrix in Frobenius norm) or the QR
 factor, both from LAPACK through numpy; the trainer makes it trainable with
 a straight-through backward that passes gradients through unchanged.
@@ -23,7 +23,6 @@ from .errors import RankError
 __all__ = [
     "OrthogonalizationResult",
     "off_diagonal",
-    "scatter_off_diagonal",
     "softmax_cross_entropy",
     "affinity_grad_to_embeddings",
     "thin_svd",
@@ -33,6 +32,11 @@ __all__ = [
     "row_normalize_vjp",
 ]
 
+# The backward's B x B work goes in row panels of at most this many bytes:
+# one fits a 2 MB per-core L2 cache, the 8 MB plane of B = 1024 does not.
+PANEL_BYTES = 512 * 1024
+
+
 @dataclass(frozen=True)
 class OrthogonalizationResult:
     """Orthogonalized embeddings and the conditioning warning, if any."""
@@ -41,68 +45,47 @@ class OrthogonalizationResult:
     warning: str | None = None
 
 
-def _kept_runs(full: np.ndarray, packed: np.ndarray, row0: int) -> list[tuple]:
-    """Flat views of a p x B panel (rows ``row0 ..`` of a B x B matrix) and of
-    its p x (B-1) form without entries (i, row0+i), paired where they hold
-    the same entries: those before the first dropped entry, the runs of B
-    between two (dropped entries lie B+1 apart), and those after the last."""
-    p, b = full.shape
-    if b < 2 or p < 1 or not 0 <= row0 <= b - p:
-        raise ValueError("expected a square matrix with at least 2 rows, or rows of one")
-    f, k = full.reshape(-1), packed.reshape(-1)
-    tail = row0 + (p - 1) * b
-    between = f[row0 + 1 : tail + p].reshape(p - 1, b + 1)[:, :b]
-    return [(f[:row0], k[:row0]), (between, k[row0:tail].reshape(p - 1, b)),
-            (f[tail + p :], k[tail:])]
-
-
-def off_diagonal(
-    square: np.ndarray, *, row0: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Drop the diagonal of a B x B matrix, keeping row-wise column order, or
-    the entries (i, row0+i) of its p x B rows ``row0 ..``. ``out``, a
-    C-contiguous p x (B-1) float64 array, receives the result and is
-    returned; by default a new array is."""
-    out = np.empty((square.shape[0], square.shape[1] - 1)) if out is None else out
-    for full, packed in _kept_runs(square, out, row0):
-        packed[...] = full
-    return out
-
-
-def scatter_off_diagonal(
-    values: np.ndarray, *, row0: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Inverse of `off_diagonal`: B x (B-1) values, or p rows ``row0 ..`` of
-    them, placed into a B x B matrix, or p x B panel, with zeros where it
-    drops entries. ``out``, a C-contiguous p x B float64 array, receives the
-    result and is returned; by default a new array is."""
-    b = values.shape[1] + 1
-    full = np.empty((values.shape[0], b)) if out is None else out
-    for whole, packed in _kept_runs(full, values, row0):
-        whole[...] = packed
-    full.reshape(-1)[row0 :: b + 1] = 0.0
-    return full
+def off_diagonal(square: np.ndarray) -> np.ndarray:
+    """Mask the diagonal of a B x B matrix (B >= 2) to -inf, in place, and
+    return the matrix: a row softmax of it, or a Sinkhorn kernel built from
+    it, then gives each sample exactly 0 affinity to itself."""
+    b = square.shape[0]
+    if b < 2 or square.shape != (b, b):
+        raise ValueError("expected a square matrix with at least 2 rows")
+    np.fill_diagonal(square, -np.inf)
+    return square
 
 
 def softmax_cross_entropy(
-    target: np.ndarray, logits: np.ndarray, tau: float, *, out: np.ndarray | None = None
+    target: np.ndarray,
+    logits: np.ndarray,
+    tau: float,
+    *,
+    out: np.ndarray | None = None,
+    masked_diagonal: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Row-wise cross entropy of ``softmax(logits/tau)`` against ``target``.
 
     Returns the summed loss and its gradient with respect to ``logits``,
     ``(softmax(logits/tau) - target) / tau``. ``target`` rows must be
     nonnegative and sum to 1, as fixed-count Sinkhorn targets do, so each
-    row's log-partition enters the loss once. The gradient is built in
-    ``out``, a float64 array shaped like ``logits``, when given, else in a
-    new array.
+    row's log-partition enters the loss once. ``masked_diagonal`` says that
+    the square ``logits`` have a -inf diagonal (`off_diagonal`) and
+    ``target`` a zero one; the gradient's diagonal is then 0. The gradient
+    is built in ``out``, a float64 array shaped like ``logits``, when given,
+    else in a new array.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     shifted = np.divide(logits, tau, out=out)
     shifted -= shifted.max(axis=1, keepdims=True)
+    if masked_diagonal:  # its targets are 0, and 0 * -inf would be NaN
+        np.fill_diagonal(shifted, 0.0)
     # -sum(target * (shifted - log(sums))), sums the row sums of exp(shifted)
     cross = np.vdot(target, shifted)
     grad = np.exp(shifted, out=shifted)  # turned into the gradient in place
+    if masked_diagonal:  # exp(-inf), as the mask has it
+        np.fill_diagonal(grad, 0.0)
     sums = grad.sum(axis=1)
     loss = float(np.log(sums).sum() - cross)
     grad /= sums[:, None]
@@ -111,31 +94,20 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-def affinity_grad_to_embeddings(
-    grad_logits: np.ndarray, z: np.ndarray, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Chain an affinity-logit gradient back to the embeddings.
-
-    The gradient comes in the layout the logits had: B x (B-1) for the
-    off-diagonal logits, scattered here to a zero-diagonal B x B matrix A,
-    or B x B for the full z @ z.T, taken as A unchanged. Then
-    d/dz = A @ z + A.T @ z by row panels A[s:e]: rows s:e of A @ z, and
-    terms z.T[:, s:e] @ A[s:e] of the sum z.T @ A (z.T copied contiguous:
-    A.T @ z walks A by columns, over twice as slow at B = 1024, D = 2).
-    ``out``, a p x B float64 array, holds each scattered panel in turn and
-    sets their height; by default A is one panel, as a B x B gradient is.
+def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Chain the gradient A of the B x B affinity logits z @ z.T back to the
+    embeddings: d/dz = A @ z + A.T @ z, by row panels A[s:e] of at most
+    `PANEL_BYTES`: rows s:e of A @ z, and terms z.T[:, s:e] @ A[s:e] of the
+    sum z.T @ A (z.T copied contiguous: A.T @ z walks A by columns, over
+    twice as slow at B = 1024, D = 2).
     """
     b = z.shape[0]
-    scatter = grad_logits.shape[1] == b - 1
-    panel = np.empty((b, b)) if scatter and out is None else out
-    rows = panel.shape[0] if scatter else b
+    rows = min(b, max(1, PANEL_BYTES // (8 * b)))
     zt, grad = z.T.copy(), np.empty_like(z)
     for s in range(0, b, rows):
-        e = min(s + rows, b)
-        a = grad_logits[s:e]
-        a = scatter_off_diagonal(a, row0=s, out=panel[: e - s]) if scatter else a
-        np.matmul(a, z, out=grad[s:e])
-        zt_a = zt[:, s:e] @ a if s == 0 else zt_a + zt[:, s:e] @ a
+        a = grad_logits[s : s + rows]
+        np.matmul(a, z, out=grad[s : s + rows])
+        zt_a = zt[:, s : s + rows] @ a if s == 0 else zt_a + zt[:, s : s + rows] @ a
     grad += zt_a.T
     return grad
 

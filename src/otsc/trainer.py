@@ -47,9 +47,6 @@ __all__ = [
 
 TRAINER_ORTH_MODES = ("procrustes", "qr", "none", "penalty")
 
-# The step's B x B work goes in row panels of at most this many bytes: one
-# fits a core's L2 cache (2 MB here), the 8 MB plane of B = 1024 does not.
-PANEL_BYTES = 512 * 1024
 # `fit` runs view 1 on a worker thread from this batch size on. Median ms per
 # step, serial / worker, 2 cores, 1 BLAS thread: B=100 1.64 / 2.10, B=192
 # 2.92 / 2.96, B=256 3.80 / 3.41, B=512 11.6 / 7.7, B=1024 41.9 / 25.1
@@ -248,12 +245,12 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     The step's B x B arrays live in ``buffers``, a dict that `fit` keeps for
     the whole run so a step allocates none of them; None gives the call a
     store of its own. The store holds each view's affinity logits and
-    targets (``logits0/1``, ``target0/1``; B x (B-1), or B x B under
-    ``keep_diagonal``) and, in the packed layout only, a row panel of at
-    most `PANEL_BYTES` (``panel0/1``) for its similarities and then its
-    scattered gradient. After the call the logits buffers hold the affinity
-    cross-entropy gradients. The affinity targets in ``held`` alias the
-    store: the next step on the same store overwrites them.
+    targets (``logits0/1``, ``target0/1``), all B x B: the logits are
+    z @ z.T with the diagonal masked to -inf (`off_diagonal`) unless
+    ``keep_diagonal``, so each target column is one sample and a masked
+    target holds no self-affinity. After the call the logits buffers hold
+    the affinity cross-entropy gradients. The affinity targets in ``held``
+    alias the store: the next step on the same store overwrites them.
 
     A ``worker`` runs view 1's targets, then its losses and backward, while
     this thread runs view 0's. Buffers are made on this thread and the terms
@@ -263,20 +260,14 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
     protos = row_normalize(model.prototypes)
     b = x1.shape[0]
-    layout = (b, b) if cfg.keep_diagonal else (b, b - 1)
-    rows = min(b, max(1, PANEL_BYTES // (8 * b)))
 
     def forward(v):
         # view v's straight-through (its own polar factor), logits and targets
         resid, z = _straight_through(z_raw[v * b : (v + 1) * b], cfg)
-        zt = z.T.copy()  # keeps numpy off its much slower z @ z.T (syrk) path
-        if cfg.keep_diagonal:  # the similarities are the logits
-            np.matmul(z, zt, out=logits[v])
-        else:
-            for s in range(0, b, rows):
-                e = min(s + rows, b)
-                sims = np.matmul(z[s:e], zt, out=panels[v][: e - s])
-                off_diagonal(sims, row0=s, out=logits[v][s:e])
+        # z.T copied keeps numpy off its much slower z @ z.T (syrk) path
+        np.matmul(z, z.T.copy(), out=logits[v])
+        if not cfg.keep_diagonal:
+            off_diagonal(logits[v])
         h = z @ protos.T
         w = sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=targets[v]).plan
         return resid, z, h, w, sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan
@@ -286,11 +277,12 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
         # View v's loss and gradient terms, and its rows of grad_z
         _, z, h, _, _ = views[v]
         # the gradient overwrites the logits, which nothing reads again
-        loss_a, g_a = softmax_cross_entropy(views[1 - v][3], logits[v], tau_a, out=logits[v])
+        loss_a, g_a = softmax_cross_entropy(views[1 - v][3], logits[v], tau_a, out=logits[v],
+                                            masked_diagonal=not cfg.keep_diagonal)
         loss_c, g_c = softmax_cross_entropy(views[1 - v][4], h, tau_c)
-        g = affinity_grad_to_embeddings(g_a, z, out=panels[v])
-        # the affinity logits are z @ z.T (off the diagonal unless
-        # keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2: one B x D
+        g = affinity_grad_to_embeddings(g_a, z)
+        # the affinity logits are z @ z.T (off the diagonal, where A is 0,
+        # unless keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2: one B x D
         # product instead of reading the two B x B logit and gradient planes
         grad_tau = [-0.5 * float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, h)) / tau_c]
         g = g + cfg.lam * (g_c @ protos)
@@ -309,10 +301,8 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     z_raw, cache = _encode(model, np.concatenate((x1, x2)))
     # made after the encoder's activations, which then do not sit at the heap
     # top that glibc trims (before, they cost a B=100 step 130 page faults)
-    logits = [_buffer(buffers, f"logits{v}", layout) for v in (0, 1)]
-    targets = [_buffer(buffers, f"target{v}", layout) for v in (0, 1)]
-    panels = [None if cfg.keep_diagonal else _buffer(buffers, f"panel{v}", (rows, b))
-              for v in (0, 1)]
+    logits = [_buffer(buffers, f"logits{v}", (b, b)) for v in (0, 1)]
+    targets = [_buffer(buffers, f"target{v}", (b, b)) for v in (0, 1)]
     grad_z = np.empty_like(z_raw)
     views = _both_views(forward, worker)
     # summed in view order; d total / d (tau_a, tau_c), d the unit prototypes
@@ -326,10 +316,10 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
 
     # the residuals are the moves the straight-through applies to unit rows;
-    # a target's rows sum to 1, so only a kept diagonal holds self-affinity
+    # a target's rows sum to 1, and a masked diagonal holds none of it
     resids, _, _, w_targets, p_targets = zip(*views)
     resid_norm = float(np.linalg.norm(resids[0]) + np.linalg.norm(resids[1]))
-    self_mass = float(sum(np.trace(w) for w in w_targets)) if cfg.keep_diagonal else 0.0
+    self_mass = float(sum(np.trace(w) for w in w_targets))
     losses = StepLosses(
         affinity_loss=la,
         clustering_loss=lc,

@@ -143,9 +143,9 @@ def sinkhorn_algorithm1(
     are approximately uniform at total mass ``m/n`` each.
 
     Residuals are reported against those implied marginals: 1 per row and
-    ``m/n`` per column. ``logits``, the trainer's own similarities, are
-    trusted to be finite. The plan is built in ``out``, a float64 array
-    shaped like ``logits``, when given, else in a new array.
+    ``m/n`` per column. ``logits`` are trusted to be finite, but for masked
+    -inf entries (0 in the plan). The plan is built in ``out``, a float64
+    array shaped like ``logits``, when given, else in a new array.
     """
     _check_eta(eta)
     if iterations < 1:

@@ -300,23 +300,22 @@ def mask_scatter_off_diagonal(values: np.ndarray) -> np.ndarray:
 
 
 def two_product_affinity_grad(grad_logits, z) -> np.ndarray:
-    """Embedding gradient of the logits z @ z.T as the two plain products
-    A @ z + A.T @ z: A is a B x B gradient as given, or a B x (B-1)
-    off-diagonal one scattered by boolean mask."""
-    square = grad_logits.shape[0] == grad_logits.shape[1]
-    a = grad_logits if square else mask_scatter_off_diagonal(grad_logits)
-    return a @ z + a.T @ z
+    """Embedding gradient of the B x B logits z @ z.T as the two plain
+    products A @ z + A.T @ z."""
+    return grad_logits @ z + grad_logits.T @ z
 
 
 def logit_form_tau_grad(views_z, targets, tau: float, keep_diagonal: bool) -> float:
     """Derivative of the swapped affinity loss in its temperature, read off
-    the B x B planes: the sum over views of -vdot(grad_w, w_logits) / tau,
-    view v's logits scored against view 1 - v's target."""
+    the logit planes: the sum over views of -vdot(grad_w, w_logits) / tau,
+    view v's logits scored against view 1 - v's B x B target, both packed
+    off the diagonal by boolean mask unless ``keep_diagonal``."""
     total = 0.0
     for v, z in enumerate(views_z):
         sims = z @ z.T
         logits = sims if keep_diagonal else mask_off_diagonal(sims)
-        _, grad = two_exp_cross_entropy(targets[1 - v], logits, tau)
+        target = targets[1 - v] if keep_diagonal else mask_off_diagonal(targets[1 - v])
+        _, grad = two_exp_cross_entropy(target, logits, tau)
         total -= float(np.vdot(grad, logits)) / tau
     return total
 
@@ -335,14 +334,18 @@ def held_step_loss(model, x1, x2, cfg, held) -> float:
     """Swapped-prediction total loss with the stop-gradient quantities (the
     straight-through residuals and both views' targets) held at ``held``:
     the smooth function of the parameters whose gradient the training step
-    reports. View v's logits are scored against view 1 - v's targets."""
+    reports. View v's logits are scored against view 1 - v's targets; the
+    B x B affinity targets and logits are packed off the diagonal by boolean
+    mask unless ``cfg.keep_diagonal``."""
     tau_a, tau_c = net.effective_tau(model.log_tau)
     protos = row_normalize(model.prototypes)
     total = 0.0
     for v, z in enumerate(held_embeddings(model, x1, x2, held)):
         sims = z @ z.T
-        logits = sims if cfg.keep_diagonal else mask_off_diagonal(sims)
-        total += two_exp_cross_entropy(held.affinity_targets[1 - v], logits, tau_a)[0]
+        target = held.affinity_targets[1 - v]
+        if not cfg.keep_diagonal:
+            sims, target = mask_off_diagonal(sims), mask_off_diagonal(target)
+        total += two_exp_cross_entropy(target, sims, tau_a)[0]
         total += cfg.lam * two_exp_cross_entropy(
             held.assignment_targets[1 - v], z @ protos.T, tau_c
         )[0]

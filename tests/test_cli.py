@@ -338,6 +338,13 @@ def _cost(tmp_path, text):
     return ["ot-debug", "--cost", str(path)]
 
 
+def _binary(tmp_path, name, data: bytes) -> str:
+    """The path of file ``name`` holding the bytes ``data``."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 def _train_with(tmp_path, run, line, *flags):
     """A train run whose config is the trained run's plus ``line``."""
     config = tmp_path / "edited.cfg"
@@ -459,6 +466,16 @@ BAD_INPUTS = {
     "non-numeric cost on ot-debug": (
         lambda tmp, run: _cost(tmp, "0.0,1.0\n1.0, x\n"),
         1, "/cost.csv: data row 2 has non-numeric entry 'x' in column 2\n"),
+    "non-UTF-8 cost file on ot-debug": (
+        lambda tmp, run: ["ot-debug", "--cost", _binary(tmp, "cost.csv", b"0.0,1.0\n\xff,0\n")],
+        1, "/cost.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 8"),
+    "non-UTF-8 dataset": (
+        lambda tmp, run: _baseline("kmeans", _binary(tmp, "input.csv", b"f0,label\n\xff,0\n")),
+        1, "/input.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 9"),
+    "non-UTF-8 config": (
+        lambda tmp, run: ["train", "--config", _binary(tmp, "bad.cfg", b"epochs = 2\n\xff\n"),
+                          "--dataset", str(run["dataset"]), "--out", str(tmp / "o")],
+        1, "/bad.cfg: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11"),
     "NaN checkpoint entry": (
         lambda tmp, run: _edited_checkpoint(tmp, run, arrays=_nan_layer(run)),
         1, "edited.npz entry 'layer0.weight' must hold finite floats"),

@@ -88,7 +88,7 @@ def test_full_step_gradients_keep_diagonal():
 
 def test_full_step_gradients_in_row_panels_on_a_worker(monkeypatch):
     # panels of 3 rows split B = 8 as 3 + 3 + 2, and view 1 runs on a worker
-    monkeypatch.setattr("otsc.trainer.PANEL_BYTES", 8 * 8 * 3)
+    monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 8 * 3)
     model, cfg, x1, x2 = build_instance("procrustes")
     with futures.ThreadPoolExecutor(1) as worker:
         check_all_parameters(model, cfg, x1, x2, worker)

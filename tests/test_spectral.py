@@ -19,7 +19,6 @@ from otsc.spectral import (
     orthogonalize,
     row_normalize,
     row_normalize_vjp,
-    scatter_off_diagonal,
     softmax_cross_entropy,
 )
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, _straight_through
@@ -36,6 +35,14 @@ def unit_rows(rng, b, d):
 def random_target(rng, shape):
     t = rng.random(shape) + 0.05
     return t / t.sum(axis=1, keepdims=True)
+
+
+def masked_affinity_grad(rng, z, tau=0.1):
+    """The affinity logit gradient of unit rows ``z`` in the masked layout,
+    against a random target with a zero diagonal."""
+    b = z.shape[0]
+    target = mask_scatter_off_diagonal(random_target(rng, (b, b - 1)))
+    return softmax_cross_entropy(target, off_diagonal(z @ z.T), tau, masked_diagonal=True)[1]
 
 
 def encoder_view(seed, orth_mode="procrustes"):
@@ -67,92 +74,59 @@ def step_targets(kind, seed=11):
 
 
 class TestCrossAffinity:
-    """Cross affinity as the trainer builds it: ``off_diagonal(z @ z.T)``."""
+    """Cross affinity as the trainer builds it: ``off_diagonal(z @ z.T)``,
+    the similarities with the diagonal masked to -inf in place."""
 
     def test_two_samples(self):
         rng = np.random.default_rng(0)
         z = unit_rows(rng, 2, 3)
         w = off_diagonal(z @ z.T)
         dot = float(z[0] @ z[1])
-        assert w.shape == (2, 1)
-        assert np.allclose(w, [[dot], [dot]])
+        assert w.shape == (2, 2)
+        assert (np.diag(w) == -np.inf).all()
+        assert np.allclose(mask_off_diagonal(w), [[dot], [dot]])
 
     def test_identical_rows_give_ones(self):
         z = np.tile(np.array([[0.6, 0.8]]), (4, 1))
-        assert np.abs(off_diagonal(z @ z.T) - 1.0).max() <= 1e-12
+        assert np.abs(mask_off_diagonal(off_diagonal(z @ z.T)) - 1.0).max() <= 1e-12
 
     def test_orthogonal_rows_give_zeros(self):
         z = np.eye(3)
-        assert np.abs(off_diagonal(z @ z.T)).max() == 0.0
+        assert np.abs(mask_off_diagonal(off_diagonal(z @ z.T))).max() == 0.0
 
     def test_preserves_column_order(self):
+        # masking moves nothing: column j of every row is sample j
         rng = np.random.default_rng(1)
         z = unit_rows(rng, 5, 4)
         w = off_diagonal(z @ z.T)
         sims = z @ z.T
         for i in range(5):
             cols = [j for j in range(5) if j != i]
-            assert np.allclose(w[i], sims[i, cols])
-
-    def test_scatter_round_trip(self):
-        rng = np.random.default_rng(2)
-        z = unit_rows(rng, 6, 3)
-        w = off_diagonal(z @ z.T)
-        full = scatter_off_diagonal(w)
-        assert np.abs(np.diag(full)).max() == 0.0
-        assert np.allclose(full[~np.eye(6, dtype=bool)].reshape(6, 5), w)
+            assert np.allclose(w[i, cols], sims[i, cols])
 
     @pytest.mark.parametrize("b", [2, 3, 17, 100])
     def test_strided_view_bitwise_equals_mask_form(self, b):
         rng = np.random.default_rng(b)
         square = rng.normal(size=(b, b))
-        assert off_diagonal(square).tobytes() == mask_off_diagonal(square).tobytes()
-        values = rng.normal(size=(b, b - 1))
-        got = scatter_off_diagonal(values)
-        assert got.tobytes() == mask_scatter_off_diagonal(values).tobytes()
+        want = np.where(np.eye(b, dtype=bool), -np.inf, square)
+        assert off_diagonal(square.copy()).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("b", [2, 17])
     def test_out_forms_bitwise_equal_and_return_out(self, b):
-        # a NaN-filled out shows that every entry is written
+        # the matrix is its own out: masked in place and returned
         rng = np.random.default_rng(b)
-        square, values = rng.normal(size=(b, b)), rng.normal(size=(b, b - 1))
-        out = np.full((b, b - 1), np.nan)
-        assert off_diagonal(square, out=out) is out
-        assert out.tobytes() == off_diagonal(square).tobytes()
-        out = np.full((b, b), np.nan)
-        assert scatter_off_diagonal(values, out=out) is out
-        assert out.tobytes() == scatter_off_diagonal(values).tobytes()
-
-    @pytest.mark.parametrize("rows", [1, 5, 16])
-    def test_row_panels_bitwise_equal_mask_rows(self, rows):
-        # B = 17 is divided by none of these heights, so the last panel is
-        # short; every panel starts on a boundary the whole-matrix form has
-        # no counterpart for
-        b = 17
-        rng = np.random.default_rng(rows)
-        square, values = rng.normal(size=(b, b)), rng.normal(size=(b, b - 1))
-        packed, scattered = mask_off_diagonal(square), mask_scatter_off_diagonal(values)
-        for s in range(0, b, rows):
-            e = min(s + rows, b)
-            out = np.full((e - s, b - 1), np.nan)
-            assert off_diagonal(square[s:e], row0=s, out=out) is out
-            assert out.tobytes() == packed[s:e].tobytes(), s
-            out = np.full((e - s, b), np.nan)
-            assert scatter_off_diagonal(values[s:e], row0=s, out=out) is out
-            assert out.tobytes() == scattered[s:e].tobytes(), s
-
-    @pytest.mark.parametrize("row0, rows", [(-1, 2), (16, 2), (0, 18)])
-    def test_panel_outside_the_matrix_refused(self, row0, rows):
-        b = 17
-        with pytest.raises(ValueError):
-            off_diagonal(np.zeros((rows, b)), row0=row0)
-        with pytest.raises(ValueError):
-            scatter_off_diagonal(np.zeros((rows, b - 1)), row0=row0)
+        square = rng.normal(size=(b, b))
+        before = square.copy()
+        assert off_diagonal(square) is square
+        assert mask_off_diagonal(square).tobytes() == mask_off_diagonal(before).tobytes()
+        assert (np.diag(square) == -np.inf).all()
 
     def test_batch_too_small(self):
         z = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):
             off_diagonal(z @ z.T)
+        with pytest.raises(ValueError):  # not square
+            off_diagonal(np.zeros((2, 3)))
 
     def test_requires_unit_rows(self):
         # the logits are cosine similarities only if the trainer hands the
@@ -161,11 +135,11 @@ class TestCrossAffinity:
             model, x, cfg = encoder_view(0, mode)
             z = straight_through_view(model, x, cfg)[2]
             assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() <= 1e-14, mode
-            assert np.abs(off_diagonal(z @ z.T)).max() <= 1.0 + 1e-14, mode
+            assert np.abs(mask_off_diagonal(z @ z.T)).max() <= 1.0 + 1e-14, mode
 
 
 class TestAffinityLoss:
-    """The affinity loss is `softmax_cross_entropy` on the off-diagonal logits."""
+    """The affinity loss is `softmax_cross_entropy` on the masked logits."""
 
     def test_minimum_at_target_with_entropy_value(self):
         rng = np.random.default_rng(3)
@@ -180,11 +154,30 @@ class TestAffinityLoss:
         assert abs(loss - entropy) <= 1e-10
 
     def test_single_column_degenerate(self):
-        # B = 2 leaves one off-diagonal column; softmax of one entry is 1
-        target = np.ones((2, 1))
-        loss, grad = softmax_cross_entropy(target, np.array([[0.37], [-2.2]]), tau=0.05)
+        # B = 2 leaves one unmasked entry per row; softmax of one entry is 1
+        target = np.array([[0.0, 1.0], [1.0, 0.0]])
+        logits = np.array([[-np.inf, 0.37], [-2.2, -np.inf]])
+        loss, grad = softmax_cross_entropy(target, logits, tau=0.05, masked_diagonal=True)
         assert loss == 0.0
         assert np.abs(grad).max() == 0.0
+
+    @pytest.mark.parametrize("b", [2, 17, 100])
+    def test_masked_diagonal_matches_packed_form(self, b):
+        # the masked B x B form against the B x (B-1) off-diagonal form of
+        # the same logits and targets: same loss, the same gradient off the
+        # diagonal and 0 on it, no NaN from 0 * -inf
+        rng = np.random.default_rng(b)
+        z = unit_rows(rng, b, 3)
+        packed_target = random_target(rng, (b, b - 1))
+        want_loss, want_grad = softmax_cross_entropy(packed_target, mask_off_diagonal(z @ z.T), 0.1)
+        loss, grad = softmax_cross_entropy(
+            mask_scatter_off_diagonal(packed_target), off_diagonal(z @ z.T), 0.1,
+            masked_diagonal=True,
+        )
+        assert abs(loss - want_loss) <= 1e-14 * abs(want_loss)
+        assert np.abs(grad - mask_scatter_off_diagonal(want_grad)).max() <= 1e-14 * np.abs(
+            want_grad).max()
+        assert (np.diag(grad) == 0.0).all()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -247,20 +240,20 @@ class TestAffinityLoss:
             w = sims[~np.eye(6, dtype=bool)].reshape(6, 5)
             return softmax_cross_entropy(target, w, tau)[0]
 
-        _, grad_logits = softmax_cross_entropy(target, off_diagonal(z0 @ z0.T), tau)
+        _, grad_logits = softmax_cross_entropy(
+            mask_scatter_off_diagonal(target), off_diagonal(z0 @ z0.T), tau, masked_diagonal=True
+        )
         grad_z = affinity_grad_to_embeddings(grad_logits, z0)
         fd = central_difference(loss_of_z, z0)
         assert rel_error(grad_z, fd) <= 1e-7
 
     @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
     def test_grad_to_embeddings_matches_two_product_form(self, b):
-        # both logit layouts: off-diagonal B x (B-1), and the full B x B of
-        # keep_diagonal, whose gradient is used as it is
+        # both logit layouts: the masked diagonal, and the full z @ z.T of
+        # keep_diagonal
         rng = np.random.default_rng(b)
         z = unit_rows(rng, b, 2)
-        _, grad_logits = softmax_cross_entropy(
-            random_target(rng, (b, b - 1)), off_diagonal(z @ z.T), 0.1
-        )
+        grad_logits = masked_affinity_grad(rng, z)
         got = affinity_grad_to_embeddings(grad_logits, z)
         assert rel_error(got, two_product_affinity_grad(grad_logits, z)) <= 1e-15
         _, grad_square = softmax_cross_entropy(random_target(rng, (b, b)), z @ z.T, 0.1)
@@ -268,21 +261,15 @@ class TestAffinityLoss:
         assert rel_error(got, two_product_affinity_grad(grad_square, z)) <= 1e-15
 
     @pytest.mark.parametrize("rows", [1, 5, 16, 17])
-    def test_grad_to_embeddings_in_row_panels(self, rows):
-        # the panels only split A @ z by rows and z.T @ A into a sum; the
-        # panel buffer holds the last scattered panel afterwards
+    def test_grad_to_embeddings_in_row_panels(self, rows, monkeypatch):
+        # the panels only split A @ z by rows and z.T @ A into a sum
         b = 17
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * b * rows)
         rng = np.random.default_rng(rows)
         z = unit_rows(rng, b, 2)
-        _, grad_logits = softmax_cross_entropy(
-            random_target(rng, (b, b - 1)), off_diagonal(z @ z.T), 0.1
-        )
-        panel = np.full((rows, b), np.nan)
-        got = affinity_grad_to_embeddings(grad_logits, z, out=panel)
+        grad_logits = masked_affinity_grad(rng, z)
+        got = affinity_grad_to_embeddings(grad_logits, z)
         assert rel_error(got, two_product_affinity_grad(grad_logits, z)) <= 1e-15
-        last = (b - 1) // rows * rows
-        want = mask_scatter_off_diagonal(grad_logits)[last:]
-        assert panel[: b - last].tobytes() == want.tobytes()
 
     def test_gradient_vanishes_when_model_matches_target(self):
         # fixed-point form of the convergence condition: when the modeled
@@ -294,28 +281,27 @@ class TestAffinityLoss:
         scaled = logits / tau
         p = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        _, grad_logits = softmax_cross_entropy(p, logits, tau)
+        _, grad_logits = softmax_cross_entropy(p, logits, tau, masked_diagonal=True)
         grad_z = affinity_grad_to_embeddings(grad_logits, z)
         assert np.abs(grad_z).max() <= 1e-8
-
 
     @pytest.mark.parametrize("square", [False, True])
     def test_out_forms_bitwise_equal_and_return_out(self, square):
         rng = np.random.default_rng(12)
         b = 9
         z = unit_rows(rng, b, 3)
-        logits = z @ z.T if square else off_diagonal(z @ z.T)
-        target = random_target(rng, logits.shape)
-        want_loss, want_grad = softmax_cross_entropy(target, logits, 0.2)
+        # square: the full z @ z.T of keep_diagonal; else the masked layout
+        if square:
+            logits, target = z @ z.T, random_target(rng, (b, b))
+        else:
+            logits = off_diagonal(z @ z.T)
+            target = mask_scatter_off_diagonal(random_target(rng, (b, b - 1)))
+        masked = {"masked_diagonal": not square}
+        want_loss, want_grad = softmax_cross_entropy(target, logits, 0.2, **masked)
         out = np.full(logits.shape, np.nan)
-        loss, grad = softmax_cross_entropy(target, logits, 0.2, out=out)
+        loss, grad = softmax_cross_entropy(target, logits, 0.2, out=out, **masked)
         assert grad is out
         assert (loss, grad.tobytes()) == (want_loss, want_grad.tobytes())
-        scattered = np.full((b, b), np.nan)
-        got = affinity_grad_to_embeddings(grad, z, out=scattered)
-        assert got.tobytes() == affinity_grad_to_embeddings(want_grad, z).tobytes()
-        if not square:  # the scatter's result, which a B x B gradient skips
-            assert scattered.tobytes() == scatter_off_diagonal(grad).tobytes()
 
 
 class TestOrthogonalize:

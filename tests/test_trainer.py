@@ -217,12 +217,41 @@ class TestStepStatistics:
     @pytest.mark.parametrize("keep_diagonal", [False, True])
     def test_cross_affinity_intensity_is_the_mass_off_the_diagonal(self, keep_diagonal):
         losses, _, held = self.step(keep_diagonal=keep_diagonal)
-        if not keep_diagonal:  # the packed layout has no diagonal
-            assert losses.cross_affinity_intensity == 1.0
-            return
         off = [(w.sum() - np.trace(w)) / w.shape[0] for w in held.affinity_targets]
         assert abs(losses.cross_affinity_intensity - np.mean(off)) <= 1e-12
-        assert losses.cross_affinity_intensity < 1.0
+        if keep_diagonal:
+            assert losses.cross_affinity_intensity < 1.0
+        else:  # the masked diagonal holds no mass
+            assert losses.cross_affinity_intensity == 1.0
+
+
+class TestAffinityTargetMarginals:
+    """An affinity target's column j is sample j, so Sinkhorn's column step
+    balances the mass each sample receives, not the mass of a position."""
+
+    # the README's config and data: moons, n = 1000, noise 0.04, seed 7
+    CONFIG = dict(num_clusters=2, embed_dim=2, eta=0.05, sinkhorn_iters=5, base_lr=5e-6,
+                  weight_decay=0.05, restart_period=600, noise_sigma=0.04,
+                  feature_dropout_prob=0.0, scale_jitter=0.02, tau_a_init=0.15,
+                  tau_c_init=0.12, seed=1)
+
+    @pytest.mark.parametrize("b", [100, 256])
+    def test_every_sample_receives_one_unit(self, b):
+        cfg = TrainConfig(batch_size=b, **self.CONFIG)
+        x = gen_dataset("moons", 1000, 0.04, 7).features
+        rng = np.random.default_rng(cfg.seed)
+        model = net.init_model(2, cfg.embed_dim, cfg.num_clusters, rng)
+        batch = x[rng.permutation(1000)[:b]]
+        store = {}
+        _compute_step(model, augment(batch, cfg, rng), augment(batch, cfg, rng), cfg, store)
+        for v in (0, 1):
+            w = store[f"target{v}"]
+            assert w.shape == (b, b)
+            received = w.sum(axis=0)
+            assert np.abs(received - 1.0).max() <= 0.05, (received.min(), received.max())
+            assert (np.diag(w) == 0.0).all()
+            # the logits buffer holds the cross-entropy gradient after the step
+            assert (np.diag(store[f"logits{v}"]) == 0.0).all()
 
 
 class TestStepBuffers:
@@ -251,8 +280,8 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("keep_diagonal", [False, True])
     def test_store_holds_only_arrays_read_back(self, keep_diagonal):
-        # each view's affinity logits and targets, plus in the packed layout
-        # one panel of similarity rows per view; no B x B scratch
+        # each view's affinity logits and targets, B x B in both layouts;
+        # no B x B scratch
         b = 10
         cfg = tiny_cfg(keep_diagonal=keep_diagonal)
         rng = np.random.default_rng(5)
@@ -260,10 +289,7 @@ class TestStepBuffers:
         store = {}
         opt = net.OptimizerState(base_lr=cfg.lr)
         train_step(random_data(n=b, seed=5), model, opt, cfg, rng, cfg.lr, buffers=store)
-        layout = (b, b) if keep_diagonal else (b, b - 1)
-        want = {f"{kind}{v}": layout for kind in ("logits", "target") for v in (0, 1)}
-        if not keep_diagonal:  # at B = 10 one panel holds the whole plane
-            want.update(panel0=(b, b), panel1=(b, b))
+        want = {f"{kind}{v}": (b, b) for kind in ("logits", "target") for v in (0, 1)}
         assert {key: buf.shape for key, buf in store.items()} == want
 
     def test_fit_hands_every_step_one_store(self, monkeypatch):
@@ -369,7 +395,7 @@ class TestWorker:
     def test_step_on_a_worker_bitwise_equals_serial_under_frequent_switches(self, monkeypatch):
         # panels of 7 rows give each view 6 of them at B = 40; a 1 us switch
         # interval interleaves the two threads as often as Python allows
-        monkeypatch.setattr("otsc.trainer.PANEL_BYTES", 8 * 40 * 7)
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 40 * 7)
         cfg = tiny_cfg(batch_size=40)
         rng = np.random.default_rng(9)
         x = random_data(n=40, seed=9)
@@ -398,7 +424,7 @@ class TestWorker:
         x = random_data(n=40, seed=10)
         x1, x2 = augment(x, cfg, rng), augment(x, cfg, rng)
         want, want_grads, _ = _compute_step(model, x1, x2, cfg)  # one panel
-        monkeypatch.setattr("otsc.trainer.PANEL_BYTES", 8 * 40 * 7)
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 40 * 7)
         got, got_grads, _ = _compute_step(model, x1, x2, cfg)
         for name, value in got._asdict().items():
             assert value == pytest.approx(getattr(want, name), rel=1e-14, abs=0.0), name

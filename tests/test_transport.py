@@ -242,7 +242,9 @@ class TestAgainstReferenceLoops:
     """The scaling core against the matrix-rescaling and plan-rebuilding
     loops it replaced (`oracles.reference_*`)."""
 
-    @pytest.mark.parametrize("kind", ["random 7x5", "affinity 100x99", "assignment 1024x2"])
+    @pytest.mark.parametrize(
+        "kind", ["random 7x5", "affinity 100x99", "masked affinity 100x100", "assignment 1024x2"]
+    )
     def test_fixed_count_plan_matches(self, kind):
         rng = np.random.default_rng(11)
         if kind == "random 7x5":
@@ -250,6 +252,10 @@ class TestAgainstReferenceLoops:
         elif kind == "affinity 100x99":
             z = _unit_rows(rng, 100, 4)
             logits = mask_off_diagonal(z @ z.T)
+        elif kind == "masked affinity 100x100":  # the trainer's layout: a -inf diagonal
+            z = _unit_rows(rng, 100, 4)
+            logits = z @ z.T
+            np.fill_diagonal(logits, -np.inf)
         else:
             logits = _unit_rows(rng, 1024, 2) @ _unit_rows(rng, 2, 2).T
         got = sinkhorn_algorithm1(logits, eta=0.05, iterations=5).plan
