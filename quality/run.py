@@ -4,19 +4,21 @@ and the spectral baseline.
     python3 quality/run.py --label NAME --out QUALITY.json [--tiny]
 
 The driver imports the ``otsc`` sources in ``src/`` next to this directory.
-For each dataset kind (moons, rings and blobs, generator seed 7) it trains
-the README config with seeds 1-3 and labels the whole training set under
-two rules:
+For each dataset kind (moons, rings and blobs) it generates one set of
+n = 2000 with generator seed 7 and splits it once, by
+``np.random.default_rng(7).permutation(n)``: the first half is the training
+half, the second half is held out. It trains the README config with seeds
+1-3 on the training half and labels each half under two rules:
 
 - ``predict``, as the package ships it: the prototype argmax of the
   row-normalized raw embeddings;
-- ``polar``: the prototype argmax of the row-normalized polar factor of the
-  set's raw embeddings, the map the training step applies per batch.
+- ``polar``: the prototype argmax of the row-normalized polar factor of
+  that half's raw embeddings, the map the training step applies per batch.
 
-Each run records ACC, NMI, ARI and the number of clusters used under both
-rules, the temperatures after the last epoch and the median raw row norm
-‖z_raw‖. Each kind adds one k-means and one spectral-baseline run. Nothing
-is held out yet: the scores are on the training set.
+Each run records, per half, ACC, NMI, ARI and the number of clusters used
+under both rules and the median raw row norm ‖z_raw‖, and the temperatures
+after the last epoch. Each kind adds one k-means and one spectral-baseline
+run on each half.
 
 The run is stored as ``runs[NAME]`` in the JSON file ``--out``; other runs
 already in the file are kept, so one file can compare several commits. A
@@ -47,10 +49,12 @@ README_CONFIG = dict(
 )
 # kind -> (gen_dataset keywords, config changes)
 DATASETS = {
-    "moons": (dict(n=1000, noise=0.04), {}),
-    "rings": (dict(n=1000, noise=0.04), {}),
-    "blobs": (dict(n=1000, noise=1.0, k=4), dict(num_clusters=4, embed_dim=4)),
+    "moons": (dict(n=2000, noise=0.04), {}),
+    "rings": (dict(n=2000, noise=0.04), {}),
+    "blobs": (dict(n=2000, noise=1.0, k=4), dict(num_clusters=4, embed_dim=4)),
 }
+SPLIT_SEED = 7
+HALVES = ("train", "held_out")
 TINY = dict(n=200, epochs=2)
 
 
@@ -71,26 +75,36 @@ def _scores(y_true, labels) -> dict:
             "clusters": int(np.unique(labels).size)}
 
 
-def _otsc_run(ds, cfg) -> dict:
+def _split(ds) -> dict:
+    """``{half: (features, labels)}``: the first half of the fixed permutation
+    trains, the second half is held out."""
+    import numpy as np
+
+    order = np.random.default_rng(SPLIT_SEED).permutation(ds.n)
+    parts = (order[: ds.n // 2], order[ds.n // 2 :])
+    return {half: (ds.features[idx], ds.labels[idx]) for half, idx in zip(HALVES, parts)}
+
+
+def _otsc_run(halves, cfg) -> dict:
     import numpy as np
     from otsc import network as net
     from otsc.spectral import orthogonalize, row_normalize
     from otsc.trainer import fit, predict
 
-    model, _ = fit(ds.features, cfg)
-    labels, _ = predict(model, ds.features)
-    z_raw, _ = net.forward(model, ds.features)
-    polar = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
-    polar_labels = np.argmax(polar @ row_normalize(model.prototypes).T, axis=1)
+    model, _ = fit(halves["train"][0], cfg)
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
-    return {
-        "seed": cfg.seed,
-        "predict": _scores(ds.labels, labels),
-        "polar": _scores(ds.labels, polar_labels),
-        "tau_a": tau_a,
-        "tau_c": tau_c,
-        "median_z_raw_norm": float(np.median(np.linalg.norm(z_raw, axis=1))),
-    }
+    run = {"seed": cfg.seed, "tau_a": tau_a, "tau_c": tau_c}
+    for half, (x, y) in halves.items():
+        labels, _ = predict(model, x)
+        z_raw, _ = net.forward(model, x)
+        polar = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
+        polar_labels = np.argmax(polar @ row_normalize(model.prototypes).T, axis=1)
+        run[half] = {
+            "predict": _scores(y, labels),
+            "polar": _scores(y, polar_labels),
+            "median_z_raw_norm": float(np.median(np.linalg.norm(z_raw, axis=1))),
+        }
+    return run
 
 
 def _kind(kind: str, tiny: bool) -> dict:
@@ -100,35 +114,43 @@ def _kind(kind: str, tiny: bool) -> dict:
 
     gen, changes = DATASETS[kind]
     gen = {**gen, "n": TINY["n"]} if tiny else gen
-    ds = gen_dataset(kind, seed=GENERATOR_SEED, **gen)
+    halves = _split(gen_dataset(kind, seed=GENERATOR_SEED, **gen))
     base = {**README_CONFIG, **changes, **({"epochs": TINY["epochs"]} if tiny else {})}
-    runs = [_otsc_run(ds, TrainConfig(seed=seed, **base)) for seed in SEEDS]
+    runs = [_otsc_run(halves, TrainConfig(seed=seed, **base)) for seed in SEEDS]
     k = base["num_clusters"]
-    kmeans, _, _ = kmeans_lloyd(ds.features, k, restarts=10, seed=0)
-    spectral, _ = classical_spectral(ds.features, SpectralConfig(num_clusters=k), seed=0)
-    return {
-        "dataset": {"kind": kind, "seed": GENERATOR_SEED, **gen},
+    result = {
+        "dataset": {"kind": kind, "seed": GENERATOR_SEED, **gen, "split_seed": SPLIT_SEED},
         "config": base,
         "otsc": runs,
-        "mean_predict_acc": statistics.fmean(r["predict"]["acc"] for r in runs),
-        "mean_polar_acc": statistics.fmean(r["polar"]["acc"] for r in runs),
-        "kmeans": _scores(ds.labels, kmeans),
-        "spectral": _scores(ds.labels, spectral),
     }
+    for half, (x, y) in halves.items():
+        kmeans, _, _ = kmeans_lloyd(x, k, restarts=10, seed=0)
+        spectral, _ = classical_spectral(x, SpectralConfig(num_clusters=k), seed=0)
+        result[half] = {
+            "n": len(y),
+            "mean_predict_acc": statistics.fmean(r[half]["predict"]["acc"] for r in runs),
+            "mean_polar_acc": statistics.fmean(r[half]["polar"]["acc"] for r in runs),
+            "kmeans": _scores(y, kmeans),
+            "spectral": _scores(y, spectral),
+        }
+    return result
 
 
 def _table(results: dict) -> str:
     def cell(s):
         return f"{s['acc']:.3f} / {s['nmi']:.3f} / {s['ari']:.3f} ({s['clusters']})"
 
-    lines = ["kind  | method      | ACC / NMI / ARI (clusters used) | tau_a, tau_c | med |z_raw|"]
+    lines = ["kind  | half     | method      | ACC / NMI / ARI (clusters used) | tau_a, tau_c "
+             "| med |z_raw|"]
     for kind, res in results.items():
-        for r in res["otsc"]:
-            lines.append(f"{kind:5} | seed {r['seed']} pred | {cell(r['predict'])} | "
-                         f"{r['tau_a']:.3f}, {r['tau_c']:.3f} | {r['median_z_raw_norm']:.3g}")
-            lines.append(f"{kind:5} | seed {r['seed']} polar| {cell(r['polar'])} |")
-        lines.append(f"{kind:5} | k-means     | {cell(res['kmeans'])} |")
-        lines.append(f"{kind:5} | spectral    | {cell(res['spectral'])} |")
+        for half in HALVES:
+            for r in res["otsc"]:
+                s = r[half]
+                lines.append(f"{kind:5} | {half:8} | seed {r['seed']} pred | {cell(s['predict'])} "
+                             f"| {r['tau_a']:.3f}, {r['tau_c']:.3f} | {s['median_z_raw_norm']:.3g}")
+                lines.append(f"{kind:5} | {half:8} | seed {r['seed']} polar| {cell(s['polar'])} |")
+            lines.append(f"{kind:5} | {half:8} | k-means     | {cell(res[half]['kmeans'])} |")
+            lines.append(f"{kind:5} | {half:8} | spectral    | {cell(res[half]['spectral'])} |")
     return "\n".join(lines)
 
 

@@ -1,7 +1,8 @@
 """Smoke test of the quality driver at its tiny size.
 
 A tiny run must score every dataset kind with all three training seeds and
-both baselines, and a second run must join the first in the same file.
+both baselines on both halves of its split, the training half and the
+held-out half, and a second run must join the first in the same file.
 """
 
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 KINDS = {"moons": 2, "rings": 2, "blobs": 4}
+HALVES = ("train", "held_out")
 
 
 def _run(out, label):
@@ -34,6 +36,7 @@ def test_tiny_run_scores_every_kind_and_keeps_earlier_runs(tmp_path):
     out = tmp_path / "quality.json"
     proc = _run(out, "first")
     assert "k-means" in proc.stdout and "spectral" in proc.stdout
+    assert all(half in proc.stdout for half in HALVES)
     _run(out, "second")
     runs = json.loads(out.read_text())["runs"]
     assert set(runs) == {"first", "second"}
@@ -45,11 +48,16 @@ def test_tiny_run_scores_every_kind_and_keeps_earlier_runs(tmp_path):
     for kind, k in KINDS.items():
         res = results[kind]
         assert res["config"]["num_clusters"] == k
+        # one generated set of 200, split in two halves
+        assert res["dataset"]["n"] == 200
+        assert [res[half]["n"] for half in HALVES] == [100, 100]
         assert [r["seed"] for r in res["otsc"]] == [1, 2, 3]
         for r in res["otsc"]:
-            _check_scores(r["predict"], k)
-            _check_scores(r["polar"], k)
             assert 0.0 < r["tau_a"] <= 1.0 and 0.0 < r["tau_c"] <= 1.0
-            assert r["median_z_raw_norm"] > 0.0
-        _check_scores(res["kmeans"], k)
-        _check_scores(res["spectral"], k)
+            for half in HALVES:
+                _check_scores(r[half]["predict"], k)
+                _check_scores(r[half]["polar"], k)
+                assert r[half]["median_z_raw_norm"] > 0.0
+        for half in HALVES:
+            _check_scores(res[half]["kmeans"], k)
+            _check_scores(res[half]["spectral"], k)

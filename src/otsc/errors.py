@@ -2,6 +2,8 @@
 
 Numerical failures subclass :class:`NumericalError` so the CLI can map them
 to a distinct exit status; contract violations stay plain ``ValueError``.
+The two refusals a degenerate embedding meets, `RankError` and
+`ZeroRowError`, are both, so callers that catch ``ValueError`` still do.
 `as_matrix` is the input check of the package's entry points and
 `check_finite_fields` that of its settings objects.
 """
@@ -54,5 +56,9 @@ class TrainingAbortError(NumericalError):
     """Training aborted on a non-finite loss; message carries epoch/step."""
 
 
-class RankError(ValueError):
+class RankError(NumericalError, ValueError):
     """Input matrix is numerically rank-deficient where full rank is required."""
+
+
+class ZeroRowError(NumericalError, ValueError):
+    """A row to be normalized has norm 0."""

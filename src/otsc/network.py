@@ -117,7 +117,6 @@ class ForwardCache:
     """Intermediates of one encoder forward, tied to a model version."""
 
     inputs: list[np.ndarray]  # input to each layer
-    pre_activations: list[np.ndarray]
     model_id: int
     model_version: int
 
@@ -126,21 +125,16 @@ def forward(state: ModelState, x) -> tuple[np.ndarray, ForwardCache]:
     """Encoder forward pass; returns raw embeddings and the backward cache.
 
     ``x`` is a float64 B x d_in matrix, as `fit` and `predict` hand it."""
-    inputs, pres = [], []
+    inputs = []
     h = x
     last = len(state.layers) - 1
     for i, (w, b) in enumerate(state.layers):
         inputs.append(h)
-        pre = h @ w.T + b
-        pres.append(pre)
-        h = pre if i == last else np.maximum(pre, 0.0)
-    cache = ForwardCache(
-        inputs=inputs,
-        pre_activations=pres,
-        model_id=id(state),
-        model_version=state.version,
-    )
-    return h, cache
+        h = h @ w.T  # a new array: the in-place ops leave the cached input alone
+        h += b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
+    return h, ForwardCache(inputs=inputs, model_id=id(state), model_version=state.version)
 
 
 def backward(
@@ -149,7 +143,8 @@ def backward(
     """Exact reverse-mode pass through the encoder.
 
     Returns per-layer (grad_weight, grad_bias). The rectifier uses the
-    0-subgradient at 0. Raises on a cache from a different model version.
+    0-subgradient at 0: it masks by the next layer's input > 0, as max(p, 0)
+    > 0 exactly when p > 0. Raises on a cache from a stale model version.
     """
     if cache.model_id != id(state) or cache.model_version != state.version:
         raise ValueError("stale forward cache: model was updated since forward")
@@ -160,7 +155,7 @@ def backward(
         grads[i] = (g_pre.T @ cache.inputs[i], g_pre.sum(axis=0))
         if i > 0:
             g_h = g_pre @ w
-            g_pre = g_h * (cache.pre_activations[i - 1] > 0)
+            g_pre = g_h * (cache.inputs[i] > 0)
     return grads
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError
+from .errors import RankError, ZeroRowError
 
 __all__ = [
     "OrthogonalizationResult",
@@ -132,7 +132,8 @@ def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationR
     reduced Q factor with column signs fixed so diag(q) >= 0 (the convention
     under which the QR route moves the embeddings much further than the
     polar factor does); it raises :class:`RankError` when a diagonal entry
-    of R falls at or below ``1e-12 * max|z|``.
+    of R falls at or below ``1e-12 * max|z|``. An ill-conditioned polar
+    factor warns once per call site (fixed text); ``warning`` has its sigmas.
     """
     warning = None
     if mode == "procrustes":
@@ -140,11 +141,8 @@ def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationR
         s_max = float(s[0])
         s_min = float(s[-1])
         if s_min < 1e-10 * s_max or s_max == 0.0:
-            warning = (
-                f"ill-conditioned polar factor: sigma_min={s_min:.3e}, "
-                f"sigma_max={s_max:.3e}"
-            )
-            warnings.warn(warning, RuntimeWarning, stacklevel=2)
+            warning = f"ill-conditioned polar factor: sigma_min={s_min:.3e}, sigma_max={s_max:.3e}"
+            warnings.warn("ill-conditioned polar factor", RuntimeWarning, stacklevel=2)
         z_new = u @ vt
     elif mode == "qr":
         m, n = z.shape
@@ -172,7 +170,7 @@ def row_normalize(z: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm."""
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if (norms == 0).any():
-        raise ValueError("row_normalize received a zero row")
+        raise ZeroRowError("row_normalize received a zero row")
     return z / norms
 
 

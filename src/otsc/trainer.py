@@ -160,22 +160,6 @@ class StepLosses(NamedTuple):
     cross_affinity_intensity: float
 
 
-@dataclass(frozen=True)
-class FrozenStopGradients:
-    """Stop-gradient quantities of one step: per view, the straight-through
-    residual and the affinity and assignment targets.
-
-    The step's gradients differentiate its loss with these held fixed.
-    ``affinity_targets`` alias the ``target0/1`` buffers of the step's
-    store: a later step on the same store overwrites them, so a caller that
-    keeps them gives each step its own store (the default).
-    """
-
-    st_residuals: tuple[np.ndarray, np.ndarray]
-    affinity_targets: tuple[np.ndarray, np.ndarray]
-    assignment_targets: tuple[np.ndarray, np.ndarray]
-
-
 def augment(x, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
     """Stochastic view of vector data.
 
@@ -238,9 +222,10 @@ def _both_views(fn, worker):
 def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
-    Returns (losses, grads, held): ``held`` holds the step's stop-gradient
-    quantities, the straight-through residuals and both views' transport
-    targets, which the backward treats as constants.
+    Returns (losses, grads, held). ``held`` is the tuple (st_residuals,
+    affinity_targets, assignment_targets), each a pair with one array per
+    view: the step's stop-gradient quantities, which the backward treats as
+    constants, so the gradients differentiate the loss with them held fixed.
 
     The step's B x B arrays live in ``buffers``, a dict that `fit` keeps for
     the whole run so a step allocates none of them; None gives the call a
@@ -250,7 +235,8 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     ``keep_diagonal``, so each target column is one sample and a masked
     target holds no self-affinity. After the call the logits buffers hold
     the affinity cross-entropy gradients. The affinity targets in ``held``
-    alias the store: the next step on the same store overwrites them.
+    alias ``target0/1``, which the next step on the same store overwrites:
+    a caller that keeps them gives each step its own store (the default).
 
     A ``worker`` runs view 1's targets, then its losses and backward, while
     this thread runs view 0's. Buffers are made on this thread and the terms
@@ -327,7 +313,7 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
         mean_inconsistency=resid_norm / (2.0 * b**0.5),
         cross_affinity_intensity=1.0 - self_mass / (2.0 * b),
     )
-    return losses, grads, FrozenStopGradients(resids, w_targets, p_targets)
+    return losses, grads, (resids, w_targets, p_targets)
 
 
 def train_step(
@@ -391,9 +377,10 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
                     losses, model = train_step(
                         x[idx], model, opt, cfg, rng, lr, buffers=buffers, worker=worker
                     )
-                except (NumericalError, ValueError, FloatingPointError) as err:
-                    # inputs were validated up front, so an in-loop failure is
-                    # a numerical event (overflow, dead rows, poisoned gradients)
+                except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as err:
+                    # numerical events only (overflow, dead rows, a rank-deficient
+                    # QR, an SVD that does not converge, poisoned gradients); any
+                    # other error is a bug and leaves fit as itself
                     msg = f"aborted at epoch {epoch}, step {step}: {err}"
                     raise TrainingAbortError(msg) from err
                 sums += losses

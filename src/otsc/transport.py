@@ -21,7 +21,6 @@ from .errors import SinkhornUnderflowError, as_matrix
 
 __all__ = [
     "TransportPlan",
-    "SinkhornState",
     "sinkhorn_algorithm1",
     "sinkhorn_marginal",
 ]
@@ -50,20 +49,6 @@ class TransportPlan:
     def __post_init__(self):
         if not (self.plan.min() >= 0.0 and self.plan.max() < np.inf):
             raise ValueError("transport plan must be nonnegative and finite")
-
-
-@dataclass(frozen=True)
-class SinkhornState:
-    """Row/column scalings of a converged marginal-constrained solve.
-
-    Scalings are kept in log form so the state stays representable at small
-    ``eta``. The plan is
-    ``diag(exp(log_alpha)) @ exp(-cost/eta) @ diag(exp(log_beta))``.
-    """
-
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
-    eta: float
 
 
 def _measured(plan: np.ndarray, r, c, iterations: int) -> TransportPlan:
@@ -190,14 +175,17 @@ def sinkhorn_marginal(
     eta: float,
     tol: float = 1e-9,
     max_iter: int = 10_000,
-) -> tuple[TransportPlan, SinkhornState]:
+) -> tuple[TransportPlan, tuple[np.ndarray, np.ndarray]]:
     """Sinkhorn solve of the entropy-regularized transport problem.
 
     Minimizes ``sum(Q * cost) + eta * sum(Q * log Q)`` subject to the given
     row/column marginals. Sweeps alternate the row and column scaling
     updates, so columns are exact after each one, until the max-norm row
     residual falls to ``tol`` or ``max_iter`` sweeps elapse; the residuals
-    of the returned plan are reported either way.
+    of the returned plan are reported either way. Returns the plan and
+    ``(log_alpha, log_beta)``, the row and column log scalings, in log form
+    so they stay representable at small ``eta``: the plan is
+    ``diag(exp(log_alpha)) @ exp(-cost/eta) @ diag(exp(log_beta))``.
 
     Runs in the kernel domain for moderate ``eta`` and switches to
     log-domain updates when ``eta <= 0.01``, where ``exp(-cost/eta)`` is no
@@ -223,6 +211,5 @@ def sinkhorn_marginal(
         plan, log_a, log_b = np.exp(a[:, None] + k + b), a, b
     else:
         plan, log_a, log_b = a[:, None] * k * b, np.log(a), np.log(b)
-    state = SinkhornState(log_alpha=log_a, log_beta=log_b, eta=eta)
-    return _measured(plan, r, c, used), state
+    return _measured(plan, r, c, used), (log_a, log_b)
 

@@ -14,7 +14,9 @@ products into the embeddings, and the temperature gradient read off the
 B x B logit and gradient planes. `held_step_loss` is the training step's
 loss written out from the package's forward pieces (encoder forward, row
 normalization, orthogonality penalty) and this module's cross entropy and
-masks; it runs no part of the step.
+masks; it runs no part of the step. The last three helpers are the small
+builders several test files share: `unit_rows`, `random_stochastic` and
+`clone`.
 """
 
 from __future__ import annotations
@@ -321,12 +323,14 @@ def logit_form_tau_grad(views_z, targets, tau: float, keep_diagonal: bool) -> fl
 
 
 def held_embeddings(model, x1, x2, held) -> list[np.ndarray]:
-    """Each view's straight-through value with its residual held at
-    ``held.st_residuals``: row_normalize(forward(x_v)) + resid_v, each view
-    encoded on its own."""
+    """Each view's straight-through value with its residual held at the
+    step's: row_normalize(forward(x_v)) + resid_v, each view encoded on its
+    own. ``held`` is the step's (st_residuals, affinity_targets,
+    assignment_targets)."""
+    st_residuals, _, _ = held
     return [
         row_normalize(net.forward(model, x)[0]) + resid
-        for x, resid in zip((x1, x2), held.st_residuals)
+        for x, resid in zip((x1, x2), st_residuals)
     ]
 
 
@@ -337,17 +341,18 @@ def held_step_loss(model, x1, x2, cfg, held) -> float:
     reports. View v's logits are scored against view 1 - v's targets; the
     B x B affinity targets and logits are packed off the diagonal by boolean
     mask unless ``cfg.keep_diagonal``."""
+    _, affinity_targets, assignment_targets = held
     tau_a, tau_c = net.effective_tau(model.log_tau)
     protos = row_normalize(model.prototypes)
     total = 0.0
     for v, z in enumerate(held_embeddings(model, x1, x2, held)):
         sims = z @ z.T
-        target = held.affinity_targets[1 - v]
+        target = affinity_targets[1 - v]
         if not cfg.keep_diagonal:
             sims, target = mask_off_diagonal(sims), mask_off_diagonal(target)
         total += two_exp_cross_entropy(target, sims, tau_a)[0]
         total += cfg.lam * two_exp_cross_entropy(
-            held.assignment_targets[1 - v], z @ protos.T, tau_c
+            assignment_targets[1 - v], z @ protos.T, tau_c
         )[0]
         if cfg.orth_mode == "penalty":
             total += orthogonal_penalty(z, cfg.penalty_rho)[0]
@@ -381,3 +386,25 @@ def full_spectrum_spectral(x, cfg, seed: int = 0) -> np.ndarray:
     rows = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
     labels, _, _ = kmeans_lloyd(rows, cfg.num_clusters, restarts=10, seed=seed)
     return labels
+
+
+def unit_rows(rng, n: int, d: int) -> np.ndarray:
+    """n random rows of unit Euclidean norm in d dimensions."""
+    z = rng.normal(size=(n, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def random_stochastic(rng, shape) -> np.ndarray:
+    """A random row-stochastic matrix with every entry positive."""
+    p = rng.random(shape) + 0.05
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def clone(m: net.ModelState) -> net.ModelState:
+    """A copy of a model that shares no array with it."""
+    return net.ModelState(
+        layers=[(w.copy(), b.copy()) for w, b in m.layers],
+        prototypes=m.prototypes.copy(),
+        log_tau=m.log_tau.copy(),
+        version=m.version,
+    )

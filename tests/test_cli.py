@@ -383,6 +383,11 @@ def _nan_layer(run):
     return {"layer0.weight": weight}
 
 
+def _zero_last_layer(run):
+    with np.load(run["checkpoint"]) as data:
+        return {k: np.zeros_like(data[k]) for k in ("layer2.weight", "layer2.bias")}
+
+
 TWELVE_ROWS = [f"{i % 4}.5,{i // 4}.25,{i % 2}" for i in range(12)]
 # the line `_train_with` appends to the trained run's config
 APPENDED = len(TRAIN_CONFIG.splitlines()) + 1
@@ -479,6 +484,9 @@ BAD_INPUTS = {
     "NaN checkpoint entry": (
         lambda tmp, run: _edited_checkpoint(tmp, run, arrays=_nan_layer(run)),
         1, "edited.npz entry 'layer0.weight' must hold finite floats"),
+    "checkpoint that embeds every row at 0": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays=_zero_last_layer(run)),
+        2, "numerical abort: row_normalize received a zero row\n"),
     "checkpoint meta not an object": (
         lambda tmp, run: _edited_checkpoint(tmp, run, raw_meta=b"[1, 2]"),
         1, "edited.npz entry 'meta' is not a JSON object: [1, 2]"),

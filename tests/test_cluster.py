@@ -8,21 +8,11 @@ come from `trainer.predict`.
 import numpy as np
 import pytest
 
-from oracles import central_difference, rel_error
+from oracles import central_difference, random_stochastic, rel_error, unit_rows
 from otsc import network as net
 from otsc.spectral import row_normalize, row_normalize_vjp, softmax_cross_entropy
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, predict
 from otsc.transport import sinkhorn_algorithm1
-
-
-def unit_rows(rng, n, d):
-    z = rng.normal(size=(n, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def random_stochastic(rng, shape):
-    p = rng.random(shape) + 0.05
-    return p / p.sum(axis=1, keepdims=True)
 
 
 def prototype_logits(z, raw_prototypes):
@@ -157,8 +147,8 @@ class TestClusteringLoss:
                     num_clusters=2, embed_dim=3, batch_size=8,
                     orth_mode=mode, keep_diagonal=keep_diagonal,
                 )
-                _, _, held = _compute_step(model, x1, x2, cfg)
-                for target in held.assignment_targets:
+                _, _, (_, _, assignment_targets) = _compute_step(model, x1, x2, cfg)
+                for target in assignment_targets:
                     assert (target >= 0).all(), (mode, keep_diagonal)
                     assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
 

@@ -11,21 +11,12 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from oracles import held_embeddings, held_step_loss, logit_form_tau_grad
+from oracles import clone, held_embeddings, held_step_loss, logit_form_tau_grad
 from otsc import network as net
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step
 
 REL_TOL = 1e-4  # double precision, central differences
 H = 1e-6
-
-
-def clone(m):
-    return net.ModelState(
-        layers=[(w.copy(), b.copy()) for w, b in m.layers],
-        prototypes=m.prototypes.copy(),
-        log_tau=m.log_tau.copy(),
-        version=m.version,
-    )
 
 
 def build_instance(mode, keep_diagonal=False, seed=0):
@@ -120,8 +111,9 @@ def test_tau_a_gradient_matches_logit_form(mode, keep_diagonal):
     # the B x B logit and gradient planes
     model, cfg, x1, x2 = build_instance(mode, keep_diagonal=keep_diagonal)
     _, grads, held = _compute_step(model, x1, x2, cfg)
+    _, affinity_targets, _ = held
     views_z = held_embeddings(model, x1, x2, held)
     tau_a = net.effective_tau(model.log_tau)[0]
-    want = logit_form_tau_grad(views_z, held.affinity_targets, tau_a, keep_diagonal)
+    want = logit_form_tau_grad(views_z, affinity_targets, tau_a, keep_diagonal)
     want *= net.tau_grad_scale(model.log_tau)[0]
     assert abs(grads["log_tau"][0] - want) <= 1e-12 * abs(want)

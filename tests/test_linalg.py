@@ -6,7 +6,7 @@ import pytest
 
 from oracles import eig_reconstruct, svd_reconstruct
 from otsc.baselines import sym_eig
-from otsc.errors import RankError
+from otsc.errors import NumericalError, RankError
 from otsc.spectral import orthogonalize, thin_svd
 
 
@@ -156,8 +156,10 @@ class TestQr:
 
     def test_rank_deficient_raises(self):
         a = np.ones((4, 2))  # second column dependent on first
-        with pytest.raises(RankError):
+        with pytest.raises(RankError) as info:
             qr_q(a)
+        # a numerical event in fit, still a ValueError to other callers
+        assert isinstance(info.value, NumericalError) and isinstance(info.value, ValueError)
 
     def test_rejects_wide(self):
         with pytest.raises(ValueError, match="m >= n"):

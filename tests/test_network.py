@@ -4,22 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import central_difference, rel_error
+from oracles import central_difference, clone, rel_error
 from otsc import network as net
 from otsc.errors import PoisonedUpdateError
 
 
 def small_model(rng, d_in=4, d_out=3, k=2, hidden=(6,)):
     return net.init_model(d_in, d_out, k, rng, hidden=hidden)
-
-
-def clone(m):
-    return net.ModelState(
-        layers=[(w.copy(), b.copy()) for w, b in m.layers],
-        prototypes=m.prototypes.copy(),
-        log_tau=m.log_tau.copy(),
-        version=m.version,
-    )
 
 
 class TestForward:
@@ -96,6 +87,28 @@ class TestBackward:
         # closed form: d/dW of 0.5||XW^T - T||^2 = (XW^T - T)^T X
         want = (x @ w.T - t).T @ x
         assert np.abs(grads[0][0] - want).max() <= 1e-10
+
+    def test_zero_pre_activation_takes_zero_subgradient(self):
+        # hidden unit 0 has a zero weight row, so its pre-activation is 0 on
+        # every row; unit 1 computes x0 - x1, which is exactly 0 on rows 0-2
+        rng = np.random.default_rng(9)
+        model = small_model(rng, hidden=(3,))
+        w0 = rng.normal(size=(3, 4))
+        w0[0] = 0.0
+        w0[1] = [1.0, -1.0, 0.0, 0.0]
+        model.layers[0] = (w0, np.zeros(3))
+        x = rng.normal(size=(6, 4))
+        x[:3, 1] = x[:3, 0]
+        z, cache = net.forward(model, x)
+        # the cache holds one array per layer: each layer's input
+        assert len(cache.inputs) == len(model.layers)
+        assert not hasattr(cache, "pre_activations")
+        grads = net.backward(model, cache, np.ones_like(z))
+        g_h = np.ones_like(z) @ model.layers[1][0]
+        assert (grads[0][0][0] == 0.0).all() and grads[0][1][0] == 0.0
+        live = (x @ w0.T)[:, 1] > 0
+        assert not live[:3].any()
+        assert abs(grads[0][1][1] - g_h[live, 1].sum()) <= 1e-12 * np.abs(g_h).sum()
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(8)

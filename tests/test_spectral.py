@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,14 @@ from oracles import (
     central_difference,
     mask_off_diagonal,
     mask_scatter_off_diagonal,
+    random_stochastic,
     rel_error,
     two_exp_cross_entropy,
     two_product_affinity_grad,
+    unit_rows,
 )
 from otsc import network as net
+from otsc.errors import NumericalError
 from otsc.spectral import (
     affinity_grad_to_embeddings,
     off_diagonal,
@@ -27,21 +31,11 @@ from otsc.transport import TransportPlan
 FIG_Z = np.array([[-0.94, 0.34], [0.87, 0.50]])
 
 
-def unit_rows(rng, b, d):
-    z = rng.normal(size=(b, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def random_target(rng, shape):
-    t = rng.random(shape) + 0.05
-    return t / t.sum(axis=1, keepdims=True)
-
-
 def masked_affinity_grad(rng, z, tau=0.1):
     """The affinity logit gradient of unit rows ``z`` in the masked layout,
     against a random target with a zero diagonal."""
     b = z.shape[0]
-    target = mask_scatter_off_diagonal(random_target(rng, (b, b - 1)))
+    target = mask_scatter_off_diagonal(random_stochastic(rng, (b, b - 1)))
     return softmax_cross_entropy(target, off_diagonal(z @ z.T), tau, masked_diagonal=True)[1]
 
 
@@ -59,17 +53,17 @@ def straight_through_view(model, x, cfg):
     return (z_raw, *_straight_through(z_raw, cfg))
 
 
-def step_targets(kind, seed=11):
-    """``(orth_mode, keep_diagonal, target)`` for every target of ``kind``
-    (``"affinity_targets"`` or ``"assignment_targets"``) that one training
-    step holds, in every orth mode with ``keep_diagonal`` off and on."""
+def step_affinity_targets(seed=11):
+    """``(orth_mode, keep_diagonal, target)`` for both affinity targets that
+    one training step holds, in every orth mode with ``keep_diagonal`` off
+    and on."""
     for mode in TRAINER_ORTH_MODES:
         for keep_diagonal in (False, True):
             model, x1, cfg = encoder_view(seed, mode)
             cfg = replace(cfg, keep_diagonal=keep_diagonal)
             x2 = x1 + 0.1 * np.random.default_rng(seed + 1).normal(size=x1.shape)
-            _, _, held = _compute_step(model, x1, x2, cfg)
-            for target in getattr(held, kind):
+            _, _, (_, affinity_targets, _) = _compute_step(model, x1, x2, cfg)
+            for target in affinity_targets:
                 yield mode, keep_diagonal, target
 
 
@@ -168,7 +162,7 @@ class TestAffinityLoss:
         # diagonal and 0 on it, no NaN from 0 * -inf
         rng = np.random.default_rng(b)
         z = unit_rows(rng, b, 3)
-        packed_target = random_target(rng, (b, b - 1))
+        packed_target = random_stochastic(rng, (b, b - 1))
         want_loss, want_grad = softmax_cross_entropy(packed_target, mask_off_diagonal(z @ z.T), 0.1)
         loss, grad = softmax_cross_entropy(
             mask_scatter_off_diagonal(packed_target), off_diagonal(z @ z.T), 0.1,
@@ -182,7 +176,7 @@ class TestAffinityLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(8, 7))
-        target = random_target(rng, (8, 7))
+        target = random_stochastic(rng, (8, 7))
         tau = 0.4
         loss, grad = softmax_cross_entropy(target, logits, tau)
         fd = central_difference(lambda l: softmax_cross_entropy(target, l, tau)[0], logits)
@@ -191,7 +185,7 @@ class TestAffinityLoss:
     def test_two_term_decomposition(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(6, 5))
-        target = random_target(rng, (6, 5))
+        target = random_stochastic(rng, (6, 5))
         tau = 0.25
         loss, _ = softmax_cross_entropy(target, logits, tau)
         scaled = logits / tau
@@ -203,20 +197,20 @@ class TestAffinityLoss:
     # the loss no longer checks its targets: these check that no
     # non-stochastic or negative target reaches it from the training step
     def test_rejects_non_stochastic_target(self):
-        for mode, keep_diagonal, target in step_targets("affinity_targets"):
+        for mode, keep_diagonal, target in step_affinity_targets():
             assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
 
     def test_rejects_negative_target(self):
         with pytest.raises(ValueError, match="nonnegative"):
             TransportPlan(np.array([[1.5, -0.5], [0.5, 0.5]]), 0.0, 0.0, 1)
-        for mode, keep_diagonal, target in step_targets("affinity_targets"):
+        for mode, keep_diagonal, target in step_affinity_targets():
             assert (target >= 0).all(), (mode, keep_diagonal)
 
     @pytest.mark.parametrize("with_zeros", [False, True])
     def test_single_exp_matches_two_exp_formula(self, with_zeros):
         rng = np.random.default_rng(8)
         logits = 3.0 * rng.normal(size=(40, 39))
-        target = random_target(rng, (40, 39))
+        target = random_stochastic(rng, (40, 39))
         if with_zeros:
             target[rng.random(target.shape) < 0.4] = 0.0
             target[0] = 0.0
@@ -231,7 +225,7 @@ class TestAffinityLoss:
     def test_grad_to_embeddings_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         z0 = unit_rows(rng, 6, 3)
-        target = random_target(rng, (6, 5))
+        target = random_stochastic(rng, (6, 5))
         tau = 0.5
 
         def loss_of_z(z):
@@ -256,7 +250,7 @@ class TestAffinityLoss:
         grad_logits = masked_affinity_grad(rng, z)
         got = affinity_grad_to_embeddings(grad_logits, z)
         assert rel_error(got, two_product_affinity_grad(grad_logits, z)) <= 1e-15
-        _, grad_square = softmax_cross_entropy(random_target(rng, (b, b)), z @ z.T, 0.1)
+        _, grad_square = softmax_cross_entropy(random_stochastic(rng, (b, b)), z @ z.T, 0.1)
         got = affinity_grad_to_embeddings(grad_square, z)
         assert rel_error(got, two_product_affinity_grad(grad_square, z)) <= 1e-15
 
@@ -292,10 +286,10 @@ class TestAffinityLoss:
         z = unit_rows(rng, b, 3)
         # square: the full z @ z.T of keep_diagonal; else the masked layout
         if square:
-            logits, target = z @ z.T, random_target(rng, (b, b))
+            logits, target = z @ z.T, random_stochastic(rng, (b, b))
         else:
             logits = off_diagonal(z @ z.T)
-            target = mask_scatter_off_diagonal(random_target(rng, (b, b - 1)))
+            target = mask_scatter_off_diagonal(random_stochastic(rng, (b, b - 1)))
         masked = {"masked_diagonal": not square}
         want_loss, want_grad = softmax_cross_entropy(target, logits, 0.2, **masked)
         out = np.full(logits.shape, np.nan)
@@ -338,6 +332,19 @@ class TestOrthogonalize:
             res = orthogonalize(z, "procrustes")
         assert res.warning is not None
         assert np.isfinite(res.z_new).all()
+
+    def test_conditioning_warning_prints_once_per_call_site(self):
+        # the message is fixed, so the default filter merges the repeats of
+        # one line; each result keeps its own sigmas
+        results = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for scale in (1.0, 3.0):
+                z = np.zeros((4, 2))
+                z[:, 0] = scale * np.arange(1.0, 5.0)  # rank one
+                results.append(orthogonalize(z, "procrustes"))
+        assert len(caught) == 1
+        assert results[0].warning != results[1].warning
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -435,5 +442,6 @@ class TestRowNormalize:
     def test_zero_row_rejected(self):
         z = np.zeros((2, 2))
         z[0] = [1.0, 0.0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             row_normalize(z)
+        assert isinstance(info.value, NumericalError)  # a numerical event in fit

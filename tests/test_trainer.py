@@ -216,8 +216,8 @@ class TestStepStatistics:
 
     @pytest.mark.parametrize("keep_diagonal", [False, True])
     def test_cross_affinity_intensity_is_the_mass_off_the_diagonal(self, keep_diagonal):
-        losses, _, held = self.step(keep_diagonal=keep_diagonal)
-        off = [(w.sum() - np.trace(w)) / w.shape[0] for w in held.affinity_targets]
+        losses, _, (_, affinity_targets, _) = self.step(keep_diagonal=keep_diagonal)
+        off = [(w.sum() - np.trace(w)) / w.shape[0] for w in affinity_targets]
         assert abs(losses.cross_affinity_intensity - np.mean(off)) <= 1e-12
         if keep_diagonal:
             assert losses.cross_affinity_intensity < 1.0
@@ -492,6 +492,26 @@ class TestFit:
             with pytest.raises(TrainingAbortError) as info:
                 fit(random_data(), cfg)
             assert "aborted at epoch 0, step 1: non-finite encoder output" in str(info.value), mode
+
+    def test_contract_error_in_a_step_is_not_a_numerical_abort(self, monkeypatch):
+        # fit turns numerical events into aborts; any other error is a bug
+        # and leaves fit as itself
+        def broken_backward(*args):
+            raise ValueError("broken contract")
+
+        monkeypatch.setattr(net, "backward", broken_backward)
+        with pytest.raises(ValueError, match="^broken contract$") as info:
+            fit(random_data(), tiny_cfg(epochs=1))
+        assert not isinstance(info.value, TrainingAbortError)
+
+    def test_qr_rank_event_aborts_with_its_epoch_and_step(self):
+        # identical rows, scaled by the jitter only, embed at rank one
+        cfg = tiny_cfg(epochs=1, orth_mode="qr", noise_sigma=0.0)
+        with pytest.raises(TrainingAbortError) as info:
+            fit(np.ones((40, 4)), cfg)
+        assert "aborted at epoch 0, step 0: qr input is numerically rank-deficient" in str(
+            info.value
+        )
 
 
 class TestPredict:
