@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import as_matrix, check_finite_fields
 from .spectral import row_normalize
@@ -101,6 +100,8 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
     asym = a - a.T
     if float(np.abs(asym, out=asym).max()) > SYM_TOL * scale:
         raise ValueError("sym_eig input is not symmetric within tolerance")
+    import scipy.linalg  # loaded here, so that importing otsc does not load scipy
+
     # as_matrix has checked finiteness; LAPACK returns ascending order
     evals, evecs = scipy.linalg.eigh(a, subset_by_index=[n - k, n - 1], check_finite=False)
     return evals[::-1], evecs[:, ::-1]

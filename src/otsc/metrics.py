@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["ClusteringReport", "evaluate"]
 
@@ -73,6 +72,10 @@ def _ari(table: np.ndarray, n: int) -> float:
 
 
 def _matched_accuracy(table: np.ndarray, true_vals, pred_vals, n: int):
+    # loaded here, not with the package: scipy.optimize takes longer to
+    # import than all of otsc and numpy together
+    from scipy.optimize import linear_sum_assignment
+
     k = max(table.shape)
     padded = np.zeros((k, k), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table

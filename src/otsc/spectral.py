@@ -24,6 +24,7 @@ __all__ = [
     "OrthogonalizationResult",
     "off_diagonal",
     "softmax_cross_entropy",
+    "affinity_cross_entropy",
     "affinity_grad_to_embeddings",
     "thin_svd",
     "orthogonalize",
@@ -32,7 +33,7 @@ __all__ = [
     "row_normalize_vjp",
 ]
 
-# The backward's B x B work goes in row panels of at most this many bytes:
+# The affinity loss's B x B work goes in row panels of at most this many bytes:
 # one fits a 2 MB per-core L2 cache, the 8 MB plane of B = 1024 does not.
 PANEL_BYTES = 512 * 1024
 
@@ -57,35 +58,22 @@ def off_diagonal(square: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(
-    target: np.ndarray,
-    logits: np.ndarray,
-    tau: float,
-    *,
-    out: np.ndarray | None = None,
-    masked_diagonal: bool = False,
+    target: np.ndarray, logits: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
     """Row-wise cross entropy of ``softmax(logits/tau)`` against ``target``.
 
     Returns the summed loss and its gradient with respect to ``logits``,
     ``(softmax(logits/tau) - target) / tau``. ``target`` rows must be
     nonnegative and sum to 1, as fixed-count Sinkhorn targets do, so each
-    row's log-partition enters the loss once. ``masked_diagonal`` says that
-    the square ``logits`` have a -inf diagonal (`off_diagonal`) and
-    ``target`` a zero one; the gradient's diagonal is then 0. The gradient
-    is built in ``out``, a float64 array shaped like ``logits``, when given,
-    else in a new array.
+    row's log-partition enters the loss once.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    shifted = np.divide(logits, tau, out=out)
+    shifted = logits / tau
     shifted -= shifted.max(axis=1, keepdims=True)
-    if masked_diagonal:  # its targets are 0, and 0 * -inf would be NaN
-        np.fill_diagonal(shifted, 0.0)
     # -sum(target * (shifted - log(sums))), sums the row sums of exp(shifted)
     cross = np.vdot(target, shifted)
     grad = np.exp(shifted, out=shifted)  # turned into the gradient in place
-    if masked_diagonal:  # exp(-inf), as the mask has it
-        np.fill_diagonal(grad, 0.0)
     sums = grad.sum(axis=1)
     loss = float(np.log(sums).sum() - cross)
     grad /= sums[:, None]
@@ -94,15 +82,63 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Chain the gradient A of the B x B affinity logits z @ z.T back to the
-    embeddings: d/dz = A @ z + A.T @ z, by row panels A[s:e] of at most
-    `PANEL_BYTES`: rows s:e of A @ z, and terms z.T[:, s:e] @ A[s:e] of the
-    sum z.T @ A (z.T copied contiguous: A.T @ z walks A by columns, over
-    twice as slow at B = 1024, D = 2).
+def _panel_rows(b: int) -> int:
+    """Rows of a B x B plane in one panel of at most `PANEL_BYTES`."""
+    return min(b, max(1, PANEL_BYTES // (8 * b)))
+
+
+def affinity_cross_entropy(
+    target: np.ndarray, logits: np.ndarray, z: np.ndarray, tau: float
+) -> tuple[float, np.ndarray]:
+    """`softmax_cross_entropy` of the B x B affinity logits L = z @ z.T
+    against ``target`` W, and its gradient with respect to ``z``, without
+    the B x B logit gradient (E/s - W)/tau.
+
+    L has a -inf diagonal (`off_diagonal`) and W a zero one unless the
+    diagonal is kept; W's rows sum to 1. With E = exp(L/tau - m), m the row
+    maxima of L/tau and s the row sums of E:
+
+        loss = sum(log s + m) - <W z + W.T z, z> / (2 tau)
+        d/dz = (E z / s + E.T (z / s) - (W z + W.T z)) / tau
+
+    E overwrites ``logits`` by row panels of at most `PANEL_BYTES`, each
+    used for its rows of E z and its term of the sum over panels of
+    E.T (z / s) while it is in cache; W z + W.T z is
+    `affinity_grad_to_embeddings`. A masked diagonal needs no care:
+    exp(-inf) = 0, W's diagonal is 0, and <W, L> is read off z, not L.
     """
     b = z.shape[0]
-    rows = min(b, max(1, PANEL_BYTES // (8 * b)))
+    rows = _panel_rows(b)
+    grad = np.empty_like(z)
+    log_partition = 0.0
+    for s in range(0, b, rows):
+        e = logits[s : s + rows]
+        e /= tau
+        m = e.max(axis=1, keepdims=True)
+        e -= m
+        np.exp(e, out=e)
+        sums = e.sum(axis=1, keepdims=True)
+        log_partition += float(np.log(sums).sum() + m.sum())
+        np.matmul(e, z, out=grad[s : s + rows])
+        grad[s : s + rows] /= sums
+        term = (z[s : s + rows] / sums).T @ e
+        et_z = term if s == 0 else et_z + term
+    wz = affinity_grad_to_embeddings(target, z)
+    grad += et_z.T
+    grad -= wz
+    grad /= tau
+    return log_partition - 0.5 * float(np.vdot(wz, z)) / tau, grad
+
+
+def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Chain a B x B matrix A, the gradient of the affinity logits z @ z.T,
+    back to the embeddings: d/dz = A @ z + A.T @ z, by row panels A[s:e] of
+    at most `PANEL_BYTES`: rows s:e of A @ z, and terms z.T[:, s:e] @ A[s:e]
+    of the sum z.T @ A (z.T copied contiguous: A.T @ z walks A by columns,
+    over twice as slow at B = 1024, D = 2).
+    """
+    b = z.shape[0]
+    rows = _panel_rows(b)
     zt, grad = z.T.copy(), np.empty_like(z)
     for s in range(0, b, rows):
         a = grad_logits[s : s + rows]

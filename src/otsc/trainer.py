@@ -1,6 +1,6 @@
 """Joint mini-batch training loop: two views, transport targets, swapped loss.
 
-Each step augments the batch twice, encodes both views in one encoder pass,
+Each step augments the batch twice, encodes each view in its own encoder pass,
 orthogonalizes and row-normalizes each view's embeddings, and builds
 affinity and assignment targets by fixed-count Sinkhorn scaling on the
 detached similarity matrices. The total loss pairs each view's targets
@@ -24,7 +24,8 @@ import numpy as np
 from . import network as net
 from .errors import NumericalError, TrainingAbortError, as_matrix, check_finite_fields
 from .spectral import (
-    affinity_grad_to_embeddings,
+    affinity_cross_entropy,
+    affinity_grad_to_embeddings,  # noqa: F401 (perfbench's tracer wraps this name)
     off_diagonal,
     orthogonal_penalty,
     orthogonalize,
@@ -48,9 +49,12 @@ __all__ = [
 TRAINER_ORTH_MODES = ("procrustes", "qr", "none", "penalty")
 
 # `fit` runs view 1 on a worker thread from this batch size on. Median ms per
-# step, serial / worker, 2 cores, 1 BLAS thread: B=100 1.64 / 2.10, B=192
-# 2.92 / 2.96, B=256 3.80 / 3.41, B=512 11.6 / 7.7, B=1024 41.9 / 25.1
-PARALLEL_MIN_BATCH = 256
+# step, serial / worker, 2 cores, 1 BLAS thread (README config on moons, 4
+# alternating runs of 200-400 steps each): B=100 2.16 / 2.33, B=192 3.20 /
+# 3.59, B=256 4.39 / 5.18, B=384 8.40 / 8.74, B=512 13.2 / 10.2, B=1024
+# 50.7 / 28.5. Since each view runs its own encoder pass, the worker slows a
+# step below B=512
+PARALLEL_MIN_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -234,76 +238,72 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     z @ z.T with the diagonal masked to -inf (`off_diagonal`) unless
     ``keep_diagonal``, so each target column is one sample and a masked
     target holds no self-affinity. After the call the logits buffers hold
-    the affinity cross-entropy gradients. The affinity targets in ``held``
-    alias ``target0/1``, which the next step on the same store overwrites:
-    a caller that keeps them gives each step its own store (the default).
+    `affinity_cross_entropy`'s E = exp(logits/tau_a - row max), not a
+    gradient. The affinity targets in ``held`` alias ``target0/1``, which
+    the next step on the same store overwrites: a caller that keeps them
+    gives each step its own store (the default).
 
-    A ``worker`` runs view 1's targets, then its losses and backward, while
-    this thread runs view 0's. Buffers are made on this thread and the terms
-    summed in view order after the join: the worker changes no bit.
+    Each view runs its own encoder pass and backward. A ``worker`` runs
+    view 1's forward (encoder, targets), then its losses and backward
+    (through the encoder), while this thread runs view 0's. Buffers are made
+    on this thread and the views' terms and parameter gradients summed in
+    view order after the join: the worker changes no bit.
     """
     buffers = {} if buffers is None else buffers
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
     protos = row_normalize(model.prototypes)
     b = x1.shape[0]
+    logits = [_buffer(buffers, f"logits{v}", (b, b)) for v in (0, 1)]
+    targets = [_buffer(buffers, f"target{v}", (b, b)) for v in (0, 1)]
 
     def forward(v):
-        # view v's straight-through (its own polar factor), logits and targets
-        resid, z = _straight_through(z_raw[v * b : (v + 1) * b], cfg)
+        # view v's encoder pass, straight-through (its own polar factor),
+        # logits and targets
+        z_raw, cache = _encode(model, (x1, x2)[v])
+        resid, z = _straight_through(z_raw, cfg)
         # z.T copied keeps numpy off its much slower z @ z.T (syrk) path
         np.matmul(z, z.T.copy(), out=logits[v])
         if not cfg.keep_diagonal:
             off_diagonal(logits[v])
         h = z @ protos.T
         w = sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=targets[v]).plan
-        return resid, z, h, w, sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan
+        p = sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan
+        return z_raw, cache, resid, z, h, w, p
 
     def backward(v):
         # swapped prediction: view 1 - v's targets supervise view v's logits.
-        # View v's loss and gradient terms, and its rows of grad_z
-        _, z, h, _, _ = views[v]
-        # the gradient overwrites the logits, which nothing reads again
-        loss_a, g_a = softmax_cross_entropy(views[1 - v][3], logits[v], tau_a, out=logits[v],
-                                            masked_diagonal=not cfg.keep_diagonal)
-        loss_c, g_c = softmax_cross_entropy(views[1 - v][4], h, tau_c)
-        g = affinity_grad_to_embeddings(g_a, z)
-        # the affinity logits are z @ z.T (off the diagonal, where A is 0,
-        # unless keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2: one B x D
-        # product instead of reading the two B x B logit and gradient planes
+        # View v's loss terms, then its gradients through the straight-through
+        # (identity), the row normalization of its raw embeddings and the
+        # encoder; targets and residuals are constants
+        z_raw, cache, _, z, h, _, _ = views[v]
+        loss_a, g = affinity_cross_entropy(views[1 - v][5], logits[v], z, tau_a)
+        loss_c, g_c = softmax_cross_entropy(views[1 - v][6], h, tau_c)
+        # the affinity logits are z @ z.T (off the diagonal, where the logit
+        # gradient A is 0, unless keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2
         grad_tau = [-0.5 * float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, h)) / tau_c]
         g = g + cfg.lam * (g_c @ protos)
         pen = 0.0
         if cfg.orth_mode == "penalty":
             pen, grad_pen = orthogonal_penalty(z, cfg.penalty_rho)
             g = g + grad_pen
-        grad_z[v * b : (v + 1) * b] = g
-        return loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * (g_c.T @ z)
+        layers = net.backward(model, cache, row_normalize_vjp(z_raw, g))
+        return (loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * (g_c.T @ z),
+                *(grad for layer in layers for grad in layer))
 
-    # one encoder pass over both views: view v is rows [v*b, (v+1)*b). Then
-    # per view its targets, and per view its losses and backward; then one
-    # backward for both views through the straight-through (identity), the
-    # row normalization of the raw embeddings and the encoder. Targets and
-    # residuals are constants
-    z_raw, cache = _encode(model, np.concatenate((x1, x2)))
-    # made after the encoder's activations, which then do not sit at the heap
-    # top that glibc trims (before, they cost a B=100 step 130 page faults)
-    logits = [_buffer(buffers, f"logits{v}", (b, b)) for v in (0, 1)]
-    targets = [_buffer(buffers, f"target{v}", (b, b)) for v in (0, 1)]
-    grad_z = np.empty_like(z_raw)
     views = _both_views(forward, worker)
-    # summed in view order; d total / d (tau_a, tau_c), d the unit prototypes
-    la, lc, penalty, grad_tau, grad_protos_norm = map(sum, zip(*_both_views(backward, worker)))
-
-    grads = {}
-    for i, (gw, gb) in enumerate(net.backward(model, cache, row_normalize_vjp(z_raw, grad_z))):
-        grads[f"layer{i}.weight"] = gw
-        grads[f"layer{i}.bias"] = gb
+    # summed in view order: the loss terms, d total / d (tau_a, tau_c), d the
+    # unit prototypes, then each layer's weight and bias gradients
+    la, lc, penalty, grad_tau, grad_protos_norm, *layer_grads = (
+        view0 + view1 for view0, view1 in zip(*_both_views(backward, worker))
+    )
+    # named_arrays lists each layer's weight and bias first, in layer order
+    grads = dict(zip((name for name, _ in model.named_arrays()), layer_grads))
     grads["prototypes"] = row_normalize_vjp(model.prototypes, grad_protos_norm)
     grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
 
     # the residuals are the moves the straight-through applies to unit rows;
     # a target's rows sum to 1, and a masked diagonal holds none of it
-    resids, _, _, w_targets, p_targets = zip(*views)
+    _, _, resids, _, _, w_targets, p_targets = zip(*views)
     resid_norm = float(np.linalg.norm(resids[0]) + np.linalg.norm(resids[1]))
     self_mass = float(sum(np.trace(w) for w in w_targets))
     losses = StepLosses(

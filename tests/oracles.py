@@ -9,10 +9,11 @@ and the tolerance loops rebuild the plan after every sweep to measure its
 residuals. The spectral-baseline reference is the earlier full-spectrum
 embedding (every eigenpair from ``np.linalg.eigh``, the leading K kept); it
 clusters with the package's k-means, which is not what it checks. The
-affinity-backward references are the trainer's earlier forms: the two plain
-products into the embeddings, and the temperature gradient read off the
-B x B logit and gradient planes. `held_step_loss` is the training step's
-loss written out from the package's forward pieces (encoder forward, row
+affinity-backward references are the trainer's earlier forms: the B x B
+logit gradient of the masked cross entropy, the two plain products into the
+embeddings, and the temperature gradient read off the B x B logit and
+gradient planes. `held_step_loss` is the training step's loss written out
+from the package's forward pieces (encoder forward, row
 normalization, orthogonality penalty) and this module's cross entropy and
 masks; it runs no part of the step. The last three helpers are the small
 builders several test files share: `unit_rows`, `random_stochastic` and
@@ -305,6 +306,33 @@ def two_product_affinity_grad(grad_logits, z) -> np.ndarray:
     """Embedding gradient of the B x B logits z @ z.T as the two plain
     products A @ z + A.T @ z."""
     return grad_logits @ z + grad_logits.T @ z
+
+
+def masked_softmax_cross_entropy(target, logits, tau: float, masked_diagonal: bool):
+    """Row-softmax cross entropy of ``logits/tau`` against ``target`` and its
+    B x B logit gradient (softmax - target) / tau, as the package once
+    computed the affinity loss: one exp, and, when ``masked_diagonal``, the
+    -inf diagonal of square ``logits`` (zero in ``target``) set to 0 before
+    the target product and its exp set to 0 after it."""
+    shifted = logits / tau
+    shifted -= shifted.max(axis=1, keepdims=True)
+    if masked_diagonal:  # its targets are 0, and 0 * -inf would be NaN
+        np.fill_diagonal(shifted, 0.0)
+    cross = np.vdot(target, shifted)
+    grad = np.exp(shifted)
+    if masked_diagonal:
+        np.fill_diagonal(grad, 0.0)
+    sums = grad.sum(axis=1)
+    grad /= sums[:, None]
+    return float(np.log(sums).sum() - cross), (grad - target) / tau
+
+
+def two_step_affinity_cross_entropy(target, logits, z, tau: float, masked_diagonal: bool):
+    """Affinity loss of the logits z @ z.T and its embedding gradient in two
+    steps: the B x B logit gradient A of `masked_softmax_cross_entropy`,
+    then A @ z + A.T @ z."""
+    loss, grad_logits = masked_softmax_cross_entropy(target, logits, tau, masked_diagonal)
+    return loss, two_product_affinity_grad(grad_logits, z)
 
 
 def logit_form_tau_grad(views_z, targets, tau: float, keep_diagonal: bool) -> float:

@@ -8,15 +8,18 @@ from oracles import (
     central_difference,
     mask_off_diagonal,
     mask_scatter_off_diagonal,
+    masked_softmax_cross_entropy,
     random_stochastic,
     rel_error,
     two_exp_cross_entropy,
     two_product_affinity_grad,
+    two_step_affinity_cross_entropy,
     unit_rows,
 )
 from otsc import network as net
 from otsc.errors import NumericalError
 from otsc.spectral import (
+    affinity_cross_entropy,
     affinity_grad_to_embeddings,
     off_diagonal,
     orthogonal_penalty,
@@ -31,12 +34,36 @@ from otsc.transport import TransportPlan
 FIG_Z = np.array([[-0.94, 0.34], [0.87, 0.50]])
 
 
+def masked_target(rng, b):
+    """A random row-stochastic B x B target with a zero diagonal."""
+    return mask_scatter_off_diagonal(random_stochastic(rng, (b, b - 1)))
+
+
 def masked_affinity_grad(rng, z, tau=0.1):
     """The affinity logit gradient of unit rows ``z`` in the masked layout,
     against a random target with a zero diagonal."""
-    b = z.shape[0]
-    target = mask_scatter_off_diagonal(random_stochastic(rng, (b, b - 1)))
-    return softmax_cross_entropy(target, off_diagonal(z @ z.T), tau, masked_diagonal=True)[1]
+    target = masked_target(rng, z.shape[0])
+    return masked_softmax_cross_entropy(target, off_diagonal(z @ z.T), tau, True)[1]
+
+
+def assert_close_to_two_step(got, want, z, tau):
+    """The loss within 1e-13 relative (of at least 1: a masked B = 2 loss is
+    0 up to rounding) and the gradient within 1e-14 relative to the larger
+    of its own size and max|z| / tau, the size of the two terms it is the
+    difference of (they cancel where the softmax nears the target)."""
+    (loss, grad), (want_loss, want_grad) = got, want
+    assert abs(loss - want_loss) <= 1e-13 * max(abs(want_loss), 1.0)
+    scale = max(np.abs(want_grad).max(), np.abs(z).max() / tau)
+    assert np.abs(grad - want_grad).max() <= 1e-14 * scale
+
+
+def affinity_case(rng, b, d, masked):
+    """Unit rows ``z``, their logits z @ z.T (diagonal masked when
+    ``masked``) and a random target of that layout."""
+    z = unit_rows(rng, b, d)
+    if masked:
+        return z, off_diagonal(z @ z.T), masked_target(rng, b)
+    return z, z @ z.T, random_stochastic(rng, (b, b))
 
 
 def encoder_view(seed, orth_mode="procrustes"):
@@ -133,7 +160,9 @@ class TestCrossAffinity:
 
 
 class TestAffinityLoss:
-    """The affinity loss is `softmax_cross_entropy` on the masked logits."""
+    """The affinity loss is `affinity_cross_entropy` on the masked logits: the
+    row-softmax cross entropy of `softmax_cross_entropy`, chained to the
+    embeddings in factored form."""
 
     def test_minimum_at_target_with_entropy_value(self):
         rng = np.random.default_rng(3)
@@ -148,30 +177,31 @@ class TestAffinityLoss:
         assert abs(loss - entropy) <= 1e-10
 
     def test_single_column_degenerate(self):
-        # B = 2 leaves one unmasked entry per row; softmax of one entry is 1
+        # B = 2 leaves one unmasked entry per row; softmax of one entry is 1,
+        # so loss and gradient are 0 up to the rounding of the two z0 . z1
+        tau = 0.05
+        z = unit_rows(np.random.default_rng(2), 2, 3)
         target = np.array([[0.0, 1.0], [1.0, 0.0]])
-        logits = np.array([[-np.inf, 0.37], [-2.2, -np.inf]])
-        loss, grad = softmax_cross_entropy(target, logits, tau=0.05, masked_diagonal=True)
-        assert loss == 0.0
-        assert np.abs(grad).max() == 0.0
+        loss, grad = affinity_cross_entropy(target, off_diagonal(z @ z.T), z, tau)
+        assert abs(loss) <= 1e-15 / tau
+        assert np.abs(grad).max() <= 1e-15 / tau
 
     @pytest.mark.parametrize("b", [2, 17, 100])
     def test_masked_diagonal_matches_packed_form(self, b):
         # the masked B x B form against the B x (B-1) off-diagonal form of
-        # the same logits and targets: same loss, the same gradient off the
-        # diagonal and 0 on it, no NaN from 0 * -inf
+        # the same logits and targets, its logit gradient scattered back and
+        # chained to z: same loss and gradient, no NaN from 0 * -inf
         rng = np.random.default_rng(b)
         z = unit_rows(rng, b, 3)
         packed_target = random_stochastic(rng, (b, b - 1))
-        want_loss, want_grad = softmax_cross_entropy(packed_target, mask_off_diagonal(z @ z.T), 0.1)
-        loss, grad = softmax_cross_entropy(
-            mask_scatter_off_diagonal(packed_target), off_diagonal(z @ z.T), 0.1,
-            masked_diagonal=True,
+        want_loss, packed_grad = softmax_cross_entropy(
+            packed_target, mask_off_diagonal(z @ z.T), 0.1
         )
-        assert abs(loss - want_loss) <= 1e-14 * abs(want_loss)
-        assert np.abs(grad - mask_scatter_off_diagonal(want_grad)).max() <= 1e-14 * np.abs(
-            want_grad).max()
-        assert (np.diag(grad) == 0.0).all()
+        want_grad = two_product_affinity_grad(mask_scatter_off_diagonal(packed_grad), z)
+        got = affinity_cross_entropy(
+            mask_scatter_off_diagonal(packed_target), off_diagonal(z @ z.T), z, 0.1
+        )
+        assert_close_to_two_step(got, (want_loss, want_grad), z, 0.1)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -234,12 +264,49 @@ class TestAffinityLoss:
             w = sims[~np.eye(6, dtype=bool)].reshape(6, 5)
             return softmax_cross_entropy(target, w, tau)[0]
 
-        _, grad_logits = softmax_cross_entropy(
-            mask_scatter_off_diagonal(target), off_diagonal(z0 @ z0.T), tau, masked_diagonal=True
+        _, grad_logits = masked_softmax_cross_entropy(
+            mask_scatter_off_diagonal(target), off_diagonal(z0 @ z0.T), tau, True
         )
         grad_z = affinity_grad_to_embeddings(grad_logits, z0)
         fd = central_difference(loss_of_z, z0)
         assert rel_error(grad_z, fd) <= 1e-7
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_factored_loss_matches_finite_differences(self, masked):
+        # the logits are rebuilt from z at every point, so this differences
+        # the loss as the function of the embeddings that it is
+        rng = np.random.default_rng(16)
+        z0, logits, target = affinity_case(rng, 7, 3, masked)
+        tau = 0.5
+
+        def loss_of_z(z):
+            logits = off_diagonal(z @ z.T) if masked else z @ z.T
+            return affinity_cross_entropy(target, logits, z, tau)[0]
+
+        _, grad = affinity_cross_entropy(target, logits, z0, tau)
+        assert rel_error(grad, central_difference(loss_of_z, z0)) <= 1e-7
+
+    @pytest.mark.parametrize("tau", [0.01, 1.0])
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
+    def test_factored_loss_matches_two_step_form(self, b, masked, tau):
+        # the loss and the embedding gradient, against the B x B logit
+        # gradient of the masked cross entropy chained as A @ z + A.T @ z
+        rng = np.random.default_rng(b)
+        z, logits, target = affinity_case(rng, b, 2, masked)
+        want = two_step_affinity_cross_entropy(target, logits.copy(), z, tau, masked)
+        assert_close_to_two_step(affinity_cross_entropy(target, logits, z, tau), want, z, tau)
+
+    @pytest.mark.parametrize("rows", [1, 5, 16, 17])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_factored_loss_in_uneven_row_panels(self, masked, rows, monkeypatch):
+        # panels of 5 and 16 rows split B = 17 unevenly; 17 is one panel
+        b = 17
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * b * rows)
+        rng = np.random.default_rng(rows)
+        z, logits, target = affinity_case(rng, b, 3, masked)
+        want = two_step_affinity_cross_entropy(target, logits.copy(), z, 0.1, masked)
+        assert_close_to_two_step(affinity_cross_entropy(target, logits, z, 0.1), want, z, 0.1)
 
     @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
     def test_grad_to_embeddings_matches_two_product_form(self, b):
@@ -275,27 +342,20 @@ class TestAffinityLoss:
         scaled = logits / tau
         p = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        _, grad_logits = softmax_cross_entropy(p, logits, tau, masked_diagonal=True)
-        grad_z = affinity_grad_to_embeddings(grad_logits, z)
+        _, grad_z = affinity_cross_entropy(p, logits, z, tau)
         assert np.abs(grad_z).max() <= 1e-8
 
-    @pytest.mark.parametrize("square", [False, True])
-    def test_out_forms_bitwise_equal_and_return_out(self, square):
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_leaves_exp_in_logits(self, masked):
+        # the trainer's logits buffers hold E = exp(L/tau - row max) after
+        # the step, 0 on a masked diagonal
         rng = np.random.default_rng(12)
-        b = 9
-        z = unit_rows(rng, b, 3)
-        # square: the full z @ z.T of keep_diagonal; else the masked layout
-        if square:
-            logits, target = z @ z.T, random_stochastic(rng, (b, b))
-        else:
-            logits = off_diagonal(z @ z.T)
-            target = mask_scatter_off_diagonal(random_stochastic(rng, (b, b - 1)))
-        masked = {"masked_diagonal": not square}
-        want_loss, want_grad = softmax_cross_entropy(target, logits, 0.2, **masked)
-        out = np.full(logits.shape, np.nan)
-        loss, grad = softmax_cross_entropy(target, logits, 0.2, out=out, **masked)
-        assert grad is out
-        assert (loss, grad.tobytes()) == (want_loss, want_grad.tobytes())
+        z, logits, target = affinity_case(rng, 9, 3, masked)
+        scaled = logits / 0.2
+        want = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+        affinity_cross_entropy(target, logits, z, 0.2)
+        assert rel_error(logits, want) <= 1e-15
+        assert (np.diag(logits) == 0.0).all() == masked
 
 
 class TestOrthogonalize:

@@ -1,3 +1,4 @@
+import contextlib
 import subprocess
 import sys
 import threading
@@ -164,23 +165,32 @@ class TestTrainStep:
             train_step(x, model, opt, cfg, rng, cfg.lr)
 
 
-    def test_one_encoder_pass_and_one_backward_per_step(self, monkeypatch):
-        # both views go through the encoder stacked, forward and back
-        calls = {"forward": 0, "backward": 0}
+    @pytest.mark.parametrize("on_worker", [False, True])
+    def test_one_encoder_pass_and_one_backward_per_view(self, monkeypatch, on_worker):
+        # each view goes through the encoder on its own, forward and back:
+        # forward sees each view's rows once, and backward each forward's cache once
+        forwards, backwards = [], []
+        forward, backward = net.forward, net.backward
 
-        def counting(name, original):
-            def counted(*args):
-                calls[name] += 1
-                return original(*args)
-            return counted
+        def counted_forward(model, x):
+            z_raw, cache = forward(model, x)
+            forwards.append((x, cache))
+            return z_raw, cache
 
-        for name in calls:
-            monkeypatch.setattr(net, name, counting(name, getattr(net, name)))
+        def counted_backward(model, cache, grad_z):
+            backwards.append(cache)
+            return backward(model, cache, grad_z)
+
+        monkeypatch.setattr(net, "forward", counted_forward)
+        monkeypatch.setattr(net, "backward", counted_backward)
         cfg = tiny_cfg()
         rng = np.random.default_rng(3)
         model = net.init_model(4, 3, 2, rng)
-        _compute_step(model, rng.normal(size=(10, 4)), rng.normal(size=(10, 4)), cfg)
-        assert calls == {"forward": 1, "backward": 1}
+        x1, x2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
+        with futures.ThreadPoolExecutor(1) if on_worker else contextlib.nullcontext() as worker:
+            _compute_step(model, x1, x2, cfg, worker=worker)
+        assert sorted(id(x) for x, _ in forwards) == sorted([id(x1), id(x2)])
+        assert sorted(map(id, backwards)) == sorted(id(cache) for _, cache in forwards)
 
 
 class TestStepStatistics:
@@ -547,11 +557,13 @@ class TestPredict:
 
 
 def test_training_path_does_not_import_scipy():
-    # scipy serves the baselines and the metrics only; a fresh interpreter
-    # that imports the trainer from the sources under test must not load it
+    # scipy serves the spectral baseline's eigensolver and the ACC matching
+    # only, and each loads it where it runs; a fresh interpreter that imports
+    # the trainer and the whole command line from the sources under test
+    # must not load it
     src = str(Path(net.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import otsc.trainer; print(sorted(" \
-        "m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys; sys.path.insert(0, {src!r}); import otsc.trainer, otsc.cli; " \
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
