@@ -1,14 +1,19 @@
-"""Affinity modeling, its loss, and embedding orthogonalization.
+"""Affinity modeling, the training loss, and embedding orthogonalization.
 
 The affinity over a batch is a row-softmax of pairwise cosine similarities
 with the diagonal masked to -inf, so each sample distributes one unit of
-affinity over the other B-1 samples. Orthogonalization offers two strategies: the
-polar factor (nearest column-orthonormal matrix in Frobenius norm) or the QR
-factor, both from LAPACK through numpy; the trainer makes it trainable with
-a straight-through backward that passes gradients through unchanged.
+affinity over the other B-1 samples. Both losses of a training step, the
+affinity loss on z @ z.T and the clustering loss on z @ prototypes.T, are
+one row-softmax cross entropy of bilinear logits, `softmax_cross_entropy`,
+which returns the gradients in both factors. Orthogonalization offers two
+strategies: the polar factor (nearest column-orthonormal matrix in Frobenius
+norm) or the QR factor, both from LAPACK through numpy; the trainer makes it
+trainable with a straight-through backward that passes gradients through
+unchanged.
 
 These run on every training step and trust their inputs (finite float64
-matrices, row-stochastic targets); inputs are validated where they enter.
+matrices, row-stochastic targets, a positive temperature); inputs are
+validated where they enter.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ __all__ = [
     "OrthogonalizationResult",
     "off_diagonal",
     "softmax_cross_entropy",
-    "affinity_cross_entropy",
-    "affinity_grad_to_embeddings",
     "thin_svd",
     "orthogonalize",
     "orthogonal_penalty",
@@ -33,8 +36,9 @@ __all__ = [
     "row_normalize_vjp",
 ]
 
-# The affinity loss's B x B work goes in row panels of at most this many bytes:
-# one fits a 2 MB per-core L2 cache, the 8 MB plane of B = 1024 does not.
+# The cross entropy works through its logit plane in row panels of at most this
+# many bytes: one fits a 2 MB per-core L2 cache, the 8 MB affinity plane of
+# B = 1024 does not.
 PANEL_BYTES = 512 * 1024
 
 
@@ -58,94 +62,44 @@ def off_diagonal(square: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(
-    target: np.ndarray, logits: np.ndarray, tau: float
-) -> tuple[float, np.ndarray]:
-    """Row-wise cross entropy of ``softmax(logits/tau)`` against ``target``.
+    target: np.ndarray, logits: np.ndarray, z: np.ndarray, y: np.ndarray, tau: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Row-wise cross entropy of ``softmax(logits/tau)`` against ``target``
+    W for the bilinear logits L = z @ y.T, and its gradients in z and y.
 
-    Returns the summed loss and its gradient with respect to ``logits``,
-    ``(softmax(logits/tau) - target) / tau``. ``target`` rows must be
-    nonnegative and sum to 1, as fixed-count Sinkhorn targets do, so each
-    row's log-partition enters the loss once.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    shifted = logits / tau
-    shifted -= shifted.max(axis=1, keepdims=True)
-    # -sum(target * (shifted - log(sums))), sums the row sums of exp(shifted)
-    cross = np.vdot(target, shifted)
-    grad = np.exp(shifted, out=shifted)  # turned into the gradient in place
-    sums = grad.sum(axis=1)
-    loss = float(np.log(sums).sum() - cross)
-    grad /= sums[:, None]
-    grad -= target
-    grad /= tau
-    return loss, grad
+    ``logits`` holds L, -inf where an entry is masked (`off_diagonal`, with
+    W 0 there); W's rows sum to 1. With E = exp(L/tau - m), m the row maxima
+    of L/tau, s the row sums of E and A = E/s - W, the logit gradient times
+    tau:
 
+        loss = sum(log s + m) - <W y, z> / tau
+        d/dz = A y / tau,   d/dy = A.T z / tau
 
-def _panel_rows(b: int) -> int:
-    """Rows of a B x B plane in one panel of at most `PANEL_BYTES`."""
-    return min(b, max(1, PANEL_BYTES // (8 * b)))
-
-
-def affinity_cross_entropy(
-    target: np.ndarray, logits: np.ndarray, z: np.ndarray, tau: float
-) -> tuple[float, np.ndarray]:
-    """`softmax_cross_entropy` of the B x B affinity logits L = z @ z.T
-    against ``target`` W, and its gradient with respect to ``z``, without
-    the B x B logit gradient (E/s - W)/tau.
-
-    L has a -inf diagonal (`off_diagonal`) and W a zero one unless the
-    diagonal is kept; W's rows sum to 1. With E = exp(L/tau - m), m the row
-    maxima of L/tau and s the row sums of E:
-
-        loss = sum(log s + m) - <W z + W.T z, z> / (2 tau)
-        d/dz = (E z / s + E.T (z / s) - (W z + W.T z)) / tau
-
-    E overwrites ``logits`` by row panels of at most `PANEL_BYTES`, each
-    used for its rows of E z and its term of the sum over panels of
-    E.T (z / s) while it is in cache; W z + W.T z is
-    `affinity_grad_to_embeddings`. A masked diagonal needs no care:
-    exp(-inf) = 0, W's diagonal is 0, and <W, L> is read off z, not L.
+    A overwrites ``logits`` by row panels of at most `PANEL_BYTES`, each
+    used for its rows of A y and its term of the sum z.T A while it is in
+    cache (z.T copied contiguous: A.T z walks A by columns, over twice as
+    slow at B = 1024, D = 2). <W y, z> is read off the factors, so a masked
+    entry needs no care: exp(-inf) = 0 and W is 0 there.
     """
     b = z.shape[0]
-    rows = _panel_rows(b)
-    grad = np.empty_like(z)
-    log_partition = 0.0
+    rows = min(b, max(1, PANEL_BYTES // (8 * logits.shape[1])))
+    zt, grad_z = z.T.copy(), np.empty_like(z)
+    log_partition = cross = 0.0
     for s in range(0, b, rows):
-        e = logits[s : s + rows]
-        e /= tau
-        m = e.max(axis=1, keepdims=True)
-        e -= m
-        np.exp(e, out=e)
-        sums = e.sum(axis=1, keepdims=True)
+        a = logits[s : s + rows]
+        a /= tau
+        m = a.max(axis=1, keepdims=True)
+        a -= m
+        np.exp(a, out=a)
+        sums = a.sum(axis=1, keepdims=True)
         log_partition += float(np.log(sums).sum() + m.sum())
-        np.matmul(e, z, out=grad[s : s + rows])
-        grad[s : s + rows] /= sums
-        term = (z[s : s + rows] / sums).T @ e
-        et_z = term if s == 0 else et_z + term
-    wz = affinity_grad_to_embeddings(target, z)
-    grad += et_z.T
-    grad -= wz
-    grad /= tau
-    return log_partition - 0.5 * float(np.vdot(wz, z)) / tau, grad
-
-
-def affinity_grad_to_embeddings(grad_logits: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Chain a B x B matrix A, the gradient of the affinity logits z @ z.T,
-    back to the embeddings: d/dz = A @ z + A.T @ z, by row panels A[s:e] of
-    at most `PANEL_BYTES`: rows s:e of A @ z, and terms z.T[:, s:e] @ A[s:e]
-    of the sum z.T @ A (z.T copied contiguous: A.T @ z walks A by columns,
-    over twice as slow at B = 1024, D = 2).
-    """
-    b = z.shape[0]
-    rows = _panel_rows(b)
-    zt, grad = z.T.copy(), np.empty_like(z)
-    for s in range(0, b, rows):
-        a = grad_logits[s : s + rows]
-        np.matmul(a, z, out=grad[s : s + rows])
+        cross += float(np.vdot(target[s : s + rows] @ y, z[s : s + rows]))
+        a *= 1.0 / sums
+        a -= target[s : s + rows]
+        np.matmul(a, y, out=grad_z[s : s + rows])
         zt_a = zt[:, s : s + rows] @ a if s == 0 else zt_a + zt[:, s : s + rows] @ a
-    grad += zt_a.T
-    return grad
+    grad_z /= tau
+    return log_partition - cross / tau, grad_z, zt_a.T / tau
 
 
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

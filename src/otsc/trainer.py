@@ -24,8 +24,6 @@ import numpy as np
 from . import network as net
 from .errors import NumericalError, TrainingAbortError, as_matrix, check_finite_fields
 from .spectral import (
-    affinity_cross_entropy,
-    affinity_grad_to_embeddings,  # noqa: F401 (perfbench's tracer wraps this name)
     off_diagonal,
     orthogonal_penalty,
     orthogonalize,
@@ -34,6 +32,10 @@ from .spectral import (
     softmax_cross_entropy,
 )
 from .transport import sinkhorn_algorithm1
+
+# perfbench/tracing.py's LAYER_CALLS wraps this name; nothing calls it, as both
+# losses run through softmax_cross_entropy
+affinity_grad_to_embeddings = None
 
 __all__ = [
     "TrainConfig",
@@ -237,11 +239,12 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     targets (``logits0/1``, ``target0/1``), all B x B: the logits are
     z @ z.T with the diagonal masked to -inf (`off_diagonal`) unless
     ``keep_diagonal``, so each target column is one sample and a masked
-    target holds no self-affinity. After the call the logits buffers hold
-    `affinity_cross_entropy`'s E = exp(logits/tau_a - row max), not a
-    gradient. The affinity targets in ``held`` alias ``target0/1``, which
-    the next step on the same store overwrites: a caller that keeps them
-    gives each step its own store (the default).
+    target holds no self-affinity. After the call the logits buffers, and
+    each view's B x K assignment logits ``h``, hold `softmax_cross_entropy`'s
+    A = softmax(logits/tau) - target, not the logits. The affinity targets
+    in ``held`` alias ``target0/1``, which the next step on the same store
+    overwrites: a caller that keeps them gives each step its own store (the
+    default).
 
     Each view runs its own encoder pass and backward. A ``worker`` runs
     view 1's forward (encoder, targets), then its losses and backward
@@ -276,18 +279,18 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
         # (identity), the row normalization of its raw embeddings and the
         # encoder; targets and residuals are constants
         z_raw, cache, _, z, h, _, _ = views[v]
-        loss_a, g = affinity_cross_entropy(views[1 - v][5], logits[v], z, tau_a)
-        loss_c, g_c = softmax_cross_entropy(views[1 - v][6], h, tau_c)
-        # the affinity logits are z @ z.T (off the diagonal, where the logit
-        # gradient A is 0, unless keep_diagonal), so <A, z z.T> = <A z + A.T z, z> / 2
-        grad_tau = [-0.5 * float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, h)) / tau_c]
-        g = g + cfg.lam * (g_c @ protos)
+        loss_a, g, g_y = softmax_cross_entropy(views[1 - v][5], logits[v], z, z, tau_a)
+        loss_c, g_c, grad_protos = softmax_cross_entropy(views[1 - v][6], h, z, protos, tau_c)
+        # d loss / d tau = -<A, z y.T> / tau^2 = -<grad_z, z> / tau, A the
+        # logit gradient times tau, which is 0 on a masked diagonal
+        grad_tau = [-float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, z)) / tau_c]
+        g = g + g_y + cfg.lam * g_c
         pen = 0.0
         if cfg.orth_mode == "penalty":
             pen, grad_pen = orthogonal_penalty(z, cfg.penalty_rho)
             g = g + grad_pen
         layers = net.backward(model, cache, row_normalize_vjp(z_raw, g))
-        return (loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * (g_c.T @ z),
+        return (loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * grad_protos,
                 *(grad for layer in layers for grad in layer))
 
     views = _both_views(forward, worker)

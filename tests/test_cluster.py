@@ -20,12 +20,20 @@ def prototype_logits(z, raw_prototypes):
     return z @ row_normalize(raw_prototypes).T
 
 
-def softmax_probabilities(logits, tau):
-    """``softmax(logits / tau)`` read off the gradient of the loss the trainer
-    runs, ``(softmax - target) / tau``, at a uniform target."""
-    target = np.full(logits.shape, 1.0 / logits.shape[1])
-    _, grad = softmax_cross_entropy(target, logits, tau)
-    return tau * grad + target
+def clustering_loss(target, z, raw_prototypes, tau):
+    """The trainer's clustering loss call on the assignment logits: (loss,
+    d/dz, d/d unit prototypes, the logits buffer it leaves behind)."""
+    protos = row_normalize(raw_prototypes)
+    logits = z @ protos.T
+    return (*softmax_cross_entropy(target, logits, z, protos, tau), logits)
+
+
+def softmax_probabilities(z, raw_prototypes, tau):
+    """``softmax(logits / tau)`` of the assignment logits, read back from the
+    buffer the loss the trainer runs leaves, A = softmax - target, at a
+    uniform target."""
+    target = np.full((z.shape[0], raw_prototypes.shape[0]), 1.0 / raw_prototypes.shape[0])
+    return clustering_loss(target, z, raw_prototypes, tau)[3] + target
 
 
 def direct_softmax(logits, tau):
@@ -58,27 +66,26 @@ class TestAssignmentProbabilities:
         z = np.tile([0.0, 0.0, 1.0], (2, 1))  # orthogonal to every prototype
         logits = prototype_logits(z, raw)
         assert (logits == 0.0).all()
-        assert np.abs(softmax_probabilities(logits, 0.2) - 0.25).max() <= 1e-15
+        assert np.abs(softmax_probabilities(z, raw, 0.2) - 0.25).max() <= 1e-15
 
     def test_matching_prototype_dominates_at_low_temperature(self):
         rng = np.random.default_rng(1)
         raw = 2.0 * rng.normal(size=(3, 8))
-        probs = softmax_probabilities(prototype_logits(row_normalize(raw), raw), 0.01)
+        probs = softmax_probabilities(row_normalize(raw), raw, 0.01)
         for i in range(3):
             assert probs[i, i] >= 0.99
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        logits = prototype_logits(unit_rows(rng, 9, 4), rng.normal(size=(3, 4)))
-        probs = softmax_probabilities(logits, 0.3)
+        probs = softmax_probabilities(unit_rows(rng, 9, 4), rng.normal(size=(3, 4)), 0.3)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-10
 
     def test_hard_labels_invariant_to_temperature(self):
         model, x = untrained_model(3)
         labels, z = predict(model, x)
-        logits = prototype_logits(z, model.prototypes)
         for tau in (0.01, 0.3, 1.0):
-            assert (softmax_probabilities(logits, tau).argmax(axis=1) == labels).all()
+            probs = softmax_probabilities(z, model.prototypes, tau)
+            assert (probs.argmax(axis=1) == labels).all()
 
     def test_dimension_mismatch(self):
         model, x = untrained_model(4)
@@ -89,17 +96,20 @@ class TestAssignmentProbabilities:
 
 class TestClusteringLoss:
     def test_zero_gradient_at_target(self):
+        # the logit gradient A / tau, left in the buffer as A, and both
+        # factor gradients vanish
         rng = np.random.default_rng(5)
-        logits = prototype_logits(unit_rows(rng, 6, 4), rng.normal(size=(3, 4)))
-        _, grad = softmax_cross_entropy(direct_softmax(logits, 0.4), logits, 0.4)
-        assert np.abs(grad).max() <= 1e-12
+        z, raw = unit_rows(rng, 6, 4), rng.normal(size=(3, 4))
+        target = direct_softmax(prototype_logits(z, raw), 0.4)
+        _, grad_z, grad_protos, a = clustering_loss(target, z, raw, 0.4)
+        assert np.abs(a / 0.4).max() <= 1e-12
+        assert max(np.abs(grad_z).max(), np.abs(grad_protos).max()) <= 1e-12
 
     def test_one_hot_direct_evaluation(self):
         z = row_normalize(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        logits = prototype_logits(z, np.eye(2))
         tau = 0.3
-        loss, _ = softmax_cross_entropy(np.eye(2), logits, tau)
-        probs = direct_softmax(logits, tau)
+        loss = clustering_loss(np.eye(2), z, np.eye(2), tau)[0]
+        probs = direct_softmax(prototype_logits(z, np.eye(2)), tau)
         direct = -float(np.log(probs[0, 0]) + np.log(probs[1, 1]))
         assert abs(loss - direct) <= 1e-12
 
@@ -111,10 +121,10 @@ class TestClusteringLoss:
         tau = 0.35
 
         def loss_of_raw(p_raw):
-            return softmax_cross_entropy(target, prototype_logits(z, p_raw), tau)[0]
+            return clustering_loss(target, z, p_raw, tau)[0]
 
-        _, grad_logits = softmax_cross_entropy(target, prototype_logits(z, raw), tau)
-        grad_raw = row_normalize_vjp(raw, grad_logits.T @ z)
+        _, _, grad_protos, _ = clustering_loss(target, z, raw, tau)
+        grad_raw = row_normalize_vjp(raw, grad_protos)
         fd = central_difference(loss_of_raw, raw)
         assert rel_error(grad_raw, fd) <= 1e-6
 
@@ -126,10 +136,9 @@ class TestClusteringLoss:
         tau = 0.5
 
         def loss_of_z(v):
-            return softmax_cross_entropy(target, prototype_logits(v, raw), tau)[0]
+            return clustering_loss(target, v, raw, tau)[0]
 
-        _, grad_logits = softmax_cross_entropy(target, prototype_logits(z, raw), tau)
-        grad_z = grad_logits @ row_normalize(raw)
+        _, grad_z, _, _ = clustering_loss(target, z, raw, tau)
         # perturbations of z feed the logits directly (no re-normalization)
         fd = central_difference(loss_of_z, z)
         assert rel_error(grad_z, fd) <= 1e-6

@@ -19,8 +19,6 @@ from oracles import (
 from otsc import network as net
 from otsc.errors import NumericalError
 from otsc.spectral import (
-    affinity_cross_entropy,
-    affinity_grad_to_embeddings,
     off_diagonal,
     orthogonal_penalty,
     orthogonalize,
@@ -39,11 +37,27 @@ def masked_target(rng, b):
     return mask_scatter_off_diagonal(random_stochastic(rng, (b, b - 1)))
 
 
-def masked_affinity_grad(rng, z, tau=0.1):
-    """The affinity logit gradient of unit rows ``z`` in the masked layout,
-    against a random target with a zero diagonal."""
-    target = masked_target(rng, z.shape[0])
-    return masked_softmax_cross_entropy(target, off_diagonal(z @ z.T), tau, True)[1]
+def plane_cross_entropy(target, logits, tau):
+    """`softmax_cross_entropy` of a finite plane of logits L as the bilinear
+    L @ I.T: (loss, d/dL), the z gradient being then the logit gradient
+    (softmax - target) / tau."""
+    eye = np.eye(logits.shape[1])
+    loss, grad, _ = softmax_cross_entropy(target, logits.copy(), logits, eye, tau)
+    return loss, grad
+
+
+def affinity_loss(target, logits, z, tau):
+    """The trainer's affinity loss call, y = z: (loss, grad_z + grad_y)."""
+    loss, grad_z, grad_y = softmax_cross_entropy(target, logits, z, z, tau)
+    return loss, grad_z + grad_y
+
+
+def assert_chains_logit_gradient(target, logits, z, tau, masked):
+    """grad_z + grad_y at y = z equals A @ z + A.T @ z, the two plain
+    products, of the B x B logit gradient A of the masked cross entropy."""
+    _, want = masked_softmax_cross_entropy(target, logits.copy(), tau, masked)
+    _, grad = affinity_loss(target, logits, z, tau)
+    assert rel_error(grad, two_product_affinity_grad(want, z)) <= 1e-15
 
 
 def assert_close_to_two_step(got, want, z, tau):
@@ -160,9 +174,9 @@ class TestCrossAffinity:
 
 
 class TestAffinityLoss:
-    """The affinity loss is `affinity_cross_entropy` on the masked logits: the
-    row-softmax cross entropy of `softmax_cross_entropy`, chained to the
-    embeddings in factored form."""
+    """The affinity loss is `softmax_cross_entropy` on the masked logits
+    z @ z.T, with y = z: the row-softmax cross entropy chained to both
+    factors, whose gradients add into the embedding gradient."""
 
     def test_minimum_at_target_with_entropy_value(self):
         rng = np.random.default_rng(3)
@@ -171,7 +185,7 @@ class TestAffinityLoss:
         scaled = logits / tau
         p = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        loss, grad = softmax_cross_entropy(p, logits, tau)
+        loss, grad = plane_cross_entropy(p, logits, tau)
         assert np.abs(grad).max() <= 1e-12
         entropy = float(-(p * np.log(p)).sum())
         assert abs(loss - entropy) <= 1e-10
@@ -182,7 +196,7 @@ class TestAffinityLoss:
         tau = 0.05
         z = unit_rows(np.random.default_rng(2), 2, 3)
         target = np.array([[0.0, 1.0], [1.0, 0.0]])
-        loss, grad = affinity_cross_entropy(target, off_diagonal(z @ z.T), z, tau)
+        loss, grad = affinity_loss(target, off_diagonal(z @ z.T), z, tau)
         assert abs(loss) <= 1e-15 / tau
         assert np.abs(grad).max() <= 1e-15 / tau
 
@@ -194,11 +208,11 @@ class TestAffinityLoss:
         rng = np.random.default_rng(b)
         z = unit_rows(rng, b, 3)
         packed_target = random_stochastic(rng, (b, b - 1))
-        want_loss, packed_grad = softmax_cross_entropy(
+        want_loss, packed_grad = two_exp_cross_entropy(
             packed_target, mask_off_diagonal(z @ z.T), 0.1
         )
         want_grad = two_product_affinity_grad(mask_scatter_off_diagonal(packed_grad), z)
-        got = affinity_cross_entropy(
+        got = affinity_loss(
             mask_scatter_off_diagonal(packed_target), off_diagonal(z @ z.T), z, 0.1
         )
         assert_close_to_two_step(got, (want_loss, want_grad), z, 0.1)
@@ -208,8 +222,8 @@ class TestAffinityLoss:
         logits = rng.normal(size=(8, 7))
         target = random_stochastic(rng, (8, 7))
         tau = 0.4
-        loss, grad = softmax_cross_entropy(target, logits, tau)
-        fd = central_difference(lambda l: softmax_cross_entropy(target, l, tau)[0], logits)
+        loss, grad = plane_cross_entropy(target, logits, tau)
+        fd = central_difference(lambda l: plane_cross_entropy(target, l, tau)[0], logits)
         assert np.abs(grad - fd).max() <= 1e-6
 
     def test_two_term_decomposition(self):
@@ -217,7 +231,7 @@ class TestAffinityLoss:
         logits = rng.normal(size=(6, 5))
         target = random_stochastic(rng, (6, 5))
         tau = 0.25
-        loss, _ = softmax_cross_entropy(target, logits, tau)
+        loss, _ = plane_cross_entropy(target, logits, tau)
         scaled = logits / tau
         shift = scaled.max(axis=1, keepdims=True)
         logsumexp = (shift + np.log(np.exp(scaled - shift).sum(axis=1, keepdims=True))).sum()
@@ -247,12 +261,14 @@ class TestAffinityLoss:
             target[0, 5] = 1.0
             target /= target.sum(axis=1, keepdims=True)
         for tau in (0.05, 0.3, 1.0):
-            loss, grad = softmax_cross_entropy(target, logits, tau)
+            loss, grad = plane_cross_entropy(target, logits, tau)
             want_loss, want_grad = two_exp_cross_entropy(target, logits, tau)
             assert abs(loss - want_loss) <= 1e-14 * abs(want_loss)
             assert rel_error(grad, want_grad) <= 1e-14
 
-    def test_grad_to_embeddings_matches_finite_differences(self):
+    def test_grad_to_embeddings_matches_finite_differences(self, monkeypatch):
+        # grad_z + grad_y at y = z, in panels of 4 and 2 rows
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 6 * 4)
         rng = np.random.default_rng(6)
         z0 = unit_rows(rng, 6, 3)
         target = random_stochastic(rng, (6, 5))
@@ -262,12 +278,11 @@ class TestAffinityLoss:
             # raw similarity logits (no re-normalization inside)
             sims = z @ z.T
             w = sims[~np.eye(6, dtype=bool)].reshape(6, 5)
-            return softmax_cross_entropy(target, w, tau)[0]
+            return two_exp_cross_entropy(target, w, tau)[0]
 
-        _, grad_logits = masked_softmax_cross_entropy(
-            mask_scatter_off_diagonal(target), off_diagonal(z0 @ z0.T), tau, True
+        _, grad_z = affinity_loss(
+            mask_scatter_off_diagonal(target), off_diagonal(z0 @ z0.T), z0, tau
         )
-        grad_z = affinity_grad_to_embeddings(grad_logits, z0)
         fd = central_difference(loss_of_z, z0)
         assert rel_error(grad_z, fd) <= 1e-7
 
@@ -281,9 +296,9 @@ class TestAffinityLoss:
 
         def loss_of_z(z):
             logits = off_diagonal(z @ z.T) if masked else z @ z.T
-            return affinity_cross_entropy(target, logits, z, tau)[0]
+            return affinity_loss(target, logits, z, tau)[0]
 
-        _, grad = affinity_cross_entropy(target, logits, z0, tau)
+        _, grad = affinity_loss(target, logits, z0, tau)
         assert rel_error(grad, central_difference(loss_of_z, z0)) <= 1e-7
 
     @pytest.mark.parametrize("tau", [0.01, 1.0])
@@ -295,7 +310,7 @@ class TestAffinityLoss:
         rng = np.random.default_rng(b)
         z, logits, target = affinity_case(rng, b, 2, masked)
         want = two_step_affinity_cross_entropy(target, logits.copy(), z, tau, masked)
-        assert_close_to_two_step(affinity_cross_entropy(target, logits, z, tau), want, z, tau)
+        assert_close_to_two_step(affinity_loss(target, logits, z, tau), want, z, tau)
 
     @pytest.mark.parametrize("rows", [1, 5, 16, 17])
     @pytest.mark.parametrize("masked", [True, False])
@@ -306,20 +321,16 @@ class TestAffinityLoss:
         rng = np.random.default_rng(rows)
         z, logits, target = affinity_case(rng, b, 3, masked)
         want = two_step_affinity_cross_entropy(target, logits.copy(), z, 0.1, masked)
-        assert_close_to_two_step(affinity_cross_entropy(target, logits, z, 0.1), want, z, 0.1)
+        assert_close_to_two_step(affinity_loss(target, logits, z, 0.1), want, z, 0.1)
 
     @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
     def test_grad_to_embeddings_matches_two_product_form(self, b):
         # both logit layouts: the masked diagonal, and the full z @ z.T of
         # keep_diagonal
         rng = np.random.default_rng(b)
-        z = unit_rows(rng, b, 2)
-        grad_logits = masked_affinity_grad(rng, z)
-        got = affinity_grad_to_embeddings(grad_logits, z)
-        assert rel_error(got, two_product_affinity_grad(grad_logits, z)) <= 1e-15
-        _, grad_square = softmax_cross_entropy(random_stochastic(rng, (b, b)), z @ z.T, 0.1)
-        got = affinity_grad_to_embeddings(grad_square, z)
-        assert rel_error(got, two_product_affinity_grad(grad_square, z)) <= 1e-15
+        for masked in (True, False):
+            z, logits, target = affinity_case(rng, b, 2, masked)
+            assert_chains_logit_gradient(target, logits, z, 0.1, masked)
 
     @pytest.mark.parametrize("rows", [1, 5, 16, 17])
     def test_grad_to_embeddings_in_row_panels(self, rows, monkeypatch):
@@ -327,10 +338,8 @@ class TestAffinityLoss:
         b = 17
         monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * b * rows)
         rng = np.random.default_rng(rows)
-        z = unit_rows(rng, b, 2)
-        grad_logits = masked_affinity_grad(rng, z)
-        got = affinity_grad_to_embeddings(grad_logits, z)
-        assert rel_error(got, two_product_affinity_grad(grad_logits, z)) <= 1e-15
+        z, logits, target = affinity_case(rng, b, 2, True)
+        assert_chains_logit_gradient(target, logits, z, 0.1, True)
 
     def test_gradient_vanishes_when_model_matches_target(self):
         # fixed-point form of the convergence condition: when the modeled
@@ -342,20 +351,53 @@ class TestAffinityLoss:
         scaled = logits / tau
         p = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        _, grad_z = affinity_cross_entropy(p, logits, z, tau)
+        _, grad_z = affinity_loss(p, logits, z, tau)
         assert np.abs(grad_z).max() <= 1e-8
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_leaves_exp_in_logits(self, masked):
-        # the trainer's logits buffers hold E = exp(L/tau - row max) after
+        # the trainer's logits buffers hold A = softmax(L/tau) - target after
         # the step, 0 on a masked diagonal
         rng = np.random.default_rng(12)
         z, logits, target = affinity_case(rng, 9, 3, masked)
         scaled = logits / 0.2
         want = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-        affinity_cross_entropy(target, logits, z, 0.2)
+        want = want / want.sum(axis=1, keepdims=True) - target
+        affinity_loss(target, logits, z, 0.2)
         assert rel_error(logits, want) <= 1e-15
         assert (np.diag(logits) == 0.0).all() == masked
+
+
+class TestBilinearLogits:
+    """The clustering loss's B x K plane z @ y.T, y the unit prototypes,
+    through the same `softmax_cross_entropy` as the affinity loss; a panel
+    holds PANEL_BYTES // (8 K) of its rows."""
+
+    @pytest.mark.parametrize("rows", [1, 5, 16, 17])
+    def test_non_square_plane_in_uneven_row_panels(self, rows, monkeypatch):
+        # panels of 5 and 16 rows split B = 17 unevenly; 17 is one panel
+        b, k, d, tau = 17, 3, 4, 0.1
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * k * rows)
+        rng = np.random.default_rng(rows)
+        z, y = unit_rows(rng, b, d), unit_rows(rng, k, d)
+        target = random_stochastic(rng, (b, k))
+        want_loss, grad_logits = two_exp_cross_entropy(target, z @ y.T, tau)
+        loss, grad_z, grad_y = softmax_cross_entropy(target, z @ y.T, z, y, tau)
+        assert_close_to_two_step((loss, grad_z), (want_loss, grad_logits @ y), y, tau)
+        assert_close_to_two_step((loss, grad_y), (want_loss, grad_logits.T @ z), z, tau)
+
+    def test_prototype_gradient_matches_finite_differences(self, monkeypatch):
+        # the logits are rebuilt from y at every point, in panels of 5 rows
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 3 * 5)
+        rng = np.random.default_rng(18)
+        z, y0 = unit_rows(rng, 17, 4), unit_rows(rng, 3, 4)
+        target = random_stochastic(rng, (17, 3))
+
+        def loss_of_y(y):
+            return softmax_cross_entropy(target, z @ y.T, z, y, 0.3)[0]
+
+        _, _, grad_y = softmax_cross_entropy(target, z @ y0.T, z, y0, 0.3)
+        assert rel_error(grad_y, central_difference(loss_of_y, y0)) <= 1e-7
 
 
 class TestOrthogonalize:
