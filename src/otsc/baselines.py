@@ -11,7 +11,12 @@ affinity graph, so `sym_eig` iterates with the inverse shifted next to 1,
 applied through one Cholesky factor, instead of reducing the whole matrix
 to tridiagonal form. The affinity sets its entries below 2^-511 to 0:
 subnormal entries in the Cholesky factor make the factorization about ten
-times slower, and no degree changes.
+times slower, and no degree changes. It clamps the bandwidth quotient at
+AFFINITY_CUT before the exp, because numpy's exp takes a slow path on
+arguments whose result underflows, and every clamped entry is set to 0 by
+the floor anyway. Transposed reads of the n x n matrix (the
+symmetrization, the symmetry check) go through square tiles of TILE rows,
+since a plain transposed pass strides across the whole matrix.
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ EIG_TOL = 1e-13
 EIG_MAX_SWEEPS = 100
 # affinity entries below this are set to 0; its square is the smallest normal double
 AFFINITY_FLOOR = 2.0**-511
+# bandwidth quotients are clamped here before exp: exp(-AFFINITY_CUT) is a
+# normal double below AFFINITY_FLOOR, so a clamped entry still becomes 0
+AFFINITY_CUT = 360.0
+# edge of the square tiles through which an n x n matrix is read transposed
+TILE = 128
 # eigenvalue K+1 of D^-1/2 S D^-1/2 this close to 1: more than K components
 COMPONENT_TOL = 1e-10
 
@@ -71,6 +81,12 @@ class SpectralConfig:
         if self.k_neighbor < 1:
             raise ValueError("k_neighbor must be >= 1")
         check_finite_fields(self)
+        # the affinity divides by 2 sigma^2 (`*` here, since `**` raises on overflow)
+        width = None if self.sigma is None else 2.0 * self.sigma * self.sigma
+        if width is not None and not np.finfo(float).tiny <= width < np.inf:
+            raise ValueError(
+                f"sigma must make 2 sigma^2 a finite positive normal double, got {self.sigma!r}"
+            )
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -81,19 +97,30 @@ def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _tile_pairs(n: int):
+    """(rows, cols) slices of the square TILE-edge tiles on and above the
+    diagonal of an n x n matrix; tile (cols, rows) is their mirror."""
+    for i in range(0, n, TILE):
+        rows = slice(i, i + TILE)
+        for j in range(i, n, TILE):
+            yield rows, slice(j, j + TILE)
+
+
 def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     """exp(-d2 / width) with a zero diagonal, built in the distance buffer."""
     d2 = _squared_distances(x, x)
+    # dividing by the negated width negates exactly, so the clamp below
+    # takes the place of a negation pass
     if cfg.bandwidth_mode == "fixed":
-        d2 /= 2.0 * cfg.sigma**2
+        d2 /= -2.0 * cfg.sigma**2
     else:
         # entry k_neighbor of each partitioned row = squared distance to the
         # k-th nearest neighbor (row position 0 is the point itself)
         local = np.sqrt(np.partition(d2, cfg.k_neighbor, axis=1)[:, cfg.k_neighbor])
         if (local == 0).any():
             raise ValueError("duplicate points collapse the self-tuning bandwidth")
-        d2 /= np.outer(local, local)
-    np.negative(d2, out=d2)
+        d2 /= np.outer(-local, local)
+    np.maximum(d2, -AFFINITY_CUT, out=d2)
     np.exp(d2, out=d2)
     d2[d2 < AFFINITY_FLOOR] = 0.0
     np.fill_diagonal(d2, 0.0)
@@ -125,12 +152,12 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= n:
         raise ValueError(f"sym_eig needs 1 <= k <= {n}, got k={k}")
     scale = max(1.0, float(a.max()), -float(a.min()))
-    asym = a - a.T
-    if float(np.abs(asym, out=asym).max()) > SYM_TOL * scale:
+    asym = max(float(np.abs(a[r, c] - a[c, r].T).max()) for r, c in _tile_pairs(n))
+    if asym > SYM_TOL * scale:
         raise ValueError("sym_eig input is not symmetric within tolerance")
     import scipy.linalg  # loaded here, so that importing otsc does not load scipy
 
-    shifted = np.negative(a, out=asym)
+    shifted = np.negative(a)
     shifted.flat[:: n + 1] += 1.0 + EIG_SHIFT
     try:
         # the transpose is the same matrix in Fortran order, factored in place
@@ -260,11 +287,14 @@ def classical_spectral(
     inv_sqrt = 1.0 / np.sqrt(degrees)
     s *= inv_sqrt[:, None]
     s *= inv_sqrt[None, :]
-    conjugate = np.add(s, s.T)
-    del s  # one n x n buffer fewer while the eigensolver holds its factor
-    conjugate *= 0.5
+    # s + s.T in place, a tile pair at a time: the sum is exactly symmetric
+    for r, c in _tile_pairs(n):
+        t = s[r, c] + s[c, r].T
+        s[r, c] = t
+        s[c, r] = t.T
+    s *= 0.5
     k = cfg.num_clusters
-    evals, top = sym_eig(conjugate, k=min(k + 1, n))
+    evals, top = sym_eig(s, k=min(k + 1, n))
     # eigenvalue 1 has one eigenvector per connected component of the graph
     if k < n and evals[k] >= 1.0 - COMPONENT_TOL:
         raise ValueError(f"the affinity graph has more connected components than K={k}")

@@ -8,7 +8,9 @@ written: the fixed-count loop rescales the whole matrix at every half-sweep,
 and the tolerance loops rebuild the plan after every sweep to measure its
 residuals. The spectral-baseline reference is the earlier full-spectrum
 embedding (every eigenpair from ``np.linalg.eigh``, the leading K kept); it
-clusters with the package's k-means, which is not what it checks. The
+clusters with the package's k-means, which is not what it checks.
+`unclamped_gaussian_affinity` is the baseline's affinity as it was before
+the quotient was clamped: exp(-d2 / width) over the whole plane. The
 affinity-backward references are the trainer's earlier forms: the B x B
 logit gradient of the masked cross entropy, the two plain products into the
 embeddings, and the temperature gradient read off the B x B logit and
@@ -414,6 +416,15 @@ def full_spectrum_spectral(x, cfg, seed: int = 0) -> np.ndarray:
     rows = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
     labels, _, _ = kmeans_lloyd(rows, cfg.num_clusters, restarts=10, seed=seed)
     return labels
+
+
+def unclamped_gaussian_affinity(d2, width, floor: float) -> np.ndarray:
+    """exp(-d2 / width) with no clamp on the quotient, entries below ``floor``
+    and the diagonal set to 0; ``width`` is a scalar or an n x n array."""
+    s = np.exp(-(d2 / width))
+    s[s < floor] = 0.0
+    np.fill_diagonal(s, 0.0)
+    return s
 
 
 def unit_rows(rng, n: int, d: int) -> np.ndarray:

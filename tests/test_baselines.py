@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
-from oracles import full_spectrum_spectral
+from oracles import full_spectrum_spectral, unclamped_gaussian_affinity
 from otsc.baselines import (
+    AFFINITY_CUT,
     AFFINITY_FLOOR,
+    SYM_TOL,
+    TILE,
     SpectralConfig,
     _gaussian_affinity,
     _squared_distances,
@@ -16,6 +21,7 @@ from otsc.errors import NumericalError
 from otsc.metrics import evaluate
 
 COMPONENTS_ABOVE_K = "the affinity graph has more connected components than K="
+NOT_SYMMETRIC = "^sym_eig input is not symmetric within tolerance$"
 
 
 def three_blobs(rng, n_per=60, sep=12.0, sigma=1.0):
@@ -79,6 +85,58 @@ class TestSymEigOnAffinities:
         a = 0.5 * (a + a.T)
         with pytest.raises(NumericalError, match="^sym_eig did not converge in 1 sweeps"):
             sym_eig(a / np.linalg.norm(a, 2), k=2)
+
+
+class TestTiles:
+    """The tile pairs through which `sym_eig` checks symmetry and
+    `classical_spectral` symmetrizes, on an n that is not a multiple of TILE."""
+
+    N = 300  # two full tile rows, then a partial one
+
+    @pytest.fixture(scope="class")
+    def moons(self):
+        return gen_dataset("moons", self.N, noise=0.05, seed=1).features
+
+    def leading_three(self):
+        """Eigenvalues 0.9, 0.8, 0.7 over a rest in [-0.5, 0.3], exactly symmetric,
+        every entry at most 1 in magnitude, so the tolerance is SYM_TOL itself."""
+        assert self.N % TILE and self.N > 2 * TILE
+        return np.diag(np.concatenate([[0.9, 0.8, 0.7], np.linspace(0.3, -0.5, self.N - 3)]))
+
+    @pytest.mark.parametrize("i, j", [
+        (299, 290),  # the last, partial tile on the diagonal
+        (10, 299),  # the partial tile at the end of the first tile row
+        (299, 5),  # its mirror, below the diagonal
+        (200, 10),  # a full tile below the diagonal
+    ])
+    def test_asymmetry_in_one_tile_refused(self, i, j):
+        a = self.leading_three()
+        a[i, j] += 2.0 * SYM_TOL
+        with pytest.raises(ValueError, match=NOT_SYMMETRIC):
+            sym_eig(a, k=3)
+
+    @pytest.mark.parametrize("i, j", [(299, 290), (299, 5)])
+    def test_asymmetry_just_under_the_tolerance_accepted(self, i, j):
+        # off the leading eigenvectors' rows and columns, so they still converge
+        a = self.leading_three()
+        a[i, j] += 0.99 * SYM_TOL
+        evals, _ = sym_eig(a, k=3)
+        assert np.abs(evals - [0.9, 0.8, 0.7]).max() <= 1e-12
+
+    def test_classical_spectral_hands_sym_eig_the_full_plane_form(self, moons, monkeypatch):
+        handed = []
+
+        def capture(a, k):
+            handed.append(a.copy())
+            return sym_eig(a, k)
+
+        monkeypatch.setattr("otsc.baselines.sym_eig", capture)
+        cfg = SpectralConfig(num_clusters=2)
+        classical_spectral(moons, cfg, seed=0)
+        (a,) = handed
+        assert np.array_equal(a, a.T)
+        # 0.5 * (c + c.T) of c = D^-1/2 S D^-1/2, over the whole plane at once
+        assert np.array_equal(a, normalized_conjugate(moons, cfg))
 
 
 class TestKmeans:
@@ -191,6 +249,17 @@ class TestClassicalSpectral:
         with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
             SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_sigma_whose_width_is_not_a_normal_double_refused_by_name(self, sigma):
+        # 2 sigma^2 overflows to inf at 1e200 and underflows to 0 at 1e-200
+        message = f"sigma must make 2 sigma^2 a finite positive normal double, got {sigma!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e150, 1e-150])
+    def test_sigma_with_a_normal_width_accepted(self, sigma):
+        assert SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma).sigma == sigma
+
     def test_sigma_refused_under_self_tuning(self):
         with pytest.raises(ValueError, match="^sigma applies to bandwidth_mode 'fixed' only$"):
             SpectralConfig(num_clusters=2, sigma=0.5)
@@ -213,6 +282,45 @@ class TestClassicalSpectral:
         assert s[0, 1] == pytest.approx(np.exp(-300.0), rel=1e-12)
         assert s[0, 2] == 0.0 and s[0, 3] == 0.0
         assert not ((s > 0) & (s < AFFINITY_FLOOR)).any()
+
+    def test_cut_lies_between_the_floor_and_the_subnormals(self):
+        # a clamped entry is still set to 0, and its exp stays off the slow path
+        assert np.finfo(np.float64).tiny <= np.exp(-AFFINITY_CUT) < AFFINITY_FLOOR
+
+    @pytest.mark.parametrize("kind, sigma", [
+        ("moons", None), ("rings", None), ("blobs", None),
+        ("moons", 0.05), ("rings", 0.05), ("blobs", 0.5),
+    ])
+    def test_affinity_matches_the_unclamped_oracle(self, kind, sigma):
+        x = gen_dataset(kind, 500, noise=0.05, seed=1).features
+        d2 = _squared_distances(x, x)
+        if sigma is None:
+            cfg = SpectralConfig(num_clusters=2)
+            local = np.sqrt(np.sort(d2, axis=1)[:, cfg.k_neighbor])
+            width = np.outer(local, local)
+        else:
+            cfg = SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
+            width = 2.0 * sigma**2
+        # 34-85% of the quotients are clamped in these cases
+        assert (d2 / width > AFFINITY_CUT).mean() > 0.3
+        want = unclamped_gaussian_affinity(d2, width, AFFINITY_FLOOR)
+        assert np.array_equal(_gaussian_affinity(x, cfg), want)
+
+    def test_affinity_at_the_floor_and_the_cut_matches_the_unclamped_oracle(self):
+        # quotients d2 / 2 from the origin at sigma = 1: exp(-354) stays above
+        # the floor, exp(-354.5) and exp(-359.9) fall below it unclamped, 360
+        # sits at the cut, 361 and 720 are clamped
+        x = np.array([[0.0, 0.0, 0.0], [26.0, 4.0, 4.0], [22.0, 15.0, 0.0],
+                      [np.sqrt(719.8), 0.0, 0.0], [24.0, 12.0, 0.0], [19.0, 19.0, 0.0],
+                      [36.0, 12.0, 0.0]])
+        d2 = _squared_distances(x, x)
+        q = d2[0, 1:] / 2.0
+        np.testing.assert_allclose(q, [354.0, 354.5, 359.9, 360.0, 361.0, 720.0], rtol=1e-15)
+        assert q[3] == 360.0
+        s = _gaussian_affinity(x, SpectralConfig(num_clusters=2, bandwidth_mode="fixed",
+                                                 sigma=1.0))
+        assert np.array_equal(s, unclamped_gaussian_affinity(d2, 2.0, AFFINITY_FLOOR))
+        assert s[0, 1] == np.exp(-354.0) and not s[0, 2:].any()
 
     def test_components_above_k_refused(self):
         # four separated blobs: eigenvalue 1 has multiplicity 4 > K = 3

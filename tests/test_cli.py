@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otsc
 from otsc.cli import SWEEPS, format_report, load_train_config, main, parse_config
 from otsc.metrics import evaluate
 from otsc.network import load_checkpoint
@@ -670,6 +675,21 @@ class TestBadInputs:
         assert err.startswith("numerical abort: " if status == 2 else "error: ")
         assert needle in err
         assert not (tmp_path / "g.csv").exists()  # a refused gen-dataset writes nothing
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_extreme_sigma_refused_without_a_traceback_or_a_warning(self, sigma, tmp_path):
+        # in its own interpreter, as the console script runs it: an
+        # OverflowError's traceback or a numpy RuntimeWarning would reach stderr
+        argv = _baseline("spectral", _csv(tmp_path, "f0,f1,label", TWELVE_ROWS),
+                         "--bandwidth-mode", "fixed", "--sigma", sigma)
+        src = str(Path(otsc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "otsc.cli", *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr == ("error: sigma must make 2 sigma^2 a finite positive normal "
+                               f"double, got {float(sigma)!r}\n")
 
     def test_eval_checks_labels_before_predict(self, tmp_path, trained_run, monkeypatch, capsys):
         def refuse(*args):
