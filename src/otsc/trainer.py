@@ -104,7 +104,7 @@ class TrainConfig:
             raise ValueError("embed_dim must not exceed batch_size / 2")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        for name in ("eta", "lam", "noise_sigma", "scale_jitter", "seed"):
+        for name in ("eta", "lam", "noise_sigma", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.eta == 0:
@@ -113,6 +113,8 @@ class TrainConfig:
             raise ValueError("sinkhorn_iters must be >= 1")
         if not 0.0 <= self.feature_dropout_prob < 1.0:
             raise ValueError("feature_dropout_prob must lie in [0, 1)")
+        if self.scale_jitter < 0.0 or self.scale_jitter >= 1.0:  # NaN: refused as not finite
+            raise ValueError("scale_jitter must lie in [0, 1)")
         if self.orth_mode not in TRAINER_ORTH_MODES:
             raise ValueError(
                 f"orth_mode must be one of {TRAINER_ORTH_MODES}, got {self.orth_mode!r}"
@@ -203,16 +205,6 @@ def _straight_through(z_raw, cfg):
     return resid, z_base + resid  # normalized orthogonalized rows
 
 
-def _buffer(store: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
-    """A float64 array of ``shape`` kept in ``store`` under ``key``: made on
-    first use, reused while the shape matches. Its contents are whatever the
-    last user left."""
-    buf = store.get(key)
-    if buf is None or buf.shape != shape:
-        buf = store[key] = np.empty(shape)
-    return buf
-
-
 def _both_views(fn, worker):
     """``[fn(0), fn(1)]``. A worker (an executor with one thread) runs fn(1)
     meanwhile; it is joined before an error is raised, view 0's if both fail."""
@@ -225,7 +217,7 @@ def _both_views(fn, worker):
         futures.wait([second])
 
 
-def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
+def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
     Returns (losses, grads, held). ``held`` is the tuple (st_residuals,
@@ -233,31 +225,27 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
     view: the step's stop-gradient quantities, which the backward treats as
     constants, so the gradients differentiate the loss with them held fixed.
 
-    The step's B x B arrays live in ``buffers``, a dict that `fit` keeps for
-    the whole run so a step allocates none of them; None gives the call a
-    store of its own. The store holds each view's affinity logits and
-    targets (``logits0/1``, ``target0/1``), all B x B: the logits are
-    z @ z.T with the diagonal masked to -inf (`off_diagonal`) unless
-    ``keep_diagonal``, so each target column is one sample and a masked
-    target holds no self-affinity. After the call the logits buffers, and
-    each view's B x K assignment logits ``h``, hold `softmax_cross_entropy`'s
-    A = softmax(logits/tau) - target, not the logits. The affinity targets
-    in ``held`` alias ``target0/1``, which the next step on the same store
-    overwrites: a caller that keeps them gives each step its own store (the
-    default).
+    The step's B x B planes live in ``planes``, a float64 (2, 2, B, B)
+    array that `fit` keeps for the whole run; None gives the call its own.
+    ``planes[0, v]`` holds view v's affinity logits, z @ z.T with the
+    diagonal masked to -inf (`off_diagonal`) unless ``keep_diagonal``, so
+    each target column is one sample and a masked target holds no
+    self-affinity; ``planes[1, v]`` holds its Sinkhorn target. After the
+    call the logits planes, and each view's B x K assignment logits ``h``,
+    hold `softmax_cross_entropy`'s A = softmax(logits/tau) - target, not the
+    logits. The affinity targets in ``held`` are ``planes[1]``, which the
+    next step on the same array overwrites.
 
     Each view runs its own encoder pass and backward. A ``worker`` runs
     view 1's forward (encoder, targets), then its losses and backward
-    (through the encoder), while this thread runs view 0's. Buffers are made
-    on this thread and the views' terms and parameter gradients summed in
-    view order after the join: the worker changes no bit.
+    (through the encoder), while this thread runs view 0's. The views' terms
+    and parameter gradients are summed in view order after the join: the
+    worker changes no bit.
     """
-    buffers = {} if buffers is None else buffers
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
     protos = row_normalize(model.prototypes)
     b = x1.shape[0]
-    logits = [_buffer(buffers, f"logits{v}", (b, b)) for v in (0, 1)]
-    targets = [_buffer(buffers, f"target{v}", (b, b)) for v in (0, 1)]
+    logits, targets = np.empty((2, 2, b, b)) if planes is None else planes
 
     def forward(v):
         # view v's encoder pass, straight-through (its own polar factor),
@@ -269,18 +257,18 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
         if not cfg.keep_diagonal:
             off_diagonal(logits[v])
         h = z @ protos.T
-        w = sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=targets[v]).plan
+        sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=targets[v])
         p = sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan
-        return z_raw, cache, resid, z, h, w, p
+        return z_raw, cache, resid, z, h, p
 
     def backward(v):
         # swapped prediction: view 1 - v's targets supervise view v's logits.
         # View v's loss terms, then its gradients through the straight-through
         # (identity), the row normalization of its raw embeddings and the
         # encoder; targets and residuals are constants
-        z_raw, cache, _, z, h, _, _ = views[v]
-        loss_a, g, g_y = softmax_cross_entropy(views[1 - v][5], logits[v], z, z, tau_a)
-        loss_c, g_c, grad_protos = softmax_cross_entropy(views[1 - v][6], h, z, protos, tau_c)
+        z_raw, cache, _, z, h, _ = views[v]
+        loss_a, g, g_y = softmax_cross_entropy(targets[1 - v], logits[v], z, z, tau_a)
+        loss_c, g_c, grad_protos = softmax_cross_entropy(views[1 - v][5], h, z, protos, tau_c)
         # d loss / d tau = -<A, z y.T> / tau^2 = -<grad_z, z> / tau, A the
         # logit gradient times tau, which is 0 on a masked diagonal
         grad_tau = [-float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, z)) / tau_c]
@@ -306,9 +294,9 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
 
     # the residuals are the moves the straight-through applies to unit rows;
     # a target's rows sum to 1, and a masked diagonal holds none of it
-    _, _, resids, _, _, w_targets, p_targets = zip(*views)
+    _, _, resids, _, _, p_targets = zip(*views)
     resid_norm = float(np.linalg.norm(resids[0]) + np.linalg.norm(resids[1]))
-    self_mass = float(sum(np.trace(w) for w in w_targets))
+    self_mass = float(np.trace(targets[0]) + np.trace(targets[1]))
     losses = StepLosses(
         affinity_loss=la,
         clustering_loss=lc,
@@ -316,7 +304,7 @@ def _compute_step(model, x1, x2, cfg, buffers=None, worker=None):
         mean_inconsistency=resid_norm / (2.0 * b**0.5),
         cross_affinity_intensity=1.0 - self_mass / (2.0 * b),
     )
-    return losses, grads, (resids, w_targets, p_targets)
+    return losses, grads, (resids, tuple(targets), p_targets)
 
 
 def train_step(
@@ -326,20 +314,20 @@ def train_step(
     cfg: TrainConfig,
     rng: np.random.Generator,
     lr: float,
-    buffers: dict | None = None,
+    planes: np.ndarray | None = None,
     worker: futures.Executor | None = None,
 ) -> tuple[StepLosses, net.ModelState]:
     """One full training step on a batch: augment, losses, SGD update.
 
     ``x``, at least 2 finite float64 rows, is trusted: `fit` checks the data.
-    ``buffers`` is the store of B x B arrays `_compute_step` writes into;
-    None gives the step a store of its own. ``worker`` runs view 1's half of
-    the step (see `_compute_step`); None runs all of it on this thread."""
+    ``planes`` holds the step's B x B planes and ``worker`` runs view 1's
+    half of the step (see `_compute_step`); None gives the step its own
+    planes, or runs all of it on this thread."""
     x1 = augment(x, cfg, rng)
     x2 = augment(x, cfg, rng)
     if np.ptp(x1, axis=0).max() == 0.0:
         warnings.warn("degenerate batch: all augmented rows identical", RuntimeWarning)
-    losses, grads, _ = _compute_step(model, x1, x2, cfg, buffers, worker)
+    losses, grads, _ = _compute_step(model, x1, x2, cfg, planes, worker)
     if not np.isfinite(losses.total_loss):
         raise TrainingAbortError(f"non-finite total loss {losses.total_loss!r}")
     model = net.sgd_step(model, opt, grads, lr)
@@ -356,29 +344,28 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
     """
     x = as_matrix(features, "features")
     n, d_in = x.shape
-    if n < cfg.batch_size:
-        raise ValueError(
-            f"dataset has {n} samples but batch_size is {cfg.batch_size}"
-        )
+    b = cfg.batch_size
+    if n < b:
+        raise ValueError(f"dataset has {n} samples but batch_size is {b}")
     rng = np.random.default_rng(cfg.seed)
     model = net.init_model(d_in, cfg.embed_dim, cfg.num_clusters, rng)
     model.log_tau[:] = np.log([cfg.tau_a_init, cfg.tau_c_init])
     opt = cfg.optimizer()
     records = []
-    buffers = {}  # the steps' B x B arrays, reused for the whole run
-    steps_per_epoch = n // cfg.batch_size
+    planes = np.empty((2, 2, b, b))  # the steps' B x B planes, reused for the whole run
+    steps_per_epoch = n // b
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parallel = cfg.batch_size >= PARALLEL_MIN_BATCH and (cpus or 1) >= 2
+    parallel = b >= PARALLEL_MIN_BATCH and (cpus or 1) >= 2
     with futures.ThreadPoolExecutor(1) if parallel else contextlib.nullcontext() as worker:
         for epoch in range(cfg.epochs):
             lr = net.cosine_lr(epoch, opt)
             perm = rng.permutation(n)
             sums = np.zeros(len(StepLosses._fields))
             for step in range(steps_per_epoch):
-                idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+                idx = perm[step * b : (step + 1) * b]
                 try:
                     losses, model = train_step(
-                        x[idx], model, opt, cfg, rng, lr, buffers=buffers, worker=worker
+                        x[idx], model, opt, cfg, rng, lr, planes=planes, worker=worker
                     )
                 except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as err:
                     # numerical events only (overflow, dead rows, a rank-deficient

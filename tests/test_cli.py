@@ -554,6 +554,9 @@ BAD_INPUTS = {
     "NaN scale_jitter in the config": (
         lambda tmp, run: _train_with(tmp, run, "scale_jitter = nan"),
         1, "error: scale_jitter must be finite, got nan\n"),
+    "scale_jitter of 1 in the config": (
+        lambda tmp, run: _train_with(tmp, run, "scale_jitter = 1"),
+        1, "error: scale_jitter must lie in [0, 1)\n"),
     "NaN eta in the config": (
         lambda tmp, run: _train_with(tmp, run, "eta = nan"),
         1, "error: eta must be finite, got nan\n"),

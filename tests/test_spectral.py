@@ -356,7 +356,7 @@ class TestAffinityLoss:
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_leaves_exp_in_logits(self, masked):
-        # the trainer's logits buffers hold A = softmax(L/tau) - target after
+        # the trainer's logits planes hold A = softmax(L/tau) - target after
         # the step, 0 on a masked diagonal
         rng = np.random.default_rng(12)
         z, logits, target = affinity_case(rng, 9, 3, masked)

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import otsc.trainer
+from oracles import masked_softmax_cross_entropy, rel_error
 from otsc import network as net
 from otsc.cli import format_report
 from otsc.data import gen_dataset
 from otsc.errors import NumericalError, TrainingAbortError
 from otsc.metrics import evaluate
+from otsc.spectral import softmax_cross_entropy
 from otsc.trainer import (
     PARALLEL_MIN_BATCH,
     TRAINER_ORTH_MODES,
@@ -81,6 +83,10 @@ class TestConfig:
         ({"momentum": 1.5}, "momentum must lie in [0, 1)"),
         ({"weight_decay": -1.0}, "weight_decay must be nonnegative"),
         ({"restart_period": 0}, "restart_period must be positive"),
+        # from 1 on, augment's 1 + U(-scale_jitter, scale_jitter) can zero a
+        # sample or flip it through the origin
+        ({"scale_jitter": 1.0}, "scale_jitter must lie in [0, 1)"),
+        ({"scale_jitter": -0.1}, "scale_jitter must lie in [0, 1)"),
     ])
     def test_refuses_optimizer_settings_out_of_range(self, settings, message):
         with pytest.raises(ValueError) as info:
@@ -252,21 +258,20 @@ class TestAffinityTargetMarginals:
         rng = np.random.default_rng(cfg.seed)
         model = net.init_model(2, cfg.embed_dim, cfg.num_clusters, rng)
         batch = x[rng.permutation(1000)[:b]]
-        store = {}
-        _compute_step(model, augment(batch, cfg, rng), augment(batch, cfg, rng), cfg, store)
+        planes = np.empty((2, 2, b, b))
+        _compute_step(model, augment(batch, cfg, rng), augment(batch, cfg, rng), cfg, planes)
         for v in (0, 1):
-            w = store[f"target{v}"]
-            assert w.shape == (b, b)
+            w = planes[1, v]
             received = w.sum(axis=0)
             assert np.abs(received - 1.0).max() <= 0.05, (received.min(), received.max())
             assert (np.diag(w) == 0.0).all()
-            # the logits buffer holds the cross-entropy gradient after the step
-            assert (np.diag(store[f"logits{v}"]) == 0.0).all()
+            # the logits plane holds the cross-entropy gradient after the step
+            assert (np.diag(planes[0, v]) == 0.0).all()
 
 
 class TestStepBuffers:
-    """`fit` hands every step one store of B x B buffers; sharing it changes
-    no bit, and after the first step a step allocates no B x B array."""
+    """`fit` hands every step one (2, 2, B, B) array of planes; sharing it
+    changes no bit, and after the first step a step allocates no B x B array."""
 
     @pytest.mark.parametrize("keep_diagonal", [False, True])
     @pytest.mark.parametrize("orth_mode", ["procrustes", "penalty"])
@@ -274,45 +279,63 @@ class TestStepBuffers:
         cfg = tiny_cfg(orth_mode=orth_mode, keep_diagonal=keep_diagonal)
         x = random_data(n=10, seed=2)
         runs = []
-        for store in ({}, None):
+        # NaN-filled shared planes: no step may read what it did not write
+        for planes in (np.full((2, 2, 10, 10), np.nan), None):
             rng = np.random.default_rng(7)
             model = net.init_model(4, 3, 2, rng)
             opt = net.OptimizerState(base_lr=cfg.lr)
             trail = []
             for _ in range(3):
                 x1, x2 = augment(x, cfg, rng), augment(x, cfg, rng)
-                losses, grads, _ = _compute_step(model, x1, x2, cfg, store)
+                losses, grads, _ = _compute_step(model, x1, x2, cfg, planes)
                 trail.append((losses, [g.tobytes() for g in grads.values()]))
-                losses, model = train_step(x, model, opt, cfg, rng, cfg.lr, buffers=store)
+                losses, model = train_step(x, model, opt, cfg, rng, cfg.lr, planes=planes)
                 trail.append(losses)
             runs.append((trail, [p.tobytes() for _, p in model.named_arrays()]))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("keep_diagonal", [False, True])
-    def test_store_holds_only_arrays_read_back(self, keep_diagonal):
-        # each view's affinity logits and targets, B x B in both layouts;
-        # no B x B scratch
+    def test_store_holds_only_arrays_read_back(self, keep_diagonal, monkeypatch):
+        # after a step planes[0, v] holds view v's A = softmax(logits/tau) -
+        # target, against view 1 - v's target, and planes[1, v] view v's
+        # row-stochastic target, in both layouts
         b = 10
+        calls = []
+
+        def recording_loss(target, logits, z, y, tau):
+            if logits.shape == (b, b):
+                calls.append((target, logits.copy(), tau))
+            return softmax_cross_entropy(target, logits, z, y, tau)
+
+        monkeypatch.setattr("otsc.trainer.softmax_cross_entropy", recording_loss)
         cfg = tiny_cfg(keep_diagonal=keep_diagonal)
         rng = np.random.default_rng(5)
         model = net.init_model(4, 3, 2, rng)
-        store = {}
+        planes = np.full((2, 2, b, b), np.nan)
         opt = net.OptimizerState(base_lr=cfg.lr)
-        train_step(random_data(n=b, seed=5), model, opt, cfg, rng, cfg.lr, buffers=store)
-        want = {f"{kind}{v}": (b, b) for kind in ("logits", "target") for v in (0, 1)}
-        assert {key: buf.shape for key, buf in store.items()} == want
+        train_step(random_data(n=b, seed=5), model, opt, cfg, rng, cfg.lr, planes=planes)
+        assert len(calls) == 2
+        for v, (target, logits, tau) in enumerate(calls):
+            assert np.shares_memory(target, planes[1, 1 - v])
+            _, grad = masked_softmax_cross_entropy(target, logits, tau, not keep_diagonal)
+            assert rel_error(planes[0, v], grad * tau) <= 1e-14
+            w = planes[1, v]
+            assert w.min() >= 0.0 and np.abs(w.sum(axis=1) - 1.0).max() <= 1e-14
+            assert (np.diag(w) == 0.0).all() != keep_diagonal
+            assert (np.diag(planes[0, v]) == 0.0).all() != keep_diagonal
 
     def test_fit_hands_every_step_one_store(self, monkeypatch):
-        stores = []
+        handed = []
 
-        def recording_step(*args, buffers=None, **kwargs):
-            stores.append(buffers)
-            return train_step(*args, buffers=buffers, **kwargs)
+        def recording_step(*args, planes=None, **kwargs):
+            handed.append(planes)
+            return train_step(*args, planes=planes, **kwargs)
 
         monkeypatch.setattr("otsc.trainer.train_step", recording_step)
-        fit(random_data(), tiny_cfg())  # 2 epochs of 4 steps
-        assert len(stores) == 8 and stores[0]  # filled by the first step
-        assert all(store is stores[0] for store in stores)
+        fit(random_data(), tiny_cfg())  # 2 epochs of 4 steps at B = 10
+        assert len(handed) == 8 and all(planes is handed[0] for planes in handed)
+        assert handed[0].shape == (2, 2, 10, 10) and handed[0].dtype == np.float64
+        assert np.isfinite(handed[0]).all()  # written by the steps
 
     def test_second_step_allocates_no_square_array(self):
         b = 512
@@ -321,11 +344,11 @@ class TestStepBuffers:
         x = random_data(n=b, seed=3)
         model = net.init_model(4, 3, 2, rng)
         opt = net.OptimizerState(base_lr=cfg.lr)
-        store = {}
-        train_step(x, model, opt, cfg, rng, cfg.lr, buffers=store)
+        planes = np.empty((2, 2, b, b))
+        train_step(x, model, opt, cfg, rng, cfg.lr, planes=planes)
         tracemalloc.start()
         try:
-            train_step(x, model, opt, cfg, rng, cfg.lr, buffers=store)
+            train_step(x, model, opt, cfg, rng, cfg.lr, planes=planes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
