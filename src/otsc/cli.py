@@ -41,13 +41,11 @@ SWEEPS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
+    # argparse calls error() outside any `except ValueError`, so this
+    # reaches main as a usage error instead of a SystemExit
     def error(self, message):
-        raise _UsageError(f"{message}\n{self.format_usage()}")
+        raise ValueError(f"{message}\n{self.format_usage()}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -214,7 +212,7 @@ def _cmd_eval(args) -> None:
 def _refuse_given(args, names, reader: str) -> None:
     """Refuse an option among ``names`` set on the command line; only ``reader`` reads it."""
     for name in _given(args, names):
-        raise _UsageError(f"--{name.replace('_', '-')} applies to {reader} only")
+        raise ValueError(f"--{name.replace('_', '-')} applies to {reader} only")
 
 
 _SPECTRAL_OPTIONS = ("bandwidth_mode", "sigma", "k_neighbor")
@@ -344,13 +342,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except NumericalError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -1,11 +1,11 @@
-"""Exception types shared across the package, and the two entry-point checks.
+"""The package's one exception type, and the two entry-point checks.
 
-Numerical failures subclass :class:`NumericalError` so the CLI can map them
-to a distinct exit status; contract violations stay plain ``ValueError``.
-The two refusals a degenerate embedding meets, `RankError` and
-`ZeroRowError`, are both, so callers that catch ``ValueError`` still do.
-`as_matrix` is the input check of the package's entry points and
-`check_finite_fields` that of its settings objects.
+A numerical failure (a Sinkhorn sum that underflows, a rank-deficient or
+zero-row embedding, a non-finite gradient, loss or encoder output) raises
+:class:`NumericalError`, which the CLI maps to exit status 2; a bad input
+or setting raises plain ``ValueError`` (exit status 1). The message says
+what failed and where. `as_matrix` is the input check of the package's
+entry points and `check_finite_fields` that of its settings objects.
 """
 
 import numpy as np
@@ -33,32 +33,4 @@ def check_finite_fields(settings) -> None:
 
 
 class NumericalError(ArithmeticError):
-    """Base for runtime numerical failures (underflow, NaN, refused updates)."""
-
-
-class SinkhornUnderflowError(NumericalError):
-    """A row or column sum underflowed to zero during Sinkhorn scaling."""
-
-    def __init__(self, axis: str, index: int, eta: float):
-        self.axis = axis
-        self.index = index
-        self.eta = eta
-        super().__init__(
-            f"{axis} {index} sum underflowed to 0 during Sinkhorn scaling (eta={eta})"
-        )
-
-
-class PoisonedUpdateError(NumericalError):
-    """An optimizer step was refused because a gradient contained NaN."""
-
-
-class TrainingAbortError(NumericalError):
-    """Training aborted on a non-finite loss; message carries epoch/step."""
-
-
-class RankError(NumericalError, ValueError):
-    """Input matrix is numerically rank-deficient where full rank is required."""
-
-
-class ZeroRowError(NumericalError, ValueError):
-    """A row to be normalized has norm 0."""
+    """A runtime numerical failure (underflow, rank loss, a non-finite value)."""

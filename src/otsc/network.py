@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoisonedUpdateError, check_finite_fields
+from .errors import NumericalError, check_finite_fields
 
 __all__ = [
     "ModelState",
@@ -187,7 +187,7 @@ def sgd_step(
     """
     for name, g in grads.items():
         if not np.isfinite(g).all():
-            raise PoisonedUpdateError(f"non-finite gradient for {name!r}; step refused")
+            raise NumericalError(f"non-finite gradient for {name!r}; step refused")
 
     for name, param in state.named_arrays():
         g = grads[name]
@@ -218,6 +218,13 @@ def cosine_lr(epoch: int, opt: OptimizerState) -> float:
 # in the README and versioned via meta["format"].
 
 _CKPT_FORMAT = 2
+_NONNEG, _COUNT, _NUMBER = "a nonnegative integer", "a positive integer", "a finite number"
+_META_KINDS = {"num_layers": _COUNT, "version": _NONNEG, "epoch": _NONNEG}
+# the optimizer settings in meta["optimizer"], in the order they are written
+_OPT_META_KINDS = {
+    "base_lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER,
+    "restart_period": _COUNT,
+}
 
 
 def save_checkpoint(
@@ -235,24 +242,11 @@ def save_checkpoint(
         "num_layers": len(state.layers),
         "version": state.version,
         "epoch": epoch,
-        "optimizer": {
-            "base_lr": opt.base_lr,
-            "momentum": opt.momentum,
-            "weight_decay": opt.weight_decay,
-            "restart_period": opt.restart_period,
-        },
+        "optimizer": {key: getattr(opt, key) for key in _OPT_META_KINDS},
         "rng_state": rng_state,
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
-
-
-_NONNEG, _COUNT, _NUMBER = "a nonnegative integer", "a positive integer", "a finite number"
-_META_KINDS = {"num_layers": _COUNT, "version": _NONNEG, "epoch": _NONNEG}
-_OPT_META_KINDS = {
-    "base_lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER,
-    "restart_period": _COUNT,
-}
 
 
 def _check_kinds(path, section: dict, kinds: dict[str, str]) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, ZeroRowError
+from .errors import NumericalError
 
 __all__ = [
     "OrthogonalizationResult",
@@ -121,7 +121,7 @@ def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationR
     closest column-orthonormal matrix in Frobenius norm. ``qr`` returns the
     reduced Q factor with column signs fixed so diag(q) >= 0 (the convention
     under which the QR route moves the embeddings much further than the
-    polar factor does); it raises :class:`RankError` when a diagonal entry
+    polar factor does); it raises :class:`NumericalError` when a diagonal entry
     of R falls at or below ``1e-12 * max|z|``. An ill-conditioned polar
     factor warns once per call site (fixed text); ``warning`` has its sigmas.
     """
@@ -140,7 +140,7 @@ def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationR
             raise ValueError(f"qr requires m >= n, got {m}x{n}")
         q, r = np.linalg.qr(z, mode="reduced")
         if np.abs(np.diag(r)).min() <= 1e-12 * np.abs(z).max():
-            raise RankError("qr input is numerically rank-deficient")
+            raise NumericalError("qr input is numerically rank-deficient")
         z_new = q * np.where(np.diag(q) < 0, -1.0, 1.0)
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'procrustes' or 'qr'")
@@ -160,7 +160,7 @@ def row_normalize(z: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm."""
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if (norms == 0).any():
-        raise ZeroRowError("row_normalize received a zero row")
+        raise NumericalError("row_normalize received a zero row")
     return z / norms
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network as net
-from .errors import NumericalError, TrainingAbortError, as_matrix, check_finite_fields
+from .errors import NumericalError, as_matrix, check_finite_fields
 from .spectral import (
     off_diagonal,
     orthogonal_penalty,
@@ -329,7 +329,7 @@ def train_step(
         warnings.warn("degenerate batch: all augmented rows identical", RuntimeWarning)
     losses, grads, _ = _compute_step(model, x1, x2, cfg, planes, worker)
     if not np.isfinite(losses.total_loss):
-        raise TrainingAbortError(f"non-finite total loss {losses.total_loss!r}")
+        raise NumericalError(f"non-finite total loss {losses.total_loss!r}")
     model = net.sgd_step(model, opt, grads, lr)
     return losses, model
 
@@ -372,14 +372,14 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
                     # QR, an SVD that does not converge, poisoned gradients); any
                     # other error is a bug and leaves fit as itself
                     msg = f"aborted at epoch {epoch}, step {step}: {err}"
-                    raise TrainingAbortError(msg) from err
+                    raise NumericalError(msg) from err
                 sums += losses
             # Python floats, so the history prints the same under every numpy
             means = dict(zip(StepLosses._fields, (sums / steps_per_epoch).tolist()))
             tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
             record = EpochRecord(epoch=epoch, tau_a=tau_a, tau_c=tau_c, lr=lr, **means)
             if not all(np.isfinite(v) for v in vars(record).values()):
-                raise TrainingAbortError(f"non-finite history record at epoch {epoch}")
+                raise NumericalError(f"non-finite history record at epoch {epoch}")
             records.append(record)
     return model, TrainHistory(records=tuple(records))
 

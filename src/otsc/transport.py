@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SinkhornUnderflowError, as_matrix
+from .errors import NumericalError, as_matrix
 
 __all__ = [
     "TransportPlan",
@@ -80,7 +80,10 @@ def _fit(target, sums, axis: str, eta: float, log_domain: bool) -> np.ndarray:
         return target - sums
     scaling = target / sums
     if not scaling.max() < np.inf:  # also catches NaN
-        raise SinkhornUnderflowError(axis, int(np.argmin(scaling < np.inf)), eta)
+        index = int(np.argmin(scaling < np.inf))
+        raise NumericalError(
+            f"{axis} {index} sum underflowed to 0 during Sinkhorn scaling (eta={eta})"
+        )
     return scaling
 
 

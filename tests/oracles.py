@@ -32,7 +32,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 from otsc import network as net
-from otsc.errors import SinkhornUnderflowError
+from otsc.errors import NumericalError
 from otsc.spectral import orthogonal_penalty, row_normalize
 
 
@@ -214,11 +214,17 @@ def direct_ari(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return (same_both - expected) / (maximum - expected)
 
 
+def _underflow(axis_name: str, index, eta: float) -> NumericalError:
+    return NumericalError(
+        f"{axis_name} {int(index)} sum underflowed to 0 during Sinkhorn scaling (eta={eta})"
+    )
+
+
 def _check_positive(w: np.ndarray, axis_name: str, axis: int, eta: float) -> np.ndarray:
     sums = w.sum(axis=axis)
     bad = np.flatnonzero(sums <= 0.0)
     if bad.size:
-        raise SinkhornUnderflowError(axis_name, int(bad[0]), eta)
+        raise _underflow(axis_name, bad[0], eta)
     return sums
 
 
@@ -242,11 +248,11 @@ def reference_sinkhorn_kernel(cost, r, c, eta, tol, max_iter):
     for sweep in range(1, max_iter + 1):
         kv = kernel @ v
         if (kv <= 0).any():
-            raise SinkhornUnderflowError("row", int(np.flatnonzero(kv <= 0)[0]), eta)
+            raise _underflow("row", np.flatnonzero(kv <= 0)[0], eta)
         u = r / kv
         ku = kernel.T @ u
         if (ku <= 0).any():
-            raise SinkhornUnderflowError("column", int(np.flatnonzero(ku <= 0)[0]), eta)
+            raise _underflow("column", np.flatnonzero(ku <= 0)[0], eta)
         v = c / ku
         used = sweep
         plan = u[:, None] * kernel * v[None, :]

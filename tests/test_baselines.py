@@ -7,6 +7,7 @@ from oracles import full_spectrum_spectral, unclamped_gaussian_affinity
 from otsc.baselines import (
     AFFINITY_CUT,
     AFFINITY_FLOOR,
+    AFFINITY_MAX_N,
     SYM_TOL,
     TILE,
     SpectralConfig,
@@ -365,7 +366,16 @@ class TestClassicalSpectral:
         assert (a == b).all()
         assert (ea == eb).all()
 
-    def test_size_bound(self):
+    def test_size_bound(self, monkeypatch):
+        # refused before the n x n affinity is built; n = 4096 gets as far as it
+        def affinity_reached(*args):
+            raise LookupError("affinity reached")
+
+        monkeypatch.setattr("otsc.baselines._gaussian_affinity", affinity_reached)
+        x = np.random.default_rng(7).normal(size=(AFFINITY_MAX_N + 1, 2))
         cfg = SpectralConfig(num_clusters=2)
-        with pytest.raises(ValueError, match="bound"):
-            classical_spectral(np.zeros((5000, 2)), cfg)
+        message = "the spectral baseline builds an n x n affinity; n = 4097 exceeds 4096"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classical_spectral(x, cfg)
+        with pytest.raises(LookupError, match="^affinity reached$"):
+            classical_spectral(x[:-1], cfg)

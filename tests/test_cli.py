@@ -341,6 +341,13 @@ def _overlapping_blobs_fixed_sigma(tmp_path, run):
     return _baseline("spectral", str(path), "--bandwidth-mode", "fixed", "--sigma", "0.2")
 
 
+def _moons_4097(tmp_path, run):
+    """A spectral baseline on one sample more than its affinity bound."""
+    path = tmp_path / "m4097.csv"
+    assert main(["gen-dataset", "--kind", "moons", "--n", "4097", "--out", str(path)]) == 0
+    return _baseline("spectral", str(path))
+
+
 def _nan_feature_csv(tmp_path):
     return _csv(tmp_path, "f0,f1,label", ["0,0,0", "1,nan,1", "2,2,1"])
 
@@ -466,6 +473,9 @@ BAD_INPUTS = {
         1, "edited.npz entry 'prototypes' has shape (3, 4), expected K x 3"),
     "spectral K below the affinity components": (
         _four_blobs_k3, 1, "the affinity graph has more connected components than K=3"),
+    "spectral on more samples than the affinity bound": (
+        _moons_4097, 1,
+        "error: the spectral baseline builds an n x n affinity; n = 4097 exceeds 4096\n"),
     "spectral on overlapping blobs under a narrow fixed bandwidth": (
         _overlapping_blobs_fixed_sigma, 1,
         "the affinity graph has more connected components than K=4"),
@@ -488,6 +498,13 @@ BAD_INPUTS = {
     "non-numeric cost on ot-debug": (
         lambda tmp, run: _cost(tmp, "0.0,1.0\n1.0, x\n"),
         1, "/cost.csv: data row 2 has non-numeric entry 'x' in column 2\n"),
+    "row underflow on ot-debug": (
+        lambda tmp, run: [*_cost(tmp, "0,0\n2000,2000\n"), "--eta", "0.05"],
+        2, "numerical abort: row 1 sum underflowed to 0 during Sinkhorn scaling (eta=0.05)\n"),
+    "row underflow on the marginal variant of ot-debug": (
+        lambda tmp, run: [*_cost(tmp, "0,0\n2000,2000\n"), "--eta", "0.05",
+                          "--variant", "marginal"],
+        2, "numerical abort: row 1 sum underflowed to 0 during Sinkhorn scaling (eta=0.05)\n"),
     "non-UTF-8 cost file on ot-debug": (
         lambda tmp, run: ["ot-debug", "--cost", _binary(tmp, "cost.csv", b"0.0,1.0\n\xff,0\n")],
         1, "/cost.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 8"),
@@ -629,6 +646,13 @@ BAD_INPUTS = {
         1, "error: separation must be positive\n"),
     "zero blob dim on gen-dataset": (
         lambda tmp, run: _gen(tmp, "--dim", "0"), 1, "error: dim must be positive\n"),
+    # sizes whose allocation fails outright: 3.55 PiB and 28.4 PiB exceed any address space
+    "moons of 10^15 rows on gen-dataset": (
+        lambda tmp, run: _gen(tmp, "--n", "1000000000000000", kind="moons"), 1,
+        "error: Unable to allocate 3.55 PiB for an array with shape (500000000000000,)"),
+    "blobs of 10^15 features on gen-dataset": (
+        lambda tmp, run: _gen(tmp, "--dim", "1000000000000000"), 1,
+        "error: Unable to allocate 28.4 PiB for an array with shape (4, 1000000000000000)"),
     "dim on moons": (
         lambda tmp, run: _gen(tmp, "--dim", "5", kind="moons"),
         1, "error: dim applies to blobs only\n"),

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import eig_reconstruct, svd_reconstruct
 from otsc.baselines import sym_eig
-from otsc.errors import NumericalError, RankError
+from otsc.errors import NumericalError
 from otsc.spectral import orthogonalize, thin_svd
 
 
@@ -160,10 +160,10 @@ class TestQr:
 
     def test_rank_deficient_raises(self):
         a = np.ones((4, 2))  # second column dependent on first
-        with pytest.raises(RankError) as info:
+        with pytest.raises(NumericalError) as info:
             qr_q(a)
-        # a numerical event in fit, still a ValueError to other callers
-        assert isinstance(info.value, NumericalError) and isinstance(info.value, ValueError)
+        # a numerical event: fit aborts on it and the CLI exits 2
+        assert str(info.value) == "qr input is numerically rank-deficient"
 
     def test_rejects_wide(self):
         with pytest.raises(ValueError, match="m >= n"):

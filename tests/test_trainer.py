@@ -15,7 +15,7 @@ from oracles import masked_softmax_cross_entropy, rel_error
 from otsc import network as net
 from otsc.cli import format_report
 from otsc.data import gen_dataset
-from otsc.errors import NumericalError, TrainingAbortError
+from otsc.errors import NumericalError
 from otsc.metrics import evaluate
 from otsc.spectral import softmax_cross_entropy
 from otsc.trainer import (
@@ -420,7 +420,7 @@ class TestWorker:
         before = threading.active_count()
         cfg = tiny_cfg(batch_size=PARALLEL_MIN_BATCH, embed_dim=2)
         view = 0 if fail_view_0 else 1
-        with pytest.raises(TrainingAbortError) as info:
+        with pytest.raises(NumericalError) as info:
             fit(random_data(n=PARALLEL_MIN_BATCH, seed=8), cfg)
         assert str(info.value) == f"aborted at epoch 0, step 0: view {view} failed"
         assert threading.active_count() == before
@@ -464,6 +464,10 @@ class TestWorker:
         for name, g in got_grads.items():
             scale = np.abs(want_grads[name]).max()
             assert np.abs(g - want_grads[name]).max() <= 1e-13 * scale, name
+
+
+# fit's abort when base_lr = 1e200 makes the encoder output overflow on step 1
+DIVERGED = "aborted at epoch 0, step 1: non-finite encoder output: the model has diverged"
 
 
 class TestFit:
@@ -513,8 +517,9 @@ class TestFit:
 
     def test_nan_abort_carries_location(self):
         cfg = tiny_cfg(epochs=1, base_lr=1e200)  # overflow on the next forward
-        with pytest.raises(TrainingAbortError, match="epoch 0"):
+        with pytest.raises(NumericalError) as info:
             fit(random_data(), cfg)
+        assert str(info.value) == DIVERGED
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_model_aborts_in_every_orth_mode(self):
@@ -522,9 +527,9 @@ class TestFit:
         # embeddings reach the SVD, QR, penalty or transport targets
         for mode in TRAINER_ORTH_MODES:
             cfg = tiny_cfg(epochs=1, base_lr=1e200, orth_mode=mode)
-            with pytest.raises(TrainingAbortError) as info:
+            with pytest.raises(NumericalError) as info:
                 fit(random_data(), cfg)
-            assert "aborted at epoch 0, step 1: non-finite encoder output" in str(info.value), mode
+            assert str(info.value) == DIVERGED, mode
 
     def test_contract_error_in_a_step_is_not_a_numerical_abort(self, monkeypatch):
         # fit turns numerical events into aborts; any other error is a bug
@@ -535,16 +540,15 @@ class TestFit:
         monkeypatch.setattr(net, "backward", broken_backward)
         with pytest.raises(ValueError, match="^broken contract$") as info:
             fit(random_data(), tiny_cfg(epochs=1))
-        assert not isinstance(info.value, TrainingAbortError)
+        assert not isinstance(info.value, NumericalError)
 
     def test_qr_rank_event_aborts_with_its_epoch_and_step(self):
         # identical rows, scaled by the jitter only, embed at rank one
         cfg = tiny_cfg(epochs=1, orth_mode="qr", noise_sigma=0.0)
-        with pytest.raises(TrainingAbortError) as info:
+        with pytest.raises(NumericalError) as info:
             fit(np.ones((40, 4)), cfg)
-        assert "aborted at epoch 0, step 0: qr input is numerically rank-deficient" in str(
-            info.value
-        )
+        want = "aborted at epoch 0, step 0: qr input is numerically rank-deficient"
+        assert str(info.value) == want
 
 
 class TestPredict:
