@@ -248,7 +248,8 @@ def _cmd_ot_debug(args) -> None:
     if args.variant == "algorithm1":
         # the fixed-iteration solver takes similarities; a cost is its negation
         iterations = 5 if args.iterations is None else args.iterations
-        plan = sinkhorn_algorithm1(-cost, args.eta, iterations)
+        with np.errstate(over="ignore"):  # a -cost/eta below the doubles is a -inf cell
+            plan = sinkhorn_algorithm1(-cost, args.eta, iterations)
     else:
         m, n = cost.shape
         plan, _ = sinkhorn_marginal(

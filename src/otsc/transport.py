@@ -4,11 +4,11 @@ One scaling core, ``_scale``, serves both solvers and has two stop rules.
 ``sinkhorn_algorithm1`` builds training targets with a fixed count:
 exponentiate similarities divided by ``eta``, then alternate column- and
 row-normalization a fixed number of times, ending on rows.
-``sinkhorn_marginal`` solves for prescribed marginals to a tolerance,
-switching to log-domain updates at small ``eta``; it reports its scaling
-vectors and is the variant used for analysis and testing. Exact solutions
-of small instances, which the tests check both solvers against, live in
-``tests/oracles.py``.
+``sinkhorn_marginal`` solves for prescribed marginals to a tolerance, at
+small ``eta`` by the same sweeps on a kernel that absorbs log-domain
+potentials; it reports its log scalings and is the variant used for
+analysis and testing. Exact solutions of small instances, which the tests
+check both solvers against, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,11 @@ __all__ = [
 ]
 
 # kernel-domain scaling is safe above this eta; below it exp(cost/eta)
-# under/overflows and the solver switches to log-domain updates
+# under/overflows and the solver works from the log-kernel
 _LOG_DOMAIN_ETA = 0.01
+# a log-domain solve folds its scalings into its potentials once one of
+# them exceeds this, long before a product with the kernel can overflow
+_ABSORB = 1e50
 
 
 @dataclass(frozen=True)
@@ -61,61 +64,69 @@ def _measured(plan: np.ndarray, r, c, iterations: int) -> TransportPlan:
     )
 
 
-def _sums(k, scaling, axis: int, log_domain: bool) -> np.ndarray:
-    """Sums of ``k`` along ``axis`` with the other side scaled by ``scaling``;
-    in the log domain, a max-shifted log-sum-exp."""
-    if not log_domain:
-        return scaling @ k if axis == 0 else k @ scaling
-    a = k + (scaling[:, None] if axis == 0 else scaling)
-    top = a.max(axis=axis, keepdims=True)
-    a -= top
-    np.exp(a, out=a)
-    return np.log(a.sum(axis=axis)) + top.ravel()
-
-
-def _fit(target, sums, axis: str, eta: float, log_domain: bool) -> np.ndarray:
-    """Scaling that fits ``sums`` to ``target``; refuses a kernel-domain sum
-    that underflowed to 0 or to a subnormal whose reciprocal overflows."""
-    if log_domain:
-        return target - sums
+def _fit(target, sums, axis: str, eta: float) -> tuple[np.ndarray, float]:
+    """Scaling that fits ``sums`` to ``target``, and its largest entry;
+    refuses a sum that underflowed to 0 or to a subnormal whose reciprocal
+    overflows, and a NaN sum (a log-domain line whose entries are all -inf)."""
     scaling = target / sums
-    if not scaling.max() < np.inf:  # also catches NaN
+    top = scaling.max()
+    if not top < np.inf:  # also catches NaN
         index = int(np.argmin(scaling < np.inf))
         raise NumericalError(
             f"{axis} {index} sum underflowed to 0 during Sinkhorn scaling (eta={eta})"
         )
-    return scaling
+    return scaling, top
+
+
+def _log_fit(target, log_k, axis: int, name: str, eta: float) -> np.ndarray:
+    """Log scaling that fits the sums of ``exp(log_k)`` along ``axis`` to
+    ``target``, by a max-shifted log-sum-exp."""
+    top = log_k.max(axis=axis, keepdims=True)
+    scaling, _ = _fit(target, np.exp(log_k - top).sum(axis=axis), name, eta)
+    return np.log(scaling) - top.ravel()
 
 
 def _scale(k, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False):
     """Alternate column and row scaling of the kernel ``k``.
 
     The plan ``diag(u) @ k @ diag(v)`` is never formed: a half-sweep is one
-    matrix-vector product and one reciprocal or, in the log domain (``k``
-    the log-kernel, ``u`` and ``v`` the potentials), one max-shifted
-    log-sum-exp. Rows are exact after each sweep, so the column residual
-    ``v * (k.T @ u) - c`` costs only the product the next sweep starts
-    from; the loop stops on it within ``tol`` if given, else after
-    ``max_iter`` sweeps. ``rows_first`` sweeps ``k.T`` instead, so rows and
-    columns swap roles. Returns ``(u, v, sweeps)``.
+    matrix-vector product and one reciprocal. Rows are exact after each
+    sweep, so the column residual ``v * (k.T @ u) - c`` costs only the
+    product the next sweep starts from; the loop stops on it within ``tol``
+    if given, else after ``max_iter`` sweeps. ``rows_first`` sweeps ``k.T``
+    instead, so rows and columns swap roles. Returns ``(u, v, sweeps)``.
+
+    In the log domain ``k`` is the log-kernel and the scalings returned are
+    logs: sweep 1 is a log-sum-exp, and later sweeps scale ``exp(k + f + g)``,
+    absorbing the scalings into the potentials ``f``, ``g`` anew once one
+    exceeds ``_ABSORB`` (Schmitzer 2019, arXiv:1610.06519).
     """
     first, second = ("row", "column") if rows_first else ("column", "row")
     if rows_first:
         k, r, c = k.T, c, r
-    r_fit, c_fit = (np.log(r), np.log(c)) if log_domain else (r, c)
-    u = np.zeros(k.shape[0]) if log_domain else np.ones(k.shape[0])
+    u, v = np.ones(k.shape[0]), np.ones(k.shape[1])
+    sweep = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sums = _sums(k, u, 0, log_domain)
-        for sweep in range(1, max_iter + 1):
-            v = _fit(c_fit, sums, first, eta, log_domain)
-            u = _fit(r_fit, _sums(k, v, 1, log_domain), second, eta, log_domain)
-            if sweep == max_iter:
+        if log_domain:
+            log_k, sweep = k, 1
+            g = _log_fit(c, log_k, 0, first, eta)
+            f = _log_fit(r, log_k + g, 1, second, eta)
+            k = np.exp(log_k + f[:, None] + g)
+        sums = u @ k
+        while sweep < max_iter:
+            if sweep and tol is not None and np.abs(v * sums - c).max() <= tol:
                 break
-            sums = _sums(k, u, 0, log_domain)
-            if tol is not None:
-                mass = np.exp(v + sums) if log_domain else v * sums
-                if np.abs(mass - c).max() <= tol:
-                    break
+            sweep += 1
+            v, v_top = _fit(c, sums, first, eta)
+            u, u_top = _fit(r, k @ v, second, eta)
+            if log_domain and max(v_top, u_top) > _ABSORB:
+                f, g = f + np.log(u), g + np.log(v)
+                k = np.exp(log_k + f[:, None] + g)
+                u, v = np.ones_like(u), np.ones_like(v)
+            if sweep < max_iter:
+                sums = u @ k
+        if log_domain:
+            u, v = f + np.log(u), g + np.log(v)
     return (v, u, sweep) if rows_first else (u, v, sweep)
 
 
@@ -190,9 +201,9 @@ def sinkhorn_marginal(
     so they stay representable at small ``eta``: the plan is
     ``diag(exp(log_alpha)) @ exp(-cost/eta) @ diag(exp(log_beta))``.
 
-    Runs in the kernel domain for moderate ``eta`` and switches to
-    log-domain updates when ``eta <= 0.01``, where ``exp(-cost/eta)`` is no
-    longer representable.
+    Runs in the kernel domain for moderate ``eta`` and from the log-kernel
+    ``-cost/eta`` when ``eta <= 0.01`` (see ``_scale``); a -inf entry there
+    is a forbidden cell, and a row or column of them is refused as an underflow.
     """
     cost = as_matrix(cost, "cost")
     r, c = _check_marginals(row_marginals, col_marginals)
@@ -208,7 +219,8 @@ def sinkhorn_marginal(
         raise ValueError("max_iter must be >= 1")
 
     log_domain = eta <= _LOG_DOMAIN_ETA
-    k = -cost / eta if log_domain else np.exp(-cost / eta)
+    with np.errstate(over="ignore"):  # an overflowing -cost/eta is a forbidden cell
+        k = -cost / eta if log_domain else np.exp(-cost / eta)
     a, b, used = _scale(k, r, c, eta, max_iter, tol, log_domain, rows_first=True)
     if log_domain:
         plan, log_a, log_b = np.exp(a[:, None] + k + b), a, b

@@ -359,6 +359,15 @@ def _cost(tmp_path, text):
     return ["ot-debug", "--cost", str(path)]
 
 
+def _console(argv) -> subprocess.CompletedProcess:
+    """``otsc`` run in its own interpreter, as the console script runs it,
+    so that a traceback or a numpy RuntimeWarning reaches its stderr."""
+    src = str(Path(otsc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "otsc.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+
+
 def _binary(tmp_path, name, data: bytes) -> str:
     """The path of file ``name`` holding the bytes ``data``."""
     path = tmp_path / name
@@ -705,18 +714,23 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
     def test_extreme_sigma_refused_without_a_traceback_or_a_warning(self, sigma, tmp_path):
-        # in its own interpreter, as the console script runs it: an
-        # OverflowError's traceback or a numpy RuntimeWarning would reach stderr
         argv = _baseline("spectral", _csv(tmp_path, "f0,f1,label", TWELVE_ROWS),
                          "--bandwidth-mode", "fixed", "--sigma", sigma)
-        src = str(Path(otsc.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-m", "otsc.cli", *argv], env=env,
-                              capture_output=True, text=True, check=False)
+        done = _console(argv)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert done.stderr == ("error: sigma must make 2 sigma^2 a finite positive normal "
                                f"double, got {float(sigma)!r}\n")
+
+    @pytest.mark.parametrize("variant", ["algorithm1", "marginal"])
+    def test_cost_over_eta_beyond_the_doubles_is_a_forbidden_cell(self, variant, tmp_path):
+        # -cost/eta overflows to -inf in one cell of rows 0 and 1 and in
+        # both cells of row 2, which is left with no finite entry
+        argv = [*_cost(tmp_path, "0,5\n3,0\n2,2\n"), "--variant", variant, "--eta", "1e-320"]
+        done = _console(argv)
+        assert done.returncode == 2
+        assert done.stderr == ("numerical abort: row 2 sum underflowed to 0 during Sinkhorn "
+                               "scaling (eta=1e-320)\n")
 
     def test_eval_checks_labels_before_predict(self, tmp_path, trained_run, monkeypatch, capsys):
         def refuse(*args):

@@ -14,7 +14,7 @@ from oracles import (
     unit_rows,
 )
 from otsc.errors import NumericalError
-from otsc.transport import TransportPlan, sinkhorn_algorithm1, sinkhorn_marginal
+from otsc.transport import _ABSORB, TransportPlan, sinkhorn_algorithm1, sinkhorn_marginal
 
 
 class TestTransportPlan:
@@ -276,3 +276,33 @@ class TestAgainstReferenceLoops:
             assert np.abs(want.sum(axis=0) - c).max() <= tol
             assert used < 5000
             assert abs(plan.iterations_used - used) <= 1
+
+    def test_line_costs_take_the_reference_sweep_count(self):
+        # 8x8 jittered-line costs at eta 1e-3, the log-domain instances of the
+        # bench's ot-solve workload: their sweep count must not move
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            x = (np.arange(8) + 0.05 * rng.standard_normal(8)) / 8
+            y = (np.arange(8) + 0.5 + 0.05 * rng.standard_normal(8)) / 8
+            cost = 0.1 * (x[:, None] - y[None, :]) ** 2
+            r = c = np.ones(8)
+            plan, _ = sinkhorn_marginal(cost, r, c, 1e-3, tol=1e-9, max_iter=10_000)
+            want, _, _, used = reference_sinkhorn_log(cost, r, c, 1e-3, 1e-9, 10_000)
+            assert plan.iterations_used == used
+            assert np.abs(plan.plan - want).max() <= 1e-12
+
+    def test_log_solve_past_the_absorption_threshold_matches(self):
+        # at eta 1e-4 this solve's potentials move about 944 from sweep 1's,
+        # so its scalings pass e^709, beyond the doubles: it finishes only by
+        # folding them into the potentials
+        rng = np.random.default_rng(0)
+        cost, r, c = rng.random((4, 6)), np.ones(4), np.full(6, 4 / 6)
+        eta, tol = 1e-4, 1e-9
+        plan, (log_alpha, log_beta) = sinkhorn_marginal(cost, r, c, eta, tol=tol, max_iter=5000)
+        want, _, _, used = reference_sinkhorn_log(cost, r, c, eta, tol, 5000)
+        _, f1, g1, _ = reference_sinkhorn_log(cost, r, c, eta, tol, 1)
+        assert max((log_alpha - f1).max(), (log_beta - g1).max()) > np.log(_ABSORB)
+        assert np.abs(plan.plan - want).max() <= 1e-12
+        assert abs(plan.iterations_used - used) <= 1
+        assert used < 5000
+        assert np.abs(scaling_plan(log_alpha, log_beta, cost, eta) - plan.plan).max() <= 1e-10
