@@ -148,7 +148,7 @@ def _write_manifest(out_dir: Path, cfg: TrainConfig, dataset_path, started, outp
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": {k: str(v) for k, v in outputs.items()},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _emit_report(text: str, out_dir) -> None:
@@ -156,7 +156,7 @@ def _emit_report(text: str, out_dir) -> None:
     if out_dir:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(text)
+        (out_dir / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
 
 
@@ -182,7 +182,7 @@ def _train_run(cfg: TrainConfig, ds: Dataset, out_dir: Path, dataset_path) -> Pa
     model, history = fit(ds.features, cfg)
     ckpt = out_dir / "checkpoint.npz"
     save_checkpoint(ckpt, model, cfg.optimizer(), cfg.epochs, None)
-    (out_dir / "history.txt").write_text(format_history(history))
+    (out_dir / "history.txt").write_text(format_history(history), encoding="utf-8")
     outputs = {"checkpoint": ckpt, "history": out_dir / "history.txt"}
     if ds.labels is not None:
         _emit_report(_evaluate_model(model, ds), out_dir)
@@ -248,8 +248,7 @@ def _cmd_ot_debug(args) -> None:
     if args.variant == "algorithm1":
         # the fixed-iteration solver takes similarities; a cost is its negation
         iterations = 5 if args.iterations is None else args.iterations
-        with np.errstate(over="ignore"):  # a -cost/eta below the doubles is a -inf cell
-            plan = sinkhorn_algorithm1(-cost, args.eta, iterations)
+        plan = sinkhorn_algorithm1(-cost, args.eta, iterations)
     else:
         m, n = cost.shape
         plan, _ = sinkhorn_marginal(

@@ -137,17 +137,18 @@ def save_dataset(ds: Dataset, path) -> None:
     path = Path(path)
     header = ",".join(f"f{i}" for i in range(ds.dim))
     suffixes = [""] * ds.n if ds.labels is None else [f",{lab}" for lab in ds.labels]
-    with path.open("w", newline="\n") as fh:
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + ("" if ds.labels is None else ",label") + "\n")
         for row, suffix in zip(ds.features, suffixes):
             fh.write(",".join(f"{v:.17g}" for v in row) + suffix + "\n")
-    Path(str(path) + ".meta.json").write_text(json.dumps({"name": ds.name}, indent=2) + "\n")
+    sidecar = json.dumps({"name": ds.name}, indent=2) + "\n"
+    Path(str(path) + ".meta.json").write_text(sidecar, encoding="utf-8")
 
 
 def read_text(path) -> str:
     """A UTF-8 file's text; another file raises ``ValueError`` naming it."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text: {err}") from None
 
@@ -211,7 +212,7 @@ def load_dataset(path) -> Dataset:
     name = path.stem
     if meta_path.exists():
         try:
-            meta = json.loads(meta_path.read_text())
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"{meta_path}: not JSON: {err}") from None
         if not isinstance(meta, dict):

@@ -1,11 +1,11 @@
 """Entropic optimal transport via Sinkhorn scaling.
 
-One scaling core, ``_scale``, serves both solvers and has two stop rules.
-``sinkhorn_algorithm1`` builds training targets with a fixed count:
-exponentiate similarities divided by ``eta``, then alternate column- and
-row-normalization a fixed number of times, ending on rows.
-``sinkhorn_marginal`` solves for prescribed marginals to a tolerance, at
-small ``eta`` by the same sweeps on a kernel that absorbs log-domain
+One scaling core, ``_scale``, builds every kernel and plan of both solvers
+and has two stop rules. ``sinkhorn_algorithm1`` builds training targets
+with a fixed count: exponentiate similarities divided by ``eta``, then
+alternate column- and row-normalization a fixed number of times, ending on
+rows. ``sinkhorn_marginal`` solves for prescribed marginals to a tolerance,
+at small ``eta`` by the same sweeps on a kernel that absorbs log-domain
 potentials; it reports its log scalings and is the variant used for
 analysis and testing. Exact solutions of small instances, which the tests
 check both solvers against, live in ``tests/oracles.py``.
@@ -25,8 +25,7 @@ __all__ = [
     "sinkhorn_marginal",
 ]
 
-# kernel-domain scaling is safe above this eta; below it exp(cost/eta)
-# under/overflows and the solver works from the log-kernel
+# below this eta exp(-cost/eta) underflows; the solver works from the log-kernel
 _LOG_DOMAIN_ETA = 0.01
 # a log-domain solve folds its scalings into its potentials once one of
 # them exceeds this, long before a product with the kernel can overflow
@@ -86,32 +85,41 @@ def _log_fit(target, log_k, axis: int, name: str, eta: float) -> np.ndarray:
     return np.log(scaling) - top.ravel()
 
 
-def _scale(k, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False):
-    """Alternate column and row scaling of the kernel ``k``.
-
-    The plan ``diag(u) @ k @ diag(v)`` is never formed: a half-sweep is one
-    matrix-vector product and one reciprocal. Rows are exact after each
-    sweep, so the column residual ``v * (k.T @ u) - c`` costs only the
-    product the next sweep starts from; the loop stops on it within ``tol``
-    if given, else after ``max_iter`` sweeps. ``rows_first`` sweeps ``k.T``
-    instead, so rows and columns swap roles. Returns ``(u, v, sweeps)``.
-
-    In the log domain ``k`` is the log-kernel and the scalings returned are
-    logs: sweep 1 is a log-sum-exp, and later sweeps scale ``exp(k + f + g)``,
-    absorbing the scalings into the potentials ``f``, ``g`` anew once one
-    exceeds ``_ABSORB`` (Schmitzer 2019, arXiv:1610.06519).
+def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False, out=None):
+    """Sinkhorn scaling of the Gibbs kernel ``exp(values/eta)`` to marginals
+    ``r``, ``c``, the one builder of kernels and plans. ``values/eta`` is
+    formed once, in ``out`` if given; an entry that overflows to +inf is
+    refused, naming it, and a -inf one is a forbidden cell. The kernel domain
+    shifts it by its max and exponentiates, in place (Peyré & Cuturi 2019,
+    §4.4). Rows are exact after each sweep, so the column residual
+    ``v * (k.T @ u) - c`` costs only the product the next sweep starts from;
+    the loop stops on it within ``tol`` if given, else after ``max_iter``
+    sweeps; ``rows_first`` sweeps ``k.T``. In the log domain sweep 1 is a
+    log-sum-exp, and later sweeps scale ``exp(values/eta + f + g)``, absorbing
+    the scalings into the potentials ``f``, ``g`` once one exceeds ``_ABSORB``
+    (Schmitzer 2019, arXiv:1610.06519) and at the end. Returns
+    ``(plan, (f, u), (g, v), n)`` after ``n`` sweeps, the kernel scaled in
+    place into the plan ``diag(u * exp(f)) @ exp(values/eta) @ diag(v * exp(g))``.
     """
     first, second = ("row", "column") if rows_first else ("column", "row")
-    if rows_first:
-        k, r, c = k.T, c, r
-    u, v = np.ones(k.shape[0]), np.ones(k.shape[1])
-    sweep = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kernel = np.divide(values, eta, out=out)
+        top = kernel.max()
+        if top == np.inf:
+            i, j = np.unravel_index(np.argmax(kernel), kernel.shape)
+            raise NumericalError(f"entry [{i}, {j}] overflowed dividing by eta (eta={eta})")
+        k, r, c = (kernel.T, c, r) if rows_first else (kernel, r, c)
+        u, v = np.ones(k.shape[0]), np.ones(k.shape[1])
+        sweep = 0
         if log_domain:
             log_k, sweep = k, 1
             g = _log_fit(c, log_k, 0, first, eta)
             f = _log_fit(r, log_k + g, 1, second, eta)
             k = np.exp(log_k + f[:, None] + g)
+        else:  # one potential holds the shift
+            f, g = 0.0, -top
+            kernel -= top
+            np.exp(kernel, out=kernel)
         sums = u @ k
         while sweep < max_iter:
             if sweep and tol is not None and np.abs(v * sums - c).max() <= tol:
@@ -126,8 +134,12 @@ def _scale(k, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False)
             if sweep < max_iter:
                 sums = u @ k
         if log_domain:
-            u, v = f + np.log(u), g + np.log(v)
-    return (v, u, sweep) if rows_first else (u, v, sweep)
+            f, g = f + np.log(u), g + np.log(v)
+            k, u, v = np.exp(log_k + f[:, None] + g), 1.0, 1.0
+        else:
+            k *= u[:, None]
+            k *= v
+    return (k.T, (g, v), (f, u), sweep) if rows_first else (k, (f, u), (g, v), sweep)
 
 
 def sinkhorn_algorithm1(
@@ -143,20 +155,16 @@ def sinkhorn_algorithm1(
 
     Residuals are reported against those implied marginals: 1 per row and
     ``m/n`` per column. ``logits`` are trusted to be finite, but for masked
-    -inf entries (0 in the plan). The plan is built in ``out``, a float64
-    array shaped like ``logits``, when given, else in a new array.
+    -inf entries (0 in the plan); an overflowing ``logits/eta`` is refused.
+    The plan is built in ``out``, a float64 array shaped like ``logits``,
+    when given, else in a new array.
     """
     _check_eta(eta)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     m, n = logits.shape
-    w = np.divide(logits, eta, out=out)
-    w -= w.max()
-    np.exp(w, out=w)
-    u, v, _ = _scale(w, 1.0, 1.0, eta, iterations)
-    w *= u[:, None]
-    w *= v
-    return _measured(w, 1.0, m / n, iterations)
+    plan, _, _, _ = _scale(logits, 1.0, 1.0, eta, iterations, out=out)
+    return _measured(plan, 1.0, m / n, iterations)
 
 
 def _check_eta(eta: float) -> None:
@@ -165,21 +173,6 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be positive, got {eta}")
     if not eta < np.inf:  # also catches NaN
         raise ValueError(f"eta must be finite, got {eta}")
-
-
-def _check_marginals(row_marginals, col_marginals) -> tuple[np.ndarray, np.ndarray]:
-    r = np.asarray(row_marginals, dtype=np.float64)
-    c = np.asarray(col_marginals, dtype=np.float64)
-    if r.ndim != 1 or c.ndim != 1:
-        raise ValueError("marginals must be 1-D vectors")
-    if (r <= 0).any() or (c <= 0).any():
-        raise ValueError("marginals must be strictly positive")
-    total_r, total_c = float(r.sum()), float(c.sum())
-    if abs(total_r - total_c) > 1e-9 * max(1.0, total_r, total_c):
-        raise ValueError(
-            f"infeasible marginals: row total {total_r!r} != column total {total_c!r}"
-        )
-    return r, c
 
 
 def sinkhorn_marginal(
@@ -202,14 +195,21 @@ def sinkhorn_marginal(
     ``diag(exp(log_alpha)) @ exp(-cost/eta) @ diag(exp(log_beta))``.
 
     Runs in the kernel domain for moderate ``eta`` and from the log-kernel
-    ``-cost/eta`` when ``eta <= 0.01`` (see ``_scale``); a -inf entry there
-    is a forbidden cell, and a row or column of them is refused as an underflow.
+    ``-cost/eta`` when ``eta <= 0.01`` (see ``_scale``); a +inf entry there
+    is refused, a -inf one is a forbidden cell, and a line of them underflows.
     """
     cost = as_matrix(cost, "cost")
-    r, c = _check_marginals(row_marginals, col_marginals)
-    m, n = cost.shape
-    if r.size != m or c.size != n:
-        raise ValueError("marginal lengths must match the cost matrix shape")
+    r = np.asarray(row_marginals, dtype=np.float64)
+    c = np.asarray(col_marginals, dtype=np.float64)
+    if (r.shape, c.shape) != (cost.shape[:1], cost.shape[1:]):
+        raise ValueError(f"marginals of shapes {r.shape}, {c.shape} do not fit cost {cost.shape}")
+    if not (((r > 0) & (r < np.inf)).all() and ((c > 0) & (c < np.inf)).all()):
+        raise ValueError("marginals must be strictly positive and finite")
+    total_r, total_c = float(r.sum()), float(c.sum())
+    if abs(total_r - total_c) > 1e-9 * max(1.0, total_r, total_c):
+        raise ValueError(
+            f"infeasible marginals: row total {total_r!r} != column total {total_c!r}"
+        )
     _check_eta(eta)
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -218,13 +218,11 @@ def sinkhorn_marginal(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    log_domain = eta <= _LOG_DOMAIN_ETA
-    with np.errstate(over="ignore"):  # an overflowing -cost/eta is a forbidden cell
-        k = -cost / eta if log_domain else np.exp(-cost / eta)
-    a, b, used = _scale(k, r, c, eta, max_iter, tol, log_domain, rows_first=True)
-    if log_domain:
-        plan, log_a, log_b = np.exp(a[:, None] + k + b), a, b
-    else:
-        plan, log_a, log_b = a[:, None] * k * b, np.log(a), np.log(b)
-    return _measured(plan, r, c, used), (log_a, log_b)
-
+    # the sweeps' matrix-vector products run fastest on a 64-byte boundary
+    buf = np.empty(cost.size + 7)
+    kernel = buf[(-buf.ctypes.data // 8) % 8:][: cost.size].reshape(cost.shape)
+    np.negative(cost, out=kernel)
+    plan, (f, a), (g, b), used = _scale(
+        kernel, r, c, eta, max_iter, tol, eta <= _LOG_DOMAIN_ETA, rows_first=True, out=kernel
+    )
+    return _measured(plan, r, c, used), (f + np.log(a), g + np.log(b))

@@ -167,6 +167,24 @@ class TestTrainEvalBaseline:
         assert main(["baseline", "--method", "spectral", "--dataset", str(dataset_path),
                      "--out", str(tmp_path / "sp")]) == 0
 
+    @pytest.mark.parametrize("options, env", [
+        ((), {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+        (("-X", "warn_default_encoding", "-W", "error::EncodingWarning"), {}),
+    ], ids=["C locale", "EncodingWarning as error"])
+    def test_text_artifacts_are_utf8_under_any_locale(self, options, env, tmp_path):
+        config = tmp_path / "naive.cfg"
+        config.write_text("# naïve\n" + TRAIN_CONFIG, encoding="utf-8")
+        data, run = tmp_path / "m.csv", tmp_path / "run"
+        for argv in (
+            ["gen-dataset", "--kind", "moons", "--n", "40", "--out", str(data)],
+            ["train", "--config", str(config), "--dataset", str(data), "--out", str(run)],
+            ["eval", "--checkpoint", str(run / "checkpoint.npz"), "--dataset", str(data),
+             "--out", str(tmp_path / "eval")],
+        ):
+            done = _console(argv, *options, **env)
+            assert (done.returncode, done.stderr) == (0, ""), argv[0]
+        assert (tmp_path / "eval" / "report.txt").read_bytes() == (run / "report.txt").read_bytes()
+
     def test_missing_dataset_exit_one(self, tmp_path, config_path):
         rc = main(["train", "--config", str(config_path),
                    "--dataset", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")])
@@ -204,6 +222,14 @@ class TestOtDebug:
         rc = main(["ot-debug", "--cost", str(cost), "--variant", "marginal",
                    "--eta", "0.1", "--tol", "1e-9"])
         assert rc == 0
+
+    def test_negative_costs_solve_in_the_kernel_domain(self, tmp_path, capsys):
+        # -cost/eta is 800 off the diagonal, beyond exp's range unshifted
+        argv = [*_cost(tmp_path, "0,-40\n-40,0\n"), "--variant", "marginal", "--eta", "0.05"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0,1\n1,0\n"
+        assert "iterations_used=1\n" in captured.err
 
 
 class TestAblate:
@@ -359,12 +385,14 @@ def _cost(tmp_path, text):
     return ["ot-debug", "--cost", str(path)]
 
 
-def _console(argv) -> subprocess.CompletedProcess:
+def _console(argv, *options, **env) -> subprocess.CompletedProcess:
     """``otsc`` run in its own interpreter, as the console script runs it,
-    so that a traceback or a numpy RuntimeWarning reaches its stderr."""
+    so that a traceback or a numpy RuntimeWarning reaches its stderr; with
+    the interpreter ``options`` and the environment entries ``env``."""
     src = str(Path(otsc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "otsc.cli", *argv], env=env,
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, *options, "-m", "otsc.cli", *argv], env=env,
                           capture_output=True, text=True, check=False)
 
 
@@ -731,6 +759,14 @@ class TestBadInputs:
         assert done.returncode == 2
         assert done.stderr == ("numerical abort: row 2 sum underflowed to 0 during Sinkhorn "
                                "scaling (eta=1e-320)\n")
+
+    @pytest.mark.parametrize("variant", ["algorithm1", "marginal"])
+    def test_cost_over_eta_overflowing_is_refused_naming_the_entry(self, variant, tmp_path):
+        argv = [*_cost(tmp_path, "0,-1e306\n1,0\n"), "--variant", variant, "--eta", "1e-3"]
+        done = _console(argv)
+        assert done.returncode == 2
+        assert done.stderr == ("numerical abort: entry [0, 1] overflowed dividing by eta"
+                               " (eta=0.001)\n")
 
     def test_eval_checks_labels_before_predict(self, tmp_path, trained_run, monkeypatch, capsys):
         def refuse(*args):

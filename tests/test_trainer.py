@@ -521,6 +521,14 @@ class TestFit:
             fit(random_data(), cfg)
         assert str(info.value) == DIVERGED
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_logits_over_eta_abort_naming_the_entry(self):
+        # eta 1e-310 is positive and finite, but logits/eta overflows
+        message = (r"^aborted at epoch 0, step 0: entry \[\d+, \d+\] overflowed dividing by"
+                   r" eta \(eta=1e-310\)$")
+        with pytest.raises(NumericalError, match=message):
+            fit(random_data(), tiny_cfg(epochs=1, eta=1e-310))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_model_aborts_in_every_orth_mode(self):
         # the encoder-output guard stops a diverged model before its

@@ -81,6 +81,14 @@ class TestAlgorithm1:
             sinkhorn_algorithm1(logits, eta=1.0, iterations=2)
         assert str(exc.value) == "column 1 sum underflowed to 0 during Sinkhorn scaling (eta=1.0)"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eta, entry", [(1e-3, 1e306), (0.05, 1e308)])
+    def test_overflowing_quotient_is_refused_naming_its_entry(self, eta, entry):
+        logits = np.array([[0.0, entry], [-1.0, 0.0]])
+        with pytest.raises(NumericalError) as exc:
+            sinkhorn_algorithm1(logits, eta, 5)
+        assert str(exc.value) == f"entry [0, 1] overflowed dividing by eta (eta={eta})"
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             sinkhorn_algorithm1(np.zeros((2, 2)), eta=0.0, iterations=1)
@@ -180,6 +188,41 @@ class TestMarginalVariant:
             sinkhorn_marginal(cost, np.ones(2), np.ones(2), eta=0.05)
         assert str(exc.value) == "column 1 sum underflowed to 0 during Sinkhorn scaling (eta=0.05)"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eta, entry", [(1e-3, 1e306), (0.05, 1e308)])
+    def test_overflowing_quotient_is_refused_naming_its_entry(self, eta, entry):
+        # eta 1e-3 takes the log domain, 0.05 the kernel domain
+        cost = np.array([[0.0, -entry], [1.0, 0.0]])
+        with pytest.raises(NumericalError) as exc:
+            sinkhorn_marginal(cost, np.ones(2), np.ones(2), eta)
+        assert str(exc.value) == f"entry [0, 1] overflowed dividing by eta (eta={eta})"
+
+    @pytest.mark.parametrize("shape", [(7, 5), (100, 2), (256, 256)],
+                             ids=["7x5", "100x2", "256x256"])
+    def test_kernel_domain_plan_starts_on_a_64_byte_boundary(self, shape):
+        # the plan's array is the kernel the sweeps read, and BLAS's
+        # matrix-vector products run fastest on an aligned one
+        m, n = shape
+        cost = np.random.default_rng(3).random(shape)
+        plan, _ = sinkhorn_marginal(cost, np.ones(m), np.full(n, m / n), 0.05)
+        assert plan.plan.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("r, c", [(np.ones(3), np.ones(2)), (np.ones((2, 1)), np.ones(2))],
+                             ids=["length", "2-D"])
+    def test_refuses_marginals_that_do_not_fit_the_cost(self, r, c):
+        message = f"marginals of shapes {r.shape}, {c.shape} do not fit cost (2, 2)"
+        with pytest.raises(ValueError) as exc:
+            sinkhorn_marginal(np.zeros((2, 2)), r, c, 0.05)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_marginals(self, side, bad):
+        r, c = np.ones(2), np.ones(2)
+        (r if side == "row" else c)[0] = bad
+        with pytest.raises(ValueError, match="^marginals must be strictly positive and finite$"):
+            sinkhorn_marginal(np.zeros((2, 2)), r, c, 0.05)
+
     def test_determinism(self):
         rng = np.random.default_rng(8)
         cost = rng.random((5, 5))
@@ -276,6 +319,24 @@ class TestAgainstReferenceLoops:
             assert np.abs(want.sum(axis=0) - c).max() <= tol
             assert used < 5000
             assert abs(plan.iterations_used - used) <= 1
+
+    @pytest.mark.parametrize("kind", ["negative 5x6", "negative 2x2", "no zero entry 2x2"])
+    def test_kernel_solve_of_a_cost_without_a_zero_matches(self, kind):
+        # -cost/eta reaches 800, or at most -40000: its exp overflows, or
+        # underflows to 0, unless the kernel is shifted by its max
+        if kind == "negative 5x6":
+            cost = np.random.default_rng(13).random((5, 6)) - 40.0
+        elif kind == "negative 2x2":
+            cost = np.array([[0.0, -40.0], [-40.0, 0.0]])
+        else:
+            cost = np.full((2, 2), 2000.0)
+        m, n = cost.shape
+        r, c, eta, tol = np.ones(m), np.full(n, m / n), 0.05, 1e-9
+        plan, (log_alpha, log_beta) = sinkhorn_marginal(cost, r, c, eta, tol=tol)
+        want, _, _, used = reference_sinkhorn_log(cost, r, c, eta, tol, 10_000)
+        assert np.abs(plan.plan - want).max() <= 1e-12
+        assert abs(plan.iterations_used - used) <= 1
+        assert np.abs(scaling_plan(log_alpha, log_beta, cost, eta) - plan.plan).max() <= 1e-10
 
     def test_line_costs_take_the_reference_sweep_count(self):
         # 8x8 jittered-line costs at eta 1e-3, the log-domain instances of the
