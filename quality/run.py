@@ -1,7 +1,7 @@
 """otsc quality table: how well the README config clusters, beside k-means
 and the spectral baseline.
 
-    python3 quality/run.py --label NAME --out QUALITY.json [--tiny]
+    python3 quality/run.py --label NAME --out QUALITY.json [--tiny] [--sweep AXIS]
 
 The driver imports the ``otsc`` sources in ``src/`` next to this directory.
 For each dataset kind (moons, rings and blobs) it generates one set of
@@ -24,6 +24,13 @@ The run is stored as ``runs[NAME]`` in the JSON file ``--out``; other runs
 already in the file are kept, so one file can compare several commits. A
 table of the run is printed. ``--tiny`` trains a few epochs on small sets,
 as a smoke test; its scores mean nothing.
+
+``--sweep AXIS`` runs the whole protocol once per point of one axis of
+`SWEEPS`, each point's settings overriding the README config, and stores
+each point as its own run, ``runs[NAME/POINT]``, whose ``config`` holds the
+overridden settings. Every point's config is built, and so checked, before
+the first fit: a refused setting ends the sweep with exit status 1 before
+any training.
 """
 
 from __future__ import annotations
@@ -56,6 +63,17 @@ DATASETS = {
 SPLIT_SEED = 7
 HALVES = ("train", "held_out")
 TINY = dict(n=200, epochs=2)
+# --sweep axes: each point's name and its changes to the README config
+SWEEPS = {
+    "eta": [("eta-%.2f" % v, {"eta": v}) for v in (round(0.01 * i, 2) for i in range(1, 11))],
+    "sinkhorn-iters": [(f"isk-{v}", {"sinkhorn_iters": v}) for v in (1, 3, 5, 10)],
+    "lambda": [("lambda-%.1f" % v, {"lam": v}) for v in (0.5, 1.0, 1.5, 2.0)],
+    "orth": [(f"orth-{m}", {"orth_mode": m}) for m in ("procrustes", "qr", "none")]
+    + [("orth-penalty-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
+       for rho in (0.5, 1.0, 2.0)],
+    "keep-diagonal": [(f"keep-diagonal-{str(v).lower()}", {"keep_diagonal": v})
+                      for v in (False, True)],
+}
 
 
 def _parse_args(argv):
@@ -63,6 +81,8 @@ def _parse_args(argv):
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--out", required=True, help="JSON file to add the run to")
     parser.add_argument("--tiny", action="store_true", help="a few epochs on small sets")
+    parser.add_argument("--sweep", choices=tuple(SWEEPS),
+                        help="one run per point of this axis, stored as NAME/POINT")
     return parser.parse_args(argv)
 
 
@@ -107,16 +127,26 @@ def _otsc_run(halves, cfg) -> dict:
     return run
 
 
-def _kind(kind: str, tiny: bool) -> dict:
-    from otsc.baselines import SpectralConfig, classical_spectral, kmeans_lloyd
-    from otsc.data import gen_dataset
+def _configs(tiny: bool, overrides: dict) -> dict:
+    """``{kind: (config settings, one TrainConfig per seed)}`` of one run."""
     from otsc.trainer import TrainConfig
 
-    gen, changes = DATASETS[kind]
+    configs = {}
+    for kind, (_, changes) in DATASETS.items():
+        base = {**README_CONFIG, **changes, **({"epochs": TINY["epochs"]} if tiny else {}),
+                **overrides}
+        configs[kind] = base, [TrainConfig(seed=seed, **base) for seed in SEEDS]
+    return configs
+
+
+def _kind(kind: str, tiny: bool, base: dict, cfgs) -> dict:
+    from otsc.baselines import SpectralConfig, classical_spectral, kmeans_lloyd
+    from otsc.data import gen_dataset
+
+    gen, _ = DATASETS[kind]
     gen = {**gen, "n": TINY["n"]} if tiny else gen
     halves = _split(gen_dataset(kind, seed=GENERATOR_SEED, **gen))
-    base = {**README_CONFIG, **changes, **({"epochs": TINY["epochs"]} if tiny else {})}
-    runs = [_otsc_run(halves, TrainConfig(seed=seed, **base)) for seed in SEEDS]
+    runs = [_otsc_run(halves, cfg) for cfg in cfgs]
     k = base["num_clusters"]
     result = {
         "dataset": {"kind": kind, "seed": GENERATOR_SEED, **gen, "split_seed": SPLIT_SEED},
@@ -163,20 +193,30 @@ def main(argv=None) -> int:
     except ImportError as err:
         print(f"error: cannot import the otsc sources under {ROOT / 'src'}: {err}", file=sys.stderr)
         return 2
-    start = time.perf_counter()
-    results = {kind: _kind(kind, args.tiny) for kind in DATASETS}
-    run = {
-        "tiny": args.tiny,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "wall_s": time.perf_counter() - start,
-        "results": results,
-    }
+    points = SWEEPS[args.sweep] if args.sweep else [(None, {})]
+    try:
+        plans = [(name, _configs(args.tiny, overrides)) for name, overrides in points]
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     out = Path(args.out)
-    table = json.loads(out.read_text()) if out.exists() else {"runs": {}}
-    table["runs"][args.label] = run
-    out.write_text(json.dumps(table, indent=1) + "\n")
-    print(_table(results))
+    for name, configs in plans:
+        label = args.label if name is None else f"{args.label}/{name}"
+        start = time.perf_counter()
+        results = {kind: _kind(kind, args.tiny, *configs[kind]) for kind in DATASETS}
+        run = {
+            "tiny": args.tiny,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "wall_s": time.perf_counter() - start,
+            "results": results,
+        }
+        table = json.loads(out.read_text()) if out.exists() else {"runs": {}}
+        table["runs"][label] = run
+        out.write_text(json.dumps(table, indent=1) + "\n")
+        if name is not None:
+            print(f"== {label}")
+        print(_table(results))
     return 0
 
 

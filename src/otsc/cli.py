@@ -1,5 +1,5 @@
-"""Command-line surface: dataset generation, training, evaluation, baselines,
-transport debugging, and ablation sweeps.
+"""Command-line surface: dataset generation, training, evaluation, baselines
+and transport debugging.
 
 Config files are flat ``key = value`` text; unknown keys are errors. All
 numeric artifacts are plain text (CSV / line-delimited key=value records)
@@ -14,7 +14,7 @@ import datetime
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +29,6 @@ from .trainer import TRAINER_ORTH_MODES, EpochRecord, TrainConfig, TrainHistory,
 from .transport import sinkhorn_algorithm1, sinkhorn_marginal
 
 __all__ = ["main"]
-
-# ablate's --sweep axes: each point's directory name and TrainConfig overrides
-SWEEPS = {
-    "eta": [("eta-%.2f" % v, {"eta": v}) for v in (round(0.01 * i, 2) for i in range(1, 11))],
-    "sinkhorn-iters": [(f"isk-{v}", {"sinkhorn_iters": v}) for v in (1, 3, 5, 10)],
-    "lambda": [("lambda-%.1f" % v, {"lam": v}) for v in (0.5, 1.0, 1.5, 2.0)],
-    "orth": [(f"orth-{m}", {"orth_mode": m}) for m in TRAINER_ORTH_MODES if m != "penalty"]
-    + [("orth-penalty-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
-       for rho in (0.5, 1.0, 2.0)],
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse calls error() outside any `except ValueError`, so this
@@ -152,12 +141,17 @@ def _write_manifest(out_dir: Path, cfg: TrainConfig, dataset_path, started, outp
 
 
 def _emit_report(text: str, out_dir) -> None:
-    """Print a report, and write it to ``<out_dir>/report.txt`` if ``out_dir`` is set."""
+    """Print a report, and write it to ``<out_dir>/report.txt`` if ``out_dir`` is set.
+
+    The file is UTF-8; the printed copy escapes what the stdout encoding
+    cannot hold (``dataset=na\\xefve`` under an ASCII locale).
+    """
     if out_dir:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    print(text, end="")
+    encoding = sys.stdout.encoding  # None on an io.StringIO, which holds any text
+    print(text.encode(encoding, "backslashreplace").decode(encoding) if encoding else text, end="")
 
 
 def _evaluate_model(model, ds: Dataset) -> str:
@@ -176,21 +170,6 @@ def _cmd_gen_dataset(args) -> None:
     print(f"wrote {args.out} ({ds.n} rows, dim {ds.dim})")
 
 
-def _train_run(cfg: TrainConfig, ds: Dataset, out_dir: Path, dataset_path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    model, history = fit(ds.features, cfg)
-    ckpt = out_dir / "checkpoint.npz"
-    save_checkpoint(ckpt, model, cfg.optimizer(), cfg.epochs, None)
-    (out_dir / "history.txt").write_text(format_history(history), encoding="utf-8")
-    outputs = {"checkpoint": ckpt, "history": out_dir / "history.txt"}
-    if ds.labels is not None:
-        _emit_report(_evaluate_model(model, ds), out_dir)
-        outputs["report"] = out_dir / "report.txt"
-    _write_manifest(out_dir, cfg, dataset_path, started, outputs)
-    return ckpt
-
-
 def _given(args, names) -> dict:
     """The options among ``names`` set on the command line, by name."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
@@ -200,7 +179,17 @@ def _cmd_train(args) -> None:
     overrides = _given(args, ("seed", "eta", "lam", "sinkhorn_iters", "orth_mode", "keep_diagonal"))
     cfg = load_train_config(args.config, overrides)
     ds = load_dataset(args.dataset)
-    _train_run(cfg, ds, Path(args.out), args.dataset)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    model, history = fit(ds.features, cfg)
+    outputs = {"checkpoint": out_dir / "checkpoint.npz", "history": out_dir / "history.txt"}
+    save_checkpoint(outputs["checkpoint"], model, cfg.optimizer(), cfg.epochs, None)
+    outputs["history"].write_text(format_history(history), encoding="utf-8")
+    if ds.labels is not None:
+        _emit_report(_evaluate_model(model, ds), out_dir)
+        outputs["report"] = out_dir / "report.txt"
+    _write_manifest(out_dir, cfg, args.dataset, started, outputs)
 
 
 def _cmd_eval(args) -> None:
@@ -261,17 +250,6 @@ def _cmd_ot_debug(args) -> None:
     print(f"iterations_used={plan.iterations_used}", file=sys.stderr)
 
 
-def _cmd_ablate(args) -> None:
-    cfg = load_train_config(args.config)
-    ds = load_dataset(args.dataset)
-    out_root = Path(args.out)
-    for name, overrides in SWEEPS[args.sweep]:
-        point_cfg = replace(cfg, **overrides)
-        point_dir = out_root / name
-        print(f"== sweep point {name}")
-        _train_run(point_cfg, ds, point_dir, args.dataset)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="otsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -326,13 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="marginal only; default 1e-9")
     p.add_argument("--max-iter", type=int, help="marginal only; default 10000")
     p.set_defaults(func=_cmd_ot_debug)
-
-    p = sub.add_parser("ablate", help="run a hyperparameter sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--sweep", required=True, choices=tuple(SWEEPS))
-    p.set_defaults(func=_cmd_ablate)
 
     return parser
 

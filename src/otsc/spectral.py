@@ -157,10 +157,16 @@ def orthogonal_penalty(z: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
 
 
 def row_normalize(z: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm."""
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if (norms == 0).any():
-        raise NumericalError("row_normalize received a zero row")
+    """Scale each row to unit Euclidean norm.
+
+    A row whose norm is 0, or overflows or is NaN, has no unit direction to
+    return: it raises :class:`NumericalError` naming the first such row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+    if not (norms.min() > 0.0 and norms.max() < np.inf):  # NaN fails both
+        i = int(np.argmin((norms > 0.0) & (norms < np.inf)))
+        raise NumericalError(f"row_normalize received row {i} of norm {float(norms[i, 0])!r}")
     return z / norms
 
 

@@ -119,8 +119,8 @@ class TrainConfig:
             raise ValueError(
                 f"orth_mode must be one of {TRAINER_ORTH_MODES}, got {self.orth_mode!r}"
             )
-        if self.penalty_rho < 0:
-            raise ValueError("penalty_rho must be nonnegative")
+        if self.penalty_rho <= 0:  # a zero weight would be a second spelling of "none"
+            raise ValueError("penalty_rho must be positive")
         for name in ("tau_a_init", "tau_c_init"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -184,8 +184,10 @@ def augment(x, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _encode(model, x):
     """Encoder forward that refuses non-finite embeddings: the training
-    step's one guard against a diverged model."""
-    z_raw, cache = net.forward(model, x)
+    step's one guard against a diverged model, which reports an overflow
+    in the forward instead of numpy's warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_raw, cache = net.forward(model, x)
     if not np.isfinite(z_raw).all():
         raise NumericalError("non-finite encoder output: the model has diverged")
     return z_raw, cache

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import otsc
-from otsc.cli import SWEEPS, format_report, load_train_config, main, parse_config
+from otsc.cli import format_report, load_train_config, main, parse_config
 from otsc.metrics import evaluate
 from otsc.network import load_checkpoint
 from otsc.trainer import TrainConfig
@@ -185,6 +185,23 @@ class TestTrainEvalBaseline:
             assert (done.returncode, done.stderr) == (0, ""), argv[0]
         assert (tmp_path / "eval" / "report.txt").read_bytes() == (run / "report.txt").read_bytes()
 
+    def test_a_name_the_locale_cannot_print_is_escaped(self, tmp_path, config_path):
+        # report.txt keeps the UTF-8 name; the printed report escapes it
+        data = tmp_path / "m.csv"
+        assert main(["gen-dataset", "--kind", "moons", "--n", "40", "--out", str(data)]) == 0
+        (tmp_path / "m.csv.meta.json").write_text('{"name": "na\u00efve"}', encoding="utf-8")
+        runs = {"baseline": _baseline("kmeans", str(data)),
+                "train": ["train", "--config", str(config_path), "--dataset", str(data)]}
+        for command, argv in runs.items():
+            out = tmp_path / command
+            done = _console([*argv, "--out", str(out)],
+                            LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+            assert (done.returncode, done.stderr) == (0, ""), command
+            assert done.stdout.startswith("dataset=na\\xefve\n"), command
+            report = (out / "report.txt").read_text(encoding="utf-8")
+            assert report.startswith("dataset=na\u00efve\n"), command
+        assert (tmp_path / "train" / "manifest.json").exists()
+
     def test_missing_dataset_exit_one(self, tmp_path, config_path):
         rc = main(["train", "--config", str(config_path),
                    "--dataset", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")])
@@ -230,57 +247,6 @@ class TestOtDebug:
         captured = capsys.readouterr()
         assert captured.out == "0,1\n1,0\n"
         assert "iterations_used=1\n" in captured.err
-
-
-class TestAblate:
-    def test_orth_sweep_writes_reports(self, tmp_path, dataset_path):
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(
-            "num_clusters = 3\nembed_dim = 2\nbatch_size = 20\nepochs = 1\n"
-            "base_lr = 0.00001\nseed = 1\n"
-        )
-        out = tmp_path / "sweep"
-        assert main(["ablate", "--config", str(cfg), "--dataset", str(dataset_path),
-                     "--out", str(out), "--sweep", "orth"]) == 0
-        names = sorted(p.name for p in out.iterdir())
-        assert names == [
-            "orth-none", "orth-penalty-0.5", "orth-penalty-1.0",
-            "orth-penalty-2.0", "orth-procrustes", "orth-qr",
-        ]
-        for sub in out.iterdir():
-            assert (sub / "report.txt").exists()
-
-    def test_isk_sweep_points(self, tmp_path, dataset_path):
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(
-            "num_clusters = 3\nembed_dim = 2\nbatch_size = 20\nepochs = 1\n"
-            "base_lr = 0.00001\nseed = 1\n"
-        )
-        out = tmp_path / "sweep"
-        assert main(["ablate", "--config", str(cfg), "--dataset", str(dataset_path),
-                     "--out", str(out), "--sweep", "sinkhorn-iters"]) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "isk-1", "isk-10", "isk-3", "isk-5",
-        ]
-
-    # every point's directory name and TrainConfig overrides, written out
-    @pytest.mark.parametrize("axis, points", [
-        ("eta", [("eta-%.2f" % v, {"eta": v}) for v in
-                 (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1)]),
-        ("sinkhorn-iters", [("isk-1", {"sinkhorn_iters": 1}), ("isk-3", {"sinkhorn_iters": 3}),
-                            ("isk-5", {"sinkhorn_iters": 5}), ("isk-10", {"sinkhorn_iters": 10})]),
-        ("lambda", [("lambda-0.5", {"lam": 0.5}), ("lambda-1.0", {"lam": 1.0}),
-                    ("lambda-1.5", {"lam": 1.5}), ("lambda-2.0", {"lam": 2.0})]),
-        ("orth", [("orth-procrustes", {"orth_mode": "procrustes"}),
-                  ("orth-qr", {"orth_mode": "qr"}), ("orth-none", {"orth_mode": "none"}),
-                  ("orth-penalty-0.5", {"orth_mode": "penalty", "penalty_rho": 0.5}),
-                  ("orth-penalty-1.0", {"orth_mode": "penalty", "penalty_rho": 1.0}),
-                  ("orth-penalty-2.0", {"orth_mode": "penalty", "penalty_rho": 2.0})]),
-    ])
-    def test_sweep_points(self, axis, points):
-        assert SWEEPS[axis] == points
-        for _, overrides in points:
-            assert set(overrides) <= {f.name for f in fields(TrainConfig)}
 
 
 class TestReportFormat:
@@ -441,6 +407,11 @@ def _nan_layer(run):
     return {"layer0.weight": weight}
 
 
+def _scaled_prototypes(run, factor):
+    with np.load(run["checkpoint"]) as data:
+        return {"prototypes": data["prototypes"] * factor}
+
+
 def _zero_last_layer(run):
     with np.load(run["checkpoint"]) as data:
         return {k: np.zeros_like(data[k]) for k in ("layer2.weight", "layer2.bias")}
@@ -557,7 +528,12 @@ BAD_INPUTS = {
         1, "edited.npz entry 'layer0.weight' must hold finite floats"),
     "checkpoint that embeds every row at 0": (
         lambda tmp, run: _edited_checkpoint(tmp, run, arrays=_zero_last_layer(run)),
-        2, "numerical abort: row_normalize received a zero row\n"),
+        2, "numerical abort: row_normalize received row 0 of norm 0.0\n"),
+    # an overflowed prototype norm would scale every prototype to 0 and put
+    # every sample in cluster 0
+    "checkpoint prototypes whose norms overflow": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, arrays=_scaled_prototypes(run, 1e200)),
+        2, "numerical abort: row_normalize received row 0 of norm inf\n"),
     "checkpoint meta not an object": (
         lambda tmp, run: _edited_checkpoint(tmp, run, raw_meta=b"[1, 2]"),
         1, "edited.npz entry 'meta' is not a JSON object: [1, 2]"),
@@ -617,6 +593,9 @@ BAD_INPUTS = {
     "NaN base_lr in the config": (
         lambda tmp, run: _train_with(tmp, run, "base_lr = nan"),
         1, "error: base_lr must be finite, got nan\n"),
+    "zero penalty_rho in the config": (
+        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 0"),
+        1, "error: penalty_rho must be positive\n"),
     "NaN penalty_rho in the config": (
         lambda tmp, run: _train_with(tmp, run, "penalty_rho = nan"),
         1, "error: penalty_rho must be finite, got nan\n"),
@@ -672,6 +651,10 @@ BAD_INPUTS = {
         1, "edited.npz entry 'version' must be a nonnegative integer, got -5\n"),
     "plain .npy array as checkpoint": (
         _npy_checkpoint, 1, "checkpoint.npz is unreadable: not an .npz archive\n"),
+    "ablate, which is no command": (
+        lambda tmp, run: ["ablate", "--config", str(run["config"]), "--dataset",
+                          str(run["dataset"]), "--out", str(tmp / "sweep"), "--sweep", "orth"],
+        1, "argument command: invalid choice: 'ablate'"),
     "NaN tol on ot-debug": (
         lambda tmp, run: _ot_debug(tmp, "--variant", "marginal", "--tol", "nan"),
         1, "error: tol must be finite, got nan\n"),
@@ -785,16 +768,3 @@ class TestBadInputs:
         path.write_text("")
         assert main(["ot-debug", "--cost", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: no data rows\n"
-
-    def test_ablate_refuses_optimizer_settings_before_any_point(self, tmp_path, trained_run,
-                                                                capsys):
-        config = tmp_path / "momentum.cfg"
-        config.write_text(trained_run["config"].read_text() + "momentum = 1.5\n")
-        out = tmp_path / "sweep"
-        argv = ["ablate", "--config", str(config), "--dataset", str(trained_run["dataset"]),
-                "--out", str(out), "--sweep", "lambda"]
-        capsys.readouterr()
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert captured.err == "error: momentum must lie in [0, 1)\n"

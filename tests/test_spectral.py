@@ -546,4 +546,14 @@ class TestRowNormalize:
         z[0] = [1.0, 0.0]
         with pytest.raises(NumericalError) as info:
             row_normalize(z)
-        assert str(info.value) == "row_normalize received a zero row"
+        assert str(info.value) == "row_normalize received row 1 of norm 0.0"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row, norm", [([1e200, 1e200], "inf"), ([np.nan, 0.0], "nan")])
+    def test_row_without_a_finite_norm_rejected(self, row, norm):
+        # an overflowed norm would scale the row to 0, silently
+        z = np.ones((3, 2))
+        z[2] = row
+        with pytest.raises(NumericalError) as info:
+            row_normalize(z)
+        assert str(info.value) == f"row_normalize received row 2 of norm {norm}"

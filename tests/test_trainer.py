@@ -74,6 +74,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must"):
             tiny_cfg(**{name: value})
 
+    def test_refuses_a_zero_penalty_weight(self):
+        # penalty at rho 0 adds nothing: "none" is the one spelling of that
+        with pytest.raises(ValueError, match="^penalty_rho must be positive$"):
+            tiny_cfg(orth_mode="penalty", penalty_rho=0.0)
+
     def test_refuses_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
             tiny_cfg(seed=-1)
@@ -467,7 +472,9 @@ class TestWorker:
 
 
 # fit's abort when base_lr = 1e200 makes the encoder output overflow on step 1
-DIVERGED = "aborted at epoch 0, step 1: non-finite encoder output: the model has diverged"
+# step 0's update at lr 1e200 takes the prototypes beyond sqrt(max double), so
+# step 1's first act, normalizing them, finds row 0's norm overflowed
+DIVERGED = "aborted at epoch 0, step 1: row_normalize received row 0 of norm inf"
 
 
 class TestFit:
@@ -515,6 +522,7 @@ class TestFit:
             assert 0.0 < rec.tau_a <= 1.0
             assert 0.0 < rec.tau_c <= 1.0
 
+    @pytest.mark.filterwarnings("error")
     def test_nan_abort_carries_location(self):
         cfg = tiny_cfg(epochs=1, base_lr=1e200)  # overflow on the next forward
         with pytest.raises(NumericalError) as info:
@@ -529,10 +537,11 @@ class TestFit:
         with pytest.raises(NumericalError, match=message):
             fit(random_data(), tiny_cfg(epochs=1, eta=1e-310))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_diverged_model_aborts_in_every_orth_mode(self):
-        # the encoder-output guard stops a diverged model before its
-        # embeddings reach the SVD, QR, penalty or transport targets
+        # the step's prototype normalization stops a diverged model before
+        # its embeddings reach the SVD, QR, penalty or transport targets,
+        # and no numpy warning precedes the abort
         for mode in TRAINER_ORTH_MODES:
             cfg = tiny_cfg(epochs=1, base_lr=1e200, orth_mode=mode)
             with pytest.raises(NumericalError) as info:
@@ -582,6 +591,15 @@ class TestPredict:
         model = net.init_model(4, 3, 2, np.random.default_rng(4))
         with pytest.raises(ValueError, match="^input dim 9 does not match first layer 4$"):
             predict(model, np.zeros((3, 9)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_encoder_output_is_refused_without_a_warning(self):
+        model = net.init_model(4, 3, 2, np.random.default_rng(4))
+        for weight, _ in model.layers:
+            weight *= 1e200  # the second layer's products overflow
+        with pytest.raises(NumericalError) as info:
+            predict(model, random_data())
+        assert str(info.value) == "non-finite encoder output: the model has diverged"
 
     def test_embeddings_are_row_normalized(self):
         cfg = tiny_cfg(epochs=1)
