@@ -119,6 +119,23 @@ def test_sweep_points(axis, points):
     assert list(driver.SWEEPS) == ["eta", "sinkhorn-iters", "lambda", "orth", "keep-diagonal"]
 
 
+def test_isk_sweep_points(tmp_path, monkeypatch):
+    # one stored run per sinkhorn-iters point, in order, each trained with its count
+    monkeypatch.setattr(driver, "_kind", lambda kind, tiny, base, cfgs: {
+        "config": base, "sinkhorn_iters": [cfg.sinkhorn_iters for cfg in cfgs]})
+    monkeypatch.setattr(driver, "_table", lambda results: "")
+    out = tmp_path / "quality.json"
+    assert driver.main(["--tiny", "--label", "isk", "--out", str(out),
+                        "--sweep", "sinkhorn-iters"]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert list(runs) == ["isk/isk-1", "isk/isk-3", "isk/isk-5", "isk/isk-10"]
+    for label, iters in zip(runs, (1, 3, 5, 10)):
+        assert set(runs[label]["results"]) == set(KINDS)
+        for res in runs[label]["results"].values():
+            assert res["config"]["sinkhorn_iters"] == iters
+            assert res["sinkhorn_iters"] == [iters] * 3
+
+
 def test_sweep_refuses_a_setting_before_any_point(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a point trained before every config was checked")
