@@ -122,11 +122,14 @@ def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
         d2 /= -2.0 * cfg.sigma**2
     else:
         # entry k_neighbor of each partitioned row = squared distance to the
-        # k-th nearest neighbor (row position 0 is the point itself)
-        local = np.sqrt(np.partition(d2, cfg.k_neighbor, axis=1)[:, cfg.k_neighbor])
+        # k-th nearest neighbor (row position 0 is the point itself); row
+        # panels of TILE rows, so no n x n copy or outer product is made
+        k, panels = cfg.k_neighbor, [slice(i, i + TILE) for i in range(0, len(d2), TILE)]
+        local = np.sqrt(np.concatenate([np.partition(d2[p], k, axis=1)[:, k] for p in panels]))
         if (local == 0).any():
             raise ValueError("duplicate points collapse the self-tuning bandwidth")
-        d2 /= np.outer(-local, local)
+        for p in panels:
+            d2[p] /= np.outer(-local[p], local)
     np.maximum(d2, -AFFINITY_CUT, out=d2)
     np.exp(d2, out=d2)
     np.copyto(d2, 0.0, where=d2 < AFFINITY_FLOOR)

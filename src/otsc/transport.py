@@ -7,8 +7,10 @@ alternate column- and row-normalization a fixed number of times, ending on
 rows. ``sinkhorn_marginal`` solves for prescribed marginals to a tolerance,
 at small ``eta`` by the same sweeps on a kernel that absorbs log-domain
 potentials; it reports its log scalings and is the variant used for
-analysis and testing. Exact solutions of small instances, which the tests
-check both solvers against, live in ``tests/oracles.py``.
+analysis and testing. Kernel-domain sweeps check their scalings once per
+solve, and replay checked to name a failed line. Exact solutions of small
+instances, which the tests check both solvers against, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -94,10 +96,15 @@ def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=F
     §4.4). Rows are exact after each sweep, so the column residual
     ``v * (k.T @ u) - c`` costs only the product the next sweep starts from;
     the loop stops on it within ``tol`` if given, else after ``max_iter``
-    sweeps; ``rows_first`` sweeps ``k.T``. In the log domain sweep 1 is a
-    log-sum-exp, and later sweeps scale ``exp(values/eta + f + g)``, absorbing
-    the scalings into the potentials ``f``, ``g`` once one exceeds ``_ABSORB``
-    (Schmitzer 2019, arXiv:1610.06519) and at the end. Returns
+    sweeps; ``rows_first`` sweeps ``k.T``. Kernel-domain sweeps reuse their
+    vectors and reduce none per half-sweep: as 0 * inf is NaN, a non-finite
+    scaling entry leaves one in every later u or v (and in the residual),
+    so u and v are checked after the loop, which replays with `_fit`'s check
+    on each half-sweep to name the line that failed first. In the log
+    domain, which `_fit` checks, sweep 1 is a log-sum-exp, and later sweeps
+    scale ``exp(values/eta + f + g)``, absorbing the scalings into the
+    potentials ``f``, ``g`` once one exceeds ``_ABSORB`` (Schmitzer 2019,
+    arXiv:1610.06519) and at the end. Returns
     ``(plan, (f, u), (g, v), n)`` after ``n`` sweeps, the kernel scaled in
     place into the plan ``diag(u * exp(f)) @ exp(values/eta) @ diag(v * exp(g))``.
     """
@@ -109,10 +116,8 @@ def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=F
             i, j = np.unravel_index(np.argmax(kernel), kernel.shape)
             raise NumericalError(f"entry [{i}, {j}] overflowed dividing by eta (eta={eta})")
         k, r, c = (kernel.T, c, r) if rows_first else (kernel, r, c)
-        u, v = np.ones(k.shape[0]), np.ones(k.shape[1])
-        sweep = 0
         if log_domain:
-            log_k, sweep = k, 1
+            log_k = k
             g = _log_fit(c, log_k, 0, first, eta)
             f = _log_fit(r, log_k + g, 1, second, eta)
             k = np.exp(log_k + f[:, None] + g)
@@ -120,19 +125,30 @@ def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=F
             f, g = 0.0, -top
             kernel -= top
             np.exp(kernel, out=kernel)
-        sums = u @ k
-        while sweep < max_iter:
-            if sweep and tol is not None and np.abs(v * sums - c).max() <= tol:
+        kv, sums = np.empty(k.shape[0]), np.empty(k.shape[1])
+        for checked in (log_domain, True):  # the log domain's sweep 1 is done
+            u, v, sweep, res = np.ones(k.shape[0]), np.ones(k.shape[1]), int(log_domain), 0.0
+            np.dot(u, k, out=sums)
+            while sweep < max_iter:
+                if sweep and tol is not None:
+                    res = np.abs(v * sums - c).max()
+                    if res <= tol or not (checked or res < np.inf):
+                        break
+                sweep += 1
+                if checked:
+                    v, v_top = _fit(c, sums, first, eta)
+                    u, u_top = _fit(r, k @ v, second, eta)
+                    if log_domain and max(v_top, u_top) > _ABSORB:
+                        f, g = f + np.log(u), g + np.log(v)
+                        k = np.exp(log_k + f[:, None] + g)
+                        u, v = np.ones_like(u), np.ones_like(v)
+                else:
+                    np.divide(c, sums, out=v)
+                    np.divide(r, np.dot(k, v, out=kv), out=u)
+                if sweep < max_iter:
+                    np.dot(u, k, out=sums)
+            if checked or (res < np.inf and u.max() < np.inf and v.max() < np.inf):
                 break
-            sweep += 1
-            v, v_top = _fit(c, sums, first, eta)
-            u, u_top = _fit(r, k @ v, second, eta)
-            if log_domain and max(v_top, u_top) > _ABSORB:
-                f, g = f + np.log(u), g + np.log(v)
-                k = np.exp(log_k + f[:, None] + g)
-                u, v = np.ones_like(u), np.ones_like(v)
-            if sweep < max_iter:
-                sums = u @ k
         if log_domain:
             f, g = f + np.log(u), g + np.log(v)
             k, u, v = np.exp(log_k + f[:, None] + g), 1.0, 1.0

@@ -6,11 +6,16 @@ None of it shares code with the implementation it checks. The Sinkhorn
 references are the package's earlier solver loops, kept as they were
 written: the fixed-count loop rescales the whole matrix at every half-sweep,
 and the tolerance loops rebuild the plan after every sweep to measure its
-residuals. The spectral-baseline reference is the earlier full-spectrum
+residuals. `checked_scale` is the package's scaling core as it was before
+its kernel-domain sweeps dropped their per-half-sweep check: every scaling
+is checked as it is formed, so it names the first line that underflowed. The spectral-baseline reference is the earlier full-spectrum
 embedding (every eigenpair from ``np.linalg.eigh``, the leading K kept); it
 clusters with the package's k-means, which is not what it checks.
 `unclamped_gaussian_affinity` is the baseline's affinity as it was before
-the quotient was clamped: exp(-d2 / width) over the whole plane. The
+the quotient was clamped: exp(-d2 / width) over the whole plane. `whole_plane_gaussian_affinity` is
+the clamped affinity as it was before the self-tuning width was built a row
+panel at a time; it shares the package's squared distances, which is not
+what it checks. The
 affinity-backward references are the trainer's earlier forms: the B x B
 logit gradient of the masked cross entropy, the two plain products into the
 embeddings, and the temperature gradient read off the B x B logit and
@@ -286,6 +291,68 @@ def reference_sinkhorn_log(cost, r, c, eta, tol, max_iter):
     return plan, f, g, used
 
 
+def _checked_fit(target, sums, axis: str, eta: float):
+    scaling = target / sums
+    top = scaling.max()
+    if not top < np.inf:  # also catches NaN
+        raise _underflow(axis, np.argmin(scaling < np.inf), eta)
+    return scaling, top
+
+
+def _checked_log_fit(target, log_k, axis: int, name: str, eta: float) -> np.ndarray:
+    top = log_k.max(axis=axis, keepdims=True)
+    scaling, _ = _checked_fit(target, np.exp(log_k - top).sum(axis=axis), name, eta)
+    return np.log(scaling) - top.ravel()
+
+
+def checked_scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False):
+    """The package's scaling core as it was with a check on every half-sweep:
+    each scaling is refused, naming its first non-finite entry, as soon as
+    it is formed, and every product is a fresh ``@``. Same signature and
+    return as ``transport._scale`` (without ``out``); in the log domain the
+    largest scaling entry decides when the scalings are absorbed into the
+    potentials."""
+    first, second = ("row", "column") if rows_first else ("column", "row")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kernel = np.asarray(values, dtype=np.float64) / eta
+        top = kernel.max()
+        if top == np.inf:
+            i, j = np.unravel_index(np.argmax(kernel), kernel.shape)
+            raise NumericalError(f"entry [{i}, {j}] overflowed dividing by eta (eta={eta})")
+        k, r, c = (kernel.T, c, r) if rows_first else (kernel, r, c)
+        u, v = np.ones(k.shape[0]), np.ones(k.shape[1])
+        sweep = 0
+        if log_domain:
+            log_k, sweep = k, 1
+            g = _checked_log_fit(c, log_k, 0, first, eta)
+            f = _checked_log_fit(r, log_k + g, 1, second, eta)
+            k = np.exp(log_k + f[:, None] + g)
+        else:
+            f, g = 0.0, -top
+            kernel -= top
+            np.exp(kernel, out=kernel)
+        sums = u @ k
+        while sweep < max_iter:
+            if sweep and tol is not None and np.abs(v * sums - c).max() <= tol:
+                break
+            sweep += 1
+            v, v_top = _checked_fit(c, sums, first, eta)
+            u, u_top = _checked_fit(r, k @ v, second, eta)
+            if log_domain and max(v_top, u_top) > 1e50:
+                f, g = f + np.log(u), g + np.log(v)
+                k = np.exp(log_k + f[:, None] + g)
+                u, v = np.ones_like(u), np.ones_like(v)
+            if sweep < max_iter:
+                sums = u @ k
+        if log_domain:
+            f, g = f + np.log(u), g + np.log(v)
+            k, u, v = np.exp(log_k + f[:, None] + g), 1.0, 1.0
+        else:
+            k *= u[:, None]
+            k *= v
+    return (k.T, (g, v), (f, u), sweep) if rows_first else (k, (f, u), (g, v), sweep)
+
+
 def two_exp_cross_entropy(target, logits, tau: float) -> tuple[float, np.ndarray]:
     """Row-softmax cross entropy and its logit gradient through log-probs."""
     scaled = logits / tau
@@ -422,6 +489,25 @@ def full_spectrum_spectral(x, cfg, seed: int = 0) -> np.ndarray:
     rows = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
     labels, _, _ = kmeans_lloyd(rows, cfg.num_clusters, restarts=10, seed=seed)
     return labels
+
+
+def whole_plane_gaussian_affinity(x, cfg) -> np.ndarray:
+    """The spectral baseline's clamped affinity over the whole n x n plane at
+    once: each row's k-th neighbor distance read from a partitioned copy of
+    the plane, and the self-tuning width its n x n outer product."""
+    from otsc.baselines import AFFINITY_CUT, AFFINITY_FLOOR, _squared_distances
+
+    d2 = _squared_distances(x, x)
+    if cfg.bandwidth_mode == "fixed":
+        d2 /= -2.0 * cfg.sigma**2
+    else:
+        local = np.sqrt(np.partition(d2, cfg.k_neighbor, axis=1)[:, cfg.k_neighbor])
+        d2 /= np.outer(-local, local)
+    np.maximum(d2, -AFFINITY_CUT, out=d2)
+    np.exp(d2, out=d2)
+    np.copyto(d2, 0.0, where=d2 < AFFINITY_FLOOR)
+    np.fill_diagonal(d2, 0.0)
+    return d2
 
 
 def unclamped_gaussian_affinity(d2, width, floor: float) -> np.ndarray:

@@ -3,7 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from oracles import full_spectrum_spectral, unclamped_gaussian_affinity
+from oracles import (
+    full_spectrum_spectral,
+    unclamped_gaussian_affinity,
+    whole_plane_gaussian_affinity,
+)
 from otsc.baselines import (
     AFFINITY_CUT,
     AFFINITY_FLOOR,
@@ -306,6 +310,17 @@ class TestClassicalSpectral:
         assert (d2 / width > AFFINITY_CUT).mean() > 0.3
         want = unclamped_gaussian_affinity(d2, width, AFFINITY_FLOOR)
         assert np.array_equal(_gaussian_affinity(x, cfg), want)
+
+    @pytest.mark.parametrize("kind, n, sigma", [
+        ("moons", 2000, None), ("rings", 777, None), ("blobs", 1500, None), ("moons", 2000, 0.05),
+    ])
+    def test_affinity_bitwise_equal_to_the_whole_plane_formula(self, kind, n, sigma):
+        # n = 777 ends on a partial panel of TILE rows
+        x = gen_dataset(kind, n, noise=0.05, seed=1).features
+        mode = "self_tuning" if sigma is None else "fixed"
+        cfg = SpectralConfig(num_clusters=2, bandwidth_mode=mode, sigma=sigma)
+        want = whole_plane_gaussian_affinity(x, cfg)
+        assert _gaussian_affinity(x, cfg).tobytes() == want.tobytes()
 
     def test_affinity_at_the_floor_and_the_cut_matches_the_unclamped_oracle(self):
         # quotients d2 / 2 from the origin at sigma = 1: exp(-354) stays above

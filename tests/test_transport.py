@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from otsc import transport
 from oracles import (
     brute_force_assignment_cost,
     brute_force_transport,
+    checked_scale,
     exact_ot_oracle,
     mask_off_diagonal,
     reference_algorithm1,
@@ -14,7 +19,14 @@ from oracles import (
     unit_rows,
 )
 from otsc.errors import NumericalError
-from otsc.transport import _ABSORB, TransportPlan, sinkhorn_algorithm1, sinkhorn_marginal
+from otsc.transport import (
+    _ABSORB,
+    _LOG_DOMAIN_ETA,
+    TransportPlan,
+    _scale,
+    sinkhorn_algorithm1,
+    sinkhorn_marginal,
+)
 
 
 class TestTransportPlan:
@@ -367,3 +379,104 @@ class TestAgainstReferenceLoops:
         assert abs(plan.iterations_used - used) <= 1
         assert used < 5000
         assert np.abs(scaling_plan(log_alpha, log_beta, cost, eta) - plan.plan).max() <= 1e-10
+
+
+def _outcome(scale, values, *args):
+    """``scale``'s result, or the text of the `NumericalError` it raised."""
+    try:
+        return scale(values.copy(), *args)
+    except NumericalError as err:
+        return str(err)
+
+
+def _bits(outcome):
+    """A result's plan, scalings, potentials and sweep count as bytes; an
+    error text as it is."""
+    if isinstance(outcome, str):
+        return outcome
+    plan, (f, u), (g, v), sweeps = outcome
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in (plan, f, u, g, v)], sweeps
+
+
+class _CountingNumpy:
+    """numpy, counting the matrix-vector products made with ``np.dot``."""
+
+    def __init__(self):
+        self.dots = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, *args, **kwargs):
+        self.dots += 1
+        return np.dot(*args, **kwargs)
+
+
+class TestOneCheckPerSolve:
+    """The kernel-domain sweeps check their scalings once, after the loop,
+    and replay the loop checked to name the line that failed first: each
+    solve must give the bits, or the refusal, of the loop that checked every
+    half-sweep (`oracles.checked_scale`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        solver=st.sampled_from(["algorithm1", "marginal"]),
+        shape=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+        quotients=st.sampled_from([5.0, 50.0, 700.0, 1500.0]),
+        eta=st.sampled_from([1.0, 0.05, 1e-3]),
+        max_iter=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_bits_or_refusal_of_the_checked_loop(
+        self, solver, shape, quotients, eta, max_iter, data
+    ):
+        # quotients up to 1500 put exp(values/eta) far below the subnormals,
+        # so lines underflow at the first sweep or later
+        unit = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+        values = np.round(unit * quotients) * eta
+        m, n = values.shape
+        if solver == "algorithm1":  # fixed count, the kernel domain at any eta
+            args = (1.0, 1.0, eta, max_iter)
+        else:  # to a tolerance, rows first
+            tol = data.draw(st.sampled_from([0.0, 1e-9]))
+            args = (np.ones(m), np.full(n, m / n), eta, max_iter, tol,
+                    eta <= _LOG_DOMAIN_ETA, True)
+        assert _bits(_outcome(_scale, values, *args)) == _bits(
+            _outcome(checked_scale, values, *args)
+        )
+
+    @pytest.mark.parametrize(
+        "logits, iterations, message",
+        [
+            # at the end of the loop the first non-finite entry of v is
+            # column 0; only the checked replay names column 1
+            ([[-700, -720], [-300, -720], [300, -600]], 5, "column 1"),
+            # the first underflow is at sweep 3
+            ([[-1120, -860, -1060], [-1120, -410, -1460]], 5, "column 0"),
+        ],
+        ids=["index moved", "sweep 3"],
+    )
+    def test_fixed_count_names_the_line_that_failed_first(self, logits, iterations, message):
+        with pytest.raises(NumericalError) as exc:
+            sinkhorn_algorithm1(np.array(logits, dtype=np.float64), 1.0, iterations)
+        assert str(exc.value) == f"{message} sum underflowed to 0 during Sinkhorn scaling (eta=1.0)"
+
+    def test_tolerance_refusal_stops_within_a_sweep(self, monkeypatch):
+        cost = np.array([[-5.4, 29.6, 12.1], [45.8, 54.7, 27.9]])
+        r, c, eta = np.ones(2), np.full(3, 2 / 3), 0.05
+        message = "column 1 sum underflowed to 0 during Sinkhorn scaling (eta=0.05)"
+        failed = 1  # the sweep at which the checked loop refuses
+        while isinstance(_outcome(checked_scale, -cost, r, c, eta, failed, 0.0, False, True),
+                         tuple):
+            failed += 1
+        assert _outcome(checked_scale, -cost, r, c, eta, failed, 0.0, False, True) == message
+        # the unchecked pass makes 1 product, then 2 a sweep, and stops on
+        # the non-finite residual at most one sweep after the failure; the
+        # checked replay makes 1, then 1 a sweep (its other product is `@`).
+        # One that ran on to max_iter would make 2 * 10**7
+        counting = _CountingNumpy()
+        monkeypatch.setattr(transport, "np", counting)
+        with pytest.raises(NumericalError) as exc:
+            sinkhorn_marginal(cost, r, c, eta, max_iter=10**7)
+        assert str(exc.value) == message
+        assert counting.dots <= (1 + 2 * (failed + 1)) + (1 + failed)
