@@ -14,9 +14,12 @@ subnormal entries in the Cholesky factor make the factorization about ten
 times slower, and no degree changes. It clamps the bandwidth quotient at
 AFFINITY_CUT before the exp, because numpy's exp takes a slow path on
 arguments whose result underflows, and every clamped entry is set to 0 by
-the floor anyway. Transposed reads of the n x n matrix (the
-symmetrization, the symmetry check) go through square tiles of TILE rows,
-since a plain transposed pass strides across the whole matrix.
+the floor anyway. The affinity lives in one n x n buffer: the Gram
+product, formed whole, then every later stage a row panel at a time, half
+of the panels on a worker thread when the process may use 2 CPUs.
+Transposed reads of the n x n matrix (the symmetrization with the degree
+scalings, the symmetry check) go through square tiles of TILE rows, since
+a plain transposed pass strides across the whole matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, as_matrix, check_finite_fields
-from .spectral import row_normalize
+from .spectral import both_halves, panel_rows, row_normalize, worker_thread
 
 __all__ = [
     "SpectralConfig", "kmeans_lloyd", "classical_spectral", "kmeans_plusplus_seed", "sym_eig",
@@ -92,9 +95,8 @@ class SpectralConfig:
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of x and of y, clamped at 0."""
-    # the sum is allocated before the Gram buffer: in the other order, repeated
-    # spectral runs at n = 2000 peaked at 183 MB of RSS instead of 156 (glibc)
+    """Squared Euclidean distances between the rows of x and of y, clamped at 0:
+    k-means' n x K (`_gaussian_affinity` builds its n x n in place)."""
     d2 = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :]
     # a copied transpose keeps numpy off its much slower x @ x.T (syrk) path
     gram = x @ y.T.copy()
@@ -114,27 +116,53 @@ def _tile_pairs(n: int):
 
 
 def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """exp(-d2 / width) with a zero diagonal, built in the distance buffer."""
-    d2 = _squared_distances(x, x)
-    # dividing by the negated width negates exactly, so the clamp below
-    # takes the place of a negation pass
-    if cfg.bandwidth_mode == "fixed":
-        d2 /= -2.0 * cfg.sigma**2
-    else:
-        # entry k_neighbor of each partitioned row = squared distance to the
-        # k-th nearest neighbor (row position 0 is the point itself); row
-        # panels of TILE rows, so no n x n copy or outer product is made
-        k, panels = cfg.k_neighbor, [slice(i, i + TILE) for i in range(0, len(d2), TILE)]
-        local = np.sqrt(np.concatenate([np.partition(d2[p], k, axis=1)[:, k] for p in panels]))
-        if (local == 0).any():
-            raise ValueError("duplicate points collapse the self-tuning bandwidth")
-        for p in panels:
-            d2[p] /= np.outer(-local[p], local)
-    np.maximum(d2, -AFFINITY_CUT, out=d2)
-    np.exp(d2, out=d2)
-    np.copyto(d2, 0.0, where=d2 < AFFINITY_FLOOR)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    """exp(-d2 / width) with a zero diagonal, built in the Gram buffer.
+
+    The Gram product is formed whole, since products of row panels round
+    some entries differently. Every later stage runs in row panels of
+    `panel_rows`, every other one on a worker thread when the process may
+    use 2 CPUs: the distances clamped at 0 (and each row's k-th neighbor),
+    then the quotient, its clamp, the exp and the floor.
+    """
+    n = len(x)
+    sq = np.sum(x**2, axis=1)
+    # a copied transpose keeps numpy off its much slower x @ x.T (syrk) path
+    s = x @ x.T.copy()
+    rows = panel_rows(n)
+    panels = [slice(i, i + rows) for i in range(0, n, rows)]
+    halves = panels[::2], panels[1::2]
+    k, kth, local = cfg.k_neighbor, np.empty(n), None
+
+    def distances(half):
+        for p in halves[half]:
+            d2 = s[p]
+            d2 *= -2.0  # exact, so adding sq_i + sq_j rounds as subtracting 2 g does
+            d2 += sq[p, None] + sq
+            np.maximum(d2, 0.0, out=d2)
+            if cfg.bandwidth_mode == "self_tuning":
+                # entry k of the partitioned row: the squared distance to the
+                # k-th nearest neighbor (row position 0 is the point itself)
+                kth[p] = np.partition(d2, k, axis=1)[:, k]
+
+    def affinity(half):
+        for p in halves[half]:
+            d2 = s[p]
+            # dividing by the negated width negates exactly, so the clamp
+            # below takes the place of a negation pass
+            d2 /= -2.0 * cfg.sigma**2 if local is None else np.outer(-local[p], local)
+            np.maximum(d2, -AFFINITY_CUT, out=d2)
+            np.exp(d2, out=d2)
+            np.copyto(d2, 0.0, where=d2 < AFFINITY_FLOOR)
+            np.fill_diagonal(s[p, p.start :], 0.0)
+
+    with worker_thread(len(panels) >= 2) as worker:
+        both_halves(distances, worker)
+        if cfg.bandwidth_mode == "self_tuning":
+            local = np.sqrt(kth)
+            if (local == 0).any():
+                raise ValueError("duplicate points collapse the self-tuning bandwidth")
+        both_halves(affinity, worker)
+    return s
 
 
 def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,14 +325,17 @@ def classical_spectral(
     if isolated.size:
         raise ValueError(f"point {int(isolated[0])} is isolated (zero affinity row)")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    s *= inv_sqrt[:, None]
-    s *= inv_sqrt[None, :]
-    # s + s.T in place, a tile pair at a time: the sum is exactly symmetric
+    # 0.5 (c + c.T) of c = D^-1/2 S D^-1/2 in place, a tile pair at a time,
+    # each tile scaled by its rows, then its columns: the sum is exactly symmetric
     for r, c in _tile_pairs(n):
-        t = s[r, c] + s[c, r].T
+        t = s[r, c] * inv_sqrt[r, None]
+        t *= inv_sqrt[c]
+        mirror = s[c, r] * inv_sqrt[c, None]
+        mirror *= inv_sqrt[r]
+        t += mirror.T
+        t *= 0.5
         s[r, c] = t
         s[c, r] = t.T
-    s *= 0.5
     k = cfg.num_clusters
     evals, top = sym_eig(s, k=min(k + 1, n))
     # eigenvalue 1 has one eigenvector per connected component of the graph

@@ -9,7 +9,10 @@ which returns the gradients in both factors. Orthogonalization offers two
 strategies: the polar factor (nearest column-orthonormal matrix in Frobenius
 norm) or the QR factor, both from LAPACK through numpy; the trainer makes it
 trainable with a straight-through backward that passes gradients through
-unchanged.
+unchanged. `panel_rows` sizes the row panels of the plane work here and in
+the spectral baseline; `worker_thread` and `both_halves` run half of the
+training step, or of the baseline's affinity, on a second thread when the
+process may use 2 CPUs.
 
 These run on every training step and trust their inputs (finite float64
 matrices, row-stochastic targets, a positive temperature); inputs are
@@ -18,7 +21,10 @@ validated where they enter.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import warnings
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +42,36 @@ __all__ = [
     "row_normalize_vjp",
 ]
 
-# The cross entropy works through its logit plane in row panels of at most this
-# many bytes: one fits a 2 MB per-core L2 cache, the 8 MB affinity plane of
-# B = 1024 does not.
+# The cross entropy works through its logit plane, and the spectral baseline
+# through its affinity, in row panels of at most this many bytes: one fits a
+# 2 MB per-core L2 cache, the 8 MB affinity plane of B = 1024 does not.
 PANEL_BYTES = 512 * 1024
+
+
+def panel_rows(cols: int) -> int:
+    """Rows of a float64 panel of ``cols`` columns within `PANEL_BYTES`, at least 1."""
+    return max(1, PANEL_BYTES // (8 * cols))
+
+
+def worker_thread(wanted: bool):
+    """A one-thread executor for `both_halves` if ``wanted`` and this process
+    may use 2 CPUs, else a null context whose worker is None."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if wanted and (cpus or 1) >= 2:
+        return futures.ThreadPoolExecutor(1)
+    return contextlib.nullcontext()
+
+
+def both_halves(fn, worker):
+    """``[fn(0), fn(1)]``. A worker (from `worker_thread`) runs fn(1)
+    meanwhile; it is joined before an error is raised, fn(0)'s if both fail."""
+    if worker is None:
+        return [fn(0), fn(1)]
+    second = worker.submit(fn, 1)
+    try:
+        return [fn(0), second.result()]
+    finally:
+        futures.wait([second])
 
 
 @dataclass(frozen=True)
@@ -82,7 +114,7 @@ def softmax_cross_entropy(
     entry needs no care: exp(-inf) = 0 and W is 0 there.
     """
     b = z.shape[0]
-    rows = min(b, max(1, PANEL_BYTES // (8 * logits.shape[1])))
+    rows = min(b, panel_rows(logits.shape[1]))
     zt, grad_z = z.T.copy(), np.empty_like(z)
     log_partition = cross = 0.0
     for s in range(0, b, rows):

@@ -12,8 +12,6 @@ treats them as constants.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import warnings
 from concurrent import futures
 from dataclasses import dataclass
@@ -24,12 +22,14 @@ import numpy as np
 from . import network as net
 from .errors import NumericalError, as_matrix, check_finite_fields
 from .spectral import (
+    both_halves,
     off_diagonal,
     orthogonal_penalty,
     orthogonalize,
     row_normalize,
     row_normalize_vjp,
     softmax_cross_entropy,
+    worker_thread,
 )
 from .transport import sinkhorn_algorithm1
 
@@ -207,18 +207,6 @@ def _straight_through(z_raw, cfg):
     return resid, z_base + resid  # normalized orthogonalized rows
 
 
-def _both_views(fn, worker):
-    """``[fn(0), fn(1)]``. A worker (an executor with one thread) runs fn(1)
-    meanwhile; it is joined before an error is raised, view 0's if both fail."""
-    if worker is None:
-        return [fn(0), fn(1)]
-    second = worker.submit(fn, 1)
-    try:
-        return [fn(0), second.result()]
-    finally:
-        futures.wait([second])
-
-
 def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
@@ -283,11 +271,11 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         return (loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * grad_protos,
                 *(grad for layer in layers for grad in layer))
 
-    views = _both_views(forward, worker)
+    views = both_halves(forward, worker)
     # summed in view order: the loss terms, d total / d (tau_a, tau_c), d the
     # unit prototypes, then each layer's weight and bias gradients
     la, lc, penalty, grad_tau, grad_protos_norm, *layer_grads = (
-        view0 + view1 for view0, view1 in zip(*_both_views(backward, worker))
+        view0 + view1 for view0, view1 in zip(*both_halves(backward, worker))
     )
     # named_arrays lists each layer's weight and bias first, in layer order
     grads = dict(zip((name for name, _ in model.named_arrays()), layer_grads))
@@ -356,9 +344,7 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
     records = []
     planes = np.empty((2, 2, b, b))  # the steps' B x B planes, reused for the whole run
     steps_per_epoch = n // b
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parallel = b >= PARALLEL_MIN_BATCH and (cpus or 1) >= 2
-    with futures.ThreadPoolExecutor(1) if parallel else contextlib.nullcontext() as worker:
+    with worker_thread(b >= PARALLEL_MIN_BATCH) as worker:
         for epoch in range(cfg.epochs):
             lr = net.cosine_lr(epoch, opt)
             perm = rng.permutation(n)

@@ -13,9 +13,9 @@ embedding (every eigenpair from ``np.linalg.eigh``, the leading K kept); it
 clusters with the package's k-means, which is not what it checks.
 `unclamped_gaussian_affinity` is the baseline's affinity as it was before
 the quotient was clamped: exp(-d2 / width) over the whole plane. `whole_plane_gaussian_affinity` is
-the clamped affinity as it was before the self-tuning width was built a row
-panel at a time; it shares the package's squared distances, which is not
-what it checks. The
+the clamped affinity as it was before it was built in row panels: each
+stage over the whole plane, from the package's `_squared_distances`, which
+the affinity no longer calls. The
 affinity-backward references are the trainer's earlier forms: the B x B
 logit gradient of the masked cross entropy, the two plain products into the
 embeddings, and the temperature gradient read off the B x B logit and
@@ -493,8 +493,9 @@ def full_spectrum_spectral(x, cfg, seed: int = 0) -> np.ndarray:
 
 def whole_plane_gaussian_affinity(x, cfg) -> np.ndarray:
     """The spectral baseline's clamped affinity over the whole n x n plane at
-    once: each row's k-th neighbor distance read from a partitioned copy of
-    the plane, and the self-tuning width its n x n outer product."""
+    once: the distances fl(fl(sq_i + sq_j) - 2 g_ij) in their own buffer,
+    each row's k-th neighbor distance read from a partitioned copy of the
+    plane, and the self-tuning width its n x n outer product."""
     from otsc.baselines import AFFINITY_CUT, AFFINITY_FLOOR, _squared_distances
 
     d2 = _squared_distances(x, x)

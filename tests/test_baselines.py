@@ -1,8 +1,11 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import otsc.baselines
 from oracles import (
     full_spectrum_spectral,
     unclamped_gaussian_affinity,
@@ -36,6 +39,23 @@ def three_blobs(rng, n_per=60, sep=12.0, sigma=1.0):
         xs.append(center + sigma * rng.standard_normal((n_per, 2)))
         ys.append(np.full(n_per, c))
     return np.concatenate(xs), np.concatenate(ys)
+
+
+def on_cpus(monkeypatch, cpus):
+    """Let the process see ``cpus`` CPUs and return the set of threads that
+    run `_gaussian_affinity`'s row panels: two when a worker takes half."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    threads, both_halves = set(), otsc.baselines.both_halves
+
+    def recorded(fn, worker):
+        def half(h):
+            threads.add(threading.get_ident())
+            return fn(h)
+
+        return both_halves(half, worker)
+
+    monkeypatch.setattr("otsc.baselines.both_halves", recorded)
+    return threads
 
 
 def normalized_conjugate(x, cfg):
@@ -311,16 +331,52 @@ class TestClassicalSpectral:
         want = unclamped_gaussian_affinity(d2, width, AFFINITY_FLOOR)
         assert np.array_equal(_gaussian_affinity(x, cfg), want)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("kind, n, sigma", [
         ("moons", 2000, None), ("rings", 777, None), ("blobs", 1500, None), ("moons", 2000, 0.05),
+        ("rings", 256, None),
     ])
-    def test_affinity_bitwise_equal_to_the_whole_plane_formula(self, kind, n, sigma):
-        # n = 777 ends on a partial panel of TILE rows
+    def test_affinity_bitwise_equal_to_the_whole_plane_formula(self, kind, n, sigma, cpus,
+                                                               monkeypatch):
+        # n = 777 ends on a partial row panel; n = 256 is one panel, which
+        # no worker shares
+        threads = on_cpus(monkeypatch, cpus)
         x = gen_dataset(kind, n, noise=0.05, seed=1).features
         mode = "self_tuning" if sigma is None else "fixed"
         cfg = SpectralConfig(num_clusters=2, bandwidth_mode=mode, sigma=sigma)
         want = whole_plane_gaussian_affinity(x, cfg)
         assert _gaussian_affinity(x, cfg).tobytes() == want.tobytes()
+        assert len(threads) == (1 if n <= 256 else cpus)
+
+    def test_worker_bitwise_equals_serial_under_frequent_switches(self, monkeypatch):
+        # labels and embeddings on 1 CPU, on 2, and on 2 with a 1 us switch
+        # interval, which interleaves the two threads as often as Python allows
+        x = gen_dataset("rings", 777, noise=0.05, seed=1).features
+        cfg = SpectralConfig(num_clusters=2)
+        runs, before = [], sys.getswitchinterval()
+        for cpus, interval in ((1, before), (2, before), (2, 1e-6)):
+            with monkeypatch.context() as m:
+                threads = on_cpus(m, cpus)
+                sys.setswitchinterval(interval)
+                try:
+                    labels, embeddings = classical_spectral(x, cfg, seed=0)
+                finally:
+                    sys.setswitchinterval(before)
+            assert len(threads) == cpus
+            runs.append((labels.tobytes(), embeddings.tobytes()))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_duplicate_points_refused_after_the_worker_is_joined(self, monkeypatch):
+        # eight copies of one point in the worker's panel (rows 163-325 of
+        # three): its 7th neighbor is itself
+        threads = on_cpus(monkeypatch, 2)
+        x = gen_dataset("moons", 400, noise=0.05, seed=1).features
+        x[200:208] = x[200]
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^duplicate points collapse the self-tuning bandwidth$"):
+            classical_spectral(x, SpectralConfig(num_clusters=2), seed=0)
+        assert len(threads) == 2
+        assert threading.active_count() == before
 
     def test_affinity_at_the_floor_and_the_cut_matches_the_unclamped_oracle(self):
         # quotients d2 / 2 from the origin at sigma = 1: exp(-354) stays above
