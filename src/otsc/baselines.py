@@ -17,9 +17,9 @@ arguments whose result underflows, and every clamped entry is set to 0 by
 the floor anyway. The affinity lives in one n x n buffer: the Gram
 product, formed whole, then every later stage a row panel at a time, half
 of the panels on a worker thread when the process may use 2 CPUs.
-Transposed reads of the n x n matrix (the symmetrization with the degree
-scalings, the symmetry check) go through square tiles of TILE rows, since
-a plain transposed pass strides across the whole matrix.
+The symmetrization with the degree scalings reads the n x n matrix
+transposed through square tiles of TILE rows, since a plain transposed
+pass strides across the whole matrix.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ _MAX_LLOYD_ITER = 100
 # most samples the spectral baseline takes: its n x n affinity and the
 # Cholesky factor of it are 128 MiB each at this n
 AFFINITY_MAX_N = 4096
-# asymmetry `sym_eig` tolerates, relative to the largest entry magnitude
-SYM_TOL = 1e-10
 # `sym_eig`'s shift, extra block columns, band below 1 that widens the
 # block, residual tolerance and sweep cap (see its docstring)
 EIG_SHIFT = 1e-8
@@ -106,15 +104,6 @@ def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _tile_pairs(n: int):
-    """(rows, cols) slices of the square TILE-edge tiles on and above the
-    diagonal of an n x n matrix; tile (cols, rows) is their mirror."""
-    for i in range(0, n, TILE):
-        rows = slice(i, i + TILE)
-        for j in range(i, n, TILE):
-            yield rows, slice(j, j + TILE)
-
-
 def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     """exp(-d2 / width) with a zero diagonal, built in the Gram buffer.
 
@@ -168,31 +157,22 @@ def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
 def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` leading eigenpairs of a symmetric matrix with eigenvalues at most 1.
 
-    ``a`` must be finite, square and symmetric within ``SYM_TOL`` (scaled
-    by the largest entry magnitude), and ``1 <= k <= n``. T = ((1 +
-    EIG_SHIFT) I - a)^-1 is applied through one Cholesky factor; an
-    eigenvalue above 1 makes the factorization fail and is refused. From a
-    fixed-seed Gaussian block q of p = min(n, k + EIG_PAD) columns, each
-    sweep takes the p leading Ritz pairs of ``a`` on span{T q, T^2 q}, until
-    every returned pair has ||a v - lambda v|| <= EIG_TOL; past
-    EIG_MAX_SWEEPS sweeps it raises `NumericalError`. T^2 keeps a pair far
-    from 1 converging when the rest of the spectrum is flat, where T alone
-    gains a few percent a sweep. While the p-th Ritz value lies within
+    Trusts its arguments, as `classical_spectral`, its one caller, makes
+    them: ``a`` a finite n x n float64 array, exactly symmetric, and ``1 <=
+    k <= n``. T = ((1 + EIG_SHIFT) I - a)^-1 is applied through one Cholesky
+    factor; an eigenvalue above 1 makes the factorization fail and is
+    refused. From a fixed-seed Gaussian block q of p = min(n, k + EIG_PAD)
+    columns, each sweep takes the p leading Ritz pairs of ``a`` on span{T q,
+    T^2 q}, until every returned pair has ||a v - lambda v|| <= EIG_TOL;
+    past EIG_MAX_SWEEPS sweeps it raises `NumericalError`. T^2 keeps a pair
+    far from 1 converging when the rest of the spectrum is flat, where T
+    alone gains a few percent a sweep. While the p-th Ritz value lies within
     EIG_BAND of 1, eigenvalues beyond the block can sit as close to 1 as
     those in it, where T hardly tells them apart, so the block doubles.
     Returns ``(eigenvalues, eigenvectors)``: the k largest eigenvalues,
     nonincreasing, and the matching orthonormal columns.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m != n:
-        raise ValueError(f"sym_eig requires a square matrix, got {m}x{n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"sym_eig needs 1 <= k <= {n}, got k={k}")
-    scale = max(1.0, float(a.max()), -float(a.min()))
-    asym = max(float(np.abs(a[r, c] - a[c, r].T).max()) for r, c in _tile_pairs(n))
-    if asym > SYM_TOL * scale:
-        raise ValueError("sym_eig input is not symmetric within tolerance")
+    n = len(a)
     import scipy.linalg  # loaded here, so that importing otsc does not load scipy
 
     shifted = np.negative(a)
@@ -325,17 +305,21 @@ def classical_spectral(
     if isolated.size:
         raise ValueError(f"point {int(isolated[0])} is isolated (zero affinity row)")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    # 0.5 (c + c.T) of c = D^-1/2 S D^-1/2 in place, a tile pair at a time,
+    # 0.5 (c + c.T) of c = D^-1/2 S D^-1/2 in place, a pair of TILE-edge
+    # tiles at a time, (r, c) on or above the diagonal and its mirror (c, r),
     # each tile scaled by its rows, then its columns: the sum is exactly symmetric
-    for r, c in _tile_pairs(n):
-        t = s[r, c] * inv_sqrt[r, None]
-        t *= inv_sqrt[c]
-        mirror = s[c, r] * inv_sqrt[c, None]
-        mirror *= inv_sqrt[r]
-        t += mirror.T
-        t *= 0.5
-        s[r, c] = t
-        s[c, r] = t.T
+    for i in range(0, n, TILE):
+        r = slice(i, i + TILE)
+        for j in range(i, n, TILE):
+            c = slice(j, j + TILE)
+            t = s[r, c] * inv_sqrt[r, None]
+            t *= inv_sqrt[c]
+            mirror = s[c, r] * inv_sqrt[c, None]
+            mirror *= inv_sqrt[r]
+            t += mirror.T
+            t *= 0.5
+            s[r, c] = t
+            s[c, r] = t.T
     k = cfg.num_clusters
     evals, top = sym_eig(s, k=min(k + 1, n))
     # eigenvalue 1 has one eigenvector per connected component of the graph

@@ -212,6 +212,8 @@ def _cmd_baseline(args) -> None:
         _refuse_given(args, _SPECTRAL_OPTIONS, "--method spectral")
     else:
         _refuse_given(args, ("restarts",), "--method kmeans")
+        if args.bandwidth_mode == "fixed":
+            _refuse_given(args, ("k_neighbor",), "--bandwidth-mode self_tuning")
     ds = load_dataset(args.dataset)
     if ds.labels is None:
         raise ValueError("baseline evaluation needs a labeled dataset")
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth-mode", choices=("fixed", "self_tuning"),
                    help="spectral only; default self_tuning")
     p.add_argument("--sigma", type=float, help="spectral, fixed bandwidth only")
-    p.add_argument("--k-neighbor", type=int, help="spectral only; default 7")
+    p.add_argument("--k-neighbor", type=int, help="spectral, self-tuning bandwidth only; default 7")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("ot-debug", help="solve a transport instance from a cost CSV")

@@ -47,7 +47,7 @@ class ModelState:
     """All trainable state: encoder layers, prototypes, log temperatures.
 
     ``layers[i] = (weight, bias)`` with weight shaped out x in. ``version``
-    increments on every optimizer step and guards stale forward caches.
+    counts optimizer steps; checkpoints store it.
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
@@ -112,17 +112,9 @@ def init_model(
     return ModelState(layers=layers, prototypes=prototypes, log_tau=np.full(2, INIT_LOG_TAU))
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates of one encoder forward, tied to a model version."""
-
-    inputs: list[np.ndarray]  # input to each layer
-    model_id: int
-    model_version: int
-
-
-def forward(state: ModelState, x) -> tuple[np.ndarray, ForwardCache]:
-    """Encoder forward pass; returns raw embeddings and the backward cache.
+def forward(state: ModelState, x) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Encoder forward pass; returns raw embeddings and the input to each
+    layer, which `backward` takes.
 
     ``x`` is a float64 B x d_in matrix, as `fit` and `predict` hand it."""
     inputs = []
@@ -130,32 +122,31 @@ def forward(state: ModelState, x) -> tuple[np.ndarray, ForwardCache]:
     last = len(state.layers) - 1
     for i, (w, b) in enumerate(state.layers):
         inputs.append(h)
-        h = h @ w.T  # a new array: the in-place ops leave the cached input alone
+        h = h @ w.T  # a new array: the in-place ops leave the stored input alone
         h += b
         if i != last:
             np.maximum(h, 0.0, out=h)
-    return h, ForwardCache(inputs=inputs, model_id=id(state), model_version=state.version)
+    return h, inputs
 
 
 def backward(
-    state: ModelState, cache: ForwardCache, grad_z: np.ndarray
+    state: ModelState, inputs: list[np.ndarray], grad_z: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact reverse-mode pass through the encoder.
 
-    Returns per-layer (grad_weight, grad_bias). The rectifier uses the
-    0-subgradient at 0: it masks by the next layer's input > 0, as max(p, 0)
-    > 0 exactly when p > 0. Raises on a cache from a stale model version.
+    ``inputs`` are the layer inputs `forward` returned for this ``state``,
+    before any optimizer step. Returns per-layer (grad_weight, grad_bias).
+    The rectifier uses the 0-subgradient at 0: it masks by the next layer's
+    input > 0, as max(p, 0) > 0 exactly when p > 0.
     """
-    if cache.model_id != id(state) or cache.model_version != state.version:
-        raise ValueError("stale forward cache: model was updated since forward")
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(state.layers)
     g_pre = grad_z
     for i in range(len(state.layers) - 1, -1, -1):
         w, _ = state.layers[i]
-        grads[i] = (g_pre.T @ cache.inputs[i], g_pre.sum(axis=0))
+        grads[i] = (g_pre.T @ inputs[i], g_pre.sum(axis=0))
         if i > 0:
             g_h = g_pre @ w
-            g_pre = g_h * (cache.inputs[i] > 0)
+            g_pre = g_h * (inputs[i] > 0)
     return grads
 
 

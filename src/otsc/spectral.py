@@ -14,9 +14,12 @@ the spectral baseline; `worker_thread` and `both_halves` run half of the
 training step, or of the baseline's affinity, on a second thread when the
 process may use 2 CPUs.
 
-These run on every training step and trust their inputs (finite float64
-matrices, row-stochastic targets, a positive temperature); inputs are
-validated where they enter.
+These run on every training step and trust their inputs, which are
+validated where they enter (`fit`, `TrainConfig`): finite float64
+matrices, row-stochastic targets, a positive temperature; for
+`off_diagonal` a B x B plane with B >= 2 (``batch_size >= 2``); for
+`thin_svd` and `orthogonalize` a B x D matrix with B >= D (``embed_dim <=
+batch_size / 2``) and a mode of "procrustes" or "qr".
 """
 
 from __future__ import annotations
@@ -86,9 +89,6 @@ def off_diagonal(square: np.ndarray) -> np.ndarray:
     """Mask the diagonal of a B x B matrix (B >= 2) to -inf, in place, and
     return the matrix: a row softmax of it, or a Sinkhorn kernel built from
     it, then gives each sample exactly 0 affinity to itself."""
-    b = square.shape[0]
-    if b < 2 or square.shape != (b, b):
-        raise ValueError("expected a square matrix with at least 2 rows")
     np.fill_diagonal(square, -np.inf)
     return square
 
@@ -137,25 +137,23 @@ def softmax_cross_entropy(
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``a = u @ diag(s) @ vt`` of a tall (or square) matrix.
 
-    Requires ``m >= n``; callers with wide inputs transpose first. Returns
-    numpy's ``(u, s, vt)``: exactly ``n`` factors, ``s`` nonincreasing.
+    Trusts ``m >= n``. Returns numpy's ``(u, s, vt)``: exactly ``n``
+    factors, ``s`` nonincreasing.
     """
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"thin_svd requires m >= n, got {m}x{n}; transpose at call site")
     return np.linalg.svd(a, full_matrices=False)
 
 
 def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationResult:
     """Map B x D embeddings (B >= D) to a column-orthonormal matrix.
 
-    ``procrustes`` returns the polar factor u @ vt of the thin SVD, the
-    closest column-orthonormal matrix in Frobenius norm. ``qr`` returns the
-    reduced Q factor with column signs fixed so diag(q) >= 0 (the convention
-    under which the QR route moves the embeddings much further than the
-    polar factor does); it raises :class:`NumericalError` when a diagonal entry
-    of R falls at or below ``1e-12 * max|z|``. An ill-conditioned polar
-    factor warns once per call site (fixed text); ``warning`` has its sigmas.
+    ``mode`` is trusted to be ``procrustes`` or ``qr``. ``procrustes``
+    returns the polar factor u @ vt of the thin SVD, the closest
+    column-orthonormal matrix in Frobenius norm. ``qr`` returns the reduced
+    Q factor with column signs fixed so diag(q) >= 0 (the convention under
+    which the QR route moves the embeddings much further than the polar
+    factor does); it raises :class:`NumericalError` when a diagonal entry of
+    R falls at or below ``1e-12 * max|z|``. An ill-conditioned polar factor
+    warns once per call site (fixed text); ``warning`` has its sigmas.
     """
     warning = None
     if mode == "procrustes":
@@ -166,16 +164,11 @@ def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationR
             warning = f"ill-conditioned polar factor: sigma_min={s_min:.3e}, sigma_max={s_max:.3e}"
             warnings.warn("ill-conditioned polar factor", RuntimeWarning, stacklevel=2)
         z_new = u @ vt
-    elif mode == "qr":
-        m, n = z.shape
-        if m < n:
-            raise ValueError(f"qr requires m >= n, got {m}x{n}")
+    else:
         q, r = np.linalg.qr(z, mode="reduced")
         if np.abs(np.diag(r)).min() <= 1e-12 * np.abs(z).max():
             raise NumericalError("qr input is numerically rank-deficient")
         z_new = q * np.where(np.diag(q) < 0, -1.0, 1.0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected 'procrustes' or 'qr'")
     return OrthogonalizationResult(z_new=z_new, warning=warning)
 
 

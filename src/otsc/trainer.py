@@ -187,10 +187,10 @@ def _encode(model, x):
     step's one guard against a diverged model, which reports an overflow
     in the forward instead of numpy's warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z_raw, cache = net.forward(model, x)
+        z_raw, inputs = net.forward(model, x)
     if not np.isfinite(z_raw).all():
         raise NumericalError("non-finite encoder output: the model has diverged")
-    return z_raw, cache
+    return z_raw, inputs
 
 
 def _straight_through(z_raw, cfg):
@@ -240,7 +240,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     def forward(v):
         # view v's encoder pass, straight-through (its own polar factor),
         # logits and targets
-        z_raw, cache = _encode(model, (x1, x2)[v])
+        z_raw, inputs = _encode(model, (x1, x2)[v])
         resid, z = _straight_through(z_raw, cfg)
         # z.T copied keeps numpy off its much slower z @ z.T (syrk) path
         np.matmul(z, z.T.copy(), out=logits[v])
@@ -249,14 +249,14 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         h = z @ protos.T
         sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=targets[v])
         p = sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan
-        return z_raw, cache, resid, z, h, p
+        return z_raw, inputs, resid, z, h, p
 
     def backward(v):
         # swapped prediction: view 1 - v's targets supervise view v's logits.
         # View v's loss terms, then its gradients through the straight-through
         # (identity), the row normalization of its raw embeddings and the
         # encoder; targets and residuals are constants
-        z_raw, cache, _, z, h, _ = views[v]
+        z_raw, inputs, _, z, h, _ = views[v]
         loss_a, g, g_y = softmax_cross_entropy(targets[1 - v], logits[v], z, z, tau_a)
         loss_c, g_c, grad_protos = softmax_cross_entropy(views[1 - v][5], h, z, protos, tau_c)
         # d loss / d tau = -<A, z y.T> / tau^2 = -<grad_z, z> / tau, A the
@@ -267,7 +267,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         if cfg.orth_mode == "penalty":
             pen, grad_pen = orthogonal_penalty(z, cfg.penalty_rho)
             g = g + grad_pen
-        layers = net.backward(model, cache, row_normalize_vjp(z_raw, g))
+        layers = net.backward(model, inputs, row_normalize_vjp(z_raw, g))
         return (loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * grad_protos,
                 *(grad for layer in layers for grad in layer))
 

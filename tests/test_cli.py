@@ -185,23 +185,25 @@ class TestTrainEvalBaseline:
         assert main(["baseline", "--method", "spectral", "--dataset", str(dataset_path),
                      "--out", str(tmp_path / "sp")]) == 0
 
-    @pytest.mark.parametrize("options, env", [
-        ((), {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
-        (("-X", "warn_default_encoding", "-W", "error::EncodingWarning"), {}),
-    ], ids=["C locale", "EncodingWarning as error"])
-    def test_text_artifacts_are_utf8_under_any_locale(self, options, env, tmp_path):
-        config = tmp_path / "naive.cfg"
-        config.write_text("# naïve\n" + TRAIN_CONFIG, encoding="utf-8")
-        data, run = tmp_path / "m.csv", tmp_path / "run"
-        for argv in (
-            ["gen-dataset", "--kind", "moons", "--n", "40", "--out", str(data)],
-            ["train", "--config", str(config), "--dataset", str(data), "--out", str(run)],
-            ["eval", "--checkpoint", str(run / "checkpoint.npz"), "--dataset", str(data),
-             "--out", str(tmp_path / "eval")],
-        ):
-            done = _console(argv, *options, **env)
+    def test_text_artifacts_are_utf8_under_the_running_locale(self, tmp_path, capsys):
+        # in-process, so the suite run under the C locale runs it under C
+        def run(argv):
+            assert (main(argv), capsys.readouterr().err) == (0, ""), argv[0]
+
+        _naive_config_round_trip(tmp_path, run)
+
+    # the id names what the subprocess's interpreter turns on
+    @pytest.mark.parametrize("options", [
+        ("-X", "warn_default_encoding", "-W", "error::EncodingWarning"),
+    ], ids=["EncodingWarning as error"])
+    def test_text_artifacts_are_utf8_under_any_locale(self, options, tmp_path):
+        # a fresh interpreter, so that an open() without an encoding warns
+        # under any locale, the suite's own included
+        def run(argv):
+            done = _console(argv, *options)
             assert (done.returncode, done.stderr) == (0, ""), argv[0]
-        assert (tmp_path / "eval" / "report.txt").read_bytes() == (run / "report.txt").read_bytes()
+
+        _naive_config_round_trip(tmp_path, run)
 
     def test_a_name_the_locale_cannot_print_is_escaped(self, tmp_path, config_path):
         # report.txt keeps the UTF-8 name; the printed report escapes it
@@ -372,6 +374,22 @@ def _cost(tmp_path, text):
     path = tmp_path / "cost.csv"
     path.write_text(text)
     return ["ot-debug", "--cost", str(path)]
+
+
+def _naive_config_round_trip(tmp_path, run):
+    """gen-dataset, train on a config whose comment is not ASCII, then eval,
+    each argv passed to ``run``; the eval report must equal the train one."""
+    config = tmp_path / "naive.cfg"
+    config.write_text("# naïve\n" + TRAIN_CONFIG, encoding="utf-8")
+    data, out = tmp_path / "m.csv", tmp_path / "run"
+    for argv in (
+        ["gen-dataset", "--kind", "moons", "--n", "40", "--out", str(data)],
+        ["train", "--config", str(config), "--dataset", str(data), "--out", str(out)],
+        ["eval", "--checkpoint", str(out / "checkpoint.npz"), "--dataset", str(data),
+         "--out", str(tmp_path / "eval")],
+    ):
+        run(argv)
+    assert (tmp_path / "eval" / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
 
 
 def _console(argv, *options, **env) -> subprocess.CompletedProcess:
@@ -751,6 +769,10 @@ BAD_INPUTS = {
     "sigma under the self-tuning bandwidth": (
         lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--sigma", "0.5"),
         1, "error: sigma applies to bandwidth_mode 'fixed' only\n"),
+    "k-neighbor under a fixed bandwidth": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--bandwidth-mode", "fixed",
+                                   "--sigma", "0.3", "--k-neighbor", "3"),
+        1, "error: --k-neighbor applies to --bandwidth-mode self_tuning only\n"),
     "bandwidth mode on kmeans": (
         lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--bandwidth-mode", "fixed"),
         1, "error: --bandwidth-mode applies to --method spectral only\n"),

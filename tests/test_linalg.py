@@ -1,6 +1,9 @@
 """The factorizations: `sym_eig` (the spectral baseline's eigensolve, for
-symmetric matrices with eigenvalues at most 1),
-`thin_svd` and the QR route of `orthogonalize` (the training step's)."""
+symmetric matrices with eigenvalues at most 1), `thin_svd` and the QR route
+of `orthogonalize` (the training step's). Each trusts its caller for the
+shape of its input (square for `sym_eig`, tall for the others) and for
+``1 <= k <= n``, so only the refusals of what the numbers themselves can
+break are tested here: an eigenvalue above 1, a rank-deficient QR input."""
 
 import numpy as np
 import pytest
@@ -53,14 +56,6 @@ class TestSymEig:
         evals, _ = sym_eig(b.T @ b / np.linalg.norm(b, 2) ** 2, k=6)
         assert evals.min() >= -1e-10
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            sym_eig(np.ones((2, 3)), k=2)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), k=2)
-
 
 class TestSymEigLeading:
     @pytest.mark.parametrize("k", [1, 2, 12])
@@ -82,11 +77,6 @@ class TestSymEigLeading:
             assert len(evals) == k
             assert (np.diff(evals) <= 0).all()
             assert np.abs(a @ evecs - evecs * evals).max() <= 1e-10
-
-    @pytest.mark.parametrize("k", [0, -1, 6])
-    def test_rejects_k_outside_1_to_n(self, k):
-        with pytest.raises(ValueError, match="1 <= k <= 5"):
-            sym_eig(np.eye(5), k=k)
 
 
 class TestThinSvd:
@@ -117,10 +107,6 @@ class TestThinSvd:
             assert s.min() >= 0.0
             rebuilt = svd_reconstruct(u, s, vt)
             assert np.abs(rebuilt - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
-
-    def test_rejects_wide(self):
-        with pytest.raises(ValueError, match="transpose"):
-            thin_svd(np.ones((2, 5)))
 
 
 class TestQr:
@@ -164,7 +150,3 @@ class TestQr:
             qr_q(a)
         # a numerical event: fit aborts on it and the CLI exits 2
         assert str(info.value) == "qr input is numerically rank-deficient"
-
-    def test_rejects_wide(self):
-        with pytest.raises(ValueError, match="m >= n"):
-            qr_q(np.ones((2, 4)))

@@ -41,8 +41,8 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(5)
         model = small_model(rng)
-        z, cache = net.forward(model, rng.normal(size=(6, 4)))
-        grads = net.backward(model, cache, np.zeros_like(z))
+        z, inputs = net.forward(model, rng.normal(size=(6, 4)))
+        grads = net.backward(model, inputs, np.zeros_like(z))
         for gw, gb in grads:
             assert np.abs(gw).max() == 0.0
             assert np.abs(gb).max() == 0.0
@@ -53,8 +53,8 @@ class TestBackward:
         x = rng.normal(size=(8, 4))
         target = rng.normal(size=(8, 3))
 
-        z, cache = net.forward(model, x)
-        grads = net.backward(model, cache, z - target)  # d/dz of 0.5||z-t||^2
+        z, inputs = net.forward(model, x)
+        grads = net.backward(model, inputs, z - target)  # d/dz of 0.5||z-t||^2
 
         for i in range(len(model.layers)):
             for part, got in zip(("w", "b"), grads[i]):
@@ -82,8 +82,8 @@ class TestBackward:
         )
         x = rng.normal(size=(10, 3))
         t = rng.normal(size=(10, 2))
-        z, cache = net.forward(model, x)
-        grads = net.backward(model, cache, z - t)
+        z, inputs = net.forward(model, x)
+        grads = net.backward(model, inputs, z - t)
         # closed form: d/dW of 0.5||XW^T - T||^2 = (XW^T - T)^T X
         want = (x @ w.T - t).T @ x
         assert np.abs(grads[0][0] - want).max() <= 1e-10
@@ -99,26 +99,19 @@ class TestBackward:
         model.layers[0] = (w0, np.zeros(3))
         x = rng.normal(size=(6, 4))
         x[:3, 1] = x[:3, 0]
-        z, cache = net.forward(model, x)
-        # the cache holds one array per layer: each layer's input
-        assert len(cache.inputs) == len(model.layers)
-        assert not hasattr(cache, "pre_activations")
-        grads = net.backward(model, cache, np.ones_like(z))
+        z, inputs = net.forward(model, x)
+        # forward keeps one array per layer, each layer's input, and no
+        # pre-activations: the first is x itself, each later one the
+        # rectified output of the layer before
+        assert len(inputs) == len(model.layers)
+        assert inputs[0] is x
+        assert np.array_equal(inputs[1], np.maximum(x @ w0.T, 0.0))
+        grads = net.backward(model, inputs, np.ones_like(z))
         g_h = np.ones_like(z) @ model.layers[1][0]
         assert (grads[0][0][0] == 0.0).all() and grads[0][1][0] == 0.0
         live = (x @ w0.T)[:, 1] > 0
         assert not live[:3].any()
         assert abs(grads[0][1][1] - g_h[live, 1].sum()) <= 1e-12 * np.abs(g_h).sum()
-
-    def test_stale_cache_rejected(self):
-        rng = np.random.default_rng(8)
-        model = small_model(rng)
-        z, cache = net.forward(model, rng.normal(size=(3, 4)))
-        opt = net.OptimizerState(base_lr=0.1)
-        grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
-        net.sgd_step(model, opt, grads, 0.1)
-        with pytest.raises(ValueError, match="stale"):
-            net.backward(model, cache, np.zeros_like(z))
 
 
 class TestTemperature:

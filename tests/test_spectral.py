@@ -156,13 +156,6 @@ class TestCrossAffinity:
         assert mask_off_diagonal(square).tobytes() == mask_off_diagonal(before).tobytes()
         assert (np.diag(square) == -np.inf).all()
 
-    def test_batch_too_small(self):
-        z = np.array([[1.0, 0.0]])
-        with pytest.raises(ValueError):
-            off_diagonal(z @ z.T)
-        with pytest.raises(ValueError):  # not square
-            off_diagonal(np.zeros((2, 3)))
-
     def test_requires_unit_rows(self):
         # the logits are cosine similarities only if the trainer hands the
         # affinity unit-norm rows, whatever the orthogonalization mode
@@ -447,10 +440,6 @@ class TestOrthogonalize:
                 results.append(orthogonalize(z, "procrustes"))
         assert len(caught) == 1
         assert results[0].warning != results[1].warning
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            orthogonalize(np.eye(2), "cayley")
 
 
 class TestProcrustesMinimality:

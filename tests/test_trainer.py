@@ -57,12 +57,19 @@ class TestConfig:
         cfg = tiny_cfg(batch_size=128, embed_dim=3, base_lr=None)
         assert cfg.lr == pytest.approx(0.04 * 128 / 256)
 
+    # the next three are the guarantees `off_diagonal`, `thin_svd` and
+    # `orthogonalize` trust: a B x B plane with B >= 2, B >= 2 D, a known mode
+
+    def test_refuses_a_batch_of_one(self):
+        with pytest.raises(ValueError, match="^batch_size must be >= 2$"):
+            TrainConfig(num_clusters=2, batch_size=1)
+
     def test_embed_dim_bound(self):
-        with pytest.raises(ValueError, match="batch_size"):
+        with pytest.raises(ValueError, match="^embed_dim must not exceed batch_size / 2$"):
             tiny_cfg(batch_size=10, embed_dim=6)
 
     def test_invalid_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^orth_mode must be one of .*, got 'qrx'$"):
             tiny_cfg(orth_mode="qrx")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -182,18 +189,19 @@ class TestTrainStep:
     @pytest.mark.parametrize("on_worker", [False, True])
     def test_one_encoder_pass_and_one_backward_per_view(self, monkeypatch, on_worker):
         # each view goes through the encoder on its own, forward and back:
-        # forward sees each view's rows once, and backward each forward's cache once
+        # forward sees each view's rows once, and backward each forward's
+        # layer inputs once
         forwards, backwards = [], []
         forward, backward = net.forward, net.backward
 
         def counted_forward(model, x):
-            z_raw, cache = forward(model, x)
-            forwards.append((x, cache))
-            return z_raw, cache
+            z_raw, inputs = forward(model, x)
+            forwards.append((x, inputs))
+            return z_raw, inputs
 
-        def counted_backward(model, cache, grad_z):
-            backwards.append(cache)
-            return backward(model, cache, grad_z)
+        def counted_backward(model, inputs, grad_z):
+            backwards.append(inputs)
+            return backward(model, inputs, grad_z)
 
         monkeypatch.setattr(net, "forward", counted_forward)
         monkeypatch.setattr(net, "backward", counted_backward)
@@ -204,7 +212,28 @@ class TestTrainStep:
         with futures.ThreadPoolExecutor(1) if on_worker else contextlib.nullcontext() as worker:
             _compute_step(model, x1, x2, cfg, worker=worker)
         assert sorted(id(x) for x, _ in forwards) == sorted([id(x1), id(x2)])
-        assert sorted(map(id, backwards)) == sorted(id(cache) for _, cache in forwards)
+        assert sorted(map(id, backwards)) == sorted(id(inputs) for _, inputs in forwards)
+
+    def test_each_backward_runs_on_the_model_its_forward_saw(self, monkeypatch):
+        # `backward` trusts its layer inputs to come from the same model before
+        # the step's update: fit pairs every forward with one backward first
+        open_passes, paired = {}, []
+        forward, backward = net.forward, net.backward
+
+        def checked_forward(model, x):
+            z_raw, inputs = forward(model, x)
+            open_passes[id(inputs)] = (id(model), model.version)
+            return z_raw, inputs
+
+        def checked_backward(model, inputs, grad_z):
+            paired.append(open_passes.pop(id(inputs)) == (id(model), model.version))
+            return backward(model, inputs, grad_z)
+
+        monkeypatch.setattr(net, "forward", checked_forward)
+        monkeypatch.setattr(net, "backward", checked_backward)
+        fit(random_data(), tiny_cfg())
+        # 2 epochs of 4 steps, 2 views each
+        assert (paired, open_passes) == ([True] * 16, {})
 
 
 class TestStepStatistics:
