@@ -112,8 +112,9 @@ class TestSymEigOnAffinities:
 
 class TestTiles:
     """The tile pairs through which `classical_spectral` symmetrizes, on an
-    n that is not a multiple of TILE. `sym_eig` trusts what it is handed,
-    so its input is checked here: finite, exactly symmetric, and k = K + 1."""
+    n that is not a multiple of TILE and on n at each tile edge. `sym_eig`
+    trusts what it is handed, so its input is checked here: finite, exactly
+    symmetric, and k = min(K + 1, n)."""
 
     N = 300  # two full tile rows, then a partial one
 
@@ -138,6 +139,38 @@ class TestTiles:
         assert np.array_equal(a, a.T)
         # 0.5 * (c + c.T) of c = D^-1/2 S D^-1/2, over the whole plane at once
         assert np.array_equal(a, normalized_conjugate(moons, cfg))
+
+    @pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE])
+    def test_the_plane_is_exactly_symmetric_at_each_tile_edge(self, n, monkeypatch):
+        x = gen_dataset("moons", n, noise=0.05, seed=1).features
+        handed = []
+
+        def capture(a, k):
+            handed.append(a.copy())
+            return sym_eig(a, k)
+
+        monkeypatch.setattr("otsc.baselines.sym_eig", capture)
+        cfg = SpectralConfig(num_clusters=2)
+        classical_spectral(x, cfg, seed=0)
+        (a,) = handed
+        assert np.array_equal(a, a.T)
+        assert np.array_equal(a, normalized_conjugate(x, cfg))
+
+    @pytest.mark.parametrize("clusters, n", [(2, 40), (4, 5), (3, 3)])
+    def test_sym_eig_is_asked_for_k_plus_one_pairs_at_most_n(self, clusters, n, monkeypatch):
+        # eigenvalue K + 1 tells of extra components; at n = K there is none
+        x = np.random.default_rng(2).normal(size=(n, 2))
+        asked = []
+
+        def capture(a, k):
+            asked.append(k)
+            return sym_eig(a, k)
+
+        monkeypatch.setattr("otsc.baselines.sym_eig", capture)
+        cfg = SpectralConfig(num_clusters=clusters, bandwidth_mode="fixed", sigma=1.0)
+        labels, _ = classical_spectral(x, cfg, seed=0)
+        assert asked == [min(clusters + 1, n)]
+        assert labels.shape == (n,)
 
 
 class TestKmeans:

@@ -697,6 +697,16 @@ BAD_INPUTS = {
     "non-boolean keep_diagonal in the config": (
         lambda tmp, run: _train_with(tmp, run, "keep_diagonal = maybe"),
         1, f"edited.cfg:{APPENDED}: keep_diagonal: expected a boolean, got 'maybe'\n"),
+    # the bounds that `off_diagonal`, `thin_svd` and `orthogonalize` trust
+    "batch_size of 1 in the config": (
+        lambda tmp, run: _train_with(tmp, run, "batch_size = 1"),
+        1, "error: batch_size must be >= 2\n"),
+    "embed_dim over half the batch in the config": (
+        lambda tmp, run: _train_with(tmp, run, "embed_dim = 11"),
+        1, "error: embed_dim must not exceed batch_size / 2\n"),
+    "unknown orth_mode in the config": (
+        lambda tmp, run: _train_with(tmp, run, "orth_mode = cayley"),
+        1, f"error: orth_mode must be one of {TRAINER_ORTH_MODES}, got 'cayley'\n"),
     "negative seed in the config": (
         lambda tmp, run: _train_with(tmp, run, "seed = -1"),
         1, "error: seed must be nonnegative\n"),

@@ -214,9 +214,11 @@ class TestTrainStep:
         assert sorted(id(x) for x, _ in forwards) == sorted([id(x1), id(x2)])
         assert sorted(map(id, backwards)) == sorted(id(inputs) for _, inputs in forwards)
 
-    def test_each_backward_runs_on_the_model_its_forward_saw(self, monkeypatch):
+    @pytest.mark.parametrize("mode", TRAINER_ORTH_MODES)
+    def test_each_backward_runs_on_the_model_its_forward_saw(self, monkeypatch, mode):
         # `backward` trusts its layer inputs to come from the same model before
-        # the step's update: fit pairs every forward with one backward first
+        # the step's update: fit pairs every forward with one backward first,
+        # whichever route the step takes between them
         open_passes, paired = {}, []
         forward, backward = net.forward, net.backward
 
@@ -231,9 +233,27 @@ class TestTrainStep:
 
         monkeypatch.setattr(net, "forward", checked_forward)
         monkeypatch.setattr(net, "backward", checked_backward)
-        fit(random_data(), tiny_cfg())
+        fit(random_data(), tiny_cfg(orth_mode=mode))
         # 2 epochs of 4 steps, 2 views each
         assert (paired, open_passes) == ([True] * 16, {})
+
+    @pytest.mark.parametrize("mode", TRAINER_ORTH_MODES)
+    @pytest.mark.parametrize("batch_size, embed_dim", [(2, 1), (10, 5)])
+    def test_the_tightest_shapes_accepted_run_a_step(self, batch_size, embed_dim, mode):
+        # at TrainConfig's bounds, B = 2 and B = 2 D, `off_diagonal` gets the
+        # smallest plane and `thin_svd` and `orthogonalize` the widest matrix
+        # that they trust: the step stays finite and each target row puts its
+        # unit of affinity off the diagonal
+        cfg = tiny_cfg(batch_size=batch_size, embed_dim=embed_dim, orth_mode=mode)
+        rng = np.random.default_rng(6)
+        model = net.init_model(4, embed_dim, 2, rng)
+        x1, x2 = rng.normal(size=(2, batch_size, 4))
+        losses, grads, (_, targets, _) = _compute_step(model, x1, x2, cfg)
+        assert np.isfinite(losses.total_loss)
+        assert all(np.isfinite(g).all() for g in grads.values())
+        for t in targets:
+            assert np.trace(t) == 0.0
+            assert np.abs(t.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestStepStatistics:
