@@ -61,15 +61,16 @@ COMPONENT_TOL = 1e-10
 class SpectralConfig:
     """Bandwidth choice and cluster count for the spectral baseline.
 
-    ``bandwidth_mode`` is "fixed" (requires ``sigma``) or "self_tuning"
-    (per-point bandwidth = distance to the ``k_neighbor``-th nearest
-    neighbor; ``sigma`` is refused).
+    ``bandwidth_mode`` is "fixed" (requires ``sigma``; ``k_neighbor`` is
+    refused) or "self_tuning" (per-point bandwidth = distance to the
+    ``k_neighbor``-th nearest neighbor, 7 when not given; ``sigma`` is
+    refused).
     """
 
     num_clusters: int
     bandwidth_mode: str = "self_tuning"
     sigma: float | None = None
-    k_neighbor: int = 7
+    k_neighbor: int | None = None
 
     def __post_init__(self):
         if self.num_clusters < 2:
@@ -79,10 +80,15 @@ class SpectralConfig:
         if self.bandwidth_mode == "fixed":
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError("fixed bandwidth requires sigma > 0")
-        elif self.sigma is not None:
-            raise ValueError("sigma applies to bandwidth_mode 'fixed' only")
-        if self.k_neighbor < 1:
-            raise ValueError("k_neighbor must be >= 1")
+            if self.k_neighbor is not None:
+                raise ValueError("k_neighbor applies to bandwidth_mode 'self_tuning' only")
+        else:
+            if self.sigma is not None:
+                raise ValueError("sigma applies to bandwidth_mode 'fixed' only")
+            if self.k_neighbor is None:
+                object.__setattr__(self, "k_neighbor", 7)
+            if self.k_neighbor < 1:
+                raise ValueError("k_neighbor must be >= 1")
         check_finite_fields(self)
         # the affinity divides by 2 sigma^2 (`*` here, since `**` raises on overflow)
         width = None if self.sigma is None else 2.0 * self.sigma * self.sigma
@@ -92,16 +98,21 @@ class SpectralConfig:
             )
 
 
+def _gram_to_distances(g: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray) -> np.ndarray:
+    """A Gram block x_i . y_j turned in place into the squared distances
+    sq_i + sq_j - 2 g, clamped at 0, where ``sq_rows`` and ``sq_cols`` hold
+    the squared norms of its rows and columns; returns ``g``."""
+    g *= -2.0  # exact, so adding sq_i + sq_j rounds as subtracting 2 g does
+    g += sq_rows[:, None] + sq_cols
+    np.maximum(g, 0.0, out=g)
+    return g
+
+
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of x and of y, clamped at 0:
     k-means' n x K (`_gaussian_affinity` builds its n x n in place)."""
-    d2 = np.sum(x**2, axis=1)[:, None] + np.sum(y**2, axis=1)[None, :]
     # a copied transpose keeps numpy off its much slower x @ x.T (syrk) path
-    gram = x @ y.T.copy()
-    gram *= 2.0
-    d2 -= gram
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    return _gram_to_distances(x @ y.T.copy(), np.sum(x**2, axis=1), np.sum(y**2, axis=1))
 
 
 def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
@@ -124,10 +135,7 @@ def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
 
     def distances(half):
         for p in halves[half]:
-            d2 = s[p]
-            d2 *= -2.0  # exact, so adding sq_i + sq_j rounds as subtracting 2 g does
-            d2 += sq[p, None] + sq
-            np.maximum(d2, 0.0, out=d2)
+            d2 = _gram_to_distances(s[p], sq[p], sq)
             if cfg.bandwidth_mode == "self_tuning":
                 # entry k of the partitioned row: the squared distance to the
                 # k-th nearest neighbor (row position 0 is the point itself)

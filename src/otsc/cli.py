@@ -17,8 +17,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .baselines import SpectralConfig, classical_spectral, kmeans_lloyd
 from .data import Dataset, gen_dataset, load_dataset, read_csv, read_text, save_dataset
@@ -26,7 +24,7 @@ from .errors import NumericalError
 from .metrics import ClusteringReport, evaluate
 from .network import load_checkpoint, save_checkpoint
 from .trainer import TRAINER_ORTH_MODES, EpochRecord, TrainConfig, TrainHistory, fit, predict
-from .transport import sinkhorn_algorithm1, sinkhorn_marginal
+from .transport import sinkhorn_algorithm1
 
 __all__ = ["main"]
 
@@ -212,8 +210,6 @@ def _cmd_baseline(args) -> None:
         _refuse_given(args, _SPECTRAL_OPTIONS, "--method spectral")
     else:
         _refuse_given(args, ("restarts",), "--method kmeans")
-        if args.bandwidth_mode == "fixed":
-            _refuse_given(args, ("k_neighbor",), "--bandwidth-mode self_tuning")
     ds = load_dataset(args.dataset)
     if ds.labels is None:
         raise ValueError("baseline evaluation needs a labeled dataset")
@@ -230,21 +226,10 @@ def _cmd_baseline(args) -> None:
 
 
 def _cmd_ot_debug(args) -> None:
-    if args.variant == "algorithm1":
-        _refuse_given(args, ("tol", "max_iter"), "--variant marginal")
-    else:
-        _refuse_given(args, ("iterations",), "--variant algorithm1")
     # sinkhorn_algorithm1 trusts its input, so the file is checked here
     _, cost = read_csv(args.cost, header=False)
-    if args.variant == "algorithm1":
-        # the fixed-iteration solver takes similarities; a cost is its negation
-        iterations = 5 if args.iterations is None else args.iterations
-        plan = sinkhorn_algorithm1(-cost, args.eta, iterations)
-    else:
-        m, n = cost.shape
-        plan, _ = sinkhorn_marginal(
-            cost, np.full(m, 1.0), np.full(n, m / n), args.eta, **_given(args, ("tol", "max_iter"))
-        )
+    # the fixed-iteration solver takes similarities; a cost is its negation
+    plan = sinkhorn_algorithm1(-cost, args.eta, args.iterations)
     for row in plan.plan:
         print(",".join(f"{v:.12g}" for v in row))
     print(f"row_residual={plan.row_marginal_residual!r}", file=sys.stderr)
@@ -301,10 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ot-debug", help="solve a transport instance from a cost CSV")
     p.add_argument("--cost", required=True)
     p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--iterations", type=int, help="algorithm1 only; default 5")
-    p.add_argument("--variant", choices=("algorithm1", "marginal"), default="algorithm1")
-    p.add_argument("--tol", type=float, help="marginal only; default 1e-9")
-    p.add_argument("--max-iter", type=int, help="marginal only; default 10000")
+    p.add_argument("--iterations", type=int, default=5)
     p.set_defaults(func=_cmd_ot_debug)
 
     return parser

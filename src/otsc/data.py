@@ -201,8 +201,8 @@ def load_dataset(path) -> Dataset:
     Beyond `read_csv`'s refusals, a label that is not an integer raises
     ``ValueError`` naming the file and the data row, and labels that are not
     0..K-1 raise it with the file put before `Dataset`'s message. So does a
-    sidecar that is not a JSON object or holds a ``name`` that is not a
-    string, naming the sidecar.
+    sidecar that is not UTF-8 text, not a JSON object or holds a ``name``
+    that is not a string, naming the sidecar.
     """
     path = Path(path)
     if not path.exists():
@@ -212,8 +212,8 @@ def load_dataset(path) -> Dataset:
     name = path.stem
     if meta_path.exists():
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            meta = json.loads(read_text(meta_path))
+        except json.JSONDecodeError as err:
             raise ValueError(f"{meta_path}: not JSON: {err}") from None
         if not isinstance(meta, dict):
             raise ValueError(f"{meta_path}: not a JSON object: {meta!r}")

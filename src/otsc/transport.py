@@ -104,9 +104,11 @@ def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=F
     domain, which `_fit` checks, sweep 1 is a log-sum-exp, and later sweeps
     scale ``exp(values/eta + f + g)``, absorbing the scalings into the
     potentials ``f``, ``g`` once one exceeds ``_ABSORB`` (Schmitzer 2019,
-    arXiv:1610.06519) and at the end. Returns
-    ``(plan, (f, u), (g, v), n)`` after ``n`` sweeps, the kernel scaled in
-    place into the plan ``diag(u * exp(f)) @ exp(values/eta) @ diag(v * exp(g))``.
+    arXiv:1610.06519). Returns ``(plan, (f, u), (g, v), n)`` after ``n``
+    sweeps: in both domains the kernel the loop measured, scaled in place
+    into the plan ``diag(u * exp(f)) @ exp(values/eta) @ diag(v * exp(g))``.
+    Rebuilding it from the potentials instead would lose its O(1) part when
+    ``f`` and ``g`` are huge and cancel.
     """
     first, second = ("row", "column") if rows_first else ("column", "row")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -149,12 +151,8 @@ def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=F
                     np.dot(u, k, out=sums)
             if checked or (res < np.inf and u.max() < np.inf and v.max() < np.inf):
                 break
-        if log_domain:
-            f, g = f + np.log(u), g + np.log(v)
-            k, u, v = np.exp(log_k + f[:, None] + g), 1.0, 1.0
-        else:
-            k *= u[:, None]
-            k *= v
+        k *= u[:, None]
+        k *= v
     return (k.T, (g, v), (f, u), sweep) if rows_first else (k, (f, u), (g, v), sweep)
 
 

@@ -344,12 +344,8 @@ def checked_scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_
                 u, v = np.ones_like(u), np.ones_like(v)
             if sweep < max_iter:
                 sums = u @ k
-        if log_domain:
-            f, g = f + np.log(u), g + np.log(v)
-            k, u, v = np.exp(log_k + f[:, None] + g), 1.0, 1.0
-        else:
-            k *= u[:, None]
-            k *= v
+        k *= u[:, None]
+        k *= v
     return (k.T, (g, v), (f, u), sweep) if rows_first else (k, (f, u), (g, v), sweep)
 
 

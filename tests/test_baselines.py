@@ -298,6 +298,16 @@ class TestClassicalSpectral:
         with pytest.raises(ValueError, match="^sigma applies to bandwidth_mode 'fixed' only$"):
             SpectralConfig(num_clusters=2, sigma=0.5)
 
+    def test_k_neighbor_refused_under_a_fixed_bandwidth(self):
+        message = "^k_neighbor applies to bandwidth_mode 'self_tuning' only$"
+        with pytest.raises(ValueError, match=message):
+            SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.3, k_neighbor=7)
+
+    def test_k_neighbor_resolves_to_7_under_self_tuning_only(self):
+        assert SpectralConfig(num_clusters=2).k_neighbor == 7
+        assert SpectralConfig(num_clusters=2, k_neighbor=3).k_neighbor == 3
+        assert SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.3).k_neighbor is None
+
     def test_negative_seed_refused_before_the_affinity(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the affinity was built for a refused seed")

@@ -253,25 +253,9 @@ class TestOtDebug:
         # low cost on the diagonal wins
         assert plan[0, 0] > 0.99 and plan[1, 1] > 0.99
 
-    def test_marginal_variant(self, tmp_path, capsys):
-        cost = tmp_path / "cost.csv"
-        cost.write_text("0.1,0.9,0.5\n0.7,0.2,0.4\n")
-        rc = main(["ot-debug", "--cost", str(cost), "--variant", "marginal",
-                   "--eta", "0.1", "--tol", "1e-9"])
-        assert rc == 0
-
-    def test_marginal_variant_in_the_log_domain(self, tmp_path, capsys):
-        # below eta 0.01 exp(-cost/eta) underflows; the solver starts from the log-kernel
-        assert main(_ot_debug(tmp_path, "--variant", "marginal", "--eta", "0.0001")) == 0
-        assert capsys.readouterr().out == "1,0\n0,1\n"
-
-    def test_negative_costs_solve_in_the_kernel_domain(self, tmp_path, capsys):
-        # -cost/eta is 800 off the diagonal, beyond exp's range unshifted
-        argv = [*_cost(tmp_path, "0,-40\n-40,0\n"), "--variant", "marginal", "--eta", "0.05"]
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.out == "0,1\n1,0\n"
-        assert "iterations_used=1\n" in captured.err
+    def test_five_iterations_by_default(self, tmp_path, capsys):
+        assert main(_ot_debug(tmp_path)) == 0
+        assert capsys.readouterr().err.endswith("iterations_used=5\n")
 
 
 class TestReportFormat:
@@ -424,10 +408,10 @@ def _ot_debug(tmp_path, *flags):
     return [*_cost(tmp_path, "0.0,1.0\n1.0,0.0\n"), *flags]
 
 
-def _sidecar(tmp_path, text):
-    """k-means on a labeled CSV whose sidecar holds ``text``."""
+def _sidecar(tmp_path, data: bytes):
+    """k-means on a labeled CSV whose sidecar holds the bytes ``data``."""
     path = _csv(tmp_path, "f0,f1,label", TWELVE_ROWS)
-    (tmp_path / "input.csv.meta.json").write_text(text)
+    _binary(tmp_path, "input.csv.meta.json", data)
     return _baseline("kmeans", path)
 
 
@@ -552,10 +536,6 @@ BAD_INPUTS = {
     "row underflow on ot-debug": (
         lambda tmp, run: [*_cost(tmp, "0,0\n2000,2000\n"), "--eta", "0.05"],
         2, "numerical abort: row 1 sum underflowed to 0 during Sinkhorn scaling (eta=0.05)\n"),
-    "row underflow on the marginal variant of ot-debug": (
-        lambda tmp, run: [*_cost(tmp, "0,0\n2000,2000\n"), "--eta", "0.05",
-                          "--variant", "marginal"],
-        2, "numerical abort: row 1 sum underflowed to 0 during Sinkhorn scaling (eta=0.05)\n"),
     "empty cost file on ot-debug": (
         lambda tmp, run: _cost(tmp, ""), 1, "/cost.csv: no data rows\n"),
     # -cost/eta overflows to -inf in one cell of rows 0 and 1 and in both
@@ -563,26 +543,14 @@ BAD_INPUTS = {
     "cost over eta beyond the doubles on ot-debug": (
         lambda tmp, run: [*_cost(tmp, "0,5\n3,0\n2,2\n"), "--eta", "1e-320"],
         2, "numerical abort: row 2 sum underflowed to 0 during Sinkhorn scaling (eta=1e-320)\n"),
-    "cost over eta beyond the doubles on the marginal variant of ot-debug": (
-        lambda tmp, run: [*_cost(tmp, "0,5\n3,0\n2,2\n"), "--eta", "1e-320",
-                          "--variant", "marginal"],
-        2, "numerical abort: row 2 sum underflowed to 0 during Sinkhorn scaling (eta=1e-320)\n"),
     "cost over eta overflowing on ot-debug": (
         lambda tmp, run: [*_cost(tmp, "0,-1e306\n1,0\n"), "--eta", "1e-3"],
-        2, "numerical abort: entry [0, 1] overflowed dividing by eta (eta=0.001)\n"),
-    "cost over eta overflowing on the marginal variant of ot-debug": (
-        lambda tmp, run: [*_cost(tmp, "0,-1e306\n1,0\n"), "--eta", "1e-3",
-                          "--variant", "marginal"],
         2, "numerical abort: entry [0, 1] overflowed dividing by eta (eta=0.001)\n"),
     # sums that underflow only after some sweeps: the sweeps check their
     # scalings once per solve, and the checked replay names the line that failed first
     "column underflow at sweep 3 on ot-debug": (
         lambda tmp, run: [*_cost(tmp, "1120,860,1060\n1120,410,1460\n"), "--eta", "1"],
         2, "numerical abort: column 0 sum underflowed to 0 during Sinkhorn scaling (eta=1.0)\n"),
-    "column underflow once the scalings grow on the marginal variant of ot-debug": (
-        lambda tmp, run: [*_cost(tmp, "-5.4,29.6,12.1\n45.8,54.7,27.9\n"), "--eta", "0.05",
-                          "--variant", "marginal"],
-        2, "numerical abort: column 1 sum underflowed to 0 during Sinkhorn scaling (eta=0.05)\n"),
     "non-UTF-8 cost file on ot-debug": (
         lambda tmp, run: ["ot-debug", "--cost", _binary(tmp, "cost.csv", b"0.0,1.0\n\xff,0\n")],
         1, "/cost.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 8"),
@@ -683,13 +651,17 @@ BAD_INPUTS = {
         lambda tmp, run: _ot_debug(tmp, "--eta", "inf"),
         1, "error: eta must be finite, got inf\n"),
     "sidecar not an object": (
-        lambda tmp, run: _sidecar(tmp, "[1, 2]"),
+        lambda tmp, run: _sidecar(tmp, b"[1, 2]"),
         1, "input.csv.meta.json: not a JSON object: [1, 2]\n"),
     "sidecar not JSON": (
-        lambda tmp, run: _sidecar(tmp, "name: x"),
+        lambda tmp, run: _sidecar(tmp, b"name: x"),
         1, "input.csv.meta.json: not JSON: Expecting value: line 1 column 1 (char 0)\n"),
+    "non-UTF-8 sidecar": (
+        lambda tmp, run: _sidecar(tmp, b'{"name": "\xff"}'),
+        1, "input.csv.meta.json: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+        " in position 10"),
     "sidecar name not a string": (
-        lambda tmp, run: _sidecar(tmp, '{"name": 5}'),
+        lambda tmp, run: _sidecar(tmp, b'{"name": 5}'),
         1, "input.csv.meta.json: entry 'name' must be a string, got 5\n"),
     "fractional epochs in the config": (
         lambda tmp, run: _train_with(tmp, run, "epochs = 1.5"),
@@ -748,12 +720,6 @@ BAD_INPUTS = {
         lambda tmp, run: ["ablate", "--config", str(run["config"]), "--dataset",
                           str(run["dataset"]), "--out", str(tmp / "sweep"), "--sweep", "orth"],
         1, "argument command: invalid choice: 'ablate'"),
-    "NaN tol on ot-debug": (
-        lambda tmp, run: _ot_debug(tmp, "--variant", "marginal", "--tol", "nan"),
-        1, "error: tol must be finite, got nan\n"),
-    "negative tol on ot-debug": (
-        lambda tmp, run: _ot_debug(tmp, "--variant", "marginal", "--tol", "-1"),
-        1, "error: tol must be nonnegative, got -1.0\n"),
     "zero blob separation on gen-dataset": (
         lambda tmp, run: _gen(tmp, "--separation", "0"),
         1, "error: separation must be positive\n"),
@@ -782,7 +748,7 @@ BAD_INPUTS = {
     "k-neighbor under a fixed bandwidth": (
         lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--bandwidth-mode", "fixed",
                                    "--sigma", "0.3", "--k-neighbor", "3"),
-        1, "error: --k-neighbor applies to --bandwidth-mode self_tuning only\n"),
+        1, "error: k_neighbor applies to bandwidth_mode 'self_tuning' only\n"),
     "bandwidth mode on kmeans": (
         lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--bandwidth-mode", "fixed"),
         1, "error: --bandwidth-mode applies to --method spectral only\n"),
@@ -795,15 +761,16 @@ BAD_INPUTS = {
     "restarts on spectral": (
         lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--restarts", "3"),
         1, "error: --restarts applies to --method kmeans only\n"),
-    "iterations on the marginal variant": (
-        lambda tmp, run: _ot_debug(tmp, "--variant", "marginal", "--iterations", "3"),
-        1, "error: --iterations applies to --variant algorithm1 only\n"),
-    "tol on algorithm1": (
-        lambda tmp, run: _ot_debug(tmp, "--tol", "nan"),
-        1, "error: --tol applies to --variant marginal only\n"),
-    "max-iter on algorithm1": (
-        lambda tmp, run: _ot_debug(tmp, "--variant", "algorithm1", "--max-iter", "0"),
-        1, "error: --max-iter applies to --variant marginal only\n"),
+    # ot-debug runs the fixed-count solver that training runs, and nothing else
+    "variant, which ot-debug does not take": (
+        lambda tmp, run: _ot_debug(tmp, "--variant", "marginal"),
+        1, "unrecognized arguments: --variant marginal\nusage: otsc [-h]"),
+    "tol, which ot-debug does not take": (
+        lambda tmp, run: _ot_debug(tmp, "--tol", "1e-9"),
+        1, "unrecognized arguments: --tol 1e-9\nusage: otsc [-h]"),
+    "max-iter, which ot-debug does not take": (
+        lambda tmp, run: _ot_debug(tmp, "--max-iter", "100"),
+        1, "unrecognized arguments: --max-iter 100\nusage: otsc [-h]"),
 }
 
 

@@ -207,6 +207,29 @@ class TestMarginalVariant:
             sinkhorn_marginal(cost, np.ones(2), np.ones(2), eta)
         assert str(exc.value) == f"entry [0, 1] overflowed dividing by eta (eta={eta})"
 
+    def test_line_with_no_finite_entry_underflows(self):
+        # -cost/eta overflows to -inf in one cell of rows 0 and 1 and in both
+        # cells of row 2, which is left with no finite entry
+        cost = np.array([[0.0, 5.0], [3.0, 0.0], [2.0, 2.0]])
+        with pytest.raises(NumericalError) as exc:
+            sinkhorn_marginal(cost, np.ones(3), np.full(2, 1.5), 1e-320)
+        assert str(exc.value) == "row 2 sum underflowed to 0 during Sinkhorn scaling (eta=1e-320)"
+
+    @pytest.mark.parametrize("tol, message", [(np.nan, "tol must be finite, got nan"),
+                                              (-1.0, "tol must be nonnegative, got -1.0")],
+                             ids=["NaN", "negative"])
+    def test_refuses_a_nan_or_negative_tol(self, tol, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sinkhorn_marginal(np.zeros((2, 2)), np.ones(2), np.ones(2), 0.05, tol=tol)
+
+    @pytest.mark.parametrize("far", [1e15, 1e16])
+    def test_log_domain_plan_is_the_one_its_stop_test_measured(self, far):
+        # the potentials reach about far / eta and cancel: a plan rebuilt
+        # from them as exp(log_k + f + g) loses its O(1) part, and missed
+        # both marginals by 0.17
+        plan, _ = sinkhorn_marginal(np.array([[0.0, far]]), np.ones(1), np.full(2, 0.5), 1e-3)
+        assert max(plan.row_marginal_residual, plan.col_marginal_residual) <= 1e-9
+
     @pytest.mark.parametrize("shape", [(7, 5), (100, 2), (256, 256)],
                              ids=["7x5", "100x2", "256x256"])
     def test_kernel_domain_plan_starts_on_a_64_byte_boundary(self, shape):
