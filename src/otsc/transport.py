@@ -4,13 +4,14 @@ One scaling core, ``_scale``, builds every kernel and plan of both solvers
 and has two stop rules. ``sinkhorn_algorithm1`` builds training targets
 with a fixed count: exponentiate similarities divided by ``eta``, then
 alternate column- and row-normalization a fixed number of times, ending on
-rows. ``sinkhorn_marginal`` solves for prescribed marginals to a tolerance,
-at small ``eta`` by the same sweeps on a kernel that absorbs log-domain
-potentials; it reports its log scalings and is the variant used for
-analysis and testing. Kernel-domain sweeps check their scalings once per
-solve, and replay checked to name a failed line. Exact solutions of small
-instances, which the tests check both solvers against, live in
-``tests/oracles.py``.
+rows. ``sinkhorn_marginal`` solves for prescribed marginals to a tolerance
+by the same sweeps on the same kernel; it reports its log scalings and is
+the variant used for analysis and testing. Both run in the kernel domain:
+wherever ``exp(values/eta)``, shifted by its max, underflows, the kernel
+entry is 0, a forbidden cell, and a line made only of such cells is refused
+as underflowed. The sweeps check their scalings once per solve, and replay
+checked to name a failed line. Exact solutions of small instances, which
+the tests check both solvers against, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ __all__ = [
     "sinkhorn_algorithm1",
     "sinkhorn_marginal",
 ]
-
-# below this eta exp(-cost/eta) underflows; the solver works from the log-kernel
-_LOG_DOMAIN_ETA = 0.01
-# a log-domain solve folds its scalings into its potentials once one of
-# them exceeds this, long before a product with the kernel can overflow
-_ABSORB = 1e50
 
 
 @dataclass(frozen=True)
@@ -65,50 +60,36 @@ def _measured(plan: np.ndarray, r, c, iterations: int) -> TransportPlan:
     )
 
 
-def _fit(target, sums, axis: str, eta: float) -> tuple[np.ndarray, float]:
-    """Scaling that fits ``sums`` to ``target``, and its largest entry;
-    refuses a sum that underflowed to 0 or to a subnormal whose reciprocal
-    overflows, and a NaN sum (a log-domain line whose entries are all -inf)."""
+def _fit(target, sums, axis: str, eta: float) -> np.ndarray:
+    """Scaling that fits ``sums`` to ``target``; refuses a sum that
+    underflowed to 0 or to a subnormal whose reciprocal overflows, and a NaN
+    sum (a kernel with no finite entry)."""
     scaling = target / sums
-    top = scaling.max()
-    if not top < np.inf:  # also catches NaN
+    if not scaling.max() < np.inf:  # also catches NaN
         index = int(np.argmin(scaling < np.inf))
         raise NumericalError(
             f"{axis} {index} sum underflowed to 0 during Sinkhorn scaling (eta={eta})"
         )
-    return scaling, top
+    return scaling
 
 
-def _log_fit(target, log_k, axis: int, name: str, eta: float) -> np.ndarray:
-    """Log scaling that fits the sums of ``exp(log_k)`` along ``axis`` to
-    ``target``, by a max-shifted log-sum-exp."""
-    top = log_k.max(axis=axis, keepdims=True)
-    scaling, _ = _fit(target, np.exp(log_k - top).sum(axis=axis), name, eta)
-    return np.log(scaling) - top.ravel()
-
-
-def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False, out=None):
+def _scale(values, r, c, eta, max_iter, tol=None, rows_first=False, out=None):
     """Sinkhorn scaling of the Gibbs kernel ``exp(values/eta)`` to marginals
     ``r``, ``c``, the one builder of kernels and plans. ``values/eta`` is
     formed once, in ``out`` if given; an entry that overflows to +inf is
-    refused, naming it, and a -inf one is a forbidden cell. The kernel domain
-    shifts it by its max and exponentiates, in place (Peyré & Cuturi 2019,
-    §4.4). Rows are exact after each sweep, so the column residual
-    ``v * (k.T @ u) - c`` costs only the product the next sweep starts from;
-    the loop stops on it within ``tol`` if given, else after ``max_iter``
-    sweeps; ``rows_first`` sweeps ``k.T``. Kernel-domain sweeps reuse their
-    vectors and reduce none per half-sweep: as 0 * inf is NaN, a non-finite
-    scaling entry leaves one in every later u or v (and in the residual),
-    so u and v are checked after the loop, which replays with `_fit`'s check
-    on each half-sweep to name the line that failed first. In the log
-    domain, which `_fit` checks, sweep 1 is a log-sum-exp, and later sweeps
-    scale ``exp(values/eta + f + g)``, absorbing the scalings into the
-    potentials ``f``, ``g`` once one exceeds ``_ABSORB`` (Schmitzer 2019,
-    arXiv:1610.06519). Returns ``(plan, (f, u), (g, v), n)`` after ``n``
-    sweeps: in both domains the kernel the loop measured, scaled in place
-    into the plan ``diag(u * exp(f)) @ exp(values/eta) @ diag(v * exp(g))``.
-    Rebuilding it from the potentials instead would lose its O(1) part when
-    ``f`` and ``g`` are huge and cancel.
+    refused, naming it. It is shifted by its max ``top`` and exponentiated
+    in place (Peyré & Cuturi 2019, §4.4); an entry that is -inf, or whose
+    exp underflows, is a forbidden cell. Rows are exact after each sweep, so
+    the column residual ``v * (k.T @ u) - c`` costs only the product the
+    next sweep starts from; the loop stops on it within ``tol`` if given,
+    else after ``max_iter`` sweeps; ``rows_first`` sweeps ``k.T``. The
+    sweeps reuse their vectors and reduce none per half-sweep: as 0 * inf
+    is NaN, a non-finite scaling entry leaves one in every later u or v
+    (and in the residual), so u and v are checked after the loop, which
+    replays with `_fit`'s check on each half-sweep to name the line that
+    failed first. Returns ``(plan, u, v, top, n)`` after ``n`` sweeps: the
+    kernel the loop measured, scaled in place into the plan
+    ``diag(u) @ exp(values/eta - top) @ diag(v)``.
     """
     first, second = ("row", "column") if rows_first else ("column", "row")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -117,19 +98,12 @@ def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=F
         if top == np.inf:
             i, j = np.unravel_index(np.argmax(kernel), kernel.shape)
             raise NumericalError(f"entry [{i}, {j}] overflowed dividing by eta (eta={eta})")
+        kernel -= top
+        np.exp(kernel, out=kernel)
         k, r, c = (kernel.T, c, r) if rows_first else (kernel, r, c)
-        if log_domain:
-            log_k = k
-            g = _log_fit(c, log_k, 0, first, eta)
-            f = _log_fit(r, log_k + g, 1, second, eta)
-            k = np.exp(log_k + f[:, None] + g)
-        else:  # one potential holds the shift
-            f, g = 0.0, -top
-            kernel -= top
-            np.exp(kernel, out=kernel)
         kv, sums = np.empty(k.shape[0]), np.empty(k.shape[1])
-        for checked in (log_domain, True):  # the log domain's sweep 1 is done
-            u, v, sweep, res = np.ones(k.shape[0]), np.ones(k.shape[1]), int(log_domain), 0.0
+        for checked in (False, True):
+            u, v, sweep, res = np.ones(k.shape[0]), np.ones(k.shape[1]), 0, 0.0
             np.dot(u, k, out=sums)
             while sweep < max_iter:
                 if sweep and tol is not None:
@@ -138,12 +112,8 @@ def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=F
                         break
                 sweep += 1
                 if checked:
-                    v, v_top = _fit(c, sums, first, eta)
-                    u, u_top = _fit(r, k @ v, second, eta)
-                    if log_domain and max(v_top, u_top) > _ABSORB:
-                        f, g = f + np.log(u), g + np.log(v)
-                        k = np.exp(log_k + f[:, None] + g)
-                        u, v = np.ones_like(u), np.ones_like(v)
+                    v = _fit(c, sums, first, eta)
+                    u = _fit(r, k @ v, second, eta)
                 else:
                     np.divide(c, sums, out=v)
                     np.divide(r, np.dot(k, v, out=kv), out=u)
@@ -153,7 +123,7 @@ def _scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=F
                 break
         k *= u[:, None]
         k *= v
-    return (k.T, (g, v), (f, u), sweep) if rows_first else (k, (f, u), (g, v), sweep)
+    return (k.T, v, u, top, sweep) if rows_first else (k, u, v, top, sweep)
 
 
 def sinkhorn_algorithm1(
@@ -177,7 +147,7 @@ def sinkhorn_algorithm1(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     m, n = logits.shape
-    plan, _, _, _ = _scale(logits, 1.0, 1.0, eta, iterations, out=out)
+    plan = _scale(logits, 1.0, 1.0, eta, iterations, out=out)[0]
     return _measured(plan, 1.0, m / n, iterations)
 
 
@@ -206,11 +176,13 @@ def sinkhorn_marginal(
     of the returned plan are reported either way. Returns the plan and
     ``(log_alpha, log_beta)``, the row and column log scalings, in log form
     so they stay representable at small ``eta``: the plan is
-    ``diag(exp(log_alpha)) @ exp(-cost/eta) @ diag(exp(log_beta))``.
+    ``diag(exp(log_alpha)) @ exp(-cost/eta) @ diag(exp(log_beta))``, but 0
+    at forbidden cells, with the kernel's shift by its max in ``log_alpha``.
 
-    Runs in the kernel domain for moderate ``eta`` and from the log-kernel
-    ``-cost/eta`` when ``eta <= 0.01`` (see ``_scale``); a +inf entry there
-    is refused, a -inf one is a forbidden cell, and a line of them underflows.
+    Runs in the kernel domain at every ``eta`` (see ``_scale``): a +inf
+    entry of ``-cost/eta`` is refused, one whose exp underflows after the
+    shift by the max is a forbidden cell, and a line made only of forbidden
+    cells is refused as underflowed.
     """
     cost = as_matrix(cost, "cost")
     r = np.asarray(row_marginals, dtype=np.float64)
@@ -236,7 +208,5 @@ def sinkhorn_marginal(
     buf = np.empty(cost.size + 7)
     kernel = buf[(-buf.ctypes.data // 8) % 8:][: cost.size].reshape(cost.shape)
     np.negative(cost, out=kernel)
-    plan, (f, a), (g, b), used = _scale(
-        kernel, r, c, eta, max_iter, tol, eta <= _LOG_DOMAIN_ETA, rows_first=True, out=kernel
-    )
-    return _measured(plan, r, c, used), (f + np.log(a), g + np.log(b))
+    plan, a, b, top, used = _scale(kernel, r, c, eta, max_iter, tol, rows_first=True, out=kernel)
+    return _measured(plan, r, c, used), (np.log(a) - top, np.log(b))

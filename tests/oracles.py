@@ -293,25 +293,16 @@ def reference_sinkhorn_log(cost, r, c, eta, tol, max_iter):
 
 def _checked_fit(target, sums, axis: str, eta: float):
     scaling = target / sums
-    top = scaling.max()
-    if not top < np.inf:  # also catches NaN
+    if not scaling.max() < np.inf:  # also catches NaN
         raise _underflow(axis, np.argmin(scaling < np.inf), eta)
-    return scaling, top
+    return scaling
 
 
-def _checked_log_fit(target, log_k, axis: int, name: str, eta: float) -> np.ndarray:
-    top = log_k.max(axis=axis, keepdims=True)
-    scaling, _ = _checked_fit(target, np.exp(log_k - top).sum(axis=axis), name, eta)
-    return np.log(scaling) - top.ravel()
-
-
-def checked_scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_first=False):
+def checked_scale(values, r, c, eta, max_iter, tol=None, rows_first=False):
     """The package's scaling core as it was with a check on every half-sweep:
     each scaling is refused, naming its first non-finite entry, as soon as
     it is formed, and every product is a fresh ``@``. Same signature and
-    return as ``transport._scale`` (without ``out``); in the log domain the
-    largest scaling entry decides when the scalings are absorbed into the
-    potentials."""
+    return as ``transport._scale`` (without ``out``)."""
     first, second = ("row", "column") if rows_first else ("column", "row")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kernel = np.asarray(values, dtype=np.float64) / eta
@@ -319,34 +310,23 @@ def checked_scale(values, r, c, eta, max_iter, tol=None, log_domain=False, rows_
         if top == np.inf:
             i, j = np.unravel_index(np.argmax(kernel), kernel.shape)
             raise NumericalError(f"entry [{i}, {j}] overflowed dividing by eta (eta={eta})")
+        kernel -= top
+        np.exp(kernel, out=kernel)
         k, r, c = (kernel.T, c, r) if rows_first else (kernel, r, c)
         u, v = np.ones(k.shape[0]), np.ones(k.shape[1])
         sweep = 0
-        if log_domain:
-            log_k, sweep = k, 1
-            g = _checked_log_fit(c, log_k, 0, first, eta)
-            f = _checked_log_fit(r, log_k + g, 1, second, eta)
-            k = np.exp(log_k + f[:, None] + g)
-        else:
-            f, g = 0.0, -top
-            kernel -= top
-            np.exp(kernel, out=kernel)
         sums = u @ k
         while sweep < max_iter:
             if sweep and tol is not None and np.abs(v * sums - c).max() <= tol:
                 break
             sweep += 1
-            v, v_top = _checked_fit(c, sums, first, eta)
-            u, u_top = _checked_fit(r, k @ v, second, eta)
-            if log_domain and max(v_top, u_top) > 1e50:
-                f, g = f + np.log(u), g + np.log(v)
-                k = np.exp(log_k + f[:, None] + g)
-                u, v = np.ones_like(u), np.ones_like(v)
+            v = _checked_fit(c, sums, first, eta)
+            u = _checked_fit(r, k @ v, second, eta)
             if sweep < max_iter:
                 sums = u @ k
         k *= u[:, None]
         k *= v
-    return (k.T, (g, v), (f, u), sweep) if rows_first else (k, (f, u), (g, v), sweep)
+    return (k.T, v, u, top, sweep) if rows_first else (k, u, v, top, sweep)
 
 
 def two_exp_cross_entropy(target, logits, tau: float) -> tuple[float, np.ndarray]:
