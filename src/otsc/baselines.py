@@ -9,12 +9,14 @@ The eigenvalues of the symmetric conjugate D^-1/2 S D^-1/2 lie in [-1, 1],
 and eigenvalue 1 has one eigenvector per connected component of the
 affinity graph, so `sym_eig` iterates with the inverse shifted next to 1,
 applied through one Cholesky factor, instead of reducing the whole matrix
-to tridiagonal form. The affinity sets its entries below 2^-511 to 0:
+to tridiagonal form. It factors the matrix in place and multiplies by it
+through the triangle the factor leaves untouched, so the whole baseline
+holds one n x n buffer. The affinity sets its entries below 2^-511 to 0:
 subnormal entries in the Cholesky factor make the factorization about ten
 times slower, and no degree changes. It clamps the bandwidth quotient at
 AFFINITY_CUT before the exp, because numpy's exp takes a slow path on
 arguments whose result underflows, and every clamped entry is set to 0 by
-the floor anyway. The affinity lives in one n x n buffer: the Gram
+the floor anyway. The affinity is built in that one buffer: the Gram
 product, formed whole, then every later stage a row panel at a time, half
 of the panels on a worker thread when the process may use 2 CPUs.
 The symmetrization with the degree scalings reads the n x n matrix
@@ -36,8 +38,8 @@ __all__ = [
 ]
 
 _MAX_LLOYD_ITER = 100
-# most samples the spectral baseline takes: its n x n affinity and the
-# Cholesky factor of it are 128 MiB each at this n
+# most samples the spectral baseline takes: its n x n affinity, factored
+# in place by `sym_eig`, is one 128 MiB buffer at this n
 AFFINITY_MAX_N = 4096
 # `sym_eig`'s shift, extra block columns, band below 1 that widens the
 # block, residual tolerance and sweep cap (see its docstring)
@@ -169,7 +171,11 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
     them: ``a`` a finite n x n float64 array, exactly symmetric, and ``1 <=
     k <= n``. T = ((1 + EIG_SHIFT) I - a)^-1 is applied through one Cholesky
     factor; an eigenvalue above 1 makes the factorization fail and is
-    refused. From a fixed-seed Gaussian block q of p = min(n, k + EIG_PAD)
+    refused. ``a`` is overwritten: the factor is written over one triangle,
+    and `dsymm` multiplies by ``a`` through the other, which keeps -a, with
+    the diagonal of -a swapped in for each product, so the residual test
+    below takes a true product by ``a``. A refused ``a`` is left partly
+    factored. From a fixed-seed Gaussian block q of p = min(n, k + EIG_PAD)
     columns, each sweep takes the p leading Ritz pairs of ``a`` on span{T q,
     T^2 q}, until every returned pair has ||a v - lambda v|| <= EIG_TOL;
     past EIG_MAX_SWEEPS sweeps it raises `NumericalError`. T^2 keeps a pair
@@ -182,17 +188,21 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n = len(a)
     import scipy.linalg  # loaded here, so that importing otsc does not load scipy
+    from scipy.linalg.blas import dsymm
 
-    shifted = np.negative(a)
-    shifted.flat[:: n + 1] += 1.0 + EIG_SHIFT
+    np.negative(a, out=a)
+    negated_diagonal = a.flat[:: n + 1]  # a copy
+    a.flat[:: n + 1] += 1.0 + EIG_SHIFT
     try:
-        # the transpose is the same matrix in Fortran order, factored in place
-        factor = scipy.linalg.cho_factor(shifted.T, overwrite_a=True, check_finite=False)
+        # the transpose is the same matrix in Fortran order, factored in place:
+        # potrf writes its upper triangle, the strict lower one keeps -a
+        factor = scipy.linalg.cho_factor(a.T, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"sym_eig input has an eigenvalue above 1: (1 + {EIG_SHIFT:g}) I - a "
             "is not positive definite"
         ) from None
+    factor_diagonal = a.flat[:: n + 1]
 
     def solve(block):
         return scipy.linalg.cho_solve(factor, block, check_finite=False)
@@ -203,7 +213,11 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
         p = basis.shape[1]
         first, _ = np.linalg.qr(solve(basis))
         span, _ = np.linalg.qr(np.hstack([first, solve(first)]))
-        a_span = a @ span
+        # a @ span as -((-a) span), read from the transpose's lower
+        # triangle with the diagonal of -a swapped in for the factor's
+        a.flat[:: n + 1] = negated_diagonal
+        a_span = dsymm(-1.0, a.T, span, lower=1)
+        a.flat[:: n + 1] = factor_diagonal
         ritz, rotation = np.linalg.eigh(span.T @ a_span)  # ascending
         ritz, rotation = ritz[::-1][:p], rotation[:, ::-1][:, :p]
         basis = span @ rotation
@@ -329,7 +343,7 @@ def classical_spectral(
             s[r, c] = t
             s[c, r] = t.T
     k = cfg.num_clusters
-    evals, top = sym_eig(s, k=min(k + 1, n))
+    evals, top = sym_eig(s, k=min(k + 1, n))  # factors s in place
     # eigenvalue 1 has one eigenvector per connected component of the graph
     if k < n and evals[k] >= 1.0 - COMPONENT_TOL:
         raise ValueError(f"the affinity graph has more connected components than K={k}")

@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestSymEigOnAffinities:
         mode = "self_tuning" if sigma is None else "fixed"
         a = normalized_conjugate(ds.features, SpectralConfig(k - 1, mode, sigma))
         full_vals = np.linalg.eigvalsh(a)[::-1]
-        evals, evecs = sym_eig(a, k=k)
+        evals, evecs = sym_eig(a.copy(), k=k)
         assert np.abs(evals - full_vals[:k]).max() <= 1e-12
         assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
         assert np.abs(evecs.T @ evecs - np.eye(k)).max() <= 1e-12
@@ -90,7 +91,7 @@ class TestSymEigOnAffinities:
         a = normalized_conjugate(ds.features, SpectralConfig(num_clusters=2))
         full_vals, full_vecs = np.linalg.eigh(a)
         assert full_vals[-1] - full_vals[-2] <= 3e-8
-        evals, evecs = sym_eig(a, k=3)
+        evals, evecs = sym_eig(a.copy(), k=3)
         assert np.abs(evals - full_vals[::-1][:3]).max() <= 1e-12
         assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
         # the pair is resolved only as a subspace: compare its projectors
@@ -455,6 +456,21 @@ class TestClassicalSpectral:
         b, eb = classical_spectral(x, cfg, seed=3)
         assert (a == b).all()
         assert (ea == eb).all()
+
+    def test_second_run_allocates_one_square_plane(self):
+        n = 1000
+        x = gen_dataset("moons", n, noise=0.05, seed=1).features
+        cfg = SpectralConfig(num_clusters=2)
+        classical_spectral(x, cfg, seed=0)  # scipy loaded before the trace
+        tracemalloc.start()
+        try:
+            classical_spectral(x, cfg, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the affinity is factored in place: an eigensolve that copies it
+        # for the Cholesky factor peaks above two n x n planes
+        assert peak < 1.5 * n * n * 8
 
     def test_size_bound(self, monkeypatch):
         # refused before the n x n affinity is built; n = 4096 gets as far as it

@@ -40,7 +40,7 @@ class TestSymEig:
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
         a = random_symmetric(8, rng)
-        evals, evecs = sym_eig(a, k=8)
+        evals, evecs = sym_eig(a.copy(), k=8)
         assert np.abs(eig_reconstruct(evals, evecs) - a).max() <= 1e-8
 
     def test_sorted_nonincreasing_and_orthonormal(self):
@@ -73,7 +73,7 @@ class TestSymEigLeading:
     def test_leading_pairs_descending(self):
         a = random_symmetric(40, np.random.default_rng(11))
         for k in (1, 3, 17, 40):
-            evals, evecs = sym_eig(a, k=k)
+            evals, evecs = sym_eig(a.copy(), k=k)
             assert len(evals) == k
             assert (np.diff(evals) <= 0).all()
             assert np.abs(a @ evecs - evecs * evals).max() <= 1e-10
