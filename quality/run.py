@@ -68,11 +68,15 @@ SWEEPS = {
     "eta": [("eta-%.2f" % v, {"eta": v}) for v in (round(0.01 * i, 2) for i in range(1, 11))],
     "sinkhorn-iters": [(f"isk-{v}", {"sinkhorn_iters": v}) for v in (1, 3, 5, 10)],
     "lambda": [("lambda-%.1f" % v, {"lam": v}) for v in (0.5, 1.0, 1.5, 2.0)],
-    "orth": [(f"orth-{m}", {"orth_mode": m}) for m in ("procrustes", "qr", "none")]
+    "orth": [(f"orth-{m}", {"orth_mode": m}) for m in ("procrustes", "none")]
     + [("orth-penalty-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
        for rho in (0.5, 1.0, 2.0)],
     "keep-diagonal": [(f"keep-diagonal-{str(v).lower()}", {"keep_diagonal": v})
                       for v in (False, True)],
+    # each orth_mode at its own learning rate (penalty at its default rho)
+    "orth-lr": [(f"{m}-lr-{lr:g}", {"orth_mode": m, "base_lr": lr})
+                for m in ("procrustes", "none", "penalty")
+                for lr in (1.25e-6, 2.5e-6, 5e-6, 1e-5, 2e-5)],
 }
 
 
@@ -117,7 +121,7 @@ def _otsc_run(halves, cfg) -> dict:
     for half, (x, y) in halves.items():
         labels, _ = predict(model, x)
         z_raw, _ = net.forward(model, x)
-        polar = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
+        polar = row_normalize(orthogonalize(z_raw).z_new)
         polar_labels = np.argmax(polar @ row_normalize(model.prototypes).T, axis=1)
         run[half] = {
             "predict": _scores(y, labels),

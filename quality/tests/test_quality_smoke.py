@@ -105,18 +105,23 @@ def test_tiny_sweep_stores_one_run_per_point(tmp_path):
     ("lambda", [("lambda-0.5", {"lam": 0.5}), ("lambda-1.0", {"lam": 1.0}),
                 ("lambda-1.5", {"lam": 1.5}), ("lambda-2.0", {"lam": 2.0})]),
     ("orth", [("orth-procrustes", {"orth_mode": "procrustes"}),
-              ("orth-qr", {"orth_mode": "qr"}), ("orth-none", {"orth_mode": "none"}),
+              ("orth-none", {"orth_mode": "none"}),
               ("orth-penalty-0.5", {"orth_mode": "penalty", "penalty_rho": 0.5}),
               ("orth-penalty-1.0", {"orth_mode": "penalty", "penalty_rho": 1.0}),
               ("orth-penalty-2.0", {"orth_mode": "penalty", "penalty_rho": 2.0})]),
     ("keep-diagonal", [("keep-diagonal-false", {"keep_diagonal": False}),
                        ("keep-diagonal-true", {"keep_diagonal": True})]),
+    ("orth-lr", [(f"{mode}-lr-{name}", {"orth_mode": mode, "base_lr": lr})
+                 for mode in ("procrustes", "none", "penalty")
+                 for name, lr in (("1.25e-06", 1.25e-6), ("2.5e-06", 2.5e-6), ("5e-06", 5e-6),
+                                  ("1e-05", 1e-5), ("2e-05", 2e-5))]),
 ])
 def test_sweep_points(axis, points):
     assert driver.SWEEPS[axis] == points
     for _, overrides in points:
         assert set(overrides) <= {f.name for f in fields(TrainConfig)}
-    assert list(driver.SWEEPS) == ["eta", "sinkhorn-iters", "lambda", "orth", "keep-diagonal"]
+    assert list(driver.SWEEPS) == ["eta", "sinkhorn-iters", "lambda", "orth", "keep-diagonal",
+                                   "orth-lr"]
 
 
 def test_isk_sweep_points(tmp_path, monkeypatch):
@@ -134,6 +139,25 @@ def test_isk_sweep_points(tmp_path, monkeypatch):
         for res in runs[label]["results"].values():
             assert res["config"]["sinkhorn_iters"] == iters
             assert res["sinkhorn_iters"] == [iters] * 3
+
+
+def test_orth_lr_sweep_points(tmp_path, monkeypatch):
+    # one stored run per orth-lr point, in order, each trained with its mode and rate
+    monkeypatch.setattr(driver, "_kind", lambda kind, tiny, base, cfgs: {
+        "config": base, "trained": [(cfg.orth_mode, cfg.base_lr) for cfg in cfgs]})
+    monkeypatch.setattr(driver, "_table", lambda results: "")
+    out = tmp_path / "quality.json"
+    assert driver.main(["--tiny", "--label", "lr", "--out", str(out),
+                        "--sweep", "orth-lr"]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    points = [(mode, lr) for mode in ("procrustes", "none", "penalty")
+              for lr in (1.25e-6, 2.5e-6, 5e-6, 1e-5, 2e-5)]
+    assert list(runs) == [f"lr/{mode}-lr-{lr:g}" for mode, lr in points]
+    for label, (mode, lr) in zip(runs, points):
+        assert set(runs[label]["results"]) == set(KINDS)
+        for res in runs[label]["results"].values():
+            assert (res["config"]["orth_mode"], res["config"]["base_lr"]) == (mode, lr)
+            assert res["trained"] == [[mode, lr]] * 3
 
 
 def test_sweep_refuses_a_setting_before_any_point(tmp_path, monkeypatch, capsys):

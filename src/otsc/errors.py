@@ -1,7 +1,7 @@
 """The package's one exception type, and the two entry-point checks.
 
-A numerical failure (a Sinkhorn sum that underflows, a rank-deficient or
-zero-row embedding, a non-finite gradient, loss or encoder output) raises
+A numerical failure (a Sinkhorn sum that underflows, a zero-row
+embedding, a non-finite gradient, loss or encoder output) raises
 :class:`NumericalError`, which the CLI maps to exit status 2; a bad input
 or setting raises plain ``ValueError`` (exit status 1). The message says
 what failed and where. `as_matrix` is the input check of the package's
@@ -33,4 +33,4 @@ def check_finite_fields(settings) -> None:
 
 
 class NumericalError(ArithmeticError):
-    """A runtime numerical failure (underflow, rank loss, a non-finite value)."""
+    """A runtime numerical failure (underflow, non-convergence, a non-finite value)."""

@@ -5,12 +5,12 @@ with the diagonal masked to -inf, so each sample distributes one unit of
 affinity over the other B-1 samples. Both losses of a training step, the
 affinity loss on z @ z.T and the clustering loss on z @ prototypes.T, are
 one row-softmax cross entropy of bilinear logits, `softmax_cross_entropy`,
-which returns the gradients in both factors. Orthogonalization offers two
-strategies: the polar factor (nearest column-orthonormal matrix in Frobenius
-norm) or the QR factor, both from LAPACK through numpy; the trainer makes it
-trainable with a straight-through backward that passes gradients through
-unchanged. `panel_rows` sizes the row panels of the plane work here and in
-the spectral baseline; `worker_thread` and `both_halves` run half of the
+which returns the gradients in both factors. Orthogonalization is the
+polar factor (the nearest column-orthonormal matrix in Frobenius norm),
+from LAPACK's SVD through numpy; the trainer makes it trainable with a
+straight-through backward that passes gradients through unchanged.
+`panel_rows` sizes the row panels of the plane work here and in the
+spectral baseline; `worker_thread` and `both_halves` run half of the
 training step, or of the baseline's affinity, on a second thread when the
 process may use 2 CPUs.
 
@@ -19,7 +19,7 @@ validated where they enter (`fit`, `TrainConfig`): finite float64
 matrices, row-stochastic targets, a positive temperature; for
 `off_diagonal` a B x B plane with B >= 2 (``batch_size >= 2``); for
 `thin_svd` and `orthogonalize` a B x D matrix with B >= D (``embed_dim <=
-batch_size / 2``) and a mode of "procrustes" or "qr".
+batch_size / 2``).
 """
 
 from __future__ import annotations
@@ -143,33 +143,21 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a, full_matrices=False)
 
 
-def orthogonalize(z: np.ndarray, mode: str = "procrustes") -> OrthogonalizationResult:
-    """Map B x D embeddings (B >= D) to a column-orthonormal matrix.
+def orthogonalize(z: np.ndarray) -> OrthogonalizationResult:
+    """Map B x D embeddings (B >= D) to their polar factor u @ vt, from the
+    thin SVD: the closest column-orthonormal matrix in Frobenius norm.
 
-    ``mode`` is trusted to be ``procrustes`` or ``qr``. ``procrustes``
-    returns the polar factor u @ vt of the thin SVD, the closest
-    column-orthonormal matrix in Frobenius norm. ``qr`` returns the reduced
-    Q factor with column signs fixed so diag(q) >= 0 (the convention under
-    which the QR route moves the embeddings much further than the polar
-    factor does); it raises :class:`NumericalError` when a diagonal entry of
-    R falls at or below ``1e-12 * max|z|``. An ill-conditioned polar factor
-    warns once per call site (fixed text); ``warning`` has its sigmas.
+    An ill-conditioned polar factor warns once per call site (fixed text);
+    ``warning`` has its sigmas.
     """
+    u, s, vt = thin_svd(z)
+    s_max = float(s[0])
+    s_min = float(s[-1])
     warning = None
-    if mode == "procrustes":
-        u, s, vt = thin_svd(z)
-        s_max = float(s[0])
-        s_min = float(s[-1])
-        if s_min < 1e-10 * s_max or s_max == 0.0:
-            warning = f"ill-conditioned polar factor: sigma_min={s_min:.3e}, sigma_max={s_max:.3e}"
-            warnings.warn("ill-conditioned polar factor", RuntimeWarning, stacklevel=2)
-        z_new = u @ vt
-    else:
-        q, r = np.linalg.qr(z, mode="reduced")
-        if np.abs(np.diag(r)).min() <= 1e-12 * np.abs(z).max():
-            raise NumericalError("qr input is numerically rank-deficient")
-        z_new = q * np.where(np.diag(q) < 0, -1.0, 1.0)
-    return OrthogonalizationResult(z_new=z_new, warning=warning)
+    if s_min < 1e-10 * s_max or s_max == 0.0:
+        warning = f"ill-conditioned polar factor: sigma_min={s_min:.3e}, sigma_max={s_max:.3e}"
+        warnings.warn("ill-conditioned polar factor", RuntimeWarning, stacklevel=2)
+    return OrthogonalizationResult(z_new=u @ vt, warning=warning)
 
 
 def orthogonal_penalty(z: np.ndarray, rho: float) -> tuple[float, np.ndarray]:

@@ -48,7 +48,7 @@ __all__ = [
     "predict",
 ]
 
-TRAINER_ORTH_MODES = ("procrustes", "qr", "none", "penalty")
+TRAINER_ORTH_MODES = ("procrustes", "none", "penalty")
 
 # `fit` runs view 1 on a worker thread from this batch size on. Median ms per
 # step, serial / worker, 2 cores, 1 BLAS thread (README config on moons, 4
@@ -65,11 +65,13 @@ class TrainConfig:
 
     ``base_lr`` of None resolves to ``0.04 * batch_size / 256``. ``lam``
     weighs the clustering loss against the affinity loss. ``orth_mode``
-    selects the orthogonalization strategy (``penalty`` replaces the map
-    with a soft penalty of weight ``penalty_rho``); ``keep_diagonal`` keeps
-    self-similarities in the affinity objective (degenerate-solution
-    ablation). A NaN or infinite float field is refused, by name, and so
-    are optimizer settings that `optimizer` would refuse.
+    selects the orthogonalization strategy: the polar factor, none, or
+    ``penalty``, a soft penalty of weight ``penalty_rho`` in place of the
+    map (1.0 when not given; refused under the other modes).
+    ``keep_diagonal`` keeps self-similarities in the affinity objective
+    (degenerate-solution ablation). A NaN or infinite float field is
+    refused, by name, and so are optimizer settings that `optimizer` would
+    refuse.
     """
 
     num_clusters: int
@@ -88,7 +90,7 @@ class TrainConfig:
     scale_jitter: float = 0.1
     seed: int = 0
     orth_mode: str = "procrustes"
-    penalty_rho: float = 1.0
+    penalty_rho: float | None = None
     keep_diagonal: bool = False
     tau_a_init: float = 0.05
     tau_c_init: float = 0.05
@@ -119,7 +121,12 @@ class TrainConfig:
             raise ValueError(
                 f"orth_mode must be one of {TRAINER_ORTH_MODES}, got {self.orth_mode!r}"
             )
-        if self.penalty_rho <= 0:  # a zero weight would be a second spelling of "none"
+        if self.orth_mode != "penalty":
+            if self.penalty_rho is not None:
+                raise ValueError("penalty_rho applies to orth_mode 'penalty' only")
+        elif self.penalty_rho is None:
+            object.__setattr__(self, "penalty_rho", 1.0)
+        elif self.penalty_rho <= 0:  # a zero weight would be a second spelling of "none"
             raise ValueError("penalty_rho must be positive")
         for name in ("tau_a_init", "tau_c_init"):
             value = getattr(self, name)
@@ -200,8 +207,8 @@ def _straight_through(z_raw, cfg):
     through the normalization Jacobian at them (a stop-gradient inside the
     normalization instead is scale-unstable at this model size)."""
     z_base = row_normalize(z_raw)
-    if cfg.orth_mode in ("procrustes", "qr"):
-        resid = row_normalize(orthogonalize(z_raw, cfg.orth_mode).z_new) - z_base
+    if cfg.orth_mode == "procrustes":
+        resid = row_normalize(orthogonalize(z_raw).z_new) - z_base
     else:
         resid = np.zeros_like(z_raw)
     return resid, z_base + resid  # normalized orthogonalized rows
@@ -356,9 +363,9 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
                         x[idx], model, opt, cfg, rng, lr, planes=planes, worker=worker
                     )
                 except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as err:
-                    # numerical events only (overflow, dead rows, a rank-deficient
-                    # QR, an SVD that does not converge, poisoned gradients); any
-                    # other error is a bug and leaves fit as itself
+                    # numerical events only (overflow, dead rows, an SVD that
+                    # does not converge, poisoned gradients); any other error
+                    # is a bug and leaves fit as itself
                     msg = f"aborted at epoch {epoch}, step {step}: {err}"
                     raise NumericalError(msg) from err
                 sums += losses

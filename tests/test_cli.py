@@ -80,7 +80,7 @@ class TestConfigParsing:
             "eta": 0.07, "sinkhorn_iters": 4, "lam": 1.25, "base_lr": 0.003,
             "momentum": 0.8, "weight_decay": 0.001, "restart_period": 50,
             "noise_sigma": 0.2, "feature_dropout_prob": 0.2, "scale_jitter": 0.05,
-            "seed": 11, "orth_mode": "qr", "penalty_rho": 2.0, "keep_diagonal": True,
+            "seed": 11, "orth_mode": "penalty", "penalty_rho": 2.0, "keep_diagonal": True,
             "tau_a_init": 0.1, "tau_c_init": 0.2,
         }
         assert set(values) == {f.name for f in fields(TrainConfig)}
@@ -636,11 +636,18 @@ BAD_INPUTS = {
         lambda tmp, run: _train_with(tmp, run, "base_lr = nan"),
         1, "error: base_lr must be finite, got nan\n"),
     "zero penalty_rho in the config": (
-        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 0"),
+        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 0", "--orth-mode", "penalty"),
         1, "error: penalty_rho must be positive\n"),
     "NaN penalty_rho in the config": (
-        lambda tmp, run: _train_with(tmp, run, "penalty_rho = nan"),
+        lambda tmp, run: _train_with(tmp, run, "penalty_rho = nan", "--orth-mode", "penalty"),
         1, "error: penalty_rho must be finite, got nan\n"),
+    # the weight is read under orth_mode penalty only
+    "penalty_rho under procrustes in the config": (
+        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 3"),
+        1, "error: penalty_rho applies to orth_mode 'penalty' only\n"),
+    "penalty_rho under none in the config": (
+        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 1", "--orth-mode", "none"),
+        1, "error: penalty_rho applies to orth_mode 'penalty' only\n"),
     "infinite eta on train": (
         lambda tmp, run: _train_with(tmp, run, "", "--eta", "inf"),
         1, "error: eta must be finite, got inf\n"),
@@ -679,6 +686,14 @@ BAD_INPUTS = {
     "unknown orth_mode in the config": (
         lambda tmp, run: _train_with(tmp, run, "orth_mode = cayley"),
         1, f"error: orth_mode must be one of {TRAINER_ORTH_MODES}, got 'cayley'\n"),
+    # qr, the QR orthonormalization, is no mode: each refusal lists the modes left
+    "qr orth_mode in the config": (
+        lambda tmp, run: _train_with(tmp, run, "orth_mode = qr"),
+        1, "error: orth_mode must be one of ('procrustes', 'none', 'penalty'), got 'qr'\n"),
+    "qr orth-mode on train": (
+        lambda tmp, run: _train_with(tmp, run, "", "--orth-mode", "qr"),
+        1, "argument --orth-mode: invalid choice: 'qr'"
+           " (choose from 'procrustes', 'none', 'penalty')\nusage: otsc train [-h]"),
     "negative seed in the config": (
         lambda tmp, run: _train_with(tmp, run, "seed = -1"),
         1, "error: seed must be nonnegative\n"),

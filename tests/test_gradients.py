@@ -32,7 +32,7 @@ def build_instance(mode, keep_diagonal=False, seed=0):
         sinkhorn_iters=3,
         lam=0.7,
         orth_mode=mode,
-        penalty_rho=0.8,
+        penalty_rho=0.8 if mode == "penalty" else None,
         keep_diagonal=keep_diagonal,
     )
     x1 = rng.normal(size=(8, 4))
@@ -66,7 +66,7 @@ def check_all_parameters(model, cfg, x1, x2, worker=None):
     assert not failures, f"gradient mismatches: {failures}"
 
 
-@pytest.mark.parametrize("mode", ["none", "procrustes", "qr", "penalty"])
+@pytest.mark.parametrize("mode", ["none", "procrustes", "penalty"])
 def test_full_step_gradients(mode):
     model, cfg, x1, x2 = build_instance(mode)
     check_all_parameters(model, cfg, x1, x2)
@@ -105,7 +105,7 @@ def test_held_loss_equals_the_live_step_loss(mode, keep_diagonal):
 
 
 @pytest.mark.parametrize("keep_diagonal", [False, True])
-@pytest.mark.parametrize("mode", ["none", "procrustes", "qr", "penalty"])
+@pytest.mark.parametrize("mode", ["none", "procrustes", "penalty"])
 def test_tau_a_gradient_matches_logit_form(mode, keep_diagonal):
     # the step takes it from the B x D embedding gradient; the oracle reads
     # the B x B logit and gradient planes

@@ -1,21 +1,16 @@
 """The factorizations: `sym_eig` (the spectral baseline's eigensolve, for
-symmetric matrices with eigenvalues at most 1), `thin_svd` and the QR route
-of `orthogonalize` (the training step's). Each trusts its caller for the
-shape of its input (square for `sym_eig`, tall for the others) and for
-``1 <= k <= n``, so only the refusals of what the numbers themselves can
-break are tested here: an eigenvalue above 1, a rank-deficient QR input."""
+symmetric matrices with eigenvalues at most 1) and `thin_svd` (the training
+step's). Each trusts its caller for the shape of its input (square for
+`sym_eig`, tall for `thin_svd`) and for ``1 <= k <= n``; the refusal of what
+the numbers themselves can break, an eigenvalue above 1, is tested with the
+spectral baseline."""
 
 import numpy as np
 import pytest
 
 from oracles import eig_reconstruct, svd_reconstruct
 from otsc.baselines import sym_eig
-from otsc.errors import NumericalError
-from otsc.spectral import orthogonalize, thin_svd
-
-
-def qr_q(a):
-    return orthogonalize(a, "qr").z_new
+from otsc.spectral import thin_svd
 
 
 def random_symmetric(n, rng):
@@ -108,45 +103,3 @@ class TestThinSvd:
             rebuilt = svd_reconstruct(u, s, vt)
             assert np.abs(rebuilt - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
 
-
-class TestQr:
-    """The QR route of `orthogonalize`: the reduced Q factor, column signs
-    fixed so that diag(q) >= 0."""
-
-    def test_identity(self):
-        assert np.allclose(qr_q(np.eye(3)), np.eye(3))
-
-    def test_reference_2x2_up_to_column_sign(self):
-        z = np.array([[-0.94, 0.34], [0.87, 0.50]])
-        q = qr_q(z)
-        want = np.array([[0.74, 0.68], [-0.68, 0.74]])
-        for col in range(2):
-            delta = min(
-                np.abs(q[:, col] - want[:, col]).max(),
-                np.abs(q[:, col] + want[:, col]).max(),
-            )
-            assert delta <= 0.02
-        assert (np.diag(q) >= 0).all()
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(5, 3))
-        q = qr_q(a)
-        assert np.abs(q @ (q.T @ a) - a).max() <= 1e-8
-        assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-10
-        assert (np.diag(q) >= 0).all()
-
-    def test_reconstruction_up_to_64(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(64, 64))
-        q = qr_q(a)
-        assert np.abs(q @ (q.T @ a) - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
-        assert np.abs(q.T @ q - np.eye(64)).max() <= 1e-10
-        assert (np.diag(q) >= 0).all()
-
-    def test_rank_deficient_raises(self):
-        a = np.ones((4, 2))  # second column dependent on first
-        with pytest.raises(NumericalError) as info:
-            qr_q(a)
-        # a numerical event: fit aborts on it and the CLI exits 2
-        assert str(info.value) == "qr input is numerically rank-deficient"

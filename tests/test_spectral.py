@@ -395,36 +395,29 @@ class TestBilinearLogits:
 
 class TestOrthogonalize:
     def test_reference_procrustes_values(self):
-        res = orthogonalize(FIG_Z, "procrustes")
+        res = orthogonalize(FIG_Z)
         want = np.array([[-0.77, 0.64], [0.64, 0.77]])
         assert np.abs(res.z_new - want).max() <= 0.02
         assert abs(np.linalg.norm(FIG_Z - res.z_new) - 0.49) <= 0.02
 
-    def test_reference_qr_values(self):
-        res = orthogonalize(FIG_Z, "qr")
-        want = np.array([[0.74, 0.68], [-0.68, 0.74]])
-        assert np.abs(res.z_new - want).max() <= 0.02
-        assert abs(np.linalg.norm(FIG_Z - res.z_new) - 2.31) <= 0.05
-
     def test_orthonormal_input_is_fixed_point(self):
         q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(8, 4)))
-        res = orthogonalize(q, "procrustes")
+        res = orthogonalize(q)
         assert np.abs(res.z_new - q).max() <= 1e-10
         assert np.linalg.norm(q - res.z_new) <= 1e-8
 
     def test_output_is_column_orthonormal(self):
         rng = np.random.default_rng(4)
         z = rng.normal(size=(10, 4))
-        for mode in ("procrustes", "qr"):
-            res = orthogonalize(z, mode)
-            gram = res.z_new.T @ res.z_new
-            assert np.abs(gram - np.eye(4)).max() <= 1e-8
+        res = orthogonalize(z)
+        gram = res.z_new.T @ res.z_new
+        assert np.abs(gram - np.eye(4)).max() <= 1e-8
 
     def test_conditioning_warning_attached(self):
         z = np.zeros((4, 2))
         z[:, 0] = [1.0, 2.0, 3.0, 4.0]  # rank one
         with pytest.warns(RuntimeWarning):
-            res = orthogonalize(z, "procrustes")
+            res = orthogonalize(z)
         assert res.warning is not None
         assert np.isfinite(res.z_new).all()
 
@@ -437,7 +430,7 @@ class TestOrthogonalize:
             for scale in (1.0, 3.0):
                 z = np.zeros((4, 2))
                 z[:, 0] = scale * np.arange(1.0, 5.0)  # rank one
-                results.append(orthogonalize(z, "procrustes"))
+                results.append(orthogonalize(z))
         assert len(caught) == 1
         assert results[0].warning != results[1].warning
 
@@ -447,9 +440,9 @@ class TestProcrustesMinimality:
         rng = np.random.default_rng(6)
         for _ in range(100):
             z = rng.normal(size=(16, 4))
-            best = np.linalg.norm(z - orthogonalize(z, "procrustes").z_new)
-            qr_dist = np.linalg.norm(z - orthogonalize(z, "qr").z_new)
-            assert best <= qr_dist + 1e-9
+            best = np.linalg.norm(z - orthogonalize(z).z_new)
+            # the Q factor of z itself, SpectralNet's orthonormalization
+            assert best <= np.linalg.norm(z - np.linalg.qr(z)[0]) + 1e-9
             for _ in range(100):
                 q, _ = np.linalg.qr(rng.normal(size=(16, 4)))
                 assert best <= np.linalg.norm(z - q) + 1e-9
@@ -461,7 +454,7 @@ class TestStraightThrough:
     def test_forward_equals_new_value(self):
         model, x, cfg = encoder_view(7)
         z_raw, _, z = straight_through_view(model, x, cfg)
-        z_new = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
+        z_new = row_normalize(orthogonalize(z_raw).z_new)
         assert np.abs(z - z_new).max() <= 1e-15
 
     def test_backward_contract_on_quadratic(self):
@@ -473,7 +466,7 @@ class TestStraightThrough:
         z_raw, resid, z = straight_through_view(model, x, cfg)
         t = np.random.default_rng(9).normal(size=z.shape)
         upstream = z - t
-        z_new = row_normalize(orthogonalize(z_raw, "procrustes").z_new)
+        z_new = row_normalize(orthogonalize(z_raw).z_new)
         assert np.allclose(upstream, z_new - t)
         fd = central_difference(
             lambda v: 0.5 * float(np.sum((row_normalize(v) + resid - t) ** 2)), z_raw

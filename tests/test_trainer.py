@@ -69,22 +69,33 @@ class TestConfig:
             tiny_cfg(batch_size=10, embed_dim=6)
 
     def test_invalid_mode(self):
-        with pytest.raises(ValueError, match="^orth_mode must be one of .*, got 'qrx'$"):
-            tiny_cfg(orth_mode="qrx")
+        with pytest.raises(ValueError, match="^orth_mode must be one of .*, got 'cayley'$"):
+            tiny_cfg(orth_mode="cayley")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "name", [f.name for f in fields(TrainConfig) if f.type.startswith("float")]
     )
     def test_refuses_non_finite_float_by_name(self, name, value):
-        # out-of-range values keep their older messages, which also name the field
+        # out-of-range values keep their older messages, which also name the
+        # field; penalty_rho is read, and so checked, under penalty only
+        mode = {"orth_mode": "penalty"} if name == "penalty_rho" else {}
         with pytest.raises(ValueError, match=f"^{name} must"):
-            tiny_cfg(**{name: value})
+            tiny_cfg(**{name: value}, **mode)
 
     def test_refuses_a_zero_penalty_weight(self):
         # penalty at rho 0 adds nothing: "none" is the one spelling of that
         with pytest.raises(ValueError, match="^penalty_rho must be positive$"):
             tiny_cfg(orth_mode="penalty", penalty_rho=0.0)
+
+    @pytest.mark.parametrize("mode", [m for m in TRAINER_ORTH_MODES if m != "penalty"])
+    def test_refuses_a_penalty_weight_it_would_not_read(self, mode):
+        with pytest.raises(ValueError, match="^penalty_rho applies to orth_mode 'penalty' only$"):
+            tiny_cfg(orth_mode=mode, penalty_rho=3.0)
+
+    def test_penalty_weight_is_one_under_penalty_when_not_given(self):
+        assert tiny_cfg(orth_mode="penalty").penalty_rho == 1.0
+        assert tiny_cfg().penalty_rho is None
 
     def test_refuses_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
@@ -270,10 +281,9 @@ class TestStepStatistics:
         x1, x2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
         return _compute_step(model, x1, x2, tiny_cfg(orth_mode=orth_mode, **kw))
 
-    @pytest.mark.parametrize("orth_mode", ["procrustes", "qr"])
-    def test_inconsistency_does_not_depend_on_row_scale(self, orth_mode):
-        base = self.step(orth_mode)[0].mean_inconsistency
-        scaled = self.step(orth_mode, scale=1e3)[0].mean_inconsistency
+    def test_inconsistency_does_not_depend_on_row_scale(self):
+        base = self.step()[0].mean_inconsistency
+        scaled = self.step(scale=1e3)[0].mean_inconsistency
         assert base > 0.0
         assert abs(scaled - base) <= 1e-12 * base
 
@@ -589,7 +599,7 @@ class TestFit:
 
     def test_diverged_model_aborts_in_every_orth_mode(self):
         # the step's prototype normalization stops a diverged model before
-        # its embeddings reach the SVD, QR, penalty or transport targets,
+        # its embeddings reach the SVD, penalty or transport targets,
         # and no numpy warning precedes the abort
         for mode in TRAINER_ORTH_MODES:
             cfg = tiny_cfg(epochs=1, base_lr=1e200, orth_mode=mode)
@@ -607,14 +617,6 @@ class TestFit:
         with pytest.raises(ValueError, match="^broken contract$") as info:
             fit(random_data(), tiny_cfg(epochs=1))
         assert not isinstance(info.value, NumericalError)
-
-    def test_qr_rank_event_aborts_with_its_epoch_and_step(self):
-        # identical rows, scaled by the jitter only, embed at rank one
-        cfg = tiny_cfg(epochs=1, orth_mode="qr", noise_sigma=0.0)
-        with pytest.raises(NumericalError) as info:
-            fit(np.ones((40, 4)), cfg)
-        want = "aborted at epoch 0, step 0: qr input is numerically rank-deficient"
-        assert str(info.value) == want
 
 
 class TestPredict:
