@@ -1,9 +1,10 @@
 """Classical comparison methods: Lloyd's k-means and shallow spectral clustering.
 
 The spectral baseline follows the classical three-stage recipe: a Gaussian
-affinity (fixed bandwidth or self-tuning per-point bandwidths from the
-k-th nearest neighbor), row normalization to a random-walk matrix, top-K
-eigenvectors, then k-means on the embedding rows.
+affinity with the self-tuning per-point bandwidths of Zelnik-Manor and
+Perona (each point's distance to its k-th nearest neighbor), row
+normalization to a random-walk matrix, top-K eigenvectors, then k-means
+on the embedding rows.
 
 The eigenvalues of the symmetric conjugate D^-1/2 S D^-1/2 lie in [-1, 1],
 and eigenvalue 1 has one eigenvector per connected component of the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, as_matrix, check_finite_fields
+from .errors import NumericalError, as_matrix
 from .spectral import both_halves, panel_rows, row_normalize, worker_thread
 
 __all__ = [
@@ -61,43 +62,20 @@ COMPONENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Bandwidth choice and cluster count for the spectral baseline.
+    """Cluster count and neighbor rank for the spectral baseline.
 
-    ``bandwidth_mode`` is "fixed" (requires ``sigma``; ``k_neighbor`` is
-    refused) or "self_tuning" (per-point bandwidth = distance to the
-    ``k_neighbor``-th nearest neighbor, 7 when not given; ``sigma`` is
-    refused).
+    Point i's bandwidth is its distance to its ``k_neighbor``-th nearest
+    neighbor, and the affinity of i and j is exp(-d_ij^2 / (local_i local_j)).
     """
 
     num_clusters: int
-    bandwidth_mode: str = "self_tuning"
-    sigma: float | None = None
-    k_neighbor: int | None = None
+    k_neighbor: int = 7
 
     def __post_init__(self):
         if self.num_clusters < 2:
             raise ValueError("num_clusters must be >= 2")
-        if self.bandwidth_mode not in ("fixed", "self_tuning"):
-            raise ValueError("bandwidth_mode must be 'fixed' or 'self_tuning'")
-        if self.bandwidth_mode == "fixed":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("fixed bandwidth requires sigma > 0")
-            if self.k_neighbor is not None:
-                raise ValueError("k_neighbor applies to bandwidth_mode 'self_tuning' only")
-        else:
-            if self.sigma is not None:
-                raise ValueError("sigma applies to bandwidth_mode 'fixed' only")
-            if self.k_neighbor is None:
-                object.__setattr__(self, "k_neighbor", 7)
-            if self.k_neighbor < 1:
-                raise ValueError("k_neighbor must be >= 1")
-        check_finite_fields(self)
-        # the affinity divides by 2 sigma^2 (`*` here, since `**` raises on overflow)
-        width = None if self.sigma is None else 2.0 * self.sigma * self.sigma
-        if width is not None and not np.finfo(float).tiny <= width < np.inf:
-            raise ValueError(
-                f"sigma must make 2 sigma^2 a finite positive normal double, got {self.sigma!r}"
-            )
+        if self.k_neighbor < 1:
+            raise ValueError("k_neighbor must be >= 1")
 
 
 def _gram_to_distances(g: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray) -> np.ndarray:
@@ -118,7 +96,7 @@ def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """exp(-d2 / width) with a zero diagonal, built in the Gram buffer.
+    """exp(-d2 / (local_i local_j)) with a zero diagonal, built in the Gram buffer.
 
     The Gram product is formed whole, since products of row panels round
     some entries differently. Every later stage runs in row panels of
@@ -133,22 +111,21 @@ def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     rows = panel_rows(n)
     panels = [slice(i, i + rows) for i in range(0, n, rows)]
     halves = panels[::2], panels[1::2]
-    k, kth, local = cfg.k_neighbor, np.empty(n), None
+    k, kth = cfg.k_neighbor, np.empty(n)
 
     def distances(half):
         for p in halves[half]:
             d2 = _gram_to_distances(s[p], sq[p], sq)
-            if cfg.bandwidth_mode == "self_tuning":
-                # entry k of the partitioned row: the squared distance to the
-                # k-th nearest neighbor (row position 0 is the point itself)
-                kth[p] = np.partition(d2, k, axis=1)[:, k]
+            # entry k of the partitioned row: the squared distance to the
+            # k-th nearest neighbor (row position 0 is the point itself)
+            kth[p] = np.partition(d2, k, axis=1)[:, k]
 
     def affinity(half):
         for p in halves[half]:
             d2 = s[p]
             # dividing by the negated width negates exactly, so the clamp
             # below takes the place of a negation pass
-            d2 /= -2.0 * cfg.sigma**2 if local is None else np.outer(-local[p], local)
+            d2 /= np.outer(-local[p], local)
             np.maximum(d2, -AFFINITY_CUT, out=d2)
             np.exp(d2, out=d2)
             np.copyto(d2, 0.0, where=d2 < AFFINITY_FLOOR)
@@ -156,10 +133,9 @@ def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
 
     with worker_thread(len(panels) >= 2) as worker:
         both_halves(distances, worker)
-        if cfg.bandwidth_mode == "self_tuning":
-            local = np.sqrt(kth)
-            if (local == 0).any():
-                raise ValueError("duplicate points collapse the self-tuning bandwidth")
+        local = np.sqrt(kth)
+        if (local == 0).any():
+            raise ValueError("duplicate points collapse the self-tuning bandwidth")
         both_halves(affinity, worker)
     return s
 
@@ -300,8 +276,8 @@ def classical_spectral(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Three-stage spectral clustering on raw coordinates.
 
-    Builds the Gaussian affinity S (zero diagonal), solves the top-K
-    eigenproblem of the row-normalized affinity through its symmetric
+    Builds the self-tuning Gaussian affinity S (zero diagonal), solves the
+    top-K eigenproblem of the row-normalized affinity through its symmetric
     conjugate D^(-1/2) S D^(-1/2), maps eigenvectors back, and clusters
     their row-normalized rows with k-means. Returned embeddings are the
     mapped-back eigenvectors themselves (unit-norm columns), so each
@@ -319,7 +295,7 @@ def classical_spectral(
         )
     if cfg.num_clusters > n:
         raise ValueError("more clusters than samples")
-    if cfg.bandwidth_mode == "self_tuning" and cfg.k_neighbor >= n:
+    if cfg.k_neighbor >= n:
         raise ValueError("k_neighbor must be smaller than the number of samples")
     s = _gaussian_affinity(x, cfg)
     degrees = s.sum(axis=1)

@@ -202,7 +202,7 @@ def _refuse_given(args, names, reader: str) -> None:
         raise ValueError(f"--{name.replace('_', '-')} applies to {reader} only")
 
 
-_SPECTRAL_OPTIONS = ("bandwidth_mode", "sigma", "k_neighbor")
+_SPECTRAL_OPTIONS = ("k_neighbor",)
 
 
 def _cmd_baseline(args) -> None:
@@ -277,10 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--restarts", type=int, help="kmeans only; default 10")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bandwidth-mode", choices=("fixed", "self_tuning"),
-                   help="spectral only; default self_tuning")
-    p.add_argument("--sigma", type=float, help="spectral, fixed bandwidth only")
-    p.add_argument("--k-neighbor", type=int, help="spectral, self-tuning bandwidth only; default 7")
+    p.add_argument("--k-neighbor", type=int, help="spectral only; default 7")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("ot-debug", help="solve a transport instance from a cost CSV")

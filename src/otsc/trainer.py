@@ -67,7 +67,8 @@ class TrainConfig:
     weighs the clustering loss against the affinity loss. ``orth_mode``
     selects the orthogonalization strategy: the polar factor, none, or
     ``penalty``, a soft penalty of weight ``penalty_rho`` in place of the
-    map (1.0 when not given; refused under the other modes).
+    map (refused under the other modes); ``rho`` is the weight the step
+    reads, 1.0 when ``penalty_rho`` is None.
     ``keep_diagonal`` keeps self-similarities in the affinity objective
     (degenerate-solution ablation). A NaN or infinite float field is
     refused, by name, and so are optimizer settings that `optimizer` would
@@ -121,13 +122,11 @@ class TrainConfig:
             raise ValueError(
                 f"orth_mode must be one of {TRAINER_ORTH_MODES}, got {self.orth_mode!r}"
             )
-        if self.orth_mode != "penalty":
-            if self.penalty_rho is not None:
+        if self.penalty_rho is not None:
+            if self.orth_mode != "penalty":
                 raise ValueError("penalty_rho applies to orth_mode 'penalty' only")
-        elif self.penalty_rho is None:
-            object.__setattr__(self, "penalty_rho", 1.0)
-        elif self.penalty_rho <= 0:  # a zero weight would be a second spelling of "none"
-            raise ValueError("penalty_rho must be positive")
+            if self.penalty_rho <= 0:  # a zero weight would be a second spelling of "none"
+                raise ValueError("penalty_rho must be positive")
         for name in ("tau_a_init", "tau_c_init"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -138,6 +137,10 @@ class TrainConfig:
     @property
     def lr(self) -> float:
         return self.base_lr if self.base_lr is not None else 0.04 * self.batch_size / 256.0
+
+    @property
+    def rho(self) -> float:
+        return self.penalty_rho if self.penalty_rho is not None else 1.0
 
     def optimizer(self) -> net.OptimizerState:
         """A fresh optimizer state for this run's settings."""
@@ -272,7 +275,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         g = g + g_y + cfg.lam * g_c
         pen = 0.0
         if cfg.orth_mode == "penalty":
-            pen, grad_pen = orthogonal_penalty(z, cfg.penalty_rho)
+            pen, grad_pen = orthogonal_penalty(z, cfg.rho)
             g = g + grad_pen
         layers = net.backward(model, inputs, row_normalize_vjp(z_raw, g))
         return (loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * grad_protos,

@@ -434,14 +434,14 @@ def held_step_loss(model, x1, x2, cfg, held) -> float:
             assignment_targets[1 - v], z @ protos.T, tau_c
         )[0]
         if cfg.orth_mode == "penalty":
-            total += orthogonal_penalty(z, cfg.penalty_rho)[0]
+            total += orthogonal_penalty(z, cfg.rho)[0]
     return total
 
 
 def full_spectrum_spectral(x, cfg, seed: int = 0) -> np.ndarray:
     """Spectral-baseline labels from the full eigendecomposition.
 
-    The self-tuning (or fixed) Gaussian affinity, its symmetric conjugate
+    The self-tuning Gaussian affinity, its symmetric conjugate
     D^-1/2 S D^-1/2, all n eigenpairs, the K leading ones mapped back and
     column-normalized, then the package's k-means on the normalized rows.
     """
@@ -450,11 +450,8 @@ def full_spectrum_spectral(x, cfg, seed: int = 0) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     sq = np.sum(x**2, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    if cfg.bandwidth_mode == "fixed":
-        s = np.exp(-d2 / (2.0 * cfg.sigma**2))
-    else:
-        local = np.sort(np.sqrt(d2), axis=1)[:, cfg.k_neighbor]
-        s = np.exp(-d2 / (local[:, None] * local[None, :]))
+    local = np.sort(np.sqrt(d2), axis=1)[:, cfg.k_neighbor]
+    s = np.exp(-d2 / (local[:, None] * local[None, :]))
     np.fill_diagonal(s, 0.0)
     inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
     conjugate = s * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -475,11 +472,8 @@ def whole_plane_gaussian_affinity(x, cfg) -> np.ndarray:
     from otsc.baselines import AFFINITY_CUT, AFFINITY_FLOOR, _squared_distances
 
     d2 = _squared_distances(x, x)
-    if cfg.bandwidth_mode == "fixed":
-        d2 /= -2.0 * cfg.sigma**2
-    else:
-        local = np.sqrt(np.partition(d2, cfg.k_neighbor, axis=1)[:, cfg.k_neighbor])
-        d2 /= np.outer(-local, local)
+    local = np.sqrt(np.partition(d2, cfg.k_neighbor, axis=1)[:, cfg.k_neighbor])
+    d2 /= np.outer(-local, local)
     np.maximum(d2, -AFFINITY_CUT, out=d2)
     np.exp(d2, out=d2)
     np.copyto(d2, 0.0, where=d2 < AFFINITY_FLOOR)
@@ -489,7 +483,8 @@ def whole_plane_gaussian_affinity(x, cfg) -> np.ndarray:
 
 def unclamped_gaussian_affinity(d2, width, floor: float) -> np.ndarray:
     """exp(-d2 / width) with no clamp on the quotient, entries below ``floor``
-    and the diagonal set to 0; ``width`` is a scalar or an n x n array."""
+    and the diagonal set to 0; ``width`` is the n x n outer product of the
+    bandwidths."""
     s = np.exp(-(d2 / width))
     s[s < floor] = 0.0
     np.fill_diagonal(s, 0.0)

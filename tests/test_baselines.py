@@ -57,6 +57,27 @@ def on_cpus(monkeypatch, cpus):
     return threads
 
 
+def far_groups(groups: int, size: int, seed: int) -> np.ndarray:
+    """``groups`` clusters of ``size`` standard normal points in the plane,
+    their centers 1000 apart on a line: every affinity across groups falls
+    below the floor."""
+    rng = np.random.default_rng(seed)
+    centers = np.stack([1000.0 * np.arange(groups), np.zeros(groups)], axis=1)
+    return (centers[:, None, :] + rng.standard_normal((groups, size, 2))).reshape(-1, 2)
+
+
+def paired_points(points) -> np.ndarray:
+    """The origin and integer ``points``, each given a partner along one
+    extra axis: 1 from the origin, 2 from each point. Under ``k_neighbor =
+    1`` the origin's bandwidth is 1 and each point's 2, so the origin's
+    quotient with point i, in column 2 + 2 i, is |p_i|^2 / 2 exactly."""
+    centers = np.vstack([np.zeros(len(points[0])), points])
+    rows = []
+    for c, lift in zip(centers, [1.0] + [2.0] * len(points)):
+        rows += [np.append(c, 0.0), np.append(c, lift)]
+    return np.array(rows)
+
+
 def normalized_conjugate(x, cfg):
     """D^-1/2 S D^-1/2 of the spectral baseline's Gaussian affinity S."""
     s = _gaussian_affinity(x, cfg)
@@ -69,16 +90,16 @@ class TestSymEigOnAffinities:
     """`sym_eig` on the matrices the spectral baseline hands it, against the
     full spectrum from `np.linalg.eigh`."""
 
-    @pytest.mark.parametrize("kind, n, k, sigma", [
-        ("moons", 1000, 3, None), ("rings", 1000, 3, None), ("blobs", 900, 5, None),
-        # four components, then lambda_5 = 0.06 over a flat rest near 0.002,
-        # which the shifted inverse alone separates by 6% a sweep
-        ("blobs", 900, 5, 0.2),
+    @pytest.mark.parametrize("kind, n, k, k_neighbor", [
+        ("moons", 1000, 3, 7), ("rings", 1000, 3, 7), ("blobs", 900, 5, 7),
+        # each point's bandwidth spans its whole blob (224 of the other
+        # points): four components, then lambda_5 = 0.096 over a rest near
+        # 0.02, which the shifted inverse alone separates by 8% a sweep
+        ("blobs", 900, 5, 224),
     ])
-    def test_matches_full_eigh(self, kind, n, k, sigma):
+    def test_matches_full_eigh(self, kind, n, k, k_neighbor):
         ds = gen_dataset(kind, n, noise=0.05, seed=1)
-        mode = "self_tuning" if sigma is None else "fixed"
-        a = normalized_conjugate(ds.features, SpectralConfig(k - 1, mode, sigma))
+        a = normalized_conjugate(ds.features, SpectralConfig(k - 1, k_neighbor))
         full_vals = np.linalg.eigvalsh(a)[::-1]
         evals, evecs = sym_eig(a.copy(), k=k)
         assert np.abs(evals - full_vals[:k]).max() <= 1e-12
@@ -168,7 +189,7 @@ class TestTiles:
             return sym_eig(a, k)
 
         monkeypatch.setattr("otsc.baselines.sym_eig", capture)
-        cfg = SpectralConfig(num_clusters=clusters, bandwidth_mode="fixed", sigma=1.0)
+        cfg = SpectralConfig(num_clusters=clusters, k_neighbor=min(7, n - 1))
         labels, _ = classical_spectral(x, cfg, seed=0)
         assert asked == [min(clusters + 1, n)]
         assert labels.shape == (n,)
@@ -240,13 +261,12 @@ class TestClassicalSpectral:
         b = rng.normal(size=(30, 2)) + 500.0
         x = np.concatenate([a, b])
         y = np.concatenate([np.zeros(30, dtype=int), np.ones(30, dtype=int)])
-        cfg = SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=1.0)
-        labels, _ = classical_spectral(x, cfg, seed=0)
+        labels, _ = classical_spectral(x, SpectralConfig(num_clusters=2), seed=0)
         assert evaluate(y, labels).acc == 1.0
 
     def test_rings_beat_kmeans(self):
         ds = gen_dataset("rings", 1000, noise=0.05, seed=5)
-        cfg = SpectralConfig(num_clusters=2, bandwidth_mode="self_tuning", k_neighbor=7)
+        cfg = SpectralConfig(num_clusters=2, k_neighbor=7)
         labels, _ = classical_spectral(ds.features, cfg, seed=0)
         spectral_acc = evaluate(ds.labels, labels).acc
         km_labels, _, _ = kmeans_lloyd(ds.features, 2, restarts=10, seed=0)
@@ -257,7 +277,7 @@ class TestClassicalSpectral:
     def test_eigen_residuals(self):
         rng = np.random.default_rng(6)
         x, _ = three_blobs(rng, n_per=40, sep=8.0)
-        cfg = SpectralConfig(num_clusters=3, bandwidth_mode="self_tuning", k_neighbor=7)
+        cfg = SpectralConfig(num_clusters=3, k_neighbor=7)
         _, embeddings = classical_spectral(x, cfg, seed=0)
         # rebuild the row-normalized affinity and check W v = lambda v
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
@@ -272,42 +292,26 @@ class TestClassicalSpectral:
             lam = float(v @ wv / (v @ v))
             assert np.abs(wv - lam * v).max() <= 1e-6
 
-    def test_fixed_bandwidth_formula(self):
-        # fixed-sigma mode must use exp(-d^2 / (2 sigma^2)) off-diagonal
-        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        cfg = SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.7)
-        labels, _ = classical_spectral(x, cfg, seed=0)
-        assert len(labels) == 3  # formula exercised without error
-
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
-    def test_non_finite_sigma_refused_by_name(self, sigma):
-        with pytest.raises(ValueError, match=f"^sigma must be finite, got {sigma}$"):
-            SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
-
-    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
-    def test_sigma_whose_width_is_not_a_normal_double_refused_by_name(self, sigma):
-        # 2 sigma^2 overflows to inf at 1e200 and underflows to 0 at 1e-200
-        message = f"sigma must make 2 sigma^2 a finite positive normal double, got {sigma!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
-
-    @pytest.mark.parametrize("sigma", [1e150, 1e-150])
-    def test_sigma_with_a_normal_width_accepted(self, sigma):
-        assert SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma).sigma == sigma
-
-    def test_sigma_refused_under_self_tuning(self):
-        with pytest.raises(ValueError, match="^sigma applies to bandwidth_mode 'fixed' only$"):
-            SpectralConfig(num_clusters=2, sigma=0.5)
-
-    def test_k_neighbor_refused_under_a_fixed_bandwidth(self):
-        message = "^k_neighbor applies to bandwidth_mode 'self_tuning' only$"
-        with pytest.raises(ValueError, match=message):
-            SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.3, k_neighbor=7)
-
-    def test_k_neighbor_resolves_to_7_under_self_tuning_only(self):
+    def test_k_neighbor_defaults_to_7(self):
         assert SpectralConfig(num_clusters=2).k_neighbor == 7
         assert SpectralConfig(num_clusters=2, k_neighbor=3).k_neighbor == 3
-        assert SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.3).k_neighbor is None
+
+    @pytest.mark.parametrize("num_clusters, k_neighbor, message", [
+        (1, 7, "num_clusters must be >= 2"), (2, 0, "k_neighbor must be >= 1"),
+    ])
+    def test_config_bounds_refused(self, num_clusters, k_neighbor, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpectralConfig(num_clusters, k_neighbor)
+
+    def test_k_neighbor_of_n_refused_before_the_affinity(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the affinity was built for a refused k_neighbor")
+
+        monkeypatch.setattr("otsc.baselines._gaussian_affinity", refuse)
+        x = np.random.default_rng(7).normal(size=(7, 2))
+        message = "^k_neighbor must be smaller than the number of samples$"
+        with pytest.raises(ValueError, match=message):
+            classical_spectral(x, SpectralConfig(num_clusters=2), seed=0)
 
     def test_negative_seed_refused_before_the_affinity(self, monkeypatch):
         def refuse(*args):
@@ -319,51 +323,42 @@ class TestClassicalSpectral:
             classical_spectral(x, SpectralConfig(num_clusters=3), seed=-1)
 
     def test_affinity_sets_entries_below_the_floor_to_zero(self):
-        # exp(-300) stays; exp(-400) < 2^-511, and exp(-720) is subnormal
-        x = np.array([[0.0, 0.0], [np.sqrt(600.0), 0.0], [0.0, np.sqrt(800.0)],
-                      [0.0, -np.sqrt(1440.0)]])
-        s = _gaussian_affinity(x, SpectralConfig(num_clusters=2, bandwidth_mode="fixed",
-                                                 sigma=1.0))
-        assert s[0, 1] == pytest.approx(np.exp(-300.0), rel=1e-12)
-        assert s[0, 2] == 0.0 and s[0, 3] == 0.0
+        # quotients 300, 400 and 720 from the origin: exp(-300) stays;
+        # exp(-400) < 2^-511, and exp(-720) is subnormal
+        x = paired_points([[20, 14, 2], [20, 20, 0], [36, 12, 0]])
+        s = _gaussian_affinity(x, SpectralConfig(num_clusters=2, k_neighbor=1))
+        assert s[0, 2] == np.exp(-300.0)
+        assert s[0, 4] == 0.0 and s[0, 6] == 0.0
         assert not ((s > 0) & (s < AFFINITY_FLOOR)).any()
 
     def test_cut_lies_between_the_floor_and_the_subnormals(self):
         # a clamped entry is still set to 0, and its exp stays off the slow path
         assert np.finfo(np.float64).tiny <= np.exp(-AFFINITY_CUT) < AFFINITY_FLOOR
 
-    @pytest.mark.parametrize("kind, sigma", [
-        ("moons", None), ("rings", None), ("blobs", None),
-        ("moons", 0.05), ("rings", 0.05), ("blobs", 0.5),
-    ])
-    def test_affinity_matches_the_unclamped_oracle(self, kind, sigma):
+    @pytest.mark.parametrize("kind", ["moons", "rings", "blobs"])
+    def test_affinity_matches_the_unclamped_oracle(self, kind):
         x = gen_dataset(kind, 500, noise=0.05, seed=1).features
         d2 = _squared_distances(x, x)
-        if sigma is None:
-            cfg = SpectralConfig(num_clusters=2)
-            local = np.sqrt(np.sort(d2, axis=1)[:, cfg.k_neighbor])
-            width = np.outer(local, local)
-        else:
-            cfg = SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=sigma)
-            width = 2.0 * sigma**2
-        # 34-85% of the quotients are clamped in these cases
+        cfg = SpectralConfig(num_clusters=2)
+        local = np.sqrt(np.sort(d2, axis=1)[:, cfg.k_neighbor])
+        width = np.outer(local, local)
+        # more than 30% of the quotients are clamped in these cases
         assert (d2 / width > AFFINITY_CUT).mean() > 0.3
         want = unclamped_gaussian_affinity(d2, width, AFFINITY_FLOOR)
         assert np.array_equal(_gaussian_affinity(x, cfg), want)
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("kind, n, sigma", [
-        ("moons", 2000, None), ("rings", 777, None), ("blobs", 1500, None), ("moons", 2000, 0.05),
-        ("rings", 256, None),
+    @pytest.mark.parametrize("kind, n, k_neighbor", [
+        ("moons", 2000, 7), ("rings", 777, 7), ("blobs", 1500, 7), ("moons", 2000, 1),
+        ("rings", 256, 7),
     ])
-    def test_affinity_bitwise_equal_to_the_whole_plane_formula(self, kind, n, sigma, cpus,
+    def test_affinity_bitwise_equal_to_the_whole_plane_formula(self, kind, n, k_neighbor, cpus,
                                                                monkeypatch):
         # n = 777 ends on a partial row panel; n = 256 is one panel, which
         # no worker shares
         threads = on_cpus(monkeypatch, cpus)
         x = gen_dataset(kind, n, noise=0.05, seed=1).features
-        mode = "self_tuning" if sigma is None else "fixed"
-        cfg = SpectralConfig(num_clusters=2, bandwidth_mode=mode, sigma=sigma)
+        cfg = SpectralConfig(num_clusters=2, k_neighbor=k_neighbor)
         want = whole_plane_gaussian_affinity(x, cfg)
         assert _gaussian_affinity(x, cfg).tobytes() == want.tobytes()
         assert len(threads) == (1 if n <= 256 else cpus)
@@ -399,20 +394,19 @@ class TestClassicalSpectral:
         assert threading.active_count() == before
 
     def test_affinity_at_the_floor_and_the_cut_matches_the_unclamped_oracle(self):
-        # quotients d2 / 2 from the origin at sigma = 1: exp(-354) stays above
-        # the floor, exp(-354.5) and exp(-359.9) fall below it unclamped, 360
-        # sits at the cut, 361 and 720 are clamped
-        x = np.array([[0.0, 0.0, 0.0], [26.0, 4.0, 4.0], [22.0, 15.0, 0.0],
-                      [np.sqrt(719.8), 0.0, 0.0], [24.0, 12.0, 0.0], [19.0, 19.0, 0.0],
-                      [36.0, 12.0, 0.0]])
+        # quotients from the origin: exp(-354) stays above the floor,
+        # exp(-354.5) and exp(-359.5) fall below it unclamped, 360 sits at
+        # the cut, 361 and 720 are clamped
+        x = paired_points([[26, 4, 4, 0], [22, 15, 0, 0], [26, 5, 3, 3], [24, 12, 0, 0],
+                           [19, 19, 0, 0], [36, 12, 0, 0]])
         d2 = _squared_distances(x, x)
-        q = d2[0, 1:] / 2.0
-        np.testing.assert_allclose(q, [354.0, 354.5, 359.9, 360.0, 361.0, 720.0], rtol=1e-15)
-        assert q[3] == 360.0
-        s = _gaussian_affinity(x, SpectralConfig(num_clusters=2, bandwidth_mode="fixed",
-                                                 sigma=1.0))
-        assert np.array_equal(s, unclamped_gaussian_affinity(d2, 2.0, AFFINITY_FLOOR))
-        assert s[0, 1] == np.exp(-354.0) and not s[0, 2:].any()
+        local = np.sqrt(np.sort(d2, axis=1)[:, 1])
+        assert np.array_equal(local, [1.0] * 2 + [2.0] * 12)
+        width = np.outer(local, local)
+        assert np.array_equal(d2[0, 2::2] / width[0, 2::2], [354, 354.5, 359.5, 360, 361, 720])
+        s = _gaussian_affinity(x, SpectralConfig(num_clusters=2, k_neighbor=1))
+        assert np.array_equal(s, unclamped_gaussian_affinity(d2, width, AFFINITY_FLOOR))
+        assert s[0, 2] == np.exp(-354.0) and not s[0, 4::2].any()
 
     def test_components_above_k_refused(self):
         # four separated blobs: eigenvalue 1 has multiplicity 4 > K = 3
@@ -420,21 +414,23 @@ class TestClassicalSpectral:
         with pytest.raises(ValueError, match=f"^{COMPONENTS_ABOVE_K}3$"):
             classical_spectral(ds.features, SpectralConfig(num_clusters=3), seed=0)
 
-    @pytest.mark.parametrize("n, seed", [(1000, 1), (1000, 2), (1000, 3), (200, 2)])
-    def test_components_above_k_refused_whatever_the_basis(self, n, seed):
-        # a narrow fixed bandwidth on overlapping blobs: lambda_5 is 1 within
-        # rounding, and no row of the embedding need be exactly 0; at n = 200,
-        # 30 eigenvalues lie within 1e-8 of 1, more than the first block holds
-        ds = gen_dataset("blobs", n, noise=3.0, seed=seed)
-        cfg = SpectralConfig(num_clusters=4, bandwidth_mode="fixed", sigma=0.2)
+    @pytest.mark.parametrize("groups, size, seed", [(5, 200, 1), (5, 200, 2), (5, 200, 3),
+                                                    (25, 8, 2)])
+    def test_components_above_k_refused_whatever_the_basis(self, groups, size, seed):
+        # groups far apart against their points' 7th-neighbor distances:
+        # lambda_5 is 1 within rounding, and no row of the embedding need be
+        # exactly 0; 25 groups put 25 eigenvalues at 1, more than the first
+        # block holds
+        x = far_groups(groups, size, seed)
         with pytest.raises(ValueError, match=f"^{COMPONENTS_ABOVE_K}4$"):
-            classical_spectral(ds.features, cfg, seed=0)
+            classical_spectral(x, SpectralConfig(num_clusters=4), seed=0)
 
     def test_isolated_point_error(self):
-        x = np.array([[0.0, 0.0], [0.1, 0.0], [0.05, 0.1], [1e6, 1e6]])
-        cfg = SpectralConfig(num_clusters=2, bandwidth_mode="fixed", sigma=0.1)
-        with pytest.raises(ValueError, match="isolated"):
-            classical_spectral(x, cfg, seed=0)
+        # an outlier: its bandwidth is wide, but each other point's is
+        # narrow, so its quotients d^2 / (local_i local_j) are about d / local_j
+        x = np.vstack([np.random.default_rng(8).normal(size=(20, 2)) * 0.1, [[1e3, 1e3]]])
+        with pytest.raises(ValueError, match=r"^point 20 is isolated \(zero affinity row\)$"):
+            classical_spectral(x, SpectralConfig(num_clusters=2), seed=0)
 
     @pytest.mark.parametrize("kind, n, k, seed", [
         # the benchmark's size once (two full 2000 x 2000 solves), the rest per seed

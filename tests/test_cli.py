@@ -333,13 +333,16 @@ def _four_blobs_k3(tmp_path, run):
     return _baseline("spectral", str(path), "--k", "3")
 
 
-def _overlapping_blobs_fixed_sigma(tmp_path, run):
-    """Blobs with noise 3.0 under a fixed bandwidth of 0.2: so many affinity
-    components that eigenvalue K+1 = 5 is 1 within rounding."""
-    path = tmp_path / "w.csv"
-    assert main(["gen-dataset", "--kind", "blobs", "--n", "1000", "--noise", "3.0",
-                 "--seed", "1", "--out", str(path)]) == 0
-    return _baseline("spectral", str(path), "--bandwidth-mode", "fixed", "--sigma", "0.2")
+def _far_groups(tmp_path, run):
+    """25 groups of 8 points, 1000 apart, labeled by group mod 4: 25 affinity
+    components, so eigenvalue K+1 = 5 is 1 within rounding, and more
+    eigenvalues lie at 1 than the eigensolver's first block holds."""
+    rng = np.random.default_rng(2)
+    path = tmp_path / "groups.csv"
+    rows = [f"{1000.0 * g + a:.17g},{b:.17g},{g % 4}" for g in range(25)
+            for a, b in rng.standard_normal((8, 2))]
+    path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return _baseline("spectral", str(path))
 
 
 def _moons_4097(tmp_path, run):
@@ -511,9 +514,8 @@ BAD_INPUTS = {
     "spectral on more samples than the affinity bound": (
         _moons_4097, 1,
         "error: the spectral baseline builds an n x n affinity; n = 4097 exceeds 4096\n"),
-    "spectral on overlapping blobs under a narrow fixed bandwidth": (
-        _overlapping_blobs_fixed_sigma, 1,
-        "the affinity graph has more connected components than K=4"),
+    "spectral on far groups, more than the first eigensolver block": (
+        _far_groups, 1, "the affinity graph has more connected components than K=4"),
     "NaN feature on train": (
         lambda tmp, run: ["train", "--config", str(run["config"]), "--dataset",
                           _nan_feature_csv(tmp), "--out", str(tmp / "o")],
@@ -707,19 +709,6 @@ BAD_INPUTS = {
     "infinite separation on gen-dataset": (
         lambda tmp, run: _gen(tmp, "--separation", "inf"),
         1, "error: separation must be finite, got inf\n"),
-    # 2 sigma^2 overflows to inf, or is subnormal
-    "sigma of 1e200 on the spectral baseline": (
-        lambda tmp, run: _baseline("spectral", str(run["dataset"]),
-                                   "--bandwidth-mode", "fixed", "--sigma", "1e200"),
-        1, "error: sigma must make 2 sigma^2 a finite positive normal double, got 1e+200\n"),
-    "sigma of 1e-200 on the spectral baseline": (
-        lambda tmp, run: _baseline("spectral", str(run["dataset"]),
-                                   "--bandwidth-mode", "fixed", "--sigma", "1e-200"),
-        1, "error: sigma must make 2 sigma^2 a finite positive normal double, got 1e-200\n"),
-    "NaN sigma on the spectral baseline": (
-        lambda tmp, run: _baseline("spectral", str(run["dataset"]),
-                                   "--bandwidth-mode", "fixed", "--sigma", "nan"),
-        1, "error: sigma must be finite, got nan\n"),
     "momentum of 1.5 in the config": (
         lambda tmp, run: _train_with(tmp, run, "momentum = 1.5"),
         1, "error: momentum must lie in [0, 1)\n"),
@@ -757,19 +746,16 @@ BAD_INPUTS = {
     "separation on moons": (
         lambda tmp, run: _gen(tmp, "--separation", "-3", kind="moons"),
         1, "error: separation applies to blobs only\n"),
-    "sigma under the self-tuning bandwidth": (
-        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--sigma", "0.5"),
-        1, "error: sigma applies to bandwidth_mode 'fixed' only\n"),
-    "k-neighbor under a fixed bandwidth": (
-        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--bandwidth-mode", "fixed",
-                                   "--sigma", "0.3", "--k-neighbor", "3"),
-        1, "error: k_neighbor applies to bandwidth_mode 'self_tuning' only\n"),
-    "bandwidth mode on kmeans": (
-        lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--bandwidth-mode", "fixed"),
-        1, "error: --bandwidth-mode applies to --method spectral only\n"),
-    "sigma on kmeans": (
-        lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--sigma", "0.5"),
-        1, "error: --sigma applies to --method spectral only\n"),
+    # the spectral baseline has one bandwidth rule, the self-tuning one
+    "bandwidth-mode, which baseline does not take": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--bandwidth-mode", "fixed"),
+        1, "unrecognized arguments: --bandwidth-mode fixed\nusage: otsc [-h]"),
+    "sigma, which baseline does not take": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--sigma", "0.3"),
+        1, "unrecognized arguments: --sigma 0.3\nusage: otsc [-h]"),
+    "k-neighbor of 0 on spectral": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--k-neighbor", "0"),
+        1, "error: k_neighbor must be >= 1\n"),
     "k-neighbor on kmeans": (
         lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--k-neighbor", "0"),
         1, "error: --k-neighbor applies to --method spectral only\n"),

@@ -4,7 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent import futures
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +94,24 @@ class TestConfig:
             tiny_cfg(orth_mode=mode, penalty_rho=3.0)
 
     def test_penalty_weight_is_one_under_penalty_when_not_given(self):
-        assert tiny_cfg(orth_mode="penalty").penalty_rho == 1.0
+        # resolved where the step reads it, as `lr` resolves base_lr, so the
+        # field, and the manifest, keep None
+        cfg = tiny_cfg(orth_mode="penalty")
+        assert cfg.penalty_rho is None and cfg.rho == 1.0
+        assert tiny_cfg(orth_mode="penalty", penalty_rho=2.5).rho == 2.5
         assert tiny_cfg().penalty_rho is None
+
+    def test_replace_switches_penalty_to_another_mode(self):
+        # the default weight is not written into the field, so no resolved
+        # 1.0 is carried into a mode that refuses it
+        cfg = replace(TrainConfig(num_clusters=2, orth_mode="penalty"), orth_mode="none")
+        assert cfg == TrainConfig(num_clusters=2, orth_mode="none")
+
+    def test_replace_switches_another_mode_to_penalty(self):
+        cfg = replace(TrainConfig(num_clusters=2, orth_mode="none"), orth_mode="penalty")
+        assert cfg == TrainConfig(num_clusters=2, orth_mode="penalty")
+        assert cfg.penalty_rho is None and cfg.rho == 1.0
+        assert replace(cfg, orth_mode="none") == TrainConfig(num_clusters=2, orth_mode="none")
 
     def test_refuses_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
