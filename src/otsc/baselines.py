@@ -28,6 +28,7 @@ pass strides across the whole matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -72,6 +73,10 @@ class SpectralConfig:
     k_neighbor: int = 7
 
     def __post_init__(self):
+        for name in ("num_clusters", "k_neighbor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_clusters < 2:
             raise ValueError("num_clusters must be >= 2")
         if self.k_neighbor < 1:

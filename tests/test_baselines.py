@@ -96,6 +96,9 @@ class TestSymEigOnAffinities:
         # points): four components, then lambda_5 = 0.096 over a rest near
         # 0.02, which the shifted inverse alone separates by 8% a sweep
         ("blobs", 900, 5, 224),
+        # wider bandwidths: lambda_2 of moons is 1 - 9.4e-6, and rings put
+        # two eigenvalues at 1 above a pair 3.3e-4 apart
+        ("moons", 1000, 3, 15), ("rings", 1000, 3, 15),
     ])
     def test_matches_full_eigh(self, kind, n, k, k_neighbor):
         ds = gen_dataset(kind, n, noise=0.05, seed=1)
@@ -303,6 +306,31 @@ class TestClassicalSpectral:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SpectralConfig(num_clusters, k_neighbor)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"k_neighbor": 2.5}, "k_neighbor must be an integer, got 2.5"),
+        ({"k_neighbor": "7"}, "k_neighbor must be an integer, got '7'"),
+        ({"k_neighbor": True}, "k_neighbor must be an integer, got True"),
+        ({"num_clusters": 3.0}, "num_clusters must be an integer, got 3.0"),
+    ])
+    def test_non_integer_setting_refused_by_name(self, settings, message):
+        # refused by the config, before np.partition can raise a TypeError
+        # that names no field
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpectralConfig(**{"num_clusters": 2, **settings})
+
+    def test_numpy_integers_accepted(self):
+        x, _ = three_blobs(np.random.default_rng(7), n_per=20)
+        cfg = SpectralConfig(num_clusters=np.int64(3), k_neighbor=np.int32(5))
+        labels, _ = classical_spectral(x, cfg, seed=0)
+        want, _ = classical_spectral(x, SpectralConfig(num_clusters=3, k_neighbor=5), seed=0)
+        assert np.array_equal(labels, want)
+
+    @pytest.mark.parametrize("setting", [{"bandwidth_mode": "fixed"}, {"sigma": 0.3}])
+    def test_fixed_bandwidth_settings_are_no_fields(self, setting):
+        # the self-tuning affinity is the one rule: nothing selects another
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            SpectralConfig(num_clusters=2, **setting)
+
     def test_k_neighbor_of_n_refused_before_the_affinity(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the affinity was built for a refused k_neighbor")
@@ -335,11 +363,13 @@ class TestClassicalSpectral:
         # a clamped entry is still set to 0, and its exp stays off the slow path
         assert np.finfo(np.float64).tiny <= np.exp(-AFFINITY_CUT) < AFFINITY_FLOOR
 
-    @pytest.mark.parametrize("kind", ["moons", "rings", "blobs"])
-    def test_affinity_matches_the_unclamped_oracle(self, kind):
+    @pytest.mark.parametrize("kind, k_neighbor", [
+        ("moons", 7), ("rings", 7), ("blobs", 7), ("moons", 1), ("rings", 1), ("blobs", 1),
+    ])
+    def test_affinity_matches_the_unclamped_oracle(self, kind, k_neighbor):
         x = gen_dataset(kind, 500, noise=0.05, seed=1).features
         d2 = _squared_distances(x, x)
-        cfg = SpectralConfig(num_clusters=2)
+        cfg = SpectralConfig(num_clusters=2, k_neighbor=k_neighbor)
         local = np.sqrt(np.sort(d2, axis=1)[:, cfg.k_neighbor])
         width = np.outer(local, local)
         # more than 30% of the quotients are clamped in these cases

@@ -756,6 +756,13 @@ BAD_INPUTS = {
     "k-neighbor of 0 on spectral": (
         lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--k-neighbor", "0"),
         1, "error: k_neighbor must be >= 1\n"),
+    "k-neighbor of 2.5 on spectral": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--k-neighbor", "2.5"),
+        1, "argument --k-neighbor: invalid int value: '2.5'\nusage: otsc baseline [-h]"),
+    # the trained run's dataset has 60 rows
+    "k-neighbor of n on spectral": (
+        lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--k-neighbor", "60"),
+        1, "error: k_neighbor must be smaller than the number of samples\n"),
     "k-neighbor on kmeans": (
         lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--k-neighbor", "0"),
         1, "error: --k-neighbor applies to --method spectral only\n"),

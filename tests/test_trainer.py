@@ -101,17 +101,19 @@ class TestConfig:
         assert tiny_cfg(orth_mode="penalty", penalty_rho=2.5).rho == 2.5
         assert tiny_cfg().penalty_rho is None
 
-    def test_replace_switches_penalty_to_another_mode(self):
+    @pytest.mark.parametrize("mode", ["none", "procrustes"])
+    def test_replace_switches_penalty_to_another_mode(self, mode):
         # the default weight is not written into the field, so no resolved
         # 1.0 is carried into a mode that refuses it
-        cfg = replace(TrainConfig(num_clusters=2, orth_mode="penalty"), orth_mode="none")
-        assert cfg == TrainConfig(num_clusters=2, orth_mode="none")
+        cfg = replace(TrainConfig(num_clusters=2, orth_mode="penalty"), orth_mode=mode)
+        assert cfg == TrainConfig(num_clusters=2, orth_mode=mode)
 
-    def test_replace_switches_another_mode_to_penalty(self):
-        cfg = replace(TrainConfig(num_clusters=2, orth_mode="none"), orth_mode="penalty")
+    @pytest.mark.parametrize("mode", ["none", "procrustes"])
+    def test_replace_switches_another_mode_to_penalty(self, mode):
+        cfg = replace(TrainConfig(num_clusters=2, orth_mode=mode), orth_mode="penalty")
         assert cfg == TrainConfig(num_clusters=2, orth_mode="penalty")
         assert cfg.penalty_rho is None and cfg.rho == 1.0
-        assert replace(cfg, orth_mode="none") == TrainConfig(num_clusters=2, orth_mode="none")
+        assert replace(cfg, orth_mode=mode) == TrainConfig(num_clusters=2, orth_mode=mode)
 
     def test_refuses_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
