@@ -659,6 +659,14 @@ BAD_INPUTS = {
     "infinite eta on ot-debug": (
         lambda tmp, run: _ot_debug(tmp, "--eta", "inf"),
         1, "error: eta must be finite, got inf\n"),
+    "eta of 0 on ot-debug": (
+        lambda tmp, run: _ot_debug(tmp, "--eta", "0"), 1, "error: eta must be positive, got 0.0\n"),
+    "negative eta on ot-debug": (
+        lambda tmp, run: _ot_debug(tmp, "--eta", "-1"),
+        1, "error: eta must be positive, got -1.0\n"),
+    "iterations of 0 on ot-debug": (
+        lambda tmp, run: _ot_debug(tmp, "--iterations", "0"),
+        1, "error: iterations must be >= 1, got 0\n"),
     "sidecar not an object": (
         lambda tmp, run: _sidecar(tmp, b"[1, 2]"),
         1, "input.csv.meta.json: not a JSON object: [1, 2]\n"),
