@@ -28,16 +28,13 @@ pass strides across the whole matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import NumericalError, as_matrix
+from .errors import NumericalError, as_matrix, check_fields
 from .spectral import both_halves, panel_rows, row_normalize, worker_thread
 
-__all__ = [
-    "SpectralConfig", "kmeans_lloyd", "classical_spectral", "kmeans_plusplus_seed", "sym_eig",
-]
+__all__ = ["SpectralConfig", "kmeans_lloyd", "classical_spectral", "sym_eig"]
 
 _MAX_LLOYD_ITER = 100
 # most samples the spectral baseline takes: its n x n affinity, factored
@@ -73,10 +70,9 @@ class SpectralConfig:
     k_neighbor: int = 7
 
     def __post_init__(self):
-        for name in ("num_clusters", "k_neighbor"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_fields(self, self._check_bounds)
+
+    def _check_bounds(self):
         if self.num_clusters < 2:
             raise ValueError("num_clusters must be >= 2")
         if self.k_neighbor < 1:
@@ -214,9 +210,8 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def kmeans_plusplus_seed(x, k: int, rng: np.random.Generator) -> np.ndarray:
-    """D^2-weighted seeding: k rows of x chosen to spread over the data."""
-    x = np.asarray(x, dtype=np.float64)
+def _kmeans_plusplus_seed(x, k: int, rng: np.random.Generator) -> np.ndarray:
+    """D^2-weighted seeding: k rows of the checked x, spread over the data."""
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
@@ -254,7 +249,7 @@ def kmeans_lloyd(
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        centers = kmeans_plusplus_seed(x, k, rng)
+        centers = _kmeans_plusplus_seed(x, k, rng)
         labels = None
         for _ in range(_MAX_LLOYD_ITER):
             d2 = _squared_distances(x, centers)

@@ -202,12 +202,9 @@ def _refuse_given(args, names, reader: str) -> None:
         raise ValueError(f"--{name.replace('_', '-')} applies to {reader} only")
 
 
-_SPECTRAL_OPTIONS = ("k_neighbor",)
-
-
 def _cmd_baseline(args) -> None:
     if args.method == "kmeans":
-        _refuse_given(args, _SPECTRAL_OPTIONS, "--method spectral")
+        _refuse_given(args, ("k_neighbor",), "--method spectral")
     else:
         _refuse_given(args, ("restarts",), "--method kmeans")
     ds = load_dataset(args.dataset)
@@ -220,13 +217,19 @@ def _cmd_baseline(args) -> None:
     if args.method == "kmeans":
         labels, _, _ = kmeans_lloyd(ds.features, k, seed=args.seed, **_given(args, ("restarts",)))
     else:
-        cfg = SpectralConfig(num_clusters=k, **_given(args, _SPECTRAL_OPTIONS))
+        cfg = SpectralConfig(num_clusters=k, **_given(args, ("k_neighbor",)))
         labels, _ = classical_spectral(ds.features, cfg, seed=args.seed)
     _emit_report(format_report(evaluate(ds.labels, labels), ds.name, ds.n), args.out)
 
 
 def _cmd_ot_debug(args) -> None:
-    # sinkhorn_algorithm1 trusts its input, so the file is checked here
+    # sinkhorn_algorithm1 trusts its arguments, so they are checked here
+    if args.eta <= 0:
+        raise ValueError(f"eta must be positive, got {args.eta}")
+    if not args.eta < float("inf"):  # also catches NaN
+        raise ValueError(f"eta must be finite, got {args.eta}")
+    if args.iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {args.iterations}")
     _, cost = read_csv(args.cost, header=False)
     # the fixed-iteration solver takes similarities; a cost is its negation
     plan = sinkhorn_algorithm1(-cost, args.eta, args.iterations)

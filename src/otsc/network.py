@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, check_finite_fields
+from .errors import NumericalError, check_fields
 
 __all__ = [
     "ModelState",
@@ -80,6 +80,9 @@ class OptimizerState:
     momentum_buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_fields(self, self._check_bounds)
+
+    def _check_bounds(self):
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -88,7 +91,6 @@ class OptimizerState:
             raise ValueError("weight_decay must be nonnegative")
         if self.restart_period < 1:
             raise ValueError("restart_period must be positive")
-        check_finite_fields(self)
 
 
 def _xavier_uniform(fan_out: int, fan_in: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network as net
-from .errors import NumericalError, as_matrix, check_finite_fields
+from .errors import NumericalError, as_matrix, check_fields
 from .spectral import (
     both_halves,
     off_diagonal,
@@ -70,9 +70,9 @@ class TrainConfig:
     map (refused under the other modes); ``rho`` is the weight the step
     reads, 1.0 when ``penalty_rho`` is None.
     ``keep_diagonal`` keeps self-similarities in the affinity objective
-    (degenerate-solution ablation). A NaN or infinite float field is
-    refused, by name, and so are optimizer settings that `optimizer` would
-    refuse.
+    (degenerate-solution ablation). A field its annotation does not take, or
+    a NaN or infinite float, is refused by name (`check_fields`), and so are
+    optimizer settings that `optimizer` would refuse.
     """
 
     num_clusters: int
@@ -97,6 +97,10 @@ class TrainConfig:
     tau_c_init: float = 0.05
 
     def __post_init__(self):
+        check_fields(self, self._check_bounds)
+        self.optimizer()  # refuses optimizer settings out of range
+
+    def _check_bounds(self):
         if self.num_clusters < 2:
             raise ValueError("num_clusters must be >= 2")
         if self.batch_size < 2:
@@ -128,11 +132,8 @@ class TrainConfig:
             if self.penalty_rho <= 0:  # a zero weight would be a second spelling of "none"
                 raise ValueError("penalty_rho must be positive")
         for name in ("tau_a_init", "tau_c_init"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
+            if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        check_finite_fields(self)
-        self.optimizer()  # refuses optimizer settings out of range
 
     @property
     def lr(self) -> float:

@@ -22,11 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, as_matrix
 
-__all__ = [
-    "TransportPlan",
-    "sinkhorn_algorithm1",
-    "sinkhorn_marginal",
-]
+__all__ = ["TransportPlan", "sinkhorn_algorithm1", "sinkhorn_marginal"]
 
 
 @dataclass(frozen=True)
@@ -35,19 +31,14 @@ class TransportPlan:
 
     ``row_marginal_residual`` / ``col_marginal_residual`` are max-norm
     deviations from the requested marginals; they are reported as computed,
-    never clipped. A plan holding a negative, infinite or NaN entry is
-    refused; the check is two reductions with no boolean masks (``min``
-    propagates NaN).
+    never clipped. `_scale` builds the plan nonnegative, each entry at most the
+    marginal of its line that the last half-sweep fitted, so it is not checked.
     """
 
     plan: np.ndarray
     row_marginal_residual: float
     col_marginal_residual: float
     iterations_used: int
-
-    def __post_init__(self):
-        if not (self.plan.min() >= 0.0 and self.plan.max() < np.inf):
-            raise ValueError("transport plan must be nonnegative and finite")
 
 
 def _measured(plan: np.ndarray, r, c, iterations: int) -> TransportPlan:
@@ -138,25 +129,15 @@ def sinkhorn_algorithm1(
     are approximately uniform at total mass ``m/n`` each.
 
     Residuals are reported against those implied marginals: 1 per row and
-    ``m/n`` per column. ``logits`` are trusted to be finite, but for masked
-    -inf entries (0 in the plan); an overflowing ``logits/eta`` is refused.
-    The plan is built in ``out``, a float64 array shaped like ``logits``,
-    when given, else in a new array.
+    ``m/n`` per column. The arguments are trusted, as `TrainConfig` and
+    ``otsc ot-debug`` check them: ``0 < eta < inf``, ``iterations >= 1`` and
+    ``logits`` finite, but for masked -inf entries (0 in the plan); an
+    overflowing ``logits/eta`` is refused. The plan is built in ``out``, a
+    float64 array shaped like ``logits``, when given, else in a new array.
     """
-    _check_eta(eta)
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     m, n = logits.shape
     plan = _scale(logits, 1.0, 1.0, eta, iterations, out=out)[0]
     return _measured(plan, 1.0, m / n, iterations)
-
-
-def _check_eta(eta: float) -> None:
-    """Both solvers take an entropic weight in (0, inf)."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not eta < np.inf:  # also catches NaN
-        raise ValueError(f"eta must be finite, got {eta}")
 
 
 def sinkhorn_marginal(
@@ -193,10 +174,11 @@ def sinkhorn_marginal(
         raise ValueError("marginals must be strictly positive and finite")
     total_r, total_c = float(r.sum()), float(c.sum())
     if abs(total_r - total_c) > 1e-9 * max(1.0, total_r, total_c):
-        raise ValueError(
-            f"infeasible marginals: row total {total_r!r} != column total {total_c!r}"
-        )
-    _check_eta(eta)
+        raise ValueError(f"infeasible marginals: row total {total_r!r} != column total {total_c!r}")
+    if eta <= 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if not eta < np.inf:  # also catches NaN
+        raise ValueError(f"eta must be finite, got {eta}")
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if not tol < np.inf:  # also catches NaN

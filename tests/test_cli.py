@@ -808,6 +808,18 @@ class TestBadInputs:
         assert err == needle or not needle.startswith(prefix)
         assert not (tmp_path / "g.csv").exists()  # a refused gen-dataset writes nothing
 
+    def test_every_row_under_the_c_locale(self):
+        # the rows again in a fresh pytest whose interpreter runs under the C
+        # locale, with ASCII streams, as the CI step does for the whole file
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{Path(__file__).resolve()}::TestBadInputs::test_exit_status_and_message"],
+            env={**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+        assert f"{len(BAD_INPUTS)} passed" in done.stdout
+
     def test_eval_checks_labels_before_predict(self, tmp_path, trained_run, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("predict ran on a dataset without labels")

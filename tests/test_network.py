@@ -203,6 +203,21 @@ class TestOptimizerState:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             net.OptimizerState(**settings)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"restart_period": 2.5}, "restart_period must be an integer, got 2.5"),
+        ({"momentum": "0.9"}, "momentum must be a real number, got '0.9'"),
+    ])
+    def test_refuses_a_value_its_annotation_does_not_take_by_name(self, settings, message):
+        with pytest.raises(ValueError) as info:
+            net.OptimizerState(base_lr=0.1, **settings)
+        assert str(info.value) == message
+
+    def test_numpy_scalars_are_taken(self):
+        given = net.OptimizerState(np.float64(0.1), restart_period=np.int64(50))
+        want = net.OptimizerState(0.1, restart_period=50)
+        assert [net.cosine_lr(e, given) for e in range(60)] == [
+            net.cosine_lr(e, want) for e in range(60)]
+
 
 class TestCosineSchedule:
     def test_endpoints(self):

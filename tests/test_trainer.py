@@ -83,6 +83,41 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must"):
             tiny_cfg(**{name: value}, **mode)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"sinkhorn_iters": 2.5}, "sinkhorn_iters must be an integer, got 2.5"),
+        ({"num_clusters": 2.0}, "num_clusters must be an integer, got 2.0"),
+        ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"batch_size": True}, "batch_size must be an integer, got True"),
+        ({"keep_diagonal": "no"}, "keep_diagonal must be a bool, got 'no'"),
+        ({"keep_diagonal": 0}, "keep_diagonal must be a bool, got 0"),
+        ({"eta": "0.05"}, "eta must be a real number, got '0.05'"),
+        ({"lam": True}, "lam must be a real number, got True"),
+        ({"base_lr": "1e-4"}, "base_lr must be a real number, got '1e-4'"),
+        ({"restart_period": 2.5}, "restart_period must be an integer, got 2.5"),
+    ])
+    def test_refuses_a_value_its_annotation_does_not_take_by_name(self, settings, message):
+        # unrefused, 2.5 sweeps would run as 3 and "no" would keep the
+        # diagonal, and 2.0 clusters or eta "0.05" would raise a TypeError
+        # that names no field
+        with pytest.raises(ValueError) as info:
+            tiny_cfg(**settings)
+        assert str(info.value) == message
+
+    def test_numpy_scalars_are_taken(self):
+        # numpy integers for int fields, np.float64 for float ones and
+        # np.bool_ for bool ones: the same run as with Python's
+        x = random_data(n=20, d=3)
+        cfg = tiny_cfg(keep_diagonal=True)
+        given = tiny_cfg(
+            num_clusters=np.int64(2), batch_size=np.int32(10), sinkhorn_iters=np.int64(3),
+            eta=np.float64(0.3), base_lr=np.float64(1e-4), keep_diagonal=np.True_,
+        )
+        (model, history), (want_model, want_history) = fit(x, given), fit(x, cfg)
+        assert history == want_history
+        assert all((a == b).all() for (_, a), (_, b) in
+                   zip(model.named_arrays(), want_model.named_arrays()))
+
     def test_refuses_a_zero_penalty_weight(self):
         # penalty at rho 0 adds nothing: "none" is the one spelling of that
         with pytest.raises(ValueError, match="^penalty_rho must be positive$"):
