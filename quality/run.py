@@ -8,7 +8,7 @@ For each dataset kind (moons, rings and blobs) it generates one set of
 n = 2000 with generator seed 7 and splits it once, by
 ``np.random.default_rng(7).permutation(n)``: the first half is the training
 half, the second half is held out. It trains the README config with seeds
-1-3 on the training half and labels each half under two rules:
+1-10 on the training half and labels each half under two rules:
 
 - ``predict``, as the package ships it: the prototype argmax of the
   row-normalized raw embeddings;
@@ -31,6 +31,14 @@ each point as its own run, ``runs[NAME/POINT]``, whose ``config`` holds the
 overridden settings. Every point's config is built, and so checked, before
 the first fit: a refused setting ends the sweep with exit status 1 before
 any training.
+
+After each point but the first, a sweep reports that point against the
+axis's first point: the mean difference in held-out ``predict`` ACC over
+the seeds both share, and a 95% paired bootstrap interval of it
+(`paired_interval`). It prints the report and stores it as the point's
+``paired``. The rule, fixed before any run: a value other than the first
+point's keeps its setting only if its interval lies wholly above 0 on at
+least one kind (the point's ``kept``).
 """
 
 from __future__ import annotations
@@ -45,8 +53,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SEEDS = (1, 2, 3)
+SEEDS = tuple(range(1, 11))
 GENERATOR_SEED = 7
+# `paired_interval`'s bootstrap: resamples and the seed of their draws
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
 # the README's config file; blobs changes num_clusters and embed_dim to 4
 README_CONFIG = dict(
     num_clusters=2, embed_dim=2, batch_size=100, epochs=600, eta=0.05, sinkhorn_iters=5,
@@ -71,6 +82,8 @@ SWEEPS = {
     "orth": [(f"orth-{m}", {"orth_mode": m}) for m in ("procrustes", "none")]
     + [("orth-penalty-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
        for rho in (0.5, 1.0, 2.0)],
+    "penalty-rho": [("penalty-rho-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
+                    for rho in (1.0, 0.5, 2.0)],
     "keep-diagonal": [(f"keep-diagonal-{str(v).lower()}", {"keep_diagonal": v})
                       for v in (False, True)],
     # each orth_mode at its own learning rate (penalty at its default rho)
@@ -170,6 +183,42 @@ def _kind(kind: str, tiny: bool, base: dict, cfgs) -> dict:
     return result
 
 
+def paired_interval(diffs, resamples=BOOTSTRAP_RESAMPLES, seed=BOOTSTRAP_SEED):
+    """``(mean, low, high)``: the mean of paired differences and the 2.5 and
+    97.5 percentiles of its bootstrap, ``resamples`` means of the differences
+    drawn with replacement by ``np.random.default_rng(seed)``."""
+    import numpy as np
+
+    diffs = np.asarray(diffs, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    means = diffs[rng.integers(0, diffs.size, size=(resamples, diffs.size))].mean(axis=1)
+    low, high = np.percentile(means, [2.5, 97.5])
+    return float(diffs.mean()), float(low), float(high)
+
+
+def _paired(results: dict, reference: dict) -> dict:
+    """Per kind, held-out `predict` ACC of ``results`` minus that of
+    ``reference`` over the seeds both hold, as `paired_interval`."""
+    report = {}
+    for kind, res in results.items():
+        acc = [{r["seed"]: r["held_out"]["predict"]["acc"] for r in run["otsc"]}
+               for run in (res, reference[kind])]
+        seeds = [seed for seed in acc[0] if seed in acc[1]]
+        mean, low, high = paired_interval([acc[0][seed] - acc[1][seed] for seed in seeds])
+        report[kind] = {"seeds": seeds, "mean": mean, "low": low, "high": high}
+    return report
+
+
+def _paired_lines(run: dict) -> str:
+    lines = [f"held-out predict ACC against {run['against']}, mean [95% paired bootstrap interval]:"]
+    for kind, r in run["paired"].items():
+        lines.append(f"  {kind:5} {r['mean']:+.3f} [{r['low']:+.3f}, {r['high']:+.3f}]"
+                     f" over {len(r['seeds'])} seeds")
+    lines.append("  kept: an interval lies wholly above 0" if run["kept"]
+                 else "  rejected: no interval lies wholly above 0")
+    return "\n".join(lines)
+
+
 def _table(results: dict) -> str:
     def cell(s):
         return f"{s['acc']:.3f} / {s['nmi']:.3f} / {s['ari']:.3f} ({s['clusters']})"
@@ -204,6 +253,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out = Path(args.out)
+    first = None  # (name, results) of the sweep's first point
     for name, configs in plans:
         label = args.label if name is None else f"{args.label}/{name}"
         start = time.perf_counter()
@@ -215,12 +265,20 @@ def main(argv=None) -> int:
             "wall_s": time.perf_counter() - start,
             "results": results,
         }
+        if first is not None:
+            run["against"] = first[0]
+            run["paired"] = _paired(results, first[1])
+            run["kept"] = any(r["low"] > 0.0 for r in run["paired"].values())
+        elif name is not None:
+            first = name, results
         table = json.loads(out.read_text()) if out.exists() else {"runs": {}}
         table["runs"][label] = run
         out.write_text(json.dumps(table, indent=1) + "\n")
         if name is not None:
             print(f"== {label}")
         print(_table(results))
+        if "paired" in run:
+            print(_paired_lines(run))
     return 0
 
 

@@ -1,6 +1,6 @@
 """Tests of the quality driver, and a clustering floor on its split.
 
-A tiny run must score every dataset kind with all three training seeds and
+A tiny run must score every dataset kind with all of its training seeds and
 both baselines on both halves of its split, the training half and the
 held-out half, and a second run must join the first in the same file. A
 tiny sweep stores one such run per point. The floor trains the README
@@ -70,7 +70,7 @@ def _check_run(run):
         # one generated set of 200, split in two halves
         assert res["dataset"]["n"] == 200
         assert [res[half]["n"] for half in HALVES] == [100, 100]
-        assert [r["seed"] for r in res["otsc"]] == [1, 2, 3]
+        assert [r["seed"] for r in res["otsc"]] == list(driver.SEEDS)
         for r in res["otsc"]:
             assert 0.0 < r["tau_a"] <= 1.0 and 0.0 < r["tau_c"] <= 1.0
             for half in HALVES:
@@ -94,6 +94,37 @@ def test_tiny_sweep_stores_one_run_per_point(tmp_path):
         _check_run(runs[label])
         for res in runs[label]["results"].values():
             assert res["config"]["keep_diagonal"] is keep
+    # the second point is reported against the first, over every seed
+    assert "paired" not in runs[points[0]]
+    second = runs[points[1]]
+    assert second["against"] == "keep-diagonal-false"
+    assert set(second["paired"]) == set(KINDS)
+    for kind, report in second["paired"].items():
+        assert report["seeds"] == list(driver.SEEDS)
+        diffs = [new["held_out"]["predict"]["acc"] - old["held_out"]["predict"]["acc"]
+                 for new, old in zip(second["results"][kind]["otsc"],
+                                     runs[points[0]]["results"][kind]["otsc"])]
+        assert (report["mean"], report["low"], report["high"]) == driver.paired_interval(diffs)
+        assert report["low"] <= report["mean"] <= report["high"]
+    assert second["kept"] == any(r["low"] > 0.0 for r in second["paired"].values())
+    assert "held-out predict ACC against keep-diagonal-false" in proc.stdout
+
+
+def test_paired_interval_of_constant_differences_has_zero_width():
+    mean, low, high = driver.paired_interval([0.25] * 10)
+    assert low == high and mean == pytest.approx(0.25, abs=1e-15)
+    assert low == pytest.approx(0.25, abs=1e-15)
+
+
+def test_paired_interval_is_fixed_by_its_resampling_seed():
+    diffs = [0.1, -0.05, 0.2, 0.0, 0.3, -0.1, 0.05, 0.15, 0.4, -0.2]
+    first = driver.paired_interval(diffs)
+    assert driver.paired_interval(diffs) == first
+    assert driver.paired_interval(diffs, seed=driver.BOOTSTRAP_SEED) == first
+    mean, low, high = first
+    assert mean == pytest.approx(statistics.fmean(diffs))
+    assert low < mean < high
+    assert driver.paired_interval(diffs, seed=driver.BOOTSTRAP_SEED + 1) != first
 
 
 # every point's name and README config overrides, written out
@@ -109,6 +140,9 @@ def test_tiny_sweep_stores_one_run_per_point(tmp_path):
               ("orth-penalty-0.5", {"orth_mode": "penalty", "penalty_rho": 0.5}),
               ("orth-penalty-1.0", {"orth_mode": "penalty", "penalty_rho": 1.0}),
               ("orth-penalty-2.0", {"orth_mode": "penalty", "penalty_rho": 2.0})]),
+    ("penalty-rho", [("penalty-rho-1.0", {"orth_mode": "penalty", "penalty_rho": 1.0}),
+                     ("penalty-rho-0.5", {"orth_mode": "penalty", "penalty_rho": 0.5}),
+                     ("penalty-rho-2.0", {"orth_mode": "penalty", "penalty_rho": 2.0})]),
     ("keep-diagonal", [("keep-diagonal-false", {"keep_diagonal": False}),
                        ("keep-diagonal-true", {"keep_diagonal": True})]),
     ("orth-lr", [(f"{mode}-lr-{name}", {"orth_mode": mode, "base_lr": lr})
@@ -120,8 +154,8 @@ def test_sweep_points(axis, points):
     assert driver.SWEEPS[axis] == points
     for _, overrides in points:
         assert set(overrides) <= {f.name for f in fields(TrainConfig)}
-    assert list(driver.SWEEPS) == ["eta", "sinkhorn-iters", "lambda", "orth", "keep-diagonal",
-                                   "orth-lr"]
+    assert list(driver.SWEEPS) == ["eta", "sinkhorn-iters", "lambda", "orth", "penalty-rho",
+                                   "keep-diagonal", "orth-lr"]
 
 
 def test_isk_sweep_points(tmp_path, monkeypatch):
@@ -129,6 +163,7 @@ def test_isk_sweep_points(tmp_path, monkeypatch):
     monkeypatch.setattr(driver, "_kind", lambda kind, tiny, base, cfgs: {
         "config": base, "sinkhorn_iters": [cfg.sinkhorn_iters for cfg in cfgs]})
     monkeypatch.setattr(driver, "_table", lambda results: "")
+    monkeypatch.setattr(driver, "_paired", lambda results, reference: {})
     out = tmp_path / "quality.json"
     assert driver.main(["--tiny", "--label", "isk", "--out", str(out),
                         "--sweep", "sinkhorn-iters"]) == 0
@@ -138,7 +173,7 @@ def test_isk_sweep_points(tmp_path, monkeypatch):
         assert set(runs[label]["results"]) == set(KINDS)
         for res in runs[label]["results"].values():
             assert res["config"]["sinkhorn_iters"] == iters
-            assert res["sinkhorn_iters"] == [iters] * 3
+            assert res["sinkhorn_iters"] == [iters] * len(driver.SEEDS)
 
 
 def test_orth_lr_sweep_points(tmp_path, monkeypatch):
@@ -146,6 +181,7 @@ def test_orth_lr_sweep_points(tmp_path, monkeypatch):
     monkeypatch.setattr(driver, "_kind", lambda kind, tiny, base, cfgs: {
         "config": base, "trained": [(cfg.orth_mode, cfg.base_lr) for cfg in cfgs]})
     monkeypatch.setattr(driver, "_table", lambda results: "")
+    monkeypatch.setattr(driver, "_paired", lambda results, reference: {})
     out = tmp_path / "quality.json"
     assert driver.main(["--tiny", "--label", "lr", "--out", str(out),
                         "--sweep", "orth-lr"]) == 0
@@ -157,7 +193,7 @@ def test_orth_lr_sweep_points(tmp_path, monkeypatch):
         assert set(runs[label]["results"]) == set(KINDS)
         for res in runs[label]["results"].values():
             assert (res["config"]["orth_mode"], res["config"]["base_lr"]) == (mode, lr)
-            assert res["trained"] == [[mode, lr]] * 3
+            assert res["trained"] == [[mode, lr]] * len(driver.SEEDS)
 
 
 def test_sweep_refuses_a_setting_before_any_point(tmp_path, monkeypatch, capsys):
