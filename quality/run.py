@@ -63,7 +63,7 @@ README_CONFIG = dict(
     num_clusters=2, embed_dim=2, batch_size=100, epochs=600, eta=0.05, sinkhorn_iters=5,
     lam=1.0, base_lr=5e-6, momentum=0.9, weight_decay=0.05, restart_period=600,
     noise_sigma=0.04, feature_dropout_prob=0.0, scale_jitter=0.02, tau_a_init=0.15,
-    tau_c_init=0.12, orth_mode="procrustes", keep_diagonal=False,
+    tau_c_init=0.12, orth_mode="procrustes",
 )
 # kind -> (gen_dataset keywords, config changes)
 DATASETS = {
@@ -79,14 +79,8 @@ SWEEPS = {
     "eta": [("eta-%.2f" % v, {"eta": v}) for v in (round(0.01 * i, 2) for i in range(1, 11))],
     "sinkhorn-iters": [(f"isk-{v}", {"sinkhorn_iters": v}) for v in (1, 3, 5, 10)],
     "lambda": [("lambda-%.1f" % v, {"lam": v}) for v in (0.5, 1.0, 1.5, 2.0)],
-    "orth": [(f"orth-{m}", {"orth_mode": m}) for m in ("procrustes", "none")]
-    + [("orth-penalty-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
-       for rho in (0.5, 1.0, 2.0)],
-    "penalty-rho": [("penalty-rho-%.1f" % rho, {"orth_mode": "penalty", "penalty_rho": rho})
-                    for rho in (1.0, 0.5, 2.0)],
-    "keep-diagonal": [(f"keep-diagonal-{str(v).lower()}", {"keep_diagonal": v})
-                      for v in (False, True)],
-    # each orth_mode at its own learning rate (penalty at its default rho)
+    "orth": [(f"orth-{m}", {"orth_mode": m}) for m in ("procrustes", "none", "penalty")],
+    # each orth_mode at its own learning rate
     "orth-lr": [(f"{m}-lr-{lr:g}", {"orth_mode": m, "base_lr": lr})
                 for m in ("procrustes", "none", "penalty")
                 for lr in (1.25e-6, 2.5e-6, 5e-6, 1e-5, 2e-5)],
@@ -183,15 +177,16 @@ def _kind(kind: str, tiny: bool, base: dict, cfgs) -> dict:
     return result
 
 
-def paired_interval(diffs, resamples=BOOTSTRAP_RESAMPLES, seed=BOOTSTRAP_SEED):
+def paired_interval(diffs, seed=BOOTSTRAP_SEED):
     """``(mean, low, high)``: the mean of paired differences and the 2.5 and
-    97.5 percentiles of its bootstrap, ``resamples`` means of the differences
-    drawn with replacement by ``np.random.default_rng(seed)``."""
+    97.5 percentiles of its bootstrap, `BOOTSTRAP_RESAMPLES` means of the
+    differences drawn with replacement by ``np.random.default_rng(seed)``."""
     import numpy as np
 
     diffs = np.asarray(diffs, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    means = diffs[rng.integers(0, diffs.size, size=(resamples, diffs.size))].mean(axis=1)
+    draws = rng.integers(0, diffs.size, size=(BOOTSTRAP_RESAMPLES, diffs.size))
+    means = diffs[draws].mean(axis=1)
     low, high = np.percentile(means, [2.5, 97.5])
     return float(diffs.mean()), float(low), float(high)
 

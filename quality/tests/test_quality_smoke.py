@@ -84,30 +84,33 @@ def _check_run(run):
 
 def test_tiny_sweep_stores_one_run_per_point(tmp_path):
     out = tmp_path / "quality.json"
-    proc = _run(out, "sweep", "--sweep", "keep-diagonal")
-    points = ["sweep/keep-diagonal-false", "sweep/keep-diagonal-true"]
+    proc = _run(out, "sweep", "--sweep", "orth")
+    modes = ("procrustes", "none", "penalty")
+    points = [f"sweep/orth-{mode}" for mode in modes]
     assert [line for line in proc.stdout.splitlines() if line.startswith("==")] == [
         f"== {label}" for label in points]
     runs = json.loads(out.read_text())["runs"]
     assert list(runs) == points
-    for label, keep in zip(points, (False, True)):
+    for label, mode in zip(points, modes):
         _check_run(runs[label])
         for res in runs[label]["results"].values():
-            assert res["config"]["keep_diagonal"] is keep
-    # the second point is reported against the first, over every seed
-    assert "paired" not in runs[points[0]]
-    second = runs[points[1]]
-    assert second["against"] == "keep-diagonal-false"
-    assert set(second["paired"]) == set(KINDS)
-    for kind, report in second["paired"].items():
-        assert report["seeds"] == list(driver.SEEDS)
-        diffs = [new["held_out"]["predict"]["acc"] - old["held_out"]["predict"]["acc"]
-                 for new, old in zip(second["results"][kind]["otsc"],
-                                     runs[points[0]]["results"][kind]["otsc"])]
-        assert (report["mean"], report["low"], report["high"]) == driver.paired_interval(diffs)
-        assert report["low"] <= report["mean"] <= report["high"]
-    assert second["kept"] == any(r["low"] > 0.0 for r in second["paired"].values())
-    assert "held-out predict ACC against keep-diagonal-false" in proc.stdout
+            assert res["config"]["orth_mode"] == mode
+    # each later point is reported against the first, over every seed
+    first = runs[points[0]]
+    assert "paired" not in first
+    for label in points[1:]:
+        run = runs[label]
+        assert run["against"] == "orth-procrustes"
+        assert set(run["paired"]) == set(KINDS)
+        for kind, report in run["paired"].items():
+            assert report["seeds"] == list(driver.SEEDS)
+            diffs = [new["held_out"]["predict"]["acc"] - old["held_out"]["predict"]["acc"]
+                     for new, old in zip(run["results"][kind]["otsc"],
+                                         first["results"][kind]["otsc"])]
+            assert (report["mean"], report["low"], report["high"]) == driver.paired_interval(diffs)
+            assert report["low"] <= report["mean"] <= report["high"]
+        assert run["kept"] == any(r["low"] > 0.0 for r in run["paired"].values())
+    assert proc.stdout.count("held-out predict ACC against orth-procrustes") == 2
 
 
 def test_paired_interval_of_constant_differences_has_zero_width():
@@ -137,14 +140,7 @@ def test_paired_interval_is_fixed_by_its_resampling_seed():
                 ("lambda-1.5", {"lam": 1.5}), ("lambda-2.0", {"lam": 2.0})]),
     ("orth", [("orth-procrustes", {"orth_mode": "procrustes"}),
               ("orth-none", {"orth_mode": "none"}),
-              ("orth-penalty-0.5", {"orth_mode": "penalty", "penalty_rho": 0.5}),
-              ("orth-penalty-1.0", {"orth_mode": "penalty", "penalty_rho": 1.0}),
-              ("orth-penalty-2.0", {"orth_mode": "penalty", "penalty_rho": 2.0})]),
-    ("penalty-rho", [("penalty-rho-1.0", {"orth_mode": "penalty", "penalty_rho": 1.0}),
-                     ("penalty-rho-0.5", {"orth_mode": "penalty", "penalty_rho": 0.5}),
-                     ("penalty-rho-2.0", {"orth_mode": "penalty", "penalty_rho": 2.0})]),
-    ("keep-diagonal", [("keep-diagonal-false", {"keep_diagonal": False}),
-                       ("keep-diagonal-true", {"keep_diagonal": True})]),
+              ("orth-penalty", {"orth_mode": "penalty"})]),
     ("orth-lr", [(f"{mode}-lr-{name}", {"orth_mode": mode, "base_lr": lr})
                  for mode in ("procrustes", "none", "penalty")
                  for name, lr in (("1.25e-06", 1.25e-6), ("2.5e-06", 2.5e-6), ("5e-06", 5e-6),
@@ -154,8 +150,7 @@ def test_sweep_points(axis, points):
     assert driver.SWEEPS[axis] == points
     for _, overrides in points:
         assert set(overrides) <= {f.name for f in fields(TrainConfig)}
-    assert list(driver.SWEEPS) == ["eta", "sinkhorn-iters", "lambda", "orth", "penalty-rho",
-                                   "keep-diagonal", "orth-lr"]
+    assert list(driver.SWEEPS) == ["eta", "sinkhorn-iters", "lambda", "orth", "orth-lr"]
 
 
 def test_isk_sweep_points(tmp_path, monkeypatch):

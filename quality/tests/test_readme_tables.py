@@ -6,12 +6,18 @@ README prints them, and compare the rows, so a number that no run holds
 fails here by table and row.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
+
+_spec = importlib.util.spec_from_file_location("quality_run", ROOT / "quality" / "run.py")
+driver = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(driver)
+
 KINDS = ("moons", "rings", "blobs")
 HALF_NAMES = {"train": "training", "held_out": "held out"}
 
@@ -84,3 +90,32 @@ def test_tuned_rate_table_matches_quality_34(kind):
         rate, result = max(points, key=lambda point: point[1]["train"]["mean_predict_acc"])
         mean, rest = _held_out_cell(result).split(": ", 1)
         assert row[column] == f"{mean} at {rate}: {rest}", mode
+
+
+def test_paired_table_matches_quality_37():
+    # each point's held-out mean `predict` ACC and, after an axis's first
+    # point, the paired difference from it with its interval, drawn again
+    # from the per-seed scores
+    runs = _runs("QUALITY_37.json")
+    rows = _readme_rows("| point | moons | rings | blobs | rule |")
+    want = []
+    for name, run in runs.items():
+        cells = []
+        for kind in KINDS:
+            result = run["results"][kind]
+            cell = f"{result['held_out']['mean_predict_acc']:.3f}"
+            if "paired" in run:
+                report = run["paired"][kind]
+                assert report["seeds"] == [r["seed"] for r in result["otsc"]]
+                reference = runs[f"{name.split('/')[0]}/{run['against']}"]["results"][kind]
+                accs = [[r["held_out"]["predict"]["acc"] for r in res["otsc"]]
+                        for res in (result, reference)]
+                diffs = [new - old for new, old in zip(*accs)]
+                mean, low, high = driver.paired_interval(diffs)
+                stored = (report["mean"], report["low"], report["high"])
+                assert stored == pytest.approx((mean, low, high), abs=1e-12)
+                cell += f": {mean:+.3f} [{low:+.3f}, {high:+.3f}]"
+            cells.append(cell)
+        rule = ("kept" if run["kept"] else "rejected") if "paired" in run else "reference"
+        want.append([f"`{name.split('/')[1]}`", *cells, rule])
+    assert rows == want

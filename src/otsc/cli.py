@@ -35,18 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{message}\n{self.format_usage()}")
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 # config keys accepted in key=value files, one per TrainConfig field (whose
 # annotations are strings here); the key for TrainConfig.lam is "lambda"
-_CASTERS = {"int": int, "float": float, "float | None": float, "str": str, "bool": _parse_bool}
+_CASTERS = {"int": int, "float": float, "float | None": float, "str": str}
 _CONFIG_KEYS = {
     "lambda" if f.name == "lam" else f.name: (f.name, _CASTERS[f.type])
     for f in fields(TrainConfig)
@@ -174,7 +165,7 @@ def _given(args, names) -> dict:
 
 
 def _cmd_train(args) -> None:
-    overrides = _given(args, ("seed", "eta", "lam", "sinkhorn_iters", "orth_mode", "keep_diagonal"))
+    overrides = _given(args, ("seed", "eta", "lam", "sinkhorn_iters", "orth_mode"))
     cfg = load_train_config(args.config, overrides)
     ds = load_dataset(args.dataset)
     out_dir = Path(args.out)
@@ -264,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--sinkhorn-iters", type=int, default=None)
     p.add_argument("--orth-mode", choices=TRAINER_ORTH_MODES, default=None)
-    p.add_argument("--keep-diagonal", action="store_true", default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -29,17 +29,15 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
 
 def check_fields(settings, check_bounds) -> None:
     """Refuse, by name, a dataclass field that its annotation does not take:
-    ``int`` an integer (numpy's too, not a bool), ``bool`` a bool or
-    ``np.bool_``, ``float`` a real number but not a bool, ``float | None``
-    None too. The class's ``check_bounds()`` runs next, on well-typed values;
-    a NaN or infinite float is refused last, after any bound that refuses it."""
+    ``int`` an integer (numpy's too, not a bool), ``float`` a real number
+    but not a bool, ``float | None`` None too. The class's ``check_bounds()``
+    runs next, on well-typed values; a NaN or infinite float is refused last,
+    after any bound that refuses it."""
     typed = [(f.name, f.type, getattr(settings, f.name)) for f in fields(settings)]
     for name, kind, value in typed:
         number = isinstance(value, Real) and not isinstance(value, bool)
         if kind == "int" and not (number and isinstance(value, Integral)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-        if kind == "bool" and not isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a bool, got {value!r}")
         if kind.startswith("float") and not (number or value is None and kind == "float | None"):
             raise ValueError(f"{name} must be a real number, got {value!r}")
     check_bounds()

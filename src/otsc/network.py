@@ -211,13 +211,11 @@ def cosine_lr(epoch: int, opt: OptimizerState) -> float:
 # in the README and versioned via meta["format"].
 
 _CKPT_FORMAT = 2
-_NONNEG, _COUNT, _NUMBER = "a nonnegative integer", "a positive integer", "a finite number"
+_NONNEG, _COUNT = "a nonnegative integer", "a positive integer"
 _META_KINDS = {"num_layers": _COUNT, "version": _NONNEG, "epoch": _NONNEG}
-# the optimizer settings in meta["optimizer"], in the order they are written
-_OPT_META_KINDS = {
-    "base_lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER,
-    "restart_period": _COUNT,
-}
+# the optimizer settings in meta["optimizer"], in the order they are written;
+# `OptimizerState` checks them on load
+_OPT_KEYS = ("base_lr", "momentum", "weight_decay", "restart_period")
 
 
 def save_checkpoint(
@@ -235,7 +233,7 @@ def save_checkpoint(
         "num_layers": len(state.layers),
         "version": state.version,
         "epoch": epoch,
-        "optimizer": {key: getattr(opt, key) for key in _OPT_META_KINDS},
+        "optimizer": {key: getattr(opt, key) for key in _OPT_KEYS},
         "rng_state": rng_state,
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
@@ -245,12 +243,8 @@ def save_checkpoint(
 def _check_kinds(path, section: dict, kinds: dict[str, str]) -> None:
     for key, kind in kinds.items():
         value = section[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if kind == _NUMBER:
-            ok = number and abs(value) < float("inf")  # not NaN or infinite
-        else:
-            ok = number and isinstance(value, int) and value >= (1 if kind == _COUNT else 0)
-        if not ok:
+        integer = isinstance(value, int) and not isinstance(value, bool)
+        if not (integer and value >= (1 if kind == _COUNT else 0)):
             raise ValueError(f"checkpoint {path} entry {key!r} must be {kind}, got {value!r}")
 
 
@@ -313,7 +307,6 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
         opt_meta = meta["optimizer"]
         if not isinstance(opt_meta, dict):
             raise ValueError(f"checkpoint {path} entry 'optimizer' is malformed")
-        _check_kinds(path, opt_meta, _OPT_META_KINDS)
         state = ModelState(
             layers=[
                 (arrays[f"layer{i}.weight"], arrays[f"layer{i}.bias"])
@@ -325,7 +318,7 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
         )
         _check_layout(path, state)
         try:
-            opt = OptimizerState(**{key: opt_meta[key] for key in _OPT_META_KINDS})
+            opt = OptimizerState(**{key: opt_meta[key] for key in _OPT_KEYS})
         except ValueError as err:
             raise ValueError(f"checkpoint {path} entry 'optimizer': {err}") from None
         params = dict(state.named_arrays())

@@ -160,13 +160,11 @@ def orthogonalize(z: np.ndarray) -> OrthogonalizationResult:
     return OrthogonalizationResult(z_new=u @ vt, warning=warning)
 
 
-def orthogonal_penalty(z: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
-    """Soft orthogonality penalty rho * ||z.T z - I||_F^2 and its gradient."""
+def orthogonal_penalty(z: np.ndarray) -> tuple[float, np.ndarray]:
+    """Soft orthogonality penalty ||z.T z - I||_F^2 and its gradient."""
     d = z.shape[1]
     gram_defect = z.T @ z - np.eye(d)
-    penalty = float(rho * np.sum(gram_defect**2))
-    grad = 4.0 * rho * z @ gram_defect
-    return penalty, grad
+    return float(np.sum(gram_defect**2)), 4.0 * z @ gram_defect
 
 
 def row_normalize(z: np.ndarray) -> np.ndarray:

@@ -66,13 +66,11 @@ class TrainConfig:
     ``base_lr`` of None resolves to ``0.04 * batch_size / 256``. ``lam``
     weighs the clustering loss against the affinity loss. ``orth_mode``
     selects the orthogonalization strategy: the polar factor, none, or
-    ``penalty``, a soft penalty of weight ``penalty_rho`` in place of the
-    map (refused under the other modes); ``rho`` is the weight the step
-    reads, 1.0 when ``penalty_rho`` is None.
-    ``keep_diagonal`` keeps self-similarities in the affinity objective
-    (degenerate-solution ablation). A field its annotation does not take, or
-    a NaN or infinite float, is refused by name (`check_fields`), and so are
-    optimizer settings that `optimizer` would refuse.
+    ``penalty``, a soft penalty of weight 1 in place of the map. The
+    affinity objective always masks self-similarities (`off_diagonal`). A
+    field its annotation does not take, or a NaN or infinite float, is
+    refused by name (`check_fields`), and so are optimizer settings that
+    `optimizer` would refuse.
     """
 
     num_clusters: int
@@ -91,8 +89,6 @@ class TrainConfig:
     scale_jitter: float = 0.1
     seed: int = 0
     orth_mode: str = "procrustes"
-    penalty_rho: float | None = None
-    keep_diagonal: bool = False
     tau_a_init: float = 0.05
     tau_c_init: float = 0.05
 
@@ -126,11 +122,6 @@ class TrainConfig:
             raise ValueError(
                 f"orth_mode must be one of {TRAINER_ORTH_MODES}, got {self.orth_mode!r}"
             )
-        if self.penalty_rho is not None:
-            if self.orth_mode != "penalty":
-                raise ValueError("penalty_rho applies to orth_mode 'penalty' only")
-            if self.penalty_rho <= 0:  # a zero weight would be a second spelling of "none"
-                raise ValueError("penalty_rho must be positive")
         for name in ("tau_a_init", "tau_c_init"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
@@ -138,10 +129,6 @@ class TrainConfig:
     @property
     def lr(self) -> float:
         return self.base_lr if self.base_lr is not None else 0.04 * self.batch_size / 256.0
-
-    @property
-    def rho(self) -> float:
-        return self.penalty_rho if self.penalty_rho is not None else 1.0
 
     def optimizer(self) -> net.OptimizerState:
         """A fresh optimizer state for this run's settings."""
@@ -157,7 +144,6 @@ class EpochRecord:
     tau_a: float
     tau_c: float
     mean_inconsistency: float
-    cross_affinity_intensity: float
     lr: float
 
 
@@ -176,7 +162,6 @@ class StepLosses(NamedTuple):
     clustering_loss: float
     total_loss: float
     mean_inconsistency: float
-    cross_affinity_intensity: float
 
 
 def augment(x, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
@@ -229,13 +214,13 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     The step's B x B planes live in ``planes``, a float64 (2, 2, B, B)
     array that `fit` keeps for the whole run; None gives the call its own.
     ``planes[0, v]`` holds view v's affinity logits, z @ z.T with the
-    diagonal masked to -inf (`off_diagonal`) unless ``keep_diagonal``, so
-    each target column is one sample and a masked target holds no
-    self-affinity; ``planes[1, v]`` holds its Sinkhorn target. After the
-    call the logits planes, and each view's B x K assignment logits ``h``,
-    hold `softmax_cross_entropy`'s A = softmax(logits/tau) - target, not the
-    logits. The affinity targets in ``held`` are ``planes[1]``, which the
-    next step on the same array overwrites.
+    diagonal masked to -inf (`off_diagonal`), so each target column is one
+    sample and the target holds no self-affinity; ``planes[1, v]`` holds its
+    Sinkhorn target. After the call the logits planes, and each view's B x K
+    assignment logits ``h``, hold `softmax_cross_entropy`'s A =
+    softmax(logits/tau) - target, not the logits. The affinity targets in
+    ``held`` are ``planes[1]``, which the next step on the same array
+    overwrites.
 
     Each view runs its own encoder pass and backward. A ``worker`` runs
     view 1's forward (encoder, targets), then its losses and backward
@@ -254,9 +239,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         z_raw, inputs = _encode(model, (x1, x2)[v])
         resid, z = _straight_through(z_raw, cfg)
         # z.T copied keeps numpy off its much slower z @ z.T (syrk) path
-        np.matmul(z, z.T.copy(), out=logits[v])
-        if not cfg.keep_diagonal:
-            off_diagonal(logits[v])
+        off_diagonal(np.matmul(z, z.T.copy(), out=logits[v]))
         h = z @ protos.T
         sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=targets[v])
         p = sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan
@@ -276,7 +259,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         g = g + g_y + cfg.lam * g_c
         pen = 0.0
         if cfg.orth_mode == "penalty":
-            pen, grad_pen = orthogonal_penalty(z, cfg.rho)
+            pen, grad_pen = orthogonal_penalty(z)
             g = g + grad_pen
         layers = net.backward(model, inputs, row_normalize_vjp(z_raw, g))
         return (loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * grad_protos,
@@ -293,17 +276,14 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     grads["prototypes"] = row_normalize_vjp(model.prototypes, grad_protos_norm)
     grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
 
-    # the residuals are the moves the straight-through applies to unit rows;
-    # a target's rows sum to 1, and a masked diagonal holds none of it
+    # the residuals are the moves the straight-through applies to unit rows
     _, _, resids, _, _, p_targets = zip(*views)
     resid_norm = float(np.linalg.norm(resids[0]) + np.linalg.norm(resids[1]))
-    self_mass = float(np.trace(targets[0]) + np.trace(targets[1]))
     losses = StepLosses(
         affinity_loss=la,
         clustering_loss=lc,
         total_loss=la + cfg.lam * lc + penalty,
         mean_inconsistency=resid_norm / (2.0 * b**0.5),
-        cross_affinity_intensity=1.0 - self_mass / (2.0 * b),
     )
     return losses, grads, (resids, tuple(targets), p_targets)
 

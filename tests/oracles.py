@@ -359,43 +359,40 @@ def two_product_affinity_grad(grad_logits, z) -> np.ndarray:
     return grad_logits @ z + grad_logits.T @ z
 
 
-def masked_softmax_cross_entropy(target, logits, tau: float, masked_diagonal: bool):
+def masked_softmax_cross_entropy(target, logits, tau: float):
     """Row-softmax cross entropy of ``logits/tau`` against ``target`` and its
     B x B logit gradient (softmax - target) / tau, as the package once
-    computed the affinity loss: one exp, and, when ``masked_diagonal``, the
-    -inf diagonal of square ``logits`` (zero in ``target``) set to 0 before
-    the target product and its exp set to 0 after it."""
+    computed the affinity loss: one exp, and the -inf diagonal of square
+    ``logits`` (zero in ``target``) set to 0 before the target product and
+    its exp set to 0 after it."""
     shifted = logits / tau
     shifted -= shifted.max(axis=1, keepdims=True)
-    if masked_diagonal:  # its targets are 0, and 0 * -inf would be NaN
-        np.fill_diagonal(shifted, 0.0)
+    np.fill_diagonal(shifted, 0.0)  # its targets are 0, and 0 * -inf would be NaN
     cross = np.vdot(target, shifted)
     grad = np.exp(shifted)
-    if masked_diagonal:
-        np.fill_diagonal(grad, 0.0)
+    np.fill_diagonal(grad, 0.0)
     sums = grad.sum(axis=1)
     grad /= sums[:, None]
     return float(np.log(sums).sum() - cross), (grad - target) / tau
 
 
-def two_step_affinity_cross_entropy(target, logits, z, tau: float, masked_diagonal: bool):
-    """Affinity loss of the logits z @ z.T and its embedding gradient in two
-    steps: the B x B logit gradient A of `masked_softmax_cross_entropy`,
-    then A @ z + A.T @ z."""
-    loss, grad_logits = masked_softmax_cross_entropy(target, logits, tau, masked_diagonal)
+def two_step_affinity_cross_entropy(target, logits, z, tau: float):
+    """Affinity loss of the masked logits z @ z.T and its embedding gradient
+    in two steps: the B x B logit gradient A of
+    `masked_softmax_cross_entropy`, then A @ z + A.T @ z."""
+    loss, grad_logits = masked_softmax_cross_entropy(target, logits, tau)
     return loss, two_product_affinity_grad(grad_logits, z)
 
 
-def logit_form_tau_grad(views_z, targets, tau: float, keep_diagonal: bool) -> float:
+def logit_form_tau_grad(views_z, targets, tau: float) -> float:
     """Derivative of the swapped affinity loss in its temperature, read off
     the logit planes: the sum over views of -vdot(grad_w, w_logits) / tau,
     view v's logits scored against view 1 - v's B x B target, both packed
-    off the diagonal by boolean mask unless ``keep_diagonal``."""
+    off the diagonal by boolean mask."""
     total = 0.0
     for v, z in enumerate(views_z):
-        sims = z @ z.T
-        logits = sims if keep_diagonal else mask_off_diagonal(sims)
-        target = targets[1 - v] if keep_diagonal else mask_off_diagonal(targets[1 - v])
+        logits = mask_off_diagonal(z @ z.T)
+        target = mask_off_diagonal(targets[1 - v])
         _, grad = two_exp_cross_entropy(target, logits, tau)
         total -= float(np.vdot(grad, logits)) / tau
     return total
@@ -419,22 +416,20 @@ def held_step_loss(model, x1, x2, cfg, held) -> float:
     the smooth function of the parameters whose gradient the training step
     reports. View v's logits are scored against view 1 - v's targets; the
     B x B affinity targets and logits are packed off the diagonal by boolean
-    mask unless ``cfg.keep_diagonal``."""
+    mask."""
     _, affinity_targets, assignment_targets = held
     tau_a, tau_c = net.effective_tau(model.log_tau)
     protos = row_normalize(model.prototypes)
     total = 0.0
     for v, z in enumerate(held_embeddings(model, x1, x2, held)):
-        sims = z @ z.T
-        target = affinity_targets[1 - v]
-        if not cfg.keep_diagonal:
-            sims, target = mask_off_diagonal(sims), mask_off_diagonal(target)
+        sims = mask_off_diagonal(z @ z.T)
+        target = mask_off_diagonal(affinity_targets[1 - v])
         total += two_exp_cross_entropy(target, sims, tau_a)[0]
         total += cfg.lam * two_exp_cross_entropy(
             assignment_targets[1 - v], z @ protos.T, tau_c
         )[0]
         if cfg.orth_mode == "penalty":
-            total += orthogonal_penalty(z, cfg.rho)[0]
+            total += orthogonal_penalty(z)[0]
     return total
 
 

@@ -80,7 +80,7 @@ class TestConfigParsing:
             "eta": 0.07, "sinkhorn_iters": 4, "lam": 1.25, "base_lr": 0.003,
             "momentum": 0.8, "weight_decay": 0.001, "restart_period": 50,
             "noise_sigma": 0.2, "feature_dropout_prob": 0.2, "scale_jitter": 0.05,
-            "seed": 11, "orth_mode": "penalty", "penalty_rho": 2.0, "keep_diagonal": True,
+            "seed": 11, "orth_mode": "penalty",
             "tau_a_init": 0.1, "tau_c_init": 0.2,
         }
         assert set(values) == {f.name for f in fields(TrainConfig)}
@@ -171,9 +171,8 @@ class TestTrainEvalBaseline:
         assert epoch == 3
 
     @pytest.mark.parametrize("flags, name, value", [
-        *((("--orth-mode", mode), "orth_mode", mode) for mode in TRAINER_ORTH_MODES),
-        (("--keep-diagonal",), "keep_diagonal", True),
-    ], ids=[*TRAINER_ORTH_MODES, "keep-diagonal"])
+        (("--orth-mode", mode), "orth_mode", mode) for mode in TRAINER_ORTH_MODES
+    ], ids=TRAINER_ORTH_MODES)
     def test_train_flag_reaches_the_manifest(self, flags, name, value, tmp_path, trained_run):
         out = tmp_path / "run"
         assert main(["train", "--config", str(trained_run["config"]), "--dataset",
@@ -620,7 +619,13 @@ BAD_INPUTS = {
         1, "edited.npz entry 'optimizer': momentum must lie in [0, 1)\n"),
     "checkpoint NaN weight_decay": (
         lambda tmp, run: _edited_optimizer(tmp, run, weight_decay=float("nan")),
-        1, "edited.npz entry 'weight_decay' must be a finite number, got nan\n"),
+        1, "edited.npz entry 'optimizer': weight_decay must be finite, got nan\n"),
+    "checkpoint fractional restart_period": (
+        lambda tmp, run: _edited_optimizer(tmp, run, restart_period=2.5),
+        1, "edited.npz entry 'optimizer': restart_period must be an integer, got 2.5\n"),
+    "checkpoint momentum as text": (
+        lambda tmp, run: _edited_optimizer(tmp, run, momentum="0.9"),
+        1, "edited.npz entry 'optimizer': momentum must be a real number, got '0.9'\n"),
     "NaN scale_jitter in the config": (
         lambda tmp, run: _train_with(tmp, run, "scale_jitter = nan"),
         1, "error: scale_jitter must be finite, got nan\n"),
@@ -637,19 +642,17 @@ BAD_INPUTS = {
     "NaN base_lr in the config": (
         lambda tmp, run: _train_with(tmp, run, "base_lr = nan"),
         1, "error: base_lr must be finite, got nan\n"),
-    "zero penalty_rho in the config": (
-        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 0", "--orth-mode", "penalty"),
-        1, "error: penalty_rho must be positive\n"),
-    "NaN penalty_rho in the config": (
-        lambda tmp, run: _train_with(tmp, run, "penalty_rho = nan", "--orth-mode", "penalty"),
-        1, "error: penalty_rho must be finite, got nan\n"),
-    # the weight is read under orth_mode penalty only
-    "penalty_rho under procrustes in the config": (
-        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 3"),
-        1, "error: penalty_rho applies to orth_mode 'penalty' only\n"),
-    "penalty_rho under none in the config": (
-        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 1", "--orth-mode", "none"),
-        1, "error: penalty_rho applies to orth_mode 'penalty' only\n"),
+    # the penalty's weight is fixed at 1 and the affinity diagonal always
+    # masked: neither is a setting
+    "penalty_rho in the config": (
+        lambda tmp, run: _train_with(tmp, run, "penalty_rho = 2", "--orth-mode", "penalty"),
+        1, f"edited.cfg:{APPENDED}: unknown config key 'penalty_rho'\n"),
+    "keep_diagonal in the config": (
+        lambda tmp, run: _train_with(tmp, run, "keep_diagonal = true"),
+        1, f"edited.cfg:{APPENDED}: unknown config key 'keep_diagonal'\n"),
+    "--keep-diagonal on train": (
+        lambda tmp, run: _train_with(tmp, run, "", "--keep-diagonal"),
+        1, "unrecognized arguments: --keep-diagonal\nusage: otsc [-h]"),
     "infinite eta on train": (
         lambda tmp, run: _train_with(tmp, run, "", "--eta", "inf"),
         1, "error: eta must be finite, got inf\n"),
@@ -683,9 +686,6 @@ BAD_INPUTS = {
     "fractional epochs in the config": (
         lambda tmp, run: _train_with(tmp, run, "epochs = 1.5"),
         1, f"edited.cfg:{APPENDED}: epochs: invalid literal for int() with base 10: '1.5'\n"),
-    "non-boolean keep_diagonal in the config": (
-        lambda tmp, run: _train_with(tmp, run, "keep_diagonal = maybe"),
-        1, f"edited.cfg:{APPENDED}: keep_diagonal: expected a boolean, got 'maybe'\n"),
     # the bounds that `off_diagonal`, `thin_svd` and `orthogonalize` trust
     "batch_size of 1 in the config": (
         lambda tmp, run: _train_with(tmp, run, "batch_size = 1"),

@@ -151,15 +151,11 @@ class TestClusteringLoss:
         x1 = rng.normal(size=(8, 4))
         x2 = x1 + 0.1 * rng.normal(size=x1.shape)
         for mode in TRAINER_ORTH_MODES:
-            for keep_diagonal in (False, True):
-                cfg = TrainConfig(
-                    num_clusters=2, embed_dim=3, batch_size=8,
-                    orth_mode=mode, keep_diagonal=keep_diagonal,
-                )
-                _, _, (_, _, assignment_targets) = _compute_step(model, x1, x2, cfg)
-                for target in assignment_targets:
-                    assert (target >= 0).all(), (mode, keep_diagonal)
-                    assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
+            cfg = TrainConfig(num_clusters=2, embed_dim=3, batch_size=8, orth_mode=mode)
+            _, _, (_, _, assignment_targets) = _compute_step(model, x1, x2, cfg)
+            for target in assignment_targets:
+                assert (target >= 0).all(), mode
+                assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, mode
 
 
 class TestSoftKmeans:

@@ -1,6 +1,4 @@
 import warnings
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -51,10 +49,10 @@ def affinity_loss(target, logits, z, tau):
     return loss, grad_z + grad_y
 
 
-def assert_chains_logit_gradient(target, logits, z, tau, masked):
+def assert_chains_logit_gradient(target, logits, z, tau):
     """grad_z + grad_y at y = z equals A @ z + A.T @ z, the two plain
     products, of the B x B logit gradient A of the masked cross entropy."""
-    _, want = masked_softmax_cross_entropy(target, logits.copy(), tau, masked)
+    _, want = masked_softmax_cross_entropy(target, logits.copy(), tau)
     _, grad = affinity_loss(target, logits, z, tau)
     assert rel_error(grad, two_product_affinity_grad(want, z)) <= 1e-15
 
@@ -70,13 +68,11 @@ def assert_close_to_two_step(got, want, z, tau):
     assert np.abs(grad - want_grad).max() <= 1e-14 * scale
 
 
-def affinity_case(rng, b, d, masked):
-    """Unit rows ``z``, their logits z @ z.T (diagonal masked when
-    ``masked``) and a random target of that layout."""
+def affinity_case(rng, b, d):
+    """Unit rows ``z``, their logits z @ z.T with the diagonal masked, and a
+    random target of that layout."""
     z = unit_rows(rng, b, d)
-    if masked:
-        return z, off_diagonal(z @ z.T), masked_target(rng, b)
-    return z, z @ z.T, random_stochastic(rng, (b, b))
+    return z, off_diagonal(z @ z.T), masked_target(rng, b)
 
 
 def encoder_view(seed, orth_mode="procrustes"):
@@ -94,17 +90,14 @@ def straight_through_view(model, x, cfg):
 
 
 def step_affinity_targets(seed=11):
-    """``(orth_mode, keep_diagonal, target)`` for both affinity targets that
-    one training step holds, in every orth mode with ``keep_diagonal`` off
-    and on."""
+    """``(orth_mode, target)`` for both affinity targets that one training
+    step holds, in every orth mode."""
     for mode in TRAINER_ORTH_MODES:
-        for keep_diagonal in (False, True):
-            model, x1, cfg = encoder_view(seed, mode)
-            cfg = replace(cfg, keep_diagonal=keep_diagonal)
-            x2 = x1 + 0.1 * np.random.default_rng(seed + 1).normal(size=x1.shape)
-            _, _, (_, affinity_targets, _) = _compute_step(model, x1, x2, cfg)
-            for target in affinity_targets:
-                yield mode, keep_diagonal, target
+        model, x1, cfg = encoder_view(seed, mode)
+        x2 = x1 + 0.1 * np.random.default_rng(seed + 1).normal(size=x1.shape)
+        _, _, (_, affinity_targets, _) = _compute_step(model, x1, x2, cfg)
+        for target in affinity_targets:
+            yield mode, target
 
 
 class TestCrossAffinity:
@@ -233,12 +226,12 @@ class TestAffinityLoss:
     # the loss no longer checks its targets: these check that no
     # non-stochastic or negative target reaches it from the training step
     def test_rejects_non_stochastic_target(self):
-        for mode, keep_diagonal, target in step_affinity_targets():
-            assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, (mode, keep_diagonal)
+        for mode, target in step_affinity_targets():
+            assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, mode
 
     def test_rejects_negative_target(self):
-        for mode, keep_diagonal, target in step_affinity_targets():
-            assert (target >= 0).all(), (mode, keep_diagonal)
+        for mode, target in step_affinity_targets():
+            assert (target >= 0).all(), mode
 
     @pytest.mark.parametrize("with_zeros", [False, True])
     def test_single_exp_matches_two_exp_formula(self, with_zeros):
@@ -276,51 +269,45 @@ class TestAffinityLoss:
         fd = central_difference(loss_of_z, z0)
         assert rel_error(grad_z, fd) <= 1e-7
 
-    @pytest.mark.parametrize("masked", [True, False])
-    def test_factored_loss_matches_finite_differences(self, masked):
+    def test_factored_loss_matches_finite_differences(self):
         # the logits are rebuilt from z at every point, so this differences
         # the loss as the function of the embeddings that it is
         rng = np.random.default_rng(16)
-        z0, logits, target = affinity_case(rng, 7, 3, masked)
+        z0, logits, target = affinity_case(rng, 7, 3)
         tau = 0.5
 
         def loss_of_z(z):
-            logits = off_diagonal(z @ z.T) if masked else z @ z.T
+            logits = off_diagonal(z @ z.T)
             return affinity_loss(target, logits, z, tau)[0]
 
         _, grad = affinity_loss(target, logits, z0, tau)
         assert rel_error(grad, central_difference(loss_of_z, z0)) <= 1e-7
 
     @pytest.mark.parametrize("tau", [0.01, 1.0])
-    @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
-    def test_factored_loss_matches_two_step_form(self, b, masked, tau):
+    def test_factored_loss_matches_two_step_form(self, b, tau):
         # the loss and the embedding gradient, against the B x B logit
         # gradient of the masked cross entropy chained as A @ z + A.T @ z
         rng = np.random.default_rng(b)
-        z, logits, target = affinity_case(rng, b, 2, masked)
-        want = two_step_affinity_cross_entropy(target, logits.copy(), z, tau, masked)
+        z, logits, target = affinity_case(rng, b, 2)
+        want = two_step_affinity_cross_entropy(target, logits.copy(), z, tau)
         assert_close_to_two_step(affinity_loss(target, logits, z, tau), want, z, tau)
 
     @pytest.mark.parametrize("rows", [1, 5, 16, 17])
-    @pytest.mark.parametrize("masked", [True, False])
-    def test_factored_loss_in_uneven_row_panels(self, masked, rows, monkeypatch):
+    def test_factored_loss_in_uneven_row_panels(self, rows, monkeypatch):
         # panels of 5 and 16 rows split B = 17 unevenly; 17 is one panel
         b = 17
         monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * b * rows)
         rng = np.random.default_rng(rows)
-        z, logits, target = affinity_case(rng, b, 3, masked)
-        want = two_step_affinity_cross_entropy(target, logits.copy(), z, 0.1, masked)
+        z, logits, target = affinity_case(rng, b, 3)
+        want = two_step_affinity_cross_entropy(target, logits.copy(), z, 0.1)
         assert_close_to_two_step(affinity_loss(target, logits, z, 0.1), want, z, 0.1)
 
     @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
     def test_grad_to_embeddings_matches_two_product_form(self, b):
-        # both logit layouts: the masked diagonal, and the full z @ z.T of
-        # keep_diagonal
         rng = np.random.default_rng(b)
-        for masked in (True, False):
-            z, logits, target = affinity_case(rng, b, 2, masked)
-            assert_chains_logit_gradient(target, logits, z, 0.1, masked)
+        z, logits, target = affinity_case(rng, b, 2)
+        assert_chains_logit_gradient(target, logits, z, 0.1)
 
     @pytest.mark.parametrize("rows", [1, 5, 16, 17])
     def test_grad_to_embeddings_in_row_panels(self, rows, monkeypatch):
@@ -328,8 +315,8 @@ class TestAffinityLoss:
         b = 17
         monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * b * rows)
         rng = np.random.default_rng(rows)
-        z, logits, target = affinity_case(rng, b, 2, True)
-        assert_chains_logit_gradient(target, logits, z, 0.1, True)
+        z, logits, target = affinity_case(rng, b, 2)
+        assert_chains_logit_gradient(target, logits, z, 0.1)
 
     def test_gradient_vanishes_when_model_matches_target(self):
         # fixed-point form of the convergence condition: when the modeled
@@ -344,18 +331,17 @@ class TestAffinityLoss:
         _, grad_z = affinity_loss(p, logits, z, tau)
         assert np.abs(grad_z).max() <= 1e-8
 
-    @pytest.mark.parametrize("masked", [True, False])
-    def test_leaves_exp_in_logits(self, masked):
+    def test_leaves_exp_in_logits(self):
         # the trainer's logits planes hold A = softmax(L/tau) - target after
-        # the step, 0 on a masked diagonal
+        # the step, 0 on the masked diagonal
         rng = np.random.default_rng(12)
-        z, logits, target = affinity_case(rng, 9, 3, masked)
+        z, logits, target = affinity_case(rng, 9, 3)
         scaled = logits / 0.2
         want = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         want = want / want.sum(axis=1, keepdims=True) - target
         affinity_loss(target, logits, z, 0.2)
         assert rel_error(logits, want) <= 1e-15
-        assert (np.diag(logits) == 0.0).all() == masked
+        assert (np.diag(logits) == 0.0).all()
 
 
 class TestBilinearLogits:
@@ -482,22 +468,15 @@ class TestStraightThrough:
 class TestOrthogonalPenalty:
     def test_orthonormal_input_gives_zero(self):
         q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(6, 3)))
-        penalty, grad = orthogonal_penalty(q, rho=2.0)
+        penalty, grad = orthogonal_penalty(q)
         assert penalty <= 1e-20
         assert np.abs(grad).max() <= 1e-9
-
-    def test_linear_in_rho(self):
-        rng = np.random.default_rng(10)
-        z = rng.normal(size=(5, 3))
-        p1, _ = orthogonal_penalty(z, 0.7)
-        p2, _ = orthogonal_penalty(z, 1.4)
-        assert abs(p2 - 2.0 * p1) <= 1e-10
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         z = rng.normal(size=(6, 3))
-        _, grad = orthogonal_penalty(z, 0.8)
-        fd = central_difference(lambda v: orthogonal_penalty(v, 0.8)[0], z)
+        _, grad = orthogonal_penalty(z)
+        fd = central_difference(lambda v: orthogonal_penalty(v)[0], z)
         assert np.abs(grad - fd).max() <= 1e-6
 
 

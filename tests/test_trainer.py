@@ -4,7 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent import futures
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,10 +78,9 @@ class TestConfig:
     )
     def test_refuses_non_finite_float_by_name(self, name, value):
         # out-of-range values keep their older messages, which also name the
-        # field; penalty_rho is read, and so checked, under penalty only
-        mode = {"orth_mode": "penalty"} if name == "penalty_rho" else {}
+        # field
         with pytest.raises(ValueError, match=f"^{name} must"):
-            tiny_cfg(**{name: value}, **mode)
+            tiny_cfg(**{name: value})
 
     @pytest.mark.parametrize("settings, message", [
         ({"sinkhorn_iters": 2.5}, "sinkhorn_iters must be an integer, got 2.5"),
@@ -89,66 +88,31 @@ class TestConfig:
         ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"batch_size": True}, "batch_size must be an integer, got True"),
-        ({"keep_diagonal": "no"}, "keep_diagonal must be a bool, got 'no'"),
-        ({"keep_diagonal": 0}, "keep_diagonal must be a bool, got 0"),
         ({"eta": "0.05"}, "eta must be a real number, got '0.05'"),
         ({"lam": True}, "lam must be a real number, got True"),
         ({"base_lr": "1e-4"}, "base_lr must be a real number, got '1e-4'"),
         ({"restart_period": 2.5}, "restart_period must be an integer, got 2.5"),
     ])
     def test_refuses_a_value_its_annotation_does_not_take_by_name(self, settings, message):
-        # unrefused, 2.5 sweeps would run as 3 and "no" would keep the
-        # diagonal, and 2.0 clusters or eta "0.05" would raise a TypeError
-        # that names no field
+        # unrefused, 2.5 sweeps would run as 3, and 2.0 clusters or eta
+        # "0.05" would raise a TypeError that names no field
         with pytest.raises(ValueError) as info:
             tiny_cfg(**settings)
         assert str(info.value) == message
 
     def test_numpy_scalars_are_taken(self):
-        # numpy integers for int fields, np.float64 for float ones and
-        # np.bool_ for bool ones: the same run as with Python's
+        # numpy integers for int fields and np.float64 for float ones: the
+        # same run as with Python's
         x = random_data(n=20, d=3)
-        cfg = tiny_cfg(keep_diagonal=True)
+        cfg = tiny_cfg()
         given = tiny_cfg(
             num_clusters=np.int64(2), batch_size=np.int32(10), sinkhorn_iters=np.int64(3),
-            eta=np.float64(0.3), base_lr=np.float64(1e-4), keep_diagonal=np.True_,
+            eta=np.float64(0.3), base_lr=np.float64(1e-4),
         )
         (model, history), (want_model, want_history) = fit(x, given), fit(x, cfg)
         assert history == want_history
         assert all((a == b).all() for (_, a), (_, b) in
                    zip(model.named_arrays(), want_model.named_arrays()))
-
-    def test_refuses_a_zero_penalty_weight(self):
-        # penalty at rho 0 adds nothing: "none" is the one spelling of that
-        with pytest.raises(ValueError, match="^penalty_rho must be positive$"):
-            tiny_cfg(orth_mode="penalty", penalty_rho=0.0)
-
-    @pytest.mark.parametrize("mode", [m for m in TRAINER_ORTH_MODES if m != "penalty"])
-    def test_refuses_a_penalty_weight_it_would_not_read(self, mode):
-        with pytest.raises(ValueError, match="^penalty_rho applies to orth_mode 'penalty' only$"):
-            tiny_cfg(orth_mode=mode, penalty_rho=3.0)
-
-    def test_penalty_weight_is_one_under_penalty_when_not_given(self):
-        # resolved where the step reads it, as `lr` resolves base_lr, so the
-        # field, and the manifest, keep None
-        cfg = tiny_cfg(orth_mode="penalty")
-        assert cfg.penalty_rho is None and cfg.rho == 1.0
-        assert tiny_cfg(orth_mode="penalty", penalty_rho=2.5).rho == 2.5
-        assert tiny_cfg().penalty_rho is None
-
-    @pytest.mark.parametrize("mode", ["none", "procrustes"])
-    def test_replace_switches_penalty_to_another_mode(self, mode):
-        # the default weight is not written into the field, so no resolved
-        # 1.0 is carried into a mode that refuses it
-        cfg = replace(TrainConfig(num_clusters=2, orth_mode="penalty"), orth_mode=mode)
-        assert cfg == TrainConfig(num_clusters=2, orth_mode=mode)
-
-    @pytest.mark.parametrize("mode", ["none", "procrustes"])
-    def test_replace_switches_another_mode_to_penalty(self, mode):
-        cfg = replace(TrainConfig(num_clusters=2, orth_mode=mode), orth_mode="penalty")
-        assert cfg == TrainConfig(num_clusters=2, orth_mode="penalty")
-        assert cfg.penalty_rho is None and cfg.rho == 1.0
-        assert replace(cfg, orth_mode=mode) == TrainConfig(num_clusters=2, orth_mode=mode)
 
     def test_refuses_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
@@ -350,16 +314,6 @@ class TestStepStatistics:
             else:
                 assert 0.0 < losses.mean_inconsistency <= 2.0
 
-    @pytest.mark.parametrize("keep_diagonal", [False, True])
-    def test_cross_affinity_intensity_is_the_mass_off_the_diagonal(self, keep_diagonal):
-        losses, _, (_, affinity_targets, _) = self.step(keep_diagonal=keep_diagonal)
-        off = [(w.sum() - np.trace(w)) / w.shape[0] for w in affinity_targets]
-        assert abs(losses.cross_affinity_intensity - np.mean(off)) <= 1e-12
-        if keep_diagonal:
-            assert losses.cross_affinity_intensity < 1.0
-        else:  # the masked diagonal holds no mass
-            assert losses.cross_affinity_intensity == 1.0
-
 
 class TestAffinityTargetMarginals:
     """An affinity target's column j is sample j, so Sinkhorn's column step
@@ -393,10 +347,9 @@ class TestStepBuffers:
     """`fit` hands every step one (2, 2, B, B) array of planes; sharing it
     changes no bit, and after the first step a step allocates no B x B array."""
 
-    @pytest.mark.parametrize("keep_diagonal", [False, True])
     @pytest.mark.parametrize("orth_mode", ["procrustes", "penalty"])
-    def test_shared_store_bitwise_equals_fresh_stores(self, orth_mode, keep_diagonal):
-        cfg = tiny_cfg(orth_mode=orth_mode, keep_diagonal=keep_diagonal)
+    def test_shared_store_bitwise_equals_fresh_stores(self, orth_mode):
+        cfg = tiny_cfg(orth_mode=orth_mode)
         x = random_data(n=10, seed=2)
         runs = []
         # NaN-filled shared planes: no step may read what it did not write
@@ -414,8 +367,7 @@ class TestStepBuffers:
             runs.append((trail, [p.tobytes() for _, p in model.named_arrays()]))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("keep_diagonal", [False, True])
-    def test_store_holds_only_arrays_read_back(self, keep_diagonal, monkeypatch):
+    def test_store_holds_only_arrays_read_back(self, monkeypatch):
         # after a step planes[0, v] holds view v's A = softmax(logits/tau) -
         # target, against view 1 - v's target, and planes[1, v] view v's
         # row-stochastic target, in both layouts
@@ -428,7 +380,7 @@ class TestStepBuffers:
             return softmax_cross_entropy(target, logits, z, y, tau)
 
         monkeypatch.setattr("otsc.trainer.softmax_cross_entropy", recording_loss)
-        cfg = tiny_cfg(keep_diagonal=keep_diagonal)
+        cfg = tiny_cfg()
         rng = np.random.default_rng(5)
         model = net.init_model(4, 3, 2, rng)
         planes = np.full((2, 2, b, b), np.nan)
@@ -437,12 +389,12 @@ class TestStepBuffers:
         assert len(calls) == 2
         for v, (target, logits, tau) in enumerate(calls):
             assert np.shares_memory(target, planes[1, 1 - v])
-            _, grad = masked_softmax_cross_entropy(target, logits, tau, not keep_diagonal)
+            _, grad = masked_softmax_cross_entropy(target, logits, tau)
             assert rel_error(planes[0, v], grad * tau) <= 1e-14
             w = planes[1, v]
             assert w.min() >= 0.0 and np.abs(w.sum(axis=1) - 1.0).max() <= 1e-14
-            assert (np.diag(w) == 0.0).all() != keep_diagonal
-            assert (np.diag(planes[0, v]) == 0.0).all() != keep_diagonal
+            assert (np.diag(w) == 0.0).all()
+            assert (np.diag(planes[0, v]) == 0.0).all()
 
     def test_fit_hands_every_step_one_store(self, monkeypatch):
         handed = []
