@@ -240,9 +240,9 @@ def save_checkpoint(
     np.savez(path, **arrays)
 
 
-def _check_kinds(path, section: dict, kinds: dict[str, str]) -> None:
-    for key, kind in kinds.items():
-        value = section[key]
+def _check_kinds(path, meta: dict) -> None:
+    for key, kind in _META_KINDS.items():
+        value = meta[key]
         integer = isinstance(value, int) and not isinstance(value, bool)
         if not (integer and value >= (1 if kind == _COUNT else 0)):
             raise ValueError(f"checkpoint {path} entry {key!r} must be {kind}, got {value!r}")
@@ -303,7 +303,7 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
             raise ValueError(
                 f"checkpoint {path} entry 'format' is {meta['format']!r}, expected {_CKPT_FORMAT}"
             )
-        _check_kinds(path, meta, _META_KINDS)
+        _check_kinds(path, meta)
         opt_meta = meta["optimizer"]
         if not isinstance(opt_meta, dict):
             raise ValueError(f"checkpoint {path} entry 'optimizer' is malformed")

@@ -1,4 +1,5 @@
 import warnings
+
 import numpy as np
 import pytest
 
