@@ -720,6 +720,40 @@ BAD_INPUTS = {
     "momentum of 1.5 in the config": (
         lambda tmp, run: _train_with(tmp, run, "momentum = 1.5"),
         1, "error: momentum must lie in [0, 1)\n"),
+    # the rest of TrainConfig's bounds, each read from a config line
+    "num_clusters of 1 in the config": (
+        lambda tmp, run: _train_with(tmp, run, "num_clusters = 1"),
+        1, "error: num_clusters must be >= 2\n"),
+    "zero embed_dim in the config": (
+        lambda tmp, run: _train_with(tmp, run, "embed_dim = 0"),
+        1, "error: embed_dim must be positive\n"),
+    "negative epochs in the config": (
+        lambda tmp, run: _train_with(tmp, run, "epochs = -1"),
+        1, "error: epochs must be nonnegative\n"),
+    "zero eta in the config": (
+        lambda tmp, run: _train_with(tmp, run, "eta = 0"),
+        1, "error: eta must be positive\n"),
+    "zero sinkhorn_iters in the config": (
+        lambda tmp, run: _train_with(tmp, run, "sinkhorn_iters = 0"),
+        1, "error: sinkhorn_iters must be >= 1\n"),
+    "negative noise_sigma in the config": (
+        lambda tmp, run: _train_with(tmp, run, "noise_sigma = -0.1"),
+        1, "error: noise_sigma must be nonnegative\n"),
+    "feature_dropout_prob of 1 in the config": (
+        lambda tmp, run: _train_with(tmp, run, "feature_dropout_prob = 1"),
+        1, "error: feature_dropout_prob must lie in [0, 1)\n"),
+    "zero tau_a_init in the config": (
+        lambda tmp, run: _train_with(tmp, run, "tau_a_init = 0"),
+        1, "error: tau_a_init must lie in (0, 1]\n"),
+    "tau_c_init above 1 in the config": (
+        lambda tmp, run: _train_with(tmp, run, "tau_c_init = 1.5"),
+        1, "error: tau_c_init must lie in (0, 1]\n"),
+    "negative weight_decay in the config": (
+        lambda tmp, run: _train_with(tmp, run, "weight_decay = -0.1"),
+        1, "error: weight_decay must be nonnegative\n"),
+    "zero restart_period in the config": (
+        lambda tmp, run: _train_with(tmp, run, "restart_period = 0"),
+        1, "error: restart_period must be positive\n"),
     "checkpoint negative epoch": (
         lambda tmp, run: _edited_checkpoint(tmp, run, meta={"epoch": -3}),
         1, "edited.npz entry 'epoch' must be a nonnegative integer, got -3\n"),

@@ -6,6 +6,7 @@ residual) held at their base-point values, which is exactly the function
 whose gradient the step reports. It is written out apart from the step.
 """
 
+import contextlib
 from concurrent import futures
 
 import numpy as np
@@ -74,11 +75,22 @@ def test_full_step_gradients(mode):
     check_all_parameters(model, cfg, x1, x2)
 
 
-def test_full_step_gradients_in_row_panels_on_a_worker(monkeypatch):
-    # panels of 3 rows split B = 8 as 3 + 3 + 2, and view 1 runs on a worker
+@contextlib.contextmanager
+def panels_on_a_worker(monkeypatch, wanted=True):
+    """Panels of 3 rows, splitting B = 8 as 3 + 3 + 2, and a worker to run
+    view 1, if ``wanted``; else the whole-plane step inline (worker None)."""
+    if not wanted:
+        yield None
+        return
     monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 8 * 3)
-    model, cfg, x1, x2 = build_instance("procrustes")
     with futures.ThreadPoolExecutor(1) as worker:
+        yield worker
+
+
+@pytest.mark.parametrize("mode", ["none", "procrustes", "penalty"])
+def test_full_step_gradients_in_row_panels_on_a_worker(mode, monkeypatch):
+    model, cfg, x1, x2 = build_instance(mode)
+    with panels_on_a_worker(monkeypatch) as worker:
         check_all_parameters(model, cfg, x1, x2, worker)
 
 
@@ -90,22 +102,26 @@ def test_clamped_temperature_has_zero_gradient():
     assert grads["log_tau"][1] != 0.0
 
 
+@pytest.mark.parametrize("on_worker", [False, True], ids=["inline", "worker"])
 @pytest.mark.parametrize("mode", TRAINER_ORTH_MODES)
-def test_held_loss_equals_the_live_step_loss(mode):
+def test_held_loss_equals_the_live_step_loss(mode, on_worker, monkeypatch):
     # at the base point the held function is the step's own loss, so the
     # finite differences above difference the function the step reports
     model, cfg, x1, x2 = build_instance(mode, seed=3)
-    losses, _, held = _compute_step(model, x1, x2, cfg)
+    with panels_on_a_worker(monkeypatch, on_worker) as worker:
+        losses, _, held = _compute_step(model, x1, x2, cfg, worker=worker)
     want = losses.total_loss
     assert abs(held_step_loss(model, x1, x2, cfg, held) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("on_worker", [False, True], ids=["inline", "worker"])
 @pytest.mark.parametrize("mode", ["none", "procrustes", "penalty"])
-def test_tau_a_gradient_matches_logit_form(mode):
+def test_tau_a_gradient_matches_logit_form(mode, on_worker, monkeypatch):
     # the step takes it from the B x D embedding gradient; the oracle reads
     # the B x B logit and gradient planes
     model, cfg, x1, x2 = build_instance(mode)
-    _, grads, held = _compute_step(model, x1, x2, cfg)
+    with panels_on_a_worker(monkeypatch, on_worker) as worker:
+        _, grads, held = _compute_step(model, x1, x2, cfg, worker=worker)
     _, affinity_targets, _ = held
     views_z = held_embeddings(model, x1, x2, held)
     tau_a = net.effective_tau(model.log_tau)[0]

@@ -350,18 +350,53 @@ class TestBilinearLogits:
     through the same `softmax_cross_entropy` as the affinity loss; a panel
     holds PANEL_BYTES // (8 K) of its rows."""
 
-    @pytest.mark.parametrize("rows", [1, 5, 16, 17])
-    def test_non_square_plane_in_uneven_row_panels(self, rows, monkeypatch):
-        # panels of 5 and 16 rows split B = 17 unevenly; 17 is one panel
-        b, k, d, tau = 17, 3, 4, 0.1
-        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * k * rows)
-        rng = np.random.default_rng(rows)
-        z, y = unit_rows(rng, b, d), unit_rows(rng, k, d)
+    @staticmethod
+    def assert_matches_two_step_form(rng, b, k, tau):
+        # the loss and both factor gradients, against the B x K logit
+        # gradient of the two-exp cross entropy chained as A @ y and A.T @ z
+        z, y = unit_rows(rng, b, 4), unit_rows(rng, k, 4)
         target = random_stochastic(rng, (b, k))
         want_loss, grad_logits = two_exp_cross_entropy(target, z @ y.T, tau)
         loss, grad_z, grad_y = softmax_cross_entropy(target, z @ y.T, z, y, tau)
         assert_close_to_two_step((loss, grad_z), (want_loss, grad_logits @ y), y, tau)
         assert_close_to_two_step((loss, grad_y), (want_loss, grad_logits.T @ z), z, tau)
+
+    @pytest.mark.parametrize("tau", [0.01, 1.0])
+    @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
+    def test_matches_two_step_form(self, b, tau):
+        self.assert_matches_two_step_form(np.random.default_rng(b), b, 3, tau)
+
+    @pytest.mark.parametrize("rows", [1, 5, 16, 17])
+    def test_non_square_plane_in_uneven_row_panels(self, rows, monkeypatch):
+        # panels of 5 and 16 rows split B = 17 unevenly; 17 is one panel
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 3 * rows)
+        self.assert_matches_two_step_form(np.random.default_rng(rows), 17, 3, 0.1)
+
+    def test_embedding_gradient_matches_finite_differences(self, monkeypatch):
+        # the logits are rebuilt from z at every point, in panels of 5 rows
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 3 * 5)
+        rng = np.random.default_rng(19)
+        z0, y = unit_rows(rng, 17, 4), unit_rows(rng, 3, 4)
+        target = random_stochastic(rng, (17, 3))
+
+        def loss_of_z(z):
+            return softmax_cross_entropy(target, z @ y.T, z, y, 0.3)[0]
+
+        _, grad_z, _ = softmax_cross_entropy(target, z0 @ y.T, z0, y, 0.3)
+        assert rel_error(grad_z, central_difference(loss_of_z, z0)) <= 1e-7
+
+    def test_leaves_exp_in_logits(self):
+        # the trainer's assignment logits h hold A = softmax(h/tau) - target
+        # after the call, as the affinity planes do
+        rng = np.random.default_rng(13)
+        z, y = unit_rows(rng, 9, 3), unit_rows(rng, 4, 3)
+        target = random_stochastic(rng, (9, 4))
+        logits = z @ y.T
+        scaled = logits / 0.2
+        want = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+        want = want / want.sum(axis=1, keepdims=True) - target
+        softmax_cross_entropy(target, logits, z, y, 0.2)
+        assert rel_error(logits, want) <= 1e-15
 
     def test_prototype_gradient_matches_finite_differences(self, monkeypatch):
         # the logits are rebuilt from y at every point, in panels of 5 rows
@@ -472,6 +507,13 @@ class TestOrthogonalPenalty:
         penalty, grad = orthogonal_penalty(q)
         assert penalty <= 1e-20
         assert np.abs(grad).max() <= 1e-9
+
+    def test_value_is_the_squared_gram_defect_at_weight_one(self):
+        # z.T z = 4 I: each of the D = 2 diagonal entries of the defect is 3
+        z = np.vstack([2.0 * np.eye(2), np.zeros((3, 2))])
+        penalty, grad = orthogonal_penalty(z)
+        assert penalty == 18.0
+        assert (grad == 4.0 * z @ (3.0 * np.eye(2))).all()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)

@@ -92,10 +92,20 @@ class TestConfig:
         ({"lam": True}, "lam must be a real number, got True"),
         ({"base_lr": "1e-4"}, "base_lr must be a real number, got '1e-4'"),
         ({"restart_period": 2.5}, "restart_period must be an integer, got 2.5"),
+        ({"embed_dim": 2.5}, "embed_dim must be an integer, got 2.5"),
+        ({"momentum": "0.9"}, "momentum must be a real number, got '0.9'"),
+        ({"weight_decay": None}, "weight_decay must be a real number, got None"),
+        ({"noise_sigma": True}, "noise_sigma must be a real number, got True"),
+        ({"feature_dropout_prob": "0.1"},
+         "feature_dropout_prob must be a real number, got '0.1'"),
+        ({"scale_jitter": None}, "scale_jitter must be a real number, got None"),
+        ({"tau_a_init": False}, "tau_a_init must be a real number, got False"),
+        ({"tau_c_init": "0.05"}, "tau_c_init must be a real number, got '0.05'"),
     ])
     def test_refuses_a_value_its_annotation_does_not_take_by_name(self, settings, message):
-        # unrefused, 2.5 sweeps would run as 3, and 2.0 clusters or eta
-        # "0.05" would raise a TypeError that names no field
+        # every numeric field is refused by name at least once; unrefused,
+        # 2.5 sweeps would run as 3, and 2.0 clusters or eta "0.05" would
+        # raise a TypeError that names no field
         with pytest.raises(ValueError) as info:
             tiny_cfg(**settings)
         assert str(info.value) == message
@@ -347,7 +357,7 @@ class TestStepBuffers:
     """`fit` hands every step one (2, 2, B, B) array of planes; sharing it
     changes no bit, and after the first step a step allocates no B x B array."""
 
-    @pytest.mark.parametrize("orth_mode", ["procrustes", "penalty"])
+    @pytest.mark.parametrize("orth_mode", ["procrustes", "penalty", "none"])
     def test_shared_store_bitwise_equals_fresh_stores(self, orth_mode):
         cfg = tiny_cfg(orth_mode=orth_mode)
         x = random_data(n=10, seed=2)
@@ -367,10 +377,11 @@ class TestStepBuffers:
             runs.append((trail, [p.tobytes() for _, p in model.named_arrays()]))
         assert runs[0] == runs[1]
 
-    def test_store_holds_only_arrays_read_back(self, monkeypatch):
+    @pytest.mark.parametrize("orth_mode", TRAINER_ORTH_MODES)
+    def test_store_holds_only_arrays_read_back(self, orth_mode, monkeypatch):
         # after a step planes[0, v] holds view v's A = softmax(logits/tau) -
         # target, against view 1 - v's target, and planes[1, v] view v's
-        # row-stochastic target, in both layouts
+        # row-stochastic target, each with a zero diagonal
         b = 10
         calls = []
 
@@ -380,7 +391,7 @@ class TestStepBuffers:
             return softmax_cross_entropy(target, logits, z, y, tau)
 
         monkeypatch.setattr("otsc.trainer.softmax_cross_entropy", recording_loss)
-        cfg = tiny_cfg()
+        cfg = tiny_cfg(orth_mode=orth_mode)
         rng = np.random.default_rng(5)
         model = net.init_model(4, 3, 2, rng)
         planes = np.full((2, 2, b, b), np.nan)
