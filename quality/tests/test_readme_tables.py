@@ -119,3 +119,21 @@ def test_paired_table_matches_quality_37():
         rule = ("kept" if run["kept"] else "rejected") if "paired" in run else "reference"
         want.append([f"`{name.split('/')[1]}`", *cells, rule])
     assert rows == want
+
+
+def test_rounding_table_matches_quality_38():
+    # the factored-target run against the same config on the code before,
+    # paired by seed, the interval drawn again from the per-seed scores
+    reference = _runs("QUALITY_37.json")["paired/keep-diagonal-false"]["results"]
+    results = _runs("QUALITY_38.json")["factored"]["results"]
+    before = [f"{reference[kind]['held_out']['mean_predict_acc']:.3f}" for kind in KINDS]
+    after = []
+    for kind in KINDS:
+        accs = [{r["seed"]: r["held_out"]["predict"]["acc"] for r in res[kind]["otsc"]}
+                for res in (results, reference)]
+        assert list(accs[0]) == list(accs[1])
+        mean, low, high = driver.paired_interval([accs[0][s] - accs[1][s] for s in accs[0]])
+        after.append(f"{results[kind]['held_out']['mean_predict_acc']:.3f}:"
+                     f" {mean:+.3f} [{low:+.3f}, {high:+.3f}]")
+    assert _readme_rows("| run | moons | rings | blobs |") == [
+        ["`paired/keep-diagonal-false`", *before], ["`factored`", *after]]

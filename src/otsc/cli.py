@@ -77,7 +77,13 @@ def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
         kwargs.update(overrides)
     if "num_clusters" not in kwargs:
         raise ValueError("config must set num_clusters")
-    return TrainConfig(**kwargs)
+    try:
+        return TrainConfig(**kwargs)
+    except ValueError as err:
+        # a refusal names the field; the file and the flag call lam "lambda"
+        if str(err).startswith("lam "):
+            raise ValueError(f"lambda{str(err)[3:]}") from None
+        raise
 
 
 # -- artifact serialization ---------------------------------------------------
@@ -223,12 +229,13 @@ def _cmd_ot_debug(args) -> None:
         raise ValueError(f"iterations must be >= 1, got {args.iterations}")
     _, cost = read_csv(args.cost, header=False)
     # the fixed-iteration solver takes similarities; a cost is its negation
-    plan = sinkhorn_algorithm1(-cost, args.eta, args.iterations)
-    for row in plan.plan:
+    target = sinkhorn_algorithm1(-cost, args.eta, args.iterations)
+    kernel, u, v = target.factors
+    for row in u[:, None] * kernel * v:
         print(",".join(f"{v:.12g}" for v in row))
-    print(f"row_residual={plan.row_marginal_residual!r}", file=sys.stderr)
-    print(f"col_residual={plan.col_marginal_residual!r}", file=sys.stderr)
-    print(f"iterations_used={plan.iterations_used}", file=sys.stderr)
+    print(f"row_residual={target.row_marginal_residual!r}", file=sys.stderr)
+    print(f"col_residual={target.col_marginal_residual!r}", file=sys.stderr)
+    print(f"iterations_used={target.iterations_used}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:

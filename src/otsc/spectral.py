@@ -94,44 +94,51 @@ def off_diagonal(square: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(
-    target: np.ndarray, logits: np.ndarray, z: np.ndarray, y: np.ndarray, tau: float
+    target, logits: np.ndarray, z: np.ndarray, y: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Row-wise cross entropy of ``softmax(logits/tau)`` against ``target``
+    """Row-wise cross entropy of ``softmax(logits/tau)`` against the target
     W for the bilinear logits L = z @ y.T, and its gradients in z and y.
 
-    ``logits`` holds L, -inf where an entry is masked (`off_diagonal`, with
-    W 0 there); W's rows sum to 1. With E = exp(L/tau - m), m the row maxima
-    of L/tau, s the row sums of E and A = E/s - W, the logit gradient times
-    tau:
+    ``target`` is W in the factors ``(kernel, u, v)`` of a Sinkhorn target
+    (`SinkhornTarget.factors`), W = diag(u) @ kernel @ diag(v), which is
+    never formed; a dense W passes as ``(W, ones, ones)``. ``logits`` holds
+    L, -inf where an entry is masked (`off_diagonal`, with W 0 there); W's
+    rows sum to 1. With E = exp(L/tau - m), m the row maxima of L/tau and s
+    the row sums of E, the logit gradient times tau is E/s - W, and
 
         loss = sum(log s + m) - <W y, z> / tau
-        d/dz = A y / tau,   d/dy = A.T z / tau
+        d/dz = (E y / s - u * (kernel @ (v * y))) / tau
+        d/dy = (E.T (z / s) - v * (kernel.T @ (u * z))) / tau
 
-    A overwrites ``logits`` by row panels of at most `PANEL_BYTES`, each
-    used for its rows of A y and its term of the sum z.T A while it is in
-    cache (z.T copied contiguous: A.T z walks A by columns, over twice as
-    slow at B = 1024, D = 2). <W y, z> is read off the factors, so a masked
-    entry needs no care: exp(-inf) = 0 and W is 0 there.
+    E overwrites ``logits`` by row panels of at most `PANEL_BYTES`; each
+    panel, and the kernel's rows beside it, is used for its rows of d/dz
+    and its terms of the sums in d/dy while it is in cache. <W y, z> is
+    read off the panel's rows of W y, so a masked entry needs no care:
+    exp(-inf) = 0 and the kernel is 0 there.
     """
+    kernel, u, v = target
     b = z.shape[0]
     rows = min(b, panel_rows(logits.shape[1]))
-    zt, grad_z = z.T.copy(), np.empty_like(z)
+    vy, grad_z = v[:, None] * y, np.empty_like(z)
     log_partition = cross = 0.0
     for s in range(0, b, rows):
-        a = logits[s : s + rows]
+        a, k = logits[s : s + rows], kernel[s : s + rows]
         a /= tau
         m = a.max(axis=1, keepdims=True)
         a -= m
         np.exp(a, out=a)
         sums = a.sum(axis=1, keepdims=True)
         log_partition += float(np.log(sums).sum() + m.sum())
-        cross += float(np.vdot(target[s : s + rows] @ y, z[s : s + rows]))
-        a *= 1.0 / sums
-        a -= target[s : s + rows]
-        np.matmul(a, y, out=grad_z[s : s + rows])
-        zt_a = zt[:, s : s + rows] @ a if s == 0 else zt_a + zt[:, s : s + rows] @ a
+        zs, us = z[s : s + rows], u[s : s + rows, None]
+        wy = us * (k @ vy)
+        cross += float(np.vdot(wy, zs))
+        g = np.matmul(a, y, out=grad_z[s : s + rows])
+        g /= sums
+        g -= wy
+        zt_a = (zs / sums).T @ a - ((us * zs).T @ k) * v
+        grad_yt = zt_a if s == 0 else grad_yt + zt_a
     grad_z /= tau
-    return log_partition - cross / tau, grad_z, zt_a.T / tau
+    return log_partition - cross / tau, grad_z, grad_yt.T / tau
 
 
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

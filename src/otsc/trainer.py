@@ -207,20 +207,22 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
     Returns (losses, grads, held). ``held`` is the tuple (st_residuals,
-    affinity_targets, assignment_targets), each a pair with one array per
-    view: the step's stop-gradient quantities, which the backward treats as
-    constants, so the gradients differentiate the loss with them held fixed.
+    affinity_targets, assignment_targets), each a pair with one entry per
+    view, the targets as Sinkhorn factors ``(kernel, u, v)``
+    (`SinkhornTarget.factors`), never formed as plans: the step's
+    stop-gradient quantities, which the backward treats as constants, so the
+    gradients differentiate the loss with them held fixed.
 
     The step's B x B planes live in ``planes``, a float64 (2, 2, B, B)
     array that `fit` keeps for the whole run; None gives the call its own.
     ``planes[0, v]`` holds view v's affinity logits, z @ z.T with the
     diagonal masked to -inf (`off_diagonal`), so each target column is one
-    sample and the target holds no self-affinity; ``planes[1, v]`` holds its
-    Sinkhorn target. After the call the logits planes, and each view's B x K
-    assignment logits ``h``, hold `softmax_cross_entropy`'s A =
-    softmax(logits/tau) - target, not the logits. The affinity targets in
-    ``held`` are ``planes[1]``, which the next step on the same array
-    overwrites.
+    sample and the target holds no self-affinity; ``planes[1, v]`` holds the
+    kernel of its Sinkhorn target, 0 on the diagonal. After the call the
+    logits planes, and each view's B x K assignment logits ``h``, hold
+    `softmax_cross_entropy`'s E = exp(logits/tau - m), not the logits. The
+    affinity kernels in ``held`` are ``planes[1]``, which the next step on
+    the same array overwrites.
 
     Each view runs its own encoder pass and backward. A ``worker`` runs
     view 1's forward (encoder, targets), then its losses and backward
@@ -231,7 +233,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
     protos = row_normalize(model.prototypes)
     b = x1.shape[0]
-    logits, targets = np.empty((2, 2, b, b)) if planes is None else planes
+    logits, kernels = np.empty((2, 2, b, b)) if planes is None else planes
 
     def forward(v):
         # view v's encoder pass, straight-through (its own polar factor),
@@ -241,18 +243,19 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         # z.T copied keeps numpy off its much slower z @ z.T (syrk) path
         off_diagonal(np.matmul(z, z.T.copy(), out=logits[v]))
         h = z @ protos.T
-        sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=targets[v])
-        p = sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).plan
-        return z_raw, inputs, resid, z, h, p
+        w = sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=kernels[v]).factors
+        p = sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).factors
+        return z_raw, inputs, resid, z, h, w, p
 
     def backward(v):
         # swapped prediction: view 1 - v's targets supervise view v's logits.
         # View v's loss terms, then its gradients through the straight-through
         # (identity), the row normalization of its raw embeddings and the
         # encoder; targets and residuals are constants
-        z_raw, inputs, _, z, h, _ = views[v]
-        loss_a, g, g_y = softmax_cross_entropy(targets[1 - v], logits[v], z, z, tau_a)
-        loss_c, g_c, grad_protos = softmax_cross_entropy(views[1 - v][5], h, z, protos, tau_c)
+        z_raw, inputs, _, z, h, _, _ = views[v]
+        *_, w, p = views[1 - v]
+        loss_a, g, g_y = softmax_cross_entropy(w, logits[v], z, z, tau_a)
+        loss_c, g_c, grad_protos = softmax_cross_entropy(p, h, z, protos, tau_c)
         # d loss / d tau = -<A, z y.T> / tau^2 = -<grad_z, z> / tau, A the
         # logit gradient times tau, which is 0 on a masked diagonal
         grad_tau = [-float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, z)) / tau_c]
@@ -277,7 +280,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
 
     # the residuals are the moves the straight-through applies to unit rows
-    _, _, resids, _, _, p_targets = zip(*views)
+    _, _, resids, _, _, w_targets, p_targets = zip(*views)
     resid_norm = float(np.linalg.norm(resids[0]) + np.linalg.norm(resids[1]))
     losses = StepLosses(
         affinity_loss=la,
@@ -285,7 +288,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         total_loss=la + cfg.lam * lc + penalty,
         mean_inconsistency=resid_norm / (2.0 * b**0.5),
     )
-    return losses, grads, (resids, tuple(targets), p_targets)
+    return losses, grads, (resids, w_targets, p_targets)
 
 
 def train_step(

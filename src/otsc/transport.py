@@ -1,17 +1,20 @@
 """Entropic optimal transport via Sinkhorn scaling.
 
-One scaling core, ``_scale``, builds every kernel and plan of both solvers
-and has two stop rules. ``sinkhorn_algorithm1`` builds training targets
-with a fixed count: exponentiate similarities divided by ``eta``, then
-alternate column- and row-normalization a fixed number of times, ending on
-rows. ``sinkhorn_marginal`` solves for prescribed marginals to a tolerance
-by the same sweeps on the same kernel; it reports its log scalings and is
-the variant used for analysis and testing. Both run in the kernel domain:
-wherever ``exp(values/eta)``, shifted by its max, underflows, the kernel
-entry is 0, a forbidden cell, and a line made only of such cells is refused
-as underflowed. The sweeps check their scalings once per solve, and replay
-checked to name a failed line. Exact solutions of small instances, which
-the tests check both solvers against, live in ``tests/oracles.py``.
+One scaling core, ``_scale``, builds every kernel of both solvers and has
+two stop rules. ``sinkhorn_algorithm1`` builds training targets with a
+fixed count: exponentiate similarities divided by ``eta``, then alternate
+column- and row-normalization a fixed number of times, ending on rows. It
+returns the target W = diag(u) K diag(v) in its factors, as the training
+step reads W only through products with thin factors (Cuturi 2013; Peyré &
+Cuturi 2019, §4). ``sinkhorn_marginal`` solves for prescribed marginals to
+a tolerance by the same sweeps on the same kernel; it builds its plan and
+reports its log scalings, and is the variant used for analysis and testing.
+Both run in the kernel domain: wherever ``exp(values/eta)``, shifted by its
+max, underflows, the kernel entry is 0, a forbidden cell, and a line made
+only of such cells is refused as underflowed. The sweeps check their
+scalings once per solve, and replay checked to name a failed line. Exact
+solutions of small instances, which the tests check both solvers against,
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,17 +25,18 @@ import numpy as np
 
 from .errors import NumericalError, as_matrix
 
-__all__ = ["TransportPlan", "sinkhorn_algorithm1", "sinkhorn_marginal"]
+__all__ = ["SinkhornTarget", "TransportPlan", "sinkhorn_algorithm1", "sinkhorn_marginal"]
 
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A transport plan plus the marginal residuals it actually achieved.
+    """A dense transport plan plus the marginal residuals it actually
+    achieved: what `sinkhorn_marginal` returns.
 
     ``row_marginal_residual`` / ``col_marginal_residual`` are max-norm
     deviations from the requested marginals; they are reported as computed,
-    never clipped. `_scale` builds the plan nonnegative, each entry at most the
-    marginal of its line that the last half-sweep fitted, so it is not checked.
+    never clipped. The plan is nonnegative, each entry at most the marginal
+    of its line that the last half-sweep fitted, so it is not checked.
     """
 
     plan: np.ndarray
@@ -41,14 +45,17 @@ class TransportPlan:
     iterations_used: int
 
 
-def _measured(plan: np.ndarray, r, c, iterations: int) -> TransportPlan:
-    """``plan`` with its max-norm residuals against marginals ``r`` and ``c``."""
-    return TransportPlan(
-        plan=plan,
-        row_marginal_residual=float(np.abs(plan.sum(axis=1) - r).max()),
-        col_marginal_residual=float(np.abs(plan.sum(axis=0) - c).max()),
-        iterations_used=iterations,
-    )
+@dataclass(frozen=True)
+class SinkhornTarget:
+    """A fixed-count Sinkhorn target W = diag(u) @ kernel @ diag(v) in its
+    ``factors`` ``(kernel, u, v)``, as `softmax_cross_entropy` takes it; W
+    is never formed. Its residuals are measured on the factors, and are
+    what `TransportPlan`'s would be on W."""
+
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    row_marginal_residual: float
+    col_marginal_residual: float
+    iterations_used: int
 
 
 def _fit(target, sums, axis: str, eta: float) -> np.ndarray:
@@ -66,21 +73,22 @@ def _fit(target, sums, axis: str, eta: float) -> np.ndarray:
 
 def _scale(values, r, c, eta, max_iter, tol=None, rows_first=False, out=None):
     """Sinkhorn scaling of the Gibbs kernel ``exp(values/eta)`` to marginals
-    ``r``, ``c``, the one builder of kernels and plans. ``values/eta`` is
-    formed once, in ``out`` if given; an entry that overflows to +inf is
-    refused, naming it. It is shifted by its max ``top`` and exponentiated
-    in place (Peyré & Cuturi 2019, §4.4); an entry that is -inf, or whose
-    exp underflows, is a forbidden cell. Rows are exact after each sweep, so
-    the column residual ``v * (k.T @ u) - c`` costs only the product the
-    next sweep starts from; the loop stops on it within ``tol`` if given,
-    else after ``max_iter`` sweeps; ``rows_first`` sweeps ``k.T``. The
-    sweeps reuse their vectors and reduce none per half-sweep: as 0 * inf
-    is NaN, a non-finite scaling entry leaves one in every later u or v
-    (and in the residual), so u and v are checked after the loop, which
-    replays with `_fit`'s check on each half-sweep to name the line that
-    failed first. Returns ``(plan, u, v, top, n)`` after ``n`` sweeps: the
-    kernel the loop measured, scaled in place into the plan
-    ``diag(u) @ exp(values/eta - top) @ diag(v)``.
+    ``r``, ``c``, the one builder of kernels. ``values/eta`` is formed once,
+    in ``out`` if given; an entry that overflows to +inf is refused, naming
+    it. It is shifted by its max ``top`` and exponentiated in place (Peyré &
+    Cuturi 2019, §4.4); an entry that is -inf, or whose exp underflows, is a
+    forbidden cell. Rows are exact after each sweep, so the column residual
+    ``v * (k.T @ u) - c`` costs only the product the next sweep starts from;
+    the loop stops on it within ``tol`` if given, else after ``max_iter``
+    sweeps; ``rows_first`` sweeps ``k.T``. The sweeps reuse their vectors
+    and reduce none per half-sweep: as 0 * inf is NaN, a non-finite scaling
+    entry leaves one in every later u or v (and in the residual), so u and v
+    are checked after the loop, which replays with `_fit`'s check on each
+    half-sweep to name the line that failed first. Returns ``(kernel, u, v,
+    top, n, kv)`` after ``n`` sweeps: the kernel ``exp(values/eta - top)``
+    the loop measured, unscaled, its row and column scalings, so the plan is
+    ``diag(u) @ kernel @ diag(v)``, and ``kv``, the last ``k @ v``, of which
+    ``u * kv`` are the plan's sums over the lines the last half-sweep fitted.
     """
     first, second = ("row", "column") if rows_first else ("column", "row")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -104,7 +112,8 @@ def _scale(values, r, c, eta, max_iter, tol=None, rows_first=False, out=None):
                 sweep += 1
                 if checked:
                     v = _fit(c, sums, first, eta)
-                    u = _fit(r, k @ v, second, eta)
+                    kv = k @ v
+                    u = _fit(r, kv, second, eta)
                 else:
                     np.divide(c, sums, out=v)
                     np.divide(r, np.dot(k, v, out=kv), out=u)
@@ -112,32 +121,35 @@ def _scale(values, r, c, eta, max_iter, tol=None, rows_first=False, out=None):
                     np.dot(u, k, out=sums)
             if checked or (res < np.inf and u.max() < np.inf and v.max() < np.inf):
                 break
-        k *= u[:, None]
-        k *= v
-    return (k.T, v, u, top, sweep) if rows_first else (k, u, v, top, sweep)
+    return (kernel, v, u, top, sweep, kv) if rows_first else (kernel, u, v, top, sweep, kv)
 
 
 def sinkhorn_algorithm1(
     logits: np.ndarray, eta: float, iterations: int, *, out: np.ndarray | None = None
-) -> TransportPlan:
+) -> SinkhornTarget:
     """Fixed-iteration Sinkhorn on a similarity matrix.
 
     Computes ``exp(logits/eta)`` (stabilized by subtracting the per-matrix
     max, which cancels in the first normalization) and then alternates
     column-normalize / row-normalize exactly ``iterations`` times. The final
-    step is a row normalization, so rows of the result sum to 1 and columns
+    step is a row normalization, so rows of the target sum to 1 and columns
     are approximately uniform at total mass ``m/n`` each.
 
-    Residuals are reported against those implied marginals: 1 per row and
-    ``m/n`` per column. The arguments are trusted, as `TrainConfig` and
-    ``otsc ot-debug`` check them: ``0 < eta < inf``, ``iterations >= 1`` and
-    ``logits`` finite, but for masked -inf entries (0 in the plan); an
-    overflowing ``logits/eta`` is refused. The plan is built in ``out``, a
-    float64 array shaped like ``logits``, when given, else in a new array.
+    Returns the target in its factors: the kernel, built in ``out``, a
+    float64 array shaped like ``logits``, when given, else in a new array,
+    and its scalings u and v; the plan is never formed. Residuals are
+    reported against the implied marginals, 1 per row and ``m/n`` per
+    column, and measured on the operator the loss applies: the rows
+    ``u * (kernel @ v)`` from the loop's last product, the columns
+    ``v * (u @ kernel)`` by one more. The arguments are trusted, as
+    `TrainConfig` and ``otsc ot-debug`` check them: ``0 < eta < inf``,
+    ``iterations >= 1`` and ``logits`` finite, but for masked -inf entries
+    (0 in the kernel); an overflowing ``logits/eta`` is refused.
     """
     m, n = logits.shape
-    plan = _scale(logits, 1.0, 1.0, eta, iterations, out=out)[0]
-    return _measured(plan, 1.0, m / n, iterations)
+    kernel, u, v, _, used, kv = _scale(logits, 1.0, 1.0, eta, iterations, out=out)
+    rows, cols = np.abs(u * kv - 1.0).max(), np.abs(v * (u @ kernel) - m / n).max()
+    return SinkhornTarget((kernel, u, v), float(rows), float(cols), used)
 
 
 def sinkhorn_marginal(
@@ -190,5 +202,8 @@ def sinkhorn_marginal(
     buf = np.empty(cost.size + 7)
     kernel = buf[(-buf.ctypes.data // 8) % 8:][: cost.size].reshape(cost.shape)
     np.negative(cost, out=kernel)
-    plan, a, b, top, used = _scale(kernel, r, c, eta, max_iter, tol, rows_first=True, out=kernel)
-    return _measured(plan, r, c, used), (np.log(a) - top, np.log(b))
+    _, a, b, top, used, _ = _scale(kernel, r, c, eta, max_iter, tol, rows_first=True, out=kernel)
+    kernel *= b  # scaled in place into the plan, columns first
+    kernel *= a[:, None]
+    rows, cols = np.abs(kernel.sum(axis=1) - r).max(), np.abs(kernel.sum(axis=0) - c).max()
+    return TransportPlan(kernel, float(rows), float(cols), used), (np.log(a) - top, np.log(b))

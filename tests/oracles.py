@@ -19,7 +19,10 @@ the affinity no longer calls. The
 affinity-backward references are the trainer's earlier forms: the B x B
 logit gradient of the masked cross entropy, the two plain products into the
 embeddings, and the temperature gradient read off the B x B logit and
-gradient planes. `held_step_loss` is the training step's loss written out
+gradient planes, and the cross entropy as it was against a dense plan,
+`plan_softmax_cross_entropy`; `plan_of` forms that plan from the Sinkhorn
+factors the step holds, and `as_factors` passes a dense plan as factors.
+`held_step_loss` is the training step's loss written out
 from the package's forward pieces (encoder forward, row
 normalization, orthogonality penalty) and this module's cross entropy and
 masks; it runs no part of the step. The last three helpers are the small
@@ -302,7 +305,9 @@ def checked_scale(values, r, c, eta, max_iter, tol=None, rows_first=False):
     """The package's scaling core as it was with a check on every half-sweep:
     each scaling is refused, naming its first non-finite entry, as soon as
     it is formed, and every product is a fresh ``@``. Same signature and
-    return as ``transport._scale`` (without ``out``)."""
+    return as ``transport._scale`` (without ``out``): the unscaled kernel,
+    the row and column scalings, the shift, the sweep count and the last
+    ``k @ v``."""
     first, second = ("row", "column") if rows_first else ("column", "row")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kernel = np.asarray(values, dtype=np.float64) / eta
@@ -321,12 +326,45 @@ def checked_scale(values, r, c, eta, max_iter, tol=None, rows_first=False):
                 break
             sweep += 1
             v = _checked_fit(c, sums, first, eta)
-            u = _checked_fit(r, k @ v, second, eta)
+            kv = k @ v
+            u = _checked_fit(r, kv, second, eta)
             if sweep < max_iter:
                 sums = u @ k
-        k *= u[:, None]
-        k *= v
-    return (k.T, v, u, top, sweep) if rows_first else (k, u, v, top, sweep)
+    return (kernel, v, u, top, sweep, kv) if rows_first else (kernel, u, v, top, sweep, kv)
+
+
+def plan_of(factors) -> np.ndarray:
+    """The dense plan diag(u) @ kernel @ diag(v) of Sinkhorn ``factors``
+    ``(kernel, u, v)``, multiplied in the order `otsc ot-debug` prints it."""
+    kernel, u, v = factors
+    return u[:, None] * kernel * v
+
+
+def as_factors(plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A dense target W in the factors that `softmax_cross_entropy` takes:
+    ``(W, ones, ones)``."""
+    plan = np.asarray(plan, dtype=np.float64)
+    return plan, np.ones(plan.shape[0]), np.ones(plan.shape[1])
+
+
+def plan_softmax_cross_entropy(target, logits, z, y, tau: float):
+    """`softmax_cross_entropy` as it was against a dense plan W, over the
+    whole plane at once: with A = E/s - W, the loss sum(log s + m) -
+    <W y, z>/tau and the gradients A y/tau and A.T z/tau. ``logits`` is
+    left as it is."""
+    scaled = logits / tau
+    m = scaled.max(axis=1, keepdims=True)
+    e = np.exp(scaled - m)
+    sums = e.sum(axis=1, keepdims=True)
+    grad = e / sums - target
+    loss = float(np.log(sums).sum() + m.sum()) - float(np.vdot(target @ y, z)) / tau
+    return loss, grad @ y / tau, grad.T @ z / tau
+
+
+def plan_residuals(plan, r, c) -> tuple[float, float]:
+    """Max-norm row and column residuals of a dense plan against marginals
+    ``r`` and ``c``, read off its sums."""
+    return float(np.abs(plan.sum(axis=1) - r).max()), float(np.abs(plan.sum(axis=0) - c).max())
 
 
 def two_exp_cross_entropy(target, logits, tau: float) -> tuple[float, np.ndarray]:
@@ -416,17 +454,17 @@ def held_step_loss(model, x1, x2, cfg, held) -> float:
     the smooth function of the parameters whose gradient the training step
     reports. View v's logits are scored against view 1 - v's targets; the
     B x B affinity targets and logits are packed off the diagonal by boolean
-    mask."""
+    mask. The held targets are Sinkhorn factors, formed here as plans."""
     _, affinity_targets, assignment_targets = held
     tau_a, tau_c = net.effective_tau(model.log_tau)
     protos = row_normalize(model.prototypes)
     total = 0.0
     for v, z in enumerate(held_embeddings(model, x1, x2, held)):
         sims = mask_off_diagonal(z @ z.T)
-        target = mask_off_diagonal(affinity_targets[1 - v])
+        target = mask_off_diagonal(plan_of(affinity_targets[1 - v]))
         total += two_exp_cross_entropy(target, sims, tau_a)[0]
         total += cfg.lam * two_exp_cross_entropy(
-            assignment_targets[1 - v], z @ protos.T, tau_c
+            plan_of(assignment_targets[1 - v]), z @ protos.T, tau_c
         )[0]
         if cfg.orth_mode == "penalty":
             total += orthogonal_penalty(z)[0]

@@ -252,6 +252,25 @@ class TestOtDebug:
         # low cost on the diagonal wins
         assert plan[0, 0] > 0.99 and plan[1, 1] > 0.99
 
+    @pytest.mark.parametrize(
+        "cost, text",
+        [
+            ("0.0,1.0\n1.0,0.0\n",
+             "0.999999997939,2.06115361819e-09\n2.06115361819e-09,0.999999997939\n"),
+            ("0.3,1.2,0.7,2.0\n1.1,0.1,0.9,0.4\n0.5,0.8,0.05,1.6\n",
+             "0.999997362249,4.85799670071e-09,2.63289302458e-06,2.20555451934e-13\n"
+             "3.23086363654e-09,0.499996888551,1.38448026874e-09,0.500003106834\n"
+             "0.0154802679438,1.22396956095e-05,0.984507491805,5.55688231795e-10\n"),
+        ],
+        ids=["2x2", "3x4"],
+    )
+    def test_plan_text_is_that_of_the_plan_scaled_in_place(self, cost, text, tmp_path, capsys):
+        # the text the command printed when the solver scaled its kernel in
+        # place into the plan, rows then columns: the plan formed from the
+        # factors in that order prints the same bytes
+        assert main(_cost(tmp_path, cost)) == 0
+        assert capsys.readouterr().out == text
+
     def test_five_iterations_by_default(self, tmp_path, capsys):
         assert main(_ot_debug(tmp_path)) == 0
         assert capsys.readouterr().err.endswith("iterations_used=5\n")
@@ -639,6 +658,16 @@ BAD_INPUTS = {
         lambda tmp, run: _train_with(tmp, run, "base_lr = 1e200"),
         2, "numerical abort: aborted at epoch 0, step 1:"
            " row_normalize received row 0 of norm inf\n"),
+    # TrainConfig's field is lam; the file's key and the flag are lambda
+    "negative lambda in the config": (
+        lambda tmp, run: _train_with(tmp, run, "lambda = -1"),
+        1, "error: lambda must be nonnegative\n"),
+    "NaN lambda in the config": (
+        lambda tmp, run: _train_with(tmp, run, "lambda = nan"),
+        1, "error: lambda must be finite, got nan\n"),
+    "negative lambda on train": (
+        lambda tmp, run: _train_with(tmp, run, "", "--lambda", "-1"),
+        1, "error: lambda must be nonnegative\n"),
     "NaN base_lr in the config": (
         lambda tmp, run: _train_with(tmp, run, "base_lr = nan"),
         1, "error: base_lr must be finite, got nan\n"),

@@ -8,7 +8,7 @@ come from `trainer.predict`.
 import numpy as np
 import pytest
 
-from oracles import central_difference, random_stochastic, rel_error, unit_rows
+from oracles import as_factors, central_difference, plan_of, random_stochastic, rel_error, unit_rows
 from otsc import network as net
 from otsc.spectral import row_normalize, row_normalize_vjp, softmax_cross_entropy
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, predict
@@ -25,15 +25,16 @@ def clustering_loss(target, z, raw_prototypes, tau):
     d/dz, d/d unit prototypes, the logits buffer it leaves behind)."""
     protos = row_normalize(raw_prototypes)
     logits = z @ protos.T
-    return (*softmax_cross_entropy(target, logits, z, protos, tau), logits)
+    return (*softmax_cross_entropy(as_factors(target), logits, z, protos, tau), logits)
 
 
 def softmax_probabilities(z, raw_prototypes, tau):
     """``softmax(logits / tau)`` of the assignment logits, read back from the
-    buffer the loss the trainer runs leaves, A = softmax - target, at a
+    buffer the loss the trainer runs leaves, E = exp(logits/tau - m), at a
     uniform target."""
     target = np.full((z.shape[0], raw_prototypes.shape[0]), 1.0 / raw_prototypes.shape[0])
-    return clustering_loss(target, z, raw_prototypes, tau)[3] + target
+    e = clustering_loss(target, z, raw_prototypes, tau)[3]
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def direct_softmax(logits, tau):
@@ -96,13 +97,13 @@ class TestAssignmentProbabilities:
 
 class TestClusteringLoss:
     def test_zero_gradient_at_target(self):
-        # the logit gradient A / tau, left in the buffer as A, and both
-        # factor gradients vanish
+        # the logit gradient (E/s - target) / tau, read off the E left in
+        # the buffer, and both factor gradients vanish
         rng = np.random.default_rng(5)
         z, raw = unit_rows(rng, 6, 4), rng.normal(size=(3, 4))
         target = direct_softmax(prototype_logits(z, raw), 0.4)
-        _, grad_z, grad_protos, a = clustering_loss(target, z, raw, 0.4)
-        assert np.abs(a / 0.4).max() <= 1e-12
+        _, grad_z, grad_protos, e = clustering_loss(target, z, raw, 0.4)
+        assert np.abs((e / e.sum(axis=1, keepdims=True) - target) / 0.4).max() <= 1e-12
         assert max(np.abs(grad_z).max(), np.abs(grad_protos).max()) <= 1e-12
 
     def test_one_hot_direct_evaluation(self):
@@ -153,7 +154,7 @@ class TestClusteringLoss:
         for mode in TRAINER_ORTH_MODES:
             cfg = TrainConfig(num_clusters=2, embed_dim=3, batch_size=8, orth_mode=mode)
             _, _, (_, _, assignment_targets) = _compute_step(model, x1, x2, cfg)
-            for target in assignment_targets:
+            for target in map(plan_of, assignment_targets):
                 assert (target >= 0).all(), mode
                 assert np.abs(target.sum(axis=1) - 1.0).max() <= 1e-12, mode
 
@@ -201,7 +202,7 @@ class TestAssignmentTargets:
         z = unit_rows(rng, b, d)
         mu = unit_rows(rng, k, d)
         h = z @ mu.T
-        plan = sinkhorn_algorithm1(h, eta=0.05, iterations=5).plan
+        plan = plan_of(sinkhorn_algorithm1(h, eta=0.05, iterations=5).factors)
         assert np.abs(plan.sum(axis=1) - 1.0).max() <= 1e-12
         col = plan.sum(axis=0)
         assert np.abs(col - b / k).max() <= 0.05 * (b / k)

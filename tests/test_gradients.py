@@ -12,7 +12,7 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from oracles import clone, held_embeddings, held_step_loss, logit_form_tau_grad
+from oracles import clone, held_embeddings, held_step_loss, logit_form_tau_grad, plan_of
 from otsc import network as net
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step
 
@@ -125,6 +125,6 @@ def test_tau_a_gradient_matches_logit_form(mode, on_worker, monkeypatch):
     _, affinity_targets, _ = held
     views_z = held_embeddings(model, x1, x2, held)
     tau_a = net.effective_tau(model.log_tau)[0]
-    want = logit_form_tau_grad(views_z, affinity_targets, tau_a)
+    want = logit_form_tau_grad(views_z, [plan_of(w) for w in affinity_targets], tau_a)
     want *= net.tau_grad_scale(model.log_tau)[0]
     assert abs(grads["log_tau"][0] - want) <= 1e-12 * abs(want)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    as_factors,
     central_difference,
     mask_off_diagonal,
     mask_scatter_off_diagonal,
     masked_softmax_cross_entropy,
+    plan_of,
+    plan_softmax_cross_entropy,
     random_stochastic,
     rel_error,
     two_exp_cross_entropy,
@@ -26,6 +29,7 @@ from otsc.spectral import (
     softmax_cross_entropy,
 )
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, _straight_through
+from otsc.transport import sinkhorn_algorithm1
 
 FIG_Z = np.array([[-0.94, 0.34], [0.87, 0.50]])
 
@@ -40,13 +44,13 @@ def plane_cross_entropy(target, logits, tau):
     L @ I.T: (loss, d/dL), the z gradient being then the logit gradient
     (softmax - target) / tau."""
     eye = np.eye(logits.shape[1])
-    loss, grad, _ = softmax_cross_entropy(target, logits.copy(), logits, eye, tau)
+    loss, grad, _ = softmax_cross_entropy(as_factors(target), logits.copy(), logits, eye, tau)
     return loss, grad
 
 
 def affinity_loss(target, logits, z, tau):
     """The trainer's affinity loss call, y = z: (loss, grad_z + grad_y)."""
-    loss, grad_z, grad_y = softmax_cross_entropy(target, logits, z, z, tau)
+    loss, grad_z, grad_y = softmax_cross_entropy(as_factors(target), logits, z, z, tau)
     return loss, grad_z + grad_y
 
 
@@ -92,13 +96,13 @@ def straight_through_view(model, x, cfg):
 
 def step_affinity_targets(seed=11):
     """``(orth_mode, target)`` for both affinity targets that one training
-    step holds, in every orth mode."""
+    step holds, in every orth mode, each formed as a plan from its factors."""
     for mode in TRAINER_ORTH_MODES:
         model, x1, cfg = encoder_view(seed, mode)
         x2 = x1 + 0.1 * np.random.default_rng(seed + 1).normal(size=x1.shape)
         _, _, (_, affinity_targets, _) = _compute_step(model, x1, x2, cfg)
         for target in affinity_targets:
-            yield mode, target
+            yield mode, plan_of(target)
 
 
 class TestCrossAffinity:
@@ -333,13 +337,12 @@ class TestAffinityLoss:
         assert np.abs(grad_z).max() <= 1e-8
 
     def test_leaves_exp_in_logits(self):
-        # the trainer's logits planes hold A = softmax(L/tau) - target after
-        # the step, 0 on the masked diagonal
+        # the trainer's logits planes hold E = exp(L/tau - m) after the
+        # step, 0 on the masked diagonal
         rng = np.random.default_rng(12)
         z, logits, target = affinity_case(rng, 9, 3)
         scaled = logits / 0.2
         want = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-        want = want / want.sum(axis=1, keepdims=True) - target
         affinity_loss(target, logits, z, 0.2)
         assert rel_error(logits, want) <= 1e-15
         assert (np.diag(logits) == 0.0).all()
@@ -357,7 +360,7 @@ class TestBilinearLogits:
         z, y = unit_rows(rng, b, 4), unit_rows(rng, k, 4)
         target = random_stochastic(rng, (b, k))
         want_loss, grad_logits = two_exp_cross_entropy(target, z @ y.T, tau)
-        loss, grad_z, grad_y = softmax_cross_entropy(target, z @ y.T, z, y, tau)
+        loss, grad_z, grad_y = softmax_cross_entropy(as_factors(target), z @ y.T, z, y, tau)
         assert_close_to_two_step((loss, grad_z), (want_loss, grad_logits @ y), y, tau)
         assert_close_to_two_step((loss, grad_y), (want_loss, grad_logits.T @ z), z, tau)
 
@@ -380,22 +383,21 @@ class TestBilinearLogits:
         target = random_stochastic(rng, (17, 3))
 
         def loss_of_z(z):
-            return softmax_cross_entropy(target, z @ y.T, z, y, 0.3)[0]
+            return softmax_cross_entropy(as_factors(target), z @ y.T, z, y, 0.3)[0]
 
-        _, grad_z, _ = softmax_cross_entropy(target, z0 @ y.T, z0, y, 0.3)
+        _, grad_z, _ = softmax_cross_entropy(as_factors(target), z0 @ y.T, z0, y, 0.3)
         assert rel_error(grad_z, central_difference(loss_of_z, z0)) <= 1e-7
 
     def test_leaves_exp_in_logits(self):
-        # the trainer's assignment logits h hold A = softmax(h/tau) - target
-        # after the call, as the affinity planes do
+        # the trainer's assignment logits h hold E = exp(h/tau - m) after
+        # the call, as the affinity planes do
         rng = np.random.default_rng(13)
         z, y = unit_rows(rng, 9, 3), unit_rows(rng, 4, 3)
         target = random_stochastic(rng, (9, 4))
         logits = z @ y.T
         scaled = logits / 0.2
         want = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-        want = want / want.sum(axis=1, keepdims=True) - target
-        softmax_cross_entropy(target, logits, z, y, 0.2)
+        softmax_cross_entropy(as_factors(target), logits, z, y, 0.2)
         assert rel_error(logits, want) <= 1e-15
 
     def test_prototype_gradient_matches_finite_differences(self, monkeypatch):
@@ -406,10 +408,51 @@ class TestBilinearLogits:
         target = random_stochastic(rng, (17, 3))
 
         def loss_of_y(y):
-            return softmax_cross_entropy(target, z @ y.T, z, y, 0.3)[0]
+            return softmax_cross_entropy(as_factors(target), z @ y.T, z, y, 0.3)[0]
 
-        _, _, grad_y = softmax_cross_entropy(target, z @ y0.T, z, y0, 0.3)
+        _, _, grad_y = softmax_cross_entropy(as_factors(target), z @ y0.T, z, y0, 0.3)
         assert rel_error(grad_y, central_difference(loss_of_y, y0)) <= 1e-7
+
+
+class TestFactoredTarget:
+    """`softmax_cross_entropy` reads a Sinkhorn target through its factors
+    (kernel, u, v) and never forms W = diag(u) @ kernel @ diag(v): the loss
+    and both gradients must be those of the dense-plan cross entropy
+    (`oracles.plan_softmax_cross_entropy`) against the plan formed from the
+    same factors, in row panels of 7 rows that split B unevenly."""
+
+    @staticmethod
+    def assert_matches_dense_plan(target, logits, z, y, tau):
+        # each gradient relative to the larger of its own size and
+        # max|factor| / tau, the size of the two terms it is the difference
+        # of (at B = 2 a masked row's softmax equals its target, so they
+        # cancel); the loss relative to the larger of itself and 1
+        want_loss, want_z, want_y = plan_softmax_cross_entropy(plan_of(target), logits, z, y, tau)
+        loss, grad_z, grad_y = softmax_cross_entropy(target, logits, z, y, tau)
+        assert abs(loss - want_loss) <= 1e-12 * max(abs(want_loss), 1.0)
+        for got, want, factor in ((grad_z, want_z, y), (grad_y, want_y, z)):
+            scale = max(np.abs(want).max(), np.abs(factor).max() / tau)
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("tau", [0.01, 1.0])
+    @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
+    def test_affinity_loss_matches_dense_plan(self, b, tau, monkeypatch):
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * b * 7)
+        rng = np.random.default_rng(b)
+        z = unit_rows(rng, b, 3)
+        logits = off_diagonal(z @ z.T)
+        target = sinkhorn_algorithm1(logits, 0.05, 5).factors
+        self.assert_matches_dense_plan(target, logits, z, z, tau)
+
+    @pytest.mark.parametrize("tau", [0.01, 1.0])
+    @pytest.mark.parametrize("b", [2, 3, 17, 100, 1024])
+    def test_clustering_loss_matches_dense_plan(self, b, tau, monkeypatch):
+        monkeypatch.setattr("otsc.spectral.PANEL_BYTES", 8 * 3 * 7)
+        rng = np.random.default_rng(b)
+        z, y = unit_rows(rng, b, 3), unit_rows(rng, 3, 3)
+        logits = z @ y.T
+        target = sinkhorn_algorithm1(logits, 0.05, 5).factors
+        self.assert_matches_dense_plan(target, logits, z, y, tau)
 
 
 class TestOrthogonalize:

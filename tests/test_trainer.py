@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import otsc.trainer
-from oracles import masked_softmax_cross_entropy, rel_error
+from oracles import masked_softmax_cross_entropy, plan_of, rel_error
 from otsc import network as net
 from otsc.cli import format_report
 from otsc.data import gen_dataset
@@ -289,7 +289,7 @@ class TestTrainStep:
         losses, grads, (_, targets, _) = _compute_step(model, x1, x2, cfg)
         assert np.isfinite(losses.total_loss)
         assert all(np.isfinite(g).all() for g in grads.values())
-        for t in targets:
+        for t in map(plan_of, targets):
             assert np.trace(t) == 0.0
             assert np.abs(t.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -343,13 +343,14 @@ class TestAffinityTargetMarginals:
         model = net.init_model(2, cfg.embed_dim, cfg.num_clusters, rng)
         batch = x[rng.permutation(1000)[:b]]
         planes = np.empty((2, 2, b, b))
-        _compute_step(model, augment(batch, cfg, rng), augment(batch, cfg, rng), cfg, planes)
+        x1, x2 = augment(batch, cfg, rng), augment(batch, cfg, rng)
+        _, _, (_, targets, _) = _compute_step(model, x1, x2, cfg, planes)
         for v in (0, 1):
-            w = planes[1, v]
+            w = plan_of(targets[v])
             received = w.sum(axis=0)
             assert np.abs(received - 1.0).max() <= 0.05, (received.min(), received.max())
-            assert (np.diag(w) == 0.0).all()
-            # the logits plane holds the cross-entropy gradient after the step
+            assert (np.diag(w) == 0.0).all() and (np.diag(planes[1, v]) == 0.0).all()
+            # the logits plane holds the cross entropy's exp after the step
             assert (np.diag(planes[0, v]) == 0.0).all()
 
 
@@ -379,9 +380,11 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("orth_mode", TRAINER_ORTH_MODES)
     def test_store_holds_only_arrays_read_back(self, orth_mode, monkeypatch):
-        # after a step planes[0, v] holds view v's A = softmax(logits/tau) -
-        # target, against view 1 - v's target, and planes[1, v] view v's
-        # row-stochastic target, each with a zero diagonal
+        # after a step planes[0, v] holds view v's E = exp(logits/tau - m),
+        # whose row softmax is scored against view 1 - v's target, and
+        # planes[1, v] the kernel of view v's row-stochastic target,
+        # exp(logits/eta - max) as the solver left it, not scaled into a
+        # plan, each with a zero diagonal
         b = 10
         calls = []
 
@@ -399,13 +402,18 @@ class TestStepBuffers:
         train_step(random_data(n=b, seed=5), model, opt, cfg, rng, cfg.lr, planes=planes)
         assert len(calls) == 2
         for v, (target, logits, tau) in enumerate(calls):
-            assert np.shares_memory(target, planes[1, 1 - v])
-            _, grad = masked_softmax_cross_entropy(target, logits, tau)
-            assert rel_error(planes[0, v], grad * tau) <= 1e-14
-            w = planes[1, v]
+            assert np.shares_memory(target[0], planes[1, 1 - v])
+            w = plan_of(target)
+            _, grad = masked_softmax_cross_entropy(w, logits, tau)
+            e = planes[0, v]
+            assert (e.max(axis=1) == 1.0).all()
+            assert rel_error(e / e.sum(axis=1, keepdims=True), grad * tau + w) <= 1e-14
             assert w.min() >= 0.0 and np.abs(w.sum(axis=1) - 1.0).max() <= 1e-14
-            assert (np.diag(w) == 0.0).all()
-            assert (np.diag(planes[0, v]) == 0.0).all()
+            assert (np.diag(planes[1, 1 - v]) == 0.0).all()
+            assert (np.diag(e) == 0.0).all()
+            kernel = logits / cfg.eta
+            kernel -= kernel.max()
+            assert np.exp(kernel).tobytes() == planes[1, v].tobytes()
 
     def test_fit_hands_every_step_one_store(self, monkeypatch):
         handed = []

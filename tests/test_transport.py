@@ -11,6 +11,8 @@ from oracles import (
     checked_scale,
     exact_ot_oracle,
     mask_off_diagonal,
+    plan_of,
+    plan_residuals,
     reference_algorithm1,
     reference_sinkhorn_kernel,
     reference_sinkhorn_log,
@@ -24,34 +26,35 @@ from otsc.transport import _scale, sinkhorn_algorithm1, sinkhorn_marginal
 
 class TestAlgorithm1:
     def test_uniform_logits_give_uniform_plan(self):
-        plan = sinkhorn_algorithm1(np.zeros((4, 3)), eta=0.7, iterations=3)
-        assert np.abs(plan.plan - 1.0 / 3.0).max() <= 1e-12
+        plan = plan_of(sinkhorn_algorithm1(np.zeros((4, 3)), eta=0.7, iterations=3).factors)
+        assert np.abs(plan - 1.0 / 3.0).max() <= 1e-12
 
     def test_strong_diagonal_recovers_permutation(self):
         logits = np.array([[10.0, 0.0], [0.0, 10.0]])
-        plan = sinkhorn_algorithm1(logits, eta=0.05, iterations=5)
+        plan = plan_of(sinkhorn_algorithm1(logits, eta=0.05, iterations=5).factors)
         want = exact_ot_oracle(-logits, np.ones(2), np.ones(2))
         assert np.abs(want - np.eye(2)).max() == 0.0
-        assert np.abs(plan.plan - want).max() <= 1e-6
+        assert np.abs(plan - want).max() <= 1e-6
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        plan = sinkhorn_algorithm1(rng.normal(size=(7, 5)), eta=0.3, iterations=4)
-        assert np.abs(plan.plan.sum(axis=1) - 1.0).max() <= 1e-12
+        plan = plan_of(sinkhorn_algorithm1(rng.normal(size=(7, 5)), eta=0.3, iterations=4).factors)
+        assert np.abs(plan.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 4))
-        a = sinkhorn_algorithm1(logits, eta=0.2, iterations=6).plan
-        b = sinkhorn_algorithm1(logits + 17.25, eta=0.2, iterations=6).plan
+        a = plan_of(sinkhorn_algorithm1(logits, eta=0.2, iterations=6).factors)
+        b = plan_of(sinkhorn_algorithm1(logits + 17.25, eta=0.2, iterations=6).factors)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(5, 5))
-        a = sinkhorn_algorithm1(logits, eta=0.05, iterations=5).plan
-        b = sinkhorn_algorithm1(logits, eta=0.05, iterations=5).plan
-        assert (a == b).all()
+        a = sinkhorn_algorithm1(logits, eta=0.05, iterations=5)
+        b = sinkhorn_algorithm1(logits, eta=0.05, iterations=5)
+        for got, want in zip(a.factors, b.factors):
+            assert got.tobytes() == want.tobytes()
 
     def test_underflow_reports_eta_and_index(self):
         logits = np.array([[0.0, 2000.0], [0.0, 2000.0]])
@@ -87,15 +90,58 @@ class TestAlgorithm1:
         with pytest.raises(ValueError, match=f"^eta must be finite, got {eta}$"):
             sinkhorn_marginal(np.zeros((2, 2)), np.ones(2), np.ones(2), eta)
 
-    def test_out_form_bitwise_equal_and_plan_is_out(self):
+    def test_out_form_bitwise_equal_and_kernel_is_out(self):
         logits = np.random.default_rng(5).normal(size=(6, 5))
         want = sinkhorn_algorithm1(logits, 0.3, 4)
         out = np.full(logits.shape, np.nan)
         got = sinkhorn_algorithm1(logits, 0.3, 4, out=out)
-        assert got.plan is out
-        assert out.tobytes() == want.plan.tobytes()
+        assert got.factors[0] is out
+        for a, b in zip(got.factors, want.factors):
+            assert a.tobytes() == b.tobytes()
         assert got.row_marginal_residual == want.row_marginal_residual
         assert got.col_marginal_residual == want.col_marginal_residual
+
+
+class TestFactoredResiduals:
+    """`sinkhorn_algorithm1` measures its residuals on its factors, the rows
+    from the loop's last product and the columns by one more; they must be
+    those of the dense plan `oracles.reference_algorithm1` builds."""
+
+    @staticmethod
+    def assignment_logits(rng, b):
+        # embeddings bunched near the first of two prototypes: five sweeps
+        # leave the column masses far from b / 2
+        z = np.column_stack([np.ones(b), 0.3 * rng.normal(size=b)])
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        return z @ np.array([[1.0, 0.0], [0.6, 0.8]]).T
+
+    @pytest.mark.parametrize("iterations", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "kind", ["random 7x5", "masked affinity 100x100", "bunched assignment 1024x2"]
+    )
+    def test_match_the_reference_plan(self, kind, iterations):
+        rng = np.random.default_rng(14)
+        if kind == "random 7x5":
+            logits = rng.normal(size=(7, 5))
+        elif kind == "masked affinity 100x100":
+            z = unit_rows(rng, 100, 4)
+            logits = z @ z.T
+            np.fill_diagonal(logits, -np.inf)
+        else:
+            logits = self.assignment_logits(rng, 1024)
+        m, n = logits.shape
+        got = sinkhorn_algorithm1(logits, 0.05, iterations)
+        row, col = plan_residuals(reference_algorithm1(logits, 0.05, iterations), 1.0, m / n)
+        assert got.iterations_used == iterations
+        assert got.row_marginal_residual <= 1e-15 and row <= 1e-15
+        assert abs(got.col_marginal_residual - col) <= 1e-12 * max(col, 1.0)
+
+    def test_a_large_column_residual_is_reported_as_computed(self):
+        logits = self.assignment_logits(np.random.default_rng(14), 1024)
+        got = sinkhorn_algorithm1(logits, 0.05, 5)
+        _, col = plan_residuals(reference_algorithm1(logits, 0.05, 5), 1.0, 512.0)
+        assert got.col_marginal_residual > 50.0
+        assert abs(got.col_marginal_residual - col) <= 1e-12 * col
 
 
 class TestMarginalVariant:
@@ -318,7 +364,7 @@ class TestAgainstReferenceLoops:
             np.fill_diagonal(logits, -np.inf)
         else:
             logits = unit_rows(rng, 1024, 2) @ unit_rows(rng, 2, 2).T
-        got = sinkhorn_algorithm1(logits, eta=0.05, iterations=5).plan
+        got = plan_of(sinkhorn_algorithm1(logits, eta=0.05, iterations=5).factors)
         assert np.abs(got - reference_algorithm1(logits, 0.05, 5)).max() <= 1e-14
 
     @pytest.mark.parametrize(
@@ -384,12 +430,12 @@ def _outcome(scale, values, *args):
 
 
 def _bits(outcome):
-    """A result's plan, scalings, shift and sweep count as bytes; an error
-    text as it is."""
+    """A result's kernel, scalings, shift and last product as bytes, and its
+    sweep count; an error text as it is."""
     if isinstance(outcome, str):
         return outcome
-    *parts, sweeps = outcome
-    return [np.asarray(a, dtype=np.float64).tobytes() for a in parts], sweeps
+    kernel, u, v, top, sweeps, kv = outcome
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in (kernel, u, v, top, kv)], sweeps
 
 
 class _CountingNumpy:
@@ -451,7 +497,7 @@ class TestOneCheckPerSolve:
     def test_a_plan_is_nonnegative_and_within_the_last_fitted_marginals(
         self, solver, n, quotients, eta, max_iter, masked, data
     ):
-        # why `TransportPlan` checks no plan: whatever solve is not refused
+        # why no plan is checked: whatever solve is not refused
         # ends fitting rows (the fixed count) or columns (the tolerance), and
         # every entry lies between 0 and the marginal of its fitted line; a
         # masked diagonal is -inf, as training's affinity logits are
@@ -465,7 +511,7 @@ class TestOneCheckPerSolve:
             args, fitted = (np.ones(n), np.ones(n), eta, max_iter, 0.0, True), np.ones(n)
         outcome = _outcome(_scale, values, *args)
         if not isinstance(outcome, str):
-            plan = outcome[0]
+            plan = plan_of(outcome[:3])
             assert plan.min() >= 0.0  # NaN fails too
             assert (plan <= fitted * (1.0 + 1e-12)).all()
 
