@@ -10,19 +10,22 @@ The eigenvalues of the symmetric conjugate D^-1/2 S D^-1/2 lie in [-1, 1],
 and eigenvalue 1 has one eigenvector per connected component of the
 affinity graph, so `sym_eig` iterates with the inverse shifted next to 1,
 applied through one Cholesky factor, instead of reducing the whole matrix
-to tridiagonal form. It factors the matrix in place and multiplies by it
-through the triangle the factor leaves untouched, so the whole baseline
-holds one n x n buffer. The affinity sets its entries below 2^-511 to 0:
-subnormal entries in the Cholesky factor make the factorization about ten
-times slower, and no degree changes. It clamps the bandwidth quotient at
-AFFINITY_CUT before the exp, because numpy's exp takes a slow path on
-arguments whose result underflows, and every clamped entry is set to 0 by
-the floor anyway. The affinity is built in that one buffer: the Gram
-product, formed whole, then every later stage a row panel at a time, half
-of the panels on a worker thread when the process may use 2 CPUs.
-The symmetrization with the degree scalings reads the n x n matrix
-transposed through square tiles of TILE rows, since a plain transposed
-pass strides across the whole matrix.
+to tridiagonal form. It converges only the K pairs the baseline uses: pair
+K + 1 only has to be placed on one side of 1 - COMPONENT_TOL, which its
+Ritz value (a lower bound on eigenvalue K + 1) and that value plus its
+residual mostly settle sweeps before the pair itself converges. It factors
+the matrix in place and multiplies by it through the triangle the factor
+leaves untouched, so the whole baseline holds one n x n buffer. The
+affinity sets its entries below 2^-511 to 0: subnormal entries in the
+Cholesky factor make the factorization about ten times slower, and no
+degree changes. It clamps the bandwidth quotient at AFFINITY_CUT before the
+exp, because numpy's exp takes a slow path on arguments whose result
+underflows, and every clamped entry is set to 0 by the floor anyway. The
+affinity is built in that one buffer: the Gram product, formed whole, then
+every later stage a row panel at a time, half of the panels on a worker
+thread when the process may use 2 CPUs. The symmetrization with the degree
+scalings reads the n x n matrix transposed through square tiles of TILE
+rows, since a plain transposed pass strides across the whole matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, as_matrix, check_fields
+from .errors import NumericalError, as_matrix, check_fields, check_integer
 from .spectral import both_halves, panel_rows, row_normalize, worker_thread
 
 __all__ = ["SpectralConfig", "kmeans_lloyd", "classical_spectral", "sym_eig"]
@@ -141,8 +144,9 @@ def _gaussian_affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     return s
 
 
-def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``k`` leading eigenpairs of a symmetric matrix with eigenvalues at most 1.
+def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The ``k`` leading eigenpairs of a symmetric matrix with eigenvalues at
+    most 1, and whether eigenvalue k + 1 reaches 1 - COMPONENT_TOL.
 
     Trusts its arguments, as `classical_spectral`, its one caller, makes
     them: ``a`` a finite n x n float64 array, exactly symmetric, and ``1 <=
@@ -152,16 +156,21 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
     and `dsymm` multiplies by ``a`` through the other, which keeps -a, with
     the diagonal of -a swapped in for each product, so the residual test
     below takes a true product by ``a``. A refused ``a`` is left partly
-    factored. From a fixed-seed Gaussian block q of p = min(n, k + EIG_PAD)
-    columns, each sweep takes the p leading Ritz pairs of ``a`` on span{T q,
-    T^2 q}, until every returned pair has ||a v - lambda v|| <= EIG_TOL;
-    past EIG_MAX_SWEEPS sweeps it raises `NumericalError`. T^2 keeps a pair
-    far from 1 converging when the rest of the spectrum is flat, where T
-    alone gains a few percent a sweep. While the p-th Ritz value lies within
-    EIG_BAND of 1, eigenvalues beyond the block can sit as close to 1 as
-    those in it, where T hardly tells them apart, so the block doubles.
-    Returns ``(eigenvalues, eigenvectors)``: the k largest eigenvalues,
-    nonincreasing, and the matching orthonormal columns.
+    factored. From a fixed-seed Gaussian block q of p = min(n, k + 1 +
+    EIG_PAD) columns, each sweep takes the p leading Ritz pairs of ``a`` on
+    span{T q, T^2 q}. It stops once every returned pair has ||a v - lambda
+    v|| <= EIG_TOL and pair k + 1, with Ritz value theta and residual r, is
+    decided against the cut 1 - COMPONENT_TOL: theta at or above the cut
+    (by interlacing, eigenvalue k + 1 is at least theta), theta + r below it
+    (an eigenvalue lies within r of theta), or r <= EIG_TOL; at k = n there
+    is no pair k + 1. Past EIG_MAX_SWEEPS sweeps it raises `NumericalError`.
+    T^2 keeps a pair far from 1 converging when the rest of the spectrum is
+    flat, where T alone gains a few percent a sweep. While the p-th Ritz
+    value lies within EIG_BAND of 1, eigenvalues beyond the block can sit as
+    close to 1 as those in it, where T hardly tells them apart, so the block
+    doubles. Returns ``(eigenvalues, eigenvectors, extra)``: the k largest
+    eigenvalues, nonincreasing, the matching orthonormal columns, and
+    whether theta reaches the cut.
     """
     n = len(a)
     import scipy.linalg  # loaded here, so that importing otsc does not load scipy
@@ -184,8 +193,9 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
     def solve(block):
         return scipy.linalg.cho_solve(factor, block, check_finite=False)
 
+    cut = 1.0 - COMPONENT_TOL
     rng = np.random.default_rng(0)
-    basis = rng.standard_normal((n, min(n, k + EIG_PAD)))
+    basis = rng.standard_normal((n, min(n, k + 1 + EIG_PAD)))
     for _ in range(EIG_MAX_SWEEPS):
         p = basis.shape[1]
         first, _ = np.linalg.qr(solve(basis))
@@ -198,16 +208,25 @@ def sym_eig(a, k: int) -> tuple[np.ndarray, np.ndarray]:
         ritz, rotation = np.linalg.eigh(span.T @ a_span)  # ascending
         ritz, rotation = ritz[::-1][:p], rotation[:, ::-1][:, :p]
         basis = span @ rotation
-        residual = a_span @ rotation[:, :k] - basis[:, :k] * ritz[:k]
-        worst = float(np.linalg.norm(residual, axis=0).max())
-        if worst <= EIG_TOL:
-            return ritz[:k], basis[:, :k]
+        # the residuals of the k returned pairs and, below n, of pair k + 1
+        residual = np.linalg.norm(
+            a_span @ rotation[:, : k + 1] - basis[:, : k + 1] * ritz[: k + 1], axis=0
+        )
+        worst = float(residual[:k].max())
+        extra = k < n and bool(ritz[k] >= cut)
+        decided = k == n or extra or ritz[k] + residual[k] < cut or residual[k] <= EIG_TOL
+        if worst <= EIG_TOL and decided:
+            return ritz[:k], basis[:, :k], extra
         if p < n and ritz[-1] > 1.0 - EIG_BAND:
             basis = np.hstack([basis, rng.standard_normal((n, min(p, n - p)))])
-    raise NumericalError(
-        f"sym_eig did not converge in {EIG_MAX_SWEEPS} sweeps: "
-        f"residual {worst:.3g} > {EIG_TOL:g}"
-    )
+    if worst > EIG_TOL:
+        unmet = f"residual {worst:.3g} > {EIG_TOL:g}"
+    else:
+        unmet = (
+            f"pair {k + 1} has Ritz value {ritz[k]:.17g} and residual "
+            f"{residual[k]:.3g}, which straddle 1 - {COMPONENT_TOL:g}"
+        )
+    raise NumericalError(f"sym_eig did not converge in {EIG_MAX_SWEEPS} sweeps: {unmet}")
 
 
 def _kmeans_plusplus_seed(x, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -238,6 +257,8 @@ def kmeans_lloyd(
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
+    for name, value in (("k", k), ("restarts", restarts), ("seed", seed)):
+        check_integer(name, value)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
@@ -283,11 +304,14 @@ def classical_spectral(
     mapped-back eigenvectors themselves (unit-norm columns), so each
     retained pair satisfies the eigen-residual of the random-walk matrix.
     Eigenvalue K+1 within COMPONENT_TOL of 1 means the affinity graph has
-    more than K connected components, which is refused.
+    more than K connected components, which is refused; `sym_eig`, asked
+    for the K pairs, tells whether it is.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
-    if seed < 0:  # refused here too, before the affinity and eigensolve
+    # refused here too, before the affinity and eigensolve
+    check_integer("seed", seed)
+    if seed < 0:
         raise ValueError("seed must be nonnegative")
     if n > AFFINITY_MAX_N:
         raise ValueError(
@@ -319,12 +343,12 @@ def classical_spectral(
             s[r, c] = t
             s[c, r] = t.T
     k = cfg.num_clusters
-    evals, top = sym_eig(s, k=min(k + 1, n))  # factors s in place
+    _, top, extra = sym_eig(s, k)  # factors s in place
     # eigenvalue 1 has one eigenvector per connected component of the graph
-    if k < n and evals[k] >= 1.0 - COMPONENT_TOL:
+    if extra:
         raise ValueError(f"the affinity graph has more connected components than K={k}")
     # map back to eigenvectors of D^-1 S and renormalize each column
-    embeddings = inv_sqrt[:, None] * top[:, :k]
+    embeddings = inv_sqrt[:, None] * top
     embeddings /= np.linalg.norm(embeddings, axis=0, keepdims=True)
     labels, _, _ = kmeans_lloyd(
         row_normalize(embeddings), k, restarts=10, seed=seed

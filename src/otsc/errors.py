@@ -4,8 +4,9 @@ A numerical failure (a Sinkhorn sum that underflows, a zero-row
 embedding, a non-finite gradient, loss or encoder output) raises
 :class:`NumericalError`, which the CLI maps to exit status 2; a bad input
 or setting raises plain ``ValueError`` (exit status 1). The message says
-what failed and where. `as_matrix` is the input check of the package's
-entry points and `check_fields` that of its settings objects.
+what failed and where. `as_matrix` and `check_integer` are the input
+checks of the package's entry points and `check_fields` that of its
+settings objects.
 """
 
 from dataclasses import fields
@@ -27,6 +28,12 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse, by name, a value that is not an integer: numpy's are taken, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_fields(settings, check_bounds) -> None:
     """Refuse, by name, a dataclass field that its annotation does not take:
     ``int`` an integer (numpy's too, not a bool), ``float`` a real number
@@ -35,9 +42,9 @@ def check_fields(settings, check_bounds) -> None:
     after any bound that refuses it."""
     typed = [(f.name, f.type, getattr(settings, f.name)) for f in fields(settings)]
     for name, kind, value in typed:
+        if kind == "int":
+            check_integer(name, value)
         number = isinstance(value, Real) and not isinstance(value, bool)
-        if kind == "int" and not (number and isinstance(value, Integral)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
         if kind.startswith("float") and not (number or value is None and kind == "float | None"):
             raise ValueError(f"{name} must be a real number, got {value!r}")
     check_bounds()

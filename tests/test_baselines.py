@@ -16,6 +16,8 @@ from otsc.baselines import (
     AFFINITY_CUT,
     AFFINITY_FLOOR,
     AFFINITY_MAX_N,
+    COMPONENT_TOL,
+    EIG_TOL,
     TILE,
     SpectralConfig,
     _gaussian_affinity,
@@ -86,28 +88,43 @@ def normalized_conjugate(x, cfg):
     return 0.5 * (conjugate + conjugate.T)
 
 
+def spectrum_around(rest) -> np.ndarray:
+    """Q diag(1, 1, rest) Q^T, exactly symmetric, for a fixed-seed orthogonal Q."""
+    n = 2 + len(rest)
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(n, n)))
+    a = (q * np.concatenate([[1.0, 1.0], rest])) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def reaches_the_cut(a, k) -> bool:
+    """Whether eigenvalue k + 1 of ``a``, by `np.linalg.eigvalsh`, lies at
+    or above 1 - COMPONENT_TOL: the ``extra`` that `sym_eig` must return."""
+    return bool(np.linalg.eigvalsh(a)[::-1][k] >= 1.0 - COMPONENT_TOL)
+
+
 class TestSymEigOnAffinities:
-    """`sym_eig` on the matrices the spectral baseline hands it, against the
-    full spectrum from `np.linalg.eigh`."""
+    """`sym_eig` on the matrices the spectral baseline hands it, asked for
+    K pairs, against the full spectrum from `np.linalg.eigh`."""
 
     @pytest.mark.parametrize("kind, n, k, k_neighbor", [
-        ("moons", 1000, 3, 7), ("rings", 1000, 3, 7), ("blobs", 900, 5, 7),
+        ("moons", 1000, 2, 7), ("rings", 1000, 2, 7), ("blobs", 900, 4, 7),
         # each point's bandwidth spans its whole blob (224 of the other
         # points): four components, then lambda_5 = 0.096 over a rest near
         # 0.02, which the shifted inverse alone separates by 8% a sweep
-        ("blobs", 900, 5, 224),
+        ("blobs", 900, 4, 224),
         # wider bandwidths: lambda_2 of moons is 1 - 9.4e-6, and rings put
         # two eigenvalues at 1 above a pair 3.3e-4 apart
-        ("moons", 1000, 3, 15), ("rings", 1000, 3, 15),
+        ("moons", 1000, 2, 15), ("rings", 1000, 2, 15),
     ])
     def test_matches_full_eigh(self, kind, n, k, k_neighbor):
         ds = gen_dataset(kind, n, noise=0.05, seed=1)
-        a = normalized_conjugate(ds.features, SpectralConfig(k - 1, k_neighbor))
+        a = normalized_conjugate(ds.features, SpectralConfig(k, k_neighbor))
         full_vals = np.linalg.eigvalsh(a)[::-1]
-        evals, evecs = sym_eig(a.copy(), k=k)
+        evals, evecs, extra = sym_eig(a.copy(), k=k)
         assert np.abs(evals - full_vals[:k]).max() <= 1e-12
         assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
         assert np.abs(evecs.T @ evecs - np.eye(k)).max() <= 1e-12
+        assert extra is reaches_the_cut(a, k) is False
 
     def test_near_degenerate_pair_of_moons(self):
         # lambda_1 - lambda_2 = 2.6e-8, lambda_2 - lambda_3 = 5.0e-4
@@ -115,12 +132,31 @@ class TestSymEigOnAffinities:
         a = normalized_conjugate(ds.features, SpectralConfig(num_clusters=2))
         full_vals, full_vecs = np.linalg.eigh(a)
         assert full_vals[-1] - full_vals[-2] <= 3e-8
-        evals, evecs = sym_eig(a.copy(), k=3)
-        assert np.abs(evals - full_vals[::-1][:3]).max() <= 1e-12
+        evals, evecs, extra = sym_eig(a.copy(), k=2)
+        assert np.abs(evals - full_vals[::-1][:2]).max() <= 1e-12
         assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
+        assert extra is reaches_the_cut(a, 2) is False
         # the pair is resolved only as a subspace: compare its projectors
-        got, want = evecs[:, :2], full_vecs[:, -2:]
+        got, want = evecs, full_vecs[:, -2:]
         assert np.linalg.norm(got @ got.T - want @ want.T, 2) <= 1e-10
+
+    @pytest.mark.parametrize("kind, n, k, noise", [
+        ("blobs", 900, 4, 0.05), ("moons", 1000, 2, 0.04),
+    ])
+    def test_two_sweeps_suffice_when_pair_k_plus_one_is_decided(self, kind, n, k, noise,
+                                                                monkeypatch):
+        # blobs take 8 sweeps and moons 3 to converge pair K + 1 too, but
+        # its Ritz bracket lies below the cut after the first
+        monkeypatch.setattr("otsc.baselines.EIG_MAX_SWEEPS", 2)
+        ds = gen_dataset(kind, n, noise=noise, seed=1)
+        a = normalized_conjugate(ds.features, SpectralConfig(k))
+        full_vals, full_vecs = np.linalg.eigh(a)
+        evals, evecs, extra = sym_eig(a.copy(), k=k)
+        assert np.abs(evals - full_vals[::-1][:k]).max() <= 1e-12
+        assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
+        assert extra is reaches_the_cut(a, k) is False
+        want = full_vecs[:, -k:]
+        assert np.linalg.norm(evecs @ evecs.T - want @ want.T, 2) <= 1e-10
 
     def test_eigenvalue_above_one_refused(self):
         with pytest.raises(ValueError, match="^sym_eig input has an eigenvalue above 1"):
@@ -131,15 +167,54 @@ class TestSymEigOnAffinities:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(40, 40))
         a = 0.5 * (a + a.T)
-        with pytest.raises(NumericalError, match="^sym_eig did not converge in 1 sweeps"):
+        # the message names the worst residual of the k pairs
+        message = r"^sym_eig did not converge in 1 sweeps: residual \S+ > 1e-13$"
+        with pytest.raises(NumericalError, match=message):
             sym_eig(a / np.linalg.norm(a, 2), k=2)
+
+    def test_sweep_cap_names_an_undecided_pair_k_plus_one(self, monkeypatch):
+        # with the cut moved to 0.5, inside a cluster of 62 eigenvalues in
+        # [0.49, 0.5005]: pairs 1 and 2, at 1, converge in one sweep, and
+        # pair 3's Ritz value lies below the cut within its residual
+        monkeypatch.setattr("otsc.baselines.EIG_MAX_SWEEPS", 1)
+        monkeypatch.setattr("otsc.baselines.COMPONENT_TOL", 0.5)
+        a = spectrum_around(np.linspace(0.5005, 0.49, 62))
+        message = (r"^sym_eig did not converge in 1 sweeps: pair 3 has Ritz value 0\.49\d+ "
+                   r"and residual \S+, which straddle 1 - 0\.5$")
+        with pytest.raises(NumericalError, match=message):
+            sym_eig(a, k=2)
+
+
+class TestSymEigDecision:
+    """Eigenvalue K + 1 on either side of the cut 1 - COMPONENT_TOL, with
+    K = 2 eigenvalues at 1 and the rest spread over [-0.5, 0.3]."""
+
+    N, K = 64, 2
+
+    @pytest.mark.parametrize("third, extra", [
+        (1.0, True), (1.0 - 1e-11, True), (1.0 - 1e-9, False), (0.9999, False), (0.5, False),
+    ])
+    def test_eigenvalue_k_plus_one_either_side_of_the_cut(self, third, extra):
+        a = spectrum_around(np.concatenate([[third], np.linspace(0.3, -0.5, self.N - 3)]))
+        assert reaches_the_cut(a, self.K) is extra
+        evals, evecs, got = sym_eig(a.copy(), k=self.K)
+        assert got is extra
+        assert np.abs(evals - 1.0).max() <= 1e-12
+        assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
+
+    def test_k_of_n_has_no_pair_k_plus_one(self):
+        a = spectrum_around(np.concatenate([[1.0], np.linspace(0.3, -0.5, self.N - 3)]))
+        evals, evecs, extra = sym_eig(a.copy(), k=self.N)
+        assert extra is False
+        assert np.abs(evals - np.linalg.eigvalsh(a)[::-1]).max() <= 1e-12
+        assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= EIG_TOL
 
 
 class TestTiles:
     """The tile pairs through which `classical_spectral` symmetrizes, on an
     n that is not a multiple of TILE and on n at each tile edge. `sym_eig`
     trusts what it is handed, so its input is checked here: finite, exactly
-    symmetric, and k = min(K + 1, n)."""
+    symmetric, and k = K."""
 
     N = 300  # two full tile rows, then a partial one
 
@@ -159,7 +234,7 @@ class TestTiles:
         cfg = SpectralConfig(num_clusters=2)
         classical_spectral(moons, cfg, seed=0)
         ((a, k),) = handed
-        assert k == 3  # K + 1, to test eigenvalue K + 1 for extra components
+        assert k == 2  # K: sym_eig itself tells whether eigenvalue K + 1 reaches the cut
         assert a.shape == (self.N, self.N) and np.isfinite(a).all()
         assert np.array_equal(a, a.T)
         # 0.5 * (c + c.T) of c = D^-1/2 S D^-1/2, over the whole plane at once
@@ -182,7 +257,7 @@ class TestTiles:
         assert np.array_equal(a, normalized_conjugate(x, cfg))
 
     @pytest.mark.parametrize("clusters, n", [(2, 40), (4, 5), (3, 3)])
-    def test_sym_eig_is_asked_for_k_plus_one_pairs_at_most_n(self, clusters, n, monkeypatch):
+    def test_sym_eig_is_asked_for_k_pairs(self, clusters, n, monkeypatch):
         # eigenvalue K + 1 tells of extra components; at n = K there is none
         x = np.random.default_rng(2).normal(size=(n, 2))
         asked = []
@@ -194,7 +269,7 @@ class TestTiles:
         monkeypatch.setattr("otsc.baselines.sym_eig", capture)
         cfg = SpectralConfig(num_clusters=clusters, k_neighbor=min(7, n - 1))
         labels, _ = classical_spectral(x, cfg, seed=0)
-        assert asked == [min(clusters + 1, n)]
+        assert asked == [clusters]
         assert labels.shape == (n,)
 
 
@@ -245,6 +320,25 @@ class TestKmeans:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
             kmeans_lloyd(np.zeros((3, 2)), 2, seed=-1)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"k": 2.0}, "k must be an integer, got 2.0"),
+        ({"k": True}, "k must be an integer, got True"),
+        ({"restarts": 1.5}, "restarts must be an integer, got 1.5"),
+        ({"restarts": True}, "restarts must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+    ])
+    def test_non_integer_argument_refused_by_name(self, settings, message):
+        x = np.random.default_rng(3).normal(size=(20, 2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kmeans_lloyd(x, **{"k": 2, **settings})
+
+    def test_numpy_integers_accepted(self):
+        x = np.random.default_rng(3).normal(size=(60, 2))
+        got = kmeans_lloyd(x, np.int64(3), restarts=np.int32(5), seed=np.int64(11))
+        want = kmeans_lloyd(x, 3, restarts=5, seed=11)
+        assert np.array_equal(got[0], want[0]) and got[2] == want[2]
 
     def test_squared_distances_match_differences_and_stay_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -349,6 +443,16 @@ class TestClassicalSpectral:
         x, _ = three_blobs(np.random.default_rng(7), n_per=10)
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
             classical_spectral(x, SpectralConfig(num_clusters=3), seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_refused_by_name_before_the_affinity(self, seed, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the affinity was built for a refused seed")
+
+        monkeypatch.setattr("otsc.baselines._gaussian_affinity", refuse)
+        x, _ = three_blobs(np.random.default_rng(7), n_per=10)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+            classical_spectral(x, SpectralConfig(num_clusters=3), seed=seed)
 
     def test_affinity_sets_entries_below_the_floor_to_zero(self):
         # quotients 300, 400 and 720 from the origin: exp(-300) stays;

@@ -27,32 +27,32 @@ def random_symmetric(n, rng):
 
 class TestSymEig:
     def test_diagonal_input(self):
-        evals, evecs = sym_eig(np.diag([1.0, 0.2]), k=2)
+        evals, evecs, _ = sym_eig(np.diag([1.0, 0.2]), k=2)
         assert np.allclose(evals, [1.0, 0.2])
         assert np.allclose(np.abs(evecs), np.eye(2))
 
     def test_closed_form_2x2(self):
         # characteristic polynomial of [[2,1],[1,2]]/3: (2/3-l)^2 - 1/9 = 0
-        evals, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, k=2)
+        evals, _, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, k=2)
         assert np.allclose(evals, [1.0, 1.0 / 3.0])
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
         a = random_symmetric(8, rng)
-        evals, evecs = sym_eig(a.copy(), k=8)
+        evals, evecs, _ = sym_eig(a.copy(), k=8)
         assert np.abs(eig_reconstruct(evals, evecs) - a).max() <= 1e-8
 
     def test_sorted_nonincreasing_and_orthonormal(self):
         rng = np.random.default_rng(1)
         for n in (3, 8, 16, 64):
-            evals, evecs = sym_eig(random_symmetric(n, rng), k=n)
+            evals, evecs, _ = sym_eig(random_symmetric(n, rng), k=n)
             assert (np.diff(evals) <= 1e-12).all()
             assert np.abs(evecs.T @ evecs - np.eye(n)).max() <= 1e-10
 
     def test_psd_eigenvalues_nonnegative(self):
         rng = np.random.default_rng(2)
         b = rng.normal(size=(10, 6))
-        evals, _ = sym_eig(b.T @ b / np.linalg.norm(b, 2) ** 2, k=6)
+        evals, _, _ = sym_eig(b.T @ b / np.linalg.norm(b, 2) ** 2, k=6)
         assert evals.min() >= -1e-10
 
 
@@ -61,7 +61,7 @@ class TestSymEigLeading:
     def test_matches_full_eigh(self, k):
         a = random_symmetric(12, np.random.default_rng(10))
         full_vals, full_vecs = np.linalg.eigh(a)  # ascending
-        evals, evecs = sym_eig(a, k=k)
+        evals, evecs, _ = sym_eig(a, k=k)
         assert evals.shape == (k,) and evecs.shape == (12, k)
         assert np.abs(evals - full_vals[::-1][:k]).max() <= 1e-12
         got, want = evecs, full_vecs[:, ::-1][:, :k]
@@ -72,7 +72,7 @@ class TestSymEigLeading:
     def test_leading_pairs_descending(self):
         a = random_symmetric(40, np.random.default_rng(11))
         for k in (1, 3, 17, 40):
-            evals, evecs = sym_eig(a.copy(), k=k)
+            evals, evecs, _ = sym_eig(a.copy(), k=k)
             assert len(evals) == k
             assert (np.diff(evals) <= 0).all()
             assert np.abs(a @ evecs - evecs * evals).max() <= 1e-10
