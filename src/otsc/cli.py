@@ -230,8 +230,7 @@ def _cmd_ot_debug(args) -> None:
     _, cost = read_csv(args.cost, header=False)
     # the fixed-iteration solver takes similarities; a cost is its negation
     target = sinkhorn_algorithm1(-cost, args.eta, args.iterations)
-    kernel, u, v = target.factors
-    for row in u[:, None] * kernel * v:
+    for row in target.plan:
         print(",".join(f"{v:.12g}" for v in row))
     print(f"row_residual={target.row_marginal_residual!r}", file=sys.stderr)
     print(f"col_residual={target.col_marginal_residual!r}", file=sys.stderr)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import check_integer
+
 __all__ = ["Dataset", "gen_dataset", "save_dataset", "read_csv", "load_dataset"]
 
 DATASET_KINDS = ("moons", "rings", "blobs")
@@ -108,12 +110,16 @@ def gen_dataset(
     dim: int | None = None,
 ) -> Dataset:
     """Generate a labeled synthetic dataset; deterministic per seed. Only
-    blobs take ``k``, ``separation`` and ``dim`` (unset: 4, 10.0 and 2)."""
+    blobs take ``k``, ``separation`` and ``dim`` (unset: 4, 10.0 and 2).
+    A non-integer ``n``, ``seed``, ``k`` or ``dim`` is refused before any draw."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}, expected one of {DATASET_KINDS}")
     blob = {kw: v for kw, v in dict(k=k, separation=separation, dim=dim).items() if v is not None}
     if blob and kind != "blobs":
         raise ValueError(f"{next(iter(blob))} applies to blobs only")
+    for name, value in dict(n=n, seed=seed, k=k, dim=dim).items():
+        if value is not None or name in ("n", "seed"):
+            check_integer(name, value)
     if n < 10:
         raise ValueError("n must be >= 10")
     if noise < 0:

@@ -3,13 +3,13 @@
 One scaling core, ``_scale``, builds every kernel of both solvers and has
 two stop rules. ``sinkhorn_algorithm1`` builds training targets with a
 fixed count: exponentiate similarities divided by ``eta``, then alternate
-column- and row-normalization a fixed number of times, ending on rows. It
-returns the target W = diag(u) K diag(v) in its factors, as the training
-step reads W only through products with thin factors (Cuturi 2013; Peyré &
-Cuturi 2019, §4). ``sinkhorn_marginal`` solves for prescribed marginals to
-a tolerance by the same sweeps on the same kernel; it builds its plan and
-reports its log scalings, and is the variant used for analysis and testing.
-Both run in the kernel domain: wherever ``exp(values/eta)``, shifted by its
+column- and row-normalization a fixed number of times, ending on rows.
+``sinkhorn_marginal``, used for analysis and testing, solves for
+prescribed marginals to a tolerance by the same sweeps on the same kernel.
+Both return W = diag(u) K diag(v) in its factors, a `SinkhornTarget`,
+with its residuals read off them (Cuturi 2013; Peyré & Cuturi 2019, §4);
+its `plan` is the one place W is formed, and training never forms it.
+They run in the kernel domain: wherever ``exp(values/eta)``, shifted by its
 max, underflows, the kernel entry is 0, a forbidden cell, and a line made
 only of such cells is refused as underflowed. The sweeps check their
 scalings once per solve, and replay checked to name a failed line. Exact
@@ -25,37 +25,28 @@ import numpy as np
 
 from .errors import NumericalError, as_matrix
 
-__all__ = ["SinkhornTarget", "TransportPlan", "sinkhorn_algorithm1", "sinkhorn_marginal"]
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """A dense transport plan plus the marginal residuals it actually
-    achieved: what `sinkhorn_marginal` returns.
-
-    ``row_marginal_residual`` / ``col_marginal_residual`` are max-norm
-    deviations from the requested marginals; they are reported as computed,
-    never clipped. The plan is nonnegative, each entry at most the marginal
-    of its line that the last half-sweep fitted, so it is not checked.
-    """
-
-    plan: np.ndarray
-    row_marginal_residual: float
-    col_marginal_residual: float
-    iterations_used: int
+__all__ = ["SinkhornTarget", "sinkhorn_algorithm1", "sinkhorn_marginal"]
 
 
 @dataclass(frozen=True)
 class SinkhornTarget:
-    """A fixed-count Sinkhorn target W = diag(u) @ kernel @ diag(v) in its
-    ``factors`` ``(kernel, u, v)``, as `softmax_cross_entropy` takes it; W
-    is never formed. Its residuals are measured on the factors, and are
-    what `TransportPlan`'s would be on W."""
+    """W = diag(u) @ kernel @ diag(v) in its ``factors`` ``(kernel, u, v)``,
+    as `softmax_cross_entropy` takes it: what both solvers return. Its
+    max-norm marginal residuals are measured on the factors and reported as
+    computed, never clipped; W is nonnegative, each entry at most the
+    marginal of its line that the last half-sweep fitted, so it is not
+    checked."""
 
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     row_marginal_residual: float
     col_marginal_residual: float
     iterations_used: int
+
+    @property
+    def plan(self) -> np.ndarray:
+        """W, formed on each read: the one place a plan is formed."""
+        kernel, u, v = self.factors
+        return u[:, None] * kernel * v
 
 
 def _fit(target, sums, axis: str, eta: float) -> np.ndarray:
@@ -159,14 +150,15 @@ def sinkhorn_marginal(
     eta: float,
     tol: float = 1e-9,
     max_iter: int = 10_000,
-) -> tuple[TransportPlan, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[SinkhornTarget, tuple[np.ndarray, np.ndarray]]:
     """Sinkhorn solve of the entropy-regularized transport problem.
 
     Minimizes ``sum(Q * cost) + eta * sum(Q * log Q)`` subject to the given
     row/column marginals. Sweeps alternate the row and column scaling
     updates, so columns are exact after each one, until the max-norm row
     residual falls to ``tol`` or ``max_iter`` sweeps elapse; the residuals
-    of the returned plan are reported either way. Returns the plan and
+    are reported either way, read off the factors: the rows by one product,
+    the columns from the loop's last. Returns the `SinkhornTarget` and
     ``(log_alpha, log_beta)``, the row and column log scalings, in log form
     so they stay representable at small ``eta``: the plan is
     ``diag(exp(log_alpha)) @ exp(-cost/eta) @ diag(exp(log_beta))``, but 0
@@ -202,8 +194,7 @@ def sinkhorn_marginal(
     buf = np.empty(cost.size + 7)
     kernel = buf[(-buf.ctypes.data // 8) % 8:][: cost.size].reshape(cost.shape)
     np.negative(cost, out=kernel)
-    _, a, b, top, used, _ = _scale(kernel, r, c, eta, max_iter, tol, rows_first=True, out=kernel)
-    kernel *= b  # scaled in place into the plan, columns first
-    kernel *= a[:, None]
-    rows, cols = np.abs(kernel.sum(axis=1) - r).max(), np.abs(kernel.sum(axis=0) - c).max()
-    return TransportPlan(kernel, float(rows), float(cols), used), (np.log(a) - top, np.log(b))
+    _, a, b, top, used, ka = _scale(kernel, r, c, eta, max_iter, tol, rows_first=True, out=kernel)
+    rows, cols = np.abs(a * (kernel @ b) - r).max(), np.abs(b * ka - c).max()
+    target = SinkhornTarget((kernel, a, b), float(rows), float(cols), used)
+    return target, (np.log(a) - top, np.log(b))

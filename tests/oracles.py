@@ -335,7 +335,7 @@ def checked_scale(values, r, c, eta, max_iter, tol=None, rows_first=False):
 
 def plan_of(factors) -> np.ndarray:
     """The dense plan diag(u) @ kernel @ diag(v) of Sinkhorn ``factors``
-    ``(kernel, u, v)``, multiplied in the order `otsc ot-debug` prints it."""
+    ``(kernel, u, v)``, multiplied in the order `SinkhornTarget.plan` forms it."""
     kernel, u, v = factors
     return u[:, None] * kernel * v
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import otsc.baselines
 from oracles import (
@@ -202,6 +203,24 @@ class TestSymEigDecision:
         assert np.abs(evals - 1.0).max() <= 1e-12
         assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= 1e-12
 
+    def test_block_doubles_while_its_last_ritz_value_lies_within_the_band(self, monkeypatch):
+        # 15 eigenvalues at 1 - j * 1e-8 below the K at 1: the block of
+        # K + 1 + EIG_PAD = 11 columns holds only Ritz values within
+        # EIG_BAND of 1, so it doubles once, to 22
+        rest = np.concatenate([1.0 - 1e-8 * np.arange(1, 16), np.linspace(0.3, -0.5, 183)])
+        a = spectrum_around(rest)
+        widths, cho_solve = [], scipy.linalg.cho_solve
+
+        def spy(factor, block, **kwargs):
+            widths.append(block.shape[1])
+            return cho_solve(factor, block, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", spy)
+        evals, evecs, extra = sym_eig(a.copy(), k=self.K)
+        assert widths == [11, 11, 22, 22] and extra is False
+        assert np.abs(evals - np.linalg.eigvalsh(a)[::-1][: self.K]).max() <= 1e-14
+        assert np.linalg.norm(a @ evecs - evecs * evals, axis=0).max() <= EIG_TOL
+
     def test_k_of_n_has_no_pair_k_plus_one(self):
         a = spectrum_around(np.concatenate([[1.0], np.linspace(0.3, -0.5, self.N - 3)]))
         evals, evecs, extra = sym_eig(a.copy(), k=self.N)
@@ -333,6 +352,36 @@ class TestKmeans:
         x = np.random.default_rng(3).normal(size=(20, 2))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             kmeans_lloyd(x, **{"k": 2, **settings})
+
+    @pytest.mark.parametrize("x, settings, message", [
+        (np.zeros(4), {}, "x must be a 2-D matrix, got shape (4,)"),
+        (np.zeros((0, 2)), {}, "x must be non-empty"),
+        ([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]], {},
+         "x contains non-finite entries, first at [1, 0]"),
+        (np.zeros((3, 2)), {"k": 0}, "k must be >= 1"),
+        (np.zeros((3, 2)), {"restarts": 0}, "restarts must be >= 1"),
+    ], ids=["1-D", "empty", "NaN", "k of 0", "no restart"])
+    def test_bad_input_refused_by_name(self, x, settings, message):
+        with pytest.raises(ValueError) as info:
+            kmeans_lloyd(x, **{"k": 2, **settings})
+        assert str(info.value) == message
+
+    def test_equal_rows_seed_without_distance_weights(self):
+        # every D^2 weight is 0, so k-means++ draws its later centers
+        # uniformly, and Lloyd re-seeds the clusters left empty
+        labels, centers, inertia = kmeans_lloyd(np.full((6, 2), 3.0), 3, restarts=2, seed=0)
+        assert (centers == 3.0).all() and inertia == 0.0
+        assert labels.shape == (6,) and set(labels) <= {0, 1, 2}
+
+    def test_emptied_cluster_is_reseeded_at_the_farthest_point(self, monkeypatch):
+        # a seed center far from every point takes no member; it moves to
+        # [3, 0], the point farthest from its assigned center [0, 0]
+        monkeypatch.setattr(otsc.baselines, "_kmeans_plusplus_seed",
+                            lambda x, k, rng: np.array([[0.0, 0.0], [100.0, 100.0]]))
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        labels, centers, inertia = kmeans_lloyd(x, 2, restarts=1)
+        assert labels.tolist() == [0, 0, 0, 1]
+        assert centers.tolist() == [[1.0, 0.0], [3.0, 0.0]] and inertia == 2.0
 
     def test_numpy_integers_accepted(self):
         x = np.random.default_rng(3).normal(size=(60, 2))

@@ -500,6 +500,9 @@ BAD_INPUTS = {
     "non-integer labels": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0.7", "1,1,1.2", "2,2,0"])),
         1, "data row 1 has non-integer label 0.7"),
+    "baseline on an unlabeled dataset": (
+        lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1", ["0,0", "1,1", "2,2"])),
+        1, "error: baseline evaluation needs a labeled dataset\n"),
     "kmeans k > n": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", TWELVE_ROWS), "--k", "13"),
         1, "error: k=13 exceeds the number of samples 12\n"),
@@ -595,6 +598,9 @@ BAD_INPUTS = {
     "checkpoint meta not an object": (
         lambda tmp, run: _edited_checkpoint(tmp, run, raw_meta=b"[1, 2]"),
         1, "edited.npz entry 'meta' is not a JSON object: [1, 2]"),
+    "checkpoint optimizer meta not an object": (
+        lambda tmp, run: _edited_checkpoint(tmp, run, meta={"optimizer": [0.1, 0.9]}),
+        1, "edited.npz entry 'optimizer' is malformed\n"),
     "checkpoint meta not JSON": (
         lambda tmp, run: _edited_checkpoint(tmp, run, raw_meta=b"not json"),
         1, "edited.npz entry 'meta' is not JSON: Expecting value"),
@@ -645,6 +651,14 @@ BAD_INPUTS = {
     "checkpoint momentum as text": (
         lambda tmp, run: _edited_optimizer(tmp, run, momentum="0.9"),
         1, "edited.npz entry 'optimizer': momentum must be a real number, got '0.9'\n"),
+    # the message ends with the path as given, here under the test's tmp dir
+    "missing config file": (
+        lambda tmp, run: ["train", "--config", str(tmp / "absent.cfg"), "--dataset",
+                          str(run["dataset"]), "--out", str(tmp / "o")],
+        1, "config file not found: "),
+    "config line without =": (
+        lambda tmp, run: _train_with(tmp, run, "epochs 2"),
+        1, f"edited.cfg:{APPENDED}: expected 'key = value', got 'epochs 2'\n"),
     "NaN scale_jitter in the config": (
         lambda tmp, run: _train_with(tmp, run, "scale_jitter = nan"),
         1, "error: scale_jitter must be finite, got nan\n"),

@@ -53,11 +53,33 @@ class TestGenerators:
         ({"noise": float("inf")}, "noise must be finite, got inf"),
         ({"separation": float("inf")}, "separation must be finite, got inf"),
         ({"separation": float("nan")}, "separation must be finite, got nan"),
+        ({"noise": -0.1}, "noise must be nonnegative"),
+        ({"k": 101}, "blobs need 2 <= k <= n"),
     ])
     def test_refuses_bad_settings_by_name(self, kwargs, message):
         settings = {"noise": 0.1, "seed": 0, **kwargs}
         with pytest.raises(ValueError) as info:
             gen_dataset("blobs", 100, **settings)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"n": 100.0}, "n must be an integer, got 100.0"),
+        ({"k": 2.0}, "k must be an integer, got 2.0"),
+        ({"dim": 2.0}, "dim must be an integer, got 2.0"),
+        ({"n": np.int64(100), "seed": np.int64(3), "k": np.int64(2), "dim": np.int64(3)}, None),
+    ], ids=["float seed", "bool seed", "float n", "float k", "float dim", "numpy integers"])
+    def test_refuses_a_non_integer_count_or_seed_by_name(self, kwargs, message):
+        settings = {"n": 100, "seed": 3, "k": 2, "dim": 3, **kwargs}
+        if message is None:
+            ds = gen_dataset("blobs", noise=0.1, **settings)
+            want = gen_dataset("blobs", 100, 0.1, 3, k=2, dim=3)
+            assert ds.name == want.name == "blobs-n100-s3"
+            assert ds.features.tobytes() == want.features.tobytes()
+            return
+        with pytest.raises(ValueError) as info:
+            gen_dataset("blobs", noise=0.1, **settings)
         assert str(info.value) == message
 
 

@@ -66,6 +66,12 @@ class TestEvaluate:
         mixed = evaluate(ones, np.array([0, 1, 0, 1, 0]))
         assert mixed.nmi == 0.0
 
+    def test_a_single_sample_agrees_with_itself(self):
+        # one sample has no pair, so the ARI's pair counts are all 0
+        rep = evaluate([3], [7])
+        assert (rep.nmi, rep.acc, rep.ari) == (1.0, 1.0, 1.0)
+        assert rep.matching == {7: 3}
+
     def test_contingency_sums_to_n(self):
         rng = np.random.default_rng(1)
         a = rng.integers(0, 5, size=40)

@@ -26,26 +26,26 @@ from otsc.transport import _scale, sinkhorn_algorithm1, sinkhorn_marginal
 
 class TestAlgorithm1:
     def test_uniform_logits_give_uniform_plan(self):
-        plan = plan_of(sinkhorn_algorithm1(np.zeros((4, 3)), eta=0.7, iterations=3).factors)
+        plan = sinkhorn_algorithm1(np.zeros((4, 3)), eta=0.7, iterations=3).plan
         assert np.abs(plan - 1.0 / 3.0).max() <= 1e-12
 
     def test_strong_diagonal_recovers_permutation(self):
         logits = np.array([[10.0, 0.0], [0.0, 10.0]])
-        plan = plan_of(sinkhorn_algorithm1(logits, eta=0.05, iterations=5).factors)
+        plan = sinkhorn_algorithm1(logits, eta=0.05, iterations=5).plan
         want = exact_ot_oracle(-logits, np.ones(2), np.ones(2))
         assert np.abs(want - np.eye(2)).max() == 0.0
         assert np.abs(plan - want).max() <= 1e-6
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        plan = plan_of(sinkhorn_algorithm1(rng.normal(size=(7, 5)), eta=0.3, iterations=4).factors)
+        plan = sinkhorn_algorithm1(rng.normal(size=(7, 5)), eta=0.3, iterations=4).plan
         assert np.abs(plan.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 4))
-        a = plan_of(sinkhorn_algorithm1(logits, eta=0.2, iterations=6).factors)
-        b = plan_of(sinkhorn_algorithm1(logits + 17.25, eta=0.2, iterations=6).factors)
+        a = sinkhorn_algorithm1(logits, eta=0.2, iterations=6).plan
+        b = sinkhorn_algorithm1(logits + 17.25, eta=0.2, iterations=6).plan
         assert np.abs(a - b).max() <= 1e-12
 
     def test_determinism(self):
@@ -103,9 +103,10 @@ class TestAlgorithm1:
 
 
 class TestFactoredResiduals:
-    """`sinkhorn_algorithm1` measures its residuals on its factors, the rows
-    from the loop's last product and the columns by one more; they must be
-    those of the dense plan `oracles.reference_algorithm1` builds."""
+    """Both solvers measure their residuals on their factors, the fitted
+    side from the loop's last product and the other by one more; they must
+    be those of the dense plan `oracles.reference_algorithm1` builds, or of
+    the plan `SinkhornTarget.plan` forms."""
 
     @staticmethod
     def assignment_logits(rng, b):
@@ -142,6 +143,27 @@ class TestFactoredResiduals:
         _, col = plan_residuals(reference_algorithm1(logits, 0.05, 5), 1.0, 512.0)
         assert got.col_marginal_residual > 50.0
         assert abs(got.col_marginal_residual - col) <= 1e-12 * col
+
+    @pytest.mark.parametrize(
+        "kind", ["line 8x8 converged", "cloud 256x256 converged", "random 32x20 after 3 sweeps"]
+    )
+    def test_marginal_residuals_match_the_formed_plan(self, kind):
+        rng = np.random.default_rng(15)
+        if kind == "line 8x8 converged":
+            x, y = np.sort(rng.random(8)), np.sort(rng.random(8))
+            cost, eta, max_iter = 0.1 * (x[:, None] - y[None, :]) ** 2, 1e-3, 10_000
+        elif kind == "cloud 256x256 converged":
+            x, y = rng.random((256, 2)), rng.random((256, 2))
+            cost, eta, max_iter = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2), 0.02, 10_000
+        else:
+            cost, eta, max_iter = rng.random((32, 20)), 0.05, 3
+        r, c = _marginals(rng, *cost.shape)
+        got, _ = sinkhorn_marginal(cost, r, c, eta, tol=1e-9, max_iter=max_iter)
+        row, col = plan_residuals(got.plan, r, c)
+        assert abs(got.row_marginal_residual - row) <= 1e-14
+        assert abs(got.col_marginal_residual - col) <= 1e-14
+        if max_iter == 3:  # reported as computed, not clipped to tol
+            assert got.iterations_used == 3 and got.row_marginal_residual > 1e-3
 
 
 class TestMarginalVariant:
@@ -242,6 +264,16 @@ class TestMarginalVariant:
         with pytest.raises(ValueError, match=f"^{message}$"):
             sinkhorn_marginal(np.zeros((2, 2)), np.ones(2), np.ones(2), 0.05, tol=tol)
 
+    @pytest.mark.parametrize("eta, max_iter, message",
+                             [(0.0, 10, "eta must be positive, got 0.0"),
+                              (-0.05, 10, "eta must be positive, got -0.05"),
+                              (0.05, 0, "max_iter must be >= 1")],
+                             ids=["zero eta", "negative eta", "no sweep"])
+    def test_refuses_a_nonpositive_eta_or_max_iter(self, eta, max_iter, message):
+        with pytest.raises(ValueError) as exc:
+            sinkhorn_marginal(np.zeros((2, 2)), np.ones(2), np.ones(2), eta, max_iter=max_iter)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize(
         "cost, c, eta, max_iter, line",
         [
@@ -266,12 +298,12 @@ class TestMarginalVariant:
     @pytest.mark.parametrize("shape", [(7, 5), (100, 2), (256, 256)],
                              ids=["7x5", "100x2", "256x256"])
     def test_kernel_domain_plan_starts_on_a_64_byte_boundary(self, shape):
-        # the plan's array is the kernel the sweeps read, and BLAS's
+        # the plan's kernel factor is the array the sweeps read, and BLAS's
         # matrix-vector products run fastest on an aligned one
         m, n = shape
         cost = np.random.default_rng(3).random(shape)
         plan, _ = sinkhorn_marginal(cost, np.ones(m), np.full(n, m / n), 0.05)
-        assert plan.plan.ctypes.data % 64 == 0
+        assert plan.factors[0].ctypes.data % 64 == 0
 
     @pytest.mark.parametrize("r, c", [(np.ones(3), np.ones(2)), (np.ones((2, 1)), np.ones(2))],
                              ids=["length", "2-D"])
@@ -364,7 +396,7 @@ class TestAgainstReferenceLoops:
             np.fill_diagonal(logits, -np.inf)
         else:
             logits = unit_rows(rng, 1024, 2) @ unit_rows(rng, 2, 2).T
-        got = plan_of(sinkhorn_algorithm1(logits, eta=0.05, iterations=5).factors)
+        got = sinkhorn_algorithm1(logits, eta=0.05, iterations=5).plan
         assert np.abs(got - reference_algorithm1(logits, 0.05, 5)).max() <= 1e-14
 
     @pytest.mark.parametrize(
