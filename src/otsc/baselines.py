@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, as_matrix, check_fields, check_integer
+from .errors import NumericalError, as_matrix, check_fields, check_number
 from .spectral import both_halves, panel_rows, row_normalize, worker_thread
 
 __all__ = ["SpectralConfig", "kmeans_lloyd", "classical_spectral", "sym_eig"]
@@ -258,7 +258,7 @@ def kmeans_lloyd(
     x = as_matrix(x, "x")
     n = x.shape[0]
     for name, value in (("k", k), ("restarts", restarts), ("seed", seed)):
-        check_integer(name, value)
+        check_number(name, value)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
@@ -310,7 +310,7 @@ def classical_spectral(
     x = as_matrix(x, "x")
     n = x.shape[0]
     # refused here too, before the affinity and eigensolve
-    check_integer("seed", seed)
+    check_number("seed", seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if n > AFFINITY_MAX_N:

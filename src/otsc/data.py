@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import check_number
 
 __all__ = ["Dataset", "gen_dataset", "save_dataset", "read_csv", "load_dataset"]
 
@@ -111,15 +112,17 @@ def gen_dataset(
 ) -> Dataset:
     """Generate a labeled synthetic dataset; deterministic per seed. Only
     blobs take ``k``, ``separation`` and ``dim`` (unset: 4, 10.0 and 2).
-    A non-integer ``n``, ``seed``, ``k`` or ``dim`` is refused before any draw."""
+    A non-integer ``n``, ``seed``, ``k`` or ``dim``, and a ``noise`` or
+    ``separation`` that is not a real number, is refused before any draw."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}, expected one of {DATASET_KINDS}")
     blob = {kw: v for kw, v in dict(k=k, separation=separation, dim=dim).items() if v is not None}
     if blob and kind != "blobs":
         raise ValueError(f"{next(iter(blob))} applies to blobs only")
-    for name, value in dict(n=n, seed=seed, k=k, dim=dim).items():
-        if value is not None or name in ("n", "seed"):
-            check_integer(name, value)
+    given = dict(n=n, seed=seed, k=k, dim=dim, noise=noise, separation=separation)
+    for name, value in given.items():
+        if value is not None or name in ("n", "seed", "noise"):
+            check_number(name, value, Real if name in ("noise", "separation") else Integral)
     if n < 10:
         raise ValueError("n must be >= 10")
     if noise < 0:

@@ -4,9 +4,9 @@ A numerical failure (a Sinkhorn sum that underflows, a zero-row
 embedding, a non-finite gradient, loss or encoder output) raises
 :class:`NumericalError`, which the CLI maps to exit status 2; a bad input
 or setting raises plain ``ValueError`` (exit status 1). The message says
-what failed and where. `as_matrix` and `check_integer` are the input
-checks of the package's entry points and `check_fields` that of its
-settings objects.
+what failed and where. `as_matrix` and `check_number` are the input checks
+of the package's entry points and `check_fields` that of its settings
+objects.
 """
 
 from dataclasses import fields
@@ -28,10 +28,12 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
-def check_integer(name: str, value) -> None:
-    """Refuse, by name, a value that is not an integer: numpy's are taken, a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_number(name: str, value, kind: type = Integral) -> None:
+    """Refuse, by name, a value that is not an integer, or for ``kind``
+    ``Real`` a real number: numpy's are taken, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is Integral else "a real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def check_fields(settings, check_bounds) -> None:
@@ -43,10 +45,9 @@ def check_fields(settings, check_bounds) -> None:
     typed = [(f.name, f.type, getattr(settings, f.name)) for f in fields(settings)]
     for name, kind, value in typed:
         if kind == "int":
-            check_integer(name, value)
-        number = isinstance(value, Real) and not isinstance(value, bool)
-        if kind.startswith("float") and not (number or value is None and kind == "float | None"):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+            check_number(name, value)
+        if kind.startswith("float") and not (value is None and kind == "float | None"):
+            check_number(name, value, Real)
     check_bounds()
     for name, kind, value in typed:
         if kind.startswith("float") and value is not None and not abs(value) < np.inf:

@@ -38,46 +38,54 @@ __all__ = [
 TAU_CAP = 0.0  # log 1
 INIT_LOG_TAU = float(np.log(0.05))
 
-# parameters never subject to weight decay
-_NO_DECAY = {"log_tau"}
 
-
-@dataclass
 class ModelState:
-    """All trainable state: encoder layers, prototypes, log temperatures.
+    """All trainable state in one float64 vector, ``params``, packed from
+    copies of the arrays given; ``layers[i] = (weight, bias)`` (weight out x
+    in), ``prototypes`` (K x D, raw) and ``log_tau`` ((2,): affinity, then
+    clustering log temperature) are its views in `named_arrays` order,
+    written in place, never rebound. ``version`` counts optimizer steps."""
 
-    ``layers[i] = (weight, bias)`` with weight shaped out x in. ``version``
-    counts optimizer steps; checkpoints store it.
-    """
+    def __init__(self, layers, prototypes, log_tau, version: int = 0):
+        arrays = [*(a for layer in layers for a in layer), prototypes, log_tau]
+        names = [f"layer{i}.{part}" for i in range(len(layers)) for part in ("weight", "bias")]
+        self._names = names + ["prototypes", "log_tau"]
+        ends = np.cumsum([0, *map(np.size, arrays)]).tolist()
+        self._slots = list(zip(ends, ends[1:], map(np.shape, arrays)))
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        *encoder, self.prototypes, self.log_tau = self.split(self.params)
+        self.layers = tuple(zip(encoder[::2], encoder[1::2]))
+        self.version = version
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    prototypes: np.ndarray  # K x D, raw (normalized in the forward pass)
-    log_tau: np.ndarray  # (2,): affinity, then clustering log temperature
-    version: int = 0
+    def __setattr__(self, name, value):
+        if name in ("params", "layers", "prototypes", "log_tau") and name in vars(self):
+            raise AttributeError(f"{name} views the parameter vector: write into it in place")
+        super().__setattr__(name, value)
 
     @property
     def input_dim(self) -> int:
         return self.layers[0][0].shape[1]
 
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        items = []
-        for i, (w, b) in enumerate(self.layers):
-            items.append((f"layer{i}.weight", w))
-            items.append((f"layer{i}.bias", b))
-        items.append(("prototypes", self.prototypes))
-        items.append(("log_tau", self.log_tau))
-        return items
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like ``params``, in `named_arrays` order."""
+        return [vector[start:end].reshape(shape) for start, end, shape in self._slots]
+
+    def named_arrays(self, vector: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
+        """(name, view) pairs of `split`: of ``vector``, or of ``params``."""
+        return list(zip(self._names, self.split(self.params if vector is None else vector)))
 
 
 @dataclass
 class OptimizerState:
-    """Heavy-ball SGD state: one momentum buffer per parameter."""
+    """Heavy-ball SGD state. The momentum is one vector, ``velocity``, laid out
+    like the model's ``params``; ``momentum_buffers`` holds its named views."""
 
     base_lr: float
     momentum: float = 0.9
     weight_decay: float = 0.0005
     restart_period: int = 200
-    momentum_buffers: dict[str, np.ndarray] = field(default_factory=dict)
+    velocity: np.ndarray | None = field(default=None, init=False, repr=False)
+    momentum_buffers: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         check_fields(self, self._check_bounds)
@@ -132,22 +140,24 @@ def forward(state: ModelState, x) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def backward(
-    state: ModelState, inputs: list[np.ndarray], grad_z: np.ndarray
+    state: ModelState, inputs: list[np.ndarray], grad_z: np.ndarray, out: list | None = None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact reverse-mode pass through the encoder.
 
     ``inputs`` are the layer inputs `forward` returned for this ``state``,
-    before any optimizer step. Returns per-layer (grad_weight, grad_bias).
-    The rectifier uses the 0-subgradient at 0: it masks by the next layer's
-    input > 0, as max(p, 0) > 0 exactly when p > 0.
+    before any optimizer step. Writes per-layer (grad_weight, grad_bias) into
+    ``out``, views of a gradient vector (`ModelState.split`; else a new one),
+    and returns them. The rectifier uses the 0-subgradient at 0: it masks by
+    the next layer's input > 0, as max(p, 0) > 0 exactly when p > 0.
     """
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(state.layers)
+    views = state.split(np.empty(state.params.size)) if out is None else out
+    grads = list(zip(views[0:-2:2], views[1:-2:2]))
     g_pre = grad_z
     for i in range(len(state.layers) - 1, -1, -1):
-        w, _ = state.layers[i]
-        grads[i] = (g_pre.T @ inputs[i], g_pre.sum(axis=0))
+        np.matmul(g_pre.T, inputs[i], out=grads[i][0])
+        g_pre.sum(axis=0, out=grads[i][1])
         if i > 0:
-            g_h = g_pre @ w
+            g_h = g_pre @ state.layers[i][0]
             g_pre = g_h * (inputs[i] > 0)
     return grads
 
@@ -168,29 +178,28 @@ def tau_grad_scale(log_tau: np.ndarray) -> np.ndarray:
 def sgd_step(
     state: ModelState,
     opt: OptimizerState,
-    grads: dict[str, np.ndarray],
+    grads: np.ndarray,
     lr: float,
 ) -> ModelState:
-    """One heavy-ball step: g' = g + wd*p; buf = m*buf + g'; p -= lr*buf.
+    """One heavy-ball step: g' = g + wd*p; buf = m*buf + g' (g' at first); p -= lr*buf.
 
-    The log temperatures are excluded from weight decay. ``lr`` (positive)
-    and ``grads`` (one float64 array per parameter, shaped like it) are
-    trusted. Refuses the whole step if any gradient is non-finite, leaving
-    the state untouched.
+    ``grads``, a float64 vector laid out like ``state.params``, and ``lr``
+    (positive) are trusted. The log temperatures, the vector's tail, are
+    excluded from weight decay. Refuses the whole step if any gradient is
+    non-finite, naming its parameter, and leaves the state untouched.
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for {name!r}; step refused")
-
-    for name, param in state.named_arrays():
-        g = grads[name]
-        if opt.weight_decay and name not in _NO_DECAY:
-            g = g + opt.weight_decay * param
-        buf = opt.momentum_buffers.get(name)
-        buf = g if buf is None else opt.momentum * buf + g
-        opt.momentum_buffers[name] = buf
-        param -= lr * buf
-
+    if not np.isfinite(grads).all():
+        name = next(name for name, g in state.named_arrays(grads) if not np.isfinite(g).all())
+        raise NumericalError(f"non-finite gradient for {name!r}; step refused")
+    g, head = grads.copy(), state.params.size - state.log_tau.size
+    if opt.weight_decay:
+        g[:head] += opt.weight_decay * state.params[:head]
+    if opt.velocity is None:
+        opt.velocity, opt.momentum_buffers = g, dict(state.named_arrays(g))
+    else:
+        opt.velocity *= opt.momentum
+        opt.velocity += g
+    np.subtract(state.params, lr * opt.velocity, out=state.params)
     state.version += 1
     return state
 
@@ -226,8 +235,7 @@ def save_checkpoint(
     rng_state: dict | None = None,
 ) -> None:
     arrays = dict(state.named_arrays())
-    for name, buf in opt.momentum_buffers.items():
-        arrays[f"momentum:{name}"] = buf
+    arrays.update((f"momentum:{name}", buf) for name, buf in opt.momentum_buffers.items())
     meta = {
         "format": _CKPT_FORMAT,
         "num_layers": len(state.layers),
@@ -275,13 +283,14 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
 
     This is where a model enters from outside, so it is validated here and
     not again on use. A file that is not a readable .npz archive, is of
-    another format, lacks an array or a meta field, holds a meta that is not
-    a JSON object or a meta field of the wrong type or range, holds an array
-    that is not finite float64, holds parameters of the wrong shape (layer
-    widths that do not chain, log temperatures that are not a pair), holds
-    optimizer settings `OptimizerState` refuses, or holds an array that is
-    neither a parameter of the meta's layers nor the momentum buffer of one
-    raises ``ValueError`` naming the file and the entry.
+    another format, lacks an array or a meta field (or a momentum buffer
+    while it holds another: the momentum is one vector), holds a meta that
+    is not a JSON object or a meta field of the wrong type or range, holds
+    an array that is not finite float64, holds parameters of the wrong
+    shape (layer widths that do not chain, log temperatures that are not a
+    pair), holds optimizer settings `OptimizerState` refuses, or holds an
+    array that is neither a parameter of the meta's layers nor the momentum
+    buffer of one raises ``ValueError`` naming the file and the entry.
     """
     try:
         # opened here so that a file np.load rejects is closed all the same
@@ -329,12 +338,14 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
                     raise ValueError(f"checkpoint {path} entry {key!r} names no parameter")
                 if value.shape != params[name].shape:
                     _refuse_shape(path, key, value, f"{params[name].shape} like {name!r}")
-                opt.momentum_buffers[name] = value
             elif key not in params and key != "meta":
                 raise ValueError(
                     f"checkpoint {path} entry {key!r} is no parameter of the"
                     f" {len(state.layers)}-layer model and no momentum buffer"
                 )
+        if any(key.startswith("momentum:") for key in arrays):
+            opt.velocity = np.concatenate([arrays[f"momentum:{n}"].ravel() for n in params])
+            opt.momentum_buffers = dict(state.named_arrays(opt.velocity))
         return state, opt, meta["epoch"], meta["rng_state"]
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"checkpoint {path} entry 'meta' is not JSON: {err}") from None

@@ -174,26 +174,27 @@ def orthogonal_penalty(z: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(gram_defect**2)), 4.0 * z @ gram_defect
 
 
-def row_normalize(z: np.ndarray) -> np.ndarray:
+def row_normalize(z: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """Scale each row to unit Euclidean norm.
 
-    A row whose norm is 0, or overflows or is NaN, has no unit direction to
-    return: it raises :class:`NumericalError` naming the first such row.
+    ``norms`` takes the B x 1 row norms if given. A row whose norm is 0, or
+    overflows or is NaN, has no unit direction to return: it raises
+    :class:`NumericalError` naming the first such row.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        # np.linalg.norm(z, axis=1, keepdims=True), bit for bit
+        norms = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True), out=norms)
     if not (norms.min() > 0.0 and norms.max() < np.inf):  # NaN fails both
         i = int(np.argmin((norms > 0.0) & (norms < np.inf)))
         raise NumericalError(f"row_normalize received row {i} of norm {float(norms[i, 0])!r}")
     return z / norms
 
 
-def row_normalize_vjp(z: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Backward of `row_normalize` at input ``z``.
+def row_normalize_vjp(z: np.ndarray, grad_out: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Backward of `row_normalize` at input ``z``, given the ``norms`` it took.
 
     Per row the Jacobian is the tangent projection (I - zhat zhat.T)/||z||.
     """
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
     zhat = z / norms
     radial = (grad_out * zhat).sum(axis=1, keepdims=True)
     return (grad_out - radial * zhat) / norms

@@ -51,12 +51,12 @@ __all__ = [
 TRAINER_ORTH_MODES = ("procrustes", "none", "penalty")
 
 # `fit` runs view 1 on a worker thread from this batch size on. Median ms per
-# step, serial / worker, 2 cores, 1 BLAS thread (README config on moons, 4
-# alternating runs of 200-400 steps each): B=100 2.16 / 2.33, B=192 3.20 /
-# 3.59, B=256 4.39 / 5.18, B=384 8.40 / 8.74, B=512 13.2 / 10.2, B=1024
-# 50.7 / 28.5. Since each view runs its own encoder pass, the worker slows a
-# step below B=512
-PARALLEL_MIN_BATCH = 512
+# step, serial / worker, 2 cores, 1 BLAS thread (README config on moons, sets
+# of 4 alternating runs of 232 steps): B=100 1.72 / 2.41, B=256 3.61 / 3.42,
+# 4.26 / 4.43 and 3.48 / 4.17, B=320 4.98 / 5.11, B=384 5.27 / 4.88, 6.87 /
+# 6.32, 6.41 / 5.72 and 7.97 / 6.22 (worker faster in 13 of 16 pairs), B=512
+# 8.72 / 6.55, B=1024 33.9 / 22.5; below B=384 the worker slows a step
+PARALLEL_MIN_BATCH = 384
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,14 @@ class StepLosses(NamedTuple):
     mean_inconsistency: float
 
 
-def augment(x, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
+def augment(x, cfg: TrainConfig, rng: np.random.Generator, std=None) -> np.ndarray:
     """Stochastic view of vector data.
 
     Applies feature dropout (plain masking), additive Gaussian noise scaled
-    by ``noise_sigma`` times the per-feature std of the incoming batch, and
-    a per-sample scale jitter. Draw order is fixed: mask, noise, jitter.
+    by ``noise_sigma`` times ``std``, the batch's per-feature std (taken here
+    if None), and a per-sample scale jitter. Draw order: mask, noise, jitter.
     """
-    std = x.std(axis=0)
+    std = x.std(axis=0) if std is None else std
     keep = rng.random(x.shape) >= cfg.feature_dropout_prob
     noise = rng.standard_normal(x.shape) * (cfg.noise_sigma * std)
     jitter = rng.uniform(-cfg.scale_jitter, cfg.scale_jitter, size=(x.shape[0], 1))
@@ -189,13 +189,14 @@ def _encode(model, x):
     return z_raw, inputs
 
 
-def _straight_through(z_raw, cfg):
+def _straight_through(z_raw, cfg, norms=None):
     """(residual, value) of the straight-through orthogonalize-and-normalize
     map on one view's raw embeddings: the value is the row-normalized
     orthogonalized embedding, and the gradient reaches the raw embeddings
     through the normalization Jacobian at them (a stop-gradient inside the
-    normalization instead is scale-unstable at this model size)."""
-    z_base = row_normalize(z_raw)
+    normalization instead is scale-unstable at this model size). ``norms``
+    takes the raw rows' norms if given (`row_normalize`)."""
+    z_base = row_normalize(z_raw, norms)
     if cfg.orth_mode == "procrustes":
         resid = row_normalize(orthogonalize(z_raw).z_new) - z_base
     else:
@@ -206,12 +207,12 @@ def _straight_through(z_raw, cfg):
 def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     """Forward + loss + gradients for one swapped-prediction step.
 
-    Returns (losses, grads, held). ``held`` is the tuple (st_residuals,
-    affinity_targets, assignment_targets), each a pair with one entry per
-    view, the targets as Sinkhorn factors ``(kernel, u, v)``
-    (`SinkhornTarget.factors`), never formed as plans: the step's
-    stop-gradient quantities, which the backward treats as constants, so the
-    gradients differentiate the loss with them held fixed.
+    Returns (losses, grads, held), ``grads`` laid out like ``model.params``,
+    ``held`` (st_residuals, affinity_targets, assignment_targets), each a
+    pair with one entry per view, the targets as Sinkhorn factors ``(kernel,
+    u, v)`` (`SinkhornTarget.factors`), never formed as plans: the step's
+    stop-gradient quantities, which the backward treats as constants, so
+    the gradients differentiate the loss with them held fixed.
 
     The step's B x B planes live in ``planes``, a float64 (2, 2, B, B)
     array that `fit` keeps for the whole run; None gives the call its own.
@@ -224,63 +225,65 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     affinity kernels in ``held`` are ``planes[1]``, which the next step on
     the same array overwrites.
 
-    Each view runs its own encoder pass and backward. A ``worker`` runs
-    view 1's forward (encoder, targets), then its losses and backward
-    (through the encoder), while this thread runs view 0's. The views' terms
-    and parameter gradients are summed in view order after the join: the
-    worker changes no bit.
+    Each view runs its own encoder pass and backward, into its row of one
+    (2, P) gradient array. A ``worker`` runs view 1's forward (encoder,
+    targets), then its losses and backward (through the encoder), while this
+    thread runs view 0's. The views' terms and rows are summed in view order
+    after the join: the worker changes no bit.
     """
     tau_a, tau_c = net.effective_tau(model.log_tau).tolist()
-    protos = row_normalize(model.prototypes)
+    proto_norms = np.empty((model.prototypes.shape[0], 1))
+    protos = row_normalize(model.prototypes, proto_norms)
     b = x1.shape[0]
     logits, kernels = np.empty((2, 2, b, b)) if planes is None else planes
+    grads = np.empty((2, model.params.size))
+    rows = [model.split(row) for row in grads]
 
     def forward(v):
         # view v's encoder pass, straight-through (its own polar factor),
         # logits and targets
         z_raw, inputs = _encode(model, (x1, x2)[v])
-        resid, z = _straight_through(z_raw, cfg)
+        norms = np.empty((b, 1))
+        resid, z = _straight_through(z_raw, cfg, norms)
         # z.T copied keeps numpy off its much slower z @ z.T (syrk) path
         off_diagonal(np.matmul(z, z.T.copy(), out=logits[v]))
         h = z @ protos.T
         w = sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=kernels[v]).factors
         p = sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).factors
-        return z_raw, inputs, resid, z, h, w, p
+        return z_raw, norms, inputs, resid, z, h, w, p
 
     def backward(v):
         # swapped prediction: view 1 - v's targets supervise view v's logits.
         # View v's loss terms, then its gradients through the straight-through
         # (identity), the row normalization of its raw embeddings and the
-        # encoder; targets and residuals are constants
-        z_raw, inputs, _, z, h, _, _ = views[v]
+        # encoder into row v of grads; targets and residuals are constants
+        z_raw, norms, inputs, _, z, h, _, _ = views[v]
         *_, w, p = views[1 - v]
         loss_a, g, g_y = softmax_cross_entropy(w, logits[v], z, z, tau_a)
         loss_c, g_c, grad_protos = softmax_cross_entropy(p, h, z, protos, tau_c)
+        *_, protos_row, tau_row = rows[v]
+        np.multiply(cfg.lam, grad_protos, out=protos_row)
         # d loss / d tau = -<A, z y.T> / tau^2 = -<grad_z, z> / tau, A the
         # logit gradient times tau, which is 0 on a masked diagonal
-        grad_tau = [-float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, z)) / tau_c]
+        tau_row[:] = -float(np.vdot(g, z)) / tau_a, -cfg.lam * float(np.vdot(g_c, z)) / tau_c
         g = g + g_y + cfg.lam * g_c
         pen = 0.0
         if cfg.orth_mode == "penalty":
             pen, grad_pen = orthogonal_penalty(z)
             g = g + grad_pen
-        layers = net.backward(model, inputs, row_normalize_vjp(z_raw, g))
-        return (loss_a, loss_c, pen, np.array(grad_tau), cfg.lam * grad_protos,
-                *(grad for layer in layers for grad in layer))
+        net.backward(model, inputs, row_normalize_vjp(z_raw, g, norms), out=rows[v])
+        return loss_a, loss_c, pen
 
     views = both_halves(forward, worker)
-    # summed in view order: the loss terms, d total / d (tau_a, tau_c), d the
-    # unit prototypes, then each layer's weight and bias gradients
-    la, lc, penalty, grad_tau, grad_protos_norm, *layer_grads = (
-        view0 + view1 for view0, view1 in zip(*both_halves(backward, worker))
-    )
-    # named_arrays lists each layer's weight and bias first, in layer order
-    grads = dict(zip((name for name, _ in model.named_arrays()), layer_grads))
-    grads["prototypes"] = row_normalize_vjp(model.prototypes, grad_protos_norm)
-    grads["log_tau"] = grad_tau * net.tau_grad_scale(model.log_tau)
+    # summed in view order: the loss terms, then the gradient rows into row 0
+    la, lc, penalty = (view0 + view1 for view0, view1 in zip(*both_halves(backward, worker)))
+    grads[0] += grads[1]
+    *_, grad_protos, grad_tau = rows[0]
+    grad_protos[:] = row_normalize_vjp(model.prototypes, grad_protos, proto_norms)
+    grad_tau *= net.tau_grad_scale(model.log_tau)
 
     # the residuals are the moves the straight-through applies to unit rows
-    _, _, resids, _, _, w_targets, p_targets = zip(*views)
+    _, _, _, resids, _, _, w_targets, p_targets = zip(*views)
     resid_norm = float(np.linalg.norm(resids[0]) + np.linalg.norm(resids[1]))
     losses = StepLosses(
         affinity_loss=la,
@@ -288,7 +291,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         total_loss=la + cfg.lam * lc + penalty,
         mean_inconsistency=resid_norm / (2.0 * b**0.5),
     )
-    return losses, grads, (resids, w_targets, p_targets)
+    return losses, grads[0], (resids, w_targets, p_targets)
 
 
 def train_step(
@@ -307,8 +310,8 @@ def train_step(
     ``planes`` holds the step's B x B planes and ``worker`` runs view 1's
     half of the step (see `_compute_step`); None gives the step its own
     planes, or runs all of it on this thread."""
-    x1 = augment(x, cfg, rng)
-    x2 = augment(x, cfg, rng)
+    std = x.std(axis=0)
+    x1, x2 = augment(x, cfg, rng, std), augment(x, cfg, rng, std)
     if np.ptp(x1, axis=0).max() == 0.0:
         warnings.warn("degenerate batch: all augmented rows identical", RuntimeWarning)
     losses, grads, _ = _compute_step(model, x1, x2, cfg, planes, worker)

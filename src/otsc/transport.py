@@ -20,6 +20,7 @@ live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,15 +33,27 @@ __all__ = ["SinkhornTarget", "sinkhorn_algorithm1", "sinkhorn_marginal"]
 class SinkhornTarget:
     """W = diag(u) @ kernel @ diag(v) in its ``factors`` ``(kernel, u, v)``,
     as `softmax_cross_entropy` takes it: what both solvers return. Its
-    max-norm marginal residuals are measured on the factors and reported as
-    computed, never clipped; W is nonnegative, each entry at most the
-    marginal of its line that the last half-sweep fitted, so it is not
-    checked."""
+    max-norm residuals against ``marginals`` are measured on the factors on
+    first read (the fitted side from the last sweep's product in ``sums``,
+    the other by one more) and reported as computed, never clipped; like
+    `plan`, they hold while the kernel does. W is nonnegative, each entry at
+    most the marginal of its line that the last half-sweep fitted, so it is
+    not checked."""
 
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    row_marginal_residual: float
-    col_marginal_residual: float
+    marginals: tuple
+    sums: tuple[np.ndarray | None, np.ndarray | None]
     iterations_used: int
+
+    row_marginal_residual = cached_property(lambda self: self._residual(0))
+    col_marginal_residual = cached_property(lambda self: self._residual(1))
+
+    def _residual(self, axis: int) -> float:
+        kernel, u, v = self.factors
+        sums = self.sums[axis]
+        if sums is None:
+            sums = kernel @ v if axis == 0 else u @ kernel
+        return float(np.abs((u, v)[axis] * sums - self.marginals[axis]).max())
 
     @property
     def plan(self) -> np.ndarray:
@@ -128,8 +141,8 @@ def sinkhorn_algorithm1(
 
     Returns the target in its factors: the kernel, built in ``out``, a
     float64 array shaped like ``logits``, when given, else in a new array,
-    and its scalings u and v; the plan is never formed. Residuals are
-    reported against the implied marginals, 1 per row and ``m/n`` per
+    and its scalings u and v; the plan is never formed. Its residuals, if
+    read, are against the implied marginals, 1 per row and ``m/n`` per
     column, and measured on the operator the loss applies: the rows
     ``u * (kernel @ v)`` from the loop's last product, the columns
     ``v * (u @ kernel)`` by one more. The arguments are trusted, as
@@ -139,8 +152,7 @@ def sinkhorn_algorithm1(
     """
     m, n = logits.shape
     kernel, u, v, _, used, kv = _scale(logits, 1.0, 1.0, eta, iterations, out=out)
-    rows, cols = np.abs(u * kv - 1.0).max(), np.abs(v * (u @ kernel) - m / n).max()
-    return SinkhornTarget((kernel, u, v), float(rows), float(cols), used)
+    return SinkhornTarget((kernel, u, v), (1.0, m / n), (kv, None), used)
 
 
 def sinkhorn_marginal(
@@ -195,6 +207,4 @@ def sinkhorn_marginal(
     kernel = buf[(-buf.ctypes.data // 8) % 8:][: cost.size].reshape(cost.shape)
     np.negative(cost, out=kernel)
     _, a, b, top, used, ka = _scale(kernel, r, c, eta, max_iter, tol, rows_first=True, out=kernel)
-    rows, cols = np.abs(a * (kernel @ b) - r).max(), np.abs(b * ka - c).max()
-    target = SinkhornTarget((kernel, a, b), float(rows), float(cols), used)
-    return target, (np.log(a) - top, np.log(b))
+    return SinkhornTarget((kernel, a, b), (r, c), (None, ka), used), (np.log(a) - top, np.log(b))

@@ -25,9 +25,12 @@ factors the step holds, and `as_factors` passes a dense plan as factors.
 `held_step_loss` is the training step's loss written out
 from the package's forward pieces (encoder forward, row
 normalization, orthogonality penalty) and this module's cross entropy and
-masks; it runs no part of the step. The last three helpers are the small
-builders several test files share: `unit_rows`, `random_stochastic` and
-`clone`.
+masks; it runs no part of the step. `per_array_sgd_step` is the optimizer
+step as it was before the parameters were one vector, a loop over the named
+arrays, and `eager_residuals` the Sinkhorn residual formulas both solvers
+evaluated on every call before the residuals were read on demand. The last
+four helpers are the small builders several test files share: `unit_rows`,
+`random_stochastic`, `flat` and `clone`.
 """
 
 from __future__ import annotations
@@ -436,6 +439,41 @@ def logit_form_tau_grad(views_z, targets, tau: float) -> float:
     return total
 
 
+_NO_DECAY = {"log_tau"}
+
+
+def per_array_sgd_step(state, opt, grads, lr):
+    """The heavy-ball step as it was before the parameters were one vector,
+    kept as it was written: one pass per named array, ``grads`` a dict by
+    name and ``opt.momentum_buffers`` a dict it fills (a namespace with the
+    optimizer's settings stands in for the optimizer, whose buffers are now
+    read-only views)."""
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite gradient for {name!r}; step refused")
+
+    for name, param in state.named_arrays():
+        g = grads[name]
+        if opt.weight_decay and name not in _NO_DECAY:
+            g = g + opt.weight_decay * param
+        buf = opt.momentum_buffers.get(name)
+        buf = g if buf is None else opt.momentum * buf + g
+        opt.momentum_buffers[name] = buf
+        param -= lr * buf
+
+    state.version += 1
+    return state
+
+
+def eager_residuals(target, r, c) -> tuple[float, float]:
+    """A `SinkhornTarget`'s row and column residuals by the formulas both
+    solvers evaluated on every call before the residuals were read on
+    demand, each side's product formed from the factors: max |u * (kernel @
+    v) - r| and max |v * (u @ kernel) - c|."""
+    kernel, u, v = target.factors
+    return float(np.abs(u * (kernel @ v) - r).max()), float(np.abs(v * (u @ kernel) - c).max())
+
+
 def held_embeddings(model, x1, x2, held) -> list[np.ndarray]:
     """Each view's straight-through value with its residual held at the
     step's: row_normalize(forward(x_v)) + resid_v, each view encoded on its
@@ -534,6 +572,12 @@ def random_stochastic(rng, shape) -> np.ndarray:
     """A random row-stochastic matrix with every entry positive."""
     p = rng.random(shape) + 0.05
     return p / p.sum(axis=1, keepdims=True)
+
+
+def flat(model: net.ModelState, arrays: dict) -> np.ndarray:
+    """Arrays by parameter name joined into one vector laid out like
+    ``model.params``, as `network.sgd_step` takes its gradients."""
+    return np.concatenate([np.ravel(arrays[name]) for name, _ in model.named_arrays()])
 
 
 def clone(m: net.ModelState) -> net.ModelState:

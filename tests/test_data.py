@@ -55,9 +55,22 @@ class TestGenerators:
         ({"separation": float("nan")}, "separation must be finite, got nan"),
         ({"noise": -0.1}, "noise must be nonnegative"),
         ({"k": 101}, "blobs need 2 <= k <= n"),
+        ({"noise": True}, "noise must be a real number, got True"),
+        ({"noise": "0.1"}, "noise must be a real number, got '0.1'"),
+        ({"separation": "3"}, "separation must be a real number, got '3'"),
+        ({"separation": False}, "separation must be a real number, got False"),
+        ({"noise": 1}, None),
+        ({"noise": np.float64(0.1), "separation": np.float32(3.0)}, None),
     ])
     def test_refuses_bad_settings_by_name(self, kwargs, message):
         settings = {"noise": 0.1, "seed": 0, **kwargs}
+        if message is None:  # plain integers and numpy's reals are taken
+            ds = gen_dataset("blobs", 100, **settings)
+            floats = {key: float(value) for key, value in kwargs.items()}
+            want = gen_dataset("blobs", 100, **{**settings, **floats})
+            assert ds.name == want.name == "blobs-n100-s0"
+            assert ds.features.tobytes() == want.features.tobytes()
+            return
         with pytest.raises(ValueError) as info:
             gen_dataset("blobs", 100, **settings)
         assert str(info.value) == message

@@ -1,10 +1,11 @@
 import gc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import central_difference, clone, rel_error
+from oracles import central_difference, clone, flat, per_array_sgd_step, rel_error
 from otsc import network as net
 from otsc.errors import NumericalError
 
@@ -16,8 +17,8 @@ def small_model(rng, d_in=4, d_out=3, k=2, hidden=(6,)):
 class TestForward:
     def test_zero_parameters_give_zero_output(self):
         model = small_model(np.random.default_rng(0))
-        for i, (w, b) in enumerate(model.layers):
-            model.layers[i] = (np.zeros_like(w), np.zeros_like(b))
+        for w, b in model.layers:
+            w[...], b[...] = 0.0, 0.0
         z, _ = net.forward(model, np.random.default_rng(1).normal(size=(5, 4)))
         assert np.abs(z).max() == 0.0
 
@@ -60,11 +61,7 @@ class TestBackward:
             for part, got in zip(("w", "b"), grads[i]):
                 def loss_of(p):
                     m2 = clone(model)
-                    w, b = m2.layers[i]
-                    if part == "w":
-                        m2.layers[i] = (p, b)
-                    else:
-                        m2.layers[i] = (w, p)
+                    m2.layers[i][0 if part == "w" else 1][...] = p
                     z2, _ = net.forward(m2, x)
                     return 0.5 * float(((z2 - target) ** 2).sum())
 
@@ -96,7 +93,7 @@ class TestBackward:
         w0 = rng.normal(size=(3, 4))
         w0[0] = 0.0
         w0[1] = [1.0, -1.0, 0.0, 0.0]
-        model.layers[0] = (w0, np.zeros(3))
+        model.layers[0][0][...], model.layers[0][1][...] = w0, 0.0
         x = rng.normal(size=(6, 4))
         x[:3, 1] = x[:3, 0]
         z, inputs = net.forward(model, x)
@@ -140,7 +137,7 @@ class TestSgd:
         grads = {name: np.ones_like(p) for name, p in model.named_arrays()}
         grads["log_tau"] = np.array([0.5, 0.0])
         before = clone(model)
-        net.sgd_step(model, opt, grads, lr=0.1)
+        net.sgd_step(model, opt, flat(model, grads), lr=0.1)
         for (name, p0), (_, p1) in zip(before.named_arrays(), model.named_arrays()):
             if name != "log_tau":
                 assert np.allclose(p1, p0 - 0.1)
@@ -153,7 +150,7 @@ class TestSgd:
         grads = {name: np.zeros_like(p) for name, p in model.named_arrays()}
         w_before = model.layers[0][0].copy()
         tau_before = model.log_tau.copy()
-        net.sgd_step(model, opt, grads, lr=0.1)
+        net.sgd_step(model, opt, flat(model, grads), lr=0.1)
         assert np.allclose(model.layers[0][0], w_before * (1 - 0.1 * 0.01))
         # log-temperatures are excluded from decay
         assert np.array_equal(model.log_tau, tau_before)
@@ -174,6 +171,7 @@ class TestSgd:
             "prototypes": np.zeros((2, 1)),
             "log_tau": np.array([1.0, 0.0]),
         }
+        grads = flat(model, grads)
         net.sgd_step(model, opt, grads, 0.1)
         assert model.layers[0][0][0, 0] == pytest.approx(0.9)
         assert model.log_tau[0] == pytest.approx(-0.1)
@@ -189,10 +187,73 @@ class TestSgd:
         grads["log_tau"] = np.array([np.nan, 0.0])
         before = clone(model)
         with pytest.raises(NumericalError) as info:
-            net.sgd_step(model, opt, grads, 0.1)
+            net.sgd_step(model, opt, flat(model, grads), 0.1)
         assert str(info.value) == "non-finite gradient for 'log_tau'; step refused"
         assert np.allclose(before.layers[0][0], model.layers[0][0])
         assert np.array_equal(before.log_tau, model.log_tau)
+
+
+class TestFlatSgd:
+    """`sgd_step` updates the one parameter vector with a few vector ops,
+    whatever the layer count: it must give the bits of the per-array loop it
+    replaced (`oracles.per_array_sgd_step`)."""
+
+    @staticmethod
+    def readme_model(seed):
+        # the README config's model: 2 -> 64 -> 64 -> 2, two prototypes
+        model = net.init_model(2, 2, 2, np.random.default_rng(seed))
+        return model, net.OptimizerState(base_lr=5e-6, momentum=0.9, weight_decay=0.05)
+
+    def test_three_steps_bitwise_equal_the_per_array_loop(self):
+        model, opt = self.readme_model(41)
+        ref = clone(model)
+        ref_opt = SimpleNamespace(momentum=0.9, weight_decay=0.05, momentum_buffers={})
+        rng = np.random.default_rng(42)
+        for step in range(3):  # the first has no momentum buffer yet
+            grads = {name: rng.normal(size=p.shape) for name, p in model.named_arrays()}
+            net.sgd_step(model, opt, flat(model, grads), 0.1)
+            per_array_sgd_step(ref, ref_opt, grads, 0.1)
+            assert model.params.tobytes() == ref.params.tobytes()
+            assert model.version == ref.version == step + 1
+            assert opt.momentum_buffers.keys() == ref_opt.momentum_buffers.keys()
+            for name, buf in opt.momentum_buffers.items():
+                assert buf.tobytes() == ref_opt.momentum_buffers[name].tobytes(), name
+
+    def test_log_tau_is_not_decayed(self):
+        model, opt = self.readme_model(43)
+        before = model.params.copy()
+        net.sgd_step(model, opt, np.zeros(before.size), 0.1)
+        assert model.log_tau.tobytes() == before[-2:].tobytes()
+        head = before[:-2]
+        assert model.params[:-2].tobytes() == (head - 0.1 * (0.0 + 0.05 * head)).tobytes()
+
+    @pytest.mark.parametrize("name", ["layer1.weight", "log_tau"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_a_non_finite_gradient_is_refused_by_name(self, name, bad):
+        model, opt = self.readme_model(44)
+        net.sgd_step(model, opt, np.ones(model.params.size), 0.1)  # momentum now held
+        params, velocity = model.params.copy(), opt.velocity.copy()
+        grads = np.zeros(model.params.size)
+        dict(model.named_arrays(grads))[name].flat[-1] = bad
+        with pytest.raises(NumericalError) as info:
+            net.sgd_step(model, opt, grads, 0.1)
+        assert str(info.value) == f"non-finite gradient for {name!r}; step refused"
+        assert model.params.tobytes() == params.tobytes()
+        assert opt.velocity.tobytes() == velocity.tobytes() and model.version == 1
+
+    def test_arrays_are_views_of_one_vector_and_cannot_be_rebound(self):
+        w = np.arange(6.0).reshape(2, 3)
+        model = net.ModelState([(w, np.zeros(2))], np.eye(2), np.zeros(2))
+        assert model.params.tolist() == [*range(6), 0, 0, 1, 0, 0, 1, 0, 0]
+        w[0, 0] = 7.0  # packed from a copy
+        assert model.layers[0][0][0, 0] == 0.0
+        for _, view in model.named_arrays():
+            assert view.base is model.params
+        with pytest.raises(TypeError):
+            model.layers[0] = (w, np.zeros(2))
+        for attr in ("params", "layers", "prototypes", "log_tau"):
+            with pytest.raises(AttributeError, match=f"^{attr} views the parameter vector"):
+                setattr(model, attr, getattr(model, attr))
 
 
 class TestOptimizerState:
@@ -254,8 +315,8 @@ class TestCheckpoint:
         model = small_model(rng, hidden=(6, 5))
         model.log_tau[0] = -1.3
         opt = net.OptimizerState(base_lr=0.05, momentum=0.8, weight_decay=1e-4)
-        opt.momentum_buffers["layer0.weight"] = rng.normal(size=model.layers[0][0].shape)
-        opt.momentum_buffers["log_tau"] = np.array([0.25, -0.5])
+        net.sgd_step(model, opt, rng.normal(size=model.params.size), 0.05)
+        opt.momentum_buffers["log_tau"][...] = [0.25, -0.5]
         rng_state = {"note": "opaque"}
 
         path = tmp_path / "ckpt.npz"
@@ -273,3 +334,18 @@ class TestCheckpoint:
         assert o2.momentum_buffers.keys() == opt.momentum_buffers.keys()
         for name, buf in opt.momentum_buffers.items():
             assert np.array_equal(o2.momentum_buffers[name], buf)
+
+    def test_momentum_buffers_are_all_or_none(self, tmp_path):
+        # the momentum is one vector: a checkpoint that holds some buffers
+        # but not all is refused, naming the first missing one
+        model = small_model(np.random.default_rng(13))
+        opt = net.OptimizerState(base_lr=0.05)
+        net.sgd_step(model, opt, np.ones(model.params.size), 0.05)
+        path = tmp_path / "ckpt.npz"
+        net.save_checkpoint(path, model, opt, epoch=1)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != "momentum:layer0.bias"}
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as info:
+            net.load_checkpoint(path)
+        assert str(info.value) == f"checkpoint {path} has no entry 'momentum:layer0.bias'"

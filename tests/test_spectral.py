@@ -533,7 +533,8 @@ class TestStraightThrough:
         fd = central_difference(
             lambda v: 0.5 * float(np.sum((row_normalize(v) + resid - t) ** 2)), z_raw
         )
-        assert rel_error(row_normalize_vjp(z_raw, upstream), fd) <= 1e-7
+        norms = np.linalg.norm(z_raw, axis=1, keepdims=True)
+        assert rel_error(row_normalize_vjp(z_raw, upstream, norms), fd) <= 1e-7
 
     def test_none_mode_passthrough(self):
         # orth_mode "none" skips orthogonalize: the view is the normalized
@@ -573,6 +574,14 @@ class TestRowNormalize:
         out = row_normalize(z)
         assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
 
+    def test_writes_the_row_norms_of_linalg_norm_bit_for_bit(self):
+        # the training step hands them to row_normalize_vjp, which took
+        # np.linalg.norm of the same rows before
+        z = np.random.default_rng(14).normal(size=(100, 2)) * 3.0
+        norms, want = np.empty((100, 1)), np.linalg.norm(z, axis=1, keepdims=True)
+        assert row_normalize(z, norms).tobytes() == (z / want).tobytes()
+        assert norms.tobytes() == want.tobytes()
+
     def test_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         z = rng.normal(size=(5, 3)) + 0.5
@@ -581,7 +590,7 @@ class TestRowNormalize:
         def f(v):
             return float((row_normalize(v) * upstream).sum())
 
-        grad = row_normalize_vjp(z, upstream)
+        grad = row_normalize_vjp(z, upstream, np.linalg.norm(z, axis=1, keepdims=True))
         fd = central_difference(f, z)
         assert rel_error(grad, fd) <= 1e-7
 

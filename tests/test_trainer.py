@@ -165,6 +165,9 @@ class TestAugment:
         a = augment(x, cfg, np.random.default_rng(7))
         b = augment(x, cfg, np.random.default_rng(7))
         assert (a == b).all()
+        # train_step takes the batch std once and hands it to both views
+        c = augment(x, cfg, np.random.default_rng(7), x.std(axis=0))
+        assert c.tobytes() == a.tobytes()
 
     def test_two_draws_from_one_stream_differ(self):
         cfg = tiny_cfg(noise_sigma=0.2, feature_dropout_prob=0.1, scale_jitter=0.1)
@@ -237,9 +240,9 @@ class TestTrainStep:
             forwards.append((x, inputs))
             return z_raw, inputs
 
-        def counted_backward(model, inputs, grad_z):
+        def counted_backward(model, inputs, grad_z, **out):
             backwards.append(inputs)
-            return backward(model, inputs, grad_z)
+            return backward(model, inputs, grad_z, **out)
 
         monkeypatch.setattr(net, "forward", counted_forward)
         monkeypatch.setattr(net, "backward", counted_backward)
@@ -265,9 +268,9 @@ class TestTrainStep:
             open_passes[id(inputs)] = (id(model), model.version)
             return z_raw, inputs
 
-        def checked_backward(model, inputs, grad_z):
+        def checked_backward(model, inputs, grad_z, **out):
             paired.append(open_passes.pop(id(inputs)) == (id(model), model.version))
-            return backward(model, inputs, grad_z)
+            return backward(model, inputs, grad_z, **out)
 
         monkeypatch.setattr(net, "forward", checked_forward)
         monkeypatch.setattr(net, "backward", checked_backward)
@@ -288,7 +291,7 @@ class TestTrainStep:
         x1, x2 = rng.normal(size=(2, batch_size, 4))
         losses, grads, (_, targets, _) = _compute_step(model, x1, x2, cfg)
         assert np.isfinite(losses.total_loss)
-        assert all(np.isfinite(g).all() for g in grads.values())
+        assert np.isfinite(grads).all()
         for t in map(plan_of, targets):
             assert np.trace(t) == 0.0
             assert np.abs(t.sum(axis=1) - 1.0).max() <= 1e-12
@@ -372,7 +375,7 @@ class TestStepBuffers:
             for _ in range(3):
                 x1, x2 = augment(x, cfg, rng), augment(x, cfg, rng)
                 losses, grads, _ = _compute_step(model, x1, x2, cfg, planes)
-                trail.append((losses, [g.tobytes() for g in grads.values()]))
+                trail.append((losses, grads.tobytes()))
                 losses, model = train_step(x, model, opt, cfg, rng, cfg.lr, planes=planes)
                 trail.append(losses)
             runs.append((trail, [p.tobytes() for _, p in model.named_arrays()]))
@@ -528,7 +531,7 @@ class TestWorker:
 
         def step(worker):
             losses, grads, _ = _compute_step(model, x1, x2, cfg, worker=worker)
-            return losses, [g.tobytes() for g in grads.values()]
+            return losses, grads.tobytes()
 
         want = step(None)
         interval = sys.getswitchinterval()
@@ -552,7 +555,8 @@ class TestWorker:
         got, got_grads, _ = _compute_step(model, x1, x2, cfg)
         for name, value in got._asdict().items():
             assert value == pytest.approx(getattr(want, name), rel=1e-14, abs=0.0), name
-        for name, g in got_grads.items():
+        want_grads = dict(model.named_arrays(want_grads))
+        for name, g in model.named_arrays(got_grads):
             scale = np.abs(want_grads[name]).max()
             assert np.abs(g - want_grads[name]).max() <= 1e-13 * scale, name
 
@@ -634,7 +638,7 @@ class TestFit:
     def test_contract_error_in_a_step_is_not_a_numerical_abort(self, monkeypatch):
         # fit turns numerical events into aborts; any other error is a bug
         # and leaves fit as itself
-        def broken_backward(*args):
+        def broken_backward(*args, **kwargs):
             raise ValueError("broken contract")
 
         monkeypatch.setattr(net, "backward", broken_backward)

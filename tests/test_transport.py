@@ -9,6 +9,7 @@ from oracles import (
     brute_force_assignment_cost,
     brute_force_transport,
     checked_scale,
+    eager_residuals,
     exact_ot_oracle,
     mask_off_diagonal,
     plan_of,
@@ -20,7 +21,9 @@ from oracles import (
     transport_cost,
     unit_rows,
 )
+from otsc.data import gen_dataset
 from otsc.errors import NumericalError
+from otsc.trainer import TrainConfig, fit
 from otsc.transport import _scale, sinkhorn_algorithm1, sinkhorn_marginal
 
 
@@ -164,6 +167,46 @@ class TestFactoredResiduals:
         assert abs(got.col_marginal_residual - col) <= 1e-14
         if max_iter == 3:  # reported as computed, not clipped to tol
             assert got.iterations_used == 3 and got.row_marginal_residual > 1e-3
+
+    @pytest.mark.parametrize("kind", [
+        "masked affinity 100x100", "bunched assignment 1024x2", "marginal cloud 64x48"])
+    def test_read_on_demand_equal_the_eager_formulas(self, kind, monkeypatch):
+        # each residual is computed on its first read, from the factors, to
+        # the bits of the formulas both solvers evaluated on every call
+        # before (`oracles.eager_residuals`), and kept
+        rng = np.random.default_rng(16)
+        if kind == "masked affinity 100x100":
+            z = unit_rows(rng, 100, 2)
+            logits = z @ z.T
+            np.fill_diagonal(logits, -np.inf)
+            target = sinkhorn_algorithm1(logits, 0.05, 5)
+            r, c = 1.0, 1.0
+        elif kind == "bunched assignment 1024x2":
+            target = sinkhorn_algorithm1(self.assignment_logits(rng, 1024), 0.05, 5)
+            r, c = 1.0, 512.0
+        else:
+            x, y = rng.random((64, 2)), rng.random((48, 2))
+            r, c = _marginals(rng, 64, 48)
+            cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+            target, _ = sinkhorn_marginal(cost, r, c, 0.02, tol=1e-9, max_iter=10_000)
+        want = eager_residuals(target, r, c)
+        assert (target.row_marginal_residual, target.col_marginal_residual) == want
+        monkeypatch.setattr(transport.SinkhornTarget, "_residual", _never_called)
+        assert (target.row_marginal_residual, target.col_marginal_residual) == want
+
+    def test_training_never_computes_them(self, monkeypatch):
+        # the step reads its targets' factors only: an epoch of the README
+        # config at B = 100 runs with the residual computation made to raise
+        monkeypatch.setattr(transport.SinkhornTarget, "_residual", _never_called)
+        cfg = TrainConfig(num_clusters=2, embed_dim=2, batch_size=100, epochs=1, base_lr=5e-6,
+                          weight_decay=0.05, noise_sigma=0.04, feature_dropout_prob=0.0,
+                          scale_jitter=0.02, tau_a_init=0.15, tau_c_init=0.12)
+        _, history = fit(gen_dataset("moons", 300, 0.04, 7).features, cfg)
+        assert len(history) == 1
+
+
+def _never_called(self, axis):
+    raise AssertionError(f"residual {axis} computed")
 
 
 class TestMarginalVariant:
