@@ -201,7 +201,7 @@ def test_sweep_refuses_a_setting_before_any_point(tmp_path, monkeypatch, capsys)
     out = tmp_path / "quality.json"
     assert driver.main(["--tiny", "--label", "x", "--out", str(out), "--sweep", "lambda"]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: momentum must lie in [0, 1)\n")
+    assert (captured.out, captured.err) == ("", "error: momentum must lie in [0, 1), got 1.5\n")
     assert not out.exists()
 
 

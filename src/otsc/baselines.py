@@ -72,14 +72,11 @@ class SpectralConfig:
     num_clusters: int
     k_neighbor: int = 7
 
-    def __post_init__(self):
-        check_fields(self, self._check_bounds)
+    # the range of each field, read by `check_fields`
+    _BOUNDS = {"num_clusters": ">= 2", "k_neighbor": ">= 1"}
 
-    def _check_bounds(self):
-        if self.num_clusters < 2:
-            raise ValueError("num_clusters must be >= 2")
-        if self.k_neighbor < 1:
-            raise ValueError("k_neighbor must be >= 1")
+    def __post_init__(self):
+        check_fields(self, self._BOUNDS)
 
 
 def _gram_to_distances(g: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray) -> np.ndarray:
@@ -257,16 +254,11 @@ def kmeans_lloyd(
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
-    for name, value in (("k", k), ("restarts", restarts), ("seed", seed)):
-        check_number(name, value)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_number("k", k, bound=">= 1")
+    check_number("restarts", restarts, bound=">= 1")
+    check_number("seed", seed, bound=">= 0")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of samples {n}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
@@ -310,9 +302,7 @@ def classical_spectral(
     x = as_matrix(x, "x")
     n = x.shape[0]
     # refused here too, before the affinity and eigensolve
-    check_number("seed", seed)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    check_number("seed", seed, bound=">= 0")
     if n > AFFINITY_MAX_N:
         raise ValueError(
             f"the spectral baseline builds an n x n affinity; n = {n} exceeds {AFFINITY_MAX_N}"

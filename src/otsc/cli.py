@@ -15,12 +15,13 @@ import hashlib
 import json
 import sys
 from dataclasses import fields
+from numbers import Real
 from pathlib import Path
 
 from . import __version__
 from .baselines import SpectralConfig, classical_spectral, kmeans_lloyd
 from .data import Dataset, gen_dataset, load_dataset, read_csv, read_text, save_dataset
-from .errors import NumericalError
+from .errors import NumericalError, check_number
 from .metrics import ClusteringReport, evaluate
 from .network import load_checkpoint, save_checkpoint
 from .trainer import TRAINER_ORTH_MODES, EpochRecord, TrainConfig, TrainHistory, fit, predict
@@ -208,9 +209,8 @@ def _cmd_baseline(args) -> None:
     if ds.labels is None:
         raise ValueError("baseline evaluation needs a labeled dataset")
     k = args.k if args.k is not None else int(ds.labels.max()) + 1
-    if k < 2:
-        source = "--k" if args.k is not None else "the dataset's labels"
-        raise ValueError(f"baseline needs k >= 2 clusters, got k={k} from {source}")
+    source = "--k" if args.k is not None else "the dataset's labels"
+    check_number(f"k from {source}", k, bound=">= 2")
     if args.method == "kmeans":
         labels, _, _ = kmeans_lloyd(ds.features, k, seed=args.seed, **_given(args, ("restarts",)))
     else:
@@ -221,12 +221,8 @@ def _cmd_baseline(args) -> None:
 
 def _cmd_ot_debug(args) -> None:
     # sinkhorn_algorithm1 trusts its arguments, so they are checked here
-    if args.eta <= 0:
-        raise ValueError(f"eta must be positive, got {args.eta}")
-    if not args.eta < float("inf"):  # also catches NaN
-        raise ValueError(f"eta must be finite, got {args.eta}")
-    if args.iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {args.iterations}")
+    check_number("eta", args.eta, Real, "> 0")
+    check_number("iterations", args.iterations, bound=">= 1")
     _, cost = read_csv(args.cost, header=False)
     # the fixed-iteration solver takes similarities; a cost is its negation
     target = sinkhorn_algorithm1(-cost, args.eta, args.iterations)

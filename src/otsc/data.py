@@ -79,14 +79,8 @@ def _rings(n: int, noise: float, rng: np.random.Generator, radii=(1.0, 3.0)):
 
 
 def _blobs(n, noise, rng, k=4, separation=10.0, dim=2):
-    if not np.isfinite(separation):
-        raise ValueError(f"separation must be finite, got {separation!r}")
     if k < 2 or k > n:
         raise ValueError("blobs need 2 <= k <= n")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
-    if dim < 1:
-        raise ValueError("dim must be positive")
     centers = rng.standard_normal((k, dim))
     dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     min_dist = dists[~np.eye(k, dtype=bool)].min()
@@ -101,6 +95,14 @@ def _blobs(n, noise, rng, k=4, separation=10.0, dim=2):
     return np.concatenate(parts), np.concatenate(labels)
 
 
+# each generator argument's kind and range; blobs' 2 <= k <= n compares
+# two arguments, so `_blobs` checks it
+_ARGUMENTS = {
+    "n": (Integral, ">= 10"), "noise": (Real, ">= 0"), "seed": (Integral, ">= 0"),
+    "k": (Integral, None), "separation": (Real, "> 0"), "dim": (Integral, ">= 1"),
+}
+
+
 def gen_dataset(
     kind: str,
     n: int,
@@ -112,25 +114,15 @@ def gen_dataset(
 ) -> Dataset:
     """Generate a labeled synthetic dataset; deterministic per seed. Only
     blobs take ``k``, ``separation`` and ``dim`` (unset: 4, 10.0 and 2).
-    A non-integer ``n``, ``seed``, ``k`` or ``dim``, and a ``noise`` or
-    ``separation`` that is not a real number, is refused before any draw."""
+    An argument not of its kind in ``_ARGUMENTS``, not finite or outside its
+    range there is refused by name before any draw."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}, expected one of {DATASET_KINDS}")
     blob = {kw: v for kw, v in dict(k=k, separation=separation, dim=dim).items() if v is not None}
     if blob and kind != "blobs":
         raise ValueError(f"{next(iter(blob))} applies to blobs only")
-    given = dict(n=n, seed=seed, k=k, dim=dim, noise=noise, separation=separation)
-    for name, value in given.items():
-        if value is not None or name in ("n", "seed", "noise"):
-            check_number(name, value, Real if name in ("noise", "separation") else Integral)
-    if n < 10:
-        raise ValueError("n must be >= 10")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
-    if not np.isfinite(noise):
-        raise ValueError(f"noise must be finite, got {noise!r}")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    for name, value in dict(n=n, noise=noise, seed=seed, **blob).items():
+        check_number(name, value, *_ARGUMENTS[name])
     rng = np.random.default_rng(seed)
     if kind == "moons":
         x, y = _moons(n, noise, rng)

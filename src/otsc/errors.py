@@ -1,14 +1,16 @@
-"""The package's one exception type, and the two entry-point checks.
+"""The package's one exception type, and its input checks.
 
 A numerical failure (a Sinkhorn sum that underflows, a zero-row
 embedding, a non-finite gradient, loss or encoder output) raises
 :class:`NumericalError`, which the CLI maps to exit status 2; a bad input
 or setting raises plain ``ValueError`` (exit status 1). The message says
-what failed and where. `as_matrix` and `check_number` are the input checks
-of the package's entry points and `check_fields` that of its settings
-objects.
+what failed and where. `as_matrix` checks an array argument of an entry
+point; `check_number` is the one refusal of a bad scalar, an entry point's
+argument or, through `check_fields`, a settings field against the range its
+class states beside it.
 """
 
+import math
 from dataclasses import fields
 from numbers import Integral, Real
 
@@ -28,30 +30,44 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
-def check_number(name: str, value, kind: type = Integral) -> None:
-    """Refuse, by name, a value that is not an integer, or for ``kind``
-    ``Real`` a real number: numpy's are taken, a bool is not."""
+def check_number(name: str, value, kind: type = Integral, bound: str | None = None) -> None:
+    """Refuse, by name, in this order: a value that is not of ``kind``,
+    ``Integral`` or ``Real`` (numpy's are taken, a bool is not); one that is
+    not finite; one outside ``bound``, written ``">= N"``, ``"> N"`` or as an
+    interval such as ``"[0, 1)"``. The message says "must be" an integer or
+    a real number, finite, ``>= N``, positive or nonnegative (a real's bound
+    at 0), or "must lie in" the interval, and ends ``, got {value!r}``."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is Integral else "a real number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        rule = "be an integer" if kind is Integral else "be a real number"
+    elif not -math.inf < value < math.inf:  # NaN fails too
+        rule = "be finite"
+    elif bound is None:
+        return
+    elif bound[0] in "[(":
+        low, high = map(float, bound[1:-1].split(","))
+        above = low < value if bound[0] == "(" else low <= value
+        if above and (value < high if bound[-1] == ")" else value <= high):
+            return
+        rule = f"lie in {bound}"
+    else:
+        op, low = bound.split()
+        if (value > float(low)) if op == ">" else (value >= float(low)):
+            return
+        words = {">": "be positive", ">=": "be nonnegative"}
+        rule = words[op] if kind is Real and float(low) == 0 else f"be {bound}"
+    raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
-def check_fields(settings, check_bounds) -> None:
-    """Refuse, by name, a dataclass field that its annotation does not take:
-    ``int`` an integer (numpy's too, not a bool), ``float`` a real number
-    but not a bool, ``float | None`` None too. The class's ``check_bounds()``
-    runs next, on well-typed values; a NaN or infinite float is refused last,
-    after any bound that refuses it."""
-    typed = [(f.name, f.type, getattr(settings, f.name)) for f in fields(settings)]
-    for name, kind, value in typed:
-        if kind == "int":
-            check_number(name, value)
-        if kind.startswith("float") and not (value is None and kind == "float | None"):
-            check_number(name, value, Real)
-    check_bounds()
-    for name, kind, value in typed:
-        if kind.startswith("float") and value is not None and not abs(value) < np.inf:
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def check_fields(settings, bounds: dict[str, str]) -> None:
+    """Refuse, by name through `check_number`, a dataclass field that its
+    annotation does not take, ``int`` an integer and ``float`` a real number
+    (``float | None`` None too), or that lies outside its entry in
+    ``bounds``; fields are checked in their order."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        kind = {"int": Integral, "float": Real, "float | None": Real}.get(f.type)
+        if kind is not None and not (value is None and f.type == "float | None"):
+            check_number(f.name, value, kind, bounds.get(f.name))
 
 
 class NumericalError(ArithmeticError):

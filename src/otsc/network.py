@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, check_fields
+from .errors import NumericalError, check_fields, check_number
 
 __all__ = [
     "ModelState",
@@ -87,18 +87,12 @@ class OptimizerState:
     velocity: np.ndarray | None = field(default=None, init=False, repr=False)
     momentum_buffers: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
-    def __post_init__(self):
-        check_fields(self, self._check_bounds)
+    # the range of each field, read by `check_fields`
+    _BOUNDS = {"base_lr": "> 0", "momentum": "[0, 1)", "weight_decay": ">= 0",
+               "restart_period": ">= 1"}
 
-    def _check_bounds(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
-        if self.restart_period < 1:
-            raise ValueError("restart_period must be positive")
+    def __post_init__(self):
+        check_fields(self, self._BOUNDS)
 
 
 def _xavier_uniform(fan_out: int, fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,8 +214,9 @@ def cosine_lr(epoch: int, opt: OptimizerState) -> float:
 # in the README and versioned via meta["format"].
 
 _CKPT_FORMAT = 2
-_NONNEG, _COUNT = "a nonnegative integer", "a positive integer"
-_META_KINDS = {"num_layers": _COUNT, "version": _NONNEG, "epoch": _NONNEG}
+# the meta's counts and their ranges: `save_checkpoint` refuses what
+# `load_checkpoint` would
+_META_BOUNDS = {"num_layers": ">= 1", "version": ">= 0", "epoch": ">= 0"}
 # the optimizer settings in meta["optimizer"], in the order they are written;
 # `OptimizerState` checks them on load
 _OPT_KEYS = ("base_lr", "momentum", "weight_decay", "restart_period")
@@ -244,16 +239,11 @@ def save_checkpoint(
         "optimizer": {key: getattr(opt, key) for key in _OPT_KEYS},
         "rng_state": rng_state,
     }
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    for key, bound in _META_BOUNDS.items():
+        check_number(key, meta[key], bound=bound)
+    # numpy's integers, which the checks take, are written as JSON's
+    arrays["meta"] = np.frombuffer(json.dumps(meta, default=int).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
-
-
-def _check_kinds(path, meta: dict) -> None:
-    for key, kind in _META_KINDS.items():
-        value = meta[key]
-        integer = isinstance(value, int) and not isinstance(value, bool)
-        if not (integer and value >= (1 if kind == _COUNT else 0)):
-            raise ValueError(f"checkpoint {path} entry {key!r} must be {kind}, got {value!r}")
 
 
 def _refuse_shape(path, key, arr, expected):
@@ -312,7 +302,8 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
             raise ValueError(
                 f"checkpoint {path} entry 'format' is {meta['format']!r}, expected {_CKPT_FORMAT}"
             )
-        _check_kinds(path, meta)
+        for key, bound in _META_BOUNDS.items():
+            check_number(f"checkpoint {path} entry {key!r}", meta[key], bound=bound)
         opt_meta = meta["optimizer"]
         if not isinstance(opt_meta, dict):
             raise ValueError(f"checkpoint {path} entry 'optimizer' is malformed")

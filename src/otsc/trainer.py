@@ -68,9 +68,9 @@ class TrainConfig:
     selects the orthogonalization strategy: the polar factor, none, or
     ``penalty``, a soft penalty of weight 1 in place of the map. The
     affinity objective always masks self-similarities (`off_diagonal`). A
-    field its annotation does not take, or a NaN or infinite float, is
-    refused by name (`check_fields`), and so are optimizer settings that
-    `optimizer` would refuse.
+    field its annotation does not take, a NaN or infinite float, or a field
+    outside its range in ``_BOUNDS`` is refused by name (`check_fields`),
+    and so are optimizer settings that `optimizer` would refuse.
     """
 
     num_clusters: int
@@ -92,39 +92,28 @@ class TrainConfig:
     tau_a_init: float = 0.05
     tau_c_init: float = 0.05
 
+    # the range of each bounded field, read by `check_fields`; the optimizer
+    # settings' ranges are `OptimizerState`'s. From scale_jitter 1 on,
+    # augment's 1 + U(-scale_jitter, scale_jitter) can zero a sample.
+    _BOUNDS = {
+        "num_clusters": ">= 2", "embed_dim": ">= 1", "batch_size": ">= 2", "epochs": ">= 0",
+        "eta": "> 0", "sinkhorn_iters": ">= 1", "lam": ">= 0", "noise_sigma": ">= 0",
+        "feature_dropout_prob": "[0, 1)", "scale_jitter": "[0, 1)", "seed": ">= 0",
+        "tau_a_init": "(0, 1]", "tau_c_init": "(0, 1]",
+    }
+
     def __post_init__(self):
-        check_fields(self, self._check_bounds)
+        check_fields(self, self._BOUNDS)
+        self._check_bounds()
         self.optimizer()  # refuses optimizer settings out of range
 
     def _check_bounds(self):
-        if self.num_clusters < 2:
-            raise ValueError("num_clusters must be >= 2")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be positive")
         if self.embed_dim > self.batch_size // 2:
             raise ValueError("embed_dim must not exceed batch_size / 2")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        for name in ("eta", "lam", "noise_sigma", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.eta == 0:
-            raise ValueError("eta must be positive")
-        if self.sinkhorn_iters < 1:
-            raise ValueError("sinkhorn_iters must be >= 1")
-        if not 0.0 <= self.feature_dropout_prob < 1.0:
-            raise ValueError("feature_dropout_prob must lie in [0, 1)")
-        if self.scale_jitter < 0.0 or self.scale_jitter >= 1.0:  # NaN: refused as not finite
-            raise ValueError("scale_jitter must lie in [0, 1)")
         if self.orth_mode not in TRAINER_ORTH_MODES:
             raise ValueError(
                 f"orth_mode must be one of {TRAINER_ORTH_MODES}, got {self.orth_mode!r}"
             )
-        for name in ("tau_a_init", "tau_c_init"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
 
     @property
     def lr(self) -> float:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
-from .errors import NumericalError, as_matrix
+from .errors import NumericalError, as_matrix, check_number
 
 __all__ = ["SinkhornTarget", "sinkhorn_algorithm1", "sinkhorn_marginal"]
 
@@ -181,6 +182,9 @@ def sinkhorn_marginal(
     shift by the max is a forbidden cell, and a line made only of forbidden
     cells is refused as underflowed.
     """
+    check_number("eta", eta, Real, "> 0")
+    check_number("tol", tol, Real, ">= 0")
+    check_number("max_iter", max_iter, bound=">= 1")
     cost = as_matrix(cost, "cost")
     r = np.asarray(row_marginals, dtype=np.float64)
     c = np.asarray(col_marginals, dtype=np.float64)
@@ -191,16 +195,6 @@ def sinkhorn_marginal(
     total_r, total_c = float(r.sum()), float(c.sum())
     if abs(total_r - total_c) > 1e-9 * max(1.0, total_r, total_c):
         raise ValueError(f"infeasible marginals: row total {total_r!r} != column total {total_c!r}")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not eta < np.inf:  # also catches NaN
-        raise ValueError(f"eta must be finite, got {eta}")
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    if not tol < np.inf:  # also catches NaN
-        raise ValueError(f"tol must be finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
     # the sweeps' matrix-vector products run fastest on a 64-byte boundary
     buf = np.empty(cost.size + 7)

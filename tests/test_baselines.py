@@ -337,7 +337,7 @@ class TestKmeans:
             kmeans_lloyd(np.zeros((3, 2)), 4)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             kmeans_lloyd(np.zeros((3, 2)), 2, seed=-1)
 
     @pytest.mark.parametrize("settings, message", [
@@ -358,8 +358,8 @@ class TestKmeans:
         (np.zeros((0, 2)), {}, "x must be non-empty"),
         ([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]], {},
          "x contains non-finite entries, first at [1, 0]"),
-        (np.zeros((3, 2)), {"k": 0}, "k must be >= 1"),
-        (np.zeros((3, 2)), {"restarts": 0}, "restarts must be >= 1"),
+        (np.zeros((3, 2)), {"k": 0}, "k must be >= 1, got 0"),
+        (np.zeros((3, 2)), {"restarts": 0}, "restarts must be >= 1, got 0"),
     ], ids=["1-D", "empty", "NaN", "k of 0", "no restart"])
     def test_bad_input_refused_by_name(self, x, settings, message):
         with pytest.raises(ValueError) as info:
@@ -443,7 +443,7 @@ class TestClassicalSpectral:
         assert SpectralConfig(num_clusters=2, k_neighbor=3).k_neighbor == 3
 
     @pytest.mark.parametrize("num_clusters, k_neighbor, message", [
-        (1, 7, "num_clusters must be >= 2"), (2, 0, "k_neighbor must be >= 1"),
+        (1, 7, "num_clusters must be >= 2, got 1"), (2, 0, "k_neighbor must be >= 1, got 0"),
     ])
     def test_config_bounds_refused(self, num_clusters, k_neighbor, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -490,7 +490,7 @@ class TestClassicalSpectral:
 
         monkeypatch.setattr("otsc.baselines._gaussian_affinity", refuse)
         x, _ = three_blobs(np.random.default_rng(7), n_per=10)
-        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             classical_spectral(x, SpectralConfig(num_clusters=3), seed=-1)
 
     @pytest.mark.parametrize("seed", [1.5, True])

@@ -487,13 +487,13 @@ BAD_INPUTS = {
         1, "/input.csv: labels must be 0..K-1 with every class nonempty\n"),
     "kmeans k of 1": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", TWELVE_ROWS), "--k", "1"),
-        1, "error: baseline needs k >= 2 clusters, got k=1 from --k\n"),
+        1, "error: k from --k must be >= 2, got 1\n"),
     "single-class dataset on kmeans": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1,0", "2,2,0"])),
-        1, "error: baseline needs k >= 2 clusters, got k=1 from the dataset's labels\n"),
+        1, "error: k from the dataset's labels must be >= 2, got 1\n"),
     "single-class dataset on spectral": (
         lambda tmp, run: _baseline("spectral", _csv(tmp, "f0,f1,label", ["0,0,0", "1,1,0", "2,2,0"])),
-        1, "error: baseline needs k >= 2 clusters, got k=1 from the dataset's labels\n"),
+        1, "error: k from the dataset's labels must be >= 2, got 1\n"),
     "header-only csv": (
         lambda tmp, run: _baseline("kmeans", _csv(tmp, "f0,f1,label", [])),
         1, "input.csv: no data rows"),
@@ -526,7 +526,7 @@ BAD_INPUTS = {
         lambda tmp, run: _broken_checkpoint(tmp, run), 1, "broken.npz is unreadable"),
     "checkpoint meta field of the wrong type": (
         lambda tmp, run: _edited_checkpoint(tmp, run, meta={"num_layers": "3"}),
-        1, "edited.npz entry 'num_layers' must be a positive integer, got '3'"),
+        1, "edited.npz entry 'num_layers' must be an integer, got '3'"),
     "checkpoint prototypes wider than the last layer": (
         lambda tmp, run: _edited_checkpoint(tmp, run, arrays={"prototypes": np.ones((3, 4))}),
         1, "edited.npz entry 'prototypes' has shape (3, 4), expected K x 3"),
@@ -638,10 +638,10 @@ BAD_INPUTS = {
            " and no momentum buffer\n"),
     "checkpoint negative base_lr": (
         lambda tmp, run: _edited_optimizer(tmp, run, base_lr=-1.0),
-        1, "edited.npz entry 'optimizer': base_lr must be positive\n"),
+        1, "edited.npz entry 'optimizer': base_lr must be positive, got -1.0\n"),
     "checkpoint momentum of 1": (
         lambda tmp, run: _edited_optimizer(tmp, run, momentum=1.0),
-        1, "edited.npz entry 'optimizer': momentum must lie in [0, 1)\n"),
+        1, "edited.npz entry 'optimizer': momentum must lie in [0, 1), got 1.0\n"),
     "checkpoint NaN weight_decay": (
         lambda tmp, run: _edited_optimizer(tmp, run, weight_decay=float("nan")),
         1, "edited.npz entry 'optimizer': weight_decay must be finite, got nan\n"),
@@ -664,7 +664,7 @@ BAD_INPUTS = {
         1, "error: scale_jitter must be finite, got nan\n"),
     "scale_jitter of 1 in the config": (
         lambda tmp, run: _train_with(tmp, run, "scale_jitter = 1"),
-        1, "error: scale_jitter must lie in [0, 1)\n"),
+        1, "error: scale_jitter must lie in [0, 1), got 1.0\n"),
     "NaN eta in the config": (
         lambda tmp, run: _train_with(tmp, run, "eta = nan"),
         1, "error: eta must be finite, got nan\n"),
@@ -675,13 +675,13 @@ BAD_INPUTS = {
     # TrainConfig's field is lam; the file's key and the flag are lambda
     "negative lambda in the config": (
         lambda tmp, run: _train_with(tmp, run, "lambda = -1"),
-        1, "error: lambda must be nonnegative\n"),
+        1, "error: lambda must be nonnegative, got -1.0\n"),
     "NaN lambda in the config": (
         lambda tmp, run: _train_with(tmp, run, "lambda = nan"),
         1, "error: lambda must be finite, got nan\n"),
     "negative lambda on train": (
         lambda tmp, run: _train_with(tmp, run, "", "--lambda", "-1"),
-        1, "error: lambda must be nonnegative\n"),
+        1, "error: lambda must be nonnegative, got -1.0\n"),
     "NaN base_lr in the config": (
         lambda tmp, run: _train_with(tmp, run, "base_lr = nan"),
         1, "error: base_lr must be finite, got nan\n"),
@@ -732,7 +732,7 @@ BAD_INPUTS = {
     # the bounds that `off_diagonal`, `thin_svd` and `orthogonalize` trust
     "batch_size of 1 in the config": (
         lambda tmp, run: _train_with(tmp, run, "batch_size = 1"),
-        1, "error: batch_size must be >= 2\n"),
+        1, "error: batch_size must be >= 2, got 1\n"),
     "embed_dim over half the batch in the config": (
         lambda tmp, run: _train_with(tmp, run, "embed_dim = 11"),
         1, "error: embed_dim must not exceed batch_size / 2\n"),
@@ -749,12 +749,12 @@ BAD_INPUTS = {
            " (choose from 'procrustes', 'none', 'penalty')\nusage: otsc train [-h]"),
     "negative seed in the config": (
         lambda tmp, run: _train_with(tmp, run, "seed = -1"),
-        1, "error: seed must be nonnegative\n"),
+        1, "error: seed must be >= 0, got -1\n"),
     "negative seed on gen-dataset": (
-        lambda tmp, run: _gen(tmp, "--seed", "-1"), 1, "error: seed must be nonnegative\n"),
+        lambda tmp, run: _gen(tmp, "--seed", "-1"), 1, "error: seed must be >= 0, got -1\n"),
     "negative seed on baseline": (
         lambda tmp, run: _baseline("kmeans", str(run["dataset"]), "--seed", "-1"),
-        1, "error: seed must be nonnegative\n"),
+        1, "error: seed must be >= 0, got -1\n"),
     "NaN noise on gen-dataset": (
         lambda tmp, run: _gen(tmp, "--noise", "nan"), 1, "error: noise must be finite, got nan\n"),
     "infinite separation on gen-dataset": (
@@ -762,47 +762,47 @@ BAD_INPUTS = {
         1, "error: separation must be finite, got inf\n"),
     "momentum of 1.5 in the config": (
         lambda tmp, run: _train_with(tmp, run, "momentum = 1.5"),
-        1, "error: momentum must lie in [0, 1)\n"),
+        1, "error: momentum must lie in [0, 1), got 1.5\n"),
     # the rest of TrainConfig's bounds, each read from a config line
     "num_clusters of 1 in the config": (
         lambda tmp, run: _train_with(tmp, run, "num_clusters = 1"),
-        1, "error: num_clusters must be >= 2\n"),
+        1, "error: num_clusters must be >= 2, got 1\n"),
     "zero embed_dim in the config": (
         lambda tmp, run: _train_with(tmp, run, "embed_dim = 0"),
-        1, "error: embed_dim must be positive\n"),
+        1, "error: embed_dim must be >= 1, got 0\n"),
     "negative epochs in the config": (
         lambda tmp, run: _train_with(tmp, run, "epochs = -1"),
-        1, "error: epochs must be nonnegative\n"),
+        1, "error: epochs must be >= 0, got -1\n"),
     "zero eta in the config": (
         lambda tmp, run: _train_with(tmp, run, "eta = 0"),
-        1, "error: eta must be positive\n"),
+        1, "error: eta must be positive, got 0.0\n"),
     "zero sinkhorn_iters in the config": (
         lambda tmp, run: _train_with(tmp, run, "sinkhorn_iters = 0"),
-        1, "error: sinkhorn_iters must be >= 1\n"),
+        1, "error: sinkhorn_iters must be >= 1, got 0\n"),
     "negative noise_sigma in the config": (
         lambda tmp, run: _train_with(tmp, run, "noise_sigma = -0.1"),
-        1, "error: noise_sigma must be nonnegative\n"),
+        1, "error: noise_sigma must be nonnegative, got -0.1\n"),
     "feature_dropout_prob of 1 in the config": (
         lambda tmp, run: _train_with(tmp, run, "feature_dropout_prob = 1"),
-        1, "error: feature_dropout_prob must lie in [0, 1)\n"),
+        1, "error: feature_dropout_prob must lie in [0, 1), got 1.0\n"),
     "zero tau_a_init in the config": (
         lambda tmp, run: _train_with(tmp, run, "tau_a_init = 0"),
-        1, "error: tau_a_init must lie in (0, 1]\n"),
+        1, "error: tau_a_init must lie in (0, 1], got 0.0\n"),
     "tau_c_init above 1 in the config": (
         lambda tmp, run: _train_with(tmp, run, "tau_c_init = 1.5"),
-        1, "error: tau_c_init must lie in (0, 1]\n"),
+        1, "error: tau_c_init must lie in (0, 1], got 1.5\n"),
     "negative weight_decay in the config": (
         lambda tmp, run: _train_with(tmp, run, "weight_decay = -0.1"),
-        1, "error: weight_decay must be nonnegative\n"),
+        1, "error: weight_decay must be nonnegative, got -0.1\n"),
     "zero restart_period in the config": (
         lambda tmp, run: _train_with(tmp, run, "restart_period = 0"),
-        1, "error: restart_period must be positive\n"),
+        1, "error: restart_period must be >= 1, got 0\n"),
     "checkpoint negative epoch": (
         lambda tmp, run: _edited_checkpoint(tmp, run, meta={"epoch": -3}),
-        1, "edited.npz entry 'epoch' must be a nonnegative integer, got -3\n"),
+        1, "edited.npz entry 'epoch' must be >= 0, got -3\n"),
     "checkpoint negative version": (
         lambda tmp, run: _edited_checkpoint(tmp, run, meta={"version": -5}),
-        1, "edited.npz entry 'version' must be a nonnegative integer, got -5\n"),
+        1, "edited.npz entry 'version' must be >= 0, got -5\n"),
     "plain .npy array as checkpoint": (
         _npy_checkpoint, 1, "checkpoint.npz is unreadable: not an .npz archive\n"),
     "ablate, which is no command": (
@@ -811,9 +811,9 @@ BAD_INPUTS = {
         1, "argument command: invalid choice: 'ablate'"),
     "zero blob separation on gen-dataset": (
         lambda tmp, run: _gen(tmp, "--separation", "0"),
-        1, "error: separation must be positive\n"),
+        1, "error: separation must be positive, got 0.0\n"),
     "zero blob dim on gen-dataset": (
-        lambda tmp, run: _gen(tmp, "--dim", "0"), 1, "error: dim must be positive\n"),
+        lambda tmp, run: _gen(tmp, "--dim", "0"), 1, "error: dim must be >= 1, got 0\n"),
     # sizes whose allocation fails outright: 3.55 PiB and 28.4 PiB exceed any address space
     "moons of 10^15 rows on gen-dataset": (
         lambda tmp, run: _gen(tmp, "--n", "1000000000000000", kind="moons"), 1,
@@ -840,7 +840,7 @@ BAD_INPUTS = {
         1, "unrecognized arguments: --sigma 0.3\nusage: otsc [-h]"),
     "k-neighbor of 0 on spectral": (
         lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--k-neighbor", "0"),
-        1, "error: k_neighbor must be >= 1\n"),
+        1, "error: k_neighbor must be >= 1, got 0\n"),
     "k-neighbor of 2.5 on spectral": (
         lambda tmp, run: _baseline("spectral", str(run["dataset"]), "--k-neighbor", "2.5"),
         1, "argument --k-neighbor: invalid int value: '2.5'\nusage: otsc baseline [-h]"),

@@ -1,4 +1,5 @@
 import re
+from numbers import Integral, Real
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from otsc.data import Dataset, gen_dataset, load_dataset, read_csv, save_dataset
+from otsc.errors import check_number
 
 # every finite double: -0.0, subnormals and the largest magnitudes included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -48,12 +50,12 @@ class TestGenerators:
             gen_dataset("moons", 5, 0.1, 0)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"seed": -1}, "seed must be nonnegative"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"noise": float("nan")}, "noise must be finite, got nan"),
         ({"noise": float("inf")}, "noise must be finite, got inf"),
         ({"separation": float("inf")}, "separation must be finite, got inf"),
         ({"separation": float("nan")}, "separation must be finite, got nan"),
-        ({"noise": -0.1}, "noise must be nonnegative"),
+        ({"noise": -0.1}, "noise must be nonnegative, got -0.1"),
         ({"k": 101}, "blobs need 2 <= k <= n"),
         ({"noise": True}, "noise must be a real number, got True"),
         ({"noise": "0.1"}, "noise must be a real number, got '0.1'"),
@@ -110,6 +112,35 @@ class TestGenerators:
         assert ds.features.tobytes() == gen_dataset(
             "blobs", 100, 0.1, 0, k=4, separation=10.0, dim=2
         ).features.tobytes()
+
+
+class TestCheckNumber:
+    # the one refusal of a bad scalar, which `gen_dataset` runs on each of
+    # its arguments: the kind, then finiteness, then the range, by name
+
+    @pytest.mark.parametrize("value, kind, bound, message", [
+        (0, Integral, ">= 1", "x must be >= 1, got 0"),
+        (0.0, Real, "> 0", "x must be positive, got 0.0"),
+        (-0.5, Real, ">= 0", "x must be nonnegative, got -0.5"),
+        (1.0, Real, "[0, 1)", "x must lie in [0, 1), got 1.0"),
+        (0.0, Real, "(0, 1]", "x must lie in (0, 1], got 0.0"),
+        (True, Integral, ">= 0", "x must be an integer, got True"),
+        (False, Real, ">= 0", "x must be a real number, got False"),
+        ("2", Real, "> 0", "x must be a real number, got '2'"),
+        (float("nan"), Real, "[0, 1)", "x must be finite, got nan"),
+        (float("-inf"), Real, None, "x must be finite, got -inf"),
+    ])
+    def test_refuses_in_order_with_one_vocabulary(self, value, kind, bound, message):
+        with pytest.raises(ValueError) as info:
+            check_number("x", value, kind, bound)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value, kind, bound", [
+        (np.int64(1), Integral, ">= 1"), (np.float64(0.0), Real, "[0, 1)"),
+        (1, Real, "(0, 1]"), (np.float64(1e300), Real, "> 0"), (10**400, Integral, ">= 10"),
+    ])
+    def test_takes_numpy_scalars_and_the_closed_ends(self, value, kind, bound):
+        check_number("x", value, kind, bound)
 
 
 class TestCsvRoundTrip:

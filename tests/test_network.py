@@ -257,7 +257,7 @@ class TestFlatSgd:
 
 
 class TestOptimizerState:
-    @pytest.mark.parametrize("name", ["base_lr", "weight_decay"])
+    @pytest.mark.parametrize("name", ["base_lr", "momentum", "weight_decay"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_refuses_non_finite_setting_by_name(self, name, value):
         settings = {"base_lr": 0.1, name: value}
@@ -334,6 +334,28 @@ class TestCheckpoint:
         assert o2.momentum_buffers.keys() == opt.momentum_buffers.keys()
         for name, buf in opt.momentum_buffers.items():
             assert np.array_equal(o2.momentum_buffers[name], buf)
+
+    @pytest.mark.parametrize("epoch, message", [
+        (2.5, "epoch must be an integer, got 2.5"),
+        (-1, "epoch must be >= 0, got -1"),
+        (True, "epoch must be an integer, got True"),
+    ])
+    def test_refuses_an_epoch_that_load_refuses_before_writing(self, tmp_path, epoch, message):
+        path = tmp_path / "ckpt.npz"
+        model = small_model(np.random.default_rng(12))
+        with pytest.raises(ValueError) as info:
+            net.save_checkpoint(path, model, net.OptimizerState(base_lr=0.05), epoch=epoch)
+        assert str(info.value) == message
+        assert not path.exists()
+
+    def test_numpy_integers_round_trip(self, tmp_path):
+        # the settings take numpy's integers, so the writer does too
+        path = tmp_path / "ckpt.npz"
+        model = small_model(np.random.default_rng(12))
+        opt = net.OptimizerState(base_lr=0.05, restart_period=np.int64(7))
+        net.save_checkpoint(path, model, opt, epoch=np.int64(3))
+        _, loaded, epoch, _ = net.load_checkpoint(path)
+        assert (epoch, loaded.restart_period) == (3, 7)
 
     def test_momentum_buffers_are_all_or_none(self, tmp_path):
         # the momentum is one vector: a checkpoint that holds some buffers

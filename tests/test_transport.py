@@ -301,8 +301,9 @@ class TestMarginalVariant:
         assert str(exc.value) == "row 2 sum underflowed to 0 during Sinkhorn scaling (eta=1e-320)"
 
     @pytest.mark.parametrize("tol, message", [(np.nan, "tol must be finite, got nan"),
-                                              (-1.0, "tol must be nonnegative, got -1.0")],
-                             ids=["NaN", "negative"])
+                                              (-1.0, "tol must be nonnegative, got -1.0"),
+                                              ("1e-9", "tol must be a real number, got '1e-9'")],
+                             ids=["NaN", "negative", "text"])
     def test_refuses_a_nan_or_negative_tol(self, tol, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             sinkhorn_marginal(np.zeros((2, 2)), np.ones(2), np.ones(2), 0.05, tol=tol)
@@ -310,8 +311,13 @@ class TestMarginalVariant:
     @pytest.mark.parametrize("eta, max_iter, message",
                              [(0.0, 10, "eta must be positive, got 0.0"),
                               (-0.05, 10, "eta must be positive, got -0.05"),
-                              (0.05, 0, "max_iter must be >= 1")],
-                             ids=["zero eta", "negative eta", "no sweep"])
+                              (0.05, 0, "max_iter must be >= 1, got 0"),
+                              (True, 10, "eta must be a real number, got True"),
+                              ("0.5", 10, "eta must be a real number, got '0.5'"),
+                              (0.05, 2.5, "max_iter must be an integer, got 2.5"),
+                              (0.05, True, "max_iter must be an integer, got True")],
+                             ids=["zero eta", "negative eta", "no sweep", "bool eta",
+                                  "text eta", "fractional max_iter", "bool max_iter"])
     def test_refuses_a_nonpositive_eta_or_max_iter(self, eta, max_iter, message):
         with pytest.raises(ValueError) as exc:
             sinkhorn_marginal(np.zeros((2, 2)), np.ones(2), np.ones(2), eta, max_iter=max_iter)
