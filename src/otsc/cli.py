@@ -20,11 +20,13 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import SpectralConfig, classical_spectral, kmeans_lloyd
-from .data import Dataset, gen_dataset, load_dataset, read_csv, read_text, save_dataset
+from .data import (
+    DATASET_KINDS, Dataset, gen_dataset, load_dataset, read_csv, read_text, save_dataset
+)
 from .errors import NumericalError, check_number
 from .metrics import ClusteringReport, evaluate
 from .network import load_checkpoint, save_checkpoint
-from .trainer import TRAINER_ORTH_MODES, EpochRecord, TrainConfig, TrainHistory, fit, predict
+from .trainer import TRAINER_ORTH_MODES, TrainConfig, TrainHistory, fit, predict
 from .transport import sinkhorn_algorithm1
 
 __all__ = ["main"]
@@ -48,13 +50,14 @@ _CONFIG_KEYS = {
 def parse_config(path) -> dict:
     """Parse a flat key = value config file into TrainConfig kwargs.
 
-    A non-UTF-8 file, a malformed line, an unknown key or a badly typed value
-    raises ``ValueError`` as ``<path>[:<line>]: ...``, naming a value's key.
+    A non-UTF-8 file, a malformed line, an unknown or repeated key or a
+    badly typed value raises ``ValueError`` as ``<path>[:<line>]: ...``,
+    naming a value's key.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    kwargs = {}
+    kwargs, seen = {}, {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,6 +67,9 @@ def parse_config(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         field_name, caster = _CONFIG_KEYS[key]
         try:
             kwargs[field_name] = caster(value)
@@ -89,32 +95,25 @@ def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
 
 # -- artifact serialization ---------------------------------------------------
 
-_REPORT_KEYS = ("dataset", "n", "nmi", "acc", "ari", "matching", "contingency")
-
 
 def format_report(report: ClusteringReport, dataset_name: str, n: int) -> str:
     matching = ",".join(f"{p}:{t}" for p, t in sorted(report.matching.items()))
     contingency = ";".join(
         ",".join(str(v) for v in row) for row in report.contingency.tolist()
     )
-    values = {
-        "dataset": dataset_name,
-        "n": n,
-        "nmi": repr(report.nmi),
-        "acc": repr(report.acc),
-        "ari": repr(report.ari),
-        "matching": matching,
-        "contingency": contingency,
-    }
-    return "".join(f"{k}={values[k]}\n" for k in _REPORT_KEYS)
-
-
-_HISTORY_KEYS = tuple(f.name for f in fields(EpochRecord))
+    return f"""dataset={dataset_name}
+n={n}
+nmi={report.nmi!r}
+acc={report.acc!r}
+ari={report.ari!r}
+matching={matching}
+contingency={contingency}
+"""
 
 
 def format_history(history: TrainHistory) -> str:
     return "".join(
-        " ".join(f"{name}={getattr(rec, name)!r}" for name in _HISTORY_KEYS) + "\n"
+        " ".join(f"{name}={value!r}" for name, value in vars(rec).items()) + "\n"
         for rec in history.records
     )
 
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-dataset", help="generate a synthetic dataset CSV")
-    p.add_argument("--kind", required=True, choices=("moons", "rings", "blobs"))
+    p.add_argument("--kind", required=True, choices=DATASET_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)

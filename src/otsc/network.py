@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 TAU_CAP = 0.0  # log 1
-INIT_LOG_TAU = float(np.log(0.05))
 
 
 class ModelState:
@@ -78,14 +77,13 @@ class ModelState:
 @dataclass
 class OptimizerState:
     """Heavy-ball SGD state. The momentum is one vector, ``velocity``, laid out
-    like the model's ``params``; ``momentum_buffers`` holds its named views."""
+    like the model's ``params``; None before the first step."""
 
     base_lr: float
     momentum: float = 0.9
     weight_decay: float = 0.0005
     restart_period: int = 200
     velocity: np.ndarray | None = field(default=None, init=False, repr=False)
-    momentum_buffers: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     # the range of each field, read by `check_fields`
     _BOUNDS = {"base_lr": "> 0", "momentum": "[0, 1)", "weight_decay": ">= 0",
@@ -105,15 +103,17 @@ def init_model(
     embed_dim: int,
     num_clusters: int,
     rng: np.random.Generator,
+    tau_init: tuple[float, float],
     hidden: tuple[int, ...] = (64, 64),
 ) -> ModelState:
-    """Xavier-uniform weights, zero biases, prototypes drawn like a K x D layer."""
+    """Xavier-uniform weights, zero biases, prototypes drawn like a K x D layer,
+    and ``log_tau`` the log of ``tau_init`` (affinity, clustering)."""
     dims = (d_in, *hidden, embed_dim)
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         layers.append((_xavier_uniform(fan_out, fan_in, rng), np.zeros(fan_out)))
     prototypes = _xavier_uniform(num_clusters, embed_dim, rng)
-    return ModelState(layers=layers, prototypes=prototypes, log_tau=np.full(2, INIT_LOG_TAU))
+    return ModelState(layers=layers, prototypes=prototypes, log_tau=np.log(tau_init))
 
 
 def forward(state: ModelState, x) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -189,7 +189,7 @@ def sgd_step(
     if opt.weight_decay:
         g[:head] += opt.weight_decay * state.params[:head]
     if opt.velocity is None:
-        opt.velocity, opt.momentum_buffers = g, dict(state.named_arrays(g))
+        opt.velocity = g
     else:
         opt.velocity *= opt.momentum
         opt.velocity += g
@@ -230,7 +230,8 @@ def save_checkpoint(
     rng_state: dict | None = None,
 ) -> None:
     arrays = dict(state.named_arrays())
-    arrays.update((f"momentum:{name}", buf) for name, buf in opt.momentum_buffers.items())
+    if opt.velocity is not None:
+        arrays.update((f"momentum:{name}", buf) for name, buf in state.named_arrays(opt.velocity))
     meta = {
         "format": _CKPT_FORMAT,
         "num_layers": len(state.layers),
@@ -336,7 +337,6 @@ def load_checkpoint(path) -> tuple[ModelState, OptimizerState, int, dict | None]
                 )
         if any(key.startswith("momentum:") for key in arrays):
             opt.velocity = np.concatenate([arrays[f"momentum:{n}"].ravel() for n in params])
-            opt.momentum_buffers = dict(state.named_arrays(opt.velocity))
         return state, opt, meta["epoch"], meta["rng_state"]
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"checkpoint {path} entry 'meta' is not JSON: {err}") from None

@@ -190,11 +190,11 @@ def row_normalize(z: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     return z / norms
 
 
-def row_normalize_vjp(z: np.ndarray, grad_out: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Backward of `row_normalize` at input ``z``, given the ``norms`` it took.
+def row_normalize_vjp(zhat: np.ndarray, grad_out: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Backward of `row_normalize` at input z, given the unit rows ``zhat``
+    it returned and the ``norms`` it took.
 
     Per row the Jacobian is the tangent projection (I - zhat zhat.T)/||z||.
     """
-    zhat = z / norms
     radial = (grad_out * zhat).sum(axis=1, keepdims=True)
     return (grad_out - radial * zhat) / norms

@@ -104,16 +104,13 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, self._BOUNDS)
-        self._check_bounds()
-        self.optimizer()  # refuses optimizer settings out of range
-
-    def _check_bounds(self):
         if self.embed_dim > self.batch_size // 2:
             raise ValueError("embed_dim must not exceed batch_size / 2")
         if self.orth_mode not in TRAINER_ORTH_MODES:
             raise ValueError(
                 f"orth_mode must be one of {TRAINER_ORTH_MODES}, got {self.orth_mode!r}"
             )
+        self.optimizer()  # refuses optimizer settings out of range
 
     @property
     def lr(self) -> float:
@@ -179,18 +176,18 @@ def _encode(model, x):
 
 
 def _straight_through(z_raw, cfg, norms=None):
-    """(residual, value) of the straight-through orthogonalize-and-normalize
-    map on one view's raw embeddings: the value is the row-normalized
-    orthogonalized embedding, and the gradient reaches the raw embeddings
-    through the normalization Jacobian at them (a stop-gradient inside the
-    normalization instead is scale-unstable at this model size). ``norms``
-    takes the raw rows' norms if given (`row_normalize`)."""
-    z_base = row_normalize(z_raw, norms)
+    """(unit rows, residual, value) of the straight-through
+    orthogonalize-and-normalize map on one view's raw embeddings: the value
+    is the row-normalized orthogonalized embedding, and the gradient reaches
+    the raw embeddings through the normalization Jacobian at the unit rows
+    (a stop-gradient inside the normalization instead is scale-unstable at
+    this model size). ``norms`` takes the raw rows' norms if given."""
+    zhat = row_normalize(z_raw, norms)
     if cfg.orth_mode == "procrustes":
-        resid = row_normalize(orthogonalize(z_raw).z_new) - z_base
+        resid = row_normalize(orthogonalize(z_raw).z_new) - zhat
     else:
         resid = np.zeros_like(z_raw)
-    return resid, z_base + resid  # normalized orthogonalized rows
+    return zhat, resid, zhat + resid  # normalized orthogonalized rows
 
 
 def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
@@ -233,20 +230,20 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         # logits and targets
         z_raw, inputs = _encode(model, (x1, x2)[v])
         norms = np.empty((b, 1))
-        resid, z = _straight_through(z_raw, cfg, norms)
+        zhat, resid, z = _straight_through(z_raw, cfg, norms)
         # z.T copied keeps numpy off its much slower z @ z.T (syrk) path
         off_diagonal(np.matmul(z, z.T.copy(), out=logits[v]))
         h = z @ protos.T
         w = sinkhorn_algorithm1(logits[v], cfg.eta, cfg.sinkhorn_iters, out=kernels[v]).factors
         p = sinkhorn_algorithm1(h, cfg.eta, cfg.sinkhorn_iters).factors
-        return z_raw, norms, inputs, resid, z, h, w, p
+        return zhat, norms, inputs, resid, z, h, w, p
 
     def backward(v):
         # swapped prediction: view 1 - v's targets supervise view v's logits.
         # View v's loss terms, then its gradients through the straight-through
         # (identity), the row normalization of its raw embeddings and the
         # encoder into row v of grads; targets and residuals are constants
-        z_raw, norms, inputs, _, z, h, _, _ = views[v]
+        zhat, norms, inputs, _, z, h, _, _ = views[v]
         *_, w, p = views[1 - v]
         loss_a, g, g_y = softmax_cross_entropy(w, logits[v], z, z, tau_a)
         loss_c, g_c, grad_protos = softmax_cross_entropy(p, h, z, protos, tau_c)
@@ -260,7 +257,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
         if cfg.orth_mode == "penalty":
             pen, grad_pen = orthogonal_penalty(z)
             g = g + grad_pen
-        net.backward(model, inputs, row_normalize_vjp(z_raw, g, norms), out=rows[v])
+        net.backward(model, inputs, row_normalize_vjp(zhat, g, norms), out=rows[v])
         return loss_a, loss_c, pen
 
     views = both_halves(forward, worker)
@@ -268,7 +265,7 @@ def _compute_step(model, x1, x2, cfg, planes=None, worker=None):
     la, lc, penalty = (view0 + view1 for view0, view1 in zip(*both_halves(backward, worker)))
     grads[0] += grads[1]
     *_, grad_protos, grad_tau = rows[0]
-    grad_protos[:] = row_normalize_vjp(model.prototypes, grad_protos, proto_norms)
+    grad_protos[:] = row_normalize_vjp(protos, grad_protos, proto_norms)
     grad_tau *= net.tau_grad_scale(model.log_tau)
 
     # the residuals are the moves the straight-through applies to unit rows
@@ -324,8 +321,8 @@ def fit(features, cfg: TrainConfig) -> tuple[net.ModelState, TrainHistory]:
     if n < b:
         raise ValueError(f"dataset has {n} samples but batch_size is {b}")
     rng = np.random.default_rng(cfg.seed)
-    model = net.init_model(d_in, cfg.embed_dim, cfg.num_clusters, rng)
-    model.log_tau[:] = np.log([cfg.tau_a_init, cfg.tau_c_init])
+    tau_init = (cfg.tau_a_init, cfg.tau_c_init)
+    model = net.init_model(d_in, cfg.embed_dim, cfg.num_clusters, rng, tau_init)
     opt = cfg.optimizer()
     records = []
     planes = np.empty((2, 2, b, b))  # the steps' B x B planes, reused for the whole run

@@ -45,6 +45,11 @@ from scipy.special import logsumexp
 from otsc import network as net
 from otsc.errors import NumericalError
 from otsc.spectral import orthogonal_penalty, row_normalize
+from otsc.trainer import TrainConfig
+
+# the initial (affinity, clustering) temperatures of the models tests build
+# with `init_model`: TrainConfig's defaults
+TAU_INIT = (TrainConfig.tau_a_init, TrainConfig.tau_c_init)
 
 
 def central_difference(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -446,8 +451,8 @@ def per_array_sgd_step(state, opt, grads, lr):
     """The heavy-ball step as it was before the parameters were one vector,
     kept as it was written: one pass per named array, ``grads`` a dict by
     name and ``opt.momentum_buffers`` a dict it fills (a namespace with the
-    optimizer's settings stands in for the optimizer, whose buffers are now
-    read-only views)."""
+    optimizer's settings stands in for the optimizer, which keeps one
+    momentum vector)."""
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for {name!r}; step refused")

@@ -418,9 +418,14 @@ def _binary(tmp_path, name, data: bytes) -> str:
 
 
 def _train_with(tmp_path, run, line, *flags):
-    """A train run whose config is the trained run's plus ``line``."""
+    """A train run whose config is the trained run's plus ``line``. The
+    trained run's line of the key ``line`` sets is commented out, as a key
+    set twice is refused, so every line keeps its number."""
+    key = line.split("=", 1)[0].strip()
+    rows = run["config"].read_text().splitlines()
+    rows = [f"# {row}" if row.split("=", 1)[0].strip() == key else row for row in rows]
     config = tmp_path / "edited.cfg"
-    config.write_text(run["config"].read_text() + line + "\n")
+    config.write_text("".join(row + "\n" for row in rows) + line + "\n")
     return ["train", "--config", str(config), "--dataset", str(run["dataset"]),
             "--out", str(tmp_path / "o"), *flags]
 
@@ -659,6 +664,9 @@ BAD_INPUTS = {
     "config line without =": (
         lambda tmp, run: _train_with(tmp, run, "epochs 2"),
         1, f"edited.cfg:{APPENDED}: expected 'key = value', got 'epochs 2'\n"),
+    "repeated key in the config": (
+        lambda tmp, run: _train_with(tmp, run, "lambda = 1.0\nlambda=2.0"),
+        1, f"edited.cfg:{APPENDED + 1}: key 'lambda' repeats line {APPENDED}\n"),
     "NaN scale_jitter in the config": (
         lambda tmp, run: _train_with(tmp, run, "scale_jitter = nan"),
         1, "error: scale_jitter must be finite, got nan\n"),

@@ -8,7 +8,9 @@ come from `trainer.predict`.
 import numpy as np
 import pytest
 
-from oracles import as_factors, central_difference, plan_of, random_stochastic, rel_error, unit_rows
+from oracles import (
+    TAU_INIT, as_factors, central_difference, plan_of, random_stochastic, rel_error, unit_rows
+)
 from otsc import network as net
 from otsc.spectral import row_normalize, row_normalize_vjp, softmax_cross_entropy
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step, predict
@@ -49,7 +51,7 @@ def squared_distances(z, prototypes):
 def untrained_model(seed):
     """An initialized model and a batch; predict needs no training."""
     rng = np.random.default_rng(seed)
-    return net.init_model(4, 3, 4, rng), rng.normal(size=(12, 4))
+    return net.init_model(4, 3, 4, rng, TAU_INIT), rng.normal(size=(12, 4))
 
 
 class TestPrototypeBank:
@@ -125,7 +127,8 @@ class TestClusteringLoss:
             return clustering_loss(target, z, p_raw, tau)[0]
 
         _, _, grad_protos, _ = clustering_loss(target, z, raw, tau)
-        grad_raw = row_normalize_vjp(raw, grad_protos, np.linalg.norm(raw, axis=1, keepdims=True))
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        grad_raw = row_normalize_vjp(raw / norms, grad_protos, norms)
         fd = central_difference(loss_of_raw, raw)
         assert rel_error(grad_raw, fd) <= 1e-6
 
@@ -148,7 +151,7 @@ class TestClusteringLoss:
         # the loss no longer checks its targets: the assignment targets the
         # training step hands it are row-stochastic and non-negative
         rng = np.random.default_rng(8)
-        model = net.init_model(4, 3, 2, rng, hidden=(6,))
+        model = net.init_model(4, 3, 2, rng, TAU_INIT, hidden=(6,))
         x1 = rng.normal(size=(8, 4))
         x2 = x1 + 0.1 * rng.normal(size=x1.shape)
         for mode in TRAINER_ORTH_MODES:

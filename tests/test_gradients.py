@@ -12,7 +12,9 @@ from concurrent import futures
 import numpy as np
 import pytest
 
-from oracles import clone, held_embeddings, held_step_loss, logit_form_tau_grad, plan_of
+from oracles import (
+    TAU_INIT, clone, held_embeddings, held_step_loss, logit_form_tau_grad, plan_of
+)
 from otsc import network as net
 from otsc.trainer import TRAINER_ORTH_MODES, TrainConfig, _compute_step
 
@@ -22,7 +24,7 @@ H = 1e-6
 
 def build_instance(mode, seed=0):
     rng = np.random.default_rng(seed)
-    model = net.init_model(4, 3, 2, rng, hidden=(6,))
+    model = net.init_model(4, 3, 2, rng, TAU_INIT, hidden=(6,))
     # interior temperatures (away from the clamp), distinct per head
     model.log_tau[:] = np.log([0.3, 0.4])
     cfg = TrainConfig(

@@ -5,13 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import central_difference, clone, flat, per_array_sgd_step, rel_error
+from oracles import TAU_INIT, central_difference, clone, flat, per_array_sgd_step, rel_error
 from otsc import network as net
 from otsc.errors import NumericalError
 
 
 def small_model(rng, d_in=4, d_out=3, k=2, hidden=(6,)):
-    return net.init_model(d_in, d_out, k, rng, hidden=hidden)
+    return net.init_model(d_in, d_out, k, rng, TAU_INIT, hidden=hidden)
 
 
 class TestForward:
@@ -201,7 +201,7 @@ class TestFlatSgd:
     @staticmethod
     def readme_model(seed):
         # the README config's model: 2 -> 64 -> 64 -> 2, two prototypes
-        model = net.init_model(2, 2, 2, np.random.default_rng(seed))
+        model = net.init_model(2, 2, 2, np.random.default_rng(seed), TAU_INIT)
         return model, net.OptimizerState(base_lr=5e-6, momentum=0.9, weight_decay=0.05)
 
     def test_three_steps_bitwise_equal_the_per_array_loop(self):
@@ -215,8 +215,9 @@ class TestFlatSgd:
             per_array_sgd_step(ref, ref_opt, grads, 0.1)
             assert model.params.tobytes() == ref.params.tobytes()
             assert model.version == ref.version == step + 1
-            assert opt.momentum_buffers.keys() == ref_opt.momentum_buffers.keys()
-            for name, buf in opt.momentum_buffers.items():
+            buffers = dict(model.named_arrays(opt.velocity))
+            assert buffers.keys() == ref_opt.momentum_buffers.keys()
+            for name, buf in buffers.items():
                 assert buf.tobytes() == ref_opt.momentum_buffers[name].tobytes(), name
 
     def test_log_tau_is_not_decayed(self):
@@ -316,7 +317,7 @@ class TestCheckpoint:
         model.log_tau[0] = -1.3
         opt = net.OptimizerState(base_lr=0.05, momentum=0.8, weight_decay=1e-4)
         net.sgd_step(model, opt, rng.normal(size=model.params.size), 0.05)
-        opt.momentum_buffers["log_tau"][...] = [0.25, -0.5]
+        dict(model.named_arrays(opt.velocity))["log_tau"][...] = [0.25, -0.5]
         rng_state = {"note": "opaque"}
 
         path = tmp_path / "ckpt.npz"
@@ -331,9 +332,9 @@ class TestCheckpoint:
             assert (a == b).all()
         assert o2.base_lr == 0.05
         assert o2.momentum == 0.8
-        assert o2.momentum_buffers.keys() == opt.momentum_buffers.keys()
-        for name, buf in opt.momentum_buffers.items():
-            assert np.array_equal(o2.momentum_buffers[name], buf)
+        loaded = dict(m2.named_arrays(o2.velocity))
+        for name, buf in model.named_arrays(opt.velocity):
+            assert np.array_equal(loaded[name], buf), name
 
     @pytest.mark.parametrize("epoch, message", [
         (2.5, "epoch must be an integer, got 2.5"),
@@ -356,6 +357,26 @@ class TestCheckpoint:
         net.save_checkpoint(path, model, opt, epoch=np.int64(3))
         _, loaded, epoch, _ = net.load_checkpoint(path)
         assert (epoch, loaded.restart_period) == (3, 7)
+
+    def test_writes_the_velocity_as_its_named_views(self, tmp_path):
+        # a fresh optimizer has no momentum to write; after steps, each
+        # "momentum:<name>" entry is that parameter's view of the velocity
+        model = small_model(np.random.default_rng(14))
+        opt = net.OptimizerState(base_lr=0.05, momentum=0.8, weight_decay=1e-3)
+        path = tmp_path / "ckpt.npz"
+        net.save_checkpoint(path, model, opt, epoch=0)
+        with np.load(path) as data:
+            assert [key for key in data.files if key.startswith("momentum:")] == []
+        rng = np.random.default_rng(15)
+        for _ in range(2):
+            net.sgd_step(model, opt, rng.normal(size=model.params.size), 0.05)
+        net.save_checkpoint(path, model, opt, epoch=2)
+        with np.load(path) as data:
+            written = [(key, data[key]) for key in data.files if key.startswith("momentum:")]
+        want = model.named_arrays(opt.velocity)
+        assert [key for key, _ in written] == [f"momentum:{name}" for name, _ in want]
+        for (_, got), (_, buf) in zip(written, want):
+            assert got.tobytes() == buf.tobytes() and got.shape == buf.shape
 
     def test_momentum_buffers_are_all_or_none(self, tmp_path):
         # the momentum is one vector: a checkpoint that holds some buffers

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    TAU_INIT,
     as_factors,
     central_difference,
     mask_off_diagonal,
@@ -84,14 +85,15 @@ def encoder_view(seed, orth_mode="procrustes"):
     """A small model, a batch, and its config, for the trainer's view encoding."""
     rng = np.random.default_rng(seed)
     cfg = TrainConfig(num_clusters=2, embed_dim=3, batch_size=8, orth_mode=orth_mode)
-    return net.init_model(4, 3, 2, rng, hidden=(6,)), rng.normal(size=(8, 4)), cfg
+    return net.init_model(4, 3, 2, rng, TAU_INIT, hidden=(6,)), rng.normal(size=(8, 4)), cfg
 
 
 def straight_through_view(model, x, cfg):
     """One view as the trainer encodes it: (z_raw, straight-through
     residual, straight-through value)."""
     z_raw, _ = net.forward(model, x)
-    return (z_raw, *_straight_through(z_raw, cfg))
+    _, resid, z = _straight_through(z_raw, cfg)
+    return z_raw, resid, z
 
 
 def step_affinity_targets(seed=11):
@@ -534,7 +536,7 @@ class TestStraightThrough:
             lambda v: 0.5 * float(np.sum((row_normalize(v) + resid - t) ** 2)), z_raw
         )
         norms = np.linalg.norm(z_raw, axis=1, keepdims=True)
-        assert rel_error(row_normalize_vjp(z_raw, upstream, norms), fd) <= 1e-7
+        assert rel_error(row_normalize_vjp(z_raw / norms, upstream, norms), fd) <= 1e-7
 
     def test_none_mode_passthrough(self):
         # orth_mode "none" skips orthogonalize: the view is the normalized
@@ -590,7 +592,8 @@ class TestRowNormalize:
         def f(v):
             return float((row_normalize(v) * upstream).sum())
 
-        grad = row_normalize_vjp(z, upstream, np.linalg.norm(z, axis=1, keepdims=True))
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        grad = row_normalize_vjp(z / norms, upstream, norms)
         fd = central_difference(f, z)
         assert rel_error(grad, fd) <= 1e-7
 

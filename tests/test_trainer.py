@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import otsc.trainer
-from oracles import masked_softmax_cross_entropy, plan_of, rel_error
+from oracles import TAU_INIT, masked_softmax_cross_entropy, plan_of, rel_error
 from otsc import network as net
 from otsc.cli import format_report
 from otsc.data import gen_dataset
@@ -148,7 +148,7 @@ class TestConfig:
         assert (opt.base_lr, opt.momentum, opt.weight_decay, opt.restart_period) == (
             cfg.lr, 0.5, 0.01, 7
         )
-        assert opt.momentum_buffers == {} and cfg.optimizer() is not opt
+        assert opt.velocity is None and cfg.optimizer() is not opt
 
 
 class TestAugment:
@@ -181,7 +181,7 @@ class TestTrainStep:
     def test_lambda_zero_total_is_affinity_only(self):
         cfg = tiny_cfg(lam=0.0)
         rng = np.random.default_rng(2)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         x1 = rng.normal(size=(10, 4))
         x2 = rng.normal(size=(10, 4))
         losses, _, _ = _compute_step(model, x1, x2, cfg)
@@ -190,7 +190,7 @@ class TestTrainStep:
     def test_view_exchange_symmetry(self):
         cfg = tiny_cfg()
         rng = np.random.default_rng(3)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         x1 = rng.normal(size=(10, 4))
         x2 = rng.normal(size=(10, 4))
         a, _, _ = _compute_step(model, x1, x2, cfg)
@@ -200,7 +200,7 @@ class TestTrainStep:
     def test_repeated_batch_loss_decreases(self):
         cfg = tiny_cfg(base_lr=1e-5, epochs=1)
         rng = np.random.default_rng(4)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         opt = net.OptimizerState(base_lr=cfg.lr, momentum=cfg.momentum,
                                  weight_decay=cfg.weight_decay,
                                  restart_period=cfg.restart_period)
@@ -216,7 +216,7 @@ class TestTrainStep:
         cfg = tiny_cfg(noise_sigma=0.0, feature_dropout_prob=0.0, scale_jitter=0.0,
                        batch_size=8, embed_dim=3)
         rng = np.random.default_rng(6)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         opt = net.OptimizerState(base_lr=cfg.lr)
         x = np.tile(np.array([[0.3, -0.2, 1.0, 0.4]]), (8, 1))
         # the identical rows also embed at rank one, so the polar factor warns too
@@ -247,7 +247,7 @@ class TestTrainStep:
         monkeypatch.setattr(net, "backward", counted_backward)
         cfg = tiny_cfg()
         rng = np.random.default_rng(3)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         x1, x2 = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
         with futures.ThreadPoolExecutor(1) if on_worker else contextlib.nullcontext() as worker:
             _compute_step(model, x1, x2, cfg, worker=worker)
@@ -286,7 +286,7 @@ class TestTrainStep:
         # unit of affinity off the diagonal
         cfg = tiny_cfg(batch_size=batch_size, embed_dim=embed_dim, orth_mode=mode)
         rng = np.random.default_rng(6)
-        model = net.init_model(4, embed_dim, 2, rng)
+        model = net.init_model(4, embed_dim, 2, rng, TAU_INIT)
         x1, x2 = rng.normal(size=(2, batch_size, 4))
         losses, grads, (_, targets, _) = _compute_step(model, x1, x2, cfg)
         assert np.isfinite(losses.total_loss)
@@ -303,7 +303,7 @@ class TestStepStatistics:
     @staticmethod
     def step(orth_mode="procrustes", scale=1.0, **kw):
         rng = np.random.default_rng(11)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         w, b = model.layers[-1]
         w *= scale
         b *= scale
@@ -342,7 +342,7 @@ class TestAffinityTargetMarginals:
         cfg = TrainConfig(batch_size=b, **self.CONFIG)
         x = gen_dataset("moons", 1000, 0.04, 7).features
         rng = np.random.default_rng(cfg.seed)
-        model = net.init_model(2, cfg.embed_dim, cfg.num_clusters, rng)
+        model = net.init_model(2, cfg.embed_dim, cfg.num_clusters, rng, TAU_INIT)
         batch = x[rng.permutation(1000)[:b]]
         planes = np.empty((2, 2, b, b))
         x1, x2 = augment(batch, cfg, rng), augment(batch, cfg, rng)
@@ -368,7 +368,7 @@ class TestStepBuffers:
         # NaN-filled shared planes: no step may read what it did not write
         for planes in (np.full((2, 2, 10, 10), np.nan), None):
             rng = np.random.default_rng(7)
-            model = net.init_model(4, 3, 2, rng)
+            model = net.init_model(4, 3, 2, rng, TAU_INIT)
             opt = net.OptimizerState(base_lr=cfg.lr)
             trail = []
             for _ in range(3):
@@ -398,7 +398,7 @@ class TestStepBuffers:
         monkeypatch.setattr("otsc.trainer.softmax_cross_entropy", recording_loss)
         cfg = tiny_cfg(orth_mode=orth_mode)
         rng = np.random.default_rng(5)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         planes = np.full((2, 2, b, b), np.nan)
         opt = net.OptimizerState(base_lr=cfg.lr)
         train_step(random_data(n=b, seed=5), model, opt, cfg, rng, cfg.lr, planes=planes)
@@ -435,7 +435,7 @@ class TestStepBuffers:
         cfg = tiny_cfg(batch_size=b)
         rng = np.random.default_rng(3)
         x = random_data(n=b, seed=3)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         opt = net.OptimizerState(base_lr=cfg.lr)
         planes = np.empty((2, 2, b, b))
         train_step(x, model, opt, cfg, rng, cfg.lr, planes=planes)
@@ -525,7 +525,7 @@ class TestWorker:
         cfg = tiny_cfg(batch_size=40)
         rng = np.random.default_rng(9)
         x = random_data(n=40, seed=9)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         x1, x2 = augment(x, cfg, rng), augment(x, cfg, rng)
 
         def step(worker):
@@ -546,7 +546,7 @@ class TestWorker:
         # the panel sums of z.T @ A reorder a summation; nothing else moves
         cfg = tiny_cfg(batch_size=40)
         rng = np.random.default_rng(10)
-        model = net.init_model(4, 3, 2, rng)
+        model = net.init_model(4, 3, 2, rng, TAU_INIT)
         x = random_data(n=40, seed=10)
         x1, x2 = augment(x, cfg, rng), augment(x, cfg, rng)
         want, want_grads, _ = _compute_step(model, x1, x2, cfg)  # one panel
@@ -567,15 +567,17 @@ DIVERGED = "aborted at epoch 0, step 1: row_normalize received row 0 of norm inf
 
 
 class TestFit:
-    def test_zero_epochs_returns_init_and_empty_history(self):
-        cfg = tiny_cfg(epochs=0)
+    @pytest.mark.parametrize("tau_a, tau_c", [TAU_INIT, (0.15, 0.12)])
+    def test_zero_epochs_returns_init_and_empty_history(self, tau_a, tau_c):
+        cfg = tiny_cfg(epochs=0, tau_a_init=tau_a, tau_c_init=tau_c)
         x = random_data()
         model, history = fit(x, cfg)
         assert len(history) == 0
         rng = np.random.default_rng(cfg.seed)
-        want = net.init_model(4, cfg.embed_dim, cfg.num_clusters, rng)
+        want = net.init_model(4, cfg.embed_dim, cfg.num_clusters, rng, (tau_a, tau_c))
         for (_, a), (_, b) in zip(model.named_arrays(), want.named_arrays()):
             assert (a == b).all()
+        assert model.log_tau.tobytes() == np.log([tau_a, tau_c]).tobytes()
         assert model.version == 0
 
     def test_bitwise_deterministic(self):
@@ -666,12 +668,12 @@ class TestPredict:
         assert (l1 == l2).all()
 
     def test_input_dim_mismatch(self):
-        model = net.init_model(4, 3, 2, np.random.default_rng(4))
+        model = net.init_model(4, 3, 2, np.random.default_rng(4), TAU_INIT)
         with pytest.raises(ValueError, match="^input dim 9 does not match first layer 4$"):
             predict(model, np.zeros((3, 9)))
 
     def test_overflowing_encoder_output_is_refused_without_a_warning(self):
-        model = net.init_model(4, 3, 2, np.random.default_rng(4))
+        model = net.init_model(4, 3, 2, np.random.default_rng(4), TAU_INIT)
         for weight, _ in model.layers:
             weight *= 1e200  # the second layer's products overflow
         with pytest.raises(NumericalError) as info:
